@@ -119,10 +119,6 @@ pub struct HermesConfig {
     /// Consecutive retry-exhausted device ops before the Gate Keeper
     /// enters degraded mode and queues admissions.
     pub degraded_threshold: u32,
-    /// Drain the shadow table in one planned device transaction per slice
-    /// (batched control channel: one handshake, one coalesced shift plan).
-    /// Disable for the legacy per-rule migration path (ablation).
-    pub batched_migration: bool,
     /// Crash-resync policy: warm/cold reboot mode, reconnect backoff and
     /// the intent-store checkpoint interval.
     pub resync: ResyncPolicy,
@@ -142,7 +138,6 @@ impl Default for HermesConfig {
             low_priority_bypass: true,
             retry: RetryPolicy::default(),
             degraded_threshold: 2,
-            batched_migration: true,
             resync: ResyncPolicy::default(),
         }
     }

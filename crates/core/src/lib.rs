@@ -21,7 +21,9 @@
 //!   threshold) and the migration report;
 //! * [`predict`] — EWMA / Cubic Spline / ARMA predictors with Slack and
 //!   Deadzone correctors (§5.1);
-//! * [`api`] — the operator interface (`CreateTCAMQoS` …, §7).
+//! * [`api`] — the operator interface (`CreateTCAMQoS` …, §7);
+//! * [`plane`] — the `ControlPlane` abstraction the fleet, the simulator
+//!   and the comparison baselines drive, with Hermes behind it.
 //!
 //! ## Quickstart
 //!
@@ -50,6 +52,7 @@ pub mod gatekeeper;
 pub mod manager;
 pub mod multitable;
 pub mod partition;
+pub mod plane;
 pub mod predict;
 pub mod recovery;
 pub mod resync;

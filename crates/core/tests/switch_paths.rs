@@ -339,51 +339,148 @@ fn admit_batch_flushes_before_main_landings() {
     assert_eq!(sw.peek(pkt("42.1.2.3")).rule().unwrap().id, RuleId(3));
 }
 
-#[test]
-fn batched_migration_matches_per_rule_pass() {
-    let mk = |batched: bool| {
-        let config = HermesConfig {
-            rate_limit: Some(f64::INFINITY),
-            low_priority_bypass: false,
-            batched_migration: batched,
-            ..Default::default()
-        };
-        HermesSwitch::new(SwitchModel::pica8_p3290(), config).unwrap()
+/// The highest-priority logical rule matching `packet` — the answer a
+/// flat priority-ordered table holding the same rules would give.
+fn flat_winner(sw: &HermesSwitch, packet: u128) -> Option<(RuleId, Action)> {
+    sw.logical_rules()
+        .into_iter()
+        .filter(|r| r.key.matches(packet))
+        .max_by_key(|r| r.priority)
+        .map(|r| (r.id, r.action))
+}
+
+/// A switch with `main_room` free main-table entries whose shadow holds
+/// rule 2, cut into two pieces against main rule 1, and `intact` uncut
+/// rules 10.. at ascending priorities 20.. .
+fn switch_with_shadow_residents(main_room: usize, intact: u64) -> HermesSwitch {
+    let config = HermesConfig {
+        rate_limit: Some(f64::INFINITY),
+        low_priority_bypass: false,
+        shadow_size: Some(12),
+        ..Default::default()
     };
-    let mut fast = mk(true);
-    let mut slow = mk(false);
+    // Main rules besides the blocker: enough that the 12-entry shadow
+    // stays under the constructor's half-the-TCAM cap.
+    let filler = 11;
+    let model = SwitchModel {
+        capacity: 12 + 1 + filler + main_room,
+        ..SwitchModel::pica8_p3290()
+    };
+    let mut sw = HermesSwitch::new(model, config).unwrap();
     let now = SimTime::ZERO;
-    for sw in [&mut fast, &mut slow] {
-        // A blocker in main, then a spread of shadow residents (one cut).
-        sw.insert(rule(1, "10.0.0.0/26", 50, 1), now).unwrap();
-        sw.migrate(now);
-        sw.insert(rule(2, "10.0.0.0/24", 5, 2), now).unwrap();
-        for i in 0..6u64 {
-            sw.insert(
-                rule(10 + i, &format!("2{i}.0.0.0/8"), 20 + i as u32, 3),
-                now,
-            )
+    sw.insert(rule(1, "10.0.0.0/26", 50, 1), now).unwrap();
+    sw.migrate(now);
+    for i in 0..filler as u64 {
+        sw.insert(rule(100 + i, &format!("{}.0.0.0/8", 100 + i), 60, 9), now)
             .unwrap();
-        }
+        sw.migrate(now);
     }
-    let frep = fast.migrate(now);
-    let srep = slow.migrate(now);
-    assert_eq!(frep.rules_migrated, srep.rules_migrated);
-    assert_eq!(frep.entries_written, srep.entries_written);
-    assert_eq!(frep.pieces_deleted, srep.pieces_deleted);
-    assert_eq!(frep.entries_saved, srep.entries_saved);
-    assert!(
-        frep.duration < srep.duration,
-        "batched drain must amortize the handshake: {} vs {}",
-        frep.duration,
-        srep.duration
-    );
-    assert_eq!(fast.shadow_len(), 0);
-    assert_eq!(fast.main_len(), slow.main_len());
-    for addr in ["10.0.0.5", "10.0.0.200", "20.1.2.3", "25.1.2.3", "9.9.9.9"] {
+    assert_eq!((sw.shadow_len(), sw.main_len()), (0, 1 + filler));
+    sw.insert(rule(2, "10.0.0.0/24", 5, 2), now).unwrap();
+    for i in 0..intact {
+        sw.insert(
+            rule(10 + i, &format!("2{i}.0.0.0/8"), 20 + i as u32, 3),
+            now,
+        )
+        .unwrap();
+    }
+    assert_eq!(sw.shadow_len() as u64, 2 + intact, "rule 2 is cut in two");
+    sw
+}
+
+const MIGRATION_PROBES: [&str; 10] = [
+    "10.0.0.5",
+    "10.0.0.200",
+    "20.1.2.3",
+    "21.1.2.3",
+    "22.1.2.3",
+    "23.1.2.3",
+    "24.1.2.3",
+    "25.1.2.3",
+    "26.1.2.3",
+    "9.9.9.9",
+];
+
+#[test]
+fn batched_drain_empties_the_shadow_in_two_transactions() {
+    let mut sw = switch_with_shadow_residents(8, 7);
+    let main_before = sw.main_len();
+    let rep = sw.migrate(SimTime::ZERO);
+    assert_eq!(rep.rules_migrated, 8);
+    assert_eq!(rep.entries_written, 8);
+    assert_eq!(rep.pieces_deleted, 9);
+    assert_eq!(rep.entries_saved, 1);
+    assert_eq!(sw.shadow_len(), 0);
+    assert_eq!(sw.main_len(), main_before + 8);
+    for addr in MIGRATION_PROBES {
         assert_eq!(
-            fast.peek(pkt(addr)).rule().map(|r| (r.id, r.action)),
-            slow.peek(pkt(addr)).rule().map(|r| (r.id, r.action)),
+            sw.peek(pkt(addr)).rule().map(|r| (r.id, r.action)),
+            flat_winner(&sw, pkt(addr)),
+            "lookup diverged from the flat table at {addr}"
+        );
+    }
+}
+
+#[test]
+fn full_main_table_retargets_migration_to_the_per_rule_pass() {
+    // Room for k = 5 of the N = 8 residents: the insert batch rejects
+    // `Full`, and the per-rule pass must move exactly the five
+    // lowest-priority rules (ascending priority keeps the cut invariant)
+    // and leave the rest in the shadow.
+    let mut tight = switch_with_shadow_residents(5, 7);
+    let main_before = tight.main_len();
+    let rep = tight.migrate(SimTime::ZERO);
+    assert_eq!(rep.rules_migrated, 5);
+    assert_eq!(rep.entries_written, 5);
+    assert_eq!(rep.pieces_deleted, 6, "two of rule 2, one each of 10..=13");
+    assert_eq!(rep.entries_saved, 1);
+    assert_eq!(tight.main_len(), main_before + 5);
+    assert_eq!(tight.shadow_len(), 3);
+    assert_eq!(tight.logical_len(), 20);
+    let in_main = |sw: &HermesSwitch, id: u64| {
+        sw.device()
+            .slice(MAIN)
+            .table
+            .entries()
+            .iter()
+            .any(|r| r.id == RuleId(id))
+    };
+    for id in [2, 10, 11, 12, 13] {
+        assert!(in_main(&tight, id), "rule {id} must have migrated");
+    }
+    for id in [14, 15, 16] {
+        assert!(!in_main(&tight, id), "rule {id} must stay in the shadow");
+        assert!(tight.contains(RuleId(id)));
+    }
+    for addr in MIGRATION_PROBES {
+        assert_eq!(
+            tight.peek(pkt(addr)).rule().map(|r| (r.id, r.action)),
+            flat_winner(&tight, pkt(addr)),
+            "lookup diverged from the flat table at {addr}"
+        );
+    }
+
+    // A twin holding only those five residents drains them through the
+    // two batched transactions: same accounting, same resulting main
+    // table, and the handshake the per-rule pass paid per op amortized.
+    let mut twin = switch_with_shadow_residents(5, 4);
+    let batched = twin.migrate(SimTime::ZERO);
+    assert_eq!(batched.rules_migrated, rep.rules_migrated);
+    assert_eq!(batched.entries_written, rep.entries_written);
+    assert_eq!(batched.pieces_deleted, rep.pieces_deleted);
+    assert_eq!(batched.entries_saved, rep.entries_saved);
+    assert_eq!(twin.shadow_len(), 0);
+    assert_eq!(twin.main_len(), tight.main_len());
+    assert!(
+        batched.duration < rep.duration,
+        "batched drain must amortize the handshake: {} vs {}",
+        batched.duration,
+        rep.duration
+    );
+    for addr in ["10.0.0.5", "10.0.0.200", "20.1.2.3", "23.1.2.3", "9.9.9.9"] {
+        assert_eq!(
+            twin.peek(pkt(addr)).rule().map(|r| (r.id, r.action)),
+            tight.peek(pkt(addr)).rule().map(|r| (r.id, r.action)),
             "lookup diverged at {addr}"
         );
     }

@@ -52,7 +52,7 @@ pub mod rebalance;
 
 pub use rebalance::{MemberHealth, RebalancePolicy, Rebalancer, RebalanceStats};
 
-use hermes_baselines::{BatchOutcome, ControlPlane, CpQueue, OpOutcome};
+use hermes_core::plane::{BatchOutcome, ControlPlane, CpQueue, OpOutcome};
 use hermes_rules::prelude::*;
 use hermes_tcam::SimTime;
 use hermes_util::rng::rngs::StdRng;

@@ -243,9 +243,17 @@ fn parse_int(text: &str) -> Option<u128> {
 
 // ---------------------------------------------------------------- R8
 
+/// A mutator called on a `device` receiver, or any call handed
+/// `&mut self.device`: the switch's retry chokepoint issues the device
+/// call it is given as a closure, so lending the device out mutably is
+/// the mutation as far as the call graph can tell.
 fn is_device_mutation(call: &Call) -> bool {
-    DEVICE_MUTATORS.contains(&call.name.as_str())
-        && call.recv.iter().any(|r| r == "device")
+    const LEND: [&str; 5] = ["&", "mut", "self", ".", "device"];
+    (DEVICE_MUTATORS.contains(&call.name.as_str()) && call.recv.iter().any(|r| r == "device"))
+        || call
+            .args
+            .windows(LEND.len())
+            .any(|w| w.iter().map(|(_, text)| text.as_str()).eq(LEND))
 }
 
 fn is_intent_touch(call: &Call) -> bool {

@@ -21,4 +21,9 @@ impl HermesSwitch {
         self.intent.record(IntentOp::Install(r));
         self.chokepoint();
     }
+
+    pub fn batched(&mut self, r: Rule) {
+        self.intent.record(IntentOp::Install(r));
+        self.dev_apply_batch(&[]);
+    }
 }

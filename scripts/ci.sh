@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(build lint clippy test bins bench chaos telemetry perfgate matrix_smoke)
+ALL_STAGES=(build lint clippy test bins bench chaos telemetry perfgate ledger matrix_smoke)
 
 stage_build() {
     cargo build --release --offline --workspace
@@ -155,6 +155,30 @@ stage_perfgate() {
     done
     python3 scripts/perfgate.py bench_baselines "$fresh_dir"
     rm -rf "$fresh_dir"
+}
+
+stage_ledger() {
+    # The perf ledger (benchmark/) as a blocking refactoring oracle: its
+    # own test suite, then one short full-size run per workload. Each
+    # run's last stdout line is a JSON object whose `correct` field is the
+    # verdict of `pinned_digest` -- the modeled outcome of the run against
+    # benchmark/expected/<workload>.seed1.json -- so a change that moves
+    # any modeled number fails here even when no counter baseline covers
+    # it. Host-time metrics are printed by the runs but not judged. The
+    # tests run in release like the runs (benchmark/README.md): the
+    # recorder's clock-calibration test does not hold in a debug build.
+    cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+    cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
+    local w
+    for w in switch_churn batch_resync lookup_mix varys_fattree fleet_storm; do
+        ./benchmark/target/release/perf-ledger run --workload "$w" --seed 1 --seconds 3 \
+            | tail -n 1 | python3 -c '
+import json, sys
+doc = json.loads(sys.stdin.read())
+assert doc["correct"] is True, "%s: model digest drifted from benchmark/expected" % sys.argv[1]
+print("ok   %s: correct, %d op(s), %d failed" % (sys.argv[1], doc["attempted"], doc["failed"]))
+' "$w"
+    done
 }
 
 stage_matrix_smoke() {
