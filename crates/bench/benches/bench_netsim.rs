@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the Varys simulator substrate: max-min fair
-//! allocation, shortest-path sampling and a small end-to-end simulation —
-//! the costs that bound experiment turnaround time.
+//! allocation (first solve and steady-state churn), shortest-path sampling
+//! and a small end-to-end simulation — the costs that bound experiment
+//! turnaround time.
 
 use hermes_netsim::flow::{ActiveFlow, FlowTable};
 use hermes_netsim::prelude::*;
@@ -52,6 +53,30 @@ fn bench_max_min() {
     }
 }
 
+/// The simulator's steady state: one flow completes, one starts, the
+/// network is re-solved. `max_min_allocation` times a first solve on a
+/// fresh clone; this row is what each further event costs, index upkeep
+/// included.
+fn bench_churn() {
+    let topo = Topology::fat_tree(8, 10e9);
+    let live = 200;
+    let pool: Vec<ActiveFlow> = flow_table_on(&topo, 1024, 7).iter().cloned().collect();
+    let mut ft = FlowTable::new();
+    for f in &pool[..live] {
+        ft.insert(f.clone());
+    }
+    ft.allocate_max_min(&topo);
+    let mut oldest = 0;
+    Bench::new("max_min_churn").run(&live.to_string(), || {
+        ft.remove(oldest);
+        let mut arrival = pool[(oldest + live) % pool.len()].clone();
+        arrival.id = oldest + live;
+        ft.insert(arrival);
+        oldest += 1;
+        black_box(ft.allocate_max_min(&topo).len())
+    });
+}
+
 fn bench_paths() {
     let topo = Topology::fat_tree(16, 40e9);
     let hosts = topo.hosts();
@@ -83,6 +108,7 @@ fn bench_end_to_end() {
 
 fn main() {
     bench_max_min();
+    bench_churn();
     bench_paths();
     bench_end_to_end();
 }

@@ -30,6 +30,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<RunConfig, String> {
         out_dir: PathBuf::from("hermes-out/matrix"),
         scenarios: None,
         runs_override: None,
+        rep_timeout_s: hermes_harness::run::DEFAULT_REP_TIMEOUT_S,
     };
     let mut args = args;
     while let Some(a) = args.next() {

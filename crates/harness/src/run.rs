@@ -5,8 +5,11 @@
 //! derives (seeded per repetition), `--out` pointed at a per-rep report
 //! path, stdout discarded and stderr captured to a side file for
 //! diagnosis. While the child runs the harness polls `/proc` for RSS/CPU
-//! with an adaptive backoff (1 ms → 50 ms), so millisecond-scale smoke
-//! binaries still get a sample and hour-scale runs are not busy-polled.
+//! with an adaptive backoff (1 ms → 5 ms): millisecond-scale smoke
+//! binaries still get a sample, and since the child's exit is noticed at
+//! the next poll, `wall_ms` overshoots by at most 5 ms. A child still
+//! running after [`RunConfig::rep_timeout_s`] is killed and its
+//! repetition reported as failed, so a hung binary cannot hang CI.
 
 use crate::merge::MergedScenario;
 use crate::procsample::{self, ProcUsage};
@@ -29,14 +32,21 @@ pub struct RunConfig {
     pub scenarios: Option<Vec<String>>,
     /// Overrides every scenario's `runs` when set (CI smoke uses 3).
     pub runs_override: Option<u32>,
+    /// Longest one repetition may run, seconds, before it is killed.
+    pub rep_timeout_s: u64,
 }
+
+/// The default [`RunConfig::rep_timeout_s`]: well above the slowest
+/// full-tier repetition (`1m-preload`, minutes), short enough that CI
+/// reports a hang the same hour.
+pub const DEFAULT_REP_TIMEOUT_S: u64 = 1800;
 
 /// The outcome of one repetition.
 #[derive(Clone, Debug)]
 pub struct RepResult {
     /// Repetition index (0-based; seeds derive from it).
     pub rep: u32,
-    /// Child exit code (`None` when killed by a signal).
+    /// Child exit code (`None` when killed by a signal or timed out).
     pub exit_code: Option<i32>,
     /// Wall-clock from spawn to reaped, milliseconds.
     pub wall_ms: f64,
@@ -46,8 +56,8 @@ pub struct RepResult {
     pub cpu_ms: f64,
     /// `/proc` samples taken.
     pub samples: u64,
-    /// Why this repetition does not count (nonzero exit, missing or
-    /// malformed report). `None` for a clean rep.
+    /// Why this repetition does not count (nonzero exit, timeout, missing
+    /// or malformed report). `None` for a clean rep.
     pub error: Option<String>,
 }
 
@@ -135,7 +145,7 @@ pub fn run_matrix(cfg: &RunConfig) -> Result<MatrixRun, String> {
             .map_err(|e| format!("cannot create {}: {e}", scenario_dir.display()))?;
         for rep in 0..runs {
             hermes_telemetry::counter("harness.reps", 1);
-            let mut result = run_rep(&bin, sc, &cfg.matrix_path, rep, &scenario_dir)?;
+            let mut result = run_rep(&bin, sc, cfg, rep, &scenario_dir)?;
             if result.error.is_none() && sc.trace {
                 match read_report(&rep_report_path(&scenario_dir, rep)) {
                     Ok(doc) => match run.merged.absorb(&doc) {
@@ -169,7 +179,7 @@ fn read_report(path: &Path) -> Result<Json, String> {
 fn run_rep(
     bin: &Path,
     sc: &Scenario,
-    matrix_path: &Path,
+    cfg: &RunConfig,
     rep: u32,
     scenario_dir: &Path,
 ) -> Result<RepResult, String> {
@@ -182,7 +192,7 @@ fn run_rep(
         .arg(&report_path)
         .stdout(Stdio::null())
         .stderr(Stdio::from(stderr_file));
-    let (set, remove) = sc.env(Some(&matrix_path.to_string_lossy()), rep);
+    let (set, remove) = sc.env(Some(&cfg.matrix_path.to_string_lossy()), rep);
     for (k, v) in set {
         cmd.env(k, v);
     }
@@ -203,7 +213,12 @@ fn run_rep(
     let mut sleep_ms = 1u64;
     let status = loop {
         match child.try_wait() {
-            Ok(Some(status)) => break status,
+            Ok(Some(status)) => break Some(status),
+            Ok(None) if sw.elapsed().as_secs() >= cfg.rep_timeout_s => {
+                let _ = child.kill();
+                let _ = child.wait();
+                break None;
+            }
             Ok(None) => {}
             Err(e) => {
                 let _ = child.kill();
@@ -215,21 +230,24 @@ fn run_rep(
             usage.absorb(s);
         }
         std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
-        sleep_ms = (sleep_ms + sleep_ms / 4 + 1).min(50);
+        sleep_ms = (sleep_ms + sleep_ms / 4 + 1).min(5);
     };
     let wall_ms = sw.elapsed().as_secs_f64() * 1000.0;
-    let error = if status.success() {
-        None
-    } else {
-        let diag = first_stderr_line(&stderr_path);
-        Some(match status.code() {
-            Some(c) => format!("exit code {c}{diag}"),
-            None => format!("killed by signal{diag}"),
-        })
+    let exit_code = status.and_then(|s| s.code());
+    let error = match status {
+        Some(s) if s.success() => None,
+        Some(_) => {
+            let diag = first_stderr_line(&stderr_path);
+            Some(match exit_code {
+                Some(c) => format!("exit code {c}{diag}"),
+                None => format!("killed by signal{diag}"),
+            })
+        }
+        None => Some(format!("timed out after {} s", cfg.rep_timeout_s)),
     };
     Ok(RepResult {
         rep,
-        exit_code: status.code(),
+        exit_code,
         wall_ms,
         max_rss_bytes: usage.max_rss_bytes,
         cpu_ms: usage.cpu_ms(),

@@ -27,6 +27,12 @@ runs = 2
 trace = true
 knobs.stub_sleep_ms = 30
 
+[scenario.stub-hung]
+bin = "stub_agent"
+runs = 1
+trace = true
+knobs.stub_sleep_ms = 60000
+
 [scenario.stub-bad-exit]
 bin = "stub_agent"
 runs = 2
@@ -71,6 +77,7 @@ impl Fixture {
             out_dir: self.base.join(out),
             scenarios: Some(scenarios.iter().map(|s| s.to_string()).collect()),
             runs_override: None,
+            rep_timeout_s: hermes_harness::run::DEFAULT_REP_TIMEOUT_S,
         }
     }
 }
@@ -177,6 +184,24 @@ fn nonzero_exit_is_a_rep_failure() {
     assert_eq!(sc.get("clean_reps").and_then(Json::as_f64), Some(0.0));
     let errors = sc.get("errors").and_then(Json::as_arr).expect("errors array");
     assert_eq!(errors.len(), 2);
+}
+
+#[test]
+fn hung_child_is_killed_and_reported_as_timed_out() {
+    let fx = Fixture::new("hung");
+    let mut cfg = fx.config("out", &["stub-hung"]);
+    cfg.rep_timeout_s = 1;
+    let run = run_matrix(&cfg).expect("a timeout is a rep failure, not a harness error");
+    assert_eq!(run.failures(), 1);
+    let r = &run.scenarios[0].reps[0];
+    assert_eq!(r.error.as_deref(), Some("timed out after 1 s"));
+    assert_eq!(r.exit_code, None);
+    assert!(
+        (1_000.0..30_000.0).contains(&r.wall_ms),
+        "the stub sleeps 60 s; the harness waited {} ms",
+        r.wall_ms
+    );
+    assert_eq!(run.scenarios[0].merged.reports, 0);
 }
 
 #[test]

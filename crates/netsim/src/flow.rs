@@ -39,12 +39,39 @@ pub struct ActiveFlow {
     pub version: u64,
 }
 
+/// Per-call working state of [`FlowTable::allocate_max_min`], kept
+/// between calls so a solve allocates nothing but its result.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Residual capacity per link.
+    residual: Vec<f64>,
+    /// Unfrozen flows per link.
+    unfrozen_on: Vec<usize>,
+    /// Links still carrying an unfrozen flow.
+    live: Vec<LinkId>,
+    /// Rate the solve assigned, per slot.
+    new_rate: Vec<f64>,
+    /// Has the slot's flow been given its rate?
+    frozen: Vec<bool>,
+}
+
 /// The set of active flows plus the allocator.
+///
+/// Flows sit densely in `flows` (a removal moves the last flow into the
+/// hole), `slot_of` finds them by id and `on_link` lists, per link, the
+/// slots of the flows crossing it. Every path change goes through
+/// `insert`/`remove`/`set_path`, which keep the three in step.
 #[derive(Clone, Debug, Default)]
 pub struct FlowTable {
-    // BTreeMap: deterministic iteration order makes whole simulations
+    flows: Vec<ActiveFlow>,
+    // BTreeMap: iteration in ascending flow id makes whole simulations
     // reproducible bit-for-bit given a seed.
-    flows: BTreeMap<FlowId, ActiveFlow>,
+    slot_of: BTreeMap<FlowId, usize>,
+    /// Link → slots of the flows on it, in ascending flow id (so sums
+    /// and picks over a link do not depend on slot history). Grows to
+    /// the highest link id seen.
+    on_link: Vec<Vec<usize>>,
+    scratch: Scratch,
 }
 
 impl FlowTable {
@@ -63,29 +90,90 @@ impl FlowTable {
         self.flows.is_empty()
     }
 
-    /// Adds a flow.
+    /// Enters the flow in `slot` into the link lists of its path.
+    fn index(&mut self, slot: usize) {
+        let FlowTable { flows, on_link, .. } = self;
+        let id = flows[slot].id;
+        for &l in &flows[slot].path {
+            if l >= on_link.len() {
+                on_link.resize_with(l + 1, Vec::new);
+            }
+            let at = on_link[l].partition_point(|&s| flows[s].id < id);
+            on_link[l].insert(at, slot);
+        }
+    }
+
+    /// Takes the flow in `slot` out of the link lists of its path.
+    fn unindex(&mut self, slot: usize) {
+        let FlowTable { flows, on_link, .. } = self;
+        let id = flows[slot].id;
+        for &l in &flows[slot].path {
+            let at = on_link[l].partition_point(|&s| flows[s].id < id);
+            on_link[l].remove(at);
+        }
+    }
+
+    /// Adds a flow, replacing any flow already present under its id.
     pub fn insert(&mut self, flow: ActiveFlow) {
-        self.flows.insert(flow.id, flow);
+        let slot = match self.slot_of.get(&flow.id) {
+            Some(&slot) => {
+                self.unindex(slot);
+                self.flows[slot] = flow;
+                slot
+            }
+            None => {
+                let slot = self.flows.len();
+                self.slot_of.insert(flow.id, slot);
+                self.flows.push(flow);
+                slot
+            }
+        };
+        self.index(slot);
     }
 
     /// Removes a flow (on completion).
     pub fn remove(&mut self, id: FlowId) -> Option<ActiveFlow> {
-        self.flows.remove(&id)
+        let slot = self.slot_of.remove(&id)?;
+        self.unindex(slot);
+        // The last flow moves into the hole: re-enter it under its new slot.
+        let last = self.flows.len() - 1;
+        if slot != last {
+            self.unindex(last);
+        }
+        let flow = self.flows.swap_remove(slot);
+        if slot != last {
+            self.slot_of.insert(self.flows[slot].id, slot);
+            self.index(slot);
+        }
+        Some(flow)
+    }
+
+    /// Moves a flow onto `path`, leaving its rate and version alone;
+    /// `false` if the flow is not present.
+    pub fn set_path(&mut self, id: FlowId, path: Vec<LinkId>) -> bool {
+        let Some(&slot) = self.slot_of.get(&id) else {
+            return false;
+        };
+        self.unindex(slot);
+        self.flows[slot].path = path;
+        self.index(slot);
+        true
     }
 
     /// Borrows a flow.
     pub fn get(&self, id: FlowId) -> Option<&ActiveFlow> {
-        self.flows.get(&id)
+        self.slot_of.get(&id).map(|&slot| &self.flows[slot])
     }
 
-    /// Mutably borrows a flow.
-    pub fn get_mut(&mut self, id: FlowId) -> Option<&mut ActiveFlow> {
-        self.flows.get_mut(&id)
-    }
-
-    /// Iterates over the active flows.
+    /// Iterates over the active flows in ascending id.
     pub fn iter(&self) -> impl Iterator<Item = &ActiveFlow> {
-        self.flows.values()
+        self.slot_of.values().map(|&slot| &self.flows[slot])
+    }
+
+    /// The flows whose path crosses `link`, in ascending id.
+    pub fn flows_on(&self, link: LinkId) -> impl Iterator<Item = &ActiveFlow> {
+        let slots = self.on_link.get(link).map_or(&[][..], Vec::as_slice);
+        slots.iter().map(|&slot| &self.flows[slot])
     }
 
     /// Advances every flow's `remaining_bytes` by `dt` seconds at its
@@ -94,94 +182,110 @@ impl FlowTable {
         if dt_s <= 0.0 {
             return;
         }
-        for f in self.flows.values_mut() {
+        for f in &mut self.flows {
             f.remaining_bytes = (f.remaining_bytes - f.rate_bps * dt_s / 8.0).max(0.0);
         }
     }
 
     /// Progressive-filling max-min fair allocation. Returns the ids of
-    /// flows whose rate changed (their completion events need
-    /// rescheduling). Every flow's `version` is bumped on change.
+    /// flows whose rate changed, in ascending order (their completion
+    /// events need rescheduling). Every flow's `version` is bumped on
+    /// change.
+    ///
+    /// Results are pinned bit-for-bit (DESIGN.md §14):
+    /// each round freezes the unfrozen flows of the link with the least
+    /// `residual / unfrozen`, lowest link id on ties.
     pub fn allocate_max_min(&mut self, topo: &Topology) -> Vec<FlowId> {
-        // Residual capacity and unfrozen flow count per link.
-        let mut residual: Vec<f64> = topo.links.iter().map(|l| l.capacity_bps).collect();
-        let mut link_flows: Vec<Vec<FlowId>> = vec![Vec::new(); topo.links.len()];
-        let mut unfrozen: BTreeMap<FlowId, ()> = BTreeMap::new();
-        for f in self.flows.values() {
-            for &l in &f.path {
-                link_flows[l].push(f.id);
-            }
-            if !f.path.is_empty() {
-                unfrozen.insert(f.id, ());
+        let FlowTable {
+            flows,
+            on_link,
+            scratch,
+            ..
+        } = self;
+        let Scratch {
+            residual,
+            unfrozen_on,
+            live,
+            new_rate,
+            frozen,
+        } = scratch;
+        residual.resize(on_link.len(), 0.0);
+        unfrozen_on.resize(on_link.len(), 0);
+        live.clear();
+        for (l, slots) in on_link.iter().enumerate() {
+            if !slots.is_empty() {
+                residual[l] = topo.links[l].capacity_bps;
+                unfrozen_on[l] = slots.len();
+                live.push(l);
             }
         }
-        let mut rates: BTreeMap<FlowId, f64> = BTreeMap::new();
         // Flows with empty paths (same-host transfers) run at a nominal
         // local rate.
-        for f in self.flows.values() {
-            if f.path.is_empty() {
-                rates.insert(f.id, 100e9);
-            }
-        }
-        let mut unfrozen_per_link: Vec<usize> = link_flows.iter().map(|v| v.len()).collect();
+        new_rate.clear();
+        new_rate.extend(
+            flows
+                .iter()
+                .map(|f| if f.path.is_empty() { 100e9 } else { 0.0 }),
+        );
+        frozen.clear();
+        frozen.extend(flows.iter().map(|f| f.path.is_empty()));
 
-        while !unfrozen.is_empty() {
+        loop {
             // The bottleneck link: minimal fair share among links carrying
-            // unfrozen flows.
+            // unfrozen flows. Links that ran out of them leave `live`.
             let mut best: Option<(f64, LinkId)> = None;
-            for (lid, &n) in unfrozen_per_link.iter().enumerate() {
-                if n == 0 {
+            let mut i = 0;
+            while i < live.len() {
+                let l = live[i];
+                if unfrozen_on[l] == 0 {
+                    live.swap_remove(i);
                     continue;
                 }
-                let share = residual[lid] / n as f64;
-                if best.map(|(s, _)| share < s).unwrap_or(true) {
-                    best = Some((share, lid));
+                let share = residual[l] / unfrozen_on[l] as f64;
+                if best.is_none_or(|(s, b)| share < s || (share == s && l < b)) {
+                    best = Some((share, l));
                 }
+                i += 1;
             }
             let Some((share, bottleneck)) = best else {
                 break;
             };
             // Freeze every unfrozen flow on the bottleneck at `share`.
-            let to_freeze: Vec<FlowId> = link_flows[bottleneck]
-                .iter()
-                .copied()
-                .filter(|id| unfrozen.contains_key(id))
-                .collect();
-            for id in to_freeze {
-                rates.insert(id, share.max(0.0));
-                unfrozen.remove(&id);
-                let flow = &self.flows[&id];
-                for &l in &flow.path {
+            for &slot in &on_link[bottleneck] {
+                if frozen[slot] {
+                    continue;
+                }
+                frozen[slot] = true;
+                new_rate[slot] = share.max(0.0);
+                for &l in &flows[slot].path {
                     residual[l] = (residual[l] - share).max(0.0);
-                    unfrozen_per_link[l] -= 1;
+                    unfrozen_on[l] -= 1;
                 }
             }
         }
 
         // Apply, reporting changes.
         let mut changed = Vec::new();
-        for f in self.flows.values_mut() {
-            let new_rate = rates.get(&f.id).copied().unwrap_or(0.0);
+        for (f, &new_rate) in flows.iter_mut().zip(new_rate.iter()) {
             if (new_rate - f.rate_bps).abs() > 1e-6 {
                 f.rate_bps = new_rate;
                 f.version += 1;
                 changed.push(f.id);
             }
         }
+        changed.sort_unstable();
         changed
     }
 
     /// Utilization (allocated/capacity) per link under current rates.
     pub fn link_utilization(&self, topo: &Topology) -> Vec<f64> {
-        let mut load = vec![0.0; topo.links.len()];
-        for f in self.flows.values() {
-            for &l in &f.path {
-                load[l] += f.rate_bps;
-            }
-        }
-        load.iter()
-            .zip(&topo.links)
-            .map(|(&l, link)| l / link.capacity_bps)
+        topo.links
+            .iter()
+            .enumerate()
+            .map(|(l, link)| {
+                let load = self.flows_on(l).fold(0.0, |sum, f| sum + f.rate_bps);
+                load / link.capacity_bps
+            })
             .collect()
     }
 }

@@ -876,12 +876,13 @@ impl Varys {
             if rerouted >= self.config.max_reroutes_per_tick {
                 break;
             }
-            // The biggest not-already-rerouting flow on the link.
+            // The biggest not-already-rerouting flow on the link; equal
+            // rates go to the highest flow id.
             let candidate = self
                 .flows
-                .iter()
-                .filter(|f| f.path.contains(&link) && !self.rerouting.contains(&f.id))
-                .max_by(|a, b| a.rate_bps.total_cmp(&b.rate_bps))
+                .flows_on(link)
+                .filter(|f| !self.rerouting.contains(&f.id))
+                .max_by(|a, b| a.rate_bps.total_cmp(&b.rate_bps).then(a.id.cmp(&b.id)))
                 .map(|f| (f.id, f.src, f.dst, f.path.clone()));
             let Some((fid, src, dst, old_path)) = candidate else {
                 continue;
@@ -1018,10 +1019,9 @@ impl Varys {
 
     fn on_path_switch(&mut self, fid: FlowId, path: Vec<LinkId>) {
         self.rerouting.remove(&fid);
-        let Some(f) = self.flows.get_mut(fid) else {
+        if !self.flows.set_path(fid, path) {
             return;
-        };
-        f.path = path;
+        }
         // Do NOT bump the version here: if the reallocation below leaves
         // this flow's rate unchanged, its already-scheduled completion
         // event is still exactly right (bumping would orphan the flow).

@@ -184,8 +184,10 @@ print("ok   %s: correct, %d op(s), %d failed" % (sys.argv[1], doc["attempted"], 
 stage_matrix_smoke() {
     # Tier-2/3 perf gate: hermes-harness runs the gated scenarios from
     # the committed matrix — the four fast smokes (N=3 seeded reps each)
-    # plus the full chaos-suite (N=5, fault plans armed), promoted from
-    # ad-hoc coverage into the gated tier. The merged
+    # plus two full-tier scenarios promoted into the gated tier (N=5
+    # each): chaos-suite (fault plans armed) and baseline (exp_fig9, the
+    # one end-to-end run long enough that its band means seconds rather
+    # than scheduler noise). The merged
     # hermes-matrix-report/1 summary is schema-validated, then BOTH
     # tolerance-band comparisons are BLOCKING: wall-clock medians against
     # bench_baselines/wallclock.json and peak-RSS medians against
@@ -194,14 +196,15 @@ stage_matrix_smoke() {
     # §11).
     cargo build --release --offline -q -p hermes-harness --bin hermes-harness
     cargo build --release --offline -q -p hermes-bench \
-        --bin exp_tcam_micro --bin exp_fig12 --bin exp_crash --bin exp_fleet
+        --bin exp_tcam_micro --bin exp_fig12 --bin exp_crash --bin exp_fleet \
+        --bin exp_fig9
     local smoke_dir
     smoke_dir="$(mktemp -d)"
     ./target/release/hermes-harness \
         --matrix scenarios/matrix.toml \
         --bin-dir target/release \
         --out "$smoke_dir" \
-        --scenarios smoke-tcam,smoke-chaos,smoke-crash,smoke-fleet,chaos-suite
+        --scenarios smoke-tcam,smoke-chaos,smoke-crash,smoke-fleet,chaos-suite,baseline
     python3 - "$smoke_dir/matrix_report.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -209,7 +212,7 @@ assert doc["schema"] == "hermes-matrix-report/1", doc.get("schema")
 assert doc["kind"] == "full", doc.get("kind")
 names = {sc["name"] for sc in doc["scenarios"]}
 assert names == {"smoke-tcam", "smoke-chaos", "smoke-crash", "smoke-fleet",
-                 "chaos-suite"}, names
+                 "chaos-suite", "baseline"}, names
 for sc in doc["scenarios"]:
     assert sc["clean_reps"] == sc["runs"], (sc["name"], sc["errors"])
     assert sc["measured"]["wall_ms"]["p50"] > 0, sc["name"]

@@ -35,20 +35,21 @@ PY
 done
 
 # Tiers 2 + 3: the wall-clock and peak-RSS envelopes. Re-measure the
-# gated scenarios (the four CI smokes plus the promoted chaos-suite;
-# N from scenarios/matrix.toml) on the machine class CI runs on, and
+# gated scenarios (the four CI smokes plus the promoted chaos-suite and
+# baseline = exp_fig9; N from scenarios/matrix.toml) on the machine class CI runs on, and
 # rewrite bench_baselines/wallclock.json and bench_baselines/rss.json
 # keeping the committed band/floor knobs.
 echo "== hermes-harness gated scenarios -> bench_baselines/{wallclock,rss}.json =="
 cargo build --release --offline -q -p hermes-harness --bin hermes-harness
 cargo build --release --offline -q -p hermes-bench \
-    --bin exp_tcam_micro --bin exp_fig12 --bin exp_crash --bin exp_fleet
+    --bin exp_tcam_micro --bin exp_fig12 --bin exp_crash --bin exp_fleet \
+    --bin exp_fig9
 wall_dir="$(mktemp -d)"
 ./target/release/hermes-harness \
     --matrix scenarios/matrix.toml \
     --bin-dir target/release \
     --out "$wall_dir" \
-    --scenarios smoke-tcam,smoke-chaos,smoke-crash,smoke-fleet,chaos-suite >/dev/null
+    --scenarios smoke-tcam,smoke-chaos,smoke-crash,smoke-fleet,chaos-suite,baseline >/dev/null
 python3 - "$wall_dir/matrix_report.json" bench_baselines/wallclock.json <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
