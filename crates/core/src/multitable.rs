@@ -16,7 +16,7 @@ use crate::config::HermesConfig;
 use crate::manager::MigrationReport;
 use crate::switch::{ActionReport, HermesError, HermesStats, HermesSwitch};
 use hermes_rules::prelude::*;
-use hermes_tcam::{LookupResult, MissBehavior, SimTime, SwitchModel};
+use hermes_tcam::{walk_pipeline, LookupResult, MissBehavior, SimTime, SwitchModel};
 
 /// Configuration of one logical pipeline table.
 #[derive(Clone, Debug)]
@@ -111,48 +111,20 @@ impl MultiTableHermes {
         self.tables.iter_mut().map(|t| t.tick(now)).collect()
     }
 
-    /// Full-pipeline lookup: tables are traversed in order; a match whose
+    /// Full-pipeline lookup: tables are traversed in order under the
+    /// device's own pipeline rules ([`walk_pipeline`]): a match whose
     /// action is [`Action::GotoNextTable`] continues, any other match
     /// terminates; a miss follows the *original* table's miss behaviour.
     pub fn lookup(&mut self, packet: u128) -> LookupResult {
-        for i in 0..self.tables.len() {
-            match self.tables[i].lookup(packet) {
-                LookupResult::Matched { rule, slice } => {
-                    if rule.action == Action::GotoNextTable {
-                        continue;
-                    }
-                    return LookupResult::Matched { rule, slice };
-                }
-                // A miss within a table already honoured the shadow→main
-                // fall-through; what reaches us is the logical table miss.
-                _ => match self.misses[i] {
-                    MissBehavior::GotoNextSlice => continue,
-                    MissBehavior::Drop => return LookupResult::Dropped,
-                    MissBehavior::ToController => return LookupResult::ToController,
-                },
-            }
-        }
-        LookupResult::ToController
+        let (tables, misses) = (&mut self.tables, &self.misses);
+        walk_pipeline(tables.len(), |i| (matched(tables[i].lookup(packet)), misses[i]))
     }
 
     /// Lookup without statistics.
     pub fn peek(&self, packet: u128) -> LookupResult {
-        for i in 0..self.tables.len() {
-            match self.tables[i].peek(packet) {
-                LookupResult::Matched { rule, slice } => {
-                    if rule.action == Action::GotoNextTable {
-                        continue;
-                    }
-                    return LookupResult::Matched { rule, slice };
-                }
-                _ => match self.misses[i] {
-                    MissBehavior::GotoNextSlice => continue,
-                    MissBehavior::Drop => return LookupResult::Dropped,
-                    MissBehavior::ToController => return LookupResult::ToController,
-                },
-            }
-        }
-        LookupResult::ToController
+        walk_pipeline(self.tables.len(), |i| {
+            (matched(self.tables[i].peek(packet)), self.misses[i])
+        })
     }
 
     /// Per-table statistics.
@@ -164,6 +136,16 @@ impl MultiTableHermes {
     pub fn overhead_fraction(&self, model: &SwitchModel) -> f64 {
         let shadow_total: usize = self.tables.iter().map(|t| t.shadow_capacity()).sum();
         shadow_total as f64 / model.capacity as f64
+    }
+}
+
+/// One table's verdict as a pipeline stage reports it. The table has
+/// already honoured its shadow→main fall-through, so anything but a match
+/// is the logical table's miss.
+fn matched(result: LookupResult) -> Option<(usize, Rule)> {
+    match result {
+        LookupResult::Matched { slice, rule } => Some((slice, rule)),
+        _ => None,
     }
 }
 

@@ -541,36 +541,43 @@ impl TcamDevice {
 
     /// Packet lookup through the slice pipeline.
     pub fn lookup(&mut self, packet: u128) -> LookupResult {
-        for i in 0..self.slices.len() {
-            match self.slices[i].table.lookup(packet) {
-                Some(rule) if rule.action == Action::GotoNextTable => continue,
-                Some(rule) => return LookupResult::Matched { slice: i, rule },
-                None => match self.slices[i].miss {
-                    MissBehavior::GotoNextSlice => continue,
-                    MissBehavior::Drop => return LookupResult::Dropped,
-                    MissBehavior::ToController => return LookupResult::ToController,
-                },
-            }
-        }
-        // Walked off the end of the pipeline.
-        LookupResult::ToController
+        let slices = &mut self.slices;
+        walk_pipeline(slices.len(), |i| {
+            let hit = slices[i].table.lookup(packet);
+            (hit.map(|rule| (i, rule)), slices[i].miss)
+        })
     }
 
     /// Lookup without statistics (oracle/tests).
     pub fn peek(&self, packet: u128) -> LookupResult {
-        for (i, s) in self.slices.iter().enumerate() {
-            match s.table.peek(packet) {
-                Some(rule) if rule.action == Action::GotoNextTable => continue,
-                Some(rule) => return LookupResult::Matched { slice: i, rule },
-                None => match s.miss {
-                    MissBehavior::GotoNextSlice => continue,
-                    MissBehavior::Drop => return LookupResult::Dropped,
-                    MissBehavior::ToController => return LookupResult::ToController,
-                },
-            }
-        }
-        LookupResult::ToController
+        walk_pipeline(self.slices.len(), |i| {
+            let s = &self.slices[i];
+            (s.table.peek(packet).map(|rule| (i, rule)), s.miss)
+        })
     }
+}
+
+/// The pipeline rules, once: stages are consulted in order, each reporting
+/// its match as `(slice, rule)` plus its miss behaviour. A match whose
+/// action is [`Action::GotoNextTable`] continues to the next stage, any
+/// other match ends the walk; a miss follows the stage's
+/// [`MissBehavior`]; walking off the end punts to the controller. A stage
+/// is only consulted when the walk reaches it, so per-stage lookup
+/// counters see exactly the packets that got that far.
+pub fn walk_pipeline(
+    stages: usize,
+    mut stage: impl FnMut(usize) -> (Option<(usize, Rule)>, MissBehavior),
+) -> LookupResult {
+    for i in 0..stages {
+        match stage(i) {
+            (Some((_, rule)), _) if rule.action == Action::GotoNextTable => continue,
+            (Some((slice, rule)), _) => return LookupResult::Matched { slice, rule },
+            (None, MissBehavior::GotoNextSlice) => continue,
+            (None, MissBehavior::Drop) => return LookupResult::Dropped,
+            (None, MissBehavior::ToController) => return LookupResult::ToController,
+        }
+    }
+    LookupResult::ToController
 }
 
 #[cfg(test)]

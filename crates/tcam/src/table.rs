@@ -12,16 +12,29 @@
 //! not know about latency — the [`perf`](crate::perf) module converts shift
 //! counts into simulated time per switch model.
 //!
-//! ## Storage layout (indexed table)
+//! ## Storage layout (two sides, three indexes)
 //!
-//! Entries live in fixed-fanout *blocks* (a chunked vector), each block
-//! holding a contiguous run of the priority order. A control action touches
-//! one block (`O(block)` memmove) instead of the whole table, a per-id
-//! `BTreeMap` resolves ids in `O(log n)` instead of a linear scan, and the
-//! block boundaries double as the bookkeeping sites for the gap-aware
+//! A table has a *physical* side and a *match* side that meet only in the
+//! entry's sort key, [`EntryKey`] `{!priority, insertion seq}`.
+//!
+//! The physical side is the private `Layout`: entries live in fixed-fanout
+//! *blocks* (a chunked vector), each block holding a contiguous run of the
+//! priority order as parallel `keys`/`rules` vectors. A control action
+//! touches one block (`O(block)` memmove) instead of the whole table, and
+//! the block boundaries double as the bookkeeping sites for the gap-aware
 //! placement policy below. The *modeled* shift counts are unchanged from
 //! the dense layout: with zero slack the formulas reproduce the classic
-//! PackedLow/PackedHigh/Balanced costs exactly.
+//! PackedLow/PackedHigh/Balanced costs exactly. Shift accounting reads
+//! sort keys and gaps only, so the layout is generic over what it stores
+//! per key and the batch replay runs on a `Layout<()>`.
+//!
+//! Two indexes point into it by sort key, never by address, so shifts,
+//! block splits and [`TcamTable::rebuild_layout`] leave both alone: a
+//! per-id `BTreeMap` (`id → EntryKey`, `O(log n)` control actions) and the
+//! tuple-space match index (`match_index.rs`, DESIGN.md §15) that serves
+//! every lookup — one probe per distinct mask in the table instead of a
+//! walk over every entry. The match index is maintained at `raw_insert`,
+//! `raw_remove`, `set_key` and `reset`, and nowhere else.
 //!
 //! ## Gap-aware placement (configurable slack)
 //!
@@ -40,6 +53,7 @@
 //! shift plan: an entry disturbed by several ops in the batch moves (and is
 //! billed) once, which is where batched control channels get their speedup.
 
+use crate::match_index::MatchIndex;
 use hermes_rules::prelude::*;
 use std::collections::BTreeMap;
 
@@ -53,7 +67,7 @@ const BLOCK_MAX: usize = 2 * BLOCK_TARGET;
 /// blocks short to place free slots close to any insertion point.
 const GAP_CHUNK: usize = 64;
 /// Below this table-plus-batch size, `apply_batch` also computes the exact
-/// sequential per-op cost on a scratch copy and charges the minimum — a
+/// sequential per-op cost on a scratch layout and charges the minimum — a
 /// hard guarantee that a batch is never billed worse than its ops applied
 /// singly. Above it, the closed-form coalesced plan is used alone (the
 /// scratch replay would dominate the runtime it is modeling).
@@ -213,9 +227,9 @@ pub struct BatchReport {
 /// priority (so higher priorities sort first and [`Priority::NONE`] sorts
 /// last) and `seq` breaks ties FIFO.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct EntryKey {
-    rp: u32,
-    seq: u64,
+pub(crate) struct EntryKey {
+    pub(crate) rp: u32,
+    pub(crate) seq: u64,
 }
 
 impl EntryKey {
@@ -228,15 +242,16 @@ impl EntryKey {
 }
 
 /// A contiguous run of the priority order plus the free slots reserved
-/// inside its address range (gap-aware placement).
-#[derive(Clone, Debug, Default)]
-struct Block {
+/// inside its address range (gap-aware placement). `rules` holds one
+/// payload per key: the [`Rule`] in a table, `()` in the replay scratch.
+#[derive(Clone, Debug)]
+struct Block<P> {
     keys: Vec<EntryKey>,
-    rules: Vec<Rule>,
+    rules: Vec<P>,
     gaps: usize,
 }
 
-impl Block {
+impl<P> Block<P> {
     fn len(&self) -> usize {
         self.keys.len()
     }
@@ -245,141 +260,49 @@ impl Block {
         *self
             .keys
             .last()
-            .expect("INVARIANT: TcamTable never keeps an empty block")
+            .expect("INVARIANT: Layout never keeps an empty block")
     }
 }
 
-/// A priority-ordered TCAM table with bounded capacity.
-///
-/// Entries are kept sorted by descending [`Priority`]; among equal
-/// priorities, earlier-inserted entries match first (standard switch-agent
-/// behaviour). Lookup returns the first matching entry, which is exactly
-/// the highest-priority match.
-///
-/// ```
-/// use hermes_rules::prelude::*;
-/// use hermes_tcam::{PlacementStrategy, TcamTable};
-///
-/// let mut table = TcamTable::new(1024, PlacementStrategy::PackedLow);
-/// let wide: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
-/// let narrow: Ipv4Prefix = "10.1.0.0/16".parse().unwrap();
-/// table.insert(Rule::new(1, wide.to_key(), Priority(1), Action::Forward(1))).unwrap();
-/// let shifts = table.insert(Rule::new(2, narrow.to_key(), Priority(9), Action::Drop)).unwrap();
-/// // The higher-priority rule displaced the earlier entry.
-/// assert_eq!(shifts.shifts, 1);
-/// // Lookup returns the highest-priority match.
-/// let pkt = (u32::from_be_bytes([10, 1, 2, 3]) as u128) << 96;
-/// assert_eq!(table.peek(pkt).unwrap().action, Action::Drop);
-/// ```
+/// The physical side of a table: which sort key sits in which block, where
+/// the reserved gaps are, and what an insertion at a given point shifts.
+/// Everything the shift accounting needs and nothing a lookup needs, so
+/// [`TcamTable::replay_singly`] can replay a batch over a `Layout<()>`.
 #[derive(Clone, Debug)]
-pub struct TcamTable {
-    blocks: Vec<Block>,
-    /// Per-id index: id → its sort key (locates the entry in `O(log n)`).
-    by_id: BTreeMap<RuleId, EntryKey>,
+struct Layout<P> {
+    blocks: Vec<Block<P>>,
     next_seq: u64,
     len: usize,
     capacity: usize,
     strategy: PlacementStrategy,
     /// Free slots `rebuild_layout` reserves per block; 0 = dense layout.
     slack: usize,
-    stats: TableStats,
 }
 
-impl TcamTable {
-    /// An empty table with the given capacity and placement strategy.
-    pub fn new(capacity: usize, strategy: PlacementStrategy) -> Self {
-        TcamTable {
-            blocks: Vec::new(),
-            by_id: BTreeMap::new(),
-            next_seq: 0,
-            len: 0,
-            capacity,
-            strategy,
-            slack: 0,
-            stats: TableStats::default(),
+impl<P> Layout<P> {
+    /// The same keys and gaps with the payloads dropped.
+    fn shape(&self) -> Layout<()> {
+        Layout {
+            blocks: self
+                .blocks
+                .iter()
+                .map(|b| Block {
+                    keys: b.keys.clone(),
+                    rules: vec![(); b.len()],
+                    gaps: b.gaps,
+                })
+                .collect(),
+            next_seq: self.next_seq,
+            len: self.len,
+            capacity: self.capacity,
+            strategy: self.strategy,
+            slack: self.slack,
         }
-    }
-
-    /// Current number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Remaining free entries (reserved gaps included — they still accept
-    /// insertions, just cheaply).
-    pub fn free(&self) -> usize {
-        self.capacity - self.len
-    }
-
-    /// Occupancy as a fraction of capacity in `[0, 1]`.
-    pub fn occupancy(&self) -> f64 {
-        if self.capacity == 0 {
-            return 1.0;
-        }
-        self.len as f64 / self.capacity as f64
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> TableStats {
-        self.stats
-    }
-
-    /// The placement strategy in use.
-    pub fn strategy(&self) -> PlacementStrategy {
-        self.strategy
-    }
-
-    /// The configured per-block slack (0 = dense legacy layout).
-    pub fn slack(&self) -> usize {
-        self.slack
-    }
-
-    /// Configures the gap-aware placement slack: the number of free slots
-    /// [`rebuild_layout`](Self::rebuild_layout) reserves per block, and
-    /// whether deletions leave their slot behind as a reusable gap. Takes
-    /// effect for subsequent operations; call `rebuild_layout` to
-    /// redistribute existing entries.
-    pub fn set_slack(&mut self, slack: usize) {
-        self.slack = slack;
     }
 
     /// Total free slots currently reserved as in-place gaps.
-    pub fn gap_slots(&self) -> usize {
+    fn gap_slots(&self) -> usize {
         self.blocks.iter().map(|b| b.gaps).sum()
-    }
-
-    /// The entries in match order (highest precedence first). `O(n)` copy;
-    /// meant for audits, oracles and tests — use [`iter`](Self::iter) to
-    /// walk without copying.
-    pub fn entries(&self) -> Vec<Rule> {
-        self.iter().copied().collect()
-    }
-
-    /// Iterates the entries in match order without copying.
-    pub fn iter(&self) -> impl Iterator<Item = &Rule> {
-        self.blocks.iter().flat_map(|b| b.rules.iter())
-    }
-
-    /// Looks up a rule by id via the per-id index (`O(log n)`).
-    pub fn get(&self, id: RuleId) -> Option<&Rule> {
-        let key = *self.by_id.get(&id)?;
-        let (bi, wi) = self.locate(key)?;
-        Some(&self.blocks[bi].rules[wi])
-    }
-
-    /// `true` when an entry with this id exists.
-    pub fn contains(&self, id: RuleId) -> bool {
-        self.by_id.contains_key(&id)
     }
 
     /// Index of the block containing `key`, plus the offset within it.
@@ -410,13 +333,16 @@ impl TcamTable {
 
     /// Physical insert with no shift accounting (the caller has already
     /// planned and billed the move).
-    fn raw_insert(&mut self, bi: usize, wi: usize, key: EntryKey, rule: Rule) {
+    fn raw_insert(&mut self, bi: usize, wi: usize, key: EntryKey, payload: P) {
         if self.blocks.is_empty() {
-            self.blocks.push(Block::default());
+            self.blocks.push(Block {
+                keys: Vec::new(),
+                rules: Vec::new(),
+                gaps: 0,
+            });
         }
         self.blocks[bi].keys.insert(wi, key);
-        self.blocks[bi].rules.insert(wi, rule);
-        self.by_id.insert(rule.id, key);
+        self.blocks[bi].rules.insert(wi, payload);
         self.len += 1;
         if self.blocks[bi].len() > BLOCK_MAX {
             self.split_block(bi);
@@ -435,10 +361,9 @@ impl TcamTable {
 
     /// Physical removal with no shift accounting. In slack mode the freed
     /// slot stays behind as a reusable gap.
-    fn raw_remove(&mut self, bi: usize, wi: usize) -> Rule {
+    fn raw_remove(&mut self, bi: usize, wi: usize) -> P {
         self.blocks[bi].keys.remove(wi);
-        let rule = self.blocks[bi].rules.remove(wi);
-        self.by_id.remove(&rule.id);
+        let payload = self.blocks[bi].rules.remove(wi);
         self.len -= 1;
         if self.slack > 0 {
             self.blocks[bi].gaps += 1;
@@ -453,13 +378,47 @@ impl TcamTable {
                 self.blocks[neighbour].gaps += gaps;
             }
         }
-        rule
+        payload
     }
 
     /// Unreserved free slots: capacity not held by entries or gaps. The
     /// dense layouts keep all of it at the strategy's packing boundary.
     fn unreserved(&self) -> usize {
         self.capacity - self.len - self.gap_slots()
+    }
+
+    /// Draws the next sort key for `priority`, finds where it lands and
+    /// models (and books) the shifts that open the slot there. The caller
+    /// follows with `raw_insert(bi, wi, key, ..)`. Returns
+    /// `(key, bi, wi, shifts)`.
+    fn open_slot(&mut self, priority: Priority) -> (EntryKey, usize, usize, usize) {
+        let key = EntryKey::new(priority, self.next_seq);
+        self.next_seq += 1;
+        let (bi, wi, pos) = self.insertion_point(key);
+        let shifts = if priority.is_none() {
+            self.take_reserved_slot(bi, wi, pos);
+            0
+        } else {
+            self.plan_single_insert(bi, wi, pos)
+        };
+        (key, bi, wi, shifts)
+    }
+
+    /// An entry placed without a billed move (a [`Priority::NONE`] rule, or
+    /// a batch insert whose move the coalesced plan already charged) still
+    /// occupies a physical slot: once every free slot is reserved as slack
+    /// it must consume the nearest gap, or `len + gaps` overruns the
+    /// capacity and `unreserved` underflows on the next prioritized insert.
+    fn take_reserved_slot(&mut self, bi: usize, wi: usize, pos: usize) {
+        if self.unreserved() == 0 && self.gap_slots() > 0 {
+            let consume = match self.strategy {
+                PlacementStrategy::PackedHigh => self.backward_gap_cost(bi, wi, pos).1,
+                _ => self.forward_gap_cost(bi, wi, pos).1,
+            };
+            if let Some(g) = consume {
+                self.blocks[g].gaps -= 1;
+            }
+        }
     }
 
     /// Models (and books) the shifts for a single insertion landing at
@@ -551,6 +510,200 @@ impl TcamTable {
         }
         (pos, None)
     }
+}
+
+impl Layout<Rule> {
+    /// Every stored entry as the match index files it.
+    fn indexed(&self) -> impl Iterator<Item = (TernaryKey, EntryKey)> + '_ {
+        self.blocks
+            .iter()
+            .flat_map(|b| b.rules.iter().map(|r| r.key).zip(b.keys.iter().copied()))
+    }
+}
+
+/// A priority-ordered TCAM table with bounded capacity.
+///
+/// Entries are kept sorted by descending [`Priority`]; among equal
+/// priorities, earlier-inserted entries match first (standard switch-agent
+/// behaviour). Lookup returns the first matching entry, which is exactly
+/// the highest-priority match.
+///
+/// ```
+/// use hermes_rules::prelude::*;
+/// use hermes_tcam::{PlacementStrategy, TcamTable};
+///
+/// let mut table = TcamTable::new(1024, PlacementStrategy::PackedLow);
+/// let wide: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
+/// let narrow: Ipv4Prefix = "10.1.0.0/16".parse().unwrap();
+/// table.insert(Rule::new(1, wide.to_key(), Priority(1), Action::Forward(1))).unwrap();
+/// let shifts = table.insert(Rule::new(2, narrow.to_key(), Priority(9), Action::Drop)).unwrap();
+/// // The higher-priority rule displaced the earlier entry.
+/// assert_eq!(shifts.shifts, 1);
+/// // Lookup returns the highest-priority match.
+/// let pkt = (u32::from_be_bytes([10, 1, 2, 3]) as u128) << 96;
+/// assert_eq!(table.peek(pkt).unwrap().action, Action::Drop);
+/// ```
+#[derive(Clone, Debug)]
+pub struct TcamTable {
+    layout: Layout<Rule>,
+    /// Per-id index: id → its sort key (locates the entry in `O(log n)`).
+    by_id: BTreeMap<RuleId, EntryKey>,
+    /// Match index: `(mask, packet & mask)` → sort keys of the entries
+    /// stored under that key. Serves every lookup.
+    index: MatchIndex,
+    stats: TableStats,
+}
+
+impl TcamTable {
+    /// An empty table with the given capacity and placement strategy.
+    pub fn new(capacity: usize, strategy: PlacementStrategy) -> Self {
+        TcamTable {
+            layout: Layout {
+                blocks: Vec::new(),
+                next_seq: 0,
+                len: 0,
+                capacity,
+                strategy,
+                slack: 0,
+            },
+            by_id: BTreeMap::new(),
+            index: MatchIndex::default(),
+            stats: TableStats::default(),
+        }
+    }
+
+    /// Current number of entries.
+    pub fn len(&self) -> usize {
+        self.layout.len
+    }
+
+    /// `true` when the table holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.layout.len == 0
+    }
+
+    /// Maximum number of entries.
+    pub fn capacity(&self) -> usize {
+        self.layout.capacity
+    }
+
+    /// Remaining free entries (reserved gaps included — they still accept
+    /// insertions, just cheaply).
+    pub fn free(&self) -> usize {
+        self.layout.capacity - self.layout.len
+    }
+
+    /// Occupancy as a fraction of capacity in `[0, 1]`.
+    pub fn occupancy(&self) -> f64 {
+        if self.layout.capacity == 0 {
+            return 1.0;
+        }
+        self.layout.len as f64 / self.layout.capacity as f64
+    }
+
+    /// Lifetime counters.
+    pub fn stats(&self) -> TableStats {
+        self.stats
+    }
+
+    /// The placement strategy in use.
+    pub fn strategy(&self) -> PlacementStrategy {
+        self.layout.strategy
+    }
+
+    /// The configured per-block slack (0 = dense legacy layout).
+    pub fn slack(&self) -> usize {
+        self.layout.slack
+    }
+
+    /// Configures the gap-aware placement slack: the number of free slots
+    /// [`rebuild_layout`](Self::rebuild_layout) reserves per block, and
+    /// whether deletions leave their slot behind as a reusable gap. Takes
+    /// effect for subsequent operations; call `rebuild_layout` to
+    /// redistribute existing entries.
+    pub fn set_slack(&mut self, slack: usize) {
+        self.layout.slack = slack;
+    }
+
+    /// Total free slots currently reserved as in-place gaps.
+    pub fn gap_slots(&self) -> usize {
+        self.layout.gap_slots()
+    }
+
+    /// The entries in match order (highest precedence first). `O(n)` copy;
+    /// meant for audits, oracles and tests — use [`iter`](Self::iter) to
+    /// walk without copying.
+    pub fn entries(&self) -> Vec<Rule> {
+        self.iter().copied().collect()
+    }
+
+    /// Iterates the entries in match order without copying.
+    pub fn iter(&self) -> impl Iterator<Item = &Rule> {
+        self.layout.blocks.iter().flat_map(|b| b.rules.iter())
+    }
+
+    /// Looks up a rule by id via the per-id index (`O(log n)`).
+    pub fn get(&self, id: RuleId) -> Option<&Rule> {
+        let (bi, wi) = self.find(id).ok()?;
+        Some(&self.layout.blocks[bi].rules[wi])
+    }
+
+    /// `true` when an entry with this id exists.
+    pub fn contains(&self, id: RuleId) -> bool {
+        self.by_id.contains_key(&id)
+    }
+
+    /// Block and offset of the entry with this id.
+    fn find(&self, id: RuleId) -> Result<(usize, usize), TcamError> {
+        let key = *self.by_id.get(&id).ok_or(TcamError::NotFound(id))?;
+        Ok(self
+            .layout
+            .locate(key)
+            .expect("INVARIANT: by_id keys always resolve to a stored entry"))
+    }
+
+    /// Files `ek` under `key` in the match index, re-laying the index from
+    /// the stored entries (which must already include this one) when it is
+    /// out of room.
+    fn index_entry(&mut self, key: TernaryKey, ek: EntryKey) {
+        if self.index.is_full() {
+            self.index.rebuild(self.layout.len, self.layout.indexed());
+        } else {
+            self.index.insert(key, ek);
+        }
+    }
+
+    /// Stores an entry the layout has already made room for.
+    fn raw_insert(&mut self, bi: usize, wi: usize, key: EntryKey, rule: Rule) {
+        self.layout.raw_insert(bi, wi, key, rule);
+        self.by_id.insert(rule.id, key);
+        self.index_entry(rule.key, key);
+    }
+
+    /// Takes an entry out of the layout and both indexes.
+    fn raw_remove(&mut self, bi: usize, wi: usize) -> Rule {
+        let key = self.layout.blocks[bi].keys[wi];
+        let rule = self.layout.raw_remove(bi, wi);
+        self.by_id.remove(&rule.id);
+        self.index.remove(rule.key, key);
+        rule
+    }
+
+    /// Rewrites the match key of the entry at `(bi, wi)` and refiles it.
+    fn set_key(&mut self, bi: usize, wi: usize, key: TernaryKey) {
+        let ek = self.layout.blocks[bi].keys[wi];
+        let old = std::mem::replace(&mut self.layout.blocks[bi].rules[wi].key, key);
+        self.index.remove(old, ek);
+        self.index_entry(key, ek);
+    }
+
+    /// Drops every entry (no stats).
+    fn reset(&mut self) {
+        self.layout.blocks.clear();
+        self.layout.len = 0;
+        self.by_id.clear();
+        self.index.clear();
+    }
 
     /// Inserts a rule, returning the shift count for the latency model.
     ///
@@ -559,34 +712,14 @@ impl TcamTable {
     /// "rules with priorities are five times slower than rules without
     /// priorities"). They sort below all prioritized rules.
     pub fn insert(&mut self, rule: Rule) -> Result<OpShifts, TcamError> {
-        if self.len >= self.capacity {
+        if self.layout.len >= self.layout.capacity {
             return Err(TcamError::Full);
         }
         if self.contains(rule.id) {
             return Err(TcamError::Duplicate(rule.id));
         }
-        let occupancy_before = self.len;
-        let key = EntryKey::new(rule.priority, self.next_seq);
-        self.next_seq += 1;
-        let (bi, wi, pos) = self.insertion_point(key);
-        let shifts = if rule.priority.is_none() {
-            // Free placement, but the rule still occupies a physical slot:
-            // once every free slot is reserved as slack, it must consume
-            // the nearest gap or `len + gaps` overruns the capacity and
-            // `unreserved` underflows on the next prioritized insert.
-            if self.unreserved() == 0 && self.gap_slots() > 0 {
-                let consume = match self.strategy {
-                    PlacementStrategy::PackedHigh => self.backward_gap_cost(bi, wi, pos).1,
-                    _ => self.forward_gap_cost(bi, wi, pos).1,
-                };
-                if let Some(g) = consume {
-                    self.blocks[g].gaps -= 1;
-                }
-            }
-            0
-        } else {
-            self.plan_single_insert(bi, wi, pos)
-        };
+        let occupancy_before = self.layout.len;
+        let (key, bi, wi, shifts) = self.layout.open_slot(rule.priority);
         self.raw_insert(bi, wi, key, rule);
         self.stats.inserts += 1;
         self.stats.total_shifts += shifts as u64;
@@ -601,10 +734,7 @@ impl TcamTable {
     /// and fast operation"). With slack enabled the freed slot stays behind
     /// as a gap that later insertions absorb cheaply.
     pub fn delete(&mut self, id: RuleId) -> Result<Rule, TcamError> {
-        let key = *self.by_id.get(&id).ok_or(TcamError::NotFound(id))?;
-        let (bi, wi) = self
-            .locate(key)
-            .expect("INVARIANT: by_id keys always resolve to a stored entry");
+        let (bi, wi) = self.find(id)?;
         let rule = self.raw_remove(bi, wi);
         self.stats.deletes += 1;
         Ok(rule)
@@ -615,11 +745,8 @@ impl TcamTable {
     /// adding new flows"). Priority changes are *not* handled here — Hermes
     /// converts them into delete+insert (§4.1).
     pub fn modify_action(&mut self, id: RuleId, action: Action) -> Result<(), TcamError> {
-        let key = *self.by_id.get(&id).ok_or(TcamError::NotFound(id))?;
-        let (bi, wi) = self
-            .locate(key)
-            .expect("INVARIANT: by_id keys always resolve to a stored entry");
-        self.blocks[bi].rules[wi].action = action;
+        let (bi, wi) = self.find(id)?;
+        self.layout.blocks[bi].rules[wi].action = action;
         self.stats.modifies += 1;
         Ok(())
     }
@@ -627,19 +754,24 @@ impl TcamTable {
     /// Replaces the match key of an existing rule in place (same-priority
     /// match rewrite, also constant time).
     pub fn modify_key(&mut self, id: RuleId, key: TernaryKey) -> Result<(), TcamError> {
-        let k = *self.by_id.get(&id).ok_or(TcamError::NotFound(id))?;
-        let (bi, wi) = self
-            .locate(k)
-            .expect("INVARIANT: by_id keys always resolve to a stored entry");
-        self.blocks[bi].rules[wi].key = key;
+        let (bi, wi) = self.find(id)?;
+        self.set_key(bi, wi, key);
         self.stats.modifies += 1;
         Ok(())
     }
 
-    /// The one match loop: first (highest-precedence) entry matching the
-    /// packet. `lookup` and `peek` both defer here.
+    /// The one match path: the highest-precedence (lowest sort key) entry
+    /// matching the packet, out of the match index. `lookup` and `peek`
+    /// both defer here.
     fn scan(&self, packet: u128) -> Option<Rule> {
-        self.iter().find(|r| r.key.matches(packet)).copied()
+        self.index.lookup(packet, |ek, key| {
+            let (bi, wi) = self
+                .layout
+                .locate(ek)
+                .expect("INVARIANT: the match index holds stored entries only");
+            let rule = &self.layout.blocks[bi].rules[wi];
+            (rule.key == key).then_some(*rule)
+        })
     }
 
     /// TCAM lookup: the first (highest-precedence) entry matching the packet.
@@ -656,11 +788,9 @@ impl TcamTable {
     /// Removes all entries (used when the Rule Manager empties the shadow
     /// table after migration — a batch of in-place invalidations).
     pub fn clear(&mut self) -> usize {
-        let n = self.len;
+        let n = self.layout.len;
         self.stats.deletes += n as u64;
-        self.blocks.clear();
-        self.by_id.clear();
-        self.len = 0;
+        self.reset();
         n
     }
 
@@ -669,9 +799,7 @@ impl TcamTable {
     pub fn drain(&mut self) -> Vec<Rule> {
         let out: Vec<Rule> = self.entries();
         self.stats.deletes += out.len() as u64;
-        self.blocks.clear();
-        self.by_id.clear();
-        self.len = 0;
+        self.reset();
         out
     }
 
@@ -679,34 +807,39 @@ impl TcamTable {
     /// re-chunked and every block is topped up with up to `slack` reserved
     /// free slots (while unreserved capacity lasts). Returns the modeled
     /// entry moves (a full relayout touches every entry), which are also
-    /// added to [`TableStats::total_shifts`].
+    /// added to [`TableStats::total_shifts`]. Sort keys do not change, so
+    /// the match index is left alone.
     pub fn rebuild_layout(&mut self) -> usize {
-        let keys: Vec<EntryKey> = self.blocks.iter().flat_map(|b| b.keys.iter().copied()).collect();
-        let rules: Vec<Rule> = self.blocks.iter().flat_map(|b| b.rules.iter().copied()).collect();
-        self.blocks.clear();
-        let mut budget = self.capacity - self.len;
-        let chunk = if self.slack > 0 { GAP_CHUNK } else { BLOCK_TARGET };
+        let layout = &mut self.layout;
+        let keys: Vec<EntryKey> = layout.blocks.iter().flat_map(|b| b.keys.iter().copied()).collect();
+        let rules: Vec<Rule> = layout.blocks.iter().flat_map(|b| b.rules.iter().copied()).collect();
+        layout.blocks.clear();
+        let mut budget = layout.capacity - layout.len;
+        let chunk = if layout.slack > 0 { GAP_CHUNK } else { BLOCK_TARGET };
         for (kchunk, rchunk) in keys.chunks(chunk).zip(rules.chunks(chunk)) {
-            let gaps = self.slack.min(budget);
+            let gaps = layout.slack.min(budget);
             budget -= gaps;
-            self.blocks.push(Block {
+            layout.blocks.push(Block {
                 keys: kchunk.to_vec(),
                 rules: rchunk.to_vec(),
                 gaps,
             });
         }
-        let moved = self.len;
+        let moved = layout.len;
         self.stats.total_shifts += moved as u64;
         moved
     }
 
     /// Checks the structural invariants (debug aid / property tests):
-    /// priority ordering, index consistency, block shape, and that entries
-    /// plus reserved gaps fit the capacity.
+    /// priority ordering, id-index consistency, block shape, that entries
+    /// plus reserved gaps fit the capacity, and that the match index holds
+    /// every stored entry exactly once under its current key and nothing
+    /// else.
     pub fn check_invariants(&self) -> bool {
+        let layout = &self.layout;
         let mut prev: Option<EntryKey> = None;
         let mut counted = 0;
-        for b in &self.blocks {
+        for b in &layout.blocks {
             if b.keys.is_empty() || b.keys.len() != b.rules.len() || b.len() > BLOCK_MAX + 1 {
                 return false;
             }
@@ -723,10 +856,11 @@ impl TcamTable {
                 counted += 1;
             }
         }
-        counted == self.len
-            && self.by_id.len() == self.len
-            && self.len + self.gap_slots() <= self.capacity.max(self.len)
-            && self.len <= self.capacity
+        counted == layout.len
+            && self.by_id.len() == layout.len
+            && layout.len + layout.gap_slots() <= layout.capacity.max(layout.len)
+            && layout.len <= layout.capacity
+            && self.index.check(layout.len, layout.indexed())
     }
 
     /// Applies a whole op sequence as one planned transaction.
@@ -742,50 +876,36 @@ impl TcamTable {
     /// applying the ops singly (same final entries, same per-op stats) but
     /// never billed more shifts.
     pub fn apply_batch(&mut self, ops: &[TcamOp]) -> Result<BatchReport, TcamError> {
-        let occupancy_before = self.len;
+        let occupancy_before = self.layout.len;
         let plan = self.validate_batch(ops)?;
         let (shifts, naive_shifts) = self.plan_batch_shifts(ops, &plan);
         // Mutate: in-place modifies, then deletes (freeing slots), then the
         // surviving inserts in submission order (fresh seqs keep FIFO).
         for (id, (action, key)) in &plan.modified {
+            let (bi, wi) = self
+                .find(*id)
+                .expect("INVARIANT: validated batch targets existing entries");
             if let Some(a) = action {
-                let k = self.by_id[id];
-                let (bi, wi) = self
-                    .locate(k)
-                    .expect("INVARIANT: validated batch targets existing entries");
-                self.blocks[bi].rules[wi].action = *a;
+                self.layout.blocks[bi].rules[wi].action = *a;
             }
             if let Some(nk) = key {
-                let k = self.by_id[id];
-                let (bi, wi) = self
-                    .locate(k)
-                    .expect("INVARIANT: validated batch targets existing entries");
-                self.blocks[bi].rules[wi].key = *nk;
+                self.set_key(bi, wi, *nk);
             }
         }
         for key in plan.deleted.values() {
             let (bi, wi) = self
+                .layout
                 .locate(*key)
                 .expect("INVARIANT: validated batch targets existing entries");
             self.raw_remove(bi, wi);
         }
         for id in &plan.pending_order {
             let rule = plan.pending[id];
-            let key = EntryKey::new(rule.priority, self.next_seq);
-            self.next_seq += 1;
-            let (bi, wi, pos) = self.insertion_point(key);
-            // Keep the len+gaps ≤ capacity invariant: when all remaining
-            // free space is reserved, the insert consumes the nearest gap
-            // (the plan already billed the move).
-            if self.unreserved() == 0 && self.gap_slots() > 0 {
-                let consume = match self.strategy {
-                    PlacementStrategy::PackedHigh => self.backward_gap_cost(bi, wi, pos).1,
-                    _ => self.forward_gap_cost(bi, wi, pos).1,
-                };
-                if let Some(g) = consume {
-                    self.blocks[g].gaps -= 1;
-                }
-            }
+            let key = EntryKey::new(rule.priority, self.layout.next_seq);
+            self.layout.next_seq += 1;
+            let (bi, wi, pos) = self.layout.insertion_point(key);
+            // The coalesced plan already billed the move.
+            self.layout.take_reserved_slot(bi, wi, pos);
             self.raw_insert(bi, wi, key, rule);
         }
         self.stats.inserts += plan.n_inserts;
@@ -809,8 +929,8 @@ impl TcamTable {
         for op in ops {
             match op {
                 TcamOp::Insert(rule) => {
-                    let live = self.len - plan.deleted.len() + plan.pending.len();
-                    if live >= self.capacity {
+                    let live = self.layout.len - plan.deleted.len() + plan.pending.len();
+                    if live >= self.layout.capacity {
                         return Err(TcamError::Full);
                     }
                     let exists_in_table =
@@ -864,6 +984,7 @@ impl TcamTable {
     /// exact sequential replay on small tables so a batch is never billed
     /// worse than its ops applied singly.
     fn plan_batch_shifts(&self, ops: &[TcamOp], plan: &BatchPlan) -> (usize, usize) {
+        let layout = &self.layout;
         // Positions of the batch's events among the *current* entries.
         let mut insert_pos: Vec<usize> = Vec::with_capacity(plan.pending_order.len());
         for id in &plan.pending_order {
@@ -871,18 +992,18 @@ impl TcamTable {
             if rule.priority.is_none() {
                 continue; // free placement, no ordering pressure
             }
-            let key = EntryKey::new(rule.priority, self.next_seq);
-            insert_pos.push(self.insertion_point(key).2);
+            let key = EntryKey::new(rule.priority, layout.next_seq);
+            insert_pos.push(layout.insertion_point(key).2);
         }
         insert_pos.sort_unstable();
         let mut delete_pos: Vec<usize> = plan
             .deleted
             .values()
             .map(|k| {
-                let (bi, wi) = self
+                let (bi, wi) = layout
                     .locate(*k)
                     .expect("INVARIANT: validated batch targets existing entries");
-                self.blocks[..bi].iter().map(Block::len).sum::<usize>() + wi
+                layout.blocks[..bi].iter().map(Block::len).sum::<usize>() + wi
             })
             .collect();
         delete_pos.sort_unstable();
@@ -892,7 +1013,7 @@ impl TcamTable {
         let mut gap_trailing: Vec<(usize, usize)> = Vec::new();
         let mut gap_leading: Vec<(usize, usize)> = Vec::new();
         let mut acc = 0usize;
-        for b in &self.blocks {
+        for b in &layout.blocks {
             if b.gaps > 0 {
                 gap_leading.push((acc, b.gaps));
             }
@@ -901,9 +1022,9 @@ impl TcamTable {
                 gap_trailing.push((acc, b.gaps));
             }
         }
-        let fwd = coalesced_moves_forward(self.len, &insert_pos, &delete_pos, &gap_trailing);
-        let bwd = coalesced_moves_backward(self.len, &insert_pos, &delete_pos, &gap_leading);
-        let formula = match self.strategy {
+        let fwd = coalesced_moves_forward(layout.len, &insert_pos, &delete_pos, &gap_trailing);
+        let bwd = coalesced_moves_backward(layout.len, &insert_pos, &delete_pos, &gap_leading);
+        let formula = match layout.strategy {
             PlacementStrategy::PackedLow => fwd,
             PlacementStrategy::PackedHigh => bwd,
             PlacementStrategy::Balanced => fwd.min(bwd),
@@ -912,13 +1033,13 @@ impl TcamTable {
         // telemetry "saved" metric when the exact replay is skipped).
         let estimate: usize = insert_pos
             .iter()
-            .map(|&p| match self.strategy {
-                PlacementStrategy::PackedLow => self.len - p,
+            .map(|&p| match layout.strategy {
+                PlacementStrategy::PackedLow => layout.len - p,
                 PlacementStrategy::PackedHigh => p,
-                PlacementStrategy::Balanced => p.min(self.len - p),
+                PlacementStrategy::Balanced => p.min(layout.len - p),
             })
             .sum();
-        if self.len + ops.len() <= NAIVE_CLAMP_LIMIT {
+        if layout.len + ops.len() <= NAIVE_CLAMP_LIMIT {
             let naive = self.replay_singly(ops);
             (formula.min(naive), naive)
         } else {
@@ -926,32 +1047,33 @@ impl TcamTable {
         }
     }
 
-    /// Exact sequential cost: the same ops applied singly to a scratch
-    /// copy. Only used under [`NAIVE_CLAMP_LIMIT`].
+    /// Exact sequential cost of a *validated* batch: its inserts and
+    /// deletes applied singly to a scratch copy of the layout. Shifts
+    /// depend on sort keys and gaps alone, so the scratch carries no rules
+    /// and no match index, and the in-place modifies are skipped. Only
+    /// used under [`NAIVE_CLAMP_LIMIT`].
     fn replay_singly(&self, ops: &[TcamOp]) -> usize {
-        let mut scratch = self.clone();
+        let mut scratch = self.layout.shape();
+        // Sort keys of the entries the replay itself placed; every other
+        // live id is where `by_id` says.
+        let mut placed: BTreeMap<RuleId, EntryKey> = BTreeMap::new();
         let mut total = 0usize;
         for op in ops {
             match op {
                 TcamOp::Insert(rule) => {
-                    if let Ok(s) = scratch.insert(*rule) {
-                        total += s.shifts;
-                    }
+                    let (key, bi, wi, shifts) = scratch.open_slot(rule.priority);
+                    scratch.raw_insert(bi, wi, key, ());
+                    placed.insert(rule.id, key);
+                    total += shifts;
                 }
                 TcamOp::Delete(id) => {
-                    // INVARIANT: scratch-copy replay measures shift cost
-                    // only; a failed op costs zero shifts, same as the
-                    // real sequential path it mirrors.
-                    let _ = scratch.delete(*id);
+                    let key = placed.remove(id).unwrap_or_else(|| self.by_id[id]);
+                    let (bi, wi) = scratch
+                        .locate(key)
+                        .expect("INVARIANT: validated batch deletes live entries only");
+                    scratch.raw_remove(bi, wi);
                 }
-                TcamOp::ModifyAction { id, action } => {
-                    // INVARIANT: scratch-copy replay; see Delete above.
-                    let _ = scratch.modify_action(*id, *action);
-                }
-                TcamOp::ModifyKey { id, key } => {
-                    // INVARIANT: scratch-copy replay; see Delete above.
-                    let _ = scratch.modify_key(*id, *key);
-                }
+                TcamOp::ModifyAction { .. } | TcamOp::ModifyKey { .. } => {}
             }
         }
         total
