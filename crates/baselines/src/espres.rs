@@ -11,9 +11,9 @@
 //! no guarantee: as the table fills up, even optimally-ordered insertions
 //! slow down — the divergence the paper shows in Fig. 11.
 
-use crate::plane::{BatchOutcome, ControlPlane, OpOutcome};
+use crate::plane::{exec_on, BatchOutcome, ControlPlane};
 use hermes_rules::prelude::*;
-use hermes_tcam::{PlacementStrategy, SimDuration, SimTime, SwitchModel, TcamDevice};
+use hermes_tcam::{PlacementStrategy, SimTime, SwitchModel, TcamDevice};
 
 /// The ESPRES scheduler over a monolithic switch.
 #[derive(Debug)]
@@ -66,21 +66,16 @@ impl EspresSwitch {
             // near an edge.
             PlacementStrategy::Balanced => {
                 inserts.sort_by_key(ascending);
-                let mut alternated = Vec::with_capacity(inserts.len());
-                let mut lo = 0isize;
-                let mut hi = inserts.len() as isize - 1;
-                let mut take_hi = true;
-                while lo <= hi {
-                    if take_hi {
-                        alternated.push(inserts[hi as usize]);
-                        hi -= 1;
-                    } else {
-                        alternated.push(inserts[lo as usize]);
-                        lo += 1;
-                    }
-                    take_hi = !take_hi;
-                }
-                inserts = alternated;
+                let mut rest = std::collections::VecDeque::from(inserts);
+                inserts = (0..rest.len())
+                    .filter_map(|i| {
+                        if i % 2 == 0 {
+                            rest.pop_back()
+                        } else {
+                            rest.pop_front()
+                        }
+                    })
+                    .collect();
             }
         }
         deletes.into_iter().chain(inserts).chain(modifies).collect()
@@ -96,17 +91,7 @@ impl ControlPlane for EspresSwitch {
         let scheduled = self.schedule(actions);
         let mut out = BatchOutcome::default();
         for action in &scheduled {
-            let exec = match self.device.apply(0, action) {
-                Ok(rep) => rep.latency,
-                Err(_) => SimDuration::from_us(50.0),
-            };
-            out.total += exec;
-            out.ops.push(OpOutcome {
-                id: action.rule_id(),
-                exec,
-                completed_at: out.total,
-                violated: false,
-            });
+            out.push(action.rule_id(), exec_on(&mut self.device, action), false);
         }
         out
     }

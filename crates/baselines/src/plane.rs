@@ -8,6 +8,15 @@ pub use hermes_core::plane::{BatchOutcome, ControlPlane, CpQueue, HermesPlane, O
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, SwitchModel, TcamDevice};
 
+/// Runs one action against a baseline's monolithic table: its latency, or
+/// the nominal rejection cost when the switch refuses it (full table /
+/// missing rule — the agent reports an error to the controller).
+pub(crate) fn exec_on(device: &mut TcamDevice, action: &ControlAction) -> SimDuration {
+    device
+        .apply(0, action)
+        .map_or(BatchOutcome::REJECTION_COST, |rep| rep.latency)
+}
+
 /// The unmodified switch: actions execute in submission order against a
 /// monolithic table. This is the paper's "Pica8 P-3290 / Dell 8132F /
 /// HP 5406zl" comparison point.
@@ -41,19 +50,7 @@ impl ControlPlane for RawSwitch {
     fn apply_batch(&mut self, actions: &[ControlAction], _now: SimTime) -> BatchOutcome {
         let mut out = BatchOutcome::default();
         for action in actions {
-            let exec = match self.device.apply(0, action) {
-                Ok(rep) => rep.latency,
-                // Full table / missing rule: the agent spends a nominal
-                // rejection cost and reports an error to the controller.
-                Err(_) => SimDuration::from_us(50.0),
-            };
-            out.total += exec;
-            out.ops.push(OpOutcome {
-                id: action.rule_id(),
-                exec,
-                completed_at: out.total,
-                violated: false,
-            });
+            out.push(action.rule_id(), exec_on(&mut self.device, action), false);
         }
         out
     }
@@ -92,7 +89,7 @@ mod tests {
     fn raw_switch_reports_errors_cheaply() {
         let mut raw = RawSwitch::new(SwitchModel::pica8_p3290());
         let out = raw.apply(&ControlAction::Delete(RuleId(42)), SimTime::ZERO);
-        assert_eq!(out.exec, SimDuration::from_us(50.0));
+        assert_eq!(out.exec, BatchOutcome::REJECTION_COST);
         assert_eq!(raw.occupancy(), 0);
     }
 

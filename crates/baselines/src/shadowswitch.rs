@@ -14,7 +14,7 @@
 //! [`slow_path_fraction`](ShadowSwitch::slow_path_fraction) telemetry
 //! exposes the data-plane price Hermes never pays.
 
-use crate::plane::{BatchOutcome, ControlPlane, OpOutcome};
+use crate::plane::{exec_on, BatchOutcome, ControlPlane};
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, SwitchModel, TcamDevice};
 use std::collections::VecDeque;
@@ -93,32 +93,24 @@ impl ShadowSwitch {
     /// (slow path).
     pub fn lookup(&mut self, packet: u128) -> Option<Action> {
         self.lookups += 1;
-        if let Some(rule) = self.device.peek(packet).rule() {
-            // Software rules may shadow hardware ones (they are newer);
-            // check precedence against software matches.
-            if let Some(sw) = self
-                .software
-                .iter()
-                .filter(|r| r.key.matches(packet))
-                .max_by_key(|r| r.priority)
-            {
-                if sw.priority > rule.priority {
-                    self.slow_path_hits += 1;
-                    return Some(sw.action);
-                }
-            }
-            return Some(rule.action);
-        }
-        if let Some(sw) = self
+        let hw = self.device.peek(packet).rule();
+        let sw = self
             .software
             .iter()
             .filter(|r| r.key.matches(packet))
-            .max_by_key(|r| r.priority)
-        {
-            self.slow_path_hits += 1;
-            return Some(sw.action);
+            .max_by_key(|r| r.priority);
+        match (hw, sw) {
+            // Software rules may shadow hardware ones (they are newer):
+            // the hardware match stands unless a software match outranks
+            // it.
+            (Some(hw), Some(sw)) if sw.priority <= hw.priority => Some(hw.action),
+            (Some(hw), None) => Some(hw.action),
+            (_, Some(sw)) => {
+                self.slow_path_hits += 1;
+                Some(sw.action)
+            }
+            (None, None) => None,
         }
-        None
     }
 }
 
@@ -141,10 +133,7 @@ impl ControlPlane for ShadowSwitch {
                         self.software.remove(pos);
                         self.software_insert
                     } else {
-                        match self.device.apply(0, action) {
-                            Ok(rep) => rep.latency,
-                            Err(_) => SimDuration::from_us(50.0),
-                        }
+                        exec_on(&mut self.device, action)
                     }
                 }
                 ControlAction::Modify { id, .. } => {
@@ -157,20 +146,11 @@ impl ControlPlane for ShadowSwitch {
                         }
                         self.software_insert
                     } else {
-                        match self.device.apply(0, action) {
-                            Ok(rep) => rep.latency,
-                            Err(_) => SimDuration::from_us(50.0),
-                        }
+                        exec_on(&mut self.device, action)
                     }
                 }
             };
-            out.total += exec;
-            out.ops.push(OpOutcome {
-                id: action.rule_id(),
-                exec,
-                completed_at: out.total,
-                violated: false,
-            });
+            out.push(action.rule_id(), exec, false);
         }
         self.drain(now + out.total);
         out

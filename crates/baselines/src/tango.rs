@@ -16,10 +16,10 @@
 //! itself is an install-time optimizer; this is the natural completion of
 //! its bookkeeping).
 
-use crate::plane::{BatchOutcome, ControlPlane, OpOutcome};
+use crate::plane::{exec_on, BatchOutcome, ControlPlane, OpOutcome};
 use hermes_rules::merge::minimize_keys;
 use hermes_rules::prelude::*;
-use hermes_tcam::{PlacementStrategy, SimDuration, SimTime, SwitchModel, TcamDevice};
+use hermes_tcam::{PlacementStrategy, SimTime, SwitchModel, TcamDevice};
 use std::collections::BTreeMap;
 
 /// Physical ids for aggregated entries live above this bit.
@@ -64,10 +64,8 @@ impl TangoSwitch {
             groups.entry((r.priority.0, r.action)).or_default().push(*r);
         }
         let mut out = Vec::new();
-        let mut keys: Vec<(u32, Action)> = groups.keys().copied().collect();
-        keys.sort_by_key(|(p, _)| *p);
-        for gk in keys {
-            let group = groups.remove(&gk).expect("INVARIANT: key came from groups.keys() above");
+        // The map's own order: ascending priority, then action.
+        for (gk, group) in groups {
             if group.len() == 1 {
                 out.push((group[0], vec![group[0]]));
                 continue;
@@ -121,22 +119,13 @@ impl TangoSwitch {
 
     fn delete_logical(&mut self, id: RuleId, out: &mut BatchOutcome) {
         let Some(phys_id) = self.locate.remove(&id) else {
-            out.total += SimDuration::from_us(50.0);
-            out.ops.push(OpOutcome {
-                id,
-                exec: SimDuration::from_us(50.0),
-                completed_at: out.total,
-                violated: false,
-            });
+            out.push(id, BatchOutcome::REJECTION_COST, false);
             return;
         };
         let mut members = self.members.remove(&phys_id).unwrap_or_default();
         members.retain(|m| m.id != id);
         // Remove the physical entry.
-        let mut exec = match self.device.apply(0, &ControlAction::Delete(phys_id)) {
-            Ok(rep) => rep.latency,
-            Err(_) => SimDuration::from_us(50.0),
-        };
+        let mut exec = exec_on(&mut self.device, &ControlAction::Delete(phys_id));
         // Reinstall surviving members individually.
         for m in members {
             if let Ok(rep) = self.device.apply(0, &ControlAction::Insert(m)) {
@@ -145,13 +134,7 @@ impl TangoSwitch {
                 self.members.insert(m.id, vec![m]);
             }
         }
-        out.total += exec;
-        out.ops.push(OpOutcome {
-            id,
-            exec,
-            completed_at: out.total,
-            violated: false,
-        });
+        out.push(id, exec, false);
     }
 }
 
@@ -181,23 +164,21 @@ impl ControlPlane for TangoSwitch {
         let mut physical = self.aggregate(&inserts);
         self.order_inserts(&mut physical);
         for (phys, members) in physical {
-            let exec = match self.device.apply(0, &ControlAction::Insert(phys)) {
-                Ok(rep) => rep.latency,
-                Err(_) => SimDuration::from_us(50.0),
-            };
-            out.total += exec;
+            let exec = exec_on(&mut self.device, &ControlAction::Insert(phys));
             // Every member completes when its physical entry lands; report
             // one op per member (each member's installation time is the
             // aggregate write's latency — the saving is that one write
-            // covers them all).
-            for m in &members {
-                self.locate.insert(m.id, phys.id);
+            // covers them all, so only the first advances the channel).
+            out.push(members[0].id, exec, false);
+            let written = out.ops[out.ops.len() - 1];
+            for m in &members[1..] {
                 out.ops.push(OpOutcome {
                     id: m.id,
-                    exec,
-                    completed_at: out.total,
-                    violated: false,
+                    ..written
                 });
+            }
+            for m in &members {
+                self.locate.insert(m.id, phys.id);
             }
             self.members.insert(phys.id, members);
         }
@@ -210,25 +191,12 @@ impl ControlPlane for TangoSwitch {
                 priority,
             } = a
             {
-                let target = self.locate.get(id).copied().unwrap_or(*id);
-                let exec = match self.device.apply(
-                    0,
-                    &ControlAction::Modify {
-                        id: target,
-                        action: *action,
-                        priority: *priority,
-                    },
-                ) {
-                    Ok(rep) => rep.latency,
-                    Err(_) => SimDuration::from_us(50.0),
+                let target = ControlAction::Modify {
+                    id: self.locate.get(id).copied().unwrap_or(*id),
+                    action: *action,
+                    priority: *priority,
                 };
-                out.total += exec;
-                out.ops.push(OpOutcome {
-                    id: *id,
-                    exec,
-                    completed_at: out.total,
-                    violated: false,
-                });
+                out.push(*id, exec_on(&mut self.device, &target), false);
             }
         }
         out

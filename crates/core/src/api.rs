@@ -97,14 +97,31 @@ impl HermesApi {
         guarantee: SimDuration,
         predicate: RulePredicate,
     ) -> Result<QosHandle, ApiError> {
-        let model = self
-            .models
-            .get(&switch)
-            .ok_or(ApiError::UnknownSwitch(switch))?
-            .clone();
+        if !self.models.contains_key(&switch) {
+            return Err(ApiError::UnknownSwitch(switch));
+        }
         if self.agents.contains_key(&switch) {
             return Err(ApiError::AlreadyConfigured(switch));
         }
+        let shadow = ShadowId(self.next_shadow);
+        let handle = self.configure(switch, shadow, guarantee, predicate)?;
+        self.next_shadow += 1;
+        self.handles.insert(shadow, switch);
+        Ok(handle)
+    }
+
+    /// Builds a registered switch's agent for a guarantee (replacing any
+    /// previous one) and derives the handle the operator gets back.
+    fn configure(
+        &mut self,
+        switch: SwitchId,
+        shadow_id: ShadowId,
+        guarantee: SimDuration,
+        predicate: RulePredicate,
+    ) -> Result<QosHandle, ApiError> {
+        // INVARIANT: `create_tcam_qos` checked the switch is registered
+        // before it issued any handle, and models are never removed.
+        let model = self.models[&switch].clone();
         let config = HermesConfig {
             guarantee,
             predicate,
@@ -112,12 +129,10 @@ impl HermesApi {
         };
         let agent = HermesSwitch::new(model, config).map_err(ApiError::Infeasible)?;
         let handle = QosHandle {
-            shadow_id: ShadowId(self.next_shadow),
+            shadow_id,
             max_burst_rate: agent.max_supported_rate(),
             overhead: agent.overhead_fraction(),
         };
-        self.next_shadow += 1;
-        self.handles.insert(handle.shadow_id, switch);
         self.agents.insert(switch, agent);
         Ok(handle)
     }
@@ -145,32 +160,12 @@ impl HermesApi {
             .handles
             .get(&shadow)
             .ok_or(ApiError::UnknownShadow(shadow))?;
-        // INVARIANT: `handles` entries are only created by `create_qos`,
-        // which requires the switch to exist in `models`, and models are
-        // never removed.
-        let model = self
-            .models
-            .get(&switch)
-            .expect("INVARIANT: handle implies model")
-            .clone();
         let predicate = self
             .agents
             .get(&switch)
             .map(|a| a.config().predicate.clone())
             .unwrap_or(RulePredicate::All);
-        let config = HermesConfig {
-            guarantee,
-            predicate,
-            ..Default::default()
-        };
-        let agent = HermesSwitch::new(model, config).map_err(ApiError::Infeasible)?;
-        let handle = QosHandle {
-            shadow_id: shadow,
-            max_burst_rate: agent.max_supported_rate(),
-            overhead: agent.overhead_fraction(),
-        };
-        self.agents.insert(switch, agent);
-        Ok(handle)
+        self.configure(switch, shadow, guarantee, predicate)
     }
 
     /// `ModQoSMatch`: replaces the predicate selecting guaranteed rules.

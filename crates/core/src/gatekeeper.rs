@@ -59,11 +59,6 @@ impl TokenBucket {
     pub fn rate(&self) -> f64 {
         self.rate
     }
-
-    /// Replaces the refill rate, keeping the current level.
-    pub fn set_rate(&mut self, rate: f64) {
-        self.rate = rate;
-    }
 }
 
 /// Where the Gate Keeper routed an insertion, and why.
@@ -93,11 +88,6 @@ pub enum Route {
 }
 
 impl Route {
-    /// `true` when the rule was serviced from the shadow table.
-    pub fn is_shadow(&self) -> bool {
-        matches!(self, Route::Shadow)
-    }
-
     /// `true` when the route indicates the guarantee could not be honoured
     /// for a rule that was entitled to it.
     pub fn breaks_guarantee(&self) -> bool {
@@ -368,8 +358,6 @@ mod tests {
 
     #[test]
     fn route_flags() {
-        assert!(Route::Shadow.is_shadow());
-        assert!(!Route::MainOverRate.is_shadow());
         assert!(Route::MainShadowFull.breaks_guarantee());
         assert!(!Route::MainOverRate.breaks_guarantee());
     }

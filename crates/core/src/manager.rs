@@ -101,11 +101,6 @@ impl RuleManager {
         }
     }
 
-    /// The configured trigger.
-    pub fn trigger(&self) -> MigrationTrigger {
-        self.trigger
-    }
-
     /// Notes one rule arrival (called by the Gate Keeper path).
     pub fn record_arrival(&mut self) {
         self.arrivals += 1;

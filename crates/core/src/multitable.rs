@@ -90,11 +90,6 @@ impl MultiTableHermes {
         &self.tables[idx]
     }
 
-    /// Mutably borrow a logical table's agent.
-    pub fn table_mut(&mut self, idx: usize) -> &mut HermesSwitch {
-        &mut self.tables[idx]
-    }
-
     /// Submits a control action targeted at one logical table (the
     /// Broadcom-SDK "group" targeting of §6).
     pub fn submit(
@@ -118,13 +113,6 @@ impl MultiTableHermes {
     pub fn lookup(&mut self, packet: u128) -> LookupResult {
         let (tables, misses) = (&mut self.tables, &self.misses);
         walk_pipeline(tables.len(), |i| (matched(tables[i].lookup(packet)), misses[i]))
-    }
-
-    /// Lookup without statistics.
-    pub fn peek(&self, packet: u128) -> LookupResult {
-        walk_pipeline(self.tables.len(), |i| {
-            (matched(self.tables[i].peek(packet)), self.misses[i])
-        })
     }
 
     /// Per-table statistics.

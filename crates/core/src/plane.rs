@@ -40,13 +40,14 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// Appends one Hermes action's outcome; a rejected action costs the
-    /// agent a nominal 50 µs.
-    fn push_report(&mut self, id: RuleId, rep: Result<ActionReport, HermesError>) {
-        let (exec, violated) = match rep {
-            Ok(rep) => (rep.latency, rep.violated()),
-            Err(_) => (SimDuration::from_us(50.0), false),
-        };
+    /// What a rejected action (full table, missing rule, dead channel)
+    /// costs the agent: a nominal 50 µs to report the error upstream.
+    pub const REJECTION_COST: SimDuration = SimDuration::from_us(50.0);
+
+    /// The serial executor every plane shares: one action ran for `exec`
+    /// on the control channel, so the batch is that much longer and the
+    /// action completes at the new total.
+    pub fn push(&mut self, id: RuleId, exec: SimDuration, violated: bool) {
         self.total += exec;
         self.ops.push(OpOutcome {
             id,
@@ -56,9 +57,12 @@ impl BatchOutcome {
         });
     }
 
-    /// The completion offset of a specific rule's action, if present.
-    pub fn completion_of(&self, id: RuleId) -> Option<SimDuration> {
-        self.ops.iter().find(|o| o.id == id).map(|o| o.completed_at)
+    /// Appends one Hermes action's outcome.
+    fn push_report(&mut self, id: RuleId, rep: Result<ActionReport, HermesError>) {
+        match rep {
+            Ok(rep) => self.push(id, rep.latency, rep.violated()),
+            Err(_) => self.push(id, Self::REJECTION_COST, false),
+        }
     }
 }
 
@@ -144,6 +148,10 @@ impl ControlPlane for Box<dyn ControlPlane> {
         (**self).apply_batch(actions, now)
     }
 
+    fn apply(&mut self, action: &ControlAction, now: SimTime) -> OpOutcome {
+        (**self).apply(action, now)
+    }
+
     fn occupancy(&self) -> usize {
         (**self).occupancy()
     }
@@ -227,34 +235,26 @@ impl ControlPlane for HermesPlane {
 
     fn apply_batch(&mut self, actions: &[ControlAction], now: SimTime) -> BatchOutcome {
         let mut out = BatchOutcome::default();
-        let mut i = 0;
-        while i < actions.len() {
-            // Maximal runs of ≥2 consecutive inserts ride the batched
-            // admission pipeline (one handshake, one coalesced shift
-            // plan); singletons and non-insert actions take the per-op
-            // path unchanged.
-            let run = actions[i..]
-                .iter()
-                .take_while(|a| matches!(a, ControlAction::Insert(_)))
-                .count();
-            if run >= 2 {
-                let rules: Vec<Rule> = actions[i..i + run]
-                    .iter()
-                    .filter_map(|a| match a {
-                        ControlAction::Insert(r) => Some(*r),
-                        _ => None,
-                    })
-                    .collect();
-                let reports = self.switch.admit_batch(&rules, now + out.total);
-                for (rule, rep) in rules.iter().zip(reports) {
-                    out.push_report(rule.id, rep);
-                }
-                i += run;
-            } else {
-                let action = &actions[i];
+        // Maximal runs of ≥2 consecutive inserts ride the batched
+        // admission pipeline (one handshake, one coalesced shift plan);
+        // singletons and non-insert actions take the per-op path
+        // unchanged.
+        for run in actions.chunk_by(|a, b| a.is_insert() && b.is_insert()) {
+            if let [action] = run {
                 let rep = self.switch.submit(action, now + out.total);
                 out.push_report(action.rule_id(), rep);
-                i += 1;
+                continue;
+            }
+            let rules: Vec<Rule> = run
+                .iter()
+                .filter_map(|a| match a {
+                    ControlAction::Insert(r) => Some(*r),
+                    _ => None,
+                })
+                .collect();
+            let reports = self.switch.admit_batch(&rules, now + out.total);
+            for (rule, rep) in rules.iter().zip(reports) {
+                out.push_report(rule.id, rep);
             }
         }
         out
@@ -341,11 +341,7 @@ impl<P: ControlPlane> CpQueue<P> {
     /// Submits a batch at `now`; returns the batch outcome and the absolute
     /// completion time of each op (start-of-service + offset).
     pub fn submit(&mut self, actions: &[ControlAction], now: SimTime) -> (SimTime, BatchOutcome) {
-        let start = if now > self.busy_until {
-            now
-        } else {
-            self.busy_until
-        };
+        let start = now.max(self.busy_until);
         let outcome = self.plane.apply_batch(actions, start);
         self.busy_until = start + outcome.total;
         (start, outcome)
@@ -365,6 +361,89 @@ mod tests {
     fn rule(id: u64, pfx: &str, prio: u32) -> Rule {
         let p: Ipv4Prefix = pfx.parse().unwrap();
         Rule::new(id, p.to_key(), Priority(prio), Action::Forward(1))
+    }
+
+    /// A plane whose every trait method records its own name (and returns
+    /// the type's default).
+    #[derive(Clone, Default)]
+    struct Probe(std::rc::Rc<std::cell::RefCell<Vec<&'static str>>>);
+
+    impl Probe {
+        fn hit<T: Default>(&self, name: &'static str) -> T {
+            self.0.borrow_mut().push(name);
+            T::default()
+        }
+    }
+
+    impl ControlPlane for Probe {
+        fn name(&self) -> String {
+            self.hit("name")
+        }
+        fn apply_batch(&mut self, _: &[ControlAction], _: SimTime) -> BatchOutcome {
+            self.hit("apply_batch")
+        }
+        fn apply(&mut self, action: &ControlAction, _: SimTime) -> OpOutcome {
+            self.hit::<()>("apply");
+            let mut out = BatchOutcome::default();
+            out.push(action.rule_id(), SimDuration::ZERO, false);
+            out.ops[0]
+        }
+        fn occupancy(&self) -> usize {
+            self.hit("occupancy")
+        }
+        fn tick(&mut self, _: SimTime) {
+            self.hit("tick")
+        }
+        fn migrations(&self) -> u64 {
+            self.hit("migrations")
+        }
+        fn end_warmup(&mut self) {
+            self.hit("end_warmup")
+        }
+        fn recovery_stats(&self) -> Option<RecoveryStats> {
+            self.hit("recovery_stats")
+        }
+        fn inject_crash(&mut self, _: CrashKind, _: u64, _: u32, _: SimTime) {
+            self.hit("inject_crash")
+        }
+        fn is_down(&self) -> bool {
+            self.hit("is_down")
+        }
+        fn resync_stats(&self) -> Option<ResyncStats> {
+            self.hit("resync_stats")
+        }
+        fn contains_rule(&self, _: RuleId) -> Option<bool> {
+            self.hit("contains_rule")
+        }
+    }
+
+    /// Calls every [`ControlPlane`] method of `P` itself (no auto-deref).
+    fn call_every_method<P: ControlPlane>(plane: &mut P) {
+        plane.name();
+        plane.apply_batch(&[], SimTime::ZERO);
+        plane.apply(&ControlAction::Delete(RuleId(1)), SimTime::ZERO);
+        plane.occupancy();
+        plane.tick(SimTime::ZERO);
+        plane.migrations();
+        plane.end_warmup();
+        plane.recovery_stats();
+        plane.inject_crash(CrashKind::Wipe, 0, 0, SimTime::ZERO);
+        plane.is_down();
+        plane.resync_stats();
+        plane.contains_rule(RuleId(1));
+    }
+
+    /// A trait method the `Box<dyn ControlPlane>` impl does not forward
+    /// falls back to the trait default for every netsim plane. A method
+    /// added to the trait belongs in `Probe` and in `call_every_method` —
+    /// and in that impl, or this fails.
+    #[test]
+    fn boxed_plane_forwards_every_trait_method() {
+        let (direct, boxed) = (Probe::default(), Probe::default());
+        call_every_method(&mut direct.clone());
+        call_every_method(&mut (Box::new(boxed.clone()) as Box<dyn ControlPlane>));
+        assert_eq!(direct.0.borrow().len(), 12, "every method records itself");
+        assert_eq!(boxed.0.take(), direct.0.take());
     }
 
     #[test]

@@ -33,15 +33,6 @@ impl Corrector {
             Corrector::Deadzone(d) => prediction + d,
         }
     }
-
-    /// Short name for experiment output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Corrector::None => "None",
-            Corrector::Slack(_) => "Slack",
-            Corrector::Deadzone(_) => "Deadzone",
-        }
-    }
 }
 
 impl std::fmt::Display for Corrector {

@@ -19,11 +19,6 @@ impl Ewma {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} out of (0,1]");
         Ewma { alpha, state: None }
     }
-
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 impl Predictor for Ewma {

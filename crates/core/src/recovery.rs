@@ -239,15 +239,6 @@ impl RecoveryState {
         hermes_telemetry::counter("recovery.deferred", 1);
         self.deferred.push(rule);
     }
-
-    /// Total degraded time including a still-open episode.
-    pub fn degraded_ns_total(&self, now: SimTime) -> u64 {
-        self.stats.degraded_ns
-            + self
-                .degraded_since
-                .map(|s| now.since(s).as_nanos())
-                .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -292,11 +283,6 @@ mod tests {
         rs.on_permanent_failure(SimTime::from_ms(20.0));
         assert!(rs.is_degraded());
         assert_eq!(rs.stats.degraded_entries, 1);
-        // Still counts while open.
-        assert_eq!(
-            rs.degraded_ns_total(SimTime::from_ms(25.0)),
-            SimDuration::from_ms(5.0).as_nanos()
-        );
         rs.on_success(SimTime::from_ms(30.0));
         assert!(!rs.is_degraded());
         assert_eq!(rs.stats.degraded_ns, SimDuration::from_ms(10.0).as_nanos());

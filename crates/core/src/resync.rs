@@ -171,20 +171,6 @@ impl IntentStore {
         map
     }
 
-    /// Whether the intended set holds the given rule (checkpoint with
-    /// the journal replayed on top — the view a resync would rebuild).
-    pub fn contains(&self, id: RuleId) -> bool {
-        let mut present = self.checkpoint.contains_key(&id);
-        for op in &self.journal {
-            match op {
-                IntentOp::Install(rule) if rule.id == id => present = true,
-                IntentOp::Remove(rid) if *rid == id => present = false,
-                _ => {}
-            }
-        }
-        present
-    }
-
     /// Number of rules in the intended set.
     pub fn len(&self) -> usize {
         self.snapshot().len()
@@ -228,27 +214,18 @@ impl SlicePlan {
         self.deletes.is_empty() && self.fixes.is_empty() && self.installs.is_empty()
     }
 
-    /// Total repair ops the plan will issue.
-    pub fn ops_len(&self) -> usize {
-        self.deletes.len() + self.fixes.len() + self.installs.len()
-    }
-
     /// The plan as one batched device transaction: deletes first (freeing
     /// capacity and clearing drifted shapes), then in-place fixes, then
     /// installs — the order `apply_batch` validates sequentially.
     pub fn to_ops(&self) -> Vec<TcamOp> {
-        let mut ops = Vec::with_capacity(self.ops_len());
-        ops.extend(self.deletes.iter().copied().map(TcamOp::Delete));
-        ops.extend(
-            self.fixes
-                .iter()
-                .map(|(id, action)| TcamOp::ModifyAction {
-                    id: *id,
-                    action: *action,
-                }),
-        );
-        ops.extend(self.installs.iter().copied().map(TcamOp::Insert));
-        ops
+        let fixes = self.fixes.iter().map(|(id, action)| TcamOp::ModifyAction {
+            id: *id,
+            action: *action,
+        });
+        (self.deletes.iter().copied().map(TcamOp::Delete))
+            .chain(fixes)
+            .chain(self.installs.iter().copied().map(TcamOp::Insert))
+            .collect()
     }
 }
 
@@ -421,7 +398,7 @@ mod tests {
         assert_eq!(plan.installs.len(), 1);
         assert_eq!(plan.installs[0].id, RuleId(3));
         assert_eq!(plan.survivors, 3);
-        assert_eq!(plan.ops_len(), 3);
+        assert_eq!(plan.to_ops().len(), 3);
         assert!(!plan.is_noop());
     }
 

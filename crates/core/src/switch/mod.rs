@@ -44,7 +44,7 @@ mod migration;
 mod placement;
 mod reconcile;
 
-use crate::config::{HermesConfig, MigrationTrigger};
+use crate::config::HermesConfig;
 use crate::gatekeeper::{GateKeeper, Route};
 use crate::manager::{MigrationReport, RuleManager};
 use crate::recovery::{RecoveryState, RecoveryStats};
@@ -458,12 +458,6 @@ impl HermesSwitch {
         self.recovery.deferred.len()
     }
 
-    /// Total simulated time spent in degraded mode so far (including a
-    /// still-open episode, measured against the given clock).
-    pub fn degraded_time(&self, now: SimTime) -> SimDuration {
-        SimDuration::from_nanos(self.recovery.degraded_ns_total(now.max(self.clock)))
-    }
-
     /// All logical rules currently installed, in no particular order.
     pub fn logical_rules(&self) -> Vec<Rule> {
         let mut out: Vec<Rule> = self.main_index.iter().collect();
@@ -478,33 +472,6 @@ impl HermesSwitch {
         self.shadow.contains_key(&id)
             || self.main_index.contains(id)
             || self.recovery.deferred.iter().any(|r| r.id == id)
-    }
-
-    /// Whether the durable intent store intends the given rule — the view
-    /// a post-crash resync would rebuild. The fleet's transaction layer
-    /// checks this after a rollback: a retracted rule must not be
-    /// resurrected by the next resync.
-    pub fn intent_contains(&self, id: RuleId) -> bool {
-        self.intent.contains(id)
-    }
-
-    /// Rolls back a set of staged rules (the fleet's two-phase abort
-    /// path): each present rule is deleted through the normal path — the
-    /// delete journal absorbs device faults, the intent retraction keeps
-    /// resync from resurrecting it — and absent ids are skipped silently
-    /// (a crash may already have taken the entry). Returns the number of
-    /// rules actually retracted.
-    pub fn rollback_batch(&mut self, ids: &[RuleId], now: SimTime) -> usize {
-        let mut retracted = 0;
-        for id in ids {
-            if !self.contains(*id) {
-                continue;
-            }
-            if self.delete(*id, now).is_ok() {
-                retracted += 1;
-            }
-        }
-        retracted
     }
 
     /// Looks up a logical rule.
@@ -662,12 +629,6 @@ impl HermesSwitch {
         self.resolve(self.device.peek(packet))
     }
 
-    /// Re-targets the admission rate after a `ModQoSConfig` (§7).
-    pub fn set_rate_limit(&mut self, rate: Option<f64>) {
-        self.gate
-            .set_rate(rate.map(|r| (r, self.shadow_capacity() as f64)));
-    }
-
     /// Replaces the QoS predicate (`ModQoSMatch`, §7).
     pub fn set_predicate(&mut self, predicate: crate::config::RulePredicate) {
         self.config.predicate = predicate.clone();
@@ -690,11 +651,6 @@ impl HermesSwitch {
         self.gate
             .set_rate(rate.map(|r| (r, (self.shadow_capacity() as f64 / 2.0).max(1.0))));
         self.manager.busy_until = SimTime::ZERO;
-    }
-
-    /// The migration trigger currently configured.
-    pub fn trigger(&self) -> MigrationTrigger {
-        self.manager.trigger()
     }
 
     /// Number of migration passes so far.

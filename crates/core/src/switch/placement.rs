@@ -92,47 +92,30 @@ impl HermesSwitch {
             Some(e) => e.clone(),
             None => return SimDuration::ZERO,
         };
-        let mut kept: Vec<(RuleId, TernaryKey)> = Vec::with_capacity(entry.pieces.len());
-        let mut doomed: Vec<RuleId> = Vec::new();
-        let mut replacements: Vec<TernaryKey> = Vec::new();
-        for (pid, key) in &entry.pieces {
-            if key.overlaps(&against.key) {
-                doomed.push(*pid);
-                replacements.extend(key.difference(&against.key));
-            } else {
-                kept.push((*pid, *key));
-            }
-        }
+        let (doomed, kept): (Vec<_>, Vec<_>) =
+            (entry.pieces.iter().copied()).partition(|(_, key)| key.overlaps(&against.key));
         if doomed.is_empty() {
             // A recursive eviction triggered by an earlier rule in this
             // recut pass may have already narrowed this rule.
             return SimDuration::ZERO;
         }
-        let replacements = hermes_rules::merge::minimize_keys(replacements);
+        let cuts = doomed
+            .iter()
+            .flat_map(|(_, key)| key.difference(&against.key));
+        let replacements = hermes_rules::merge::minimize_keys(cuts.collect());
         if kept.len() + replacements.len() > self.config.max_partitions {
             return self.evict_shadow_rule_to_main(&entry);
         }
-        // Make-before-break: the replacements land before the doomed
-        // pieces go. A failed narrow falls back to the main table
-        // (correct, unguaranteed).
-        let (mut latency, written) = self.install_pieces(entry.original, &replacements, None);
-        let Ok(new_ids) = written else {
-            return latency + self.evict_shadow_rule_to_main(&entry);
-        };
-        for pid in &doomed {
-            latency += self.dev_delete_or_journal(SHADOW, *pid);
-        }
-        kept.extend(new_ids);
         // The rule now also depends on the new main rule for its shape —
         // registered by identity (two main rules may share a key).
-        if let Some(e) = self.shadow.get_mut(&id) {
-            e.pieces = kept;
-            if !e.cut_against.contains(&against.id) {
-                e.cut_against.push(against.id);
-            }
+        let mut cut_against = entry.cut_against.clone();
+        if !cut_against.contains(&against.id) {
+            cut_against.push(against.id);
         }
-        self.register_blockers(id, &[against.id]);
-        self.stats.repartitions += 1;
+        let (latency, swapped) = self.swap_pieces(&entry, kept, &replacements, cut_against);
+        if swapped {
+            self.register_blockers(id, &[against.id]);
+        }
         latency
     }
 
@@ -152,25 +135,44 @@ impl HermesSwitch {
             // insert-time bypass.
             Err(_) => return self.evict_shadow_rule_to_main(&entry),
         };
-        // Install the new pieces first (make-before-break), then remove the
-        // old ones, so the rule's coverage never drops below its target.
-        // Shadow full (or channel dead) mid-repartition: fall back to the
-        // main table.
-        let (mut latency, written) = self.install_pieces(entry.original, &outcome.pieces, None);
+        let cut_against = outcome.cut_against.clone();
+        let (latency, swapped) = self.swap_pieces(&entry, Vec::new(), &outcome.pieces, cut_against);
+        if swapped {
+            self.unregister_blockers(id, &entry.cut_against);
+            self.register_blockers(id, &outcome.cut_against);
+        }
+        latency
+    }
+
+    /// The shared tail of the two re-cuts, make-before-break: the
+    /// `replacements` land before the pieces not `kept` go, so the rule's
+    /// coverage never drops below its target; then the entry is rewritten
+    /// to `kept` plus what was written, cut against `cut_against`. When
+    /// the shadow cannot take the replacements (full, or the channel is
+    /// dead) the rule moves to the main table instead (correct,
+    /// unguaranteed). Returns the device time spent and whether the entry
+    /// was rewritten — the blocker graph is the caller's to update.
+    fn swap_pieces(
+        &mut self,
+        entry: &ShadowEntry,
+        mut kept: Vec<(RuleId, TernaryKey)>,
+        replacements: &[TernaryKey],
+        cut_against: Vec<RuleId>,
+    ) -> (SimDuration, bool) {
+        let (mut latency, written) = self.install_pieces(entry.original, replacements, None);
         let Ok(new_ids) = written else {
-            return latency + self.evict_shadow_rule_to_main(&entry);
+            return (latency + self.evict_shadow_rule_to_main(entry), false);
         };
-        for (pid, _) in &entry.pieces {
+        for (pid, _) in entry.pieces.iter().filter(|piece| !kept.contains(piece)) {
             latency += self.dev_delete_or_journal(SHADOW, *pid);
         }
-        self.unregister_blockers(id, &entry.cut_against);
-        self.register_blockers(id, &outcome.cut_against);
-        if let Some(e) = self.shadow.get_mut(&id) {
-            e.pieces = new_ids;
-            e.cut_against = outcome.cut_against;
+        kept.extend(new_ids);
+        if let Some(e) = self.shadow.get_mut(&entry.original.id) {
+            e.pieces = kept;
+            e.cut_against = cut_against;
         }
         self.stats.repartitions += 1;
-        latency
+        (latency, true)
     }
 
     /// Takes a resident out of the shadow: releases its pieces one op each

@@ -7,7 +7,7 @@ use crate::recovery::AuditReport;
 use crate::resync::{plan_slice, ResyncMode, ResyncReport};
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, TcamError, TcamOp};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 impl HermesSwitch {
     /// Reconciliation audit (recovery layer 3): one sweep that makes the
@@ -78,68 +78,56 @@ impl HermesSwitch {
         report
     }
 
-    /// Diffs one slice against its expected physical entries and repairs
-    /// the device. Returns shadow rules that must be evicted because their
-    /// pieces no longer fit.
+    /// Diffs one slice against its expected physical entries
+    /// ([`plan_slice`]) and repairs the device one op at a time: deletes
+    /// and fixes in device order, then installs in id order. Returns
+    /// shadow rules that must be evicted because their pieces no longer
+    /// fit.
     fn reconcile_slice(&mut self, slice: usize, report: &mut AuditReport) -> Vec<RuleId> {
         let expected = self.expected_slice(slice);
         let actual: Vec<Rule> = self.device.slice(slice).table.entries();
-        let mut healthy: BTreeSet<RuleId> = BTreeSet::new();
-        // Pass 1: orphans and drifted entries.
-        for dev_rule in &actual {
-            match expected.get(&dev_rule.id) {
-                // No logical owner: a stranded piece or stale entry.
-                None => match self.dev_delete(slice, dev_rule.id) {
-                    Some(spent) => {
+        let plan = plan_slice(&expected, &actual);
+        // Stale entries whose delete failed: a reinstall would collide.
+        let mut stuck: Vec<RuleId> = Vec::new();
+        for id in actual.iter().map(|r| r.id) {
+            if plan.deletes.binary_search_by_key(&id.0, |d| d.0).is_ok() {
+                // No logical owner (a stranded piece or stale entry), or
+                // the wrong shape under a reused logical id.
+                let orphan = !expected.contains_key(&id);
+                match self.dev_delete(slice, id) {
+                    Some(spent) if orphan => {
                         report.duration += spent;
                         report.orphans_removed += 1;
                     }
+                    Some(spent) => {
+                        report.duration += spent;
+                        report.actions_fixed += 1;
+                    }
                     None => {
-                        self.recovery.pending_gc.push((slice, dev_rule.id));
                         report.complete = false;
-                    }
-                },
-                // Wrong shape (a stale entry under a reused logical id):
-                // remove it; pass 2 installs the intended rule.
-                Some(want) if want.priority != dev_rule.priority || want.key != dev_rule.key => {
-                    match self.dev_delete(slice, dev_rule.id) {
-                        Some(spent) => {
-                            report.duration += spent;
-                            report.actions_fixed += 1;
-                        }
-                        // Could not clear the stale entry: skip the
-                        // reinstall too (it would collide).
-                        None => {
-                            report.complete = false;
-                            healthy.insert(dev_rule.id);
+                        if orphan {
+                            self.recovery.pending_gc.push((slice, id));
+                        } else {
+                            stuck.push(id);
                         }
                     }
                 }
-                Some(want) if want.action != dev_rule.action => {
-                    match self.dev_set_action(slice, dev_rule.id, want.action) {
-                        Ok(rep) => {
-                            report.duration += rep.latency;
-                            report.actions_fixed += 1;
-                        }
-                        Err(_) => report.complete = false,
+            } else if let Ok(i) = plan.fixes.binary_search_by_key(&id.0, |(f, _)| f.0) {
+                match self.dev_set_action(slice, id, plan.fixes[i].1) {
+                    Ok(rep) => {
+                        report.duration += rep.latency;
+                        report.actions_fixed += 1;
                     }
-                    healthy.insert(dev_rule.id);
-                }
-                Some(_) => {
-                    healthy.insert(dev_rule.id);
+                    Err(_) => report.complete = false,
                 }
             }
         }
-        // Pass 2: expected entries the device lost (silent drops), in
-        // deterministic id order (the map's own order is not).
-        let mut missing: Vec<Rule> = expected
-            .values()
-            .filter(|r| !healthy.contains(&r.id))
-            .copied()
-            .collect();
-        missing.sort_unstable_by_key(|r| r.id.0);
+        // Expected entries the device lost (silent drops).
         let mut evict: Vec<RuleId> = Vec::new();
-        for want in missing {
+        for want in plan.installs {
+            if stuck.contains(&want.id) {
+                continue;
+            }
             match self.dev_apply(slice, &ControlAction::Insert(want)) {
                 Ok(rep) => {
                     report.duration += rep.latency;

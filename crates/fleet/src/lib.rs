@@ -52,7 +52,7 @@ pub mod rebalance;
 
 pub use rebalance::{MemberHealth, RebalancePolicy, Rebalancer, RebalanceStats};
 
-use hermes_core::plane::{BatchOutcome, ControlPlane, CpQueue, OpOutcome};
+use hermes_core::plane::{BatchOutcome, ControlPlane, CpQueue};
 use hermes_rules::prelude::*;
 use hermes_tcam::SimTime;
 use hermes_util::rng::rngs::StdRng;
@@ -211,14 +211,31 @@ struct Member<P> {
 /// *and* seed-dependent. Exposed so experiments can reconstruct which
 /// members share a lane without building a fleet.
 pub fn lane_assignment(n: usize, lanes: usize, seed: u64) -> Vec<usize> {
-    let lane_count = if lanes == 0 { n.max(1) } else { lanes.min(n.max(1)) };
-    let mut assignment: Vec<usize> = (0..n).map(|i| i % lane_count).collect();
-    let mut rng = StdRng::seed_from_u64(seed ^ LANE_SHUFFLE_SALT);
-    for i in (1..assignment.len()).rev() {
-        let j = Rng::gen_range(&mut rng, 0..=i);
-        assignment.swap(i, j);
+    let lane_count = lanes_for(n, lanes);
+    seeded_shuffle(
+        (0..n).map(|i| i % lane_count).collect(),
+        seed ^ LANE_SHUFFLE_SALT,
+    )
+}
+
+/// Lanes a fleet of `n` members runs on: one each for `lanes = 0`, never
+/// more than members, never none.
+fn lanes_for(n: usize, lanes: usize) -> usize {
+    if lanes == 0 {
+        n.max(1)
+    } else {
+        lanes.min(n.max(1))
     }
-    assignment
+}
+
+/// Fisher–Yates over `v` on its own seeded stream.
+fn seeded_shuffle(mut v: Vec<usize>, stream: u64) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(stream);
+    for i in (1..v.len()).rev() {
+        let j = Rng::gen_range(&mut rng, 0..=i);
+        v.swap(i, j);
+    }
+    v
 }
 
 /// The fleet controller: N per-switch control planes sharded across
@@ -247,11 +264,7 @@ impl<P: ControlPlane> Fleet<P> {
     /// identically.
     pub fn new(members: Vec<(SwitchId, P)>, config: FleetConfig) -> Self {
         let n = members.len();
-        let lane_count = if config.lanes == 0 {
-            n.max(1)
-        } else {
-            config.lanes.min(n.max(1))
-        };
+        let lane_count = lanes_for(n, config.lanes);
         let assignment = lane_assignment(n, config.lanes, config.seed);
         let mut sorted = members;
         sorted.sort_by_key(|(id, _)| *id);
@@ -273,12 +286,7 @@ impl<P: ControlPlane> Fleet<P> {
             .collect();
         // Tie-break permutation for least-loaded scans: a second seeded
         // shuffle over the lane indices, on its own salted stream.
-        let mut lane_order: Vec<usize> = (0..lane_count).collect();
-        let mut rng = StdRng::seed_from_u64(config.seed ^ LANE_ORDER_SALT);
-        for i in (1..lane_order.len()).rev() {
-            let j = Rng::gen_range(&mut rng, 0..=i);
-            lane_order.swap(i, j);
-        }
+        let lane_order = seeded_shuffle((0..lane_count).collect(), config.seed ^ LANE_ORDER_SALT);
         if hermes_telemetry::enabled() {
             hermes_telemetry::gauge("fleet.lanes", lane_count as f64);
             hermes_telemetry::gauge("fleet.members", members.len() as f64);
@@ -396,13 +404,9 @@ impl<P: ControlPlane> Fleet<P> {
     /// tie-break order (strict less-than keeps the scan a pure function
     /// of the horizons and the seed).
     fn least_loaded_lane(&self) -> usize {
-        let mut best = self.lane_order[0];
-        for &l in &self.lane_order[1..] {
-            if self.lanes[l] < self.lanes[best] {
-                best = l;
-            }
-        }
-        best
+        // `min_by_key` keeps the first of equal minima.
+        let least = self.lane_order.iter().min_by_key(|&&l| self.lanes[l]);
+        *least.expect("INVARIANT: a fleet has at least one lane")
     }
 
     /// Picks the lane an op dispatched to `sw` at `at` runs on, per the
@@ -417,24 +421,19 @@ impl<P: ControlPlane> Fleet<P> {
         let chosen = match self.sched {
             LaneSched::Pinned => home,
             LaneSched::Weighted => self.least_loaded_lane(),
+            LaneSched::WorkSteal if self.lanes[home] <= at => home,
             LaneSched::WorkSteal => {
-                if self.lanes[home] <= at {
-                    home
+                let best = self.least_loaded_lane();
+                if self.lanes[best] < self.lanes[home] {
+                    best
                 } else {
-                    let best = self.least_loaded_lane();
-                    if self.lanes[best] < self.lanes[home] {
-                        best
-                    } else {
-                        home
-                    }
+                    home
                 }
             }
         };
         if chosen != home {
             self.stats.steals += 1;
-            if hermes_telemetry::enabled() {
-                hermes_telemetry::counter("fleet.sched.steals", 1);
-            }
+            hermes_telemetry::counter("fleet.sched.steals", 1);
         }
         chosen
     }
@@ -461,16 +460,9 @@ impl<P: ControlPlane> Fleet<P> {
         now: SimTime,
         deps: &[OpToken],
     ) -> (SimTime, BatchOutcome, OpToken) {
-        let mut at = now;
-        for t in deps {
-            if t.done > at {
-                at = t.done;
-            }
-        }
+        let at = barrier(now, deps);
         let lane = self.pick_lane(sw, at);
-        if self.lanes[lane] > at {
-            at = self.lanes[lane];
-        }
+        let at = at.max(self.lanes[lane]);
         let (start, outcome) = self.member_mut(sw).queue.submit(actions, at);
         let done = start + outcome.total;
         self.lanes[lane] = done;
@@ -490,7 +482,7 @@ impl<P: ControlPlane> Fleet<P> {
 
     /// Stages one member's pieces: one coalesced `apply_batch` cut per
     /// member (default), or one submit per piece in the per-piece
-    /// strawman mode. Returns the stage tokens.
+    /// strawman mode. Pushes the stage outcomes and tokens.
     fn stage_member(
         &mut self,
         sw: SwitchId,
@@ -499,27 +491,53 @@ impl<P: ControlPlane> Fleet<P> {
         ops: &mut Vec<PathOp>,
         tokens: &mut Vec<OpToken>,
     ) {
-        if self.coalesce || batch.len() == 1 {
+        for cut in cuts(batch, !self.coalesce) {
             let actions: Vec<ControlAction> =
-                batch.iter().map(|r| ControlAction::Insert(*r)).collect();
+                cut.iter().map(|r| ControlAction::Insert(*r)).collect();
             let (start, outcome, token) = self.submit_after(sw, &actions, now, &[]);
-            record_stage_ops(sw, batch, start, &outcome, ops);
+            record_stage_ops(sw, cut, start, &outcome, ops);
             tokens.push(token);
-            if batch.len() > 1 {
-                let shared = batch.len() as u64 - 1;
+            if cut.len() > 1 {
+                let shared = cut.len() as u64 - 1;
                 self.stats.coalesced_pieces += shared;
-                if hermes_telemetry::enabled() {
-                    hermes_telemetry::counter("fleet.txn_coalesced_pieces", shared);
-                }
-            }
-        } else {
-            for r in batch {
-                let action = [ControlAction::Insert(*r)];
-                let (start, outcome, token) = self.submit_after(sw, &action, now, &[]);
-                record_stage_ops(sw, std::slice::from_ref(r), start, &outcome, ops);
-                tokens.push(token);
+                hermes_telemetry::counter("fleet.txn_coalesced_pieces", shared);
             }
         }
+    }
+
+    /// The one retraction path (transaction rollback, migration
+    /// abort/commit, the tick loop's re-drive): deletes `ids` on `sw` once
+    /// every dependency has completed — one cut, or one per id — then
+    /// parks whatever the plane still holds for
+    /// [`tick_all`](Self::tick_all) to re-drive (a member mid-crash may
+    /// not confirm the removal yet). Returns the last cut's completion.
+    fn retract(
+        &mut self,
+        sw: SwitchId,
+        ids: &[RuleId],
+        now: SimTime,
+        deps: &[OpToken],
+        per_piece: bool,
+    ) -> OpToken {
+        let deletes: Vec<ControlAction> = ids.iter().map(|id| ControlAction::Delete(*id)).collect();
+        let mut done = barrier(now, deps);
+        for cut in cuts(&deletes, per_piece) {
+            let (_, _, token) = self.submit_after(sw, cut, now, deps);
+            done = done.max(token.done);
+        }
+        let plane = self.plane(sw);
+        let leftovers: Vec<RuleId> = ids
+            .iter()
+            .copied()
+            .filter(|id| plane.contains_rule(*id) == Some(true))
+            .collect();
+        if !leftovers.is_empty() {
+            self.pending_rollbacks
+                .entry(sw)
+                .or_default()
+                .extend(leftovers);
+        }
+        OpToken { done }
     }
 
     /// Installs a rule set along a path as a two-phase transaction.
@@ -540,11 +558,8 @@ impl<P: ControlPlane> Fleet<P> {
         let txn = self.next_txn;
         self.next_txn += 1;
         self.stats.txns += 1;
-        let traced = hermes_telemetry::enabled();
         let span = hermes_telemetry::span_enter("fleet", "install_path", now.as_nanos());
-        if traced {
-            hermes_telemetry::counter("fleet.txns", 1);
-        }
+        hermes_telemetry::counter("fleet.txns", 1);
         let mut by_member: BTreeMap<SwitchId, Vec<Rule>> = BTreeMap::new();
         for (sw, r) in rules {
             by_member.entry(*sw).or_default().push(*r);
@@ -554,7 +569,7 @@ impl<P: ControlPlane> Fleet<P> {
         let mut tokens = Vec::with_capacity(by_member.len());
         let mut ops = Vec::with_capacity(rules.len());
         let mut failed = Vec::new();
-        for (sw, batch) in &by_member.clone() {
+        for (sw, batch) in &by_member {
             self.stage_member(*sw, batch, now, &mut ops, &mut tokens);
             let plane = self.plane(*sw);
             let staged_ok = !plane.is_down()
@@ -565,70 +580,28 @@ impl<P: ControlPlane> Fleet<P> {
                 failed.push(*sw);
             }
         }
-        let stage_barrier = tokens
-            .iter()
-            .map(|t| t.done)
-            .fold(now, SimTime::max);
-
+        let mut ready = barrier(now, &tokens);
         if failed.is_empty() {
             // Phase 2a: commit — nothing to write, the stage barrier *is*
             // the commit point.
             self.stats.txn_commits += 1;
-            if traced {
-                hermes_telemetry::counter("fleet.txn_commits", 1);
-            }
-            span.end(stage_barrier.as_nanos());
-            return PathOutcome {
-                txn,
-                committed: true,
-                ready: stage_barrier,
-                failed,
-                ops,
-            };
-        }
-
-        // Phase 2b: roll back everywhere.
-        self.stats.txn_rollbacks += 1;
-        self.stats.txn_member_failures += failed.len() as u64;
-        if traced {
+            hermes_telemetry::counter("fleet.txn_commits", 1);
+        } else {
+            // Phase 2b: roll back everywhere.
+            self.stats.txn_rollbacks += 1;
+            self.stats.txn_member_failures += failed.len() as u64;
             hermes_telemetry::counter("fleet.txn_rollbacks", 1);
             hermes_telemetry::counter("fleet.txn_member_failures", failed.len() as u64);
-        }
-        let mut ready = stage_barrier;
-        let members: Vec<SwitchId> = by_member.keys().copied().collect();
-        for sw in members {
-            let ids: Vec<RuleId> = by_member[&sw].iter().map(|r| r.id).collect();
-            if self.coalesce || ids.len() == 1 {
-                let deletes: Vec<ControlAction> =
-                    ids.iter().map(|id| ControlAction::Delete(*id)).collect();
-                let (_, _, token) = self.submit_after(sw, &deletes, now, &tokens);
-                if token.done > ready {
-                    ready = token.done;
-                }
-            } else {
-                for id in &ids {
-                    let delete = [ControlAction::Delete(*id)];
-                    let (_, _, token) = self.submit_after(sw, &delete, now, &tokens);
-                    if token.done > ready {
-                        ready = token.done;
-                    }
-                }
-            }
-            // A member mid-crash may not confirm the removal yet; park the
-            // ids for the tick loop to re-drive after resync.
-            let plane = self.plane(sw);
-            let leftovers: Vec<RuleId> = ids
-                .into_iter()
-                .filter(|id| plane.contains_rule(*id) == Some(true))
-                .collect();
-            if !leftovers.is_empty() {
-                self.pending_rollbacks.entry(sw).or_default().extend(leftovers);
+            for (sw, batch) in &by_member {
+                let ids: Vec<RuleId> = batch.iter().map(|r| r.id).collect();
+                let retracted = self.retract(*sw, &ids, now, &tokens, !self.coalesce);
+                ready = ready.max(retracted.done);
             }
         }
         span.end(ready.as_nanos());
         PathOutcome {
             txn,
-            committed: false,
+            committed: failed.is_empty(),
             ready,
             failed,
             ops,
@@ -652,10 +625,11 @@ impl<P: ControlPlane> Fleet<P> {
         rules: &[Rule],
         now: SimTime,
     ) -> MigrateOutcome {
-        assert!(from != to, "INVARIANT: migrations move load between distinct members");
-        let traced = hermes_telemetry::enabled();
-        let inserts: Vec<ControlAction> =
-            rules.iter().map(|r| ControlAction::Insert(*r)).collect();
+        assert!(
+            from != to,
+            "INVARIANT: migrations move load between distinct members"
+        );
+        let inserts: Vec<ControlAction> = rules.iter().map(|r| ControlAction::Insert(*r)).collect();
         let (_, _, tok_in) = self.submit_after(to, &inserts, now, &[]);
         let target = self.plane(to);
         let landed = !target.is_down()
@@ -663,33 +637,19 @@ impl<P: ControlPlane> Fleet<P> {
                 .iter()
                 .all(|r| target.contains_rule(r.id).unwrap_or(true));
         let ids: Vec<RuleId> = rules.iter().map(|r| r.id).collect();
-        let deletes: Vec<ControlAction> =
-            ids.iter().map(|id| ControlAction::Delete(*id)).collect();
         // Committed: clear the source; aborted: retract the partial
         // landing on the target. Either way the deletes depend on the
         // insert cut and stragglers ride the rollback re-drive loop.
         let victim = if landed { from } else { to };
-        let (_, _, tok_del) = self.submit_after(victim, &deletes, now, &[tok_in]);
-        let plane = self.plane(victim);
-        let leftovers: Vec<RuleId> = ids
-            .into_iter()
-            .filter(|id| plane.contains_rule(*id) == Some(true))
-            .collect();
-        if !leftovers.is_empty() {
-            self.pending_rollbacks.entry(victim).or_default().extend(leftovers);
-        }
+        let tok_del = self.retract(victim, &ids, now, &[tok_in], false);
         if landed {
             self.stats.migrations += 1;
             self.stats.rules_moved += rules.len() as u64;
-            if traced {
-                hermes_telemetry::counter("fleet.rebalance.migrations", 1);
-                hermes_telemetry::counter("fleet.rebalance.rules_moved", rules.len() as u64);
-            }
+            hermes_telemetry::counter("fleet.rebalance.migrations", 1);
+            hermes_telemetry::counter("fleet.rebalance.rules_moved", rules.len() as u64);
         } else {
             self.stats.migrations_aborted += 1;
-            if traced {
-                hermes_telemetry::counter("fleet.rebalance.migrations_aborted", 1);
-            }
+            hermes_telemetry::counter("fleet.rebalance.migrations_aborted", 1);
         }
         MigrateOutcome {
             committed: landed,
@@ -722,19 +682,8 @@ impl<P: ControlPlane> Fleet<P> {
                 continue;
             }
             self.stats.rollback_retries += retry.len() as u64;
-            if hermes_telemetry::enabled() {
-                hermes_telemetry::counter("fleet.rollback_retries", retry.len() as u64);
-            }
-            let deletes: Vec<ControlAction> =
-                retry.iter().map(|id| ControlAction::Delete(*id)).collect();
-            self.submit(sw, &deletes, now);
-            let leftovers: Vec<RuleId> = retry
-                .into_iter()
-                .filter(|id| self.plane(sw).contains_rule(*id) == Some(true))
-                .collect();
-            if !leftovers.is_empty() {
-                self.pending_rollbacks.entry(sw).or_default().extend(leftovers);
-            }
+            hermes_telemetry::counter("fleet.rollback_retries", retry.len() as u64);
+            self.retract(sw, &retry, now, &[], false);
         }
     }
 
@@ -754,6 +703,17 @@ impl<P: ControlPlane> Fleet<P> {
     }
 }
 
+/// The instant every token has completed, no earlier than `now`.
+fn barrier(now: SimTime, tokens: &[OpToken]) -> SimTime {
+    tokens.iter().map(|t| t.done).fold(now, SimTime::max)
+}
+
+/// The cuts a member's batch rides in: the whole batch as one, or one per
+/// piece (the `coalesce = false` strawman).
+fn cuts<T>(batch: &[T], per_piece: bool) -> std::slice::Chunks<'_, T> {
+    batch.chunks(if per_piece { 1 } else { batch.len().max(1) })
+}
+
 /// Stamps absolute completion times onto the staged pieces. The batched
 /// admission pipeline preserves submission order, so outcomes zip with
 /// the staged rules positionally.
@@ -765,7 +725,6 @@ fn record_stage_ops(
     ops: &mut Vec<PathOp>,
 ) {
     for (r, op) in batch.iter().zip(outcome.ops.iter()) {
-        let op: &OpOutcome = op;
         ops.push(PathOp {
             switch: sw,
             id: r.id,
@@ -819,6 +778,17 @@ mod tests {
     }
 
     fn hermes_fleet(n: usize, lanes: usize) -> Fleet<HermesPlane> {
+        hermes_fleet_with(
+            n,
+            FleetConfig {
+                lanes,
+                seed: 7,
+                ..FleetConfig::default()
+            },
+        )
+    }
+
+    fn hermes_fleet_with(n: usize, config: FleetConfig) -> Fleet<HermesPlane> {
         let members = (0..n)
             .map(|i| {
                 let sw = HermesSwitch::new(SwitchModel::pica8_p3290(), HermesConfig::default())
@@ -826,14 +796,33 @@ mod tests {
                 (i, HermesPlane::new(sw))
             })
             .collect();
-        Fleet::new(
-            members,
-            FleetConfig {
-                lanes,
-                seed: 7,
-                ..FleetConfig::default()
-            },
-        )
+        Fleet::new(members, config)
+    }
+
+    /// Two members sharing a home lane (4 members over 2 lanes must).
+    fn lane_mates(f: &Fleet<RawSwitch>) -> (SwitchId, SwitchId) {
+        let ids = f.switch_ids();
+        for (i, a) in ids.iter().enumerate() {
+            if let Some(b) = ids[i + 1..]
+                .iter()
+                .find(|b| f.lane_of(**b) == f.lane_of(*a))
+            {
+                return (*a, *b);
+            }
+        }
+        panic!("no two members share a lane");
+    }
+
+    /// Ticks every 5 ms until `sw` has resynced (at most 64 times).
+    fn tick_until_up(fleet: &mut Fleet<HermesPlane>, sw: SwitchId, mut now: SimTime) -> SimTime {
+        for _ in 0..64 {
+            now += SimDuration::from_ms(5.0);
+            fleet.tick_all(now);
+            if !fleet.is_down(sw) {
+                return now;
+            }
+        }
+        panic!("member {sw} never rejoined");
     }
 
     #[test]
@@ -901,19 +890,8 @@ mod tests {
         // Two members sharing a home lane under the pinned assignment:
         // back-to-back ops serialize when pinned, overlap when the
         // weighted scheduler sends the second op to the idle lane.
-        let shared = |f: &Fleet<RawSwitch>| {
-            let ids = f.switch_ids();
-            for i in 0..ids.len() {
-                for j in i + 1..ids.len() {
-                    if f.lane_of(ids[i]) == f.lane_of(ids[j]) {
-                        return (ids[i], ids[j]);
-                    }
-                }
-            }
-            panic!("4 members over 2 lanes must share one");
-        };
         let mut pinned = raw_fleet_sched(4, 2, LaneSched::Pinned);
-        let (a, b) = shared(&pinned);
+        let (a, b) = lane_mates(&pinned);
         let now = SimTime::ZERO;
         pinned.submit(a, &[ControlAction::Insert(rule(1))], now);
         let (sp, _, _) = pinned.submit_after(b, &[ControlAction::Insert(rule(2))], now, &[]);
@@ -942,18 +920,7 @@ mod tests {
     #[test]
     fn worksteal_moves_work_off_a_busy_home_lane() {
         let mut fleet = raw_fleet_sched(4, 2, LaneSched::WorkSteal);
-        let ids = fleet.switch_ids();
-        let (a, b) = {
-            let mut pair = None;
-            for i in 0..ids.len() {
-                for j in i + 1..ids.len() {
-                    if fleet.lane_of(ids[i]) == fleet.lane_of(ids[j]) {
-                        pair = Some((ids[i], ids[j]));
-                    }
-                }
-            }
-            pair.expect("4 members over 2 lanes must share one")
-        };
+        let (a, b) = lane_mates(&fleet);
         let now = SimTime::ZERO;
         fleet.submit(a, &[ControlAction::Insert(rule(1))], now);
         let (s, _, _) = fleet.submit_after(b, &[ControlAction::Insert(rule(2))], now, &[]);
@@ -1019,15 +986,7 @@ mod tests {
         assert_eq!(fleet.stats().txn_rollbacks, 1);
         // The crash window eventually closes under ticks and the fleet
         // carries no rollback debt.
-        let mut now = SimTime::ZERO;
-        for _ in 0..64 {
-            now += SimDuration::from_ms(5.0);
-            fleet.tick_all(now);
-            if !fleet.is_down(1) {
-                break;
-            }
-        }
-        assert!(!fleet.is_down(1), "member rejoined after resync");
+        tick_until_up(&mut fleet, 1, SimTime::ZERO);
         assert_eq!(fleet.pending_rollback_len(), 0);
     }
 
@@ -1047,22 +1006,13 @@ mod tests {
 
     #[test]
     fn per_piece_mode_submits_every_piece_alone() {
-        let members = (0..2)
-            .map(|i| {
-                let sw = HermesSwitch::new(SwitchModel::pica8_p3290(), HermesConfig::default())
-                    .unwrap();
-                (i, HermesPlane::new(sw))
-            })
-            .collect();
-        let mut fleet = Fleet::new(
-            members,
-            FleetConfig {
-                lanes: 1,
-                seed: 7,
-                coalesce: false,
-                ..FleetConfig::default()
-            },
-        );
+        let config = FleetConfig {
+            lanes: 1,
+            seed: 7,
+            coalesce: false,
+            ..FleetConfig::default()
+        };
+        let mut fleet = hermes_fleet_with(2, config);
         let pieces = vec![(0usize, rule(1)), (0, rule(2)), (1, rule(3))];
         let out = fleet.install_path(&pieces, SimTime::ZERO);
         assert!(out.committed);
@@ -1112,14 +1062,7 @@ mod tests {
         assert_eq!(fleet.stats().migrations_aborted, 1);
         // The source keeps the load; the partial landing on the target is
         // retracted once the crash window closes.
-        let mut now = SimTime::from_ms(1.0);
-        for _ in 0..64 {
-            now += SimDuration::from_ms(5.0);
-            fleet.tick_all(now);
-            if !fleet.is_down(1) {
-                break;
-            }
-        }
+        let mut now = tick_until_up(&mut fleet, 1, SimTime::from_ms(1.0));
         for _ in 0..8 {
             now += SimDuration::from_ms(5.0);
             fleet.tick_all(now);

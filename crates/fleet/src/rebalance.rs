@@ -118,11 +118,6 @@ impl Rebalancer {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &RebalancePolicy {
-        &self.policy
-    }
-
     /// Decision counters.
     pub fn stats(&self) -> RebalanceStats {
         self.stats
@@ -182,14 +177,10 @@ impl Rebalancer {
             }
         }
         self.stats.picks += 1;
-        if hermes_telemetry::enabled() {
-            hermes_telemetry::counter("fleet.rebalance.picks", 1);
-        }
+        hermes_telemetry::counter("fleet.rebalance.picks", 1);
         if best != 0 {
             self.stats.steered += 1;
-            if hermes_telemetry::enabled() {
-                hermes_telemetry::counter("fleet.rebalance.steered", 1);
-            }
+            hermes_telemetry::counter("fleet.rebalance.steered", 1);
         }
         best
     }

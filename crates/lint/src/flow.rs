@@ -59,7 +59,6 @@ const DEVICE_MUTATORS: &[&str] = &[
     "delete",
     "modify",
     "modify_action",
-    "modify_key",
     "apply",
     "apply_batch",
 ];

@@ -13,7 +13,7 @@
 
 use crate::fault::{CrashKind, CrashSpec, CrashStats, FaultDecision, FaultPlan, FaultStats};
 use crate::perf::SwitchModel;
-use crate::table::{BatchReport, OpShifts, TcamError, TcamOp, TcamTable};
+use crate::table::{BatchReport, TcamError, TcamOp, TcamTable};
 use crate::time::SimDuration;
 use hermes_rules::prelude::*;
 use hermes_util::rng::{Rng, SeedableRng, StdRng};
@@ -39,8 +39,6 @@ pub struct Slice {
     pub table: TcamTable,
     /// Behaviour on lookup miss.
     pub miss: MissBehavior,
-    /// Total control-plane time this slice has consumed.
-    pub busy: SimDuration,
 }
 
 /// Outcome of one control-plane action against a device.
@@ -119,20 +117,8 @@ impl TcamDevice {
     /// A traditional single-table switch: the whole TCAM in one slice with
     /// OpenFlow's punt-on-miss default.
     pub fn monolithic(model: SwitchModel) -> Self {
-        let table = TcamTable::new(model.capacity, model.placement);
-        TcamDevice {
-            model,
-            slices: vec![Slice {
-                label: "main".into(),
-                table,
-                miss: MissBehavior::ToController,
-                busy: SimDuration::ZERO,
-            }],
-            fault: None,
-            connected: true,
-            reconnect_denials: 0,
-            crash_stats: CrashStats::default(),
-        }
+        let capacity = model.capacity;
+        Self::carved(model, &[("main", capacity, MissBehavior::ToController)])
     }
 
     /// Carves the TCAM into slices of the given sizes. The sum of sizes
@@ -157,7 +143,6 @@ impl TcamDevice {
                     label: (*label).into(),
                     table: TcamTable::new(*size, placement),
                     miss: *miss,
-                    busy: SimDuration::ZERO,
                 })
                 .collect(),
             fault: None,
@@ -170,11 +155,6 @@ impl TcamDevice {
     /// Installs (or clears) a fault-injection plan on the control channel.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
     }
 
     /// Injected-fault counters, when a plan is installed.
@@ -214,15 +194,11 @@ impl TcamDevice {
         true
     }
 
-    /// Crashes the device right now, outside any fault plan — the hook
-    /// netsim and tests use to schedule switch-down windows.
+    /// Crashes the device right now: mangles the TCAM per the spec and
+    /// tears down the control session until [`reconnect`](Self::reconnect)
+    /// succeeds. The fault gate calls it for a plan's crash points; netsim
+    /// and tests call it to schedule switch-down windows outside any plan.
     pub fn force_crash(&mut self, spec: CrashSpec) {
-        self.crash(spec);
-    }
-
-    /// Applies a crash: mangles the TCAM per the spec and tears down the
-    /// control session until [`reconnect`](Self::reconnect) succeeds.
-    fn crash(&mut self, spec: CrashSpec) {
         self.connected = false;
         self.reconnect_denials = spec.reconnect_denials;
         self.crash_stats.crashes += 1;
@@ -279,23 +255,46 @@ impl TcamDevice {
         &self.slices[idx]
     }
 
-    /// Mutably borrow a slice (test/bench plumbing; normal mutation goes
-    /// through [`apply`](Self::apply) so latency is charged).
-    pub fn slice_mut(&mut self, idx: usize) -> &mut Slice {
-        &mut self.slices[idx]
-    }
-
     /// Total entries across all slices.
     pub fn total_entries(&self) -> usize {
         self.slices.iter().map(|s| s.table.len()).sum()
     }
 
-    /// Finds which slice holds the rule, if any.
-    pub fn find_rule(&self, id: RuleId) -> Option<(usize, Rule)> {
-        self.slices
-            .iter()
-            .enumerate()
-            .find_map(|(i, s)| s.table.get(id).map(|r| (i, *r)))
+    /// The one fault gate both control entry points pass, consulted at most
+    /// once per device call and before the table is touched. A dead session
+    /// rejects without consulting the plan, so the per-op fault stream is a
+    /// pure function of the ops that actually reached the channel; every
+    /// other call draws exactly one [`FaultDecision`].
+    fn fault_gate(&mut self, any_insert: bool, any_delete: bool) -> Result<Gate, TcamError> {
+        if !self.connected {
+            return Err(TcamError::Disconnected);
+        }
+        let Some(plan) = self.fault.as_mut() else {
+            return Ok(Gate::Proceed { spike: 1.0 });
+        };
+        match plan.decide(any_insert, any_delete) {
+            FaultDecision::Normal => Ok(Gate::Proceed { spike: 1.0 }),
+            FaultDecision::Crash(spec) => {
+                self.force_crash(spec);
+                Err(TcamError::Disconnected)
+            }
+            FaultDecision::Fail => {
+                hermes_telemetry::counter("tcam.fault_fail", 1);
+                Err(TcamError::ChannelBusy)
+            }
+            FaultDecision::Outage => {
+                hermes_telemetry::counter("tcam.fault_outage", 1);
+                Err(TcamError::Outage)
+            }
+            FaultDecision::Spike(spike) => {
+                hermes_telemetry::counter("tcam.fault_spike", 1);
+                Ok(Gate::Proceed { spike })
+            }
+            FaultDecision::SilentDrop => {
+                hermes_telemetry::counter("tcam.fault_silent_drop", 1);
+                Ok(Gate::Dropped)
+            }
+        }
     }
 
     /// Applies a control action to a specific slice, charging latency per
@@ -307,116 +306,66 @@ impl TcamDevice {
     /// a plausible `Ok` report without applying anything, exactly like the
     /// lying firmware the paper measures (§2).
     pub fn apply(&mut self, slice: usize, action: &ControlAction) -> Result<OpReport, TcamError> {
-        // A dead session rejects everything before the fault plan is even
-        // consulted, so the per-op fault stream is a pure function of the
-        // ops that actually reached the channel.
-        if !self.connected {
-            return Err(TcamError::Disconnected);
-        }
-        let mut spike = 1.0;
-        if let Some(plan) = self.fault.as_mut() {
-            let (is_insert, is_delete) = match action {
-                ControlAction::Insert(_) => (true, false),
-                ControlAction::Delete(_) => (false, true),
-                ControlAction::Modify { .. } => (false, false),
+        let is_delete = matches!(action, ControlAction::Delete(_));
+        let gate = self.fault_gate(action.is_insert(), is_delete)?;
+        let model = &self.model;
+        let table = &mut self.slices[slice].table;
+        let occupancy_before = table.len();
+        let Gate::Proceed { spike } = gate else {
+            // Ack with a plausible latency, apply nothing.
+            let latency = match action {
+                ControlAction::Insert(_) => model.insert_latency(occupancy_before, 0),
+                ControlAction::Delete(_) => model.delete,
+                ControlAction::Modify { .. } => model.modify,
             };
-            match plan.decide(is_insert, is_delete) {
-                FaultDecision::Normal => {}
-                FaultDecision::Crash(spec) => {
-                    self.crash(spec);
-                    return Err(TcamError::Disconnected);
-                }
-                FaultDecision::Fail => {
-                    hermes_telemetry::counter("tcam.fault_fail", 1);
-                    return Err(TcamError::ChannelBusy);
-                }
-                FaultDecision::Outage => {
-                    hermes_telemetry::counter("tcam.fault_outage", 1);
-                    return Err(TcamError::Outage);
-                }
-                FaultDecision::Spike(m) => {
-                    hermes_telemetry::counter("tcam.fault_spike", 1);
-                    spike = m;
-                }
-                FaultDecision::SilentDrop => {
-                    hermes_telemetry::counter("tcam.fault_silent_drop", 1);
-                    // Ack with a plausible latency, apply nothing.
-                    let occupancy_before = self.slices[slice].table.len();
-                    let latency = match action {
-                        ControlAction::Insert(_) => {
-                            self.model.insert_latency(occupancy_before, 0)
-                        }
-                        ControlAction::Delete(_) => self.model.delete,
-                        ControlAction::Modify { .. } => self.model.modify,
-                    };
-                    self.slices[slice].busy += latency;
-                    return Ok(OpReport {
-                        latency,
-                        shifts: 0,
-                        occupancy_before,
-                        slice,
-                    });
-                }
-            }
-        }
-        let occupancy_before = self.slices[slice].table.len();
+            return Ok(OpReport {
+                latency,
+                shifts: 0,
+                occupancy_before,
+                slice,
+            });
+        };
         let (latency, shifts) = match action {
             ControlAction::Insert(rule) => {
-                let OpShifts {
-                    shifts,
-                    occupancy_before,
-                } = self.slices[slice].table.insert(*rule)?;
-                (self.model.insert_latency(occupancy_before, shifts), shifts)
+                let placed = table.insert(*rule)?;
+                (
+                    model.insert_latency(placed.occupancy_before, placed.shifts),
+                    placed.shifts,
+                )
             }
             ControlAction::Delete(id) => {
-                self.slices[slice].table.delete(*id)?;
-                (self.model.delete, 0)
+                table.delete(*id)?;
+                (model.delete, 0)
             }
             ControlAction::Modify {
                 id,
                 action,
-                priority,
+                priority: Some(priority),
             } => {
-                if priority.is_some() {
-                    // Priority changes are delete+insert; higher layers
-                    // (Hermes's Gate Keeper, §4.1) perform that conversion.
-                    let old = *self.slices[slice]
-                        .table
-                        .get(*id)
-                        .ok_or(TcamError::NotFound(*id))?;
-                    self.slices[slice].table.delete(*id)?;
-                    let mut new_rule = old;
-                    if let Some(a) = action {
-                        new_rule.action = *a;
-                    }
-                    new_rule.priority = priority.expect("INVARIANT: the Modify arm runs only when priority.is_some()");
-                    let OpShifts {
-                        shifts,
-                        occupancy_before,
-                    } = self.slices[slice].table.insert(new_rule)?;
-                    (
-                        self.model.delete + self.model.insert_latency(occupancy_before, shifts),
-                        shifts,
-                    )
-                } else {
-                    if let Some(a) = action {
-                        self.slices[slice].table.modify_action(*id, *a)?;
-                    }
-                    (self.model.modify, 0)
+                // Priority changes are delete+insert; higher layers
+                // (Hermes's Gate Keeper, §4.1) perform that conversion.
+                let mut new_rule = table.delete(*id)?;
+                if let Some(a) = action {
+                    new_rule.action = *a;
                 }
+                new_rule.priority = *priority;
+                let placed = table.insert(new_rule)?;
+                let insert = model.insert_latency(placed.occupancy_before, placed.shifts);
+                (model.delete + insert, placed.shifts)
+            }
+            ControlAction::Modify {
+                id,
+                action,
+                priority: None,
+            } => {
+                if let Some(a) = action {
+                    table.modify_action(*id, *a)?;
+                }
+                (model.modify, 0)
             }
         };
-        let latency = if spike != 1.0 {
-            latency.mul_f64(spike)
-        } else {
-            latency
-        };
-        self.slices[slice].busy += latency;
-        if hermes_telemetry::enabled() {
-            hermes_telemetry::counter("tcam.ops", 1);
-            hermes_telemetry::counter("tcam.shifts", shifts as u64);
-            hermes_telemetry::observe("tcam.op_ns", latency.as_nanos());
-        }
+        let latency = charge(spike, latency, 1, shifts);
+        hermes_telemetry::observe("tcam.op_ns", latency.as_nanos());
         Ok(OpReport {
             latency,
             shifts,
@@ -435,94 +384,51 @@ impl TcamDevice {
     /// a latency spike multiplies the batch latency, and a silent drop acks
     /// the batch with a plausible latency while applying none of it (the
     /// audit/reconcile sweep is what eventually heals that, same as for
-    /// single ops).
+    /// single ops). An empty batch is a free no-op that never reaches the
+    /// channel.
     pub fn apply_batch(
         &mut self,
         slice: usize,
         ops: &[TcamOp],
     ) -> Result<BatchOpReport, TcamError> {
+        let occupancy_before = self.slices[slice].table.len();
         if ops.is_empty() {
             return Ok(BatchOpReport {
                 latency: SimDuration::ZERO,
                 report: BatchReport {
-                    occupancy_before: self.slices[slice].table.len(),
+                    occupancy_before,
                     ..BatchReport::default()
                 },
                 slice,
             });
         }
-        if !self.connected {
-            return Err(TcamError::Disconnected);
-        }
-        let mut spike = 1.0;
-        if let Some(plan) = self.fault.as_mut() {
-            let any_insert = ops.iter().any(|o| matches!(o, TcamOp::Insert(_)));
-            let any_delete = ops.iter().any(|o| matches!(o, TcamOp::Delete(_)));
-            match plan.decide(any_insert, any_delete) {
-                FaultDecision::Normal => {}
-                FaultDecision::Crash(spec) => {
-                    self.crash(spec);
-                    return Err(TcamError::Disconnected);
-                }
-                FaultDecision::Fail => {
-                    hermes_telemetry::counter("tcam.fault_fail", 1);
-                    return Err(TcamError::ChannelBusy);
-                }
-                FaultDecision::Outage => {
-                    hermes_telemetry::counter("tcam.fault_outage", 1);
-                    return Err(TcamError::Outage);
-                }
-                FaultDecision::Spike(m) => {
-                    hermes_telemetry::counter("tcam.fault_spike", 1);
-                    spike = m;
-                }
-                FaultDecision::SilentDrop => {
-                    hermes_telemetry::counter("tcam.fault_silent_drop", 1);
-                    // Ack the whole batch plausibly, apply nothing.
-                    let occupancy_before = self.slices[slice].table.len();
-                    let (mut ins, mut del, mut modi) = (0usize, 0usize, 0usize);
-                    for op in ops {
-                        match op {
-                            TcamOp::Insert(_) => ins += 1,
-                            TcamOp::Delete(_) => del += 1,
-                            TcamOp::ModifyAction { .. } | TcamOp::ModifyKey { .. } => modi += 1,
-                        }
-                    }
-                    let latency = self
-                        .model
-                        .batch_latency(occupancy_before, 0, ins, del, modi);
-                    self.slices[slice].busy += latency;
-                    return Ok(BatchOpReport {
-                        latency,
-                        report: BatchReport {
-                            inserts: ins,
-                            deletes: del,
-                            modifies: modi,
-                            occupancy_before,
-                            ..BatchReport::default()
-                        },
-                        slice,
-                    });
+        let gate = self.fault_gate(
+            ops.iter().any(|o| matches!(o, TcamOp::Insert(_))),
+            ops.iter().any(|o| matches!(o, TcamOp::Delete(_))),
+        )?;
+        let Gate::Proceed { spike } = gate else {
+            // Ack the whole batch plausibly, apply nothing.
+            let mut report = BatchReport {
+                occupancy_before,
+                ..BatchReport::default()
+            };
+            for op in ops {
+                match op {
+                    TcamOp::Insert(_) => report.inserts += 1,
+                    TcamOp::Delete(_) => report.deletes += 1,
+                    TcamOp::ModifyAction { .. } => report.modifies += 1,
                 }
             }
-        }
-        let report = self.slices[slice].table.apply_batch(ops)?;
-        let latency = self.model.batch_latency(
-            report.occupancy_before,
-            report.shifts,
-            report.inserts,
-            report.deletes,
-            report.modifies,
-        );
-        let latency = if spike != 1.0 {
-            latency.mul_f64(spike)
-        } else {
-            latency
+            return Ok(BatchOpReport {
+                latency: self.batch_latency(&report),
+                report,
+                slice,
+            });
         };
-        self.slices[slice].busy += latency;
+        let report = self.slices[slice].table.apply_batch(ops)?;
+        let latency = charge(spike, self.batch_latency(&report), ops.len(), report.shifts);
         if hermes_telemetry::enabled() {
-            hermes_telemetry::counter("tcam.ops", ops.len() as u64);
-            hermes_telemetry::counter("tcam.shifts", report.shifts as u64);
+            hermes_telemetry::observe("tcam.batch_ns", latency.as_nanos());
             hermes_telemetry::counter("tcam.batch_ops", 1);
             hermes_telemetry::counter("tcam.batch_entries", ops.len() as u64);
             hermes_telemetry::counter("tcam.batch_shifts", report.shifts as u64);
@@ -530,13 +436,23 @@ impl TcamDevice {
                 "tcam.batch_saved_shifts",
                 report.naive_shifts.saturating_sub(report.shifts) as u64,
             );
-            hermes_telemetry::observe("tcam.batch_ns", latency.as_nanos());
         }
         Ok(BatchOpReport {
             latency,
             report,
             slice,
         })
+    }
+
+    /// The model's price for a batch with this accounting.
+    fn batch_latency(&self, r: &BatchReport) -> SimDuration {
+        self.model.batch_latency(
+            r.occupancy_before,
+            r.shifts,
+            r.inserts,
+            r.deletes,
+            r.modifies,
+        )
     }
 
     /// Packet lookup through the slice pipeline.
@@ -554,6 +470,34 @@ impl TcamDevice {
             let s = &self.slices[i];
             (s.table.peek(packet).map(|rule| (i, rule)), s.miss)
         })
+    }
+}
+
+/// What the fault gate lets a control call do.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Gate {
+    /// Execute against the table and multiply the charged latency by
+    /// `spike` (`1.0` when nothing was injected).
+    Proceed {
+        /// Latency multiplier.
+        spike: f64,
+    },
+    /// Silent drop: ack with a plausible latency, apply nothing.
+    Dropped,
+}
+
+/// The one tail of a call that reached the table: the volume counters
+/// both entry points share, and the latency actually charged — the
+/// model's figure, spiked when the gate said so.
+fn charge(spike: f64, modeled: SimDuration, ops: usize, shifts: usize) -> SimDuration {
+    if hermes_telemetry::enabled() {
+        hermes_telemetry::counter("tcam.ops", ops as u64);
+        hermes_telemetry::counter("tcam.shifts", shifts as u64);
+    }
+    if spike != 1.0 {
+        modeled.mul_f64(spike)
+    } else {
+        modeled
     }
 }
 
@@ -584,10 +528,23 @@ pub fn walk_pipeline(
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use hermes_util::json::Json;
 
     fn rule(id: u64, pfx: &str, prio: u32, port: u32) -> Rule {
         let p: Ipv4Prefix = pfx.parse().unwrap();
         Rule::new(id, p.to_key(), Priority(prio), Action::Forward(port))
+    }
+
+    /// A Pica8 carved the Hermes way: a 64-entry shadow in front of a main
+    /// slice with the given miss behaviour.
+    fn shadow_main(main_miss: MissBehavior) -> TcamDevice {
+        TcamDevice::carved(
+            SwitchModel::pica8_p3290(),
+            &[
+                ("shadow", 64, MissBehavior::GotoNextSlice),
+                ("main", 1900, main_miss),
+            ],
+        )
     }
 
     fn pkt(addr: &str) -> u128 {
@@ -618,7 +575,6 @@ mod tests {
             .unwrap();
         assert_eq!(top.shifts, 99);
         assert!(top.latency > dev.model().base);
-        assert!(dev.slice(0).busy > SimDuration::ZERO);
     }
 
     #[test]
@@ -651,14 +607,7 @@ mod tests {
 
     #[test]
     fn pipeline_lookup_shadow_first() {
-        let model = SwitchModel::pica8_p3290();
-        let mut dev = TcamDevice::carved(
-            model,
-            &[
-                ("shadow", 64, MissBehavior::GotoNextSlice),
-                ("main", 1900, MissBehavior::ToController),
-            ],
-        );
+        let mut dev = shadow_main(MissBehavior::ToController);
         dev.apply(1, &ControlAction::Insert(rule(1, "192.168.1.0/24", 1, 2)))
             .unwrap();
         // Miss in shadow falls through to main.
@@ -684,14 +633,7 @@ mod tests {
 
     #[test]
     fn goto_next_table_action_falls_through() {
-        let model = SwitchModel::pica8_p3290();
-        let mut dev = TcamDevice::carved(
-            model,
-            &[
-                ("shadow", 64, MissBehavior::GotoNextSlice),
-                ("main", 1900, MissBehavior::Drop),
-            ],
-        );
+        let mut dev = shadow_main(MissBehavior::Drop);
         // An explicit fall-through rule in the shadow.
         let fall = Rule::new(1, TernaryKey::ANY, Priority(1), Action::GotoNextTable);
         dev.apply(0, &ControlAction::Insert(fall)).unwrap();
@@ -789,7 +731,6 @@ mod tests {
         let mut dev = TcamDevice::monolithic(SwitchModel::pica8_p3290());
         dev.apply(0, &ControlAction::Insert(rule(1, "10.0.0.0/8", 5, 1)))
             .unwrap();
-        let busy_before = dev.slice(0).busy;
         let ops = vec![
             TcamOp::Insert(rule(2, "11.0.0.0/8", 6, 1)),
             TcamOp::Delete(RuleId(77)),
@@ -799,26 +740,9 @@ mod tests {
             Err(TcamError::NotFound(RuleId(77)))
         );
         assert_eq!(dev.slice(0).table.len(), 1);
-        assert_eq!(dev.slice(0).busy, busy_before, "failed batch charges nothing");
         // Empty batch is a free no-op.
         let rep = dev.apply_batch(0, &[]).unwrap();
         assert_eq!(rep.latency, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn find_rule_locates_slice() {
-        let model = SwitchModel::pica8_p3290();
-        let mut dev = TcamDevice::carved(
-            model,
-            &[
-                ("shadow", 64, MissBehavior::GotoNextSlice),
-                ("main", 1900, MissBehavior::Drop),
-            ],
-        );
-        dev.apply(1, &ControlAction::Insert(rule(9, "10.0.0.0/8", 5, 1)))
-            .unwrap();
-        assert_eq!(dev.find_rule(RuleId(9)).unwrap().0, 1);
-        assert!(dev.find_rule(RuleId(10)).is_none());
     }
 
     fn loaded_device(n: u64) -> TcamDevice {
@@ -897,6 +821,115 @@ mod tests {
         assert_eq!(dev.crash_stats().reconnects_denied, 2);
         assert_eq!(dev.crash_stats().reconnect_attempts, 3);
         dev.apply(0, &ControlAction::Delete(RuleId(0))).unwrap();
+    }
+
+    /// What the gate decided for one call: the error (or ack), the
+    /// `tcam.fault_*` counters moved, session state, plan and crash stats,
+    /// and the table afterwards.
+    #[derive(Debug, PartialEq)]
+    struct Gated {
+        error: Option<TcamError>,
+        moved: Vec<String>,
+        connected: bool,
+        draws: Option<u64>,
+        crashes: CrashStats,
+        table: Vec<Rule>,
+    }
+
+    /// One insert into a five-entry device under `plan`, through `apply` or
+    /// a one-op `apply_batch`.
+    fn through_gate(plan: &FaultPlan, batched: bool) -> Gated {
+        let mut dev = loaded_device(5);
+        dev.set_fault_plan(Some(plan.clone()));
+        hermes_telemetry::set_enabled(true);
+        hermes_telemetry::reset();
+        let new_rule = rule(500, "12.0.0.0/8", 7, 1);
+        let error = if batched {
+            dev.apply_batch(0, &[TcamOp::Insert(new_rule)]).err()
+        } else {
+            dev.apply(0, &ControlAction::Insert(new_rule)).err()
+        };
+        let snapshot = hermes_telemetry::snapshot();
+        let Some(Json::Obj(counters)) = snapshot.get("counters") else {
+            panic!("no counters object in the telemetry snapshot");
+        };
+        Gated {
+            error,
+            moved: (counters.iter())
+                .filter_map(|(name, _)| name.strip_prefix("tcam.fault_"))
+                .map(String::from)
+                .collect(),
+            connected: dev.is_connected(),
+            draws: dev.fault_stats().map(|s| s.ops_seen),
+            crashes: dev.crash_stats(),
+            table: dev.slice(0).table.entries(),
+        }
+    }
+
+    /// The gate's contract: `apply` and `apply_batch` share one preamble,
+    /// so from identical plans they agree on everything the gate decides.
+    #[test]
+    fn both_entry_points_pass_the_same_fault_gate() {
+        type Arm = fn(&mut FaultPlan);
+        type E = TcamError;
+        // (the `tcam.fault_*` counter the first draw moves, how to make it
+        // that kind of draw, the error it surfaces as)
+        let cases: [(&str, Arm, Option<E>); 6] = [
+            ("", |_| {}, None),
+            ("fail", |p| p.write_fail_prob = 1.0, Some(E::ChannelBusy)),
+            ("silent_drop", |p| p.silent_drop_prob = 1.0, None),
+            ("spike", |p| p.latency_spike_prob = 1.0, None),
+            (
+                "outage",
+                |p| (p.outage_period, p.outage_len) = (1, 1),
+                Some(E::Outage),
+            ),
+            (
+                "",
+                |p| (p.crash_period, p.crash_wipe_prob) = (1, 1.0),
+                Some(E::Disconnected),
+            ),
+        ];
+        let before = loaded_device(5).slice(0).table.entries();
+        for (counter, arm, error) in cases {
+            let mut plan = FaultPlan::quiet(11);
+            arm(&mut plan);
+            let single = through_gate(&plan, false);
+            assert_eq!(single, through_gate(&plan, true), "{counter} {error:?}");
+            assert_eq!(single.error, error);
+            assert_eq!(single.moved.concat(), counter, "{error:?}");
+            assert_eq!(single.draws, Some(1), "one draw per call");
+            assert_eq!(single.connected, error != Some(E::Disconnected));
+            match (counter, error) {
+                ("" | "spike", None) => assert_eq!(single.table.len(), before.len() + 1),
+                (_, Some(E::Disconnected)) => assert!(single.table.is_empty(), "wiped"),
+                _ => assert_eq!(single.table, before, "{counter}: table untouched"),
+            }
+        }
+    }
+
+    /// Zero draws: a dead session and an empty batch never reach the plan.
+    #[test]
+    fn dead_session_and_empty_batch_do_not_consult_the_plan() {
+        let mut dev = loaded_device(3);
+        dev.set_fault_plan(Some(FaultPlan::crashy(5)));
+        assert!(dev.apply_batch(0, &[]).is_ok());
+        dev.force_crash(CrashSpec {
+            kind: CrashKind::Disconnect,
+            survivor_seed: 0,
+            reconnect_denials: 0,
+        });
+        let del = ControlAction::Delete(RuleId(0));
+        assert_eq!(dev.apply(0, &del), Err(TcamError::Disconnected));
+        assert_eq!(
+            dev.apply_batch(0, &[TcamOp::Delete(RuleId(0))]),
+            Err(TcamError::Disconnected)
+        );
+        assert!(
+            dev.apply_batch(0, &[]).is_ok(),
+            "an empty batch is free even on a dead session"
+        );
+        assert_eq!(dev.fault_stats(), Some(FaultStats::default()));
     }
 
     #[test]

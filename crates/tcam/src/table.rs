@@ -34,7 +34,9 @@
 //! tuple-space match index (`match_index.rs`, DESIGN.md §15) that serves
 //! every lookup — one probe per distinct mask in the table instead of a
 //! walk over every entry. The match index is maintained at `raw_insert`,
-//! `raw_remove`, `set_key` and `reset`, and nowhere else.
+//! `raw_remove` and `reset`, and nowhere else: a stored entry's match never
+//! changes in place (Hermes modifies actions, and priorities via
+//! delete+insert, §4.1).
 //!
 //! ## Gap-aware placement (configurable slack)
 //!
@@ -183,24 +185,6 @@ pub enum TcamOp {
         /// Replacement action.
         action: Action,
     },
-    /// Rewrite an entry's match key in place (same priority).
-    ModifyKey {
-        /// Target entry.
-        id: RuleId,
-        /// Replacement key.
-        key: TernaryKey,
-    },
-}
-
-impl TcamOp {
-    /// The id the op targets.
-    pub fn id(&self) -> RuleId {
-        match self {
-            TcamOp::Insert(r) => r.id,
-            TcamOp::Delete(id) => *id,
-            TcamOp::ModifyAction { id, .. } | TcamOp::ModifyKey { id, .. } => *id,
-        }
-    }
 }
 
 /// The outcome of a successful [`TcamTable::apply_batch`].
@@ -412,8 +396,8 @@ impl<P> Layout<P> {
     fn take_reserved_slot(&mut self, bi: usize, wi: usize, pos: usize) {
         if self.unreserved() == 0 && self.gap_slots() > 0 {
             let consume = match self.strategy {
-                PlacementStrategy::PackedHigh => self.backward_gap_cost(bi, wi, pos).1,
-                _ => self.forward_gap_cost(bi, wi, pos).1,
+                PlacementStrategy::PackedHigh => self.gap_cost(bi, wi, pos, false).1,
+                _ => self.gap_cost(bi, wi, pos, true).1,
             };
             if let Some(g) = consume {
                 self.blocks[g].gaps -= 1;
@@ -430,8 +414,8 @@ impl<P> Layout<P> {
     /// formulas: `len - pos` (PackedLow), `pos` (PackedHigh), their min
     /// (Balanced).
     fn plan_single_insert(&mut self, bi: usize, wi: usize, pos: usize) -> usize {
-        let (low_cost, low_gap) = self.forward_gap_cost(bi, wi, pos);
-        let (high_cost, high_gap) = self.backward_gap_cost(bi, wi, pos);
+        let (low_cost, low_gap) = self.gap_cost(bi, wi, pos, true);
+        let (high_cost, high_gap) = self.gap_cost(bi, wi, pos, false);
         let (cost, consume) = match self.strategy {
             PlacementStrategy::PackedLow => (low_cost, low_gap),
             PlacementStrategy::PackedHigh => (high_cost, high_gap),
@@ -449,66 +433,50 @@ impl<P> Layout<P> {
         cost
     }
 
-    /// Cheapest way to open a slot by shifting *forward* (toward high
-    /// addresses): the nearest gap-bearing block at-or-after the insertion
-    /// block, else the unreserved tail space, else a gap behind. Returns
-    /// `(entries moved, gap block to consume)`.
-    fn forward_gap_cost(&self, bi: usize, wi: usize, pos: usize) -> (usize, Option<usize>) {
+    /// Cheapest way to open a slot by shifting one way — `forward` toward
+    /// high addresses, else toward low: the nearest gap-bearing block
+    /// at-or-beyond the insertion block in that direction, else the
+    /// unreserved space at that end of the table, else (all free space is
+    /// reserved behind the insertion point) the nearest gap the other
+    /// way. Returns `(entries moved, gap block to consume)`.
+    fn gap_cost(&self, bi: usize, wi: usize, pos: usize, forward: bool) -> (usize, Option<usize>) {
         if self.blocks.is_empty() {
             return (0, None);
         }
-        let mut moved = self.blocks[bi].len() - wi;
+        // The next block index walking `fwd`, while there is one.
+        let step = |g: usize, fwd: bool| match fwd {
+            true => Some(g + 1).filter(|n| *n < self.blocks.len()),
+            false => g.checked_sub(1),
+        };
+        let (beyond, behind) = (self.blocks[bi].len() - wi, wi);
+        let (here, there, to_end) = match forward {
+            true => (beyond, behind, self.len - pos),
+            false => (behind, beyond, pos),
+        };
+        let mut moved = here;
         if self.blocks[bi].gaps > 0 {
             return (moved, Some(bi));
         }
-        for g in bi + 1..self.blocks.len() {
+        let mut at = bi;
+        while let Some(g) = step(at, forward) {
             moved += self.blocks[g].len();
             if self.blocks[g].gaps > 0 {
                 return (moved, Some(g));
             }
+            at = g;
         }
         if self.unreserved() > 0 {
-            return (self.len - pos, None);
+            return (to_end, None);
         }
-        // All free space is reserved behind the insertion point: shift
-        // backward to the nearest gap there instead.
-        let mut moved = wi;
-        for g in (0..bi).rev() {
+        let (mut moved, mut at) = (there, bi);
+        while let Some(g) = step(at, !forward) {
             if self.blocks[g].gaps > 0 {
                 return (moved, Some(g));
             }
             moved += self.blocks[g].len();
+            at = g;
         }
-        (self.len - pos, None)
-    }
-
-    /// Mirror of [`forward_gap_cost`](Self::forward_gap_cost): open a slot
-    /// by shifting toward low addresses.
-    fn backward_gap_cost(&self, bi: usize, wi: usize, pos: usize) -> (usize, Option<usize>) {
-        if self.blocks.is_empty() {
-            return (0, None);
-        }
-        let mut moved = wi;
-        if self.blocks[bi].gaps > 0 {
-            return (moved, Some(bi));
-        }
-        for g in (0..bi).rev() {
-            moved += self.blocks[g].len();
-            if self.blocks[g].gaps > 0 {
-                return (moved, Some(g));
-            }
-        }
-        if self.unreserved() > 0 {
-            return (pos, None);
-        }
-        let mut moved = self.blocks[bi].len() - wi;
-        for g in bi + 1..self.blocks.len() {
-            if self.blocks[g].gaps > 0 {
-                return (moved, Some(g));
-            }
-            moved += self.blocks[g].len();
-        }
-        (pos, None)
+        (to_end, None)
     }
 }
 
@@ -593,27 +561,9 @@ impl TcamTable {
         self.layout.capacity - self.layout.len
     }
 
-    /// Occupancy as a fraction of capacity in `[0, 1]`.
-    pub fn occupancy(&self) -> f64 {
-        if self.layout.capacity == 0 {
-            return 1.0;
-        }
-        self.layout.len as f64 / self.layout.capacity as f64
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> TableStats {
         self.stats
-    }
-
-    /// The placement strategy in use.
-    pub fn strategy(&self) -> PlacementStrategy {
-        self.layout.strategy
-    }
-
-    /// The configured per-block slack (0 = dense legacy layout).
-    pub fn slack(&self) -> usize {
-        self.layout.slack
     }
 
     /// Configures the gap-aware placement slack: the number of free slots
@@ -662,22 +612,17 @@ impl TcamTable {
             .expect("INVARIANT: by_id keys always resolve to a stored entry"))
     }
 
-    /// Files `ek` under `key` in the match index, re-laying the index from
-    /// the stored entries (which must already include this one) when it is
-    /// out of room.
-    fn index_entry(&mut self, key: TernaryKey, ek: EntryKey) {
-        if self.index.is_full() {
-            self.index.rebuild(self.layout.len, self.layout.indexed());
-        } else {
-            self.index.insert(key, ek);
-        }
-    }
-
-    /// Stores an entry the layout has already made room for.
+    /// Stores an entry the layout has already made room for and files it
+    /// in both indexes, re-laying the match index from the stored entries
+    /// (this one included) when it is out of room.
     fn raw_insert(&mut self, bi: usize, wi: usize, key: EntryKey, rule: Rule) {
         self.layout.raw_insert(bi, wi, key, rule);
         self.by_id.insert(rule.id, key);
-        self.index_entry(rule.key, key);
+        if self.index.is_full() {
+            self.index.rebuild(self.layout.len, self.layout.indexed());
+        } else {
+            self.index.insert(rule.key, key);
+        }
     }
 
     /// Takes an entry out of the layout and both indexes.
@@ -687,14 +632,6 @@ impl TcamTable {
         self.by_id.remove(&rule.id);
         self.index.remove(rule.key, key);
         rule
-    }
-
-    /// Rewrites the match key of the entry at `(bi, wi)` and refiles it.
-    fn set_key(&mut self, bi: usize, wi: usize, key: TernaryKey) {
-        let ek = self.layout.blocks[bi].keys[wi];
-        let old = std::mem::replace(&mut self.layout.blocks[bi].rules[wi].key, key);
-        self.index.remove(old, ek);
-        self.index_entry(key, ek);
     }
 
     /// Drops every entry (no stats).
@@ -747,15 +684,6 @@ impl TcamTable {
     pub fn modify_action(&mut self, id: RuleId, action: Action) -> Result<(), TcamError> {
         let (bi, wi) = self.find(id)?;
         self.layout.blocks[bi].rules[wi].action = action;
-        self.stats.modifies += 1;
-        Ok(())
-    }
-
-    /// Replaces the match key of an existing rule in place (same-priority
-    /// match rewrite, also constant time).
-    pub fn modify_key(&mut self, id: RuleId, key: TernaryKey) -> Result<(), TcamError> {
-        let (bi, wi) = self.find(id)?;
-        self.set_key(bi, wi, key);
         self.stats.modifies += 1;
         Ok(())
     }
@@ -881,16 +809,11 @@ impl TcamTable {
         let (shifts, naive_shifts) = self.plan_batch_shifts(ops, &plan);
         // Mutate: in-place modifies, then deletes (freeing slots), then the
         // surviving inserts in submission order (fresh seqs keep FIFO).
-        for (id, (action, key)) in &plan.modified {
+        for (id, action) in &plan.modified {
             let (bi, wi) = self
                 .find(*id)
                 .expect("INVARIANT: validated batch targets existing entries");
-            if let Some(a) = action {
-                self.layout.blocks[bi].rules[wi].action = *a;
-            }
-            if let Some(nk) = key {
-                self.set_key(bi, wi, *nk);
-            }
+            self.layout.blocks[bi].rules[wi].action = *action;
         }
         for key in plan.deleted.values() {
             let (bi, wi) = self
@@ -957,17 +880,7 @@ impl TcamTable {
                     if let Some(r) = plan.pending.get_mut(id) {
                         r.action = *action;
                     } else if self.contains(*id) && !plan.deleted.contains_key(id) {
-                        plan.modified.entry(*id).or_default().0 = Some(*action);
-                    } else {
-                        return Err(TcamError::NotFound(*id));
-                    }
-                    plan.n_modifies += 1;
-                }
-                TcamOp::ModifyKey { id, key } => {
-                    if let Some(r) = plan.pending.get_mut(id) {
-                        r.key = *key;
-                    } else if self.contains(*id) && !plan.deleted.contains_key(id) {
-                        plan.modified.entry(*id).or_default().1 = Some(*key);
+                        plan.modified.insert(*id, *action);
                     } else {
                         return Err(TcamError::NotFound(*id));
                     }
@@ -1073,7 +986,7 @@ impl TcamTable {
                         .expect("INVARIANT: validated batch deletes live entries only");
                     scratch.raw_remove(bi, wi);
                 }
-                TcamOp::ModifyAction { .. } | TcamOp::ModifyKey { .. } => {}
+                TcamOp::ModifyAction { .. } => {}
             }
         }
         total
@@ -1089,8 +1002,8 @@ struct BatchPlan {
     pending_order: Vec<RuleId>,
     /// Pre-existing entries the batch removes, with their sort keys.
     deleted: BTreeMap<RuleId, EntryKey>,
-    /// Pre-existing entries modified in place: final `(action, key)`.
-    modified: BTreeMap<RuleId, (Option<Action>, Option<TernaryKey>)>,
+    /// Pre-existing entries modified in place, with their final action.
+    modified: BTreeMap<RuleId, Action>,
     /// Per-op tallies (sequential semantics: an insert later deleted still
     /// counts one insert and one delete).
     n_inserts: u64,

@@ -70,7 +70,7 @@ impl SimDuration {
     }
 
     /// From microseconds (fractional allowed).
-    pub fn from_us(us: f64) -> Self {
+    pub const fn from_us(us: f64) -> Self {
         SimDuration((us * 1e3).round() as u64)
     }
 
@@ -97,11 +97,6 @@ impl SimDuration {
     /// Seconds.
     pub fn as_secs(&self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Scales by a non-negative factor.

@@ -7,7 +7,7 @@
 //! Mutants of `match_index.rs` / `table.rs` this property kills (each was
 //! applied by hand and seen to fail): the first matching mask wins instead
 //! of the minimum across masks; a later candidate replaces the best without
-//! the `ek < best` test; `set_key` does not refile the entry; `reset`
+//! the `ek < best` test; `reset`
 //! (behind `clear`/`drain`) leaves the index populated; `insert` overwrites
 //! a slot with an equal tag, collapsing entries that share one
 //! `(mask, value)`; `remove` always writes EMPTY, so a vacated slot ends
@@ -86,7 +86,6 @@ fn entry_op() -> Gen<TcamOp> {
             }),
         ),
         (3, id().map(TcamOp::Delete)),
-        (2, zip2(id(), key()).map(|(id, key)| TcamOp::ModifyKey { id, key })),
         (
             1,
             zip2(id(), range(0u32..48)).map(|(id, port)| TcamOp::ModifyAction {
@@ -122,7 +121,6 @@ fn apply_singly(table: &mut TcamTable, op: TcamOp) {
     let _ = match op {
         TcamOp::Insert(rule) => table.insert(rule).map(|_| ()),
         TcamOp::Delete(id) => table.delete(id).map(|_| ()),
-        TcamOp::ModifyKey { id, key } => table.modify_key(id, key),
         TcamOp::ModifyAction { id, action } => table.modify_action(id, action),
     };
 }

@@ -39,7 +39,6 @@ enum BOp {
     Insert { prio: u32, pfx_bits: u32, len: u8 },
     Delete { idx: usize },
     ModifyAction { idx: usize, port: u32 },
-    ModifyKey { idx: usize, pfx_bits: u32, len: u8 },
 }
 
 fn batch_op() -> Gen<BOp> {
@@ -56,11 +55,6 @@ fn batch_op() -> Gen<BOp> {
             zip2(arb::<usize>(), range(0u32..48))
                 .map(|(idx, port)| BOp::ModifyAction { idx, port }),
         ),
-        (
-            1,
-            zip3(arb::<usize>(), arb::<u32>(), range(8u8..=30))
-                .map(|(idx, pfx_bits, len)| BOp::ModifyKey { idx, pfx_bits, len }),
-        ),
     ])
 }
 
@@ -72,7 +66,6 @@ enum RawOp {
     Insert { id: u64, prio: u32, pfx_bits: u32, len: u8 },
     Delete { id: u64 },
     ModifyAction { id: u64, port: u32 },
-    ModifyKey { id: u64, pfx_bits: u32, len: u8 },
 }
 
 fn raw_op() -> Gen<RawOp> {
@@ -90,11 +83,6 @@ fn raw_op() -> Gen<RawOp> {
         (
             1,
             zip2(id(), range(0u32..48)).map(|(id, port)| RawOp::ModifyAction { id, port }),
-        ),
-        (
-            1,
-            zip3(id(), arb::<u32>(), range(8u8..=28))
-                .map(|(id, pfx_bits, len)| RawOp::ModifyKey { id, pfx_bits, len }),
         ),
     ])
 }
@@ -254,12 +242,6 @@ hermes_util::check! {
                         action: Action::Forward(port),
                     });
                 }
-                BOp::ModifyKey { idx, pfx_bits, len } if !live.is_empty() => {
-                    concrete.push(TcamOp::ModifyKey {
-                        id: RuleId(live[idx % live.len()]),
-                        key: Ipv4Prefix::new(pfx_bits, len).to_key(),
-                    });
-                }
                 _ => {} // op not applicable in this state; skip
             }
         }
@@ -276,9 +258,6 @@ hermes_util::check! {
                 }
                 TcamOp::ModifyAction { id, action } => {
                     seq.modify_action(*id, *action).expect("valid by construction");
-                }
-                TcamOp::ModifyKey { id, key } => {
-                    seq.modify_key(*id, *key).expect("valid by construction");
                 }
             }
         }
@@ -336,10 +315,6 @@ hermes_util::check! {
                     id: RuleId(id),
                     action: Action::Forward(port),
                 },
-                RawOp::ModifyKey { id, pfx_bits, len } => TcamOp::ModifyKey {
-                    id: RuleId(id),
-                    key: Ipv4Prefix::new(pfx_bits, len).to_key(),
-                },
             })
             .collect();
         // Sequential reference: apply singly, first error wins.
@@ -350,7 +325,6 @@ hermes_util::check! {
                 TcamOp::Insert(r) => seq.insert(*r).map(|_| ()),
                 TcamOp::Delete(id) => seq.delete(*id).map(|_| ()),
                 TcamOp::ModifyAction { id, action } => seq.modify_action(*id, *action),
-                TcamOp::ModifyKey { id, key } => seq.modify_key(*id, *key),
             };
             if let Err(e) = r {
                 first_err = Some(e);

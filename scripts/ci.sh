@@ -157,6 +157,18 @@ stage_perfgate() {
     rm -rf "$fresh_dir"
 }
 
+# Where stage_ledger parks the committed benchmark/Cargo.lock while it
+# runs (empty: nothing parked). print_summary, the EXIT trap, puts it back
+# on a failing path; the stage itself on a passing one.
+LEDGER_LOCK_SAVED=""
+
+restore_ledger_lock() {
+    [[ -n "$LEDGER_LOCK_SAVED" ]] || return 0
+    cp "$LEDGER_LOCK_SAVED" benchmark/Cargo.lock
+    rm -f "$LEDGER_LOCK_SAVED"
+    LEDGER_LOCK_SAVED=""
+}
+
 stage_ledger() {
     # The perf ledger (benchmark/) as a blocking refactoring oracle: its
     # own test suite, then one short full-size run per workload. Each
@@ -167,6 +179,13 @@ stage_ledger() {
     # it. Host-time metrics are printed by the runs but not judged. The
     # tests run in release like the runs (benchmark/README.md): the
     # recorder's clock-calibration test does not hold in a debug build.
+    #
+    # cargo re-resolves (and rewrites) benchmark/Cargo.lock whenever a
+    # workspace manifest changed since it was committed, and benchmark/ is
+    # frozen for ordinary PRs: the stage works on a parked copy of the
+    # file and ends by proving the tree is as clean as it found it.
+    LEDGER_LOCK_SAVED="$(mktemp)"
+    cp benchmark/Cargo.lock "$LEDGER_LOCK_SAVED"
     cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
     cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
     local w
@@ -179,6 +198,9 @@ assert doc["correct"] is True, "%s: model digest drifted from benchmark/expected
 print("ok   %s: correct, %d op(s), %d failed" % (sys.argv[1], doc["attempted"], doc["failed"]))
 ' "$w"
     done
+    restore_ledger_lock
+    git diff --quiet -- benchmark/Cargo.lock \
+      || { echo "benchmark/Cargo.lock differs from the committed file"; exit 1; }
 }
 
 stage_matrix_smoke() {
@@ -250,8 +272,9 @@ fi
 
 # Per-stage summary, printed on EVERY exit path (including a failing
 # stage, thanks to `set -e` + the EXIT trap): one row per stage that ran
-# with its verdict and wall-clock seconds, then the first failing stage
-# by name so a red run can be triaged without scrolling.
+# with its verdict and wall-clock seconds, the first failing stage by
+# name so a red run can be triaged without scrolling, then the per-crate
+# library size from scripts/loc.sh.
 SUM_NAME=()
 SUM_STATUS=()
 SUM_SECS=()
@@ -261,6 +284,7 @@ CURRENT_T0=0
 print_summary() {
     local code=$?
     trap - EXIT
+    restore_ledger_lock
     if [[ -n "$CURRENT_STAGE" ]]; then
         # The trap fired mid-stage: that stage is the failure.
         SUM_NAME+=("$CURRENT_STAGE")
@@ -280,6 +304,10 @@ print_summary() {
         if [[ -n "$first_fail" ]]; then
             echo "first failing stage: $first_fail"
         fi
+        # The one size figure simplicity PRs quote (ROADMAP item 3).
+        echo
+        echo "== library size: non-blank non-comment lines under crates/*/src =="
+        bash scripts/loc.sh
     fi
     exit "$code"
 }
