@@ -169,6 +169,10 @@ impl HermesApi {
     }
 
     /// `ModQoSMatch`: replaces the predicate selecting guaranteed rules.
+    ///
+    /// No caller in the workspace; it stays because §7 of the paper lists
+    /// it in the operator API (`HermesSwitch::set_predicate`, which it
+    /// forwards to, is what `core/tests/switch_paths.rs` exercises).
     pub fn mod_qos_match(
         &mut self,
         shadow: ShadowId,

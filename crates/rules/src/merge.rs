@@ -81,6 +81,11 @@ pub fn minimized_len(keys: &[TernaryKey]) -> usize {
 ///
 /// Returns the optimized rules; the relative order of surviving rules is
 /// not meaningful (the TCAM orders by priority).
+///
+/// No caller outside this crate's tests: `HermesSwitch::migrate` gets
+/// its size reduction by writing each rule's un-cut original in place of
+/// its pieces. It stays because §5.2 step 2 of the paper names this
+/// whole-set rewrite; `tests/proptest_algebra.rs` pins its semantics.
 pub fn optimize_ruleset(rules: Vec<Rule>) -> Vec<Rule> {
     // Pass 1: shadowed-rule elimination. Sort by descending priority so we
     // only need to look at earlier rules.

@@ -1,16 +1,9 @@
-//! A wall-clock micro-benchmark harness: the workspace's `criterion`
-//! replacement for the `crates/bench/benches/*` targets.
+//! The workspace's one wall-clock read: [`Stopwatch`].
 //!
-//! Deliberately small: warmup, auto-calibrated batch sizes, percentile
-//! reporting. Results print as one aligned row per benchmark:
-//!
-//! ```text
-//! tcam_insert/1000            n=100     mean=1.82µs  p50=1.79µs  p95=2.01µs  p99=2.35µs
-//! ```
-//!
-//! Env knobs: `HERMES_BENCH_SAMPLES` (default 100 timed samples),
-//! `HERMES_BENCH_WARMUP_MS` (default 100 ms), `HERMES_BENCH_FAST=1`
-//! (10 samples, 10 ms warmup — for CI smoke runs).
+//! Host-time *measurement* — warmup, repetitions, percentiles, verdicts —
+//! belongs to the perf ledger (`benchmark/`, see `benchmark/README.md`) and
+//! to `hermes-harness` (DESIGN.md §11); both read the clock through this
+//! type.
 
 use std::time::{Duration, Instant};
 
@@ -45,213 +38,9 @@ impl Stopwatch {
     }
 }
 
-/// Per-sample timing statistics, in nanoseconds per iteration.
-#[derive(Clone, Debug)]
-pub struct Stats {
-    /// Benchmark label.
-    pub name: String,
-    /// Number of timed samples.
-    pub samples: usize,
-    /// Iterations per sample (1 for batched runs).
-    pub iters_per_sample: u64,
-    /// Mean ns/iter.
-    pub mean_ns: f64,
-    /// Median ns/iter.
-    pub p50_ns: f64,
-    /// 95th percentile ns/iter.
-    pub p95_ns: f64,
-    /// 99th percentile ns/iter.
-    pub p99_ns: f64,
-    /// Fastest sample ns/iter.
-    pub min_ns: f64,
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.0}ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2}µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2}ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3}s", ns / 1_000_000_000.0)
-    }
-}
-
-impl Stats {
-    fn from_samples(name: &str, iters: u64, mut ns: Vec<f64>) -> Stats {
-        crate::stats::sort_samples(&mut ns);
-        let pct = |p: f64| crate::stats::quantile_sorted(&ns, p);
-        Stats {
-            name: name.to_string(),
-            samples: ns.len(),
-            iters_per_sample: iters,
-            mean_ns: ns.iter().sum::<f64>() / ns.len() as f64,
-            p50_ns: pct(0.50),
-            p95_ns: pct(0.95),
-            p99_ns: pct(0.99),
-            min_ns: ns[0],
-        }
-    }
-
-    /// Prints the standard aligned row.
-    pub fn print(&self) {
-        println!(
-            "{:<36} n={:<5} mean={:>9}  p50={:>9}  p95={:>9}  p99={:>9}  min={:>9}",
-            self.name,
-            self.samples,
-            fmt_ns(self.mean_ns),
-            fmt_ns(self.p50_ns),
-            fmt_ns(self.p95_ns),
-            fmt_ns(self.p99_ns),
-            fmt_ns(self.min_ns),
-        );
-    }
-}
-
-/// A named benchmark group with shared warmup/sample settings.
-pub struct Bench {
-    group: String,
-    warmup: Duration,
-    samples: usize,
-}
-
-impl Bench {
-    /// A group with env-derived defaults (see module docs).
-    pub fn new(group: &str) -> Bench {
-        let fast = std::env::var("HERMES_BENCH_FAST").is_ok_and(|v| v != "0");
-        let parse = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<u64>().ok());
-        let samples = parse("HERMES_BENCH_SAMPLES")
-            .unwrap_or(if fast { 10 } else { 100 })
-            .max(2) as usize;
-        let warmup_ms = parse("HERMES_BENCH_WARMUP_MS").unwrap_or(if fast { 10 } else { 100 });
-        Bench {
-            group: group.to_string(),
-            warmup: Duration::from_millis(warmup_ms),
-            samples,
-        }
-    }
-
-    /// Overrides the number of timed samples (e.g. for slow end-to-end
-    /// benchmarks, mirroring criterion's `sample_size`).
-    pub fn samples(mut self, n: usize) -> Bench {
-        self.samples = n.max(2);
-        self
-    }
-
-    fn label(&self, id: &str) -> String {
-        if id.is_empty() {
-            self.group.clone()
-        } else {
-            format!("{}/{}", self.group, id)
-        }
-    }
-
-    /// Times `f` per call, auto-batching fast routines so each timed
-    /// sample spans at least ~200µs. Prints and returns the stats.
-    pub fn run<R>(&self, id: &str, mut f: impl FnMut() -> R) -> Stats {
-        // Warmup, also measuring one-call cost for calibration.
-        let warm_start = Instant::now();
-        let mut calls = 0u64;
-        while warm_start.elapsed() < self.warmup || calls == 0 {
-            std::hint::black_box(f());
-            calls += 1;
-        }
-        let per_call = warm_start.elapsed().as_nanos() as f64 / calls as f64;
-        let iters = ((200_000.0 / per_call.max(1.0)).ceil() as u64).clamp(1, 1_000_000);
-
-        let mut ns = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let t = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            ns.push(t.elapsed().as_nanos() as f64 / iters as f64);
-        }
-        let stats = Stats::from_samples(&self.label(id), iters, ns);
-        stats.print();
-        stats
-    }
-
-    /// Times `routine` on a fresh `setup()` value per sample, excluding
-    /// setup time (the `iter_batched` analog for routines that consume or
-    /// mutate their input).
-    pub fn run_batched<S, R>(
-        &self,
-        id: &str,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> R,
-    ) -> Stats {
-        // Warmup.
-        let warm_start = Instant::now();
-        let mut warmed = false;
-        while warm_start.elapsed() < self.warmup || !warmed {
-            let s = setup();
-            std::hint::black_box(routine(s));
-            warmed = true;
-        }
-
-        let mut ns = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let s = setup();
-            let t = Instant::now();
-            std::hint::black_box(routine(s));
-            ns.push(t.elapsed().as_nanos() as f64);
-        }
-        let stats = Stats::from_samples(&self.label(id), 1, ns);
-        stats.print();
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quiet() -> Bench {
-        Bench {
-            group: "t".into(),
-            warmup: Duration::from_millis(1),
-            samples: 5,
-        }
-    }
-
-    #[test]
-    fn run_reports_sane_percentiles() {
-        let s = quiet().run("spin", || {
-            let mut acc = 0u64;
-            for i in 0..100u64 {
-                acc = acc.wrapping_add(std::hint::black_box(i));
-            }
-            acc
-        });
-        assert_eq!(s.samples, 5);
-        assert!(s.min_ns > 0.0);
-        assert!(s.p50_ns <= s.p95_ns && s.p95_ns <= s.p99_ns);
-        assert!(s.mean_ns >= s.min_ns);
-        assert!(s.iters_per_sample >= 1);
-    }
-
-    #[test]
-    fn run_batched_excludes_setup() {
-        // Setup is deliberately much heavier than the routine; per-sample
-        // time must reflect the routine, not the setup.
-        let s = quiet().run_batched(
-            "cheap_routine",
-            || vec![0u8; 1 << 20],
-            |v| v.len(),
-        );
-        // Reading a len is far below 1 ms even with timer overhead; the
-        // megabyte allocation above would not be.
-        assert!(s.p50_ns < 1_000_000.0, "{}", s.p50_ns);
-    }
-
-    #[test]
-    fn label_composition() {
-        let b = quiet();
-        assert_eq!(b.label(""), "t");
-        assert_eq!(b.label("x"), "t/x");
-    }
 
     #[test]
     fn stopwatch_measures_and_laps() {
@@ -266,13 +55,5 @@ mod tests {
         // After a lap the clock restarts: an immediate read is at most
         // the pre-lap total.
         assert!(w.elapsed() <= first + Duration::from_millis(50));
-    }
-
-    #[test]
-    fn ns_formatting() {
-        assert_eq!(fmt_ns(12.0), "12ns");
-        assert_eq!(fmt_ns(1_500.0), "1.50µs");
-        assert_eq!(fmt_ns(2_500_000.0), "2.50ms");
-        assert_eq!(fmt_ns(3_200_000_000.0), "3.200s");
     }
 }

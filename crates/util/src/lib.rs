@@ -13,10 +13,10 @@
 //! * [`check`] — a compact property-testing harness (see [`check!`]) with
 //!   generator combinators, fixed default seeds, failure minimization by
 //!   halving the generation size, and `HERMES_CHECK_*` env overrides.
-//! * [`bench`] — a wall-clock timer harness with warmup and percentile
-//!   reporting for the `crates/bench/benches/*` targets.
-//! * [`stats`] — the shared nearest-rank quantile used by both the bench
-//!   harness and the netsim metric distributions.
+//! * [`bench`] — [`bench::Stopwatch`], the one sanctioned wall-clock read
+//!   (lint R1); the perf ledger and `hermes-harness` measure through it.
+//! * [`stats`] — the shared nearest-rank quantile used by the scenario
+//!   harness, the perf ledger and the netsim metric distributions.
 //!
 //! Policy (see README.md "Hermetic build"): this workspace takes **no**
 //! external crate dependencies. Anything new must live here or be

@@ -1,9 +1,9 @@
 //! Shared sample statistics: the workspace's one nearest-rank quantile.
 //!
-//! Both the wall-clock bench harness ([`crate::bench`]) and the netsim
-//! metric distributions compute percentiles; they must agree on the
+//! The scenario harness, the perf ledger and the netsim metric
+//! distributions all compute percentiles; they must agree on the
 //! estimator (nearest rank over `n` samples: index `round(p·(n−1))`) so a
-//! latency quoted by a micro-benchmark and by a simulation summary mean
+//! latency quoted by a host-time report and by a simulation summary mean
 //! the same thing.
 
 /// Sorts samples into the total order quantile queries expect (`NaN`s

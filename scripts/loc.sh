@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Per-crate size of the library: non-blank, non-`//`-comment lines under
-# crates/*/src (in-file `#[cfg(test)]` modules included, `tests/` and
-# `benches/` directories not). The one number simplicity PRs quote
+# crates/*/src (in-file `#[cfg(test)]` modules included, `tests/`
+# directories not). The one number simplicity PRs quote
 # (ROADMAP item 3); `scripts/ci.sh` prints it in its closing summary.
 set -euo pipefail
 cd "$(dirname "$0")/.."

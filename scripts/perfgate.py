@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Three-tier perf regression gate.
+"""Three-tier perf regression gate: one exact tier, two banded tiers.
 
 Usage:
   perfgate.py counters  <baseline_dir> <fresh_dir>
-  perfgate.py wallclock <baseline.json> <matrix_report.json> [--band FRAC]
-  perfgate.py rss       <baseline.json> <matrix_report.json> [--band FRAC]
-  perfgate.py <baseline_dir> <fresh_dir>          (legacy = counters)
+  perfgate.py wallclock <baseline.json> <matrix_report.json>
+  perfgate.py rss       <baseline.json> <matrix_report.json>
+  perfgate.py refresh   <baseline_dir> <matrix_report.json>
 
 Tier 1 — counters (exact). For every BENCH_*.json in <baseline_dir>,
 loads the file of the same name from <fresh_dir> and compares ONLY the
@@ -21,59 +21,87 @@ The simulation's counters are deterministic under the pinned seed/env
 (see bench_baselines/README.md), so any delta is a behavioural change,
 not noise.
 
-Tier 2 — wallclock (tolerance band). Compares the measured wall-clock
-medians in a hermes-matrix-report/1 document (produced by
-hermes-harness) against a committed envelope:
+Tiers 2 and 3 — wallclock and rss (tolerance band). Both compare one
+per-scenario median measured by hermes-harness (a hermes-matrix-report/1
+document) against a committed envelope; TIERS below is the one place
+that says what differs between them (schema, keys, unit, verdict words):
 
   * scenario in baseline, not in report ...... FAIL (MISSING)
   * scenario in report, not in baseline ...... FAIL (UNTRACKED)
-  * failed repetitions in the report ......... FAIL (BROKEN)
-  * median above baseline*(1+band)+floor ..... FAIL (SLOW)
-  * median below baseline*(1-band)-floor ..... note only (FAST — refresh
-                                                to bank the improvement)
+  * failed reps / no median in the report .... FAIL (BROKEN)
+  * median above baseline*(1+band)+floor ..... FAIL (SLOW / HEAVY)
+  * median below baseline*(1-band)-floor ..... note only (FAST / LEAN —
+                                                refresh to bank it)
 
-The band (default from the baseline file, overridable with --band) plus
-an absolute floor_ms absorb scheduler noise; millisecond-scale smoke
-scenarios are floor-dominated by design. Medians-of-N keep single
-outlier reps from tripping the gate.
+`band` and the absolute floor (`floor_ms`, `floor_bytes`) are read from
+the baseline file. The floor absorbs what the band cannot: scheduler
+noise on a sub-second run, allocator/page-cache jitter on a small
+binary — while a genuine slowdown, leak or unbounded cache blows
+straight through the band. Medians-of-N keep single outlier reps from
+tripping the gate.
 
-Tier 3 — rss (tolerance band). Same envelope discipline applied to the
-per-scenario peak resident set (`measured.max_rss_bytes.p50` in the
-matrix report) against a hermes-rss-baseline/1 document:
-
-  * scenario in baseline, not in report ...... FAIL (MISSING)
-  * scenario in report, not in baseline ...... FAIL (UNTRACKED)
-  * failed reps / no RSS median .............. FAIL (BROKEN)
-  * median above baseline*(1+band)+floor ..... FAIL (HEAVY)
-  * median below baseline*(1-band)-floor ..... note only (LEAN — refresh
-                                                to bank the improvement)
-
-The floor here is floor_bytes (absolute, default 16 MiB): tiny smoke
-binaries live within allocator/page-cache jitter of each other, so small
-absolute swings are noise while a genuine leak or an unbounded cache
-blows straight through the band.
+`refresh` rewrites the existing <baseline_dir>/wallclock.json and
+rss.json from a fresh report, keeping each file's band and floor; the
+scenarios tracked are the ones the report ran.
 
 Exit status: 0 = gate passes, 1 = regressions found, 2 = usage or
-malformed-input error. Baselines are refreshed with scripts/refresh_baselines.sh after
-an intentional change, and the refreshed files are committed so the diff
-is reviewable.
+malformed-input error (one `perfgate: <path>: <reason>` line). Baselines
+are refreshed with scripts/refresh_baselines.sh after an intentional
+change, and the refreshed files are committed so the diff is reviewable.
 """
 
 import json
 import os
 import sys
+from collections import namedtuple
+
+# A banded tier: which baseline document it reads, where its numbers live
+# in the baseline and in the matrix report, how a measured value is stored
+# and printed, and its verdict words. `band` and the floor live in the
+# baseline file only.
+Tier = namedtuple("Tier", "schema base_key report_key floor_key store fmt noun over under")
+
+TIERS = {
+    "wallclock": Tier(
+        "hermes-wallclock-baseline/1", "median_ms", "wall_ms", "floor_ms",
+        lambda v: round(v, 1), lambda v: f"{v:.1f}ms", "wall-clock", "SLOW", "FAST",
+    ),
+    "rss": Tier(
+        "hermes-rss-baseline/1", "median_bytes", "max_rss_bytes", "floor_bytes",
+        int, lambda v: f"{v / (1 << 20):.1f}MiB", "peak-RSS", "HEAVY", "LEAN",
+    ),
+}
 
 
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+class BadInput(Exception):
+    """An input the gate cannot judge: "<path>: <reason>". main() prints it
+    and exits 2, so it is never mistaken for a regression (exit 1)."""
+
+
+def is_num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def load_json(path, schema=None):
+    """Every input file enters here."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise BadInput(f"{path}: {e.strerror}") from None
+    except ValueError as e:
+        raise BadInput(f"{path}: unparsable JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise BadInput(f"{path}: not a JSON object")
+    if schema is not None and doc.get("schema") != schema:
+        raise BadInput(f"{path}: not a {schema} document (schema {doc.get('schema')!r})")
+    return doc
 
 
 def load_counters(path):
-    doc = load_json(path)
-    counters = doc.get("counters")
+    counters = load_json(path).get("counters")
     if not isinstance(counters, dict):
-        raise ValueError(f"{path}: no 'counters' object (schema {doc.get('schema')!r})")
+        raise BadInput(f"{path}: no 'counters' object")
     return counters
 
 
@@ -118,12 +146,13 @@ def print_table(rows):
 
 
 def run_counters(baseline_dir, fresh_dir):
-    names = sorted(
-        f for f in os.listdir(baseline_dir) if f.startswith("BENCH_") and f.endswith(".json")
-    )
+    try:
+        listing = os.listdir(baseline_dir)
+    except OSError as e:
+        raise BadInput(f"{baseline_dir}: {e.strerror}") from None
+    names = sorted(f for f in listing if f.startswith("BENCH_") and f.endswith(".json"))
     if not names:
-        print(f"perfgate: no BENCH_*.json baselines in {baseline_dir}", file=sys.stderr)
-        return 2
+        raise BadInput(f"{baseline_dir}: no BENCH_*.json baselines")
 
     failures = 0
     for name in names:
@@ -152,42 +181,45 @@ def run_counters(baseline_dir, fresh_dir):
     return 1 if failures else 0
 
 
-def report_medians(report):
-    """scenario name -> (median wall ms, failed rep count) from a
-    hermes-matrix-report/1 document."""
-    if report.get("schema") != "hermes-matrix-report/1":
-        raise ValueError(f"not a hermes-matrix-report/1 document: {report.get('schema')!r}")
+def load_baseline(tier, path):
+    """The envelope document of one banded tier, shape-checked."""
+    t = TIERS[tier]
+    doc = load_json(path, t.schema)
+    scenarios = doc.get("scenarios")
+    if not is_num(doc.get("band")) or not is_num(doc.get(t.floor_key)):
+        raise BadInput(f"{path}: needs a numeric 'band' and '{t.floor_key}'")
+    if not isinstance(scenarios, dict) or not all(
+        isinstance(e, dict) and is_num(e.get(t.base_key)) for e in scenarios.values()
+    ):
+        raise BadInput(f"{path}: 'scenarios' must map each name to a numeric '{t.base_key}'")
+    return doc
+
+
+def load_medians(tier, path):
+    """scenario name -> (measured median or None, failed rep count), in
+    report order, from a full hermes-matrix-report/1 document."""
+    t = TIERS[tier]
+    report = load_json(path, "hermes-matrix-report/1")
     if report.get("kind") == "canonical":
-        raise ValueError("wallclock tier needs the full report (canonical omits 'measured')")
+        raise BadInput(f"{path}: {tier} tier needs the full report (canonical omits 'measured')")
     out = {}
     for sc in report.get("scenarios", []):
-        measured = sc.get("measured") or {}
-        wall = measured.get("wall_ms") or {}
-        runs = sc.get("runs", 0)
-        clean = sc.get("clean_reps", 0)
-        out[sc["name"]] = (wall.get("p50"), runs - clean)
+        median = ((sc.get("measured") or {}).get(t.report_key) or {}).get("p50")
+        out[sc["name"]] = (median, sc.get("runs", 0) - sc.get("clean_reps", 0))
     return out
 
 
-def run_wallclock(baseline_path, report_path, band_override=None):
-    base = load_json(baseline_path)
-    if base.get("schema") != "hermes-wallclock-baseline/1":
-        print(
-            f"perfgate: {baseline_path}: not a hermes-wallclock-baseline/1 document",
-            file=sys.stderr,
-        )
-        return 2
-    default_band = band_override if band_override is not None else base.get("band", 0.25)
-    default_floor = base.get("floor_ms", 20.0)
-    scenarios = base.get("scenarios", {})
-    try:
-        fresh = report_medians(load_json(report_path))
-    except ValueError as e:
-        print(f"perfgate: {report_path}: {e}", file=sys.stderr)
-        return 2
+def run_band(tier, baseline_path, report_path):
+    """The envelope verdict of one banded tier — the only place one is
+    computed."""
+    t = TIERS[tier]
+    base = load_baseline(tier, baseline_path)
+    band, floor, scenarios = base["band"], base[t.floor_key], base["scenarios"]
+    fresh = load_medians(tier, report_path)
 
+    names = sorted(set(scenarios) | set(fresh))
     failures = 0
-    for name in sorted(set(scenarios) | set(fresh)):
+    for name in names:
         if name not in fresh:
             print(f"FAIL {name}: scenario in baseline but absent from the report (MISSING)")
             failures += 1
@@ -195,7 +227,7 @@ def run_wallclock(baseline_path, report_path, band_override=None):
         median, broken_reps = fresh[name]
         if name not in scenarios:
             print(
-                f"FAIL {name}: scenario not in the wall-clock baseline (UNTRACKED —"
+                f"FAIL {name}: scenario not in the {t.noun} baseline (UNTRACKED —"
                 " refresh to admit it)"
             )
             failures += 1
@@ -204,190 +236,79 @@ def run_wallclock(baseline_path, report_path, band_override=None):
             print(f"FAIL {name}: {broken_reps} repetition(s) failed (BROKEN)")
             failures += 1
             continue
-        entry = scenarios[name]
-        base_ms = entry["median_ms"]
-        band = band_override if band_override is not None else entry.get("band", default_band)
-        floor = entry.get("floor_ms", default_floor)
-        limit = base_ms * (1.0 + band) + floor
-        fast_mark = base_ms * (1.0 - band) - floor
         if median is None:
-            print(f"FAIL {name}: report carries no wall-clock median (BROKEN)")
+            print(f"FAIL {name}: report carries no {t.noun} median (BROKEN)")
             failures += 1
-        elif median > limit:
+            continue
+        baseline = scenarios[name][t.base_key]
+        limit = baseline * (1.0 + band) + floor
+        under_mark = baseline * (1.0 - band) - floor
+        if median > limit:
             print(
-                f"FAIL {name}: median {median:.1f}ms above envelope {limit:.1f}ms"
-                f" (baseline {base_ms:.1f}ms, band {band:.0%}, floor {floor:.0f}ms) (SLOW)"
+                f"FAIL {name}: {t.noun} median {t.fmt(median)} above envelope {t.fmt(limit)}"
+                f" (baseline {t.fmt(baseline)}, band {band:.0%}, floor {t.fmt(floor)})"
+                f" ({t.over})"
             )
             failures += 1
-        elif median < fast_mark:
+        elif median < under_mark:
             print(
-                f"ok   {name}: median {median:.1f}ms well below baseline {base_ms:.1f}ms"
-                " (FAST — consider refreshing to bank the improvement)"
+                f"ok   {name}: {t.noun} median {t.fmt(median)} well below baseline"
+                f" {t.fmt(baseline)} ({t.under} — consider refreshing to bank the improvement)"
             )
         else:
             print(
-                f"ok   {name}: median {median:.1f}ms within envelope"
-                f" [{max(fast_mark, 0.0):.1f}, {limit:.1f}]ms"
+                f"ok   {name}: {t.noun} median {t.fmt(median)} within envelope"
+                f" [{t.fmt(max(under_mark, 0.0))}, {t.fmt(limit)}]"
             )
 
-    total = len(set(scenarios) | set(fresh))
     if failures:
         print(
-            f"\nperfgate: {failures}/{total} scenario(s) out of band. If the change is"
-            " intentional, refresh with scripts/refresh_baselines.sh and commit the diff."
+            f"\nperfgate: {failures}/{len(names)} scenario(s) out of the {t.noun} envelope."
+            " If the change is intentional, refresh with scripts/refresh_baselines.sh and"
+            " commit the diff."
         )
     else:
-        print(f"\nperfgate: all {total} scenario(s) within the wall-clock envelope.")
+        print(f"\nperfgate: all {len(names)} scenario(s) within the {t.noun} envelope.")
     return 1 if failures else 0
 
 
-def rss_medians(report):
-    """scenario name -> (median peak RSS bytes, failed rep count) from a
-    hermes-matrix-report/1 document."""
-    if report.get("schema") != "hermes-matrix-report/1":
-        raise ValueError(f"not a hermes-matrix-report/1 document: {report.get('schema')!r}")
-    if report.get("kind") == "canonical":
-        raise ValueError("rss tier needs the full report (canonical omits 'measured')")
-    out = {}
-    for sc in report.get("scenarios", []):
-        measured = sc.get("measured") or {}
-        rss = measured.get("max_rss_bytes") or {}
-        runs = sc.get("runs", 0)
-        clean = sc.get("clean_reps", 0)
-        out[sc["name"]] = (rss.get("p50"), runs - clean)
-    return out
-
-
-def fmt_mib(v):
-    return f"{v / (1 << 20):.1f}MiB"
-
-
-def run_rss(baseline_path, report_path, band_override=None):
-    base = load_json(baseline_path)
-    if base.get("schema") != "hermes-rss-baseline/1":
-        print(
-            f"perfgate: {baseline_path}: not a hermes-rss-baseline/1 document",
-            file=sys.stderr,
-        )
-        return 2
-    default_band = band_override if band_override is not None else base.get("band", 0.35)
-    default_floor = base.get("floor_bytes", 16 << 20)
-    scenarios = base.get("scenarios", {})
-    try:
-        fresh = rss_medians(load_json(report_path))
-    except ValueError as e:
-        print(f"perfgate: {report_path}: {e}", file=sys.stderr)
-        return 2
-
-    failures = 0
-    for name in sorted(set(scenarios) | set(fresh)):
-        if name not in fresh:
-            print(f"FAIL {name}: scenario in baseline but absent from the report (MISSING)")
-            failures += 1
-            continue
-        median, broken_reps = fresh[name]
-        if name not in scenarios:
-            print(
-                f"FAIL {name}: scenario not in the peak-RSS baseline (UNTRACKED —"
-                " refresh to admit it)"
-            )
-            failures += 1
-            continue
-        if broken_reps:
-            print(f"FAIL {name}: {broken_reps} repetition(s) failed (BROKEN)")
-            failures += 1
-            continue
-        entry = scenarios[name]
-        base_bytes = entry["median_bytes"]
-        band = band_override if band_override is not None else entry.get("band", default_band)
-        floor = entry.get("floor_bytes", default_floor)
-        limit = base_bytes * (1.0 + band) + floor
-        lean_mark = base_bytes * (1.0 - band) - floor
-        if median is None:
-            print(f"FAIL {name}: report carries no peak-RSS median (BROKEN)")
-            failures += 1
-        elif median > limit:
-            print(
-                f"FAIL {name}: peak RSS {fmt_mib(median)} above envelope {fmt_mib(limit)}"
-                f" (baseline {fmt_mib(base_bytes)}, band {band:.0%},"
-                f" floor {fmt_mib(floor)}) (HEAVY)"
-            )
-            failures += 1
-        elif median < lean_mark:
-            print(
-                f"ok   {name}: peak RSS {fmt_mib(median)} well below baseline"
-                f" {fmt_mib(base_bytes)} (LEAN — consider refreshing to bank the"
-                " improvement)"
-            )
-        else:
-            print(
-                f"ok   {name}: peak RSS {fmt_mib(median)} within envelope"
-                f" [{fmt_mib(max(lean_mark, 0.0))}, {fmt_mib(limit)}]"
-            )
-
-    total = len(set(scenarios) | set(fresh))
-    if failures:
-        print(
-            f"\nperfgate: {failures}/{total} scenario(s) out of the RSS envelope. If the"
-            " change is intentional, refresh with scripts/refresh_baselines.sh and commit"
-            " the diff."
-        )
-    else:
-        print(f"\nperfgate: all {total} scenario(s) within the peak-RSS envelope.")
-    return 1 if failures else 0
-
-
-def parse_band_args(rest):
-    """Splits a (--band FRAC | --band=FRAC) flag off the positional args.
-    Returns (positional, band) or None after printing the error."""
-    band = None
-    positional = []
-    i = 0
-    while i < len(rest):
-        if rest[i] == "--band":
-            if i + 1 >= len(rest):
-                print("perfgate: --band needs a value", file=sys.stderr)
-                return None
-            try:
-                band = float(rest[i + 1])
-            except ValueError:
-                print(f"perfgate: bad --band {rest[i + 1]!r}", file=sys.stderr)
-                return None
-            i += 2
-        elif rest[i].startswith("--band="):
-            try:
-                band = float(rest[i].split("=", 1)[1])
-            except ValueError:
-                print(f"perfgate: bad {rest[i]!r}", file=sys.stderr)
-                return None
-            i += 1
-        else:
-            positional.append(rest[i])
-            i += 1
-    return positional, band
+def refresh(baseline_dir, report_path):
+    """Rewrites every banded tier's baseline from one fresh report."""
+    for tier, t in TIERS.items():
+        path = os.path.join(baseline_dir, f"{tier}.json")
+        old = load_baseline(tier, path)
+        scenarios = {}
+        for name, (median, broken_reps) in load_medians(tier, report_path).items():
+            if broken_reps or median is None:
+                raise BadInput(f"{report_path}: {name}: no clean {t.noun} median to record")
+            scenarios[name] = {t.base_key: t.store(median)}
+        doc = {
+            "schema": t.schema,
+            "band": old["band"],
+            t.floor_key: old[t.floor_key],
+            "scenarios": scenarios,
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        print(f"{tier} tracked:", ", ".join(sorted(scenarios)))
+    return 0
 
 
 def main(argv):
     args = argv[1:]
-    if len(args) == 2 and args[0] not in ("counters", "wallclock", "rss"):
-        # Legacy two-positional form.
-        return run_counters(args[0], args[1])
-    if not args:
-        print(__doc__.strip(), file=sys.stderr)
+    try:
+        if len(args) == 3:
+            mode, a, b = args
+            if mode == "counters":
+                return run_counters(a, b)
+            if mode in TIERS:
+                return run_band(mode, a, b)
+            if mode == "refresh":
+                return refresh(a, b)
+    except BadInput as e:
+        print(f"perfgate: {e}", file=sys.stderr)
         return 2
-    mode, rest = args[0], args[1:]
-    if mode == "counters" and len(rest) == 2:
-        return run_counters(rest[0], rest[1])
-    if mode in ("wallclock", "rss"):
-        parsed = parse_band_args(rest)
-        if parsed is None:
-            return 2
-        positional, band = parsed
-        if len(positional) != 2:
-            print(__doc__.strip(), file=sys.stderr)
-            return 2
-        run = run_wallclock if mode == "wallclock" else run_rss
-        return run(positional[0], positional[1], band)
     print(__doc__.strip(), file=sys.stderr)
     return 2
 

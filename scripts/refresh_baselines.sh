@@ -35,75 +35,23 @@ PY
 done
 
 # Tiers 2 + 3: the wall-clock and peak-RSS envelopes. Re-measure the
-# gated scenarios (the four CI smokes plus the promoted chaos-suite and
-# baseline = exp_fig9; N from scenarios/matrix.toml) on the machine class CI runs on, and
-# rewrite bench_baselines/wallclock.json and bench_baselines/rss.json
-# keeping the committed band/floor knobs.
+# gated scenarios -- the keys of bench_baselines/wallclock.json, the one
+# place the list is written down (N from scenarios/matrix.toml) -- on the
+# machine class CI runs on, and rewrite bench_baselines/wallclock.json and
+# bench_baselines/rss.json keeping the committed band/floor knobs. To gate
+# a new scenario, add its key to wallclock.json by hand first.
 echo "== hermes-harness gated scenarios -> bench_baselines/{wallclock,rss}.json =="
 cargo build --release --offline -q -p hermes-harness --bin hermes-harness
-cargo build --release --offline -q -p hermes-bench \
-    --bin exp_tcam_micro --bin exp_fig12 --bin exp_crash --bin exp_fleet \
-    --bin exp_fig9
+cargo build --release --offline -q -p hermes-bench --bins
 wall_dir="$(mktemp -d)"
 ./target/release/hermes-harness \
     --matrix scenarios/matrix.toml \
     --bin-dir target/release \
     --out "$wall_dir" \
-    --scenarios smoke-tcam,smoke-chaos,smoke-crash,smoke-fleet,chaos-suite,baseline >/dev/null
-python3 - "$wall_dir/matrix_report.json" bench_baselines/wallclock.json <<'PY'
-import json, sys
-report = json.load(open(sys.argv[1]))
-path = sys.argv[2]
-try:
-    old = json.load(open(path))
-except FileNotFoundError:
-    old = {}
-doc = {
-    "schema": "hermes-wallclock-baseline/1",
-    "band": old.get("band", 0.5),
-    "floor_ms": old.get("floor_ms", 25.0),
-    "scenarios": {
-        sc["name"]: {"median_ms": round(sc["measured"]["wall_ms"]["p50"], 1)}
-        for sc in report["scenarios"]
-    },
-}
-# Per-scenario band/floor overrides survive the refresh.
-for name, entry in old.get("scenarios", {}).items():
-    for knob in ("band", "floor_ms"):
-        if name in doc["scenarios"] and knob in entry:
-            doc["scenarios"][name][knob] = entry[knob]
-with open(path, "w") as fh:
-    json.dump(doc, fh, indent=1)
-    fh.write("\n")
-print("wallclock tracked:", ", ".join(sorted(doc["scenarios"])))
-PY
-python3 - "$wall_dir/matrix_report.json" bench_baselines/rss.json <<'PY'
-import json, sys
-report = json.load(open(sys.argv[1]))
-path = sys.argv[2]
-try:
-    old = json.load(open(path))
-except FileNotFoundError:
-    old = {}
-doc = {
-    "schema": "hermes-rss-baseline/1",
-    "band": old.get("band", 0.35),
-    "floor_bytes": old.get("floor_bytes", 16 << 20),
-    "scenarios": {
-        sc["name"]: {"median_bytes": int(sc["measured"]["max_rss_bytes"]["p50"])}
-        for sc in report["scenarios"]
-    },
-}
-# Per-scenario band/floor overrides survive the refresh.
-for name, entry in old.get("scenarios", {}).items():
-    for knob in ("band", "floor_bytes"):
-        if name in doc["scenarios"] and knob in entry:
-            doc["scenarios"][name][knob] = entry[knob]
-with open(path, "w") as fh:
-    json.dump(doc, fh, indent=1)
-    fh.write("\n")
-print("rss tracked:", ", ".join(sorted(doc["scenarios"])))
-PY
+    --scenarios "$(python3 -c 'import json, sys
+print(",".join(json.load(open(sys.argv[1]))["scenarios"]))' bench_baselines/wallclock.json)" \
+    >/dev/null
+python3 scripts/perfgate.py refresh bench_baselines "$wall_dir/matrix_report.json"
 rm -rf "$wall_dir"
 
 # The lint debt ratchet: record the current per-rule finding counts as

@@ -45,7 +45,7 @@ fn committed_matrix_has_the_contracted_scenarios() {
         assert!(sc.runs >= 5, "{name}: full-tier scenarios need ≥5 reps, got {}", sc.runs);
     }
     // The CI smoke tier stays cheap.
-    for name in ["smoke-tcam", "smoke-chaos"] {
+    for name in ["smoke-chaos", "smoke-crash", "smoke-fleet"] {
         let sc = matrix.get(name).expect("smoke scenario present");
         assert!(sc.runs >= 3, "{name}: smoke needs ≥3 reps for a median");
     }
