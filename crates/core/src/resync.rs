@@ -171,9 +171,27 @@ impl IntentStore {
         map
     }
 
-    /// Number of rules in the intended set.
+    /// Number of rules in the intended set, counted without materializing
+    /// it: the checkpoint's size, corrected for each id whose last journaled
+    /// install or remove changes its membership.
     pub fn len(&self) -> usize {
-        self.snapshot().len()
+        let mut last: BTreeMap<RuleId, bool> = BTreeMap::new();
+        for op in &self.journal {
+            match op {
+                IntentOp::Install(rule) => last.insert(rule.id, true),
+                IntentOp::Remove(id) => last.insert(*id, false),
+                IntentOp::Modify { .. } => None,
+            };
+        }
+        let mut len = self.checkpoint.len();
+        for (id, present) in last {
+            match (present, self.checkpoint.contains_key(&id)) {
+                (true, false) => len += 1,
+                (false, true) => len -= 1,
+                _ => {}
+            }
+        }
+        len
     }
 
     /// No rules intended?
@@ -229,38 +247,39 @@ impl SlicePlan {
     }
 }
 
-/// Diffs the expected physical entries of one slice against what the
-/// device actually holds after a crash, producing the minimal repair set.
-/// Pure and deterministic: outputs are sorted by rule id.
-pub fn plan_slice(expected: &BTreeMap<RuleId, Rule>, actual: &[Rule]) -> SlicePlan {
+/// Diffs the expected physical entries of one slice (ascending, unique
+/// ids) against what the device actually holds after a crash (any order),
+/// producing the minimal repair set in one merge-join of the two sides by
+/// id. Pure and deterministic: all three lists come out in id order.
+pub fn plan_slice(expected: &[Rule], actual: &[Rule]) -> SlicePlan {
+    debug_assert!(expected.windows(2).all(|w| w[0].id < w[1].id));
+    let mut actual: Vec<&Rule> = actual.iter().collect();
+    actual.sort_unstable_by_key(|r| r.id);
+    let mut device = actual.into_iter().peekable();
     let mut plan = SlicePlan::default();
-    let mut healthy: std::collections::BTreeSet<RuleId> = std::collections::BTreeSet::new();
-    for dev_rule in actual {
-        match expected.get(&dev_rule.id) {
-            None => plan.deletes.push(dev_rule.id),
-            Some(want) if want.priority != dev_rule.priority || want.key != dev_rule.key => {
-                // Wrong shape: clear it; the replacement installs below.
+    for want in expected {
+        let mut healthy = false;
+        while let Some(dev_rule) = device.next_if(|r| r.id <= want.id) {
+            if dev_rule.id < want.id
+                || want.priority != dev_rule.priority
+                || want.key != dev_rule.key
+            {
+                // No owner, or the wrong shape: clear it (a replacement
+                // installs below).
                 plan.deletes.push(dev_rule.id);
+                continue;
             }
-            Some(want) if want.action != dev_rule.action => {
+            if want.action != dev_rule.action {
                 plan.fixes.push((dev_rule.id, want.action));
-                healthy.insert(dev_rule.id);
-                plan.survivors += 1;
             }
-            Some(_) => {
-                healthy.insert(dev_rule.id);
-                plan.survivors += 1;
-            }
+            healthy = true;
+            plan.survivors += 1;
+        }
+        if !healthy {
+            plan.installs.push(*want);
         }
     }
-    plan.installs = expected
-        .values()
-        .filter(|r| !healthy.contains(&r.id))
-        .copied()
-        .collect();
-    plan.deletes.sort_unstable_by_key(|id| id.0);
-    plan.fixes.sort_unstable_by_key(|(id, _)| id.0);
-    plan.installs.sort_unstable_by_key(|r| r.id.0);
+    plan.deletes.extend(device.map(|r| r.id));
     plan
 }
 
@@ -358,8 +377,27 @@ mod tests {
     #[test]
     fn intent_store_compacts_at_interval() {
         let mut store = IntentStore::new(4);
-        for i in 0..10 {
-            store.record(IntentOp::Install(rule(i, 3)));
+        // Across two compaction boundaries: re-installs, modifies, removes
+        // of present and absent ids, and one id removed and re-installed
+        // inside a single journal.
+        let mut ops: Vec<IntentOp> = (0..10).map(|i| IntentOp::Install(rule(i, 3))).collect();
+        ops.extend([
+            IntentOp::Remove(RuleId(2)),
+            IntentOp::Install(rule(2, 4)),
+            IntentOp::Remove(RuleId(11)),
+            IntentOp::Modify {
+                id: RuleId(5),
+                action: Action::Drop,
+            },
+            IntentOp::Install(rule(11, 3)),
+            IntentOp::Remove(RuleId(3)),
+            IntentOp::Install(rule(3, 3)),
+            IntentOp::Remove(RuleId(3)),
+            IntentOp::Install(rule(1, 9)),
+        ]);
+        for op in ops {
+            store.record(op);
+            assert_eq!(store.len(), store.snapshot().len(), "after {op:?}");
         }
         assert!(store.checkpoints() >= 2);
         assert!(store.journal_depth() < 4);
@@ -372,8 +410,7 @@ mod tests {
 
     #[test]
     fn plan_slice_wiped_table_reinstalls_everything() {
-        let expected: BTreeMap<RuleId, Rule> =
-            (1..=5).map(|i| (RuleId(i), rule(i, i as u32))).collect();
+        let expected: Vec<Rule> = (1..=5).map(|i| rule(i, i as u32)).collect();
         let plan = plan_slice(&expected, &[]);
         assert!(plan.deletes.is_empty());
         assert_eq!(plan.installs.len(), 5);
@@ -385,8 +422,7 @@ mod tests {
 
     #[test]
     fn plan_slice_partial_survivors_diff_only() {
-        let expected: BTreeMap<RuleId, Rule> =
-            (1..=4).map(|i| (RuleId(i), rule(i, i as u32))).collect();
+        let expected: Vec<Rule> = (1..=4).map(|i| rule(i, i as u32)).collect();
         // 1 survives intact, 2 drifted action, 3 lost, plus an orphan 9.
         let mut drifted = rule(2, 2);
         drifted.action = Action::Drop;
@@ -404,7 +440,7 @@ mod tests {
 
     #[test]
     fn plan_slice_shape_drift_becomes_delete_plus_install() {
-        let expected: BTreeMap<RuleId, Rule> = [(RuleId(1), rule(1, 5))].into_iter().collect();
+        let expected = [rule(1, 5)];
         let wrong_prio = Rule {
             priority: Priority(9),
             ..rule(1, 5)

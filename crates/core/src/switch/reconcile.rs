@@ -7,7 +7,6 @@ use crate::recovery::AuditReport;
 use crate::resync::{plan_slice, ResyncMode, ResyncReport};
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, TcamError, TcamOp};
-use std::collections::BTreeMap;
 
 impl HermesSwitch {
     /// Reconciliation audit (recovery layer 3): one sweep that makes the
@@ -93,7 +92,7 @@ impl HermesSwitch {
             if plan.deletes.binary_search_by_key(&id.0, |d| d.0).is_ok() {
                 // No logical owner (a stranded piece or stale entry), or
                 // the wrong shape under a reused logical id.
-                let orphan = !expected.contains_key(&id);
+                let orphan = expected.binary_search_by_key(&id, |r| r.id).is_err();
                 match self.dev_delete(slice, id) {
                     Some(spent) if orphan => {
                         report.duration += spent;
@@ -159,27 +158,20 @@ impl HermesSwitch {
         }
     }
 
-    /// The expected physical entries of one slice: the union of every
-    /// shadow rule's pieces (carrying the owner's priority and action), or
-    /// the main index.
-    fn expected_slice(&self, slice: usize) -> BTreeMap<RuleId, Rule> {
+    /// The expected physical entries of one slice in ascending id order:
+    /// the union of every shadow rule's pieces (carrying the owner's
+    /// priority and action), or the main index.
+    fn expected_slice(&self, slice: usize) -> Vec<Rule> {
         if slice == SHADOW {
-            let mut expected = BTreeMap::new();
-            for e in self.shadow.values() {
-                for (pid, key) in &e.pieces {
-                    expected.insert(
-                        *pid,
-                        Rule {
-                            id: *pid,
-                            key: *key,
-                            ..e.original
-                        },
-                    );
-                }
-            }
+            let mut expected: Vec<Rule> = (self.shadow.values())
+                .flat_map(|e| {
+                    (e.pieces.iter()).map(|&(id, key)| Rule { id, key, ..e.original })
+                })
+                .collect();
+            expected.sort_unstable_by_key(|r| r.id);
             expected
         } else {
-            self.main_index.iter().map(|r| (r.id, r)).collect()
+            self.main_index.iter().collect()
         }
     }
 

@@ -1,11 +1,17 @@
 //! Directed crash/resync scenarios: wipe, partial retention, disconnect,
 //! reconnect denial, warm vs cold reboot, and the intent store's
-//! checkpoint discipline. (The randomized counterpart lives in the
-//! `oracle` chaos properties.)
+//! checkpoint discipline (the randomized counterpart lives in the
+//! `oracle` chaos properties) — plus the resync diff against the
+//! `BTreeMap` version it replaced, kept here as [`reference`].
 
 use hermes_core::prelude::*;
+use hermes_core::resync::{plan_slice, SlicePlan};
 use hermes_rules::prelude::*;
 use hermes_tcam::{CrashKind, FaultPlan, SimDuration, SimTime, SwitchModel};
+use hermes_util::check::{arb, range};
+use hermes_util::rng::rngs::StdRng;
+use hermes_util::rng::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 fn rule(id: u64, third: u32, prio: u32) -> Rule {
     let p: Ipv4Prefix = format!("10.{}.{}.0/24", id % 200, third % 250).parse().unwrap();
@@ -227,5 +233,93 @@ fn intent_store_checkpoints_bound_the_journal() {
     assert_eq!(sw.logical_len(), 40);
     for id in 20..60u64 {
         assert!(sw.contains(RuleId(id)));
+    }
+}
+
+/// `plan_slice` as it stood before the merge-join: a `BTreeMap` lookup per
+/// device entry, a `BTreeSet` of the healthy ones, then three sorts.
+mod reference {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    pub fn plan_slice(expected: &BTreeMap<RuleId, Rule>, actual: &[Rule]) -> SlicePlan {
+        let mut plan = SlicePlan::default();
+        let mut healthy: BTreeSet<RuleId> = BTreeSet::new();
+        for dev_rule in actual {
+            match expected.get(&dev_rule.id) {
+                None => plan.deletes.push(dev_rule.id),
+                Some(want) if want.priority != dev_rule.priority || want.key != dev_rule.key => {
+                    plan.deletes.push(dev_rule.id);
+                }
+                Some(want) if want.action != dev_rule.action => {
+                    plan.fixes.push((dev_rule.id, want.action));
+                    healthy.insert(dev_rule.id);
+                    plan.survivors += 1;
+                }
+                Some(_) => {
+                    healthy.insert(dev_rule.id);
+                    plan.survivors += 1;
+                }
+            }
+        }
+        plan.installs = expected
+            .values()
+            .filter(|r| !healthy.contains(&r.id))
+            .copied()
+            .collect();
+        plan.deletes.sort_unstable_by_key(|id| id.0);
+        plan.fixes.sort_unstable_by_key(|(id, _)| id.0);
+        plan.installs.sort_unstable_by_key(|r| r.id.0);
+        plan
+    }
+}
+
+const DIFF_STREAM_SALT: u64 = 0x5245_5359_4e43_4446;
+
+hermes_util::check! {
+    #![cases = 256]
+
+    /// The merge-join diff plans exactly what the `BTreeMap` version did,
+    /// ids ascending in all three lists: expected rules that survived
+    /// intact, drifted in action, priority or key, or were lost, device
+    /// orphans, either side empty, and the device side in any order.
+    fn plan_slice_matches_btreemap_reference(
+        seed in arb::<u64>(),
+        n_expected in range(0usize..60),
+        n_orphans in range(0usize..12),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ DIFF_STREAM_SALT);
+        let expected: BTreeMap<RuleId, Rule> = (0..n_expected)
+            .map(|_| {
+                let id = rng.gen_range(0..100u64);
+                (RuleId(id), rule(id, rng.gen_range(0..250u32), rng.gen_range(1..40u32)))
+            })
+            .collect();
+        let mut actual: Vec<Rule> = Vec::new();
+        for want in expected.values() {
+            let mut dev = *want;
+            match rng.gen_range(0..6u32) {
+                0 => continue, // lost in the crash
+                1 => dev.action = Action::Drop,
+                2 => dev.priority = Priority(want.priority.0 + 1),
+                3 => dev.key = rule(want.id.0, rng.gen_range(0..250u32), 1).key,
+                _ => {}
+            }
+            actual.push(dev);
+        }
+        for _ in 0..n_orphans {
+            let id = rng.gen_range(100..200u64);
+            if actual.iter().all(|r| r.id.0 != id) {
+                actual.push(rule(id, rng.gen_range(0..250u32), rng.gen_range(1..40u32)));
+            }
+        }
+        rng.shuffle(&mut actual);
+        let sorted: Vec<Rule> = expected.values().copied().collect();
+        let plan = plan_slice(&sorted, &actual);
+        assert_eq!(plan, reference::plan_slice(&expected, &actual));
+        let ascending = |ids: Vec<RuleId>| ids.windows(2).all(|w| w[0] < w[1]);
+        assert!(ascending(plan.deletes.clone()));
+        assert!(ascending(plan.fixes.iter().map(|f| f.0).collect()));
+        assert!(ascending(plan.installs.iter().map(|r| r.id).collect()));
     }
 }

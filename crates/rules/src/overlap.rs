@@ -27,8 +27,9 @@ pub struct OverlapIndex {
     trie: PrefixTrie<Rule>,
     /// Rules whose destination mask is non-contiguous.
     fallback: Vec<Rule>,
-    /// Locator for removal: id → (dst prefix or None for fallback).
-    by_id: BTreeMap<RuleId, Option<Ipv4Prefix>>,
+    /// Every indexed rule by id: serves `get` and `iter` without touching
+    /// the trie, and tells `remove` where the rule is filed.
+    by_id: BTreeMap<RuleId, Rule>,
 }
 
 impl OverlapIndex {
@@ -54,43 +55,30 @@ impl OverlapIndex {
             self.remove(rule.id);
         }
         match FlowMatch::dst_prefix_of_key(&rule.key) {
-            Some(pre) => {
-                self.trie.insert(pre, rule);
-                self.by_id.insert(rule.id, Some(pre));
-            }
-            None => {
-                self.fallback.push(rule);
-                self.by_id.insert(rule.id, None);
-            }
+            Some(pre) => self.trie.insert(pre, rule),
+            None => self.fallback.push(rule),
         }
+        self.by_id.insert(rule.id, rule);
     }
 
     /// Removes a rule by id. Returns the removed rule if present.
     pub fn remove(&mut self, id: RuleId) -> Option<Rule> {
-        match self.by_id.remove(&id)? {
+        let rule = self.by_id.remove(&id)?;
+        match FlowMatch::dst_prefix_of_key(&rule.key) {
             Some(pre) => {
-                let rule = *self.trie.items_at(pre).iter().find(|r| r.id == id)?;
                 self.trie.remove(pre, &rule);
-                Some(rule)
             }
             None => {
                 let pos = self.fallback.iter().position(|r| r.id == id)?;
-                Some(self.fallback.swap_remove(pos))
+                self.fallback.swap_remove(pos);
             }
         }
+        Some(rule)
     }
 
     /// Looks up a rule by id.
     pub fn get(&self, id: RuleId) -> Option<Rule> {
-        match self.by_id.get(&id)? {
-            Some(pre) => self
-                .trie
-                .items_at(*pre)
-                .iter()
-                .find(|r| r.id == id)
-                .copied(),
-            None => self.fallback.iter().find(|r| r.id == id).copied(),
-        }
+        self.by_id.get(&id).copied()
     }
 
     /// `true` when the id is indexed.
@@ -150,13 +138,9 @@ impl OverlapIndex {
         }
     }
 
-    /// Iterates over all indexed rules (order unspecified).
+    /// Iterates over all indexed rules in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = Rule> + '_ {
-        let mut all = Vec::with_capacity(self.len());
-        self.trie
-            .for_each_descendant(Ipv4Prefix::DEFAULT, |r| all.push(*r));
-        all.extend(self.fallback.iter().copied());
-        all.into_iter()
+        self.by_id.values().copied()
     }
 }
 

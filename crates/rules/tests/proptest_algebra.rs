@@ -5,7 +5,7 @@
 use hermes_rules::merge::{minimize_keys, optimize_ruleset};
 use hermes_rules::overlap::OverlapIndex;
 use hermes_rules::prelude::*;
-use hermes_util::check::{arb, range, vec_of, zip2, Gen};
+use hermes_util::check::{arb, range, vec_of, zip2, zip3, Gen};
 
 /// Generator: an arbitrary ternary key over a narrow (16-bit) window so
 /// exhaustive packet checks stay cheap.
@@ -122,17 +122,31 @@ hermes_util::check! {
         }
     }
 
-    /// The overlap index returns exactly what a naive scan returns.
+    /// The overlap index returns exactly what a naive scan returns, after
+    /// random inserts (re-inserts of an id included) and removals; `iter`
+    /// walks it in ascending id order and `get` agrees with every rule.
     fn overlap_index_matches_naive(
-        prefixes in vec_of(zip2(prefix(), range(1u32..100)), 1..40),
+        prefixes in vec_of(zip3(range(0u64..40), prefix(), range(1u32..100)), 1..40),
+        removes in vec_of(range(0u64..40), 0..20),
         query in prefix(),
     ) {
         let mut idx = OverlapIndex::new();
-        let mut all = Vec::new();
-        for (i, (p, prio)) in prefixes.iter().enumerate() {
-            let r = Rule::new(i as u64, p.to_key(), Priority(*prio), Action::Drop);
+        let mut all: Vec<Rule> = Vec::new();
+        for (id, p, prio) in &prefixes {
+            let r = Rule::new(*id, p.to_key(), Priority(*prio), Action::Drop);
             idx.insert(r);
+            all.retain(|q| q.id != r.id);
             all.push(r);
+        }
+        for id in removes {
+            let want = all.iter().position(|r| r.id.0 == id).map(|i| all.remove(i));
+            assert_eq!(idx.remove(RuleId(id)), want);
+        }
+        all.sort_unstable_by_key(|r| r.id);
+        assert_eq!(idx.iter().collect::<Vec<_>>(), all, "iter walks ascending ids");
+        assert_eq!(idx.len(), all.len());
+        for id in (0..40).map(RuleId) {
+            assert_eq!(idx.get(id), all.iter().find(|r| r.id == id).copied());
         }
         let qkey = query.to_key();
         let mut got: Vec<u64> = idx.overlapping(&qkey).iter().map(|r| r.id.0).collect();

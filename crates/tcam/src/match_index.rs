@@ -90,11 +90,11 @@ pub(crate) struct MatchIndex {
 }
 
 impl MatchIndex {
-    /// `true` when one more [`insert`](Self::insert) could push live slots
-    /// plus tombstones past [`MAX_LOAD`] of the array; the owner then calls
-    /// [`rebuild`](Self::rebuild) instead.
-    pub(crate) fn is_full(&self) -> bool {
-        self.overloaded(self.live + self.tombs + 1)
+    /// `true` when `n` more [`insert`](Self::insert)s keep live slots plus
+    /// tombstones within [`MAX_LOAD`] of the array; otherwise the owner
+    /// calls [`rebuild`](Self::rebuild) instead.
+    pub(crate) fn has_room(&self, n: usize) -> bool {
+        !self.overloaded(self.live + self.tombs + n)
     }
 
     fn overloaded(&self, used: usize) -> bool {
@@ -108,9 +108,9 @@ impl MatchIndex {
     }
 
     /// Adds `ek` under `key`. Equal keys take separate slots. Requires
-    /// `!is_full()`, which also guarantees the probe meets a free slot.
+    /// `has_room(1)`, which also guarantees the probe meets a free slot.
     pub(crate) fn insert(&mut self, key: TernaryKey, ek: EntryKey) {
-        debug_assert!(!self.is_full());
+        debug_assert!(self.has_room(1));
         let seed = match self.tuples.iter_mut().find(|t| t.mask == key.mask()) {
             Some(t) => {
                 t.live += 1;

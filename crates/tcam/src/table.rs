@@ -34,9 +34,9 @@
 //! tuple-space match index (`match_index.rs`, DESIGN.md §15) that serves
 //! every lookup — one probe per distinct mask in the table instead of a
 //! walk over every entry. The match index is maintained at `raw_insert`,
-//! `raw_remove` and `reset`, and nowhere else: a stored entry's match never
-//! changes in place (Hermes modifies actions, and priorities via
-//! delete+insert, §4.1).
+//! `raw_remove`, `reset` and the batch's delete and insert passes, and
+//! nowhere else: a stored entry's match never changes in place (Hermes
+//! modifies actions, and priorities via delete+insert, §4.1).
 //!
 //! ## Gap-aware placement (configurable slack)
 //!
@@ -54,6 +54,9 @@
 //! atomically, plans the final layout once, and charges one *coalesced*
 //! shift plan: an entry disturbed by several ops in the batch moves (and is
 //! billed) once, which is where batched control channels get their speedup.
+//! The host work follows the same shape: the batch lands in one pass per
+//! touched block (a compaction for its deletes, a merge for its inserts)
+//! instead of one `Vec::insert` per op (DESIGN.md §10).
 
 use crate::match_index::MatchIndex;
 use hermes_rules::prelude::*;
@@ -248,6 +251,71 @@ impl<P> Block<P> {
     }
 }
 
+impl<P: Copy> Block<P> {
+    /// Merges `fresh` (ascending, no key already stored) into the block in
+    /// place: one backward pass in which every run of old entries moves
+    /// once, straight to its final slot.
+    fn merge(&mut self, fresh: &[(EntryKey, P)]) {
+        let mut end = self.len();
+        self.keys.extend(fresh.iter().map(|&(key, _)| key));
+        self.rules.extend(fresh.iter().map(|&(_, payload)| payload));
+        for (j, &(key, payload)) in fresh.iter().enumerate().rev() {
+            // Old entries in `start..end` sort between this fresh entry and
+            // the next: the `j + 1` fresh entries up to here push them up.
+            let start = self.keys[..end].partition_point(|k| *k < key);
+            self.keys.copy_within(start..end, start + j + 1);
+            self.rules.copy_within(start..end, start + j + 1);
+            self.keys[start + j] = key;
+            self.rules[start + j] = payload;
+            end = start;
+        }
+    }
+
+    /// Removes the entries keyed by `doomed` (ascending, all stored here)
+    /// in one compaction pass, handing each to `removed` on its way out.
+    fn compact(&mut self, doomed: &[EntryKey], mut removed: impl FnMut(EntryKey, P)) {
+        let Some(first) = doomed.first() else {
+            return;
+        };
+        let start = self.keys.partition_point(|k| k < first);
+        let (mut kept, mut next) = (start, 0);
+        for i in start..self.len() {
+            let (key, payload) = (self.keys[i], self.rules[i]);
+            if doomed.get(next) == Some(&key) {
+                removed(key, payload);
+                next += 1;
+            } else {
+                self.keys[kept] = key;
+                self.rules[kept] = payload;
+                kept += 1;
+            }
+        }
+        self.keys.truncate(kept);
+        self.rules.truncate(kept);
+    }
+
+    /// The block cut into `BLOCK_TARGET`-entry chunks, the last one also
+    /// taking the remainder (so each holds `BLOCK_TARGET..BLOCK_MAX`), every
+    /// one allocated at exactly its length, with the gaps shared out evenly,
+    /// front chunks first. On a block one past `BLOCK_MAX` this is the
+    /// classic halving split.
+    fn chunks(&self) -> Vec<Block<P>> {
+        let (len, gaps) = (self.len(), self.gaps);
+        let n = (len / BLOCK_TARGET).max(1);
+        (0..n)
+            .map(|i| {
+                let lo = i * BLOCK_TARGET;
+                let hi = if i + 1 == n { len } else { lo + BLOCK_TARGET };
+                Block {
+                    keys: self.keys[lo..hi].to_vec(),
+                    rules: self.rules[lo..hi].to_vec(),
+                    gaps: ((i + 1) * gaps).div_ceil(n) - (i * gaps).div_ceil(n),
+                }
+            })
+            .collect()
+    }
+}
+
 /// The physical side of a table: which sort key sits in which block, where
 /// the reserved gaps are, and what an insertion at a given point shifts.
 /// Everything the shift accounting needs and nothing a lookup needs, so
@@ -263,7 +331,7 @@ struct Layout<P> {
     slack: usize,
 }
 
-impl<P> Layout<P> {
+impl<P: Copy> Layout<P> {
     /// The same keys and gaps with the payloads dropped.
     fn shape(&self) -> Layout<()> {
         Layout {
@@ -299,17 +367,20 @@ impl<P> Layout<P> {
         Some((bi, wi))
     }
 
+    /// The block a new entry with `key` lands in: the first whose last key
+    /// sorts after it, else (past the end) the final block.
+    fn target_block(&self, key: EntryKey) -> usize {
+        let bi = self.blocks.partition_point(|b| b.last_key() < key);
+        bi.min(self.blocks.len().saturating_sub(1))
+    }
+
     /// Where a new entry with `key` would land: `(block, offset, global)`.
     /// For an empty table returns `(0, 0, 0)`.
     fn insertion_point(&self, key: EntryKey) -> (usize, usize, usize) {
         if self.blocks.is_empty() {
             return (0, 0, 0);
         }
-        let mut bi = self.blocks.partition_point(|b| b.last_key() < key);
-        if bi == self.blocks.len() {
-            // Past the end: append to the final block.
-            bi -= 1;
-        }
+        let bi = self.target_block(key);
         let wi = self.blocks[bi].keys.partition_point(|k| *k < key);
         let before: usize = self.blocks[..bi].iter().map(Block::len).sum();
         (bi, wi, before + wi)
@@ -333,14 +404,11 @@ impl<P> Layout<P> {
         }
     }
 
-    /// Splits an oversized block in half, dividing its reserved gaps.
+    /// Replaces an oversized block with its [`Block::chunks`], dividing its
+    /// reserved gaps among them.
     fn split_block(&mut self, bi: usize) {
-        let half = self.blocks[bi].len() / 2;
-        let keys = self.blocks[bi].keys.split_off(half);
-        let rules = self.blocks[bi].rules.split_off(half);
-        let gaps = self.blocks[bi].gaps / 2;
-        self.blocks[bi].gaps -= gaps;
-        self.blocks.insert(bi + 1, Block { keys, rules, gaps });
+        let chunks = self.blocks[bi].chunks();
+        self.blocks.splice(bi..=bi, chunks);
     }
 
     /// Physical removal with no shift accounting. In slack mode the freed
@@ -353,16 +421,18 @@ impl<P> Layout<P> {
             self.blocks[bi].gaps += 1;
         }
         if self.blocks[bi].keys.is_empty() {
-            // Fold the emptied block's gaps into a neighbour so the slots
-            // stay reserved (dropped only when the table empties).
-            let gaps = self.blocks[bi].gaps;
-            self.blocks.remove(bi);
-            if !self.blocks.is_empty() {
-                let neighbour = if bi > 0 { bi - 1 } else { 0 };
-                self.blocks[neighbour].gaps += gaps;
-            }
+            self.drop_block(bi);
         }
         payload
+    }
+
+    /// Drops the emptied block `bi`, folding its gaps into a neighbour so
+    /// the slots stay reserved (dropped only when the table empties).
+    fn drop_block(&mut self, bi: usize) {
+        let gaps = self.blocks.remove(bi).gaps;
+        if !self.blocks.is_empty() {
+            self.blocks[bi.saturating_sub(1)].gaps += gaps;
+        }
     }
 
     /// Unreserved free slots: capacity not held by entries or gaps. The
@@ -380,7 +450,7 @@ impl<P> Layout<P> {
         self.next_seq += 1;
         let (bi, wi, pos) = self.insertion_point(key);
         let shifts = if priority.is_none() {
-            self.take_reserved_slot(bi, wi, pos);
+            self.take_reserved_slot(bi);
             0
         } else {
             self.plan_single_insert(bi, wi, pos)
@@ -393,14 +463,96 @@ impl<P> Layout<P> {
     /// occupies a physical slot: once every free slot is reserved as slack
     /// it must consume the nearest gap, or `len + gaps` overruns the
     /// capacity and `unreserved` underflows on the next prioritized insert.
-    fn take_reserved_slot(&mut self, bi: usize, wi: usize, pos: usize) {
-        if self.unreserved() == 0 && self.gap_slots() > 0 {
-            let consume = match self.strategy {
-                PlacementStrategy::PackedHigh => self.gap_cost(bi, wi, pos, false).1,
-                _ => self.gap_cost(bi, wi, pos, true).1,
-            };
-            if let Some(g) = consume {
+    fn take_reserved_slot(&mut self, bi: usize) {
+        if self.unreserved() == 0 {
+            if let Some(g) = self.nearest_gap(bi) {
                 self.blocks[g].gaps -= 1;
+            }
+        }
+    }
+
+    /// The gap an entry landing in block `bi` takes once no unreserved slot
+    /// is left: the nearest gap-bearing block at or beyond `bi` in the
+    /// strategy's shift direction, else the nearest one the other way.
+    fn nearest_gap(&self, bi: usize) -> Option<usize> {
+        let n = self.blocks.len();
+        let has_gap = |g: &usize| self.blocks[*g].gaps > 0;
+        match self.strategy {
+            PlacementStrategy::PackedHigh => (0..(bi + 1).min(n))
+                .rev()
+                .find(has_gap)
+                .or_else(|| (bi + 1..n).find(has_gap)),
+            _ => (bi..n).find(has_gap).or_else(|| (0..bi.min(n)).rev().find(has_gap)),
+        }
+    }
+
+    /// Removes the entries keyed by `doomed` (ascending, all stored) with
+    /// one compaction per touched block, handing each to `removed`. Freed
+    /// slots stay behind as gaps in slack mode. Emptied blocks are dropped
+    /// back to front, so their gaps end in the nearest surviving block
+    /// before them, else in the first survivor — the state `raw_remove`
+    /// reaches in any order.
+    fn remove_sorted(&mut self, mut doomed: &[EntryKey], mut removed: impl FnMut(EntryKey, P)) {
+        let mut bi = 0;
+        while let Some(first) = doomed.first() {
+            bi += self.blocks[bi..].partition_point(|b| b.last_key() < *first);
+            let block = &mut self.blocks[bi];
+            let here = doomed.partition_point(|k| *k <= block.last_key());
+            block.compact(&doomed[..here], &mut removed);
+            if self.slack > 0 {
+                block.gaps += here;
+            }
+            self.len -= here;
+            doomed = &doomed[here..];
+            bi += 1;
+        }
+        for bi in (0..self.blocks.len()).rev() {
+            if self.blocks[bi].keys.is_empty() {
+                self.drop_block(bi);
+            }
+        }
+    }
+
+    /// Lands a batch's new entries, given in submission order, with one
+    /// merge per touched block. Each entry lands in the block
+    /// [`target_block`](Self::target_block) names before the batch, and
+    /// those past the unreserved space each take a gap by the single-insert
+    /// rule, in submission order. A block grown past `BLOCK_MAX` is then
+    /// re-cut into [`Block::chunks`].
+    fn insert_fresh(&mut self, fresh: &mut [(EntryKey, P)]) {
+        if fresh.is_empty() {
+            return;
+        }
+        for &(key, _) in fresh.iter().skip(self.unreserved()) {
+            if let Some(g) = self.nearest_gap(self.target_block(key)) {
+                self.blocks[g].gaps -= 1;
+            }
+        }
+        fresh.sort_unstable_by_key(|&(key, _)| key);
+        if self.blocks.is_empty() {
+            self.blocks.push(Block {
+                keys: Vec::new(),
+                rules: Vec::new(),
+                gaps: 0,
+            });
+        }
+        self.len += fresh.len();
+        // Back to front, so a split never moves a block still to be merged:
+        // block `bi` takes what sorts after the last key of block `bi - 1`.
+        let mut rest: &[(EntryKey, P)] = fresh;
+        for bi in (0..self.blocks.len()).rev() {
+            let split = match bi {
+                0 => 0,
+                _ => rest.partition_point(|(key, _)| *key < self.blocks[bi - 1].last_key()),
+            };
+            let (lower, here) = rest.split_at(split);
+            rest = lower;
+            if here.is_empty() {
+                continue;
+            }
+            self.blocks[bi].merge(here);
+            if self.blocks[bi].len() > BLOCK_MAX {
+                self.split_block(bi);
             }
         }
     }
@@ -618,10 +770,10 @@ impl TcamTable {
     fn raw_insert(&mut self, bi: usize, wi: usize, key: EntryKey, rule: Rule) {
         self.layout.raw_insert(bi, wi, key, rule);
         self.by_id.insert(rule.id, key);
-        if self.index.is_full() {
-            self.index.rebuild(self.layout.len, self.layout.indexed());
-        } else {
+        if self.index.has_room(1) {
             self.index.insert(rule.key, key);
+        } else {
+            self.index.rebuild(self.layout.len, self.layout.indexed());
         }
     }
 
@@ -807,29 +959,44 @@ impl TcamTable {
         let occupancy_before = self.layout.len;
         let plan = self.validate_batch(ops)?;
         let (shifts, naive_shifts) = self.plan_batch_shifts(ops, &plan);
-        // Mutate: in-place modifies, then deletes (freeing slots), then the
-        // surviving inserts in submission order (fresh seqs keep FIFO).
+        // Mutate, one pass per touched block: in-place modifies, then the
+        // deletes (freeing slots), then the surviving inserts merged in
+        // (fresh seqs in submission order keep FIFO). The coalesced plan
+        // already billed every move.
         for (id, action) in &plan.modified {
             let (bi, wi) = self
                 .find(*id)
                 .expect("INVARIANT: validated batch targets existing entries");
             self.layout.blocks[bi].rules[wi].action = *action;
         }
-        for key in plan.deleted.values() {
-            let (bi, wi) = self
-                .layout
-                .locate(*key)
-                .expect("INVARIANT: validated batch targets existing entries");
-            self.raw_remove(bi, wi);
+        let mut doomed: Vec<EntryKey> = plan.deleted.values().copied().collect();
+        doomed.sort_unstable();
+        let index = &mut self.index;
+        self.layout
+            .remove_sorted(&doomed, |key, rule| index.remove(rule.key, key));
+        for id in plan.deleted.keys() {
+            self.by_id.remove(id);
         }
-        for id in &plan.pending_order {
-            let rule = plan.pending[id];
-            let key = EntryKey::new(rule.priority, self.layout.next_seq);
-            self.layout.next_seq += 1;
-            let (bi, wi, pos) = self.layout.insertion_point(key);
-            // The coalesced plan already billed the move.
-            self.layout.take_reserved_slot(bi, wi, pos);
-            self.raw_insert(bi, wi, key, rule);
+        let seqs = self.layout.next_seq..;
+        let mut fresh: Vec<(EntryKey, Rule)> = (plan.pending_order.iter().zip(seqs))
+            .map(|(id, seq)| {
+                let rule = plan.pending[id];
+                (EntryKey::new(rule.priority, seq), rule)
+            })
+            .collect();
+        self.layout.next_seq += fresh.len() as u64;
+        // The match index takes the entries one by one, or is re-laid once
+        // for the final occupancy when they would overfill it.
+        let index_fits = self.index.has_room(fresh.len());
+        for &(key, rule) in &fresh {
+            self.by_id.insert(rule.id, key);
+            if index_fits {
+                self.index.insert(rule.key, key);
+            }
+        }
+        self.layout.insert_fresh(&mut fresh);
+        if !index_fits {
+            self.index.rebuild(self.layout.len, self.layout.indexed());
         }
         self.stats.inserts += plan.n_inserts;
         self.stats.deletes += plan.n_deletes;
@@ -1421,5 +1588,276 @@ mod tests {
         assert_eq!(t.len(), 32);
         assert_eq!(t.insert(rule(102, "10.0.0.0/8", 52)), Err(TcamError::Full));
         assert!(t.check_invariants());
+    }
+}
+
+/// The batch mutate phase against the per-op loop it replaced, kept here
+/// as [`reference`](batch_merge::reference), on tables big enough that one
+/// batch grows blocks past `BLOCK_MAX` (the crash-resync shape).
+#[cfg(test)]
+mod batch_merge {
+    use super::*;
+    use hermes_util::check::{arb, just, one_of, range};
+    use hermes_util::rng::rngs::StdRng;
+    use hermes_util::rng::{Rng, SeedableRng};
+    use std::ops::Range;
+
+    /// `apply_batch` as it stood before the merge: the same validation and
+    /// coalesced bill, then the deletes one `raw_remove` at a time in id
+    /// order and the surviving inserts one `Vec::insert` at a time in
+    /// submission order.
+    mod reference {
+        use super::*;
+
+        pub(super) fn apply_batch(
+            t: &mut TcamTable,
+            ops: &[TcamOp],
+        ) -> Result<BatchReport, TcamError> {
+            let occupancy_before = t.layout.len;
+            let plan = t.validate_batch(ops)?;
+            let (shifts, naive_shifts) = t.plan_batch_shifts(ops, &plan);
+            for (id, action) in &plan.modified {
+                let (bi, wi) = t.find(*id).expect("validated batch");
+                t.layout.blocks[bi].rules[wi].action = *action;
+            }
+            for key in plan.deleted.values() {
+                let (bi, wi) = t.layout.locate(*key).expect("validated batch");
+                t.raw_remove(bi, wi);
+            }
+            for id in &plan.pending_order {
+                let rule = plan.pending[id];
+                let key = EntryKey::new(rule.priority, t.layout.next_seq);
+                t.layout.next_seq += 1;
+                let (bi, wi, _) = t.layout.insertion_point(key);
+                t.layout.take_reserved_slot(bi);
+                t.raw_insert(bi, wi, key, rule);
+            }
+            t.stats.inserts += plan.n_inserts;
+            t.stats.deletes += plan.n_deletes;
+            t.stats.modifies += plan.n_modifies;
+            t.stats.total_shifts += shifts as u64;
+            Ok(BatchReport {
+                shifts,
+                naive_shifts,
+                inserts: plan.pending_order.len(),
+                deletes: plan.deleted.len(),
+                modifies: plan.modified.len(),
+                occupancy_before,
+            })
+        }
+    }
+
+    const MERGE_STREAM_SALT: u64 = 0x4d45_5247_455f_4241;
+
+    /// A rule under 10.0.0.0/12 (/8, /16 or /24, so packets hit several
+    /// entries at once) with a priority from `prios`, or one time in twenty
+    /// `Priority::NONE`.
+    fn rule(rng: &mut StdRng, id: u64, prios: Range<u32>) -> Rule {
+        let len = [8u8, 16, 24][rng.gen_range(0..3usize)];
+        let addr = 0x0a00_0000 | (rng.gen::<u32>() & 0x000f_ff00);
+        let prio = if rng.gen_bool(0.05) { 0 } else { rng.gen_range(prios) };
+        let action = Action::Forward(rng.gen_range(0..8u32));
+        Rule::new(id, Ipv4Prefix::new(addr, len).to_key(), Priority(prio), action)
+    }
+
+    /// A valid op sequence against `t`: deletes of `sweep` entries
+    /// adjacent in match order (at the head, the tail or anywhere, so whole
+    /// blocks empty), then `len` draws of inserts of new ids (never past
+    /// capacity), deletes and modifies of live ids, and
+    /// delete-then-reinsert replacements of one id.
+    fn batch(
+        rng: &mut StdRng,
+        t: &TcamTable,
+        next_id: &mut u64,
+        (sweep, len): (usize, usize),
+        prios: Range<u32>,
+    ) -> Vec<TcamOp> {
+        let mut live: Vec<u64> = t.iter().map(|r| r.id.0).collect();
+        let sweep = sweep.min(live.len());
+        let start = match rng.gen_range(0..3u32) {
+            0 => 0,
+            1 => live.len() - sweep,
+            _ => rng.gen_range(0..=live.len() - sweep),
+        };
+        let mut ops: Vec<TcamOp> = (live.drain(start..start + sweep))
+            .map(|id| TcamOp::Delete(RuleId(id)))
+            .collect();
+        let mut occupancy = t.len() - sweep;
+        for _ in 0..len {
+            match rng.gen_range(0..10u32) {
+                0..=4 if occupancy < t.capacity() => {
+                    ops.push(TcamOp::Insert(rule(rng, *next_id, prios.clone())));
+                    live.push(*next_id);
+                    *next_id += 1;
+                    occupancy += 1;
+                }
+                5..=7 if !live.is_empty() => {
+                    let id = live.swap_remove(rng.gen_range(0..live.len()));
+                    ops.push(TcamOp::Delete(RuleId(id)));
+                    occupancy -= 1;
+                }
+                8 if !live.is_empty() => {
+                    let id = live[rng.gen_range(0..live.len())];
+                    let action = Action::Forward(rng.gen_range(8..16u32));
+                    ops.push(TcamOp::ModifyAction { id: RuleId(id), action });
+                }
+                9 if !live.is_empty() => {
+                    let id = live[rng.gen_range(0..live.len())];
+                    ops.push(TcamOp::Delete(RuleId(id)));
+                    ops.push(TcamOp::Insert(rule(rng, id, prios.clone())));
+                }
+                _ => {}
+            }
+        }
+        ops
+    }
+
+    /// Everything a caller can observe of two tables agrees: entries in
+    /// match order, every id ever used, lookups on a packet sample, stats,
+    /// reserved gaps and the next sequence number; both are well formed,
+    /// and no block of `got` holds more than twice `BLOCK_MAX` of memory.
+    fn assert_same(got: &TcamTable, want: &TcamTable, ids: u64, rng: &mut StdRng) {
+        assert_eq!(got.entries(), want.entries(), "entries");
+        for id in (0..ids).map(RuleId) {
+            assert_eq!(got.get(id), want.get(id), "get({id})");
+        }
+        let entries = got.entries();
+        for i in 0..64 {
+            let packet = match entries.get(rng.gen_range(0..entries.len().max(1))) {
+                Some(r) if i % 2 == 0 => r.key.value() | (rng.gen::<u128>() & !r.key.mask()),
+                _ => {
+                    let dst = 0x0a00_0000 | (rng.gen::<u32>() & 0x00ff_ffff);
+                    (u128::from(dst) << 96) | u128::from(rng.gen::<u64>())
+                }
+            };
+            assert_eq!(got.peek(packet), want.peek(packet), "peek({packet:#x})");
+        }
+        assert_eq!(got.stats(), want.stats(), "stats");
+        assert_eq!(got.gap_slots(), want.gap_slots(), "gap slots");
+        assert_eq!(got.layout.next_seq, want.layout.next_seq, "next seq");
+        assert!(got.check_invariants() && want.check_invariants(), "invariants");
+        for b in &got.layout.blocks {
+            assert!(
+                b.keys.capacity() <= 2 * BLOCK_MAX && b.rules.capacity() <= 2 * BLOCK_MAX,
+                "a block of {} entries holds {} slots",
+                b.len(),
+                b.rules.capacity()
+            );
+        }
+    }
+
+    fn strategy() -> hermes_util::check::Gen<PlacementStrategy> {
+        one_of(vec![
+            just(PlacementStrategy::PackedLow),
+            just(PlacementStrategy::PackedHigh),
+            just(PlacementStrategy::Balanced),
+        ])
+    }
+
+    hermes_util::check! {
+        #![cases = 64]
+
+        /// One merged batch leaves a 2 000–6 000-entry table exactly as the
+        /// per-op loop does, for every strategy, dense and gapped: gaps
+        /// either from a slack relayout (`relayout`) or left by deletes in
+        /// full-size blocks, capacity either tight enough that inserts
+        /// consume gaps or roomy. `narrow` piles every insert into one
+        /// priority band, so one block takes the whole batch. On a dense
+        /// table, and on any whose blocks came out cut alike, the next
+        /// batch and the next single insert are billed the same shifts.
+        fn merged_batch_matches_per_op_loop(
+            seed in arb::<u64>(),
+            n in range(2000usize..6000),
+            ops in range(1usize..3000),
+            extra in one_of(vec![range(0usize..200), range(0usize..3000)]),
+            placement in strategy(),
+            slack in one_of(vec![just(0usize), range(1usize..6)]),
+            relayout in arb::<bool>(),
+            narrow in arb::<bool>(),
+            sweep in one_of(vec![just(0usize), range(0usize..1500)]),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed ^ MERGE_STREAM_SALT);
+            let mut table = TcamTable::new(n + extra, placement);
+            table.set_slack(slack);
+            for id in 0..n as u64 {
+                table.insert(rule(&mut rng, id, 1..400)).expect("capacity");
+            }
+            if slack > 0 && relayout {
+                table.rebuild_layout();
+            } else if slack > 0 {
+                let doomed: Vec<RuleId> = table.iter().step_by(23).map(|r| r.id).collect();
+                for id in doomed {
+                    table.delete(id).expect("live");
+                }
+            }
+            let prios = if narrow { 200..203 } else { 1..400 };
+            let mut next_id = n as u64;
+            let ops = batch(&mut rng, &table, &mut next_id, (sweep, ops), prios);
+            let mut want = table.clone();
+            let want_report = reference::apply_batch(&mut want, &ops);
+            assert_eq!(table.apply_batch(&ops), want_report, "batch report");
+            assert_same(&table, &want, next_id, &mut rng);
+            // Where no block split, or the splits cut alike, the blocks hold
+            // the same gaps. A dense table has none, so its blocks never
+            // matter.
+            let cuts = |t: &TcamTable| -> Vec<(EntryKey, usize)> {
+                t.layout.blocks.iter().map(|b| (b.last_key(), b.gaps)).collect()
+            };
+            let same_blocks = cuts(&table).len() == cuts(&want).len()
+                && cuts(&table).iter().zip(cuts(&want)).all(|(a, b)| a.0 == b.0);
+            if same_blocks {
+                assert_eq!(cuts(&table), cuts(&want), "gaps per block");
+            }
+            if slack == 0 || same_blocks {
+                let follow = batch(&mut rng, &table, &mut next_id, (0, 64), 1..400);
+                assert_eq!(table.apply_batch(&follow), want.apply_batch(&follow), "follow-up batch");
+                let single = rule(&mut rng, next_id, 1..400);
+                assert_eq!(table.insert(single), want.insert(single), "follow-up insert");
+            }
+        }
+    }
+
+    /// The resync shape — a whole table reinstalled into an empty one —
+    /// lands in chunks of `BLOCK_TARGET..BLOCK_MAX` entries, each allocated
+    /// at exactly its length.
+    #[test]
+    fn batch_into_empty_table_lands_in_exact_chunks() {
+        let mut rng = StdRng::seed_from_u64(MERGE_STREAM_SALT);
+        let ops: Vec<TcamOp> = (0..12_000)
+            .map(|id| TcamOp::Insert(rule(&mut rng, id, 1..400)))
+            .collect();
+        let mut table = TcamTable::new(16_384, PlacementStrategy::PackedLow);
+        let mut want = table.clone();
+        assert_eq!(table.apply_batch(&ops), reference::apply_batch(&mut want, &ops));
+        assert_same(&table, &want, 12_000, &mut rng);
+        for b in &table.layout.blocks {
+            assert!((BLOCK_TARGET..BLOCK_MAX).contains(&b.len()), "block of {}", b.len());
+            assert_eq!((b.keys.capacity(), b.rules.capacity()), (b.len(), b.len()));
+        }
+    }
+
+    /// A batch that grows a gapped block past `BLOCK_MAX` cuts off a
+    /// `BLOCK_TARGET` chunk and divides the gaps the way a single insert's
+    /// split does, the front chunk keeping the odd one; its inserts took no
+    /// gap (the space is unreserved).
+    #[test]
+    fn batch_split_of_a_gapped_block_halves_its_gaps() {
+        let mut rng = StdRng::seed_from_u64(MERGE_STREAM_SALT);
+        let mut table = TcamTable::new(4096, PlacementStrategy::PackedLow);
+        table.set_slack(4);
+        for id in 0..1000 {
+            table.insert(rule(&mut rng, id, 1..400)).expect("capacity");
+        }
+        for id in [3, 500, 900] {
+            table.delete(RuleId(id)).expect("live");
+        }
+        let ops: Vec<TcamOp> = (1000..1120)
+            .map(|id| TcamOp::Insert(rule(&mut rng, id, 1..400)))
+            .collect();
+        table.apply_batch(&ops).expect("room");
+        let shape: Vec<(usize, usize)> =
+            table.layout.blocks.iter().map(|b| (b.len(), b.gaps)).collect();
+        assert_eq!(shape, vec![(BLOCK_TARGET, 2), (1117 - BLOCK_TARGET, 1)]);
+        assert!(table.check_invariants());
     }
 }

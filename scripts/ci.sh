@@ -176,7 +176,9 @@ stage_ledger() {
     # verdict of `pinned_digest` -- the modeled outcome of the run against
     # benchmark/expected/<workload>.seed1.json -- so a change that moves
     # any modeled number fails here even when no counter baseline covers
-    # it. Host-time metrics are printed by the runs but not judged. The
+    # it. Its `failed` field must be 0 as well: a change can raise the
+    # share of failed ops and keep the digest. Host-time metrics are
+    # printed by the runs but not judged. The
     # tests run in release like the runs (benchmark/README.md): the
     # recorder's clock-calibration test does not hold in a debug build.
     #
@@ -195,6 +197,7 @@ stage_ledger() {
 import json, sys
 doc = json.loads(sys.stdin.read())
 assert doc["correct"] is True, "%s: model digest drifted from benchmark/expected" % sys.argv[1]
+assert doc["failed"] == 0, "%s: %d op(s) failed" % (sys.argv[1], doc["failed"])
 print("ok   %s: correct, %d op(s), %d failed" % (sys.argv[1], doc["attempted"], doc["failed"]))
 ' "$w"
     done
