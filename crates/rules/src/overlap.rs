@@ -51,29 +51,38 @@ impl OverlapIndex {
     /// Indexes a rule. A rule id may be indexed only once; re-inserting an
     /// id replaces the previous entry.
     pub fn insert(&mut self, rule: Rule) {
-        if self.by_id.contains_key(&rule.id) {
-            self.remove(rule.id);
+        // The replaced entry leaves before the new one is filed, so a
+        // re-insert under the same prefix lands where insert-after-remove
+        // would put it.
+        if let Some(old) = self.by_id.insert(rule.id, rule) {
+            self.unfile(&old);
         }
         match FlowMatch::dst_prefix_of_key(&rule.key) {
             Some(pre) => self.trie.insert(pre, rule),
             None => self.fallback.push(rule),
         }
-        self.by_id.insert(rule.id, rule);
     }
 
     /// Removes a rule by id. Returns the removed rule if present.
     pub fn remove(&mut self, id: RuleId) -> Option<Rule> {
         let rule = self.by_id.remove(&id)?;
+        self.unfile(&rule);
+        Some(rule)
+    }
+
+    /// Takes `rule` out of the trie node or the fallback list `insert`
+    /// filed it under.
+    fn unfile(&mut self, rule: &Rule) {
         match FlowMatch::dst_prefix_of_key(&rule.key) {
             Some(pre) => {
-                self.trie.remove(pre, &rule);
+                self.trie.remove(pre, rule);
             }
             None => {
-                let pos = self.fallback.iter().position(|r| r.id == id)?;
-                self.fallback.swap_remove(pos);
+                if let Some(pos) = self.fallback.iter().position(|r| r.id == rule.id) {
+                    self.fallback.swap_remove(pos);
+                }
             }
         }
-        Some(rule)
     }
 
     /// Looks up a rule by id.

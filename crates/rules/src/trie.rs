@@ -7,16 +7,44 @@
 //! (descendants). This turns the O(n) scan of Algorithm 1's overlap
 //! detection into an output-sensitive walk — one of the "efficient data
 //! structures" §3 calls for.
+//!
+//! **Storage is bounded by the live prefixes.** Nodes live in one array,
+//! slot 0 the root. [`PrefixTrie::remove`] gives back every non-root node
+//! whose subtree it empties: the node is unlinked, reset and its slot put
+//! on a free list that inserts draw from before the array grows. So every
+//! reachable non-root node has at least one item below it, and the array
+//! never holds more than 1 + Σ (lengths of the distinct live prefixes)
+//! slots at its high-water mark — it follows the rules that are installed,
+//! not the history of every prefix ever installed. There is no compaction
+//! pass.
+//!
+//! **Visit order is structural.** Every walk goes root-to-node by address
+//! bits and the descendant walk is a depth-first search that visits a
+//! node's items in storage order and then child 1's subtree before child
+//! 0's. None of that reads a slot number, so which slots a node happens to
+//! occupy — fresh or reused — cannot change what a query visits or in what
+//! order; a pruned node held no items and is skipped exactly as a walk
+//! skips an absent one.
 
 use crate::prefix::Ipv4Prefix;
+use std::num::NonZeroU32;
 
+/// Slots on a root-to-node path (the root plus one per level down to a
+/// `/32`) — also the most a descendant walk's stack ever holds: one
+/// pending sibling per depth, plus two at the deepest, `/32` nodes having
+/// no children.
+const PATH_SLOTS: usize = 33;
+
+/// One trie node: 40 bytes.
 #[derive(Debug)]
 struct Node<T> {
     items: Vec<T>,
-    children: [Option<usize>; 2],
+    /// Child slots by address bit. Slot 0 is the root and is never a
+    /// child, so `NonZeroU32` leaves room for the `None` niche.
+    children: [Option<NonZeroU32>; 2],
     /// Number of items stored in this node's entire subtree (including the
-    /// node itself); lets walks skip empty subtrees.
-    subtree_items: usize,
+    /// node itself). Never 0 on a reachable non-root node.
+    subtree_items: u32,
 }
 
 impl<T> Node<T> {
@@ -35,7 +63,12 @@ impl<T> Node<T> {
 /// priorities or actions frequently share a match).
 #[derive(Debug)]
 pub struct PrefixTrie<T> {
+    // INVARIANT: reclamation keeps `nodes.len()` ≤ 1 + 32 × `len` at its
+    // high-water mark, so slot numbers fit `u32` (and subtree counts, at
+    // most `len`, too) for any table this indexes, far below `u32::MAX`.
     nodes: Vec<Node<T>>,
+    /// Slots of pruned nodes, each reset; reused before `nodes` grows.
+    free: Vec<NonZeroU32>,
     len: usize,
 }
 
@@ -50,6 +83,7 @@ impl<T> PrefixTrie<T> {
     pub fn new() -> Self {
         PrefixTrie {
             nodes: vec![Node::new()],
+            free: Vec::new(),
             len: 0,
         }
     }
@@ -68,6 +102,7 @@ impl<T> PrefixTrie<T> {
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.nodes.push(Node::new());
+        self.free.clear();
         self.len = 0;
     }
 
@@ -76,36 +111,44 @@ impl<T> PrefixTrie<T> {
         ((addr >> (31 - depth)) & 1) as usize
     }
 
-    /// Walks (creating nodes as needed) to the node for `prefix`, returning
-    /// its index. Updates `subtree_items` along the way by `delta`.
-    fn walk_mut(&mut self, prefix: Ipv4Prefix, delta: isize) -> usize {
+    /// The slot of `idx`'s child on side `b`, if any.
+    fn child(&self, idx: usize, b: usize) -> Option<usize> {
+        self.nodes[idx].children[b].map(|c| c.get() as usize)
+    }
+
+    /// A reset node's slot: a freed one if any, else a new one at the end.
+    fn alloc(&mut self) -> NonZeroU32 {
+        if let Some(slot) = self.free.pop() {
+            return slot;
+        }
+        let slot = u32::try_from(self.nodes.len())
+            .ok()
+            .and_then(NonZeroU32::new)
+            .expect(
+                "INVARIANT: the root holds slot 0 and the node bound keeps slots below u32::MAX",
+            );
+        self.nodes.push(Node::new());
+        slot
+    }
+
+    /// Inserts `item` under `prefix`, creating the path's missing nodes.
+    pub fn insert(&mut self, prefix: Ipv4Prefix, item: T) {
         let mut idx = 0;
         for depth in 0..prefix.len() {
-            self.bump(idx, delta);
+            self.nodes[idx].subtree_items += 1;
             let b = Self::bit(prefix.addr(), depth);
-            idx = match self.nodes[idx].children[b] {
+            idx = match self.child(idx, b) {
                 Some(c) => c,
                 None => {
-                    let c = self.nodes.len();
-                    self.nodes.push(Node::new());
+                    let c = self.alloc();
                     self.nodes[idx].children[b] = Some(c);
-                    c
+                    c.get() as usize
                 }
             };
         }
-        self.bump(idx, delta);
-        idx
-    }
-
-    fn bump(&mut self, idx: usize, delta: isize) {
-        let n = &mut self.nodes[idx];
-        n.subtree_items = (n.subtree_items as isize + delta) as usize;
-    }
-
-    /// Inserts `item` under `prefix`.
-    pub fn insert(&mut self, prefix: Ipv4Prefix, item: T) {
-        let idx = self.walk_mut(prefix, 1);
-        self.nodes[idx].items.push(item);
+        let node = &mut self.nodes[idx];
+        node.subtree_items += 1;
+        node.items.push(item);
         self.len += 1;
     }
 
@@ -113,8 +156,7 @@ impl<T> PrefixTrie<T> {
     fn walk(&self, prefix: Ipv4Prefix) -> Option<usize> {
         let mut idx = 0;
         for depth in 0..prefix.len() {
-            let b = Self::bit(prefix.addr(), depth);
-            idx = self.nodes[idx].children[b]?;
+            idx = self.child(idx, Self::bit(prefix.addr(), depth))?;
         }
         Some(idx)
     }
@@ -135,8 +177,7 @@ impl<T> PrefixTrie<T> {
             for item in &self.nodes[idx].items {
                 f(item);
             }
-            let b = Self::bit(prefix.addr(), depth);
-            match self.nodes[idx].children[b] {
+            match self.child(idx, Self::bit(prefix.addr(), depth)) {
                 Some(c) => idx = c,
                 None => return,
             }
@@ -152,17 +193,19 @@ impl<T> PrefixTrie<T> {
         let Some(start) = self.walk(prefix) else {
             return;
         };
-        let mut stack = vec![start];
-        while let Some(idx) = stack.pop() {
-            let node = &self.nodes[idx];
-            if node.subtree_items == 0 {
-                continue;
-            }
+        // `remove` leaves no empty subtree below the root: no node to skip.
+        let mut stack = [0usize; PATH_SLOTS];
+        stack[0] = start;
+        let mut top = 1;
+        while top > 0 {
+            top -= 1;
+            let node = &self.nodes[stack[top]];
             for item in &node.items {
                 f(item);
             }
             for child in node.children.into_iter().flatten() {
-                stack.push(child);
+                stack[top] = child.get() as usize;
+                top += 1;
             }
         }
     }
@@ -178,8 +221,7 @@ impl<T> PrefixTrie<T> {
             for item in &self.nodes[idx].items {
                 f(item);
             }
-            let b = Self::bit(prefix.addr(), depth);
-            match self.nodes[idx].children[b] {
+            match self.child(idx, Self::bit(prefix.addr(), depth)) {
                 Some(c) => idx = c,
                 None => return,
             }
@@ -194,25 +236,102 @@ impl<T> PrefixTrie<T> {
         // Rebind to drop the closure borrow.
         out
     }
+
+    /// Checks the structural invariants (debug aid / property tests):
+    /// every reachable non-root node has items below it, each node's
+    /// `subtree_items` is its own items plus its children's counts, the
+    /// reachable nodes and the free list partition the array with freed
+    /// slots reset, and `len` is the root's count.
+    pub fn check_invariants(&self) -> bool {
+        let mut seen = vec![false; self.nodes.len()];
+        let mut reachable = 0;
+        let mut stack = vec![0usize];
+        while let Some(idx) = stack.pop() {
+            if seen[idx] {
+                return false;
+            }
+            seen[idx] = true;
+            reachable += 1;
+            let node = &self.nodes[idx];
+            if idx != 0 && node.subtree_items == 0 {
+                return false;
+            }
+            let mut sum = node.items.len();
+            for c in node.children.into_iter().flatten() {
+                let c = c.get() as usize;
+                let Some(child) = self.nodes.get(c) else {
+                    return false;
+                };
+                sum += child.subtree_items as usize;
+                stack.push(c);
+            }
+            if sum != node.subtree_items as usize {
+                return false;
+            }
+        }
+        for slot in &self.free {
+            let slot = slot.get() as usize;
+            match (self.nodes.get(slot), seen.get_mut(slot)) {
+                (Some(node), Some(seen)) if !*seen => {
+                    *seen = true;
+                    if !node.items.is_empty()
+                        || node.children != [None, None]
+                        || node.subtree_items != 0
+                    {
+                        return false;
+                    }
+                }
+                _ => return false,
+            }
+        }
+        reachable + self.free.len() == self.nodes.len()
+            && self.len == self.nodes[0].subtree_items as usize
+    }
 }
 
 impl<T: PartialEq> PrefixTrie<T> {
     /// Removes one occurrence of `item` stored under `prefix`. Returns
-    /// `true` when found. Empty nodes are left in place (the trie is an
-    /// index over a bounded TCAM; node reclamation isn't worth the
-    /// complexity — `clear` releases everything).
+    /// `true` when found.
+    ///
+    /// One walk down records the root-to-node path; the counts along it are
+    /// then decremented bottom-up. Counts never grow going down a path, so
+    /// the nodes this removal empties are a suffix of it: the topmost is
+    /// unlinked from its parent and every one of them (never the root) is
+    /// reset and its slot freed for the next insert.
     pub fn remove(&mut self, prefix: Ipv4Prefix, item: &T) -> bool {
-        let Some(idx) = self.walk(prefix) else {
-            return false;
-        };
-        let node = &mut self.nodes[idx];
+        let depth = prefix.len() as usize;
+        let mut path = [0usize; PATH_SLOTS];
+        for d in 0..depth {
+            match self.child(path[d], Self::bit(prefix.addr(), d as u8)) {
+                Some(c) => path[d + 1] = c,
+                None => return false,
+            }
+        }
+        let node = &mut self.nodes[path[depth]];
         let Some(pos) = node.items.iter().position(|i| i == item) else {
             return false;
         };
         node.items.swap_remove(pos);
         self.len -= 1;
-        // Fix up subtree counters along the path.
-        self.walk_mut(prefix, -1);
+        let mut emptied = depth + 1;
+        for d in (0..=depth).rev() {
+            let node = &mut self.nodes[path[d]];
+            node.subtree_items -= 1;
+            if node.subtree_items == 0 && d > 0 {
+                emptied = d;
+            }
+        }
+        if emptied <= depth {
+            let b = Self::bit(prefix.addr(), (emptied - 1) as u8);
+            self.nodes[path[emptied - 1]].children[b] = None;
+            for &slot in &path[emptied..=depth] {
+                self.nodes[slot] = Node::new();
+                self.free.push(
+                    NonZeroU32::new(slot as u32)
+                        .expect("INVARIANT: a path slot below the root is a child slot, never 0"),
+                );
+            }
+        }
         true
     }
 }
@@ -284,6 +403,7 @@ mod tests {
             .copied()
             .collect();
         assert_eq!(got, vec![2]);
+        assert!(t.check_invariants());
     }
 
     #[test]
@@ -309,10 +429,70 @@ mod tests {
         for i in 0..100u32 {
             t.insert(Ipv4Prefix::new(i << 8, 24), i);
         }
-        assert_eq!(t.len(), 100);
+        assert!(t.remove(Ipv4Prefix::new(0, 24), &0));
+        assert!(!t.free.is_empty());
+        assert_eq!(t.len(), 99);
         t.clear();
         assert!(t.is_empty());
+        assert!(t.free.is_empty() && t.nodes.len() == 1);
+        assert!(t.check_invariants());
         assert!(t.overlapping(Ipv4Prefix::DEFAULT).is_empty());
+    }
+
+    #[test]
+    fn nodes_are_40_bytes() {
+        assert_eq!(std::mem::size_of::<Node<u64>>(), 40);
+    }
+
+    #[test]
+    fn removing_the_last_item_prunes_back_to_the_root() {
+        let mut t = PrefixTrie::new();
+        t.insert(p("10.1.2.0/24"), 1u32);
+        t.insert(p("10.1.0.0/16"), 2);
+        assert_eq!(t.nodes.len(), 25);
+        // The /16 still holds an item: only the 8 nodes below it go.
+        assert!(t.remove(p("10.1.2.0/24"), &1));
+        assert_eq!(t.free.len(), 8);
+        assert!(t.check_invariants());
+        assert!(t.remove(p("10.1.0.0/16"), &2));
+        assert_eq!(t.free.len(), 24);
+        assert_eq!(t.nodes[0].children, [None, None]);
+        assert!(t.check_invariants());
+        // The next insert reuses freed slots instead of growing the array.
+        t.insert(p("192.168.0.0/16"), 3);
+        assert_eq!((t.nodes.len(), t.free.len()), (25, 8));
+        assert!(t.check_invariants());
+    }
+
+    #[test]
+    fn churn_keeps_the_array_bounded_by_live_prefixes() {
+        // 100 000 distinct /24s pass through the trie, at most 8 live at a
+        // time: the array must stay within 1 + 8 × 24 slots.
+        let mut t = PrefixTrie::new();
+        let mut x: u32 = 0x2545_f491;
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..100_000u32 {
+            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+            let pre = Ipv4Prefix::new(x, 24);
+            if live.len() == 8 {
+                let (old, id) = live.pop_front().unwrap();
+                assert!(t.remove(old, &id));
+            }
+            t.insert(pre, i);
+            live.push_back((pre, i));
+            assert!(
+                t.nodes.len() <= 1 + 8 * 24,
+                "step {i}: {} slots",
+                t.nodes.len()
+            );
+        }
+        assert!(t.check_invariants());
+        for (pre, id) in live {
+            assert!(t.remove(pre, &id));
+        }
+        assert!(t.is_empty());
+        assert_eq!(t.free.len(), t.nodes.len() - 1);
+        assert!(t.check_invariants());
     }
 
     #[test]

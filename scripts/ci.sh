@@ -177,8 +177,8 @@ stage_ledger() {
     # benchmark/expected/<workload>.seed1.json -- so a change that moves
     # any modeled number fails here even when no counter baseline covers
     # it. Its `failed` field must be 0 as well: a change can raise the
-    # share of failed ops and keep the digest. Host-time metrics are
-    # printed by the runs but not judged. The
+    # share of failed ops and keep the digest. Each `ok` line also prints
+    # the run's ops_per_s and peak_rss_mib; host time is not judged. The
     # tests run in release like the runs (benchmark/README.md): the
     # recorder's clock-calibration test does not hold in a debug build.
     #
@@ -198,7 +198,10 @@ import json, sys
 doc = json.loads(sys.stdin.read())
 assert doc["correct"] is True, "%s: model digest drifted from benchmark/expected" % sys.argv[1]
 assert doc["failed"] == 0, "%s: %d op(s) failed" % (sys.argv[1], doc["failed"])
-print("ok   %s: correct, %d op(s), %d failed" % (sys.argv[1], doc["attempted"], doc["failed"]))
+m = doc["metrics"]
+print("ok   %s: correct, %d op(s), %d failed, %.0f op/s, %.1f MiB peak RSS" % (
+    sys.argv[1], doc["attempted"], doc["failed"],
+    m["ops_per_s"]["value"], m["peak_rss_mib"]["value"]))
 ' "$w"
     done
     restore_ledger_lock
