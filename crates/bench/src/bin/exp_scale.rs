@@ -8,12 +8,9 @@
 //! 1. **per-op** — every rule submitted singly against a dense layout
 //!    (the pre-batching hot path);
 //! 2. **batched** — the same workload in 1024-op chunks through
-//!    [`TcamTable::apply_batch`]'s coalesced shift plan;
-//! 3. **gap-aware** — per-op submission against a slack layout that is
-//!    periodically re-provisioned with reserved gaps, so most inserts
-//!    are absorbed locally instead of rippling to the packing boundary.
+//!    [`TcamTable::apply_batch`]'s coalesced shift plan.
 //!
-//! All three paths install the identical rule sequence; the experiment
+//! Both paths install the identical rule sequence; the experiment
 //! asserts observational equivalence (same match-order entries) and that
 //! batching cuts modeled shifts by at least 2× — the regression floor the
 //! CI perf gate pins via `scale.*` counters.
@@ -31,10 +28,6 @@ use hermes_util::rng::{Rng, SeedableRng};
 const SCALE_STREAM_SALT: u64 = 7;
 /// Batch size for the coalesced path (one "transaction" per chunk).
 const CHUNK: usize = 1024;
-/// Reserved free slots per block in the gap-aware layout.
-const SLACK: usize = 8;
-/// Inserts between layout rebuilds in the gap-aware phase.
-const REBUILD_EVERY: usize = 4096;
 
 fn workload(n: usize) -> Vec<Rule> {
     let mut rng = StdRng::seed_from_u64(SCALE_STREAM_SALT);
@@ -78,25 +71,6 @@ fn batched_shifts(rules: &[Rule]) -> (u64, u64, TcamTable) {
     (shifts, naive, table)
 }
 
-/// Phase 3: per-op submission against a slack layout, re-provisioning
-/// reserved gaps every REBUILD_EVERY inserts (rebuild moves are charged).
-fn gap_aware_shifts(rules: &[Rule]) -> (u64, TcamTable) {
-    // n/8 headroom funds the reserved gaps without changing the workload.
-    let mut table = TcamTable::new(rules.len() + rules.len() / 8, PlacementStrategy::PackedLow);
-    table.set_slack(SLACK);
-    let mut shifts = 0u64;
-    for (i, r) in rules.iter().enumerate() {
-        if i % REBUILD_EVERY == 0 && i > 0 {
-            shifts += table.rebuild_layout() as u64;
-        }
-        shifts += table
-            .insert(*r)
-            .expect("INVARIANT: capacity sized for the workload plus slack headroom")
-            .shifts as u64;
-    }
-    (shifts, table)
-}
-
 fn main() -> std::process::ExitCode {
     hermes_bench::run_experiment("exp_scale", run)
 }
@@ -111,9 +85,8 @@ fn run() {
 
     let (per_op, dense) = per_op_shifts(&rules);
     let (batch, batch_naive, batched) = batched_shifts(&rules);
-    let (gap, gapped) = gap_aware_shifts(&rules);
 
-    for t in [&dense, &batched, &gapped] {
+    for t in [&dense, &batched] {
         assert_eq!(t.len(), n, "every path installs the full workload");
         assert!(t.check_invariants(), "table invariants hold at scale");
     }
@@ -127,7 +100,6 @@ fn run() {
     hermes_telemetry::counter("scale.per_op_shifts", per_op);
     hermes_telemetry::counter("scale.batch_shifts", batch);
     hermes_telemetry::counter("scale.batch_naive_shifts", batch_naive);
-    hermes_telemetry::counter("scale.gap_shifts", gap);
 
     let ratio = |a: u64, b: u64| {
         if b == 0 {
@@ -137,11 +109,7 @@ fn run() {
         }
     };
     let mut t = Table::new(&["Path", "total shifts", "shifts/op", "vs per-op"]);
-    for (name, s) in [
-        ("per-op (dense)", per_op),
-        ("batched (1024-op)", batch),
-        ("gap-aware (per-op)", gap),
-    ] {
+    for (name, s) in [("per-op (dense)", per_op), ("batched (1024-op)", batch)] {
         t.row(&[
             name.into(),
             s.to_string(),
@@ -155,7 +123,6 @@ fn run() {
          ({:.1}x reduction inside the batch path alone)",
         ratio(batch_naive, batch)
     );
-    println!("gap layout: {} reserved slots left after the fill", gapped.gap_slots());
 
     assert!(
         ratio(per_op, batch) >= 2.0,
@@ -163,5 +130,4 @@ fn run() {
          (got {:.2}x)",
         ratio(per_op, batch)
     );
-    assert!(gap < per_op, "gap-aware layout must beat the dense per-op baseline");
 }

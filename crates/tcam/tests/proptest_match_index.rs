@@ -65,8 +65,6 @@ enum Op {
     Batch(Vec<TcamOp>),
     Clear,
     Drain,
-    RebuildLayout,
-    SetSlack(usize),
 }
 
 /// Ids from a pool a little larger than the table, priorities from four
@@ -102,8 +100,6 @@ fn op() -> Gen<Op> {
         (6, vec_of(entry_op(), 1..12).map(Op::Batch)),
         (1, just(Op::Clear)),
         (1, just(Op::Drain)),
-        (1, just(Op::RebuildLayout)),
-        (1, range(0usize..4).map(Op::SetSlack)),
     ])
 }
 
@@ -155,10 +151,6 @@ hermes_util::check! {
                 Op::Drain => {
                     table.drain();
                 }
-                Op::RebuildLayout => {
-                    table.rebuild_layout();
-                }
-                Op::SetSlack(s) => table.set_slack(*s),
             }
             assert!(table.check_invariants(), "after {o:?}");
             for r in table.iter() {

@@ -15,10 +15,12 @@ enum Op {
 }
 
 fn op() -> Gen<Op> {
+    // One insert in eight is `Priority::NONE` (free placement).
+    let prio = weighted(vec![(1, just(0u32)), (7, range(1u32..2000))]);
     weighted(vec![
         (
             3,
-            zip3(range(0u32..2000), arb::<u32>(), range(8u8..=30)).map(
+            zip3(prio, arb::<u32>(), range(8u8..=30)).map(
                 |(prio, pfx_bits, len)| Op::Insert { prio, pfx_bits, len },
             ),
         ),
@@ -99,7 +101,10 @@ hermes_util::check! {
     #![cases = 256]
 
     /// Invariants hold under any op sequence: priority-sorted entries,
-    /// capacity respected, shift counts bounded by occupancy.
+    /// capacity respected, and every insert billed §2.1's closed form —
+    /// the entries between its slot `pos` and the packing boundary:
+    /// `len - pos` (PackedLow), `pos` (PackedHigh), the smaller of the two
+    /// (Balanced), and nothing for a `Priority::NONE` rule.
     fn table_invariants_under_random_ops(
         ops in vec_of(op(), 1..200),
         placement in strategy(),
@@ -119,10 +124,21 @@ hermes_util::check! {
                     next += 1;
                     match table.insert(rule) {
                         Ok(shifts) => {
-                            assert!(shifts.shifts <= shifts.occupancy_before);
+                            let len = shifts.occupancy_before;
+                            let pos = table.iter().position(|r| r.id == rule.id).expect("stored");
+                            let want = match placement {
+                                _ if rule.priority.is_none() => 0,
+                                PlacementStrategy::PackedLow => len - pos,
+                                PlacementStrategy::PackedHigh => pos,
+                                PlacementStrategy::Balanced => pos.min(len - pos),
+                            };
+                            assert_eq!(shifts.shifts, want, "insert at {pos} of {len}");
                             live.push(rule.id);
                         }
-                        Err(_) => assert_eq!(table.len(), 64, "only Full may fail"),
+                        Err(e) => {
+                            assert_eq!(e, TcamError::Full, "only Full may fail");
+                            assert_eq!(table.len(), 64);
+                        }
                     }
                 }
                 Op::Delete { idx } => {
@@ -189,17 +205,14 @@ hermes_util::check! {
     /// `apply_batch` is observationally equivalent to the same ops applied
     /// singly — identical final entries (including FIFO order among equal
     /// priorities) — and the coalesced plan never bills more shifts than
-    /// the per-op sum. Exercised across all strategies and both dense and
-    /// gap-aware (slack) layouts.
+    /// the per-op sum. Exercised across all strategies.
     fn batch_equals_sequential(
         init in vec_of(zip3(range(0u32..500), arb::<u32>(), range(8u8..=28)), 0..40),
         ops in vec_of(batch_op(), 1..60),
         placement in strategy(),
-        slack in range(0usize..4),
     ) {
         const CAP: usize = 128;
         let mut table = TcamTable::new(CAP, placement);
-        table.set_slack(slack);
         let mut live: Vec<u64> = Vec::new();
         for (i, (prio, bits, len)) in init.iter().enumerate() {
             let r = Rule::new(
@@ -210,9 +223,6 @@ hermes_util::check! {
             );
             table.insert(r).expect("capacity");
             live.push(i as u64);
-        }
-        if slack > 0 {
-            table.rebuild_layout();
         }
         // Resolve the abstract ops into a concretely valid batch.
         let mut next = 10_000u64;
@@ -283,11 +293,9 @@ hermes_util::check! {
         init_n in range(0usize..14),
         ops in vec_of(raw_op(), 1..40),
         placement in strategy(),
-        slack in range(0usize..3),
     ) {
         const CAP: usize = 16;
         let mut table = TcamTable::new(CAP, placement);
-        table.set_slack(slack);
         for i in 0..init_n as u64 {
             table
                 .insert(Rule::new(
@@ -297,9 +305,6 @@ hermes_util::check! {
                     Action::Forward(i as u32),
                 ))
                 .expect("capacity");
-        }
-        if slack > 0 {
-            table.rebuild_layout();
         }
         let concrete: Vec<TcamOp> = ops
             .iter()
@@ -384,54 +389,4 @@ hermes_util::check! {
         let after: Vec<_> = probes.iter().map(|&p| table.peek((p as u128) << 96)).collect();
         assert_eq!(before, after);
     }
-}
-
-/// Regression (promoted from a scratch repro): priority-free inserts land
-/// without shifts, but they still occupy physical slots. Once a slack
-/// relayout reserves every remaining free slot as a gap, each further
-/// `Priority::NONE` insert must consume a gap — the old code skipped gap
-/// accounting on the free-placement path, let `len + gaps` overrun the
-/// capacity, and the next prioritized insert underflowed `unreserved()`.
-#[test]
-fn none_priority_overfill_consumes_reserved_gaps() {
-    let rule = |id: u64, p: Priority| {
-        Rule::new(
-            id,
-            "10.0.0.0/8".parse::<Ipv4Prefix>().expect("static prefix").to_key(),
-            p,
-            Action::Drop,
-        )
-    };
-    let mut t = TcamTable::new(300, PlacementStrategy::PackedLow);
-    for i in 0..200u64 {
-        t.insert(rule(i, Priority(10_000 - i as u32))).expect("capacity");
-    }
-    t.set_slack(2);
-    t.rebuild_layout();
-    assert!(t.gap_slots() > 0, "slack relayout must reserve gaps");
-    // Exhaust the trailing unreserved space with low-priority inserts, so
-    // all remaining free slots are reserved gaps.
-    let mut id = 1000u64;
-    while t.len() + t.gap_slots() < t.capacity() {
-        t.insert(rule(id, Priority(1))).expect("capacity");
-        id += 1;
-    }
-    // Fill to capacity with priority-free rules: each one now consumes a
-    // reserved gap and the layout invariant holds at every step.
-    while t.len() < t.capacity() {
-        t.insert(rule(id, Priority::NONE)).expect("gaps must absorb free-placement inserts");
-        id += 1;
-        assert!(
-            t.len() + t.gap_slots() <= t.capacity(),
-            "len {} + gaps {} overran capacity {}",
-            t.len(),
-            t.gap_slots(),
-            t.capacity()
-        );
-        assert!(t.check_invariants());
-    }
-    assert_eq!(t.gap_slots(), 0, "filling to capacity consumes every gap");
-    // At capacity both insert flavors report Full instead of panicking.
-    assert_eq!(t.insert(rule(id, Priority(1))).unwrap_err(), TcamError::Full);
-    assert_eq!(t.insert(rule(id, Priority::NONE)).unwrap_err(), TcamError::Full);
 }

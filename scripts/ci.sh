@@ -142,14 +142,17 @@ stage_perfgate() {
     # (bench_baselines/README.md) and compare their counters — exact
     # match — against the committed baselines. Wall-clock is ignored;
     # counter drift means behaviour changed and must be either fixed or
-    # explicitly re-baselined via scripts/refresh_baselines.sh.
-    cargo build --release --offline -q -p hermes-bench \
-        --bin exp_fig9 --bin exp_tcam_micro --bin exp_scale --bin exp_crash \
-        --bin exp_fleet
+    # explicitly re-baselined via scripts/refresh_baselines.sh. The gated
+    # experiments are the names of the committed bench_baselines/BENCH_*.json,
+    # the one place the list is written down.
+    local exps=(bench_baselines/BENCH_*.json) exp bins=()
+    exps=("${exps[@]#bench_baselines/BENCH_}")
+    exps=("${exps[@]%.json}")
+    for exp in "${exps[@]}"; do bins+=(--bin "exp_${exp}"); done
+    cargo build --release --offline -q -p hermes-bench "${bins[@]}"
     local fresh_dir
     fresh_dir="$(mktemp -d)"
-    local exp
-    for exp in fig9 tcam_micro scale crash fleet; do
+    for exp in "${exps[@]}"; do
         HERMES_TRACE=1 HERMES_FAULT_SEED=7 HERMES_GIT_REV=baseline \
             "./target/release/exp_${exp}" --out "$fresh_dir/BENCH_${exp}.json" >/dev/null
     done

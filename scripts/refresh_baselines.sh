@@ -12,11 +12,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline -q -p hermes-bench \
-    --bin exp_fig9 --bin exp_tcam_micro --bin exp_scale --bin exp_crash \
-    --bin exp_fleet
+# Tier 1: the counter baselines. The gated experiments are the names of
+# the committed bench_baselines/BENCH_*.json, the one place the list is
+# written down. To gate a new experiment, create its BENCH_<exp>.json
+# (any content: this run overwrites it) before running the script.
+exps=(bench_baselines/BENCH_*.json)
+exps=("${exps[@]#bench_baselines/BENCH_}")
+exps=("${exps[@]%.json}")
+bins=()
+for exp in "${exps[@]}"; do bins+=(--bin "exp_${exp}"); done
+cargo build --release --offline -q -p hermes-bench "${bins[@]}"
 
-for exp in fig9 tcam_micro scale crash fleet; do
+for exp in "${exps[@]}"; do
     echo "== exp_${exp} -> bench_baselines/BENCH_${exp}.json =="
     HERMES_TRACE=1 HERMES_FAULT_SEED=7 HERMES_GIT_REV=baseline \
         "./target/release/exp_${exp}" --out "bench_baselines/BENCH_${exp}.json" >/dev/null
