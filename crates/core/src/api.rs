@@ -170,9 +170,8 @@ impl HermesApi {
 
     /// `ModQoSMatch`: replaces the predicate selecting guaranteed rules.
     ///
-    /// No caller in the workspace; it stays because §7 of the paper lists
-    /// it in the operator API (`HermesSwitch::set_predicate`, which it
-    /// forwards to, is what `core/tests/switch_paths.rs` exercises).
+    /// No caller outside tests; it stays because §7 of the paper lists it
+    /// in the operator API. Forwards to `HermesSwitch::set_predicate`.
     pub fn mod_qos_match(
         &mut self,
         shadow: ShadowId,
@@ -291,6 +290,46 @@ mod tests {
             .mod_qos_config(h.shadow_id, SimDuration::from_ms(10.0))
             .unwrap();
         assert!(h2.overhead > h.overhead, "looser guarantee → larger shadow");
+    }
+
+    #[test]
+    fn mod_qos_match_retargets_the_predicate() {
+        use crate::gatekeeper::Route;
+        use hermes_rules::prelude::*;
+        use hermes_tcam::SimTime;
+
+        let (mut api, id) = api_with_pica8();
+        let h = api
+            .create_tcam_qos(id, SimDuration::from_ms(5.0), RulePredicate::All)
+            .unwrap();
+        let outside = |rid| {
+            let p: Ipv4Prefix = "11.0.0.0/8".parse().unwrap();
+            Rule::new(rid, p.to_key(), Priority(10), Action::Drop)
+        };
+        let agent = api.agent_mut(id).unwrap();
+        let before = agent.insert(outside(1), SimTime::ZERO).unwrap();
+        assert_eq!(
+            before.route(),
+            Some(Route::Shadow),
+            "`All` guarantees every rule"
+        );
+
+        let within = RulePredicate::DstWithin("10.0.0.0/8".parse().unwrap());
+        api.mod_qos_match(h.shadow_id, within.clone()).unwrap();
+        let agent = api.agent_mut(id).unwrap();
+        assert_eq!(agent.config().predicate, within);
+        let after = agent.insert(outside(2), SimTime::from_secs(1.0)).unwrap();
+        assert_ne!(
+            after.route(),
+            Some(Route::Shadow),
+            "11/8 is outside the new predicate"
+        );
+
+        api.delete_qos(h.shadow_id).unwrap();
+        assert_eq!(
+            api.mod_qos_match(h.shadow_id, RulePredicate::All),
+            Err(ApiError::UnknownShadow(h.shadow_id))
+        );
     }
 
     #[test]

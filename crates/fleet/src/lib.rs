@@ -17,12 +17,10 @@
 //! * every member has a **home lane** — round-robin over the sorted ids
 //!   plus a seeded shuffle — and [`LaneSched`] picks where an op actually
 //!   runs: `Pinned` always uses the home lane (the phase-1 behaviour),
-//!   `Weighted` sends each op to the least-loaded lane, and `WorkSteal`
-//!   keeps the home lane unless it is busy and a strictly less busy lane
-//!   can steal the op. All three are pure functions of the seed and the
-//!   submission history (R1 determinism); with dedicated lanes
-//!   (`lanes = 0`) scheduling is a no-op and the phase-1 timing is
-//!   bit-preserved.
+//!   `Weighted` sends each op to the least-loaded lane. Both are pure
+//!   functions of the seed and the submission history (R1 determinism);
+//!   with dedicated lanes (`lanes = 0`) scheduling is a no-op and the
+//!   phase-1 timing is bit-preserved.
 //!
 //! Dependency tracking rides [`OpToken`]s: a submission handed the tokens
 //! of earlier submissions starts only after all of them complete, even
@@ -73,10 +71,6 @@ pub enum LaneSched {
     /// lane (earliest busy horizon), ties broken by a seeded lane
     /// permutation. Keeps all lanes busy when one member dominates.
     Weighted,
-    /// Work stealing: an op runs on its home lane unless the home lane is
-    /// busy at submission and a strictly less busy lane exists — then the
-    /// least-loaded lane steals it.
-    WorkSteal,
 }
 
 /// Fleet construction knobs.
@@ -140,7 +134,7 @@ pub struct FleetStats {
     /// window kept the first attempt from landing.
     pub rollback_retries: u64,
     /// Ops dispatched to a lane other than their member's home lane
-    /// (`Weighted` / `WorkSteal` scheduling).
+    /// (`Weighted` scheduling).
     pub steals: u64,
     /// Path-transaction pieces beyond the first on their member that rode
     /// a shared per-member cut instead of their own submit.
@@ -409,11 +403,11 @@ impl<P: ControlPlane> Fleet<P> {
         *least.expect("INVARIANT: a fleet has at least one lane")
     }
 
-    /// Picks the lane an op dispatched to `sw` at `at` runs on, per the
+    /// Picks the lane an op dispatched to `sw` runs on, per the
     /// configured [`LaneSched`]. Dedicated lanes (`lanes = 0`) always use
     /// the home lane — scheduling cannot improve on one lane per member
     /// and staying home bit-preserves the phase-1 timing.
-    fn pick_lane(&mut self, sw: SwitchId, at: SimTime) -> usize {
+    fn pick_lane(&mut self, sw: SwitchId) -> usize {
         let home = self.member(sw).lane;
         if self.dedicated || self.lanes.len() == 1 {
             return home;
@@ -421,15 +415,6 @@ impl<P: ControlPlane> Fleet<P> {
         let chosen = match self.sched {
             LaneSched::Pinned => home,
             LaneSched::Weighted => self.least_loaded_lane(),
-            LaneSched::WorkSteal if self.lanes[home] <= at => home,
-            LaneSched::WorkSteal => {
-                let best = self.least_loaded_lane();
-                if self.lanes[best] < self.lanes[home] {
-                    best
-                } else {
-                    home
-                }
-            }
         };
         if chosen != home {
             self.stats.steals += 1;
@@ -461,7 +446,7 @@ impl<P: ControlPlane> Fleet<P> {
         deps: &[OpToken],
     ) -> (SimTime, BatchOutcome, OpToken) {
         let at = barrier(now, deps);
-        let lane = self.pick_lane(sw, at);
+        let lane = self.pick_lane(sw);
         let at = at.max(self.lanes[lane]);
         let (start, outcome) = self.member_mut(sw).queue.submit(actions, at);
         let done = start + outcome.total;
@@ -905,30 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn worksteal_keeps_home_lane_when_free() {
-        let mut fleet = raw_fleet_sched(4, 2, LaneSched::WorkSteal);
-        let now = SimTime::ZERO;
-        let ids = fleet.switch_ids();
-        // With every lane idle, ops stay home: no steals.
-        for (i, sw) in ids.iter().enumerate() {
-            let done = fleet.horizon() + SimDuration::from_ms(50.0);
-            fleet.submit(*sw, &[ControlAction::Insert(rule(i as u64 + 1))], done.max(now));
-        }
-        assert_eq!(fleet.stats().steals, 0, "idle home lanes are never stolen from");
-    }
-
-    #[test]
-    fn worksteal_moves_work_off_a_busy_home_lane() {
-        let mut fleet = raw_fleet_sched(4, 2, LaneSched::WorkSteal);
-        let (a, b) = lane_mates(&fleet);
-        let now = SimTime::ZERO;
-        fleet.submit(a, &[ControlAction::Insert(rule(1))], now);
-        let (s, _, _) = fleet.submit_after(b, &[ControlAction::Insert(rule(2))], now, &[]);
-        assert_eq!(s, now, "steal: the idle lane runs the op immediately");
-        assert_eq!(fleet.stats().steals, 1);
-    }
-
-    #[test]
     fn sched_modes_are_identical_on_dedicated_lanes() {
         // lanes = 0 gives every member its own lane; scheduling must be a
         // no-op so the phase-1 (PR 8) timing is bit-preserved.
@@ -944,9 +905,7 @@ mod tests {
         };
         let pinned = drive(LaneSched::Pinned);
         let weighted = drive(LaneSched::Weighted);
-        let steal = drive(LaneSched::WorkSteal);
         assert_eq!(pinned, weighted);
-        assert_eq!(pinned, steal);
         assert_eq!(pinned.1.steals, 0);
     }
 

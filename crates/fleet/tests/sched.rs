@@ -1,12 +1,11 @@
 //! Lane-scheduler determinism suite.
 //!
-//! The phase-2 schedulers (occupancy-weighted and work-stealing lane
-//! assignment) trade latency for balance, but they must stay *pure
-//! functions of the seed*: two runs of the same seeded workload must
-//! produce byte-identical telemetry reports, and on dedicated lanes
-//! (`lanes = 0`, the netsim default inherited from the phase-1 fleet)
-//! every scheduler must be a bit-preserving no-op — the same bytes pinned
-//! by the phase-1 determinism tests.
+//! The phase-2 scheduler (occupancy-weighted lane assignment) trades
+//! latency for balance, but it must stay a *pure function of the seed*:
+//! two runs of the same seeded workload must produce byte-identical
+//! telemetry reports, and on dedicated lanes (`lanes = 0`, the netsim
+//! default inherited from the phase-1 fleet) it must be a bit-preserving
+//! no-op — the same bytes pinned by the phase-1 determinism tests.
 
 use hermes_baselines::{ControlPlane, HermesPlane};
 use hermes_core::prelude::{HermesConfig, HermesSwitch};
@@ -40,7 +39,7 @@ fn capture(lanes: usize, seed: u64, sched: LaneSched) -> String {
     let mut next_id = 0u64;
     for step in 0..150u64 {
         // Tight inter-op gaps keep the home lanes busy, so the weighted
-        // and work-stealing policies actually exercise off-home dispatch.
+        // policy actually exercises off-home dispatch.
         now += SimDuration::from_us(rng.gen_range(20.0..400.0));
         let roll: f64 = rng.gen();
         if roll < 0.45 {
@@ -113,34 +112,19 @@ fn weighted_runs_are_byte_identical_per_seed() {
     // The contended workload must actually trigger off-home dispatch —
     // otherwise this test pins round-robin, not the weighted scheduler.
     assert_has_counter(&a, "fleet.sched.steals");
-}
-
-#[test]
-fn worksteal_runs_are_byte_identical_per_seed() {
-    let a = capture(4, 11, LaneSched::WorkSteal);
-    let b = capture(4, 11, LaneSched::WorkSteal);
-    assert_eq!(
-        a, b,
-        "work-stealing telemetry must be a pure function of the seed"
-    );
     assert_has_counter(&a, "fleet.txn_coalesced_pieces");
 }
 
 #[test]
 fn dedicated_lanes_bit_preserve_the_phase1_baseline() {
     // lanes = 0 gives every member its own lane; with nothing to contend
-    // over, all three schedulers must collapse to the identical phase-1
+    // over, both schedulers must collapse to the identical phase-1
     // behavior, byte for byte.
     let pinned = capture(0, 29, LaneSched::Pinned);
     let weighted = capture(0, 29, LaneSched::Weighted);
-    let worksteal = capture(0, 29, LaneSched::WorkSteal);
     assert_eq!(
         pinned, weighted,
         "weighted scheduling must be a no-op on dedicated lanes"
-    );
-    assert_eq!(
-        pinned, worksteal,
-        "work stealing must be a no-op on dedicated lanes"
     );
 }
 

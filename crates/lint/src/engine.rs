@@ -11,7 +11,6 @@ use crate::manifest;
 use crate::parser::{self, ParsedFile};
 use crate::suppress::{self, Directive};
 use crate::{AppliedSuppression, Diagnostic, LintOutcome, Rule};
-use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Workspace-relative path of the telemetry name registry (R5's source of
@@ -52,7 +51,7 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
     let mut literals: Vec<String> = Vec::new();
     let mut registry_text: Option<&str> = None;
     // Per-file directive inventory and parsed items, for the cross-file
-    // passes (R5 registry, R7–R10 flow) that run after the loop.
+    // passes (R5 registry, R7–R9 flow) that run after the loop.
     let mut directives: Vec<(String, Vec<Directive>)> = Vec::new();
     let mut parsed: Vec<ParsedEntry> = Vec::new();
 
@@ -94,7 +93,7 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
         findings.append(&mut r5);
     }
 
-    // R7–R10: the flow-sensitive pass over parsed items (DESIGN.md §9).
+    // R7–R9: the flow-sensitive pass over parsed items (DESIGN.md §9).
     let flow_files: Vec<FlowFile<'_>> = parsed
         .iter()
         .map(|(path, parsed, test_regions)| FlowFile {
@@ -104,7 +103,7 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
             test_regions,
         })
         .collect();
-    let mut flow_findings = flow::check(&flow_files, &registry_subsystems(registry_text));
+    let mut flow_findings = flow::check(&flow_files);
     for (path, ds) in &directives {
         let (kept, applied) = apply_suppressions(flow_findings, path, ds);
         flow_findings = kept;
@@ -228,6 +227,7 @@ fn lint_rust_file(path: &str, text: &str) -> FileScan {
         findings.extend(errs);
     }
 
+    let parsed = parser::parse_tokens(&tokens);
     let test_lines = test_region_lines(&tokens);
     let in_test = |line: usize| test_lines.iter().any(|&(a, b)| line >= a && line <= b);
     let test_file = is_test_like(path);
@@ -286,7 +286,12 @@ fn lint_rust_file(path: &str, text: &str) -> FileScan {
                 None
             };
             if let Some(call) = call {
-                if !has_invariant_justification(&tokens, &code, i, t.line) {
+                // `expect("INVARIANT: …")`: the message itself states the invariant.
+                let states_invariant = call == ".expect("
+                    && code.get(i + 2).is_some_and(|a| {
+                        a.kind == TokKind::Str && a.text.starts_with("INVARIANT:")
+                    });
+                if !states_invariant && !parsed.justified(t.line) {
                     findings.push(Diagnostic {
                         file: path.to_string(),
                         line: t.line,
@@ -331,54 +336,9 @@ fn lint_rust_file(path: &str, text: &str) -> FileScan {
         directives,
         uses,
         literals,
-        parsed: parser::parse_tokens(&tokens),
+        parsed,
         test_regions: test_lines,
     }
-}
-
-/// Leading name segments of every registry entry (`tcam.ops` → `tcam`),
-/// for R10's metric-shaped-string heuristic.
-fn registry_subsystems(registry_text: Option<&str>) -> BTreeSet<String> {
-    let mut subs = BTreeSet::new();
-    let Some(text) = registry_text else {
-        return subs;
-    };
-    for raw in text.lines() {
-        let stripped = raw.split('#').next().unwrap_or("").trim();
-        let mut parts = stripped.split_whitespace();
-        let _kind = parts.next();
-        if let Some(name) = parts.next() {
-            if let Some(sub) = name.split('.').next() {
-                if !sub.is_empty() {
-                    subs.insert(sub.to_string());
-                }
-            }
-        }
-    }
-    subs
-}
-
-/// R2 justification: a comment containing `INVARIANT:` on the same line
-/// or within the three lines above the call, or an `expect("INVARIANT: …")`
-/// message.
-fn has_invariant_justification(
-    all: &[Token],
-    code: &[&Token],
-    i: usize,
-    line: usize,
-) -> bool {
-    let lo = line.saturating_sub(3);
-    let comment_ok = all
-        .iter()
-        .any(|t| t.is_comment() && t.line >= lo && t.line <= line && t.text.contains("INVARIANT:"));
-    if comment_ok {
-        return true;
-    }
-    // expect("INVARIANT: ...") — the message itself states the invariant.
-    code[i].text == "expect"
-        && code
-            .get(i + 2)
-            .is_some_and(|a| a.kind == TokKind::Str && a.text.starts_with("INVARIANT:"))
 }
 
 fn has_forbid_unsafe(code: &[&Token]) -> bool {
@@ -564,7 +524,7 @@ fn test_region_lines(tokens: &[Token]) -> Vec<(usize, usize)> {
 
 /// Drops findings in `path` covered by a directive; echoes honoured
 /// directives (all parsed directives are echoed — an unused waiver is
-/// harmless and keeps the report a full inventory of waived invariants).
+/// harmless and keeps the outcome a full inventory of waived invariants).
 fn apply_suppressions(
     findings: Vec<Diagnostic>,
     path: &str,
@@ -586,7 +546,6 @@ fn apply_suppressions(
                 line: d.line,
                 rule,
                 reason: d.reason.clone(),
-                file_scope: d.file_scope,
             })
         })
         .collect();
@@ -657,7 +616,7 @@ fn check_registry(
                 file: u.file.clone(),
                 line: u.line,
                 col: u.col,
-                rule: Rule::LiteralMetricNames,
+                rule: Rule::TelemetryRegistry,
                 message: format!(
                     "telemetry {} with a non-literal name: the registry cannot check it; \
                      suppress with a reason naming the registry entries it resolves to",
@@ -879,8 +838,8 @@ mod tests {
             ("crates/x/src/helper.rs", src),
             (REGISTRY_PATH, registry),
         ]));
-        // Dynamic names are R10's finding; the span itself is registered.
-        assert_eq!(rules_fired(&out), vec![Rule::LiteralMetricNames]);
+        // The dynamic name is R5's finding; the span itself is registered.
+        assert_eq!(rules_fired(&out), vec![Rule::TelemetryRegistry]);
         assert!(out.findings[0].message.contains("non-literal"));
     }
 

@@ -1,16 +1,15 @@
-//! The flow-sensitive rules R7–R10 (DESIGN.md §9).
+//! The flow-sensitive rules R7–R9 (DESIGN.md §9).
 //!
 //! These run over [`crate::parser`] output rather than raw tokens: R7
 //! inspects `seed_from_u64` argument shapes and resolves salt constants,
 //! R8 walks a per-crate call graph rooted at the public `HermesSwitch`
-//! surface, R9 resolves discard sites against the workspace-wide set of
-//! error-carrying function signatures, and R10 hunts metric names built
-//! at runtime.
+//! surface, and R9 resolves discard sites against the workspace-wide set
+//! of error-carrying function signatures.
 //!
-//! All four respect the same exemptions as the token rules: test-like
+//! All three respect the same exemptions as the token rules: test-like
 //! files and `#[cfg(test)]` regions are skipped, and an `INVARIANT:`
 //! comment within three lines above a site is an accepted justification
-//! (mirroring R2).
+//! ([`ParsedFile::justified`], the window R2 uses too).
 
 use crate::lexer::TokKind;
 use crate::parser::{Call, DiscardKind, FnItem, ParsedFile};
@@ -37,16 +36,6 @@ impl FlowFile<'_> {
                 .iter()
                 .any(|&(a, b)| line >= a && line <= b)
     }
-
-    /// R2-style justification: an `INVARIANT:` comment on the site's line
-    /// or within the three lines above it.
-    fn justified(&self, line: usize) -> bool {
-        let lo = line.saturating_sub(3);
-        self.parsed
-            .invariant_lines
-            .iter()
-            .any(|&l| l >= lo && l <= line)
-    }
 }
 
 /// The `Self` type whose public surface R8 treats as the mutation roots.
@@ -66,15 +55,12 @@ const DEVICE_MUTATORS: &[&str] = &[
 /// Error types whose `Result`s R9 refuses to see discarded.
 const DEVICE_ERROR_TYPES: &[&str] = &["TcamError", "HermesError"];
 
-/// Runs R7–R10 over the parsed tree. `registry_subsystems` holds the
-/// leading name segments from the telemetry registry (R10's heuristic for
-/// metric-shaped `format!` strings only engages for known subsystems).
-pub fn check(files: &[FlowFile<'_>], registry_subsystems: &BTreeSet<String>) -> Vec<Diagnostic> {
+/// Runs R7–R9 over the parsed tree.
+pub fn check(files: &[FlowFile<'_>]) -> Vec<Diagnostic> {
     let mut findings = Vec::new();
     check_rng_streams(files, &mut findings);
     check_intent_pairing(files, &mut findings);
     check_swallowed_errors(files, &mut findings);
-    check_metric_names(files, registry_subsystems, &mut findings);
     findings
 }
 
@@ -370,7 +356,7 @@ fn check_intent_pairing(files: &[FlowFile<'_>], findings: &mut Vec<Diagnostic>) 
             if mutates_device[idx]
                 && !touches_intent[idx]
                 && reached_unguarded[idx]
-                && !f.justified(func.line)
+                && !f.parsed.justified(func.line)
             {
                 findings.push(Diagnostic {
                     file: f.path.to_string(),
@@ -415,7 +401,7 @@ fn check_intent_pairing(files: &[FlowFile<'_>], findings: &mut Vec<Diagnostic>) 
             let records = func.calls.iter().any(|c| {
                 c.name == "record" && c.recv.iter().any(|r| r == "intent")
             });
-            if records && !reaches_mutation[idx] && !f.justified(func.line) {
+            if records && !reaches_mutation[idx] && !f.parsed.justified(func.line) {
                 findings.push(Diagnostic {
                     file: f.path.to_string(),
                     line: func.line,
@@ -454,7 +440,7 @@ fn check_swallowed_errors(files: &[FlowFile<'_>], findings: &mut Vec<Diagnostic>
     for f in files {
         for func in &f.parsed.fns {
             for d in &func.discards {
-                if f.exempt(d.line) || f.justified(d.line) {
+                if f.exempt(d.line) || f.parsed.justified(d.line) {
                     continue;
                 }
                 let Some(call) = &d.call else { continue };
@@ -481,61 +467,6 @@ fn check_swallowed_errors(files: &[FlowFile<'_>], findings: &mut Vec<Diagnostic>
     }
 }
 
-// ---------------------------------------------------------------- R10
-
-fn check_metric_names(
-    files: &[FlowFile<'_>],
-    registry_subsystems: &BTreeSet<String>,
-    findings: &mut Vec<Diagnostic>,
-) {
-    if registry_subsystems.is_empty() {
-        return;
-    }
-    for f in files {
-        for func in &f.parsed.fns {
-            for call in &func.calls {
-                if !call.is_macro || call.name != "format" || f.exempt(call.line) {
-                    continue;
-                }
-                let Some((TokKind::Str, text)) = call.args.first() else {
-                    continue;
-                };
-                if !metric_shaped(text) {
-                    continue;
-                }
-                let subsystem = text.split('.').next().unwrap_or("");
-                if registry_subsystems.contains(subsystem) {
-                    findings.push(Diagnostic {
-                        file: f.path.to_string(),
-                        line: call.line,
-                        col: call.col,
-                        rule: Rule::LiteralMetricNames,
-                        message: format!(
-                            "`format!(\"{text}\", …)` builds a metric-shaped name in \
-                             registered subsystem `{subsystem}`: telemetry names must be \
-                             string literals so the registry check stays sound"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// `true` for dotted lowercase names with a `{}` placeholder —
-/// `"tcam.lane_{}"` yes, `"scenario {name} done"` no.
-fn metric_shaped(s: &str) -> bool {
-    if !s.contains('.') || !s.contains('{') {
-        return false;
-    }
-    let ok_char =
-        |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || "._{}".contains(c);
-    s.chars().all(ok_char)
-        && s.split('.')
-            .next()
-            .is_some_and(|seg| !seg.is_empty() && seg.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,8 +484,7 @@ mod tests {
                 test_regions: &[],
             })
             .collect();
-        let subs: BTreeSet<String> = ["tcam", "fleet"].iter().map(|s| s.to_string()).collect();
-        check(&flow, &subs)
+        check(&flow)
     }
 
     #[test]
@@ -673,19 +603,6 @@ mod tests {
          }\n";
         let out = run(&[("crates/core/src/lib.rs", src)]);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn r10_metric_shaped_format_flagged_only_for_registered_subsystems() {
-        let src = "fn f(i: usize) {\n\
-             let a = format!(\"tcam.lane_{}\", i);\n\
-             let b = format!(\"unknown.thing_{}\", i);\n\
-             let c = format!(\"{} rules in {}ms\", i, i);\n\
-         }\n";
-        let out = run(&[("crates/a/src/lib.rs", src)]);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].rule, Rule::LiteralMetricNames);
-        assert!(out[0].message.contains("tcam.lane_"));
     }
 
     #[test]

@@ -13,17 +13,16 @@
 //! | R2   | panic-policy | `.unwrap()`/`.expect(`/`panic!`/`unreachable!` in non-test code needs an `INVARIANT:` comment |
 //! | R3   | unsafe-forbid | every crate root carries `#![forbid(unsafe_code)]` |
 //! | R4   | hermeticity | every Cargo.toml dependency is a workspace path dep; Cargo.lock has no external packages |
-//! | R5   | telemetry-registry | metric/span names in code ↔ `crates/telemetry/registry.txt` |
+//! | R5   | telemetry-registry | metric/span names in code ↔ `crates/telemetry/registry.txt`; a non-literal name is a finding |
 //! | R6   | exp-contract | every `exp_*` binary goes through `hermes_bench::run_experiment` |
 //! | R7   | rng-stream-isolation | `seed_from_u64` mixes a `*_SALT` constant or seed variable; no raw literals, no cross-crate sharing |
 //! | R8   | intent-pairing | device-mutating `HermesSwitch` methods record intent on every public path |
 //! | R9   | swallowed-device-errors | `TcamError`/`HermesError` Results are not discarded without an `INVARIANT:` comment |
-//! | R10  | literal-metric-names | telemetry names are string literals, never `format!` |
 //! | S1   | suppression | a suppression must parse and carry a reason |
 //!
-//! R1–R6 and S1 run over the token stream; R7–R10 are flow-sensitive and
+//! R1–R6 and S1 run over the token stream; R7–R9 are flow-sensitive and
 //! run over parsed `fn` items and a per-crate call graph
-//! ([`parser`], [`flow`]).
+//! ([`parser`], [`flow`]). The id R10 is retired, not reused.
 //!
 //! Findings can be waived inline:
 //!
@@ -37,22 +36,17 @@
 //! covers the whole file. A suppression without a reason is itself a
 //! finding (S1) — the waiver must say *why* the invariant holds anyway.
 //!
-//! Run it with `cargo run -p hermes-lint -- --workspace`; add
-//! `--json <path>` for the machine-readable `hermes-lint-report/2`
-//! document, `--baseline bench_baselines/lint_baseline.json` for the
-//! debt ratchet, `--changed` to narrow reporting to files changed versus
-//! a git ref, and `--explain <rule>` for a rule's rationale and fix.
+//! Run it with `cargo run -p hermes-lint -- --workspace`; the exit code
+//! is the verdict.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod engine;
 pub mod flow;
 pub mod lexer;
 pub mod manifest;
 pub mod parser;
-pub mod report;
 pub mod suppress;
 
 use std::fmt;
@@ -68,7 +62,8 @@ pub enum Rule {
     UnsafeForbid,
     /// R4 — all dependencies are in-tree workspace path deps.
     Hermeticity,
-    /// R5 — telemetry names match the checked-in registry, both ways.
+    /// R5 — telemetry names are string literals that match the checked-in
+    /// registry, both ways.
     TelemetryRegistry,
     /// R6 — experiment binaries go through `hermes_bench::run_experiment`.
     ExpContract,
@@ -81,14 +76,12 @@ pub enum Rule {
     /// R9 — `Result`s carrying `TcamError`/`HermesError` may not be
     /// discarded via `let _ =` or `.ok()` without an `INVARIANT:` comment.
     SwallowedDeviceError,
-    /// R10 — telemetry names must be string literals (no `format!`).
-    LiteralMetricNames,
     /// S1 — malformed or reason-less suppression directives.
     Suppression,
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [Rule; 11] = [
+pub const ALL_RULES: [Rule; 10] = [
     Rule::Determinism,
     Rule::PanicPolicy,
     Rule::UnsafeForbid,
@@ -98,12 +91,11 @@ pub const ALL_RULES: [Rule; 11] = [
     Rule::RngStreamIsolation,
     Rule::IntentPairing,
     Rule::SwallowedDeviceError,
-    Rule::LiteralMetricNames,
     Rule::Suppression,
 ];
 
 impl Rule {
-    /// Short id (`R1`…`R6`, `S1`).
+    /// Short id (`R1`…`R9`, `S1`).
     pub fn id(&self) -> &'static str {
         match self {
             Rule::Determinism => "R1",
@@ -115,7 +107,6 @@ impl Rule {
             Rule::RngStreamIsolation => "R7",
             Rule::IntentPairing => "R8",
             Rule::SwallowedDeviceError => "R9",
-            Rule::LiteralMetricNames => "R10",
             Rule::Suppression => "S1",
         }
     }
@@ -132,55 +123,7 @@ impl Rule {
             Rule::RngStreamIsolation => "rng-stream-isolation",
             Rule::IntentPairing => "intent-pairing",
             Rule::SwallowedDeviceError => "swallowed-device-errors",
-            Rule::LiteralMetricNames => "literal-metric-names",
             Rule::Suppression => "suppression",
-        }
-    }
-
-    /// One-line description for the report.
-    pub fn description(&self) -> &'static str {
-        match self {
-            Rule::Determinism => {
-                "Instant/SystemTime/HashMap/HashSet forbidden outside the allowlist: \
-                 seeded runs must stay byte-reproducible"
-            }
-            Rule::PanicPolicy => {
-                "unwrap/expect/panic!/unreachable! in non-test code requires an \
-                 adjacent INVARIANT: comment"
-            }
-            Rule::UnsafeForbid => "every crate root must carry #![forbid(unsafe_code)]",
-            Rule::Hermeticity => {
-                "every Cargo.toml dependency must be a workspace path dep; \
-                 Cargo.lock must contain no external packages"
-            }
-            Rule::TelemetryRegistry => {
-                "every metric/span name used in code must appear in \
-                 crates/telemetry/registry.txt, and vice versa"
-            }
-            Rule::ExpContract => {
-                "every exp_* binary must run through hermes_bench::run_experiment \
-                 (which provides --out and panic containment)"
-            }
-            Rule::RngStreamIsolation => {
-                "seed_from_u64 must mix a named *_SALT constant or a seed \
-                 variable; raw literal seeds and cross-crate stream sharing \
-                 couple subsystems' random streams"
-            }
-            Rule::IntentPairing => {
-                "HermesSwitch methods that mutate the physical table must \
-                 record the matching intent op on every path from the public \
-                 API, or carry an INVARIANT: justification"
-            }
-            Rule::SwallowedDeviceError => {
-                "Results carrying TcamError/HermesError may not be discarded \
-                 via `let _ =` or `.ok()` without an INVARIANT: comment — \
-                 device faults must reach recovery"
-            }
-            Rule::LiteralMetricNames => {
-                "telemetry names must be string literals (no format! or \
-                 runtime concatenation) so the R5 registry check stays sound"
-            }
-            Rule::Suppression => "a hermes-lint suppression must parse and carry a reason",
         }
     }
 
@@ -189,108 +132,6 @@ impl Rule {
         ALL_RULES
             .into_iter()
             .find(|r| r.id().eq_ignore_ascii_case(s) || r.name().eq_ignore_ascii_case(s))
-    }
-
-    /// Long-form rationale for `--explain`: why the rule exists, the
-    /// invariant it guards, and a minimal fix example.
-    pub fn explain(&self) -> &'static str {
-        match self {
-            Rule::Determinism => {
-                "Why: seeded experiment runs must replay byte-for-byte; wall clocks and\n\
-                 unseeded hash iteration order differ across runs and machines.\n\
-                 Guards: telemetry/report byte-determinism (DESIGN.md \"Observability\").\n\
-                 Fix:\n\
-                 -    let mut m = HashMap::new();\n\
-                 +    let mut m = BTreeMap::new();\n\
-                 Wall-clock timing goes through hermes_util::bench::Stopwatch."
-            }
-            Rule::PanicPolicy => {
-                "Why: a panic reachable from a device fault takes down the control plane\n\
-                 the paper's recovery machinery is supposed to keep alive.\n\
-                 Guards: no-panic-on-fault (DESIGN.md §7).\n\
-                 Fix:\n\
-                 +    // INVARIANT: index bounded by the check above\n\
-                      let rule = rules[idx].unwrap();\n\
-                 or return a Result instead of unwrapping."
-            }
-            Rule::UnsafeForbid => {
-                "Why: the workspace is pure safe Rust; one unsafe block would undermine\n\
-                 the memory-safety argument every other invariant rests on.\n\
-                 Guards: #![forbid(unsafe_code)] in every crate root.\n\
-                 Fix: add `#![forbid(unsafe_code)]` at the top of src/lib.rs / src/main.rs."
-            }
-            Rule::Hermeticity => {
-                "Why: the build must work offline with zero external crates — every\n\
-                 dependency is an in-tree workspace path dep (README \"Hermetic build\").\n\
-                 Guards: reproducible offline CI.\n\
-                 Fix:\n\
-                 -    rand = \"0.8\"\n\
-                 +    hermes-util = { path = \"../util\" }   # in-tree PRNG"
-            }
-            Rule::TelemetryRegistry => {
-                "Why: metric names are stringly typed; a typo would silently fork the\n\
-                 hermes-bench-report/1 schema and break baseline comparisons.\n\
-                 Guards: code <-> crates/telemetry/registry.txt, both directions.\n\
-                 Fix: add `counter tcam.ops` to the registry, or delete the stale entry."
-            }
-            Rule::ExpContract => {
-                "Why: every exp_* binary must emit a traceable BENCH_<stem>.json and\n\
-                 contain panics; run_experiment provides --out, telemetry arming and\n\
-                 panic containment.\n\
-                 Guards: the perf-gate baseline pipeline (scripts/ci.sh perfgate).\n\
-                 Fix: fn main() -> ExitCode { hermes_bench::run_experiment(\"exp_foo\", run) }"
-            }
-            Rule::RngStreamIsolation => {
-                "Why: two subsystems seeding from the same raw literal draw the same\n\
-                 stream — faults, workloads and lane shuffles silently correlate, and\n\
-                 chaos coverage collapses.\n\
-                 Guards: per-subsystem stream isolation (CRASH_STREAM_SALT pattern,\n\
-                 DESIGN.md §12).\n\
-                 Fix:\n\
-                 -    let rng = StdRng::seed_from_u64(7);\n\
-                 +    const WORKLOAD_STREAM_SALT: u64 = 7;\n\
-                 +    let rng = StdRng::seed_from_u64(WORKLOAD_STREAM_SALT);\n\
-                 or mix a run seed: seed_from_u64(seed ^ CRASH_STREAM_SALT)."
-            }
-            Rule::IntentPairing => {
-                "Why: resync rebuilds switch state from the intent checkpoint; a device\n\
-                 mutation that skips the intent hook makes `intent == logical` drift and\n\
-                 crash recovery restores the wrong table.\n\
-                 Guards: the intent-checkpoint discipline (DESIGN.md §12).\n\
-                 Fix: call self.intent.record(IntentOp::...) on the mutating path, or\n\
-                 document the chokepoint:\n\
-                 +    // INVARIANT: intent-neutral chokepoint; every caller records intent\n\
-                      fn dev_apply(&mut self, op: TableOp) -> ... { self.device.apply(op) }"
-            }
-            Rule::SwallowedDeviceError => {
-                "Why: a discarded TcamError/HermesError is a device fault that recovery\n\
-                 never sees — the journal, retry and resync machinery only work when\n\
-                 errors propagate.\n\
-                 Guards: faults-reach-recovery (DESIGN.md §7).\n\
-                 Fix:\n\
-                 -    let _ = scratch.delete(id);\n\
-                 +    // INVARIANT: replay mirrors the sequential path; a failed op\n\
-                 +    // contributes zero shifts by design\n\
-                 +    let _ = scratch.delete(id);\n\
-                 or route it: self.journal.push(scratch.delete(id)?)."
-            }
-            Rule::LiteralMetricNames => {
-                "Why: R5 matches telemetry names against the registry textually; a name\n\
-                 built with format! is invisible to the check and can drift or explode\n\
-                 cardinality at runtime.\n\
-                 Guards: soundness of the R5 registry check.\n\
-                 Fix:\n\
-                 -    telemetry::counter(&format!(\"lane.{}\", i), 1);\n\
-                 +    telemetry::counter(\"fleet.lane_ops\", 1);   // one registered name\n\
-                 Dispatch through match arms of literals (Route::metric_name pattern)\n\
-                 and suppress with the resolved names listed in the reason."
-            }
-            Rule::Suppression => {
-                "Why: a waiver that does not say why the invariant still holds is a\n\
-                 silent hole in the lint; the reason keeps the report auditable.\n\
-                 Fix: // hermes-lint: allow(R1, reason = \"lookup-only; order never observed\")"
-            }
-        }
     }
 }
 
@@ -325,7 +166,7 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// A suppression that was honoured, echoed into the report so waived
+/// A suppression that was honoured, kept in the outcome so waived
 /// invariants stay visible.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AppliedSuppression {
@@ -337,8 +178,6 @@ pub struct AppliedSuppression {
     pub rule: Rule,
     /// The stated reason.
     pub reason: String,
-    /// `true` for `allow-file` directives.
-    pub file_scope: bool,
 }
 
 /// Result of linting a file tree.

@@ -1,24 +1,13 @@
 //! The `hermes-lint` driver.
 //!
 //! ```text
-//! cargo run -p hermes-lint -- --workspace [--json <path|->] [--root <dir>]
-//!     [--baseline <path>] [--write-baseline <path>] [--changed[=<ref>]]
-//! cargo run -p hermes-lint -- --explain <rule>
+//! cargo run -p hermes-lint -- --workspace
 //! ```
 //!
 //! Scans the workspace for violations of the determinism, panic-policy,
 //! hermeticity, telemetry-registry, experiment-contract and flow
-//! invariants (DESIGN.md §9). Exit status: 0 clean, 1 findings, 2 usage
-//! or I/O error. `--json` additionally writes the `hermes-lint-report/2`
-//! document (`-` for stdout).
-//!
-//! `--baseline` turns absolute cleanliness into a debt ratchet: findings
-//! are compared per rule against the committed budgets and only a count
-//! *increase* fails. `--write-baseline` records the current counts.
-//! `--changed` restricts reported findings to files changed versus a git
-//! ref (default `HEAD`) plus untracked files — the whole workspace is
-//! still scanned so cross-file rules stay sound. `--explain R7` prints a
-//! rule's rationale, the invariant it guards, and how to fix findings.
+//! invariants (DESIGN.md §9) and prints one line per finding. The exit
+//! code is the verdict: 0 clean, 1 findings, 2 usage or I/O error.
 
 #![forbid(unsafe_code)]
 
@@ -27,87 +16,14 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workspace = false;
-    let mut json: Option<String> = None;
-    let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
-    let mut changed: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workspace" => workspace = true,
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => json = Some(p.clone()),
-                    None => return usage("--json needs a path (or `-` for stdout)"),
-                }
-            }
-            "--root" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => root = Some(PathBuf::from(p)),
-                    None => return usage("--root needs a directory"),
-                }
-            }
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => baseline = Some(p.clone()),
-                    None => return usage("--baseline needs a path"),
-                }
-            }
-            "--write-baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => write_baseline = Some(p.clone()),
-                    None => return usage("--write-baseline needs a path"),
-                }
-            }
-            "--changed" => changed = Some("HEAD".to_string()),
-            "--explain" => {
-                i += 1;
-                return match args.get(i) {
-                    Some(r) => explain(r),
-                    None => usage("--explain needs a rule id or name (e.g. R7)"),
-                };
-            }
-            other => {
-                if let Some(p) = other.strip_prefix("--json=") {
-                    json = Some(p.to_string());
-                } else if let Some(p) = other.strip_prefix("--root=") {
-                    root = Some(PathBuf::from(p));
-                } else if let Some(p) = other.strip_prefix("--baseline=") {
-                    baseline = Some(p.to_string());
-                } else if let Some(p) = other.strip_prefix("--write-baseline=") {
-                    write_baseline = Some(p.to_string());
-                } else if let Some(r) = other.strip_prefix("--changed=") {
-                    changed = Some(r.to_string());
-                } else if let Some(r) = other.strip_prefix("--explain=") {
-                    return explain(r);
-                } else {
-                    return usage(&format!("unknown argument `{other}`"));
-                }
-            }
-        }
-        i += 1;
+    if args != ["--workspace"] {
+        eprintln!("usage: hermes-lint --workspace");
+        return ExitCode::from(2);
     }
-    if !workspace {
-        return usage("pass --workspace to scan the workspace (or --explain <rule>)");
-    }
-
-    let root = match root {
-        Some(r) => r,
-        None => match find_workspace_root() {
-            Some(r) => r,
-            None => {
-                eprintln!("hermes-lint: error: could not locate the workspace root");
-                return ExitCode::from(2);
-            }
-        },
+    let Some(root) = find_workspace_root() else {
+        eprintln!("hermes-lint: error: could not locate the workspace root");
+        return ExitCode::from(2);
     };
-
     let files = match hermes_lint::engine::load_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
@@ -115,165 +31,21 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut outcome = hermes_lint::engine::lint_tree(&files);
-
-    // --changed: the whole tree was scanned (cross-file rules need the
-    // full picture); only the *reported* findings are narrowed.
-    if let Some(git_ref) = &changed {
-        match changed_files(&root, git_ref) {
-            Ok(set) => {
-                outcome.findings.retain(|f| set.contains(&f.file));
-                outcome.suppressions.retain(|s| set.contains(&s.file));
-            }
-            Err(e) => {
-                eprintln!("hermes-lint: error: --changed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    // With `--json -` the report owns stdout; humans read stderr.
-    let json_on_stdout = json.as_deref() == Some("-");
-    let human = |s: String| {
-        if json_on_stdout {
-            eprintln!("{s}");
-        } else {
-            println!("{s}");
-        }
-    };
+    let outcome = hermes_lint::engine::lint_tree(&files);
     for f in &outcome.findings {
-        human(format!("{f}"));
+        println!("{f}");
     }
-    human(format!(
+    println!(
         "hermes-lint: {} files scanned, {} finding(s), {} suppression(s)",
         outcome.files_scanned,
         outcome.findings.len(),
         outcome.suppressions.len()
-    ));
-
-    if let Some(path) = json {
-        let doc = hermes_lint::report::build(&outcome).to_string();
-        if path == "-" {
-            println!("{doc}");
-        } else if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("hermes-lint: error: writing {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-
-    if let Some(path) = write_baseline {
-        let doc = hermes_lint::baseline::render(&outcome);
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("hermes-lint: error: writing {path}: {e}");
-            return ExitCode::from(2);
-        }
-        human(format!("hermes-lint: baseline written to {path}"));
-    }
-
-    // The ratchet: with a baseline, only *regressions* fail.
-    if let Some(path) = baseline {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("hermes-lint: error: reading baseline {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let budgets = match hermes_lint::baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("hermes-lint: error: baseline {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let cmp = hermes_lint::baseline::compare(&outcome, &budgets);
-        for (id, found, budget) in &cmp.regressions {
-            human(format!(
-                "hermes-lint: ratchet: {id} has {found} finding(s), budget is {budget}: \
-                 fix the new finding(s) or justify them with an INVARIANT:/suppression"
-            ));
-        }
-        for (id, found, budget) in &cmp.improvements {
-            human(format!(
-                "hermes-lint: ratchet: {id} improved to {found} (budget {budget}): \
-                 run scripts/refresh_baselines.sh to ratchet the baseline down"
-            ));
-        }
-        return if cmp.ok() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
+    );
     if outcome.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
-}
-
-fn explain(rule: &str) -> ExitCode {
-    match hermes_lint::Rule::parse(rule) {
-        Some(r) => {
-            println!("{} — {}", r.id(), r.name());
-            println!();
-            println!("{}", r.explain());
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!("hermes-lint: error: unknown rule `{rule}`; known rules:");
-            for r in hermes_lint::ALL_RULES {
-                eprintln!("  {:4} {}", r.id(), r.name());
-            }
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Workspace-relative paths changed versus `git_ref`, plus untracked
-/// files — the union `git diff --name-only <ref>` ∪ `git ls-files
-/// --others --exclude-standard`.
-fn changed_files(
-    root: &std::path::Path,
-    git_ref: &str,
-) -> Result<std::collections::BTreeSet<String>, String> {
-    let mut set = std::collections::BTreeSet::new();
-    for cmd_args in [
-        vec!["diff", "--name-only", git_ref],
-        vec!["ls-files", "--others", "--exclude-standard"],
-    ] {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(&cmd_args)
-            .output()
-            .map_err(|e| format!("running git: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "git {} failed: {}",
-                cmd_args.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
-        }
-        for line in String::from_utf8_lossy(&out.stdout).lines() {
-            let p = line.trim();
-            if !p.is_empty() {
-                set.insert(p.to_string());
-            }
-        }
-    }
-    Ok(set)
-}
-
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("hermes-lint: error: {msg}");
-    eprintln!(
-        "usage: hermes-lint --workspace [--json <path|->] [--root <dir>] \
-         [--baseline <path>] [--write-baseline <path>] [--changed[=<ref>]]"
-    );
-    eprintln!("       hermes-lint --explain <rule>");
-    ExitCode::from(2)
 }
 
 /// Walks up from the current directory to the first `Cargo.toml` that

@@ -2,7 +2,7 @@
 //! stream.
 //!
 //! This is not a grammar-complete front end — it recovers exactly the
-//! syntactic shapes the flow-sensitive rules (R7–R10, DESIGN.md §9) need:
+//! syntactic shapes the flow-sensitive rules (R7–R9, DESIGN.md §9) need:
 //!
 //! - `impl Type { … }` blocks (so methods know their `Self` type),
 //! - `fn` items with visibility, parameters skipped, flattened return-type
@@ -28,8 +28,6 @@ pub struct Call {
     /// `["self", "intent"]`; `telemetry::counter(…)` yields
     /// `["telemetry"]`; a bare call yields `[]`.
     pub recv: Vec<String>,
-    /// `true` for macro invocations (`format!(…)`).
-    pub is_macro: bool,
     /// 1-based position of the call name.
     pub line: usize,
     /// 1-based column of the call name.
@@ -102,6 +100,15 @@ pub struct ParsedFile {
     pub consts: Vec<ConstItem>,
     /// Lines carrying a comment that contains `INVARIANT:`.
     pub invariant_lines: Vec<usize>,
+}
+
+impl ParsedFile {
+    /// The lint's one justification window (R2, R8, R9): an `INVARIANT:`
+    /// comment on `line` or within the three lines above it.
+    pub fn justified(&self, line: usize) -> bool {
+        let lo = line.saturating_sub(3);
+        self.invariant_lines.iter().any(|&l| l >= lo && l <= line)
+    }
 }
 
 /// Keywords that look like calls when followed by `(`.
@@ -397,12 +404,11 @@ fn scan_calls(code: &[&Token], start: usize, end: usize) -> Vec<Call> {
         if t.kind != TokKind::Ident || NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
             continue;
         }
-        let (is_macro, open) = match code.get(i + 1) {
-            Some(n) if n.is_punct('(') => (false, i + 1),
+        // Macro invocations (`format!(…)`) count as calls too.
+        let open = match code.get(i + 1) {
+            Some(n) if n.is_punct('(') => i + 1,
             Some(n) if n.is_punct('!') => match code.get(i + 2) {
-                Some(o) if o.is_punct('(') || o.is_punct('[') || o.is_punct('{') => {
-                    (true, i + 2)
-                }
+                Some(o) if o.is_punct('(') || o.is_punct('[') || o.is_punct('{') => i + 2,
                 _ => continue,
             },
             _ => continue,
@@ -415,7 +421,6 @@ fn scan_calls(code: &[&Token], start: usize, end: usize) -> Vec<Call> {
         out.push(Call {
             name: t.text.clone(),
             recv: receiver_chain(code, i),
-            is_macro,
             line: t.line,
             col: t.col,
             args,
@@ -664,12 +669,11 @@ mod tests {
     }
 
     #[test]
-    fn macro_calls_are_marked() {
+    fn macro_calls_are_scanned() {
         let src = "fn f() { let s = format!(\"x.{}\", 1); }\n";
         let p = parse(src);
         // `format!` appears as a call inside the let-underscore-free body.
         let c = p.fns[0].calls.iter().find(|c| c.name == "format").unwrap();
-        assert!(c.is_macro);
         assert_eq!(c.args[0].0, TokKind::Str);
     }
 

@@ -5,3 +5,7 @@ pub fn record_hit() {
 pub fn record_miss() {
     hermes_telemetry::counter("x.misses", 1);
 }
+
+pub fn bump(name: &str) {
+    hermes_telemetry::counter(name, 1);
+}

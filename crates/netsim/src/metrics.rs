@@ -170,7 +170,7 @@ pub struct RunMetrics {
     /// Flows moved off pressure-hot switches by TE-tick rebalance passes.
     pub rebalance_moves: u64,
     /// Fleet ops dispatched to a lane other than their member's home lane
-    /// (weighted / work-stealing scheduling; 0 under pinned sharding).
+    /// (weighted scheduling; 0 under pinned sharding).
     pub lane_steals: u64,
     /// Path-transaction pieces that rode a shared per-member cut instead
     /// of their own submit.

@@ -25,38 +25,9 @@ stage_build() {
 }
 
 stage_lint() {
-    # One blocking stage: the analyzer (R1-R6 token rules, R7-R10 flow
-    # rules, S1 suppressions -- DESIGN.md §9) runs against the committed
-    # debt ratchet; only a per-rule count INCREASE over
-    # bench_baselines/lint_baseline.json fails. R4 subsumes the old
-    # `cargo metadata | python3` lockfile guard. The JSON report is then
-    # schema-checked so the hermes-lint-report/2 document cannot drift.
-    local lint_json
-    lint_json="$(mktemp)"
-    cargo run --release --offline -q -p hermes-lint -- --workspace \
-        --json "$lint_json" --baseline bench_baselines/lint_baseline.json
-    python3 - "$lint_json" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "hermes-lint-report/2", doc.get("schema")
-required = ["schema", "files_scanned", "clean", "rules", "findings", "suppressions"]
-missing = [k for k in required if k not in doc]
-assert not missing, "missing report keys: %s" % missing
-assert doc["files_scanned"] > 50, doc["files_scanned"]
-assert [r["id"] for r in doc["rules"]] == [
-    "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "S1"]
-# The ratchet already gated on counts; re-assert against the committed
-# budgets so the binary's verdict and the report cannot disagree.
-budgets = json.load(open("bench_baselines/lint_baseline.json"))["rules"]
-over = [(r["id"], r["findings"], budgets.get(r["id"], 0))
-        for r in doc["rules"] if r["findings"] > budgets.get(r["id"], 0)]
-assert not over, "rules over their ratchet budget: %s" % over
-bare = [s for s in doc["suppressions"] if not s["reason"].strip()]
-assert not bare, "suppressions without reasons: %s" % bare
-print("ok: %d finding(s) within ratchet over %d files, %d reasoned suppression(s)"
-      % (len(doc["findings"]), doc["files_scanned"], len(doc["suppressions"])))
-PY
-    rm -f "$lint_json"
+    # One blocking stage whose verdict is the analyzer's exit code (R1-R6
+    # token rules, R7-R9 flow rules, S1 suppressions -- DESIGN.md §9).
+    cargo run --release --offline -q -p hermes-lint -- --workspace
 }
 
 stage_clippy() {

@@ -61,12 +61,4 @@ print(",".join(json.load(open(sys.argv[1]))["scenarios"]))' bench_baselines/wall
 python3 scripts/perfgate.py refresh bench_baselines "$wall_dir/matrix_report.json"
 rm -rf "$wall_dir"
 
-# The lint debt ratchet: record the current per-rule finding counts as
-# the new budgets. Counts may only ever be ratcheted DOWN this way —
-# review the diff; a count that went UP means new debt that should be
-# fixed or suppressed with a reason, not baselined.
-echo "== hermes-lint -> bench_baselines/lint_baseline.json =="
-cargo run --release --offline -q -p hermes-lint -- --workspace \
-    --write-baseline bench_baselines/lint_baseline.json >/dev/null
-
 echo "== refreshed; review with: git diff bench_baselines/ =="

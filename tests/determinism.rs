@@ -304,21 +304,29 @@ fn fleet_backed_sim_is_deterministic_per_lane_count() {
 #[test]
 fn lint_report_is_byte_identical_across_runs() {
     // The static-analysis pass is part of the reproducibility story too:
-    // the hermes-lint-report/2 document over the same tree must be a pure
-    // function of the sources — no wall clock, no hash-order, no paths
-    // that depend on the invocation directory.
+    // its findings and waivers over the same tree must be a pure function
+    // of the sources — no wall clock, no hash-order, no paths that depend
+    // on the invocation directory.
     let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let files = hermes_lint::engine::load_workspace(&root).expect("workspace readable");
-    let a = hermes_lint::report::build(&hermes_lint::engine::lint_tree(&files)).to_string();
-    let b = hermes_lint::report::build(&hermes_lint::engine::lint_tree(&files)).to_string();
-    assert_eq!(a, b, "lint report must be byte-deterministic");
-
-    let parsed = Json::parse(&a).expect("self-produced report parses");
-    assert_eq!(
-        parsed.get("schema").and_then(Json::as_str),
-        Some("hermes-lint-report/2")
-    );
-    assert_eq!(parsed.get("clean"), Some(&Json::Bool(true)));
+    let render = || {
+        let out = hermes_lint::engine::lint_tree(&files);
+        let mut s: String = out.findings.iter().map(|f| format!("{f}\n")).collect();
+        for w in &out.suppressions {
+            s.push_str(&format!(
+                "waived: {}:{} {} ({})\n",
+                w.file,
+                w.line,
+                w.rule.id(),
+                w.reason
+            ));
+        }
+        (out.is_clean(), s)
+    };
+    let (clean, a) = render();
+    let (_, b) = render();
+    assert_eq!(a, b, "lint outcome must be byte-deterministic");
+    assert!(clean, "workspace has lint findings:\n{a}");
 }
 
 #[test]
