@@ -2,11 +2,11 @@
 //!
 //! ```text
 //! hermes-harness [--matrix scenarios/matrix.toml] [--scenarios a,b,c]
-//!                [--runs N] [--bin-dir target/release]
-//!                [--out hermes-out/matrix]
+//!                [--bin-dir target/release] [--out hermes-out/matrix]
 //! ```
 //!
-//! Writes per-repetition `BENCH` reports and stderr captures under
+//! Runs every selected scenario its matrix `runs` times. Writes
+//! per-repetition `BENCH` reports and stderr captures under
 //! `<out>/<scenario>/`, the full `hermes-matrix-report/1` document to
 //! `<out>/matrix_report.json`, and the byte-stable canonical summary to
 //! `<out>/matrix_summary.json`. Exits nonzero when any repetition fails
@@ -18,8 +18,8 @@ use hermes_harness::{report, run_matrix, RunConfig};
 use std::path::PathBuf;
 
 fn usage() -> String {
-    "usage: hermes-harness [--matrix <file>] [--scenarios <a,b,c>] [--runs <n>] \
-     [--bin-dir <dir>] [--out <dir>]"
+    "usage: hermes-harness [--matrix <file>] [--scenarios <a,b,c>] [--bin-dir <dir>] \
+     [--out <dir>]"
         .to_string()
 }
 
@@ -29,7 +29,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<RunConfig, String> {
         bin_dir: PathBuf::from("target/release"),
         out_dir: PathBuf::from("hermes-out/matrix"),
         scenarios: None,
-        runs_override: None,
         rep_timeout_s: hermes_harness::run::DEFAULT_REP_TIMEOUT_S,
     };
     let mut args = args;
@@ -48,15 +47,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<RunConfig, String> {
                         .map(|s| s.trim().to_string())
                         .filter(|s| !s.is_empty())
                         .collect(),
-                )
-            }
-            "--runs" => {
-                let v = value("--runs")?;
-                cfg.runs_override = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--runs {v:?} is not a positive integer"))?,
                 )
             }
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),

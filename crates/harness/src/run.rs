@@ -30,8 +30,6 @@ pub struct RunConfig {
     pub out_dir: PathBuf,
     /// Subset of scenario names to run; `None` runs the whole matrix.
     pub scenarios: Option<Vec<String>>,
-    /// Overrides every scenario's `runs` when set (CI smoke uses 3).
-    pub runs_override: Option<u32>,
     /// Longest one repetition may run, seconds, before it is killed.
     pub rep_timeout_s: u64,
 }
@@ -131,19 +129,18 @@ pub fn run_matrix(cfg: &RunConfig) -> Result<MatrixRun, String> {
                 bin.display()
             ));
         }
-        let runs = cfg.runs_override.unwrap_or(sc.runs);
         hermes_telemetry::counter("harness.scenarios", 1);
         let mut run = ScenarioRun {
             name: sc.name.clone(),
             bin: sc.bin.clone(),
-            runs,
+            runs: sc.runs,
             reps: Vec::new(),
             merged: MergedScenario::default(),
         };
         let scenario_dir = cfg.out_dir.join(&sc.name);
         std::fs::create_dir_all(&scenario_dir)
             .map_err(|e| format!("cannot create {}: {e}", scenario_dir.display()))?;
-        for rep in 0..runs {
+        for rep in 0..sc.runs {
             hermes_telemetry::counter("harness.reps", 1);
             let mut result = run_rep(&bin, sc, cfg, rep, &scenario_dir)?;
             if result.error.is_none() && sc.trace {

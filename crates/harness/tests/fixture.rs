@@ -76,7 +76,6 @@ impl Fixture {
             bin_dir: self.bin_dir.clone(),
             out_dir: self.base.join(out),
             scenarios: Some(scenarios.iter().map(|s| s.to_string()).collect()),
-            runs_override: None,
             rep_timeout_s: hermes_harness::run::DEFAULT_REP_TIMEOUT_S,
         }
     }

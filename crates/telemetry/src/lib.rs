@@ -15,17 +15,19 @@
 //!
 //! ## Hot-path cost
 //!
-//! Recording is gated on one global [`AtomicBool`] checked with a relaxed
-//! load — with telemetry disabled (the default) every recording call is a
-//! load-and-branch, a few nanoseconds. Enable programmatically with
-//! [`set_enabled`] or from the environment (`HERMES_TRACE=1`) with
-//! [`init_from_env`].
+//! Recording is gated on one thread-local `Cell<bool>` with a `const`
+//! initializer — no lazy-init check, so with telemetry disabled (the
+//! default) every recording call is one thread-local load and a branch, a
+//! few nanoseconds. Enable programmatically with [`set_enabled`] or from
+//! the environment (`HERMES_TRACE=1`) with [`init_from_env`].
 //!
 //! ## Threading model
 //!
-//! The registry and tracer are thread-local: the simulators are
-//! single-threaded, and per-thread state keeps parallel test runners from
-//! interleaving each other's metrics. The enabled flag alone is global.
+//! Everything is per thread: the enabled flag, the registry and the
+//! tracer. The simulators are single-threaded, and per-thread state keeps
+//! parallel test runners from interleaving — or switching off — each
+//! other's recording. A thread records only after it calls
+//! [`set_enabled`] (or [`init_from_env`]) itself.
 //!
 //! ```
 //! use hermes_telemetry as telemetry;
@@ -49,11 +51,8 @@ pub mod trace;
 
 use hermes_util::json::Json;
 use metrics::Registry;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::{Cell, RefCell};
 use trace::Tracer;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
 
 struct State {
     registry: Registry,
@@ -72,19 +71,20 @@ impl State {
 }
 
 thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
     static STATE: RefCell<State> = RefCell::new(State::new());
 }
 
-/// `true` while recording is on. One relaxed atomic load — cheap enough
-/// for any hot path.
+/// `true` while this thread is recording. One thread-local load — cheap
+/// enough for any hot path.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
-/// Turns recording on or off (global; recorded state is per-thread).
+/// Turns recording on or off for the calling thread.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    ENABLED.with(|e| e.set(on));
 }
 
 /// Configures from the environment: `HERMES_TRACE` (unset, empty or `0`

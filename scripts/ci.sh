@@ -144,17 +144,21 @@ restore_ledger_lock() {
 }
 
 stage_ledger() {
-    # The perf ledger (benchmark/) as a blocking refactoring oracle: its
-    # own test suite, then one short full-size run per workload. Each
-    # run's last stdout line is a JSON object whose `correct` field is the
-    # verdict of `pinned_digest` -- the modeled outcome of the run against
-    # benchmark/expected/<workload>.seed1.json -- so a change that moves
-    # any modeled number fails here even when no counter baseline covers
-    # it. Its `failed` field must be 0 as well: a change can raise the
-    # share of failed ops and keep the digest. Each `ok` line also prints
-    # the run's ops_per_s and peak_rss_mib; host time is not judged. The
-    # tests run in release like the runs (benchmark/README.md): the
-    # recorder's clock-calibration test does not hold in a debug build.
+    # The perf ledger (benchmark/) as a blocking refactoring oracle and the
+    # host-time verdict on its five workloads (the exp_* binaries' host
+    # time is matrix_smoke's, below). Its own test suite runs first
+    # (in release like the runs, benchmark/README.md: the recorder's
+    # clock-calibration test does not hold in a debug build), then one
+    # full set at the committed rows' own length: five workloads, untraced
+    # then traced, 20 s each. Per workload, both runs must report
+    # `correct` -- the modeled outcome equals the digest pinned in
+    # benchmark/expected/, so a change that moves any modeled number fails
+    # here even when no counter baseline covers it -- and `failed == 0`,
+    # since a change can raise the share of failed ops and keep the
+    # digest. Then `perf-ledger compare` judges the set against the newest
+    # committed row in benchmark/results/ (by name): its exit code is the
+    # verdict, non-zero on any `regressed` or `unresolved` row. It is only
+    # as tight as that row is recent (DESIGN.md §11 lists today's slack).
     #
     # cargo re-resolves (and rewrites) benchmark/Cargo.lock whenever a
     # workspace manifest changed since it was committed, and benchmark/ is
@@ -164,20 +168,25 @@ stage_ledger() {
     cp benchmark/Cargo.lock "$LEDGER_LOCK_SAVED"
     cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
     cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
-    local w
-    for w in switch_churn batch_resync lookup_mix varys_fattree fleet_storm; do
-        ./benchmark/target/release/perf-ledger run --workload "$w" --seed 1 --seconds 3 \
-            | tail -n 1 | python3 -c '
+    local rows=(benchmark/results/*.json) set_dir rc=0
+    set_dir="$(mktemp -d)"
+    ./benchmark/target/release/perf-ledger run --seed 1 --seconds 20 --out "$set_dir" \
+        > "$set_dir/run.log" || rc=$?
+    python3 - "$set_dir/ledger.json" <<'PY' || { tail -n 40 "$set_dir/run.log"; exit 1; }
 import json, sys
-doc = json.loads(sys.stdin.read())
-assert doc["correct"] is True, "%s: model digest drifted from benchmark/expected" % sys.argv[1]
-assert doc["failed"] == 0, "%s: %d op(s) failed" % (sys.argv[1], doc["failed"])
-m = doc["metrics"]
-print("ok   %s: correct, %d op(s), %d failed, %.0f op/s, %.1f MiB peak RSS" % (
-    sys.argv[1], doc["attempted"], doc["failed"],
-    m["ops_per_s"]["value"], m["peak_rss_mib"]["value"]))
-' "$w"
-    done
+doc = json.load(open(sys.argv[1]))
+for w, modes in doc["workloads"].items():
+    for mode, d in modes.items():
+        assert d["correct"] is True, "%s (%s): model digest drifted from benchmark/expected" % (w, mode)
+        assert d["failed"] == 0, "%s (%s): %d op(s) failed" % (w, mode, d["failed"])
+    e2e = modes["end_to_end"]
+    print("ok   %s: correct, %d op(s), 0 failed, %.0f op/s, %.1f MiB peak RSS" % (
+        w, e2e["attempted"], e2e["metrics"]["ops_per_s"]["median"],
+        e2e["metrics"]["peak_rss_mib"]["median"]))
+PY
+    [[ $rc == 0 ]] || { tail -n 40 "$set_dir/run.log"; echo "perf-ledger run exited $rc"; exit 1; }
+    ./benchmark/target/release/perf-ledger compare "${rows[-1]}" "$set_dir"
+    rm -rf "$set_dir"
     restore_ledger_lock
     git diff --quiet -- benchmark/Cargo.lock \
       || { echo "benchmark/Cargo.lock differs from the committed file"; exit 1; }

@@ -49,11 +49,6 @@ fn identical_seeds_produce_byte_identical_json() {
     }
 }
 
-/// Serializes the telemetry tests: `set_enabled` flips a process-global
-/// flag, so two tests toggling it concurrently would see each other's
-/// captures truncated mid-run.
-static TELEMETRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Drives a seeded MicroBench stream through a `HermesSwitch` (ticks,
 /// migrations, a post-quiescence audit) with telemetry recording, and
 /// returns the serialized `hermes-bench-report/1` document.
@@ -97,7 +92,6 @@ fn telemetry_capture(plan: Option<hermes::tcam::FaultPlan>) -> String {
 
 #[test]
 fn telemetry_report_is_byte_identical_across_runs() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
     hermes::telemetry::set_enabled(true);
     let a = telemetry_capture(None);
     let b = telemetry_capture(None);
@@ -124,7 +118,6 @@ fn telemetry_report_is_byte_identical_across_runs() {
 
 #[test]
 fn telemetry_report_is_deterministic_under_fault_plan() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
     hermes::telemetry::set_enabled(true);
     let a = telemetry_capture(Some(hermes::tcam::FaultPlan::seeded(0xFA17)));
     let b = telemetry_capture(Some(hermes::tcam::FaultPlan::seeded(0xFA17)));
@@ -149,7 +142,6 @@ fn telemetry_report_is_deterministic_under_crash_plan() {
         plan.max_reconnect_denials = 2;
         Some(plan)
     };
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
     hermes::telemetry::set_enabled(true);
     let a = telemetry_capture(crashy());
     let b = telemetry_capture(crashy());
@@ -249,7 +241,6 @@ fn fleet_capture() -> String {
 
 #[test]
 fn fleet_run_is_byte_identical_across_runs() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
     hermes::telemetry::set_enabled(true);
     let a = fleet_capture();
     let b = fleet_capture();
