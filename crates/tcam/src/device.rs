@@ -216,17 +216,13 @@ impl TcamDevice {
                 hermes_telemetry::counter("tcam.crash.partials", 1);
                 let mut rng = StdRng::seed_from_u64(spec.survivor_seed);
                 for s in &mut self.slices {
-                    for r in s.table.drain() {
+                    let before = s.table.len();
+                    let dropped = s.table.retain(|_| {
                         let roll: f64 = rng.gen_range(0.0..1.0);
-                        if roll < survivor_prob {
-                            s.table.insert(r).expect(
-                                "INVARIANT: a survivor re-enters the freshly drained table it came from, so capacity and uniqueness hold",
-                            );
-                            self.crash_stats.entries_retained += 1;
-                        } else {
-                            lost += 1;
-                        }
-                    }
+                        roll < survivor_prob
+                    });
+                    self.crash_stats.entries_retained += (before - dropped) as u64;
+                    lost += dropped as u64;
                 }
             }
             CrashKind::Disconnect => {

@@ -33,8 +33,8 @@
 //! `O(log n)` control actions) and the tuple-space match index (`match_index.rs`, DESIGN.md §15) that serves
 //! every lookup — one probe per distinct mask in the table instead of a
 //! walk over every entry. The match index is maintained at `raw_insert`,
-//! `raw_remove`, `reset` and the batch's delete and insert passes, and
-//! nowhere else: a stored entry's match never changes in place (Hermes
+//! `raw_remove`, `reset`, the batch's delete and insert passes and
+//! `retain`'s drop pass, and nowhere else: a stored entry's match never changes in place (Hermes
 //! modifies actions, and priorities via delete+insert, §4.1).
 //!
 //! ## Batched updates
@@ -173,6 +173,16 @@ pub enum TcamOp {
         /// Replacement action.
         action: Action,
     },
+}
+
+impl TcamOp {
+    /// The id of the entry the op targets.
+    fn id(&self) -> RuleId {
+        match self {
+            TcamOp::Insert(rule) => rule.id,
+            TcamOp::Delete(id) | TcamOp::ModifyAction { id, .. } => *id,
+        }
+    }
 }
 
 /// The outcome of a successful [`TcamTable::apply_batch`].
@@ -358,6 +368,23 @@ impl<P: Copy> Layout<P> {
         (bi, wi, before + wi)
     }
 
+    /// The global position of each of `keys` (ascending) in one walk over
+    /// the blocks: a stored key's own index, any other key's
+    /// [`insertion_point`](Self::insertion_point).
+    fn ranks(&self, keys: impl IntoIterator<Item = EntryKey>) -> Vec<usize> {
+        let (mut bi, mut before) = (0, 0);
+        keys.into_iter()
+            .map(|key| {
+                while bi + 1 < self.blocks.len() && self.blocks[bi].last_key() < key {
+                    before += self.blocks[bi].len();
+                    bi += 1;
+                }
+                let wi = self.blocks.get(bi).map_or(0, |b| b.keys.partition_point(|k| *k < key));
+                before + wi
+            })
+            .collect()
+    }
+
     /// Physical insert with no shift accounting (the caller has already
     /// planned and billed the move).
     fn raw_insert(&mut self, bi: usize, wi: usize, key: EntryKey, payload: P) {
@@ -425,15 +452,14 @@ impl<P: Copy> Layout<P> {
         self.blocks.retain(|b| !b.keys.is_empty());
     }
 
-    /// Lands a batch's new entries with one merge per touched block. Each
-    /// entry lands in the block [`target_block`](Self::target_block) names
-    /// before the batch. A block grown past `BLOCK_MAX` is then re-cut into
-    /// [`Block::chunks`].
-    fn insert_fresh(&mut self, fresh: &mut [(EntryKey, P)]) {
+    /// Lands a batch's new entries (ascending, no key already stored) with
+    /// one merge per touched block. Each entry lands in the block
+    /// [`target_block`](Self::target_block) names before the batch. A block
+    /// grown past `BLOCK_MAX` is then re-cut into [`Block::chunks`].
+    fn insert_fresh(&mut self, fresh: &[(EntryKey, P)]) {
         if fresh.is_empty() {
             return;
         }
-        fresh.sort_unstable_by_key(|&(key, _)| key);
         if self.blocks.is_empty() {
             self.blocks.push(Block {
                 keys: Vec::new(),
@@ -443,7 +469,7 @@ impl<P: Copy> Layout<P> {
         self.len += fresh.len();
         // Back to front, so a split never moves a block still to be merged:
         // block `bi` takes what sorts after the last key of block `bi - 1`.
-        let mut rest: &[(EntryKey, P)] = fresh;
+        let mut rest = fresh;
         for bi in (0..self.blocks.len()).rev() {
             let split = match bi {
                 0 => 0,
@@ -699,13 +725,36 @@ impl TcamTable {
         n
     }
 
-    /// Drains and returns all entries (step 1 of the migration workflow
-    /// copies rules out of the tables).
-    pub fn drain(&mut self) -> Vec<Rule> {
-        let out: Vec<Rule> = self.entries();
-        self.stats.deletes += out.len() as u64;
-        self.reset();
-        out
+    /// Keeps the entries `keep` accepts, asked once per entry in match
+    /// order, and drops the rest in one compaction pass; returns how many
+    /// were dropped. Billed as the table emptied and the survivors
+    /// re-inserted in match order (a switch re-seating what a crash left):
+    /// every entry counts a delete, every survivor an insert, and each
+    /// prioritized survivor the shifts of an append behind the ones before
+    /// it — its index among them for PackedHigh, 0 otherwise.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Rule) -> bool) -> usize {
+        let mut doomed = Vec::new();
+        let mut prioritized = 0u64;
+        for b in &self.layout.blocks {
+            for (key, rule) in b.keys.iter().zip(&b.rules) {
+                if !keep(rule) {
+                    doomed.push(*key);
+                } else if !rule.priority.is_none() {
+                    prioritized += 1;
+                }
+            }
+        }
+        let (index, by_id) = (&mut self.index, &mut self.by_id);
+        self.layout.remove_sorted(&doomed, |key, rule| {
+            index.remove(rule.key, key);
+            by_id.remove(&rule.id);
+        });
+        self.stats.deletes += (self.layout.len + doomed.len()) as u64;
+        self.stats.inserts += self.layout.len as u64;
+        if self.layout.strategy == PlacementStrategy::PackedHigh {
+            self.stats.total_shifts += prioritized * prioritized.saturating_sub(1) / 2;
+        }
+        doomed.len()
     }
 
     /// Checks the structural invariants (debug aid / property tests):
@@ -755,32 +804,30 @@ impl TcamTable {
     pub fn apply_batch(&mut self, ops: &[TcamOp]) -> Result<BatchReport, TcamError> {
         let occupancy_before = self.layout.len;
         let plan = self.validate_batch(ops)?;
-        let (shifts, naive_shifts) = self.plan_batch_shifts(ops, &plan);
-        // Mutate, one pass per touched block: in-place modifies, then the
-        // deletes (freeing slots), then the surviving inserts merged in
-        // (fresh seqs in submission order keep FIFO). The coalesced plan
-        // already billed every move.
-        for (id, action) in &plan.modified {
-            let (bi, wi) = self
-                .find(*id)
-                .expect("INVARIANT: validated batch targets existing entries");
-            self.layout.blocks[bi].rules[wi].action = *action;
-        }
-        let mut doomed: Vec<EntryKey> = plan.deleted.values().copied().collect();
-        doomed.sort_unstable();
-        let index = &mut self.index;
-        self.layout
-            .remove_sorted(&doomed, |key, rule| index.remove(rule.key, key));
-        for id in plan.deleted.keys() {
-            self.by_id.remove(id);
-        }
+        // The surviving inserts take fresh seqs in submission order (FIFO
+        // among equal priorities); one sort by sort key then serves both
+        // the shift plan and the merge.
         let seqs = self.layout.next_seq..;
-        let mut fresh: Vec<(EntryKey, Rule)> = (plan.pending_order.iter().zip(seqs))
-            .map(|(id, seq)| {
-                let rule = plan.pending[id];
-                (EntryKey::new(rule.priority, seq), rule)
-            })
+        let mut fresh: Vec<(EntryKey, Rule)> = (plan.inserts.iter().zip(seqs))
+            .map(|(rule, seq)| (EntryKey::new(rule.priority, seq), *rule))
             .collect();
+        fresh.sort_unstable_by_key(|&(key, _)| key);
+        let (shifts, naive_shifts) = self.plan_batch_shifts(ops, &fresh, &plan.deleted);
+        // Mutate, one pass per touched block: in-place modifies, then the
+        // deletes (freeing slots), then the fresh entries merged in. The
+        // coalesced plan already billed every move.
+        for &(key, action) in &plan.modified {
+            let (bi, wi) = self
+                .layout
+                .locate(key)
+                .expect("INVARIANT: validated batch targets existing entries");
+            self.layout.blocks[bi].rules[wi].action = action;
+        }
+        let (index, by_id) = (&mut self.index, &mut self.by_id);
+        self.layout.remove_sorted(&plan.deleted, |key, rule| {
+            index.remove(rule.key, key);
+            by_id.remove(&rule.id);
+        });
         self.layout.next_seq += fresh.len() as u64;
         // The match index takes the entries one by one, or is re-laid once
         // for the final occupancy when they would overfill it.
@@ -791,7 +838,7 @@ impl TcamTable {
                 self.index.insert(rule.key, key);
             }
         }
-        self.layout.insert_fresh(&mut fresh);
+        self.layout.insert_fresh(&fresh);
         if !index_fits {
             self.index.rebuild(self.layout.len, self.layout.indexed());
         }
@@ -802,7 +849,7 @@ impl TcamTable {
         Ok(BatchReport {
             shifts,
             naive_shifts,
-            inserts: plan.pending_order.len(),
+            inserts: fresh.len(),
             deletes: plan.deleted.len(),
             modifies: plan.modified.len(),
             occupancy_before,
@@ -810,81 +857,110 @@ impl TcamTable {
     }
 
     /// Walks the ops under sequential semantics without touching the
-    /// table; errors reject the batch atomically.
+    /// table; the first violation (by op index) rejects the batch
+    /// atomically. Two passes, no map: `Full` is a prefix count of the live
+    /// entries in submission order, and `Duplicate`/`NotFound` come from
+    /// walking each id's ops in order after one sort of `(id, op index)`
+    /// pairs. An insert checks `Full` first, so on one op `Full` wins.
     fn validate_batch(&self, ops: &[TcamOp]) -> Result<BatchPlan, TcamError> {
+        // Every op before the first error succeeded, so the count is exact
+        // up to there.
+        let mut live = self.layout.len;
+        let mut first_err = ops
+            .iter()
+            .position(|op| match op {
+                TcamOp::Insert(_) => {
+                    live += 1;
+                    live > self.layout.capacity
+                }
+                TcamOp::Delete(_) => {
+                    live = live.saturating_sub(1);
+                    false
+                }
+                TcamOp::ModifyAction { .. } => false,
+            })
+            .map(|at| (at, TcamError::Full));
+        let mut order: Vec<(RuleId, usize)> = ops.iter().map(TcamOp::id).zip(0..).collect();
+        order.sort_unstable();
         let mut plan = BatchPlan::default();
-        for op in ops {
-            match op {
-                TcamOp::Insert(rule) => {
-                    let live = self.layout.len - plan.deleted.len() + plan.pending.len();
-                    if live >= self.layout.capacity {
-                        return Err(TcamError::Full);
+        // Surviving inserts with the index of the op that made them.
+        let mut survivors: Vec<(usize, Rule)> = Vec::new();
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let id = group[0].0;
+            // The stored entry while it lives and the action the batch last
+            // gave it; the in-batch insert that is live, with its op index.
+            let mut stored = self.by_id.get(&id).copied();
+            let mut action = None;
+            let mut pending: Option<(usize, Rule)> = None;
+            for &(_, at) in group {
+                let live = stored.is_some() || pending.is_some();
+                match (&ops[at], live) {
+                    (TcamOp::Insert(rule), false) => {
+                        pending = Some((at, *rule));
+                        plan.n_inserts += 1;
                     }
-                    let exists_in_table =
-                        self.contains(rule.id) && !plan.deleted.contains_key(&rule.id);
-                    if exists_in_table || plan.pending.contains_key(&rule.id) {
-                        return Err(TcamError::Duplicate(rule.id));
+                    (TcamOp::Delete(_), true) => {
+                        // An in-batch insert nets out; else the stored
+                        // entry goes.
+                        if pending.take().is_none() {
+                            plan.deleted.extend(stored.take());
+                        }
+                        plan.n_deletes += 1;
                     }
-                    plan.pending.insert(rule.id, *rule);
-                    plan.pending_order.push(rule.id);
-                    plan.n_inserts += 1;
-                }
-                TcamOp::Delete(id) => {
-                    if plan.pending.remove(id).is_some() {
-                        plan.pending_order.retain(|p| p != id);
-                    } else if self.contains(*id) && !plan.deleted.contains_key(id) {
-                        plan.deleted.insert(*id, self.by_id[id]);
-                        plan.modified.remove(id);
-                    } else {
-                        return Err(TcamError::NotFound(*id));
+                    (TcamOp::ModifyAction { action: a, .. }, true) => {
+                        match &mut pending {
+                            Some((_, rule)) => rule.action = *a,
+                            None => action = Some(*a),
+                        }
+                        plan.n_modifies += 1;
                     }
-                    plan.n_deletes += 1;
-                }
-                TcamOp::ModifyAction { id, action } => {
-                    if let Some(r) = plan.pending.get_mut(id) {
-                        r.action = *action;
-                    } else if self.contains(*id) && !plan.deleted.contains_key(id) {
-                        plan.modified.insert(*id, *action);
-                    } else {
-                        return Err(TcamError::NotFound(*id));
+                    (op, _) => {
+                        let err = match op {
+                            TcamOp::Insert(_) => TcamError::Duplicate(id),
+                            _ => TcamError::NotFound(id),
+                        };
+                        if first_err.is_none_or(|(first, _)| at < first) {
+                            first_err = Some((at, err));
+                        }
+                        break;
                     }
-                    plan.n_modifies += 1;
                 }
             }
+            if let (Some(key), Some(action)) = (stored, action) {
+                plan.modified.push((key, action));
+            }
+            survivors.extend(pending);
         }
+        if let Some((_, err)) = first_err {
+            return Err(err);
+        }
+        survivors.sort_unstable_by_key(|&(at, _)| at);
+        plan.inserts = survivors.into_iter().map(|(_, rule)| rule).collect();
+        plan.deleted.sort_unstable();
         Ok(plan)
     }
 
-    /// The coalesced shift plan: counts the pre-existing surviving entries
-    /// the batch disturbs, letting batch-freed slots absorb inserts in the
-    /// strategy's shift direction. Clamped by an exact sequential replay on
-    /// small tables so a batch is never billed worse than its ops applied
-    /// singly.
-    fn plan_batch_shifts(&self, ops: &[TcamOp], plan: &BatchPlan) -> (usize, usize) {
+    /// The coalesced shift plan for `fresh` (the surviving inserts, sorted
+    /// by sort key) and `deleted` (ascending): counts the pre-existing
+    /// surviving entries the batch disturbs, letting batch-freed slots
+    /// absorb inserts in the strategy's shift direction. Clamped by an
+    /// exact sequential replay on small tables so a batch is never billed
+    /// worse than its ops applied singly.
+    fn plan_batch_shifts(
+        &self,
+        ops: &[TcamOp],
+        fresh: &[(EntryKey, Rule)],
+        deleted: &[EntryKey],
+    ) -> (usize, usize) {
         let layout = &self.layout;
-        // Positions of the batch's events among the *current* entries.
-        let mut insert_pos: Vec<usize> = Vec::with_capacity(plan.pending_order.len());
-        for id in &plan.pending_order {
-            let rule = &plan.pending[id];
-            if rule.priority.is_none() {
-                continue; // free placement, no ordering pressure
-            }
-            let key = EntryKey::new(rule.priority, layout.next_seq);
-            insert_pos.push(layout.insertion_point(key).2);
-        }
-        insert_pos.sort_unstable();
-        let mut delete_pos: Vec<usize> = plan
-            .deleted
-            .values()
-            .map(|k| {
-                let (bi, wi) = layout
-                    .locate(*k)
-                    .expect("INVARIANT: validated batch targets existing entries");
-                layout.blocks[..bi].iter().map(Block::len).sum::<usize>() + wi
-            })
-            .collect();
-        delete_pos.sort_unstable();
-        let fwd = coalesced_moves_forward(layout.len, &insert_pos, &delete_pos);
+        // Positions of the batch's events among the *current* entries, one
+        // walk over the blocks each. `NONE` inserts sort last and are
+        // placed freely: no ordering pressure.
+        let prioritized = fresh.partition_point(|(_, rule)| !rule.priority.is_none());
+        let insert_pos = layout.ranks(fresh[..prioritized].iter().map(|&(key, _)| key));
+        let delete_pos = layout.ranks(deleted.iter().copied());
+        let (ins, del) = (insert_pos.iter().copied(), delete_pos.iter().copied());
+        let fwd = coalesced_moves_forward(layout.len, ins, del);
         let bwd = coalesced_moves_backward(layout.len, &insert_pos, &delete_pos);
         let formula = match layout.strategy {
             PlacementStrategy::PackedLow => fwd,
@@ -936,17 +1012,16 @@ impl TcamTable {
     }
 }
 
-/// Sequential-walk state for a validated batch.
+/// A validated batch's net effect.
 #[derive(Default)]
 struct BatchPlan {
-    /// Rules to be inserted at end-state, by id.
-    pending: BTreeMap<RuleId, Rule>,
-    /// Submission order of the surviving inserts (FIFO among equals).
-    pending_order: Vec<RuleId>,
-    /// Pre-existing entries the batch removes, with their sort keys.
-    deleted: BTreeMap<RuleId, EntryKey>,
-    /// Pre-existing entries modified in place, with their final action.
-    modified: BTreeMap<RuleId, Action>,
+    /// Surviving inserts in submission order, in-batch modifies applied.
+    inserts: Vec<Rule>,
+    /// Sort keys of the pre-existing entries the batch removes, ascending.
+    deleted: Vec<EntryKey>,
+    /// Pre-existing entries the batch modifies and keeps: sort key and
+    /// final action.
+    modified: Vec<(EntryKey, Action)>,
     /// Per-op tallies (sequential semantics: an insert later deleted still
     /// counts one insert and one delete).
     n_inserts: u64,
@@ -958,27 +1033,30 @@ struct BatchPlan {
 /// (toward high addresses). A left-to-right sweep carries the unabsorbed
 /// insert flow; a slot freed by a batch delete cancels flow arriving from
 /// the left, and whatever remains spills into the tail. An entry is billed
-/// iff any flow crosses it — i.e. each disturbed entry exactly once.
-fn coalesced_moves_forward(len: usize, insert_pos: &[usize], delete_pos: &[usize]) -> usize {
-    // Per position: the inserts landing before the entry there, and
-    // whether the batch deletes that entry.
-    let mut events: BTreeMap<usize, (usize, bool)> = BTreeMap::new();
-    for &p in insert_pos {
-        events.entry(p).or_default().0 += 1;
-    }
-    for &p in delete_pos {
-        events.entry(p).or_default().1 = true;
-    }
-    let mut moved = 0usize;
-    let mut flow = 0usize;
-    let mut cursor = 0usize;
-    for (&pos, &(ins, is_delete)) in &events {
+/// iff any flow crosses it — i.e. each disturbed entry exactly once. One
+/// linear merge of the ascending insert positions (an insert at `p` lands
+/// before the entry at `p`) and the ascending delete positions.
+fn coalesced_moves_forward(
+    len: usize,
+    insert_pos: impl Iterator<Item = usize>,
+    delete_pos: impl Iterator<Item = usize>,
+) -> usize {
+    let (mut ins, mut del) = (insert_pos.peekable(), delete_pos.peekable());
+    let (mut moved, mut flow, mut cursor) = (0usize, 0usize, 0usize);
+    loop {
+        let pos = match (ins.peek(), del.peek()) {
+            (None, None) => break,
+            (Some(&i), Some(&d)) => i.min(d),
+            (Some(&p), None) | (None, Some(&p)) => p,
+        };
         if flow > 0 {
             moved += pos - cursor;
         }
         cursor = pos;
-        flow += ins;
-        if is_delete {
+        while ins.next_if_eq(&pos).is_some() {
+            flow += 1;
+        }
+        if del.next_if_eq(&pos).is_some() {
             // The entry at this index is removed by the batch: its slot
             // absorbs one unit of flow, and it is skipped.
             flow = flow.saturating_sub(1);
@@ -994,12 +1072,14 @@ fn coalesced_moves_forward(len: usize, insert_pos: &[usize], delete_pos: &[usize
 /// Mirror of [`coalesced_moves_forward`]: every insert shifts *backward*
 /// (toward low addresses), with the spill at the head.
 fn coalesced_moves_backward(len: usize, insert_pos: &[usize], delete_pos: &[usize]) -> usize {
-    // Reflect positions around the table end and reuse the forward sweep.
-    // An entry at index i becomes index len-1-i; a boundary position p
+    // Reflect positions around the table end, which reverses their order:
+    // an entry at index i becomes index len-1-i; a boundary position p
     // becomes len-p.
-    let ins: Vec<usize> = insert_pos.iter().map(|&p| len - p).collect();
-    let del: Vec<usize> = delete_pos.iter().map(|&p| len - 1 - p).collect();
-    coalesced_moves_forward(len, &ins, &del)
+    coalesced_moves_forward(
+        len,
+        insert_pos.iter().rev().map(|&p| len - p),
+        delete_pos.iter().rev().map(|&p| len - 1 - p),
+    )
 }
 
 #[cfg(test)]
@@ -1135,15 +1215,17 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_drain() {
+    fn clear_and_retain() {
         let mut t = TcamTable::new(16, PlacementStrategy::PackedLow);
         for i in 0..5 {
             t.insert(rule(i, "10.0.0.0/8", (i + 1) as u32)).unwrap();
         }
-        let drained = t.clone().drain();
-        assert_eq!(drained.len(), 5);
+        let mut emptied = t.clone();
+        assert_eq!(emptied.retain(|_| false), 5);
         assert_eq!(t.clear(), 5);
-        assert!(t.is_empty());
+        assert!(t.is_empty() && emptied.is_empty());
+        assert_eq!(emptied.stats(), t.stats());
+        assert!(emptied.check_invariants());
     }
 
     #[test]
@@ -1317,31 +1399,166 @@ mod tests {
 
 }
 
-/// The batch mutate phase against the per-op loop it replaced, kept here
-/// as [`reference`](batch_merge::reference), on tables big enough that one
-/// batch grows blocks past `BLOCK_MAX` (the crash-resync shape).
+/// `apply_batch` against itself as it stood before the sorted planner and
+/// the per-block merge, kept here as [`reference`](batch_merge::reference):
+/// the merge on tables big enough that one batch grows blocks past
+/// `BLOCK_MAX` (the crash-resync shape), the planner on batches full of
+/// repeated ids, rejected ops and capacity edges.
 #[cfg(test)]
 mod batch_merge {
     use super::*;
     use hermes_util::check::{arb, just, one_of, range};
     use hermes_util::rng::rngs::StdRng;
     use hermes_util::rng::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
     use std::ops::Range;
 
-    /// `apply_batch` as it stood before the merge: the same validation and
-    /// coalesced bill, then the deletes one `raw_remove` at a time in id
-    /// order and the surviving inserts one `Vec::insert` at a time in
-    /// submission order.
+    /// The `BTreeMap` planner — a sequential walk of the ops keeping the
+    /// pending inserts, deletes and modifies by id, and the two coalesced
+    /// sweeps over a map of events — then the deletes one `raw_remove` at
+    /// a time in id order and the surviving inserts one `Vec::insert` at a
+    /// time in submission order.
     mod reference {
         use super::*;
+
+        /// Sequential-walk state for a validated batch.
+        #[derive(Default)]
+        struct BatchPlan {
+            /// Rules to be inserted at end-state, by id.
+            pending: BTreeMap<RuleId, Rule>,
+            /// Submission order of the surviving inserts (FIFO among equals).
+            pending_order: Vec<RuleId>,
+            /// Pre-existing entries the batch removes, with their sort keys.
+            deleted: BTreeMap<RuleId, EntryKey>,
+            /// Pre-existing entries modified in place, with their final action.
+            modified: BTreeMap<RuleId, Action>,
+            n_inserts: u64,
+            n_deletes: u64,
+            n_modifies: u64,
+        }
+
+        fn validate_batch(t: &TcamTable, ops: &[TcamOp]) -> Result<BatchPlan, TcamError> {
+            let mut plan = BatchPlan::default();
+            for op in ops {
+                match op {
+                    TcamOp::Insert(rule) => {
+                        let live = t.layout.len - plan.deleted.len() + plan.pending.len();
+                        if live >= t.layout.capacity {
+                            return Err(TcamError::Full);
+                        }
+                        let exists_in_table =
+                            t.contains(rule.id) && !plan.deleted.contains_key(&rule.id);
+                        if exists_in_table || plan.pending.contains_key(&rule.id) {
+                            return Err(TcamError::Duplicate(rule.id));
+                        }
+                        plan.pending.insert(rule.id, *rule);
+                        plan.pending_order.push(rule.id);
+                        plan.n_inserts += 1;
+                    }
+                    TcamOp::Delete(id) => {
+                        if plan.pending.remove(id).is_some() {
+                            plan.pending_order.retain(|p| p != id);
+                        } else if t.contains(*id) && !plan.deleted.contains_key(id) {
+                            plan.deleted.insert(*id, t.by_id[id]);
+                            plan.modified.remove(id);
+                        } else {
+                            return Err(TcamError::NotFound(*id));
+                        }
+                        plan.n_deletes += 1;
+                    }
+                    TcamOp::ModifyAction { id, action } => {
+                        if let Some(r) = plan.pending.get_mut(id) {
+                            r.action = *action;
+                        } else if t.contains(*id) && !plan.deleted.contains_key(id) {
+                            plan.modified.insert(*id, *action);
+                        } else {
+                            return Err(TcamError::NotFound(*id));
+                        }
+                        plan.n_modifies += 1;
+                    }
+                }
+            }
+            Ok(plan)
+        }
+
+        fn plan_batch_shifts(t: &TcamTable, ops: &[TcamOp], plan: &BatchPlan) -> (usize, usize) {
+            let layout = &t.layout;
+            let mut insert_pos: Vec<usize> = Vec::with_capacity(plan.pending_order.len());
+            for id in &plan.pending_order {
+                let rule = &plan.pending[id];
+                if rule.priority.is_none() {
+                    continue;
+                }
+                let key = EntryKey::new(rule.priority, layout.next_seq);
+                insert_pos.push(layout.insertion_point(key).2);
+            }
+            insert_pos.sort_unstable();
+            let mut delete_pos: Vec<usize> = plan
+                .deleted
+                .values()
+                .map(|k| {
+                    let (bi, wi) = layout.locate(*k).expect("validated batch");
+                    layout.blocks[..bi].iter().map(Block::len).sum::<usize>() + wi
+                })
+                .collect();
+            delete_pos.sort_unstable();
+            let fwd = coalesced_moves_forward(layout.len, &insert_pos, &delete_pos);
+            let bwd = coalesced_moves_backward(layout.len, &insert_pos, &delete_pos);
+            let formula = match layout.strategy {
+                PlacementStrategy::PackedLow => fwd,
+                PlacementStrategy::PackedHigh => bwd,
+                PlacementStrategy::Balanced => fwd.min(bwd),
+            };
+            let estimate: usize = insert_pos.iter().map(|&p| layout.single_insert_cost(p)).sum();
+            if layout.len + ops.len() <= NAIVE_CLAMP_LIMIT {
+                let naive = t.replay_singly(ops);
+                (formula.min(naive), naive)
+            } else {
+                (formula.min(estimate), estimate)
+            }
+        }
+
+        fn coalesced_moves_forward(len: usize, insert_pos: &[usize], delete_pos: &[usize]) -> usize {
+            let mut events: BTreeMap<usize, (usize, bool)> = BTreeMap::new();
+            for &p in insert_pos {
+                events.entry(p).or_default().0 += 1;
+            }
+            for &p in delete_pos {
+                events.entry(p).or_default().1 = true;
+            }
+            let mut moved = 0usize;
+            let mut flow = 0usize;
+            let mut cursor = 0usize;
+            for (&pos, &(ins, is_delete)) in &events {
+                if flow > 0 {
+                    moved += pos - cursor;
+                }
+                cursor = pos;
+                flow += ins;
+                if is_delete {
+                    flow = flow.saturating_sub(1);
+                    cursor = pos + 1;
+                }
+            }
+            if flow > 0 {
+                moved += len - cursor;
+            }
+            moved
+        }
+
+        fn coalesced_moves_backward(len: usize, insert_pos: &[usize], delete_pos: &[usize]) -> usize {
+            let ins: Vec<usize> = insert_pos.iter().map(|&p| len - p).collect();
+            let del: Vec<usize> = delete_pos.iter().map(|&p| len - 1 - p).collect();
+            coalesced_moves_forward(len, &ins, &del)
+        }
 
         pub(super) fn apply_batch(
             t: &mut TcamTable,
             ops: &[TcamOp],
         ) -> Result<BatchReport, TcamError> {
             let occupancy_before = t.layout.len;
-            let plan = t.validate_batch(ops)?;
-            let (shifts, naive_shifts) = t.plan_batch_shifts(ops, &plan);
+            let plan = validate_batch(t, ops)?;
+            let (shifts, naive_shifts) = plan_batch_shifts(t, ops, &plan);
             for (id, action) in &plan.modified {
                 let (bi, wi) = t.find(*id).expect("validated batch");
                 t.layout.blocks[bi].rules[wi].action = *action;
@@ -1373,11 +1590,12 @@ mod batch_merge {
     }
 
     const MERGE_STREAM_SALT: u64 = 0x4d45_5247_455f_4241;
+    const PLAN_STREAM_SALT: u64 = 0x504c_414e_5f42_4154;
 
     /// A rule under 10.0.0.0/12 (/8, /16 or /24, so packets hit several
     /// entries at once) with a priority from `prios`, or one time in twenty
     /// `Priority::NONE`.
-    fn rule(rng: &mut StdRng, id: u64, prios: Range<u32>) -> Rule {
+    pub(super) fn rule(rng: &mut StdRng, id: u64, prios: Range<u32>) -> Rule {
         let len = [8u8, 16, 24][rng.gen_range(0..3usize)];
         let addr = 0x0a00_0000 | (rng.gen::<u32>() & 0x000f_ff00);
         let prio = if rng.gen_bool(0.05) { 0 } else { rng.gen_range(prios) };
@@ -1437,11 +1655,76 @@ mod batch_merge {
         ops
     }
 
+    /// An op sequence against `t` with the shapes a planner gets wrong:
+    /// `len` draws, most on a pool of eight ids (four stored, four new), so
+    /// insert → modify → delete → re-insert chains on one id are common,
+    /// the rest inserts of new ids and ops on any stored id. Up to the
+    /// first rejected op it tracks which ids live and how full the table
+    /// is. With `slips`, one draw in twelve (one in three at capacity) is
+    /// an op the table must reject — a duplicate insert or a delete or
+    /// modify of a dead id — and an insert never waits for room; without,
+    /// every op is valid.
+    fn messy_batch(
+        rng: &mut StdRng,
+        t: &TcamTable,
+        next_id: &mut u64,
+        len: usize,
+        prios: Range<u32>,
+        slips: bool,
+    ) -> Vec<TcamOp> {
+        let stored: Vec<u64> = t.iter().map(|r| r.id.0).collect();
+        let mut live: BTreeSet<u64> = stored.iter().copied().collect();
+        let mut fresh_id = || {
+            *next_id += 1;
+            *next_id - 1
+        };
+        let mut pool: Vec<u64> = (0..4).map(|_| fresh_id()).collect();
+        if !stored.is_empty() {
+            pool.extend((0..4).map(|_| stored[rng.gen_range(0..stored.len())]));
+        }
+        let mut occupancy = t.len();
+        let mut ops = Vec::with_capacity(len);
+        for _ in 0..len {
+            let id = match rng.gen_range(0..10u32) {
+                0..=5 => pool[rng.gen_range(0..pool.len())],
+                6 | 7 if !stored.is_empty() => stored[rng.gen_range(0..stored.len())],
+                _ => fresh_id(),
+            };
+            let full = occupancy >= t.capacity();
+            let slip = slips && rng.gen_range(0..if full { 3u32 } else { 12 }) == 0;
+            let alive = live.contains(&id);
+            let op = match (alive, slip, rng.gen_bool(0.5)) {
+                (true, false, true) | (false, true, true) => TcamOp::Delete(RuleId(id)),
+                (true, false, false) | (false, true, false) => TcamOp::ModifyAction {
+                    id: RuleId(id),
+                    action: Action::Forward(rng.gen_range(8..16u32)),
+                },
+                (false, false, _) if full && !slips => continue,
+                (true, true, _) | (false, false, _) => TcamOp::Insert(rule(rng, id, prios.clone())),
+            };
+            if !slip {
+                match op {
+                    TcamOp::Insert(_) => {
+                        live.insert(id);
+                        occupancy += 1;
+                    }
+                    TcamOp::Delete(_) => {
+                        live.remove(&id);
+                        occupancy -= 1;
+                    }
+                    TcamOp::ModifyAction { .. } => {}
+                }
+            }
+            ops.push(op);
+        }
+        ops
+    }
+
     /// Everything a caller can observe of two tables agrees: entries in
-    /// match order, every id ever used, lookups on a packet sample, stats
-    /// and the next sequence number; both are well formed,
-    /// and no block of `got` holds more than twice `BLOCK_MAX` of memory.
-    fn assert_same(got: &TcamTable, want: &TcamTable, ids: u64, rng: &mut StdRng) {
+    /// match order, every id ever used, lookups on a packet sample and
+    /// stats; both are well formed, and no block of `got` holds more than
+    /// twice `BLOCK_MAX` of memory.
+    pub(super) fn assert_same(got: &TcamTable, want: &TcamTable, ids: u64, rng: &mut StdRng) {
         assert_eq!(got.entries(), want.entries(), "entries");
         for id in (0..ids).map(RuleId) {
             assert_eq!(got.get(id), want.get(id), "get({id})");
@@ -1458,7 +1741,6 @@ mod batch_merge {
             assert_eq!(got.peek(packet), want.peek(packet), "peek({packet:#x})");
         }
         assert_eq!(got.stats(), want.stats(), "stats");
-        assert_eq!(got.layout.next_seq, want.layout.next_seq, "next seq");
         assert!(got.check_invariants() && want.check_invariants(), "invariants");
         for b in &got.layout.blocks {
             assert!(
@@ -1470,7 +1752,7 @@ mod batch_merge {
         }
     }
 
-    fn strategy() -> hermes_util::check::Gen<PlacementStrategy> {
+    pub(super) fn strategy() -> hermes_util::check::Gen<PlacementStrategy> {
         one_of(vec![
             just(PlacementStrategy::PackedLow),
             just(PlacementStrategy::PackedHigh),
@@ -1508,8 +1790,45 @@ mod batch_merge {
             let want_report = reference::apply_batch(&mut want, &ops);
             assert_eq!(table.apply_batch(&ops), want_report, "batch report");
             assert_same(&table, &want, next_id, &mut rng);
+            assert_eq!(table.layout.next_seq, want.layout.next_seq, "next seq");
             let follow = batch(&mut rng, &table, &mut next_id, (0, 64), 1..400);
             assert_eq!(table.apply_batch(&follow), want.apply_batch(&follow), "follow-up batch");
+            let single = rule(&mut rng, next_id, 1..400);
+            assert_eq!(table.insert(single), want.insert(single), "follow-up insert");
+        }
+    }
+
+    hermes_util::check! {
+        #![cases = 256]
+
+        /// The sorted planner rejects what the `BTreeMap` one rejects, with
+        /// the same first error, and otherwise bills and lands the batch
+        /// the same, on 1 100–3 000-entry tables (two to six blocks) for
+        /// every strategy. Capacity is tight or roomy, `narrow` makes FIFO
+        /// ties between the batch's own inserts, and `slips` plants
+        /// rejected ops. The next single insert is billed the same shifts.
+        fn sorted_planner_matches_reference(
+            seed in arb::<u64>(),
+            n in range(1100usize..3000),
+            extra in one_of(vec![range(0usize..8), range(0usize..400)]),
+            len in range(1usize..200),
+            placement in strategy(),
+            narrow in arb::<bool>(),
+            slips in arb::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed ^ PLAN_STREAM_SALT);
+            let mut table = TcamTable::new(n + extra, placement);
+            for id in 0..n as u64 {
+                table.insert(rule(&mut rng, id, 1..400)).expect("capacity");
+            }
+            let prios = if narrow { 200..203 } else { 1..400 };
+            let mut next_id = n as u64;
+            let ops = messy_batch(&mut rng, &table, &mut next_id, len, prios, slips);
+            let mut want = table.clone();
+            let want_result = reference::apply_batch(&mut want, &ops);
+            assert_eq!(table.apply_batch(&ops), want_result, "batch result");
+            assert_same(&table, &want, next_id, &mut rng);
+            assert_eq!(table.layout.next_seq, want.layout.next_seq, "next seq");
             let single = rule(&mut rng, next_id, 1..400);
             assert_eq!(table.insert(single), want.insert(single), "follow-up insert");
         }
@@ -1528,9 +1847,85 @@ mod batch_merge {
         let mut want = table.clone();
         assert_eq!(table.apply_batch(&ops), reference::apply_batch(&mut want, &ops));
         assert_same(&table, &want, 12_000, &mut rng);
+        assert_eq!(table.layout.next_seq, want.layout.next_seq, "next seq");
         for b in &table.layout.blocks {
             assert!((BLOCK_TARGET..BLOCK_MAX).contains(&b.len()), "block of {}", b.len());
             assert_eq!((b.keys.capacity(), b.rules.capacity()), (b.len(), b.len()));
+        }
+    }
+}
+
+/// `retain` against the drain and re-insert loop it replaced in the crash
+/// re-seat, kept here as [`reference`](retain_reseat::reference).
+#[cfg(test)]
+mod retain_reseat {
+    use super::batch_merge::{assert_same, rule, strategy};
+    use super::*;
+    use hermes_util::check::{arb, just, one_of, range};
+    use hermes_util::rng::rngs::StdRng;
+    use hermes_util::rng::{Rng, SeedableRng};
+
+    mod reference {
+        use super::*;
+
+        /// Empties the table, then re-inserts the entries `keep` accepts
+        /// one at a time in match order; returns how many were dropped.
+        pub(super) fn retain(t: &mut TcamTable, mut keep: impl FnMut(&Rule) -> bool) -> usize {
+            let all = t.entries();
+            t.clear();
+            let mut dropped = 0;
+            for r in all {
+                if keep(&r) {
+                    t.insert(r).expect("a survivor fits the table it came from");
+                } else {
+                    dropped += 1;
+                }
+            }
+            dropped
+        }
+    }
+
+    const RETAIN_STREAM_SALT: u64 = 0x5245_5441_494e_5f4b;
+
+    hermes_util::check! {
+        #![cases = 256]
+
+        /// A re-seat by `retain` leaves 0–3 000-entry tables exactly as
+        /// drain and re-insert does, for every strategy and keep share
+        /// (all, none, or a random mask over prioritized and `NONE`
+        /// entries alike): the same entries, stats (PackedHigh's append
+        /// shifts included) and lookups, and the next single insert and
+        /// batch are billed the same.
+        fn retain_matches_drain_and_reinsert(
+            seed in arb::<u64>(),
+            n in range(0usize..3000),
+            extra in range(0usize..64),
+            placement in strategy(),
+            keep_share in one_of(vec![just(0.0f64), just(1.0), range(0.0f64..1.0)]),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed ^ RETAIN_STREAM_SALT);
+            let mut table = TcamTable::new(n + extra, placement);
+            for id in 0..n as u64 {
+                table.insert(rule(&mut rng, id, 1..400)).expect("capacity");
+            }
+            let mut want = table.clone();
+            let mask: Vec<bool> = (0..n).map(|_| rng.gen_bool(keep_share)).collect();
+            let (mut a, mut b) = (mask.iter(), mask.iter());
+            let dropped = table.retain(|_| *a.next().expect("one ask per entry"));
+            assert!(a.next().is_none(), "one ask per entry");
+            assert_eq!(dropped, reference::retain(&mut want, |_| *b.next().unwrap()));
+            assert_same(&table, &want, n as u64, &mut rng);
+            let mut next_id = n as u64;
+            let follow: Vec<TcamOp> = (0..rng.gen_range(1..64))
+                .map(|_| {
+                    next_id += 1;
+                    TcamOp::Insert(rule(&mut rng, next_id, 1..400))
+                })
+                .collect();
+            assert_eq!(table.apply_batch(&follow), want.apply_batch(&follow), "follow-up batch");
+            let single = rule(&mut rng, next_id + 1, 1..400);
+            assert_eq!(table.insert(single), want.insert(single), "follow-up insert");
+            assert_same(&table, &want, next_id + 2, &mut rng);
         }
     }
 }

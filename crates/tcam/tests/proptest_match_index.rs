@@ -8,11 +8,12 @@
 //! applied by hand and seen to fail): the first matching mask wins instead
 //! of the minimum across masks; a later candidate replaces the best without
 //! the `ek < best` test; `reset`
-//! (behind `clear`/`drain`) leaves the index populated; `insert` overwrites
+//! (behind `clear`) leaves the index populated; `insert` overwrites
 //! a slot with an equal tag, collapsing entries that share one
 //! `(mask, value)`; `remove` always writes EMPTY, so a vacated slot ends
 //! the probe run of the entries behind it; `raw_insert` or `raw_remove`
-//! skips the index; the index is never rebuilt; `rebuild` keeps the old
+//! skips the index; `retain` leaves a dropped entry in the match index
+//! or in the id index; the index is never rebuilt; `rebuild` keeps the old
 //! tuples. One more changes no answer and dies on `check_invariants`
 //! alone: `remove` keeps a dead tuple's mask.
 
@@ -64,7 +65,9 @@ enum Op {
     Single(TcamOp),
     Batch(Vec<TcamOp>),
     Clear,
-    Drain,
+    /// Re-seat after a partial crash: each entry survives a coin flip
+    /// from the seed's stream, one per entry in match order.
+    Retain(u64),
 }
 
 /// Ids from a pool a little larger than the table, priorities from four
@@ -99,7 +102,7 @@ fn op() -> Gen<Op> {
         (40, entry_op().map(Op::Single)),
         (6, vec_of(entry_op(), 1..12).map(Op::Batch)),
         (1, just(Op::Clear)),
-        (1, just(Op::Drain)),
+        (1, arb::<u64>().map(Op::Retain)),
     ])
 }
 
@@ -148,8 +151,9 @@ hermes_util::check! {
                 Op::Clear => {
                     table.clear();
                 }
-                Op::Drain => {
-                    table.drain();
+                Op::Retain(seed) => {
+                    let mut keep = StdRng::seed_from_u64(*seed);
+                    table.retain(|_| keep.gen_bool(0.5));
                 }
             }
             assert!(table.check_invariants(), "after {o:?}");
