@@ -482,7 +482,6 @@ pub fn run_varys_facebook(
         max_reroutes_per_tick: 10_000,
         te_interval_s: 0.5,
         seed,
-        ..Default::default()
     };
     let mut sim = Varys::new(topo, config);
     let workload = FacebookWorkload {
@@ -514,7 +513,6 @@ pub fn run_varys_geant(
         max_reroutes_per_tick: 10_000,
         te_interval_s: 0.5,
         seed,
-        ..Default::default()
     };
     let mut sim = Varys::new(topo, config);
     // Offered load sized to congest the 10 Gbps backbone's hot links.

@@ -50,7 +50,6 @@ pub mod api;
 pub mod config;
 pub mod gatekeeper;
 pub mod manager;
-pub mod multitable;
 pub mod partition;
 pub mod plane;
 pub mod predict;
@@ -64,7 +63,6 @@ pub mod prelude {
     pub use crate::config::{HermesConfig, MigrationMode, MigrationTrigger, RulePredicate};
     pub use crate::gatekeeper::{GateKeeper, Route, TokenBucket};
     pub use crate::manager::{MigrationReport, RuleManager};
-    pub use crate::multitable::{MultiTableHermes, TableSpec};
     pub use crate::partition::{partition_new_rule, PartitionOutcome};
     pub use crate::predict::{Arma, Corrector, CubicSpline, Ewma, Predictor, PredictorKind};
     pub use crate::recovery::{AuditReport, RecoveryStats, RetryPolicy};

@@ -102,8 +102,8 @@ pub enum IntentOp {
 ///
 /// Writes append to the journal; once the journal reaches
 /// `checkpoint_interval` entries it is folded into the checkpoint map
-/// (a *checkpoint*, counted in `resync.checkpoints`). [`snapshot`]
-/// (Self::snapshot) materializes checkpoint ⊕ journal.
+/// (a *checkpoint*, counted in `resync.checkpoints`).
+/// [`snapshot`](Self::snapshot) materializes checkpoint ⊕ journal.
 #[derive(Clone, Debug)]
 pub struct IntentStore {
     checkpoint: BTreeMap<RuleId, Rule>,

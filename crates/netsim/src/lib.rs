@@ -9,7 +9,8 @@
 //! * [`flow`] — max-min fair bandwidth sharing (progressive filling);
 //! * [`metrics`] — RIT / FCT / JCT collection and CDF rendering;
 //! * [`sim`] — the event loop plus the proactive traffic-engineering
-//!   SDNApp whose reconfigurations exercise the switch control planes.
+//!   SDNApp whose reconfigurations exercise the switch control planes,
+//!   one fleet member per switch, each on its own worker lane.
 //!
 //! ## Example
 //!
@@ -41,6 +42,5 @@ pub mod prelude {
     pub use crate::flow::{ActiveFlow, FlowId, FlowTable, JobId};
     pub use crate::metrics::{median_improvement, RunMetrics, Samples};
     pub use crate::sim::{SwitchKind, Varys, VarysConfig};
-    pub use hermes_fleet::{LaneSched, RebalancePolicy};
     pub use crate::topology::{Link, LinkId, NodeId, NodeKind, Topology};
 }

@@ -146,32 +146,14 @@ pub struct RunMetrics {
     pub audit_diffs: u64,
     /// Total simulated time the control planes spent in degraded mode, ms.
     pub degraded_ms: f64,
-    /// Switch crashes injected over the run (wipe + partial + disconnect).
-    pub crashes: u64,
-    /// Resync passes the control planes drove to completion.
-    pub resyncs: u64,
-    /// Rules reinstalled by resync across all switches.
-    pub resync_reinstalled: u64,
-    /// Total crash-to-guarantee-restored gap, nanoseconds (summed across
-    /// completed resyncs; the window in which the insertion guarantee was
-    /// suspended).
-    pub guarantee_gap_ns: u64,
     /// Two-phase path-install transactions driven through the fleet.
     pub path_txns: u64,
-    /// Path transactions rolled back on a member fault or crash window.
+    /// Path transactions rolled back because a member failed staging.
     pub path_rollbacks: u64,
     /// Aborted arrival installs that degraded to best-effort per-switch
     /// submissions (the flow's rules went out without atomicity cover —
     /// a distinct health signal from the rollback itself).
     pub path_degraded: u64,
-    /// New-flow placements the rebalancer steered off the TE layer's
-    /// default path draw (member health overruled the first candidate).
-    pub rebalance_steers: u64,
-    /// Flows moved off pressure-hot switches by TE-tick rebalance passes.
-    pub rebalance_moves: u64,
-    /// Fleet ops dispatched to a lane other than their member's home lane
-    /// (weighted scheduling; 0 under pinned sharding).
-    pub lane_steals: u64,
     /// Path-transaction pieces that rode a shared per-member cut instead
     /// of their own submit.
     pub coalesced_pieces: u64,
@@ -193,16 +175,9 @@ impl ToJson for RunMetrics {
             ("device_failures", self.device_failures.to_json()),
             ("audit_diffs", self.audit_diffs.to_json()),
             ("degraded_ms", self.degraded_ms.to_json()),
-            ("crashes", self.crashes.to_json()),
-            ("resyncs", self.resyncs.to_json()),
-            ("resync_reinstalled", self.resync_reinstalled.to_json()),
-            ("guarantee_gap_ns", self.guarantee_gap_ns.to_json()),
             ("path_txns", self.path_txns.to_json()),
             ("path_rollbacks", self.path_rollbacks.to_json()),
             ("path_degraded", self.path_degraded.to_json()),
-            ("rebalance_steers", self.rebalance_steers.to_json()),
-            ("rebalance_moves", self.rebalance_moves.to_json()),
-            ("lane_steals", self.lane_steals.to_json()),
             ("coalesced_pieces", self.coalesced_pieces.to_json()),
         ])
     }

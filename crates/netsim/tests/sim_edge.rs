@@ -1,5 +1,5 @@
 //! Edge cases of the Varys event loop: degenerate flows, horizon cutoff,
-//! gating toggles, and metric bookkeeping.
+//! install-gated flow start, and metric bookkeeping.
 
 use hermes_core::config::HermesConfig;
 use hermes_netsim::prelude::*;
@@ -73,42 +73,11 @@ fn horizon_cuts_off_unfinished_flows() {
 }
 
 #[test]
-fn gating_off_means_zero_startup_installs() {
-    let topo = Topology::fat_tree(4, 10e9);
-    let cfg = VarysConfig {
-        switch: SwitchKind::Raw(SwitchModel::pica8_p3290()),
-        gate_flow_start: false,
-        // High threshold so the TE app never fires either.
-        congestion_threshold: 2.0,
-        base_rules_per_switch: 10,
-        ..Default::default()
-    };
-    let mut sim = Varys::new(topo, cfg);
-    let jobs: Vec<JobSpec> = (0..8)
-        .map(|i| {
-            job(
-                i,
-                0.0,
-                vec![FlowSpec {
-                    src: i,
-                    dst: 15 - i,
-                    bytes: 50_000_000,
-                }],
-            )
-        })
-        .collect();
-    sim.register_jobs(&jobs);
-    sim.run(60.0);
-    assert_eq!(sim.metrics.installs, 0);
-    assert_eq!(sim.metrics.fct_s.len(), 8);
-}
-
-#[test]
 fn gating_on_installs_one_rule_per_switch_on_path() {
     let topo = Topology::fat_tree(4, 10e9);
     let cfg = VarysConfig {
         switch: SwitchKind::Raw(SwitchModel::pica8_p3290()),
-        gate_flow_start: true,
+        // High threshold so the TE app never fires.
         congestion_threshold: 2.0,
         base_rules_per_switch: 10,
         ..Default::default()

@@ -504,7 +504,7 @@ fn charge(spike: f64, modeled: SimDuration, ops: usize, shifts: usize) -> SimDur
 /// [`MissBehavior`]; walking off the end punts to the controller. A stage
 /// is only consulted when the walk reaches it, so per-stage lookup
 /// counters see exactly the packets that got that far.
-pub fn walk_pipeline(
+fn walk_pipeline(
     stages: usize,
     mut stage: impl FnMut(usize) -> (Option<(usize, Rule)>, MissBehavior),
 ) -> LookupResult {

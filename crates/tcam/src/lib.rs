@@ -36,9 +36,7 @@ pub mod perf;
 pub mod table;
 pub mod time;
 
-pub use device::{
-    walk_pipeline, BatchOpReport, LookupResult, MissBehavior, OpReport, Slice, TcamDevice,
-};
+pub use device::{BatchOpReport, LookupResult, MissBehavior, OpReport, Slice, TcamDevice};
 pub use fault::{CrashKind, CrashSpec, CrashStats, FaultDecision, FaultPlan, FaultStats};
 pub use perf::SwitchModel;
 pub use table::{BatchReport, PlacementStrategy, TableStats, TcamError, TcamOp, TcamTable};

@@ -15,7 +15,7 @@
 //! ## Storage layout (two sides, three indexes)
 //!
 //! A table has a *physical* side and a *match* side that meet only in the
-//! entry's sort key, [`EntryKey`] `{!priority, insertion seq}`.
+//! entry's sort key, the private `EntryKey` `{!priority, insertion seq}`.
 //!
 //! The physical side is the private `Layout`: entries live in fixed-fanout
 //! *blocks* (a chunked vector), each block holding a contiguous run of the

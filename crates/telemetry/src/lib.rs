@@ -7,7 +7,7 @@
 //! * a **metrics registry** — counters, gauges, log-linear histograms and
 //!   bounded time series ([`metrics`]);
 //! * a **report writer** emitting the versioned, schema-stable
-//!   `BENCH_<exp>.json` document ([`report`]).
+//!   `BENCH_<exp>.json` document ([`mod@report`]).
 //!
 //! Determinism is the design constraint: every timestamp is sim-time
 //! nanoseconds (never wall clock), every export iterates sorted maps, so a

@@ -17,7 +17,7 @@ const SUB_BUCKETS: u64 = 8;
 /// A log-linear histogram over `u64` values.
 ///
 /// Values below 8 get exact singleton buckets; above that, each power-of-two
-/// octave `[2^k, 2^(k+1))` splits into [`SUB_BUCKETS`] linear sub-buckets.
+/// octave `[2^k, 2^(k+1))` splits into 8 linear sub-buckets.
 /// The scheme covers the full `u64` range (1 ns to far past one second)
 /// with at most 496 buckets, allocated lazily.
 #[derive(Clone, Debug, Default)]

@@ -270,7 +270,7 @@ where
 /// ```ignore
 /// hermes_util::check! {
 ///     #![cases = 256]
-///     fn my_property(a in gen_a(), b in range(0u32..10)) { … }
+///     fn my_property(a in gen_a(), b in range(0u32..10)) { /* … */ }
 /// }
 /// ```
 ///

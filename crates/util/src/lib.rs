@@ -10,10 +10,10 @@
 //!   `rand::` call sites port by switching the path to `hermes_util::rng::`.
 //! * [`json`] — a minimal JSON value, writer and reader for experiment
 //!   output and trace files.
-//! * [`check`] — a compact property-testing harness (see [`check!`]) with
+//! * [`mod@check`] — a compact property-testing harness (see [`check!`]) with
 //!   generator combinators, fixed default seeds, failure minimization by
 //!   halving the generation size, and `HERMES_CHECK_*` env overrides.
-//! * [`bench`] — [`bench::Stopwatch`], the one sanctioned wall-clock read
+//! * [`mod@bench`] — [`bench::Stopwatch`], the one sanctioned wall-clock read
 //!   (lint R1); the perf ledger and `hermes-harness` measure through it.
 //! * [`stats`] — the shared nearest-rank quantile used by the scenario
 //!   harness, the perf ledger and the netsim metric distributions.

@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(build lint clippy test bins chaos telemetry perfgate ledger matrix_smoke)
+ALL_STAGES=(build lint clippy doc test bins chaos telemetry perfgate ledger matrix_smoke)
 
 stage_build() {
     cargo build --release --offline --workspace
@@ -32,6 +32,12 @@ stage_lint() {
 
 stage_clippy() {
     cargo clippy --offline --workspace --all-targets -- -D warnings
+}
+
+stage_doc() {
+    # Rustdoc as a gate: a broken or ambiguous intra-doc link, a link to a
+    # private item or an unparsable code block fails the build.
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 stage_test() {

@@ -262,37 +262,6 @@ fn fleet_run_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn fleet_backed_sim_is_deterministic_per_lane_count() {
-    // The netsim control plane now routes through the fleet; runs must
-    // stay byte-identical per lane count, and the lane count must reach
-    // the modeled timings (a serialized driver can't match full overlap).
-    let run = |lanes: usize| {
-        let topo = Topology::fat_tree(4, 10e9);
-        let config = VarysConfig {
-            switch: SwitchKind::Hermes(SwitchModel::dell_8132f(), HermesConfig::default()),
-            congestion_threshold: 0.6,
-            base_rules_per_switch: 100,
-            lanes,
-            seed: 5,
-            ..Default::default()
-        };
-        let mut sim = Varys::new(topo, config);
-        let tm = hermes::workloads::gravity::TrafficMatrix::gravity(16, 2e9, 4);
-        let flows = flows_from_matrix(&tm, 2.0, 80e6, 6);
-        sim.register_flows(&flows, 0);
-        sim.run(300.0);
-        sim.metrics.to_json().to_string()
-    };
-    let a1 = run(1);
-    let a2 = run(1);
-    assert_eq!(a1, a2, "lanes=1 runs must be byte-identical");
-    let b1 = run(4);
-    let b2 = run(4);
-    assert_eq!(b1, b2, "lanes=4 runs must be byte-identical");
-    assert_ne!(a1, b1, "the lane count must reach the modeled timings");
-}
-
-#[test]
 fn lint_report_is_byte_identical_across_runs() {
     // The static-analysis pass is part of the reproducibility story too:
     // its findings and waivers over the same tree must be a pure function
