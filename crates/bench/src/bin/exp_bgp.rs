@@ -21,6 +21,11 @@ use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, SwitchModel};
 use hermes_workloads::bgptrace::BgpTrace;
 
+/// Length of the update trace at scale 1, in seconds.
+const DURATION_S: f64 = 60.0;
+/// Update rate inside a burst, in updates/s.
+const BURST_RATE: f64 = 1500.0;
+
 /// FIB-level control actions with timestamps, after RIB processing.
 fn fib_actions(trace: &BgpTrace) -> Vec<(SimTime, ControlAction)> {
     let updates = trace.generate();
@@ -140,16 +145,15 @@ fn run_full_table(trace: &BgpTrace) {
 fn run() {
     let sc = hermes_bench::scenario();
     let scale = hermes_bench::scale();
-    let duration_s = sc.knob_f64("duration_s", 60.0) * scale as f64;
+    let duration_s = DURATION_S * scale as f64;
     let prefixes = sc.knob_u64("prefixes", 800) as usize;
-    let burst_rate = sc.knob_f64("burst_rate", 1500.0);
     let full_table = sc.knob_bool("full_table", false);
     hermes_bench::report_meta("duration_s", &duration_s);
     hermes_bench::report_meta("prefixes", &(prefixes as u64));
     let trace = BgpTrace {
         duration_s,
         prefixes,
-        burst_rate,
+        burst_rate: BURST_RATE,
         ..Default::default()
     };
     println!("== §8.4: Hermes under BGP (5 ms guarantee) ==\n");

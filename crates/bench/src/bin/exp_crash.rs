@@ -3,13 +3,10 @@
 //!
 //! A Hermes agent ingests a batched rule stream while a `crashy` fault
 //! plan periodically kills the switch; after the storm the plan is
-//! disarmed and audit sweeps must drive every crash window closed. The
-//! run exercises both resync modes:
-//!
-//! * **warm** — diff against the survivor subset, replay the minimal
-//!   repair set through one batched device transaction per slice;
-//! * **cold** — distrust every survivor, wipe and reinstall the whole
-//!   intent snapshot in batched chunks.
+//! disarmed and audit sweeps must drive every crash window closed. Each
+//! resync diffs the intent store against the survivor subset and replays
+//! the minimal repair set through one batched device transaction per
+//! slice.
 //!
 //! The gated counters pin the whole path: `resync.*` proves crash
 //! detection/recovery ran, and `tcam.batch_*` proves the repair sets
@@ -46,19 +43,13 @@ fn storm_rule(id: u64, rng: &mut StdRng) -> Rule {
     )
 }
 
-fn run_phase(
-    mode: ResyncMode,
-    count: usize,
-    crash_period: u64,
-    survivor_prob: f64,
-    denials: u32,
-    seed: u64,
-) -> Outcome {
+/// Probability that an entry survives a partial-retention crash.
+const SURVIVOR_PROB: f64 = 0.5;
+/// Reconnect attempts the rebooting device denies before accepting one.
+const RECONNECT_DENIALS: u32 = 2;
+
+fn run_storm(count: usize, crash_period: u64, seed: u64) -> Outcome {
     let config = HermesConfig {
-        resync: ResyncPolicy {
-            mode,
-            ..ResyncPolicy::default()
-        },
         // Admission control off: every update attempts the shadow path, so
         // crash windows land on a busy pipeline rather than a throttled one.
         rate_limit: Some(f64::INFINITY),
@@ -68,8 +59,8 @@ fn run_phase(
         .expect("INVARIANT: fixed experiment config is feasible for this model");
     let mut plan = FaultPlan::crashy(seed);
     plan.crash_period = crash_period;
-    plan.survivor_prob = survivor_prob;
-    plan.max_reconnect_denials = denials;
+    plan.survivor_prob = SURVIVOR_PROB;
+    plan.max_reconnect_denials = RECONNECT_DENIALS;
     sw.install_fault_plan(Some(plan));
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4352_4153_4853_544d);
@@ -150,20 +141,17 @@ fn main() -> std::process::ExitCode {
 fn run_experiment_body() {
     let count = hermes_bench::scenario().knob_u64("count", 1500) as usize * hermes_bench::scale();
     let crash_period = hermes_bench::scenario().knob_u64("crash_period", 120);
-    let survivor_prob = hermes_bench::scenario().knob_f64("survivor_prob", 0.5);
-    let denials = hermes_bench::scenario().knob_u64("reconnect_denials", 2) as u32;
     let seed = FaultPlan::env_seed().unwrap_or(7);
     hermes_bench::report_meta("count", &(count as u64));
     hermes_bench::report_meta("crash_period", &crash_period);
 
     println!("== Crash storm: wipe/partial/disconnect faults vs the resync engine ==\n");
     println!(
-        "{count} updates, a crash every ~{crash_period} device ops, survivor p={survivor_prob}, \
-         {denials} reconnect denial(s), fault seed {seed}\n"
+        "{count} updates, a crash every ~{crash_period} device ops, survivor p={SURVIVOR_PROB}, \
+         {RECONNECT_DENIALS} reconnect denial(s), fault seed {seed}\n"
     );
 
     let mut t = Table::new(&[
-        "Mode",
         "Crashes",
         "Resyncs",
         "Reinstalled",
@@ -172,23 +160,20 @@ fn run_experiment_body() {
         "Final rules",
         "Sweeps",
     ]);
-    for (label, mode) in [("warm", ResyncMode::Warm), ("cold", ResyncMode::Cold)] {
-        let o = run_phase(mode, count, crash_period, survivor_prob, denials, seed);
-        t.row(&[
-            label.to_string(),
-            o.crashes.to_string(),
-            o.resyncs.to_string(),
-            o.reinstalled.to_string(),
-            o.survivors.to_string(),
-            format!("{:.3}", o.gap_ms),
-            o.final_rules.to_string(),
-            o.sweeps.to_string(),
-        ]);
-    }
+    let o = run_storm(count, crash_period, seed);
+    t.row(&[
+        o.crashes.to_string(),
+        o.resyncs.to_string(),
+        o.reinstalled.to_string(),
+        o.survivors.to_string(),
+        format!("{:.3}", o.gap_ms),
+        o.final_rules.to_string(),
+        o.sweeps.to_string(),
+    ]);
     t.print();
     println!(
-        "\nwarm mode keeps crash survivors in place and replays the minimal diff;\n\
-         cold mode reinstalls the full intent snapshot — both through batched\n\
-         device transactions, with the guarantee re-established after every crash"
+        "\nresync keeps crash survivors in place and replays the minimal diff\n\
+         through batched device transactions, with the guarantee re-established\n\
+         after every crash"
     );
 }

@@ -18,6 +18,9 @@ use hermes_core::predict::{Corrector, PredictorKind};
 use hermes_tcam::{SimDuration, SwitchModel};
 use hermes_workloads::microbench::MicroBench;
 
+/// Updates per run at scale 1.
+const COUNT: usize = 3000;
+
 fn workload(count: usize) -> MicroBench {
     MicroBench {
         arrival_rate: 1000.0,
@@ -65,8 +68,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run_experiment_body() {
-    let count =
-        hermes_bench::scenario().knob_u64("count", 3000) as usize * hermes_bench::scale();
+    let count = COUNT * hermes_bench::scale();
     hermes_bench::report_meta("count", &(count as u64));
     println!("== Figure 12: Hermes-SIMPLE vs threshold (1000 upd/s, 100% overlap) ==\n");
 

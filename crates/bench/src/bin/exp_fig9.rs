@@ -14,15 +14,19 @@ use hermes_netsim::metrics::Samples;
 use hermes_netsim::sim::SwitchKind;
 use hermes_tcam::SwitchModel;
 
+/// Facebook coflow jobs at scale 1.
+const FACEBOOK_JOBS: usize = 300;
+/// Geant traffic-matrix replay length at scale 1, in seconds.
+const GEANT_DURATION_S: f64 = 60.0;
+
 fn main() -> std::process::ExitCode {
     hermes_bench::run_experiment("exp_fig9", run)
 }
 
 fn run() {
-    let sc = hermes_bench::scenario();
     let scale = hermes_bench::scale();
-    let facebook_jobs = sc.knob_u64("facebook_jobs", 300) as usize * scale;
-    let geant_duration_s = sc.knob_f64("geant_duration_s", 60.0) * scale as f64;
+    let facebook_jobs = FACEBOOK_JOBS * scale;
+    let geant_duration_s = GEANT_DURATION_S * scale as f64;
     hermes_bench::report_meta("facebook_jobs", &(facebook_jobs as u64));
     hermes_bench::report_meta("geant_duration_s", &geant_duration_s);
     hermes_bench::report_meta("sim_seeds", &vec![33u64, 34]);

@@ -460,6 +460,18 @@ fn run_storm(
 /// Seed-mixing constant for the storm schedule (its own stream — the
 /// phase-1 churn stream stays untouched).
 const STORM_SALT: u64 = 0x5354_4f52_4d32_2121;
+/// Lanes of the sharded arm (phase 1) and of every storm arm (phase 2).
+const LANES: usize = 4;
+/// Pieces per phase-1 path transaction.
+const SPAN: usize = 3;
+/// Workload seed of both phases.
+const SEED: u64 = 7;
+/// Storm transactions at scale 1.
+const STORM_PATHS: usize = 400;
+/// Pieces per storm transaction.
+const STORM_SPAN: usize = 4;
+/// Transactions between two crashes of the hot-set victim.
+const STORM_CRASH_EVERY: usize = 25;
 
 fn main() -> std::process::ExitCode {
     hermes_bench::run_experiment("exp_fleet", run_experiment_body)
@@ -467,20 +479,17 @@ fn main() -> std::process::ExitCode {
 
 fn run_experiment_body() {
     let switches = hermes_bench::scenario().knob_u64("switches", 20) as usize;
-    let lanes = hermes_bench::scenario().knob_u64("lanes", 4) as usize;
     let preload = hermes_bench::scenario().knob_u64("preload", 150) as usize;
     let paths = hermes_bench::scenario().knob_u64("paths", 400) as usize * hermes_bench::scale();
-    let span = hermes_bench::scenario().knob_u64("span", 3) as usize;
     let crash_every = hermes_bench::scenario().knob_u64("crash_every", 50) as usize;
-    let seed = hermes_bench::scenario().knob_u64("seed", 7);
     hermes_bench::report_meta("switches", &(switches as u64));
-    hermes_bench::report_meta("lanes", &(lanes as u64));
+    hermes_bench::report_meta("lanes", &(LANES as u64));
     hermes_bench::report_meta("paths", &(paths as u64));
 
     println!("== Fleet pipeline: sharded lanes vs a serialized driver ==\n");
     println!(
         "{switches} Hermes switches, {preload} preloaded rules each, {paths} path \
-         transactions of {span} pieces, a crash every {crash_every} transactions, seed {seed}\n"
+         transactions of {SPAN} pieces, a crash every {crash_every} transactions, seed {SEED}\n"
     );
 
     let mut t = Table::new(&[
@@ -494,9 +503,9 @@ fn run_experiment_body() {
         "Occupancy",
         "Sweeps",
     ]);
-    let serial = run_phase(1, switches, preload, paths, span, crash_every, seed);
-    let sharded = run_phase(lanes, switches, preload, paths, span, crash_every, seed);
-    for (label, o) in [("1", &serial), (&lanes.to_string(), &sharded)] {
+    let serial = run_phase(1, switches, preload, paths, SPAN, crash_every, SEED);
+    let sharded = run_phase(LANES, switches, preload, paths, SPAN, crash_every, SEED);
+    for (label, o) in [("1", &serial), (&LANES.to_string(), &sharded)] {
         t.row(&[
             label.to_string(),
             o.ops.to_string(),
@@ -517,7 +526,7 @@ fn run_experiment_body() {
         0.0
     };
     println!(
-        "\nthroughput speedup at lanes={lanes}: {speedup:.2}x over the serialized driver\n\
+        "\nthroughput speedup at lanes={LANES}: {speedup:.2}x over the serialized driver\n\
          (an op occupies its switch's control channel and its lane; sharding\n\
          overlaps shadow installs on one switch with migrations on others)"
     );
@@ -535,37 +544,32 @@ fn run_experiment_body() {
         serial.ops, sharded.ops,
         "both lane configurations drive the identical workload"
     );
-    if lanes >= 4 {
-        assert!(
-            speedup >= 2.0,
-            "lanes={lanes} must deliver >=2x modeled throughput over lanes=1 (got {speedup:.2}x)"
-        );
-    }
+    assert!(
+        speedup >= 2.0,
+        "lanes={LANES} must deliver >=2x modeled throughput over lanes=1 (got {speedup:.2}x)"
+    );
 
     // ---- Phase 2: the skewed rebalancing storm ----------------------
-    let storm_paths =
-        hermes_bench::scenario().knob_u64("storm_paths", 400) as usize * hermes_bench::scale();
-    let storm_span = hermes_bench::scenario().knob_u64("storm_span", 4) as usize;
-    let storm_crash_every = hermes_bench::scenario().knob_u64("storm_crash_every", 25) as usize;
+    let storm_paths = STORM_PATHS * hermes_bench::scale();
     hermes_bench::report_meta("storm_paths", &(storm_paths as u64));
 
-    let (schedule, hot) = build_storm(switches, lanes, storm_paths, storm_span, storm_crash_every, seed);
+    let (schedule, hot) = build_storm(switches, LANES, storm_paths, STORM_SPAN, STORM_CRASH_EVERY, SEED);
     println!(
         "\n== Rebalancing storm: skewed load over the lane-0 hot set ==\n\n\
-         {storm_paths} transactions of {storm_span} pieces, 80% of pieces on the \
+         {storm_paths} transactions of {STORM_SPAN} pieces, 80% of pieces on the \
          {}-member hot set (with replacement), member {} crash-looping every \
-         {storm_crash_every} transactions\n",
+         {STORM_CRASH_EVERY} transactions\n",
         hot.len(),
         hot[0],
     );
 
-    let arm_a = run_storm(&schedule, switches, lanes, preload, seed, &StormArm {
+    let arm_a = run_storm(&schedule, switches, LANES, preload, SEED, &StormArm {
         sched: LaneSched::Pinned, coalesce: false, rebalance: false,
     });
-    let arm_b = run_storm(&schedule, switches, lanes, preload, seed, &StormArm {
+    let arm_b = run_storm(&schedule, switches, LANES, preload, SEED, &StormArm {
         sched: LaneSched::Weighted, coalesce: true, rebalance: false,
     });
-    let arm_c = run_storm(&schedule, switches, lanes, preload, seed, &StormArm {
+    let arm_c = run_storm(&schedule, switches, LANES, preload, SEED, &StormArm {
         sched: LaneSched::Weighted, coalesce: true, rebalance: true,
     });
 
@@ -612,7 +616,7 @@ fn run_experiment_body() {
         "\nstorm win (weighted scheduling + piece coalescing over pinned \
          per-piece): {storm_win:.2}x\n(the hot set shares home lane 0: pinned \
          dispatch serializes 80% of the storm\n through one lane while weighted \
-         dispatch spreads the same member channels\n across all {lanes})"
+         dispatch spreads the same member channels\n across all {LANES})"
     );
 
     for (label, o) in [("A", &arm_a), ("B", &arm_b), ("C", &arm_c)] {
@@ -646,12 +650,10 @@ fn run_experiment_body() {
         arm_c.rollbacks,
         arm_b.rollbacks,
     );
-    if lanes >= 4 {
-        assert!(
-            storm_win >= 1.5,
-            "weighted scheduling + coalescing must deliver >=1.5x modeled \
-             throughput over pinned per-piece dispatch on the skewed storm \
-             (got {storm_win:.2}x)"
-        );
-    }
+    assert!(
+        storm_win >= 1.5,
+        "weighted scheduling + coalescing must deliver >=1.5x modeled \
+         throughput over pinned per-piece dispatch on the skewed storm \
+         (got {storm_win:.2}x)"
+    );
 }

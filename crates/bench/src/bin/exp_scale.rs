@@ -28,6 +28,8 @@ use hermes_util::rng::{Rng, SeedableRng};
 const SCALE_STREAM_SALT: u64 = 7;
 /// Batch size for the coalesced path (one "transaction" per chunk).
 const CHUNK: usize = 1024;
+/// Rules installed at scale 1.
+const RULES: usize = 100_000;
 
 fn workload(n: usize) -> Vec<Rule> {
     let mut rng = StdRng::seed_from_u64(SCALE_STREAM_SALT);
@@ -76,8 +78,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() {
-    let n = hermes_bench::scenario().knob_u64("rules", 100_000) as usize
-        * hermes_bench::scale();
+    let n = RULES * hermes_bench::scale();
     hermes_bench::report_meta("n", &(n as u64));
     println!("== control-plane batching at scale: {n} rules ==\n");
 

@@ -18,6 +18,8 @@ use hermes_util::rng::{Rng, SeedableRng};
 /// Workload RNG stream for this experiment (R7: streams are named per
 /// subsystem so two experiments never silently draw the same sequence).
 const TCAM_MICRO_STREAM_SALT: u64 = 9;
+/// Insert probes per occupancy point at scale 1.
+const PROBES: usize = 100;
 
 fn rule(id: u64, i: u32, prio: u32) -> Rule {
     Rule::new(
@@ -86,8 +88,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() {
-    let probes = hermes_bench::scenario().knob_u64("probes", 100) as usize;
-    let n = probes * hermes_bench::scale();
+    let n = PROBES * hermes_bench::scale();
     hermes_bench::report_meta("n", &(n as u64));
     println!("== §2.1 microbenchmarks: TCAM behaviour ==\n");
 

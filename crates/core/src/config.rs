@@ -1,8 +1,6 @@
 //! Hermes configuration: guarantees, predicates and migration policy.
 
 use crate::predict::{Corrector, PredictorKind};
-use crate::recovery::RetryPolicy;
-use crate::resync::ResyncPolicy;
 use hermes_rules::prelude::*;
 use hermes_tcam::SimDuration;
 
@@ -70,21 +68,6 @@ impl Default for MigrationTrigger {
     }
 }
 
-/// How the Rule Manager writes the migrated rules into the main table
-/// (§5.2, "Correctness During Migration Consistency").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MigrationMode {
-    /// Incremental update: install each rule in the main table before
-    /// removing its shadow pieces — no packet ever loses its matching rule
-    /// (the paper's choice).
-    #[default]
-    MakeBeforeBreak,
-    /// Stall the pipeline and swap atomically. Perfectly consistent but
-    /// pauses the data plane for the whole migration (the alternative the
-    /// paper rejects); kept for the ablation benchmark.
-    PauseAndSwap,
-}
-
 /// Full Hermes configuration for one switch.
 #[derive(Clone, Debug)]
 pub struct HermesConfig {
@@ -95,10 +78,6 @@ pub struct HermesConfig {
     pub predicate: RulePredicate,
     /// Migration trigger policy.
     pub trigger: MigrationTrigger,
-    /// How the migration writes are sequenced.
-    pub mode: MigrationMode,
-    /// Period between Rule Manager wake-ups (prediction + trigger check).
-    pub tick: SimDuration,
     /// Admission-control rate in inserts/s; `None` derives the rate from
     /// Equation 2 at runtime.
     pub rate_limit: Option<f64>,
@@ -114,14 +93,6 @@ pub struct HermesConfig {
     /// without shifting and are the rules that fragment worst). Disable to
     /// force every qualifying rule through the shadow path (ablation).
     pub low_priority_bypass: bool,
-    /// Per-op retry policy for transient control-channel failures.
-    pub retry: RetryPolicy,
-    /// Consecutive retry-exhausted device ops before the Gate Keeper
-    /// enters degraded mode and queues admissions.
-    pub degraded_threshold: u32,
-    /// Crash-resync policy: warm/cold reboot mode, reconnect backoff and
-    /// the intent-store checkpoint interval.
-    pub resync: ResyncPolicy,
 }
 
 impl Default for HermesConfig {
@@ -130,15 +101,10 @@ impl Default for HermesConfig {
             guarantee: SimDuration::from_ms(5.0),
             predicate: RulePredicate::All,
             trigger: MigrationTrigger::default(),
-            mode: MigrationMode::default(),
-            tick: SimDuration::from_ms(100.0),
             rate_limit: None,
             max_partitions: 16,
             shadow_size: None,
             low_priority_bypass: true,
-            retry: RetryPolicy::default(),
-            degraded_threshold: 2,
-            resync: ResyncPolicy::default(),
         }
     }
 }
@@ -209,6 +175,5 @@ mod tests {
                 corrector: Corrector::Slack(1.0)
             }
         );
-        assert_eq!(c.mode, MigrationMode::MakeBeforeBreak);
     }
 }

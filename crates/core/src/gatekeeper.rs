@@ -183,28 +183,6 @@ impl GateKeeper {
         None // proceed to partitioning + shadow placement
     }
 
-    /// First-stage routing for a whole batch of admissions sharing one
-    /// arrival instant (the batched control-plane pipeline).
-    ///
-    /// Equivalent to calling [`GateKeeper::pre_route`] once per rule in
-    /// submission order: the token bucket drains in that order, so earlier
-    /// rules in the slice win the remaining tokens. `lowest_live_priority`
-    /// is a snapshot taken before the batch — the §4.2 bypass does not
-    /// re-evaluate against rules admitted earlier in the same batch (a
-    /// deliberate, documented deviation that keeps the decision
-    /// order-independent of intra-batch placement).
-    pub fn admit_batch(
-        &mut self,
-        rules: &[Rule],
-        now: SimTime,
-        lowest_live_priority: Option<Priority>,
-    ) -> Vec<Option<Route>> {
-        rules
-            .iter()
-            .map(|r| self.pre_route(r, now, lowest_live_priority))
-            .collect()
-    }
-
     /// Second-stage decision, after partitioning: fragmentation and
     /// capacity checks.
     pub fn post_route(&self, pieces: usize, shadow_free: usize) -> Route {
@@ -316,35 +294,6 @@ mod tests {
             gk.pre_route(&r, t, Some(Priority(1))),
             Some(Route::MainOverRate)
         );
-    }
-
-    #[test]
-    fn admit_batch_matches_sequential_pre_route() {
-        let mk = || GateKeeper::new(RulePredicate::All, Some((10.0, 2.0)), 16);
-        let rules = vec![
-            rule("10.0.0.0/8", 9),
-            rule("11.0.0.0/8", 8),
-            rule("12.0.0.0/8", 7), // third insert exceeds the 2-token burst
-            rule("13.0.0.0/8", 0), // low-priority bypass, no token taken
-        ];
-        let mut batch_gk = mk();
-        let got = batch_gk.admit_batch(&rules, SimTime::ZERO, Some(Priority(1)));
-        let mut seq_gk = mk();
-        let want: Vec<_> = rules
-            .iter()
-            .map(|r| seq_gk.pre_route(r, SimTime::ZERO, Some(Priority(1))))
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(
-            got,
-            vec![
-                None,
-                None,
-                Some(Route::MainOverRate),
-                Some(Route::MainLowPriority)
-            ]
-        );
-        assert_eq!(batch_gk.bucket.as_ref().unwrap().tokens(), 0.0);
     }
 
     #[test]

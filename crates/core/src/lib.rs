@@ -60,15 +60,13 @@ pub mod switch;
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
     pub use crate::api::{HermesApi, QosHandle, ShadowId, SwitchId};
-    pub use crate::config::{HermesConfig, MigrationMode, MigrationTrigger, RulePredicate};
+    pub use crate::config::{HermesConfig, MigrationTrigger, RulePredicate};
     pub use crate::gatekeeper::{GateKeeper, Route, TokenBucket};
     pub use crate::manager::{MigrationReport, RuleManager};
     pub use crate::partition::{partition_new_rule, PartitionOutcome};
     pub use crate::predict::{Arma, Corrector, CubicSpline, Ewma, Predictor, PredictorKind};
-    pub use crate::recovery::{AuditReport, RecoveryStats, RetryPolicy};
-    pub use crate::resync::{
-        IntentOp, IntentStore, ResyncMode, ResyncPolicy, ResyncReport, ResyncStats,
-    };
+    pub use crate::recovery::{AuditReport, RecoveryStats};
+    pub use crate::resync::{IntentOp, IntentStore, ResyncReport, ResyncStats};
     pub use crate::switch::{
         ActionReport, HermesError, HermesStats, HermesSwitch, ReportDetail, MAIN, SHADOW,
     };

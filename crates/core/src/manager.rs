@@ -27,10 +27,6 @@ pub struct MigrationReport {
     pub entries_saved: usize,
     /// Total simulated time the migration occupied the control plane.
     pub duration: SimDuration,
-    /// How long the data-plane pipeline was stalled
-    /// ([`MigrationMode::PauseAndSwap`](crate::config::MigrationMode) only;
-    /// zero for the incremental protocol).
-    pub pipeline_paused: SimDuration,
 }
 
 /// A whole migration pass planned up front: the shadow drain expressed as

@@ -5,10 +5,10 @@
 //! op it never applied. Recovery keeps the shadow/main lookup-equivalence
 //! invariant in three layers:
 //!
-//! 1. **Per-op retry** ([`RetryPolicy`]): capped exponential backoff with
-//!    deterministic jitter; the backoff time is charged against the
-//!    latency guarantee, so a retried insert can still violate its bound
-//!    honestly.
+//! 1. **Per-op retry** ([`RETRY_ATTEMPTS`] per op): capped exponential
+//!    backoff with deterministic jitter; the backoff time is charged
+//!    against the latency guarantee, so a retried insert can still
+//!    violate its bound honestly.
 //! 2. **Transaction journal** ([`RecoveryState::pending_gc`]): physical
 //!    deletes that exhausted their retries are journaled and replayed
 //!    idempotently (a replay finding the entry already gone simply drops
@@ -20,7 +20,7 @@
 //!    action drift. The controller's bookkeeping is the source of truth
 //!    of *intent*; the audit makes the device converge to it.
 //!
-//! On top sits **degraded mode**: after `degraded_threshold` consecutive
+//! On top sits **degraded mode**: after [`DEGRADED_THRESHOLD`] consecutive
 //! retry-exhausted ops the Gate Keeper stops hammering the dead channel
 //! and queues admissions ([`RecoveryState::deferred`]); the first
 //! successful device op ends the episode and queued admissions drain on
@@ -35,41 +35,23 @@ use hermes_util::rng::{Rng, SeedableRng, StdRng};
 /// runs reproduce byte-for-byte from the fault seed alone.
 const JITTER_STREAM_SALT: u64 = 0x4845_524d_4553_0001;
 
-/// Per-op retry policy: capped exponential backoff with jitter.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per device op (first try + retries).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub base_backoff: SimDuration,
-    /// Backoff ceiling.
-    pub max_backoff: SimDuration,
-    /// Jitter as a ± fraction of the backoff (`0.2` = ±20%).
-    pub jitter: f64,
-}
+/// Total attempts per device op (first try + retries).
+pub const RETRY_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry; doubles per retry.
+pub const RETRY_BASE_BACKOFF: SimDuration = SimDuration::from_us(500.0);
+/// Retry backoff ceiling.
+pub const RETRY_MAX_BACKOFF: SimDuration = SimDuration::from_us(5_000.0);
+/// Retry jitter as a ± fraction of the backoff (±20%).
+pub const RETRY_JITTER: f64 = 0.2;
+/// Consecutive retry-exhausted device ops before the Gate Keeper enters
+/// degraded mode and queues admissions.
+pub const DEGRADED_THRESHOLD: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: SimDuration::from_us(500.0),
-            max_backoff: SimDuration::from_ms(5.0),
-            jitter: 0.2,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based), jittered.
-    pub fn backoff(&self, attempt: u32, rng: &mut StdRng) -> SimDuration {
-        let exp = attempt.saturating_sub(1).min(16);
-        let base = (self.base_backoff * (1u64 << exp)).min(self.max_backoff);
-        if self.jitter <= 0.0 {
-            return base;
-        }
-        let factor = rng.gen_range((1.0 - self.jitter)..(1.0 + self.jitter));
-        base.mul_f64(factor)
-    }
+/// Capped exponential backoff before attempt `attempt` (1-based):
+/// `base`, doubling per attempt, never above `cap`.
+pub(crate) fn doubling_backoff(base: SimDuration, cap: SimDuration, attempt: u32) -> SimDuration {
+    let exp = attempt.saturating_sub(1).min(16);
+    (base * (1u64 << exp)).min(cap)
 }
 
 /// Lifetime health counters for the recovery subsystem.
@@ -150,10 +132,6 @@ impl AuditReport {
 /// Mutable recovery state carried by a `HermesSwitch`.
 #[derive(Debug)]
 pub struct RecoveryState {
-    /// The retry policy in force.
-    pub policy: RetryPolicy,
-    /// Consecutive retry-exhausted ops that trip degraded mode.
-    pub degraded_threshold: u32,
     /// Health counters.
     pub stats: RecoveryStats,
     /// Journal of physical deletes awaiting idempotent replay:
@@ -166,12 +144,9 @@ pub struct RecoveryState {
     degraded_since: Option<SimTime>,
 }
 
-impl RecoveryState {
-    /// Builds recovery state for a policy.
-    pub fn new(policy: RetryPolicy, degraded_threshold: u32) -> Self {
+impl Default for RecoveryState {
+    fn default() -> Self {
         RecoveryState {
-            policy,
-            degraded_threshold: degraded_threshold.max(1),
             stats: RecoveryStats::default(),
             pending_gc: Vec::new(),
             deferred: Vec::new(),
@@ -180,11 +155,14 @@ impl RecoveryState {
             degraded_since: None,
         }
     }
+}
 
+impl RecoveryState {
     /// Jittered backoff before retry `attempt` (1-based). The returned
     /// span is charged against the latency guarantee by the caller.
     pub fn backoff(&mut self, attempt: u32) -> SimDuration {
-        let b = self.policy.backoff(attempt, &mut self.rng);
+        let jitter = self.rng.gen_range((1.0 - RETRY_JITTER)..(1.0 + RETRY_JITTER));
+        let b = doubling_backoff(RETRY_BASE_BACKOFF, RETRY_MAX_BACKOFF, attempt).mul_f64(jitter);
         if hermes_telemetry::enabled() {
             hermes_telemetry::counter("recovery.retries", 1);
             hermes_telemetry::observe("recovery.backoff_ns", b.as_nanos());
@@ -212,7 +190,7 @@ impl RecoveryState {
     /// session is known-dead, so there is no point counting a failure
     /// streak before queuing admissions.
     pub fn enter_degraded(&mut self, now: SimTime) {
-        self.consecutive_failures = self.degraded_threshold;
+        self.consecutive_failures = DEGRADED_THRESHOLD;
         if self.degraded_since.is_none() {
             self.degraded_since = Some(now);
             self.stats.degraded_entries += 1;
@@ -226,7 +204,7 @@ impl RecoveryState {
         self.stats.permanent_failures += 1;
         self.consecutive_failures += 1;
         hermes_telemetry::counter("recovery.permanent_failures", 1);
-        if self.consecutive_failures >= self.degraded_threshold && self.degraded_since.is_none() {
+        if self.consecutive_failures >= DEGRADED_THRESHOLD && self.degraded_since.is_none() {
             self.degraded_since = Some(now);
             self.stats.degraded_entries += 1;
             hermes_telemetry::counter("recovery.degraded_entries", 1);
@@ -247,41 +225,35 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let policy = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(policy.backoff(1, &mut rng), SimDuration::from_us(500.0));
-        assert_eq!(policy.backoff(2, &mut rng), SimDuration::from_ms(1.0));
-        assert_eq!(policy.backoff(3, &mut rng), SimDuration::from_ms(2.0));
-        assert_eq!(policy.backoff(4, &mut rng), SimDuration::from_ms(4.0));
-        assert_eq!(policy.backoff(5, &mut rng), SimDuration::from_ms(5.0));
-        assert_eq!(policy.backoff(60, &mut rng), SimDuration::from_ms(5.0));
+        let b = |attempt| doubling_backoff(RETRY_BASE_BACKOFF, RETRY_MAX_BACKOFF, attempt);
+        assert_eq!(b(1), SimDuration::from_us(500.0));
+        assert_eq!(b(2), SimDuration::from_ms(1.0));
+        assert_eq!(b(3), SimDuration::from_ms(2.0));
+        assert_eq!(b(4), SimDuration::from_ms(4.0));
+        assert_eq!(b(5), SimDuration::from_ms(5.0));
+        assert_eq!(b(60), SimDuration::from_ms(5.0));
     }
 
     #[test]
     fn jitter_stays_within_bounds() {
-        let policy = RetryPolicy::default();
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rs = RecoveryState::default();
         for attempt in 1..6 {
-            let b = policy.backoff(attempt, &mut rng);
-            let nominal = policy
-                .base_backoff
+            let b = rs.backoff(attempt);
+            let nominal = SimDuration::from_us(500.0)
                 .mul_f64(f64::from(1u32 << (attempt - 1)))
-                .min(policy.max_backoff);
+                .min(SimDuration::from_ms(5.0));
             assert!(b >= nominal.mul_f64(0.8 - 1e-9) && b <= nominal.mul_f64(1.2 + 1e-9));
         }
     }
 
     #[test]
     fn degraded_entry_exit_accounting() {
-        let mut rs = RecoveryState::new(RetryPolicy::default(), 2);
+        let mut rs = RecoveryState::default();
         assert!(!rs.is_degraded());
         rs.on_permanent_failure(SimTime::from_ms(10.0));
-        assert!(!rs.is_degraded());
+        assert!(!rs.is_degraded(), "one exhausted op does not trip degraded mode");
         rs.on_permanent_failure(SimTime::from_ms(20.0));
-        assert!(rs.is_degraded());
+        assert!(rs.is_degraded(), "the second one does");
         assert_eq!(rs.stats.degraded_entries, 1);
         rs.on_success(SimTime::from_ms(30.0));
         assert!(!rs.is_degraded());

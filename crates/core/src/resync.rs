@@ -16,67 +16,35 @@
 //! 3. **Diff + replay**: a [`SlicePlan`] per slice computes the minimal
 //!    delete/fix/install set between the durable [`IntentStore`] view and
 //!    the post-crash table read back via audit, and replays it through
-//!    the batched `apply_batch` path — warm mode diffs against survivors,
-//!    cold mode wipes and reinstalls the full snapshot.
+//!    the batched `apply_batch` path, keeping every survivor that is
+//!    exactly right.
 //! 4. **Re-admission**: degraded mode ends and the deferred admission
 //!    queue drains, formally re-establishing the guarantee.
 //!
 //! Everything here is deterministic: no wall clock, no unseeded
 //! randomness — a crash plan replays byte-for-byte from its seeds.
 
+use crate::recovery::doubling_backoff;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, TcamOp};
 use std::collections::BTreeMap;
 
-/// How the resync engine rebuilds a post-crash table.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ResyncMode {
-    /// Diff against whatever entries survived the crash and apply only
-    /// the delta (the paper-faithful minimal-churn mode).
-    #[default]
-    Warm,
-    /// Distrust every survivor: wipe the table and reinstall the full
-    /// intent snapshot (the conservative reboot mode).
-    Cold,
-}
+/// Reconnect attempts per resync pass before giving up until the next
+/// tick/audit.
+pub const RECONNECT_ATTEMPTS: u32 = 8;
+/// Backoff before the second reconnect attempt; doubles per attempt.
+pub const RECONNECT_BASE_BACKOFF: SimDuration = SimDuration::from_us(1_000.0);
+/// Reconnect backoff ceiling.
+pub const RECONNECT_MAX_BACKOFF: SimDuration = SimDuration::from_us(50_000.0);
+/// Journal length at which the intent store folds its journal into the
+/// checkpoint.
+pub const CHECKPOINT_INTERVAL: usize = 256;
 
-/// Policy knobs for the resync engine.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ResyncPolicy {
-    /// Warm (diff against survivors) or cold (full reinstall).
-    pub mode: ResyncMode,
-    /// Reconnect attempts per resync pass before giving up until the
-    /// next tick/audit.
-    pub max_reconnect_attempts: u32,
-    /// Backoff before the second reconnect attempt; doubles per attempt.
-    pub reconnect_base_backoff: SimDuration,
-    /// Reconnect backoff ceiling.
-    pub reconnect_max_backoff: SimDuration,
-    /// Journal length at which the intent store folds its journal into
-    /// the checkpoint.
-    pub checkpoint_interval: usize,
-}
-
-impl Default for ResyncPolicy {
-    fn default() -> Self {
-        ResyncPolicy {
-            mode: ResyncMode::Warm,
-            max_reconnect_attempts: 8,
-            reconnect_base_backoff: SimDuration::from_ms(1.0),
-            reconnect_max_backoff: SimDuration::from_ms(50.0),
-            checkpoint_interval: 256,
-        }
-    }
-}
-
-impl ResyncPolicy {
-    /// Deterministic capped exponential backoff before reconnect attempt
-    /// `attempt` (1-based). No jitter: reconnect pacing must replay
-    /// byte-for-byte from the crash seed alone.
-    pub fn reconnect_backoff(&self, attempt: u32) -> SimDuration {
-        let exp = attempt.saturating_sub(1).min(16);
-        (self.reconnect_base_backoff * (1u64 << exp)).min(self.reconnect_max_backoff)
-    }
+/// Deterministic capped exponential backoff before reconnect attempt
+/// `attempt` (1-based). No jitter: reconnect pacing must replay
+/// byte-for-byte from the crash seed alone.
+pub fn reconnect_backoff(attempt: u32) -> SimDuration {
+    doubling_backoff(RECONNECT_BASE_BACKOFF, RECONNECT_MAX_BACKOFF, attempt)
 }
 
 /// One journaled change to the controller's installed-rule intent.
@@ -101,33 +69,22 @@ pub enum IntentOp {
 /// (the FDRC "controller as rule store" model).
 ///
 /// Writes append to the journal; once the journal reaches
-/// `checkpoint_interval` entries it is folded into the checkpoint map
+/// [`CHECKPOINT_INTERVAL`] entries it is folded into the checkpoint map
 /// (a *checkpoint*, counted in `resync.checkpoints`).
 /// [`snapshot`](Self::snapshot) materializes checkpoint ⊕ journal.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct IntentStore {
     checkpoint: BTreeMap<RuleId, Rule>,
     journal: Vec<IntentOp>,
-    checkpoint_interval: usize,
     checkpoints: u64,
 }
 
 impl IntentStore {
-    /// An empty store compacting at the given journal length.
-    pub fn new(checkpoint_interval: usize) -> Self {
-        IntentStore {
-            checkpoint: BTreeMap::new(),
-            journal: Vec::new(),
-            checkpoint_interval: checkpoint_interval.max(1),
-            checkpoints: 0,
-        }
-    }
-
     /// Journals one intent change, folding the journal into the
-    /// checkpoint when it reaches the configured interval.
+    /// checkpoint when it reaches [`CHECKPOINT_INTERVAL`].
     pub fn record(&mut self, op: IntentOp) {
         self.journal.push(op);
-        if self.journal.len() >= self.checkpoint_interval {
+        if self.journal.len() >= CHECKPOINT_INTERVAL {
             self.compact();
         }
     }
@@ -292,19 +249,15 @@ pub struct ResyncStats {
     pub resyncs_started: u64,
     /// Resync passes that fully re-established the guarantee.
     pub resyncs_completed: u64,
-    /// Completed passes that ran in warm (diff) mode.
-    pub warm_resyncs: u64,
-    /// Completed passes that ran in cold (full reinstall) mode.
-    pub cold_resyncs: u64,
     /// Reconnect attempts issued (denied attempts included).
     pub reconnect_attempts: u64,
     /// Resync passes abandoned with the session still down.
     pub reconnect_failures: u64,
     /// Physical entries (re)installed by resync.
     pub rules_reinstalled: u64,
-    /// Physical entries deleted by resync (orphans, drift, cold wipes).
+    /// Physical entries deleted by resync (orphans, drifted shapes).
     pub entries_deleted: u64,
-    /// Survivor entries a warm pass kept in place.
+    /// Survivor entries a pass kept in place.
     pub survivors_kept: u64,
     /// Simulated ns between crash detection and guarantee re-establishment.
     pub guarantee_gap_ns: u64,
@@ -313,17 +266,15 @@ pub struct ResyncStats {
 /// Outcome of one `HermesSwitch::resync` pass.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResyncReport {
-    /// The mode the pass ran in.
-    pub mode: ResyncMode,
     /// Reconnect attempts this pass issued.
     pub reconnect_attempts: u32,
-    /// Physical entries deleted (orphans, drifted shapes, cold wipes).
+    /// Physical entries deleted (orphans, drifted shapes).
     pub deleted: usize,
     /// Physical entries (re)installed.
     pub reinstalled: usize,
     /// Action drift repaired in place.
     pub fixed: usize,
-    /// Survivor entries kept in place (always 0 in cold mode).
+    /// Survivor entries kept in place.
     pub survivors: usize,
     /// Control-plane time the pass consumed (backoff included).
     pub duration: SimDuration,
@@ -332,11 +283,10 @@ pub struct ResyncReport {
     pub complete: bool,
 }
 
-impl ResyncReport {
-    /// An empty (not-yet-complete) report for the given mode.
-    pub fn new(mode: ResyncMode) -> Self {
+impl Default for ResyncReport {
+    /// An empty report, complete until a step says otherwise.
+    fn default() -> Self {
         ResyncReport {
-            mode,
             reconnect_attempts: 0,
             deleted: 0,
             reinstalled: 0,
@@ -359,7 +309,7 @@ mod tests {
 
     #[test]
     fn intent_store_snapshot_replays_journal() {
-        let mut store = IntentStore::new(1000);
+        let mut store = IntentStore::default();
         store.record(IntentOp::Install(rule(1, 5)));
         store.record(IntentOp::Install(rule(2, 7)));
         store.record(IntentOp::Modify {
@@ -376,12 +326,13 @@ mod tests {
 
     #[test]
     fn intent_store_compacts_at_interval() {
-        let mut store = IntentStore::new(4);
-        // Across two compaction boundaries: re-installs, modifies, removes
-        // of present and absent ids, and one id removed and re-installed
-        // inside a single journal.
-        let mut ops: Vec<IntentOp> = (0..10).map(|i| IntentOp::Install(rule(i, 3))).collect();
-        ops.extend([
+        let mut store = IntentStore::default();
+        // One block of re-installs, modifies, removes of present and absent
+        // ids, and one id removed and re-installed inside a single journal,
+        // repeated across two compaction boundaries that cut the block at
+        // different offsets.
+        let mut block: Vec<IntentOp> = (0..10).map(|i| IntentOp::Install(rule(i, 3))).collect();
+        block.extend([
             IntentOp::Remove(RuleId(2)),
             IntentOp::Install(rule(2, 4)),
             IntentOp::Remove(RuleId(11)),
@@ -395,18 +346,20 @@ mod tests {
             IntentOp::Remove(RuleId(3)),
             IntentOp::Install(rule(1, 9)),
         ]);
+        let ops = block.repeat(2 * CHECKPOINT_INTERVAL / block.len() + 1);
         for op in ops {
             store.record(op);
             assert_eq!(store.len(), store.snapshot().len(), "after {op:?}");
         }
-        assert!(store.checkpoints() >= 2);
-        assert!(store.journal_depth() < 4);
+        assert_eq!(store.checkpoints(), 2);
+        assert!(store.journal_depth() < CHECKPOINT_INTERVAL);
         assert_eq!(store.len(), 10);
         // Compaction preserves the snapshot exactly.
         store.compact();
         assert_eq!(store.journal_depth(), 0);
         assert_eq!(store.snapshot().len(), 10);
     }
+
 
     #[test]
     fn plan_slice_wiped_table_reinstalls_everything() {
@@ -457,10 +410,10 @@ mod tests {
 
     #[test]
     fn reconnect_backoff_doubles_and_caps() {
-        let p = ResyncPolicy::default();
-        assert_eq!(p.reconnect_backoff(1), SimDuration::from_ms(1.0));
-        assert_eq!(p.reconnect_backoff(2), SimDuration::from_ms(2.0));
-        assert_eq!(p.reconnect_backoff(7), SimDuration::from_ms(50.0));
-        assert_eq!(p.reconnect_backoff(60), SimDuration::from_ms(50.0));
+        assert_eq!(reconnect_backoff(1), SimDuration::from_ms(1.0));
+        assert_eq!(reconnect_backoff(2), SimDuration::from_ms(2.0));
+        assert_eq!(reconnect_backoff(6), SimDuration::from_ms(32.0));
+        assert_eq!(reconnect_backoff(7), SimDuration::from_ms(50.0));
+        assert_eq!(reconnect_backoff(60), SimDuration::from_ms(50.0));
     }
 }

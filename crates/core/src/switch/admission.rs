@@ -290,8 +290,9 @@ impl HermesSwitch {
     /// two documented deviations inherent to batching:
     ///
     /// * the token bucket and low-priority bypass see the batch's single
-    ///   arrival instant and a pre-batch `lowest_live_priority` snapshot
-    ///   (see [`GateKeeper::admit_batch`](crate::gatekeeper::GateKeeper::admit_batch));
+    ///   arrival instant and a pre-batch `lowest_live_priority` snapshot:
+    ///   the §4.2 bypass does not re-evaluate against rules admitted
+    ///   earlier in the same batch;
     /// * the shared transaction's latency is split evenly across the
     ///   batch's shadow-bound rules, and the migration trigger is
     ///   evaluated once after the batch rather than after every rule.
@@ -323,10 +324,12 @@ impl HermesSwitch {
             }
         }
 
-        // Phase 1: one Gate Keeper pass over the admitted slice.
+        // Phase 1: one Gate Keeper pass over the admitted slice, in
+        // submission order (earlier rules win the remaining tokens).
         let lowest = self.lowest_live_priority();
-        let admitted_rules: Vec<Rule> = admitted.iter().map(|(_, r)| *r).collect();
-        let routes = self.gate.admit_batch(&admitted_rules, now, lowest);
+        let routes: Vec<Option<Route>> = (admitted.iter())
+            .map(|(_, r)| self.gate.pre_route(r, now, lowest))
+            .collect();
 
         // Phase 2: plan each rule, queueing consecutive shadow-bound
         // installs into one pending transaction. A redundant rule installs

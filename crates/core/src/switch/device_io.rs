@@ -4,12 +4,13 @@
 //! stale-duplicate healing, the delete journal and its replay.
 
 use super::HermesSwitch;
+use crate::recovery::RETRY_ATTEMPTS;
 use hermes_rules::prelude::*;
 use hermes_tcam::{BatchOpReport, OpReport, SimDuration, TcamDevice, TcamError, TcamOp};
 
 impl HermesSwitch {
     /// One device call with retry: transient failures back off
-    /// exponentially (with jitter) up to the policy's attempt budget.
+    /// exponentially (with jitter) up to [`RETRY_ATTEMPTS`].
     /// Returns the call's report with the backoff time spent, which the
     /// wrappers charge into the report's latency — a retried insert can
     /// still honestly violate its guarantee. Success resets the
@@ -32,7 +33,7 @@ impl HermesSwitch {
                 }
                 Err(e) if e.is_transient() => {
                     self.recovery.stats.transient_failures += 1;
-                    if attempt >= self.recovery.policy.max_attempts {
+                    if attempt >= RETRY_ATTEMPTS {
                         self.recovery.on_permanent_failure(self.clock);
                         return Err(e);
                     }

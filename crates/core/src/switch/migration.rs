@@ -2,7 +2,6 @@
 //! pass it falls back to when the main table rejects the insert batch.
 
 use super::{HermesSwitch, MAIN, SHADOW};
-use crate::config::MigrationMode;
 use crate::manager::MigrationReport;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimTime, TcamError, TcamOp};
@@ -118,12 +117,8 @@ impl HermesSwitch {
         self.finish_migration(now, report)
     }
 
-    /// Shared migration epilogue: pause accounting, the busy window, stats
-    /// and telemetry.
-    fn finish_migration(&mut self, now: SimTime, mut report: MigrationReport) -> MigrationReport {
-        if self.config.mode == MigrationMode::PauseAndSwap {
-            report.pipeline_paused = report.duration;
-        }
+    /// Shared migration epilogue: the busy window, stats and telemetry.
+    fn finish_migration(&mut self, now: SimTime, report: MigrationReport) -> MigrationReport {
         self.manager.migration_started(now, report.duration);
         self.stats.migrations += 1;
         self.stats.rules_migrated += report.rules_migrated as u64;

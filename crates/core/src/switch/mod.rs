@@ -290,8 +290,6 @@ impl HermesSwitch {
         );
         gate.set_low_priority_bypass(config.low_priority_bypass);
         let manager = RuleManager::new(config.trigger);
-        let recovery = RecoveryState::new(config.retry, config.degraded_threshold);
-        let intent = IntentStore::new(config.resync.checkpoint_interval);
         Ok(HermesSwitch {
             device,
             config,
@@ -304,8 +302,8 @@ impl HermesSwitch {
             prio_counts: BTreeMap::new(),
             next_phys: PHYS_BASE,
             stats: HermesStats::default(),
-            recovery,
-            intent,
+            recovery: RecoveryState::default(),
+            intent: IntentStore::default(),
             resync_stats: ResyncStats::default(),
             crash_pending: false,
             crash_detected_at: None,
@@ -542,7 +540,7 @@ impl HermesSwitch {
     }
 
     /// Periodic Rule Manager tick: feeds the predictor and migrates when
-    /// the trigger fires. Call every `config.tick` of simulated time.
+    /// the trigger fires.
     ///
     /// The tick is also the recovery heartbeat: it replays the journal of
     /// failed physical deletes and drains the degraded-mode queue (which

@@ -4,9 +4,9 @@
 
 use super::{HermesSwitch, MAIN, SHADOW};
 use crate::recovery::AuditReport;
-use crate::resync::{plan_slice, ResyncMode, ResyncReport};
+use crate::resync::{plan_slice, reconnect_backoff, ResyncReport, RECONNECT_ATTEMPTS};
 use hermes_rules::prelude::*;
-use hermes_tcam::{SimDuration, SimTime, TcamError, TcamOp};
+use hermes_tcam::{SimDuration, SimTime, TcamError};
 
 impl HermesSwitch {
     /// Reconciliation audit (recovery layer 3): one sweep that makes the
@@ -178,10 +178,10 @@ impl HermesSwitch {
     /// Crash-resync pass (see [`crate::resync`]): reconnects the lost
     /// control session with capped deterministic backoff, drains the
     /// delete journal, rebuilds the post-crash table from the durable
-    /// intent store — warm mode diffs against survivors, cold mode wipes
-    /// and reinstalls the full snapshot, both through the batched
-    /// `apply_batch` path — and finally re-establishes the guarantee:
-    /// degraded mode ends and the deferred admission queue drains.
+    /// intent store by diffing it against the survivors through the
+    /// batched `apply_batch` path, and finally re-establishes the
+    /// guarantee: degraded mode ends and the deferred admission queue
+    /// drains.
     ///
     /// Returns `None` when no crash window is open. An incomplete report
     /// (reconnect still denied, or a repair op failed) keeps the window
@@ -197,15 +197,14 @@ impl HermesSwitch {
         self.note_crash();
         self.resync_stats.resyncs_started += 1;
         hermes_telemetry::counter("resync.started", 1);
-        let mode = self.config.resync.mode;
-        let mut report = ResyncReport::new(mode);
+        let mut report = ResyncReport::default();
 
         // Step 1: reconnect. The device may deny the first attempts while
         // it reboots; backoff is deterministic (no jitter) so a crash plan
         // replays byte-for-byte from its seeds.
         let mut attempt = 0u32;
         while !self.device.is_connected() {
-            if attempt >= self.config.resync.max_reconnect_attempts {
+            if attempt >= RECONNECT_ATTEMPTS {
                 self.resync_stats.reconnect_failures += 1;
                 hermes_telemetry::counter("resync.reconnect_failures", 1);
                 report.complete = false;
@@ -213,7 +212,7 @@ impl HermesSwitch {
             }
             attempt += 1;
             if attempt > 1 {
-                report.duration += self.config.resync.reconnect_backoff(attempt - 1);
+                report.duration += reconnect_backoff(attempt - 1);
             }
             report.reconnect_attempts += 1;
             self.resync_stats.reconnect_attempts += 1;
@@ -227,10 +226,7 @@ impl HermesSwitch {
         report.duration += lat;
 
         // Step 3: diff + batched replay.
-        match mode {
-            ResyncMode::Warm => self.warm_resync(&mut report),
-            ResyncMode::Cold => self.cold_resync(&mut report),
-        }
+        self.rebuild(&mut report);
         if !self.recovery.pending_gc.is_empty() {
             report.complete = false;
         }
@@ -248,16 +244,6 @@ impl HermesSwitch {
                 + report.duration.as_nanos();
             self.resync_stats.resyncs_completed += 1;
             self.resync_stats.guarantee_gap_ns += gap;
-            match mode {
-                ResyncMode::Warm => {
-                    self.resync_stats.warm_resyncs += 1;
-                    hermes_telemetry::counter("resync.warm", 1);
-                }
-                ResyncMode::Cold => {
-                    self.resync_stats.cold_resyncs += 1;
-                    hermes_telemetry::counter("resync.cold", 1);
-                }
-            }
             hermes_telemetry::counter("resync.completed", 1);
             hermes_telemetry::counter("resync.guarantee_gap_ns", gap);
             // The channel is provably live again: end the degraded
@@ -278,11 +264,11 @@ impl HermesSwitch {
         Some(report)
     }
 
-    /// Warm-mode rebuild: per slice, diff the expected physical entries
-    /// against the post-crash table and push the minimal repair set
-    /// through one batched device transaction. A rejected batch falls
-    /// back to the audit's per-op reconciliation, evictions included.
-    fn warm_resync(&mut self, report: &mut ResyncReport) {
+    /// The rebuild: per slice, diff the expected physical entries against
+    /// the post-crash table and push the minimal repair set through one
+    /// batched device transaction. A rejected batch falls back to the
+    /// audit's per-op reconciliation, evictions included.
+    fn rebuild(&mut self, report: &mut ResyncReport) {
         for slice in [SHADOW, MAIN] {
             let expected = self.expected_slice(slice);
             let actual = self.device.slice(slice).table.entries();
@@ -314,69 +300,6 @@ impl HermesSwitch {
                     report.reinstalled += audit.reinstalled;
                     if !audit.complete {
                         report.complete = false;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Cold-mode rebuild: distrust every survivor — wipe both slices,
-    /// then reinstall the intent snapshot into the main table in chunked
-    /// batched transactions. The shadow restarts empty; rules the main
-    /// slice cannot hold re-enter through the normal admission path via
-    /// the deferred queue.
-    fn cold_resync(&mut self, report: &mut ResyncReport) {
-        for slice in [SHADOW, MAIN] {
-            let actual = self.device.slice(slice).table.entries();
-            if actual.is_empty() {
-                continue;
-            }
-            let ids: Vec<RuleId> = actual.iter().map(|r| r.id).collect();
-            report.duration += self.dev_delete_all(slice, &ids);
-            report.deleted += ids.len();
-        }
-        // Every logical rule is main-resident by intent after a cold
-        // reboot; the old shadow bookkeeping (pieces, cut graph, FIFO
-        // order) describes entries that no longer exist.
-        let snapshot = self.intent.snapshot();
-        self.shadow.clear();
-        self.shadow_order.clear();
-        self.blockers.clear();
-        self.main_index.clear();
-        self.prio_counts.clear();
-        for r in snapshot.values() {
-            self.main_index.insert(*r);
-            self.prio_add(r.priority);
-        }
-        // Reinstall priority-descending (appends under the TCAM priority
-        // order — the cheapest shift plan), id-tiebroken for determinism,
-        // in bounded chunks so one bad op cannot reject the whole reboot.
-        let mut rules: Vec<Rule> = snapshot.into_values().collect();
-        rules.sort_unstable_by(|a, b| b.priority.cmp(&a.priority).then(a.id.0.cmp(&b.id.0)));
-        for chunk in rules.chunks(1024) {
-            let ops: Vec<TcamOp> = chunk.iter().copied().map(TcamOp::Insert).collect();
-            match self.dev_apply_batch(MAIN, &ops) {
-                Ok(rep) => {
-                    report.duration += rep.latency;
-                    report.reinstalled += chunk.len();
-                }
-                Err(_) => {
-                    for r in chunk {
-                        match self.dev_insert(MAIN, *r) {
-                            Ok(rep) => {
-                                report.duration += rep.latency;
-                                report.reinstalled += 1;
-                            }
-                            Err(TcamError::Full) => {
-                                // The main slice alone cannot hold rules
-                                // that lived in the shadow: requeue them
-                                // through the normal admission path.
-                                self.main_index.remove(r.id);
-                                self.prio_remove(r.priority);
-                                self.recovery.defer(*r);
-                            }
-                            Err(_) => report.complete = false,
-                        }
                     }
                 }
             }

@@ -412,8 +412,7 @@ hermes_util::check! {
 // the resync engine re-establishes the guarantee, classify identically to
 // a flat table of the logically-live rules. Convergence here is stronger
 // than the per-op chaos oracle: the Gate Keeper must have exited degraded
-// mode and drained every deferred admission, in both warm- and cold-reboot
-// modes (picked from the crash seed).
+// mode and drained every deferred admission.
 hermes_util::check! {
     #![cases = 256]
 
@@ -422,17 +421,8 @@ hermes_util::check! {
         crash_seed in hermes_util::check::arb::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(workload_seed);
-        let mode = if crash_seed % 2 == 0 {
-            ResyncMode::Warm
-        } else {
-            ResyncMode::Cold
-        };
         let config = HermesConfig {
             rate_limit: Some(f64::INFINITY),
-            resync: ResyncPolicy {
-                mode,
-                ..ResyncPolicy::default()
-            },
             ..Default::default()
         };
         let mut hermes = HermesSwitch::new(SwitchModel::pica8_p3290(), config).unwrap();

@@ -1,6 +1,5 @@
 //! Directed crash/resync scenarios: wipe, partial retention, disconnect,
-//! reconnect denial, warm vs cold reboot, and the intent store's
-//! checkpoint discipline (the randomized counterpart lives in the
+//! reconnect denial, and the intent store's checkpoint discipline (the randomized counterpart lives in the
 //! `oracle` chaos properties) — plus the resync diff against the
 //! `BTreeMap` version it replaced, kept here as [`reference`].
 
@@ -57,7 +56,6 @@ fn wipe_crash_warm_resync_restores_the_table() {
     let stats = sw.resync_stats();
     assert_eq!(stats.crashes_detected, 1);
     assert_eq!(stats.resyncs_completed, 1);
-    assert_eq!(stats.warm_resyncs, 1);
     assert!(stats.rules_reinstalled as usize >= before);
     assert_eq!(sw.logical_len(), before + 1);
     assert_eq!(sw.intent_len(), sw.logical_len());
@@ -88,40 +86,13 @@ fn partial_crash_warm_resync_keeps_survivors() {
     now += SimDuration::from_ms(5.0);
     let report = sw.resync(now).expect("crash window open");
     assert!(report.complete);
-    assert_eq!(report.survivors, physical_after, "warm mode keeps survivors");
+    assert_eq!(report.survivors, physical_after, "resync keeps the survivors");
     assert_eq!(
         report.reinstalled,
         physical_before - physical_after,
-        "warm mode reinstalls exactly the lost entries"
+        "resync reinstalls exactly the lost entries"
     );
     assert!(sw.resync_stats().survivors_kept > 0);
-    now += SimDuration::from_ms(5.0);
-    assert!(sw.audit(now).clean());
-}
-
-#[test]
-fn cold_reboot_reinstalls_everything_from_the_intent_store() {
-    let config = HermesConfig {
-        resync: ResyncPolicy {
-            mode: ResyncMode::Cold,
-            ..ResyncPolicy::default()
-        },
-        ..Default::default()
-    };
-    let (mut sw, mut now) = loaded_switch(config, 40);
-    let before = sw.logical_len();
-
-    // Even a state-preserving disconnect is distrusted in cold mode.
-    sw.inject_crash(CrashKind::Disconnect, 0, 0, now);
-    now += SimDuration::from_ms(5.0);
-    let report = sw.resync(now).expect("crash window open");
-    assert!(report.complete);
-    assert_eq!(report.survivors, 0, "cold mode keeps nothing in place");
-    assert_eq!(report.reinstalled, before);
-    assert_eq!(sw.resync_stats().cold_resyncs, 1);
-    assert_eq!(sw.shadow_len(), 0, "cold reboot restarts with an empty shadow");
-    assert_eq!(sw.main_len(), before);
-    assert_eq!(sw.intent_len(), sw.logical_len());
     now += SimDuration::from_ms(5.0);
     assert!(sw.audit(now).clean());
 }
@@ -142,19 +113,13 @@ fn reconnect_denials_back_off_and_eventually_reconnect() {
 
 #[test]
 fn reconnect_denied_past_budget_retries_on_later_passes() {
-    let config = HermesConfig {
-        resync: ResyncPolicy {
-            max_reconnect_attempts: 3,
-            ..ResyncPolicy::default()
-        },
-        ..Default::default()
-    };
-    let (mut sw, mut now) = loaded_switch(config, 10);
-    sw.inject_crash(CrashKind::Wipe, 1, 5, now);
+    let (mut sw, mut now) = loaded_switch(HermesConfig::default(), 10);
+    sw.inject_crash(CrashKind::Wipe, 1, 10, now);
 
     now += SimDuration::from_ms(5.0);
     let first = sw.resync(now).expect("crash window open");
-    assert!(!first.complete, "five denials outlast a three-attempt budget");
+    assert!(!first.complete, "ten denials outlast an eight-attempt budget");
+    assert_eq!(first.reconnect_attempts, 8, "the pass spends its whole budget");
     assert!(sw.is_down());
     assert_eq!(sw.resync_stats().reconnect_failures, 1);
 
@@ -208,20 +173,16 @@ fn armed_crash_plan_is_detected_through_failing_ops() {
 
 #[test]
 fn intent_store_checkpoints_bound_the_journal() {
-    let config = HermesConfig {
-        resync: ResyncPolicy {
-            checkpoint_interval: 16,
-            ..ResyncPolicy::default()
-        },
-        ..Default::default()
-    };
-    let (mut sw, mut now) = loaded_switch(config, 60);
-    for id in 0..20u64 {
+    // 200 installs and 100 deletes journal 300 records, past the
+    // 256-record checkpoint interval.
+    let (mut sw, mut now) = loaded_switch(HermesConfig::default(), 200);
+    for id in 0..100u64 {
         now += SimDuration::from_ms(1.0);
         sw.delete(RuleId(id), now).unwrap();
     }
-    assert!(
-        sw.intent_journal_depth() < 16,
+    assert_eq!(
+        sw.intent_journal_depth(),
+        300 - 256,
         "the journal folds into the checkpoint at the interval"
     );
     assert_eq!(sw.intent_len(), sw.logical_len());
@@ -230,8 +191,8 @@ fn intent_store_checkpoints_bound_the_journal() {
     sw.inject_crash(CrashKind::Wipe, 9, 0, now);
     now += SimDuration::from_ms(5.0);
     assert!(sw.resync(now).expect("crash window open").complete);
-    assert_eq!(sw.logical_len(), 40);
-    for id in 20..60u64 {
+    assert_eq!(sw.logical_len(), 100);
+    for id in 100..200u64 {
         assert!(sw.contains(RuleId(id)));
     }
 }

@@ -157,17 +157,6 @@ impl Scenario {
         }
     }
 
-    /// Float knob with a default for absent keys.
-    pub fn knob_f64(&self, name: &str, default: f64) -> f64 {
-        match self.knobs.get(name) {
-            None => default,
-            Some(v) => v
-                .as_f64()
-                // hermes-lint: allow(R2, reason = "a mistyped knob is operator error; the panic becomes a one-line nonzero exit via hermes_bench::catch_panic")
-                .unwrap_or_else(|| panic!("scenario {}: knob {name} is not a number", self.name)),
-        }
-    }
-
     /// Boolean knob with a default for absent keys.
     pub fn knob_bool(&self, name: &str, default: bool) -> bool {
         match self.knobs.get(name) {
@@ -430,7 +419,7 @@ knobs.hard = false
         let c = m.get("chaos-suite").unwrap();
         assert_eq!(c.fault_seed, Some(42));
         assert_eq!(c.runs, 5, "runs defaults to 5");
-        assert_eq!(c.knob_f64("rate", 0.0), 1.5);
+        assert_eq!(c.knob("rate").and_then(Value::as_f64), Some(1.5));
         assert_eq!(c.knob("label").and_then(Value::as_str), Some("storm"));
         assert!(!c.knob_bool("hard", true));
     }

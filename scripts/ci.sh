@@ -62,7 +62,7 @@ stage_chaos() {
     cmp "$chaos_out" "$chaos_out2" \
       || { echo "chaos run not deterministic under HERMES_FAULT_SEED"; exit 1; }
     # Same discipline for the crash storm: armed crash plans must recover
-    # (the binary asserts >=1 completed resync per mode) and replay
+    # (the binary asserts >=1 completed resync) and replay
     # byte-for-byte from the seed.
     HERMES_FAULT_SEED=42 ./target/release/exp_crash > "$chaos_out"
     HERMES_FAULT_SEED=42 ./target/release/exp_crash > "$chaos_out2"

@@ -4,9 +4,10 @@
 //! real `scenarios/matrix.toml` and the real experiment binaries:
 //!
 //! 1. The committed matrix is well-formed: every required scenario is
-//!    present with the contracted repetition count, and every referenced
-//!    binary is a real `crates/bench` experiment (or the matrix drifts
-//!    from the workspace silently).
+//!    present with the contracted repetition count, every referenced
+//!    binary is a real `crates/bench` experiment, and every knob it sets
+//!    is read by that binary (or the matrix drifts from the workspace
+//!    silently).
 //! 2. The `hermes-matrix-report/1` canonical summary is a pure function
 //!    of the children's BENCH reports: building it twice from the same
 //!    merged data is byte-identical, and none of the jittery measured
@@ -61,6 +62,16 @@ fn committed_matrix_has_the_contracted_scenarios() {
     );
 }
 
+/// Does `src` read the knob through a `knob_*("<name>"` call?
+fn reads_knob(src: &str, name: &str) -> bool {
+    src.match_indices(&format!("(\"{name}\"")).any(|(i, _)| {
+        src[..i]
+            .rsplit(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .next()
+            .is_some_and(|call| call.starts_with("knob_"))
+    })
+}
+
 #[test]
 fn committed_matrix_binaries_exist_in_the_workspace() {
     let bins_dir = repo_root().join("crates/bench/src/bin");
@@ -73,6 +84,16 @@ fn committed_matrix_binaries_exist_in_the_workspace() {
             sc.bin,
             src.display()
         );
+        // A knob the binary no longer reads would be ignored silently.
+        let text = std::fs::read_to_string(&src).expect("binary source is readable");
+        for name in sc.knobs.keys() {
+            assert!(
+                reads_knob(&text, name),
+                "scenario {:?} sets knobs.{name} but {} never reads it via knob_*(\"{name}\", …)",
+                sc.name,
+                src.display()
+            );
+        }
     }
 }
 
