@@ -466,7 +466,7 @@ mod tests {
         let hosts = t.hosts();
         let (s, d) = (hosts[0], *hosts.last().unwrap());
         let mut rng = StdRng::seed_from_u64(5);
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for _ in 0..64 {
             distinct.insert(t.random_shortest_path(s, d, None, &mut rng).unwrap());
         }
@@ -547,7 +547,7 @@ mod tests {
             .unwrap();
         assert_eq!(p.len(), 2);
         // Spine diversity exists.
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for _ in 0..16 {
             distinct.insert(
                 t.random_shortest_path(hosts[0], hosts[31], None, &mut rng)

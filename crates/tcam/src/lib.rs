@@ -31,6 +31,7 @@
 
 pub mod device;
 pub mod fault;
+mod id_index;
 mod match_index;
 pub mod perf;
 pub mod table;

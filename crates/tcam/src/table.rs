@@ -29,8 +29,9 @@
 //! replay runs on a `Layout<()>`.
 //!
 //! Two indexes point into it by sort key, never by address, so shifts and
-//! block splits leave both alone: a per-id `BTreeMap` (`id → EntryKey`,
-//! `O(log n)` control actions) and the tuple-space match index (`match_index.rs`, DESIGN.md §15) that serves
+//! block splits leave both alone: the id index (`id_index.rs`,
+//! `id → EntryKey` in expected `O(1)` per control action) and the
+//! tuple-space match index (`match_index.rs`, DESIGN.md §15) that serves
 //! every lookup — one probe per distinct mask in the table instead of a
 //! walk over every entry. The match index is maintained at `raw_insert`,
 //! `raw_remove`, `reset`, the batch's delete and insert passes and
@@ -47,9 +48,9 @@
 //! touched block (a compaction for its deletes, a merge for its inserts)
 //! instead of one `Vec::insert` per op (DESIGN.md §10).
 
+use crate::id_index::IdIndex;
 use crate::match_index::MatchIndex;
 use hermes_rules::prelude::*;
-use std::collections::BTreeMap;
 
 /// Target block size for the chunked entry storage; blocks split at twice
 /// this length.
@@ -534,8 +535,8 @@ impl Layout<Rule> {
 #[derive(Clone, Debug)]
 pub struct TcamTable {
     layout: Layout<Rule>,
-    /// Per-id index: id → its sort key (locates the entry in `O(log n)`).
-    by_id: BTreeMap<RuleId, EntryKey>,
+    /// Per-id index: id → its sort key (expected `O(1)`).
+    by_id: IdIndex,
     /// Match index: `(mask, packet & mask)` → sort keys of the entries
     /// stored under that key. Serves every lookup.
     index: MatchIndex,
@@ -553,7 +554,7 @@ impl TcamTable {
                 capacity,
                 strategy,
             },
-            by_id: BTreeMap::new(),
+            by_id: IdIndex::default(),
             index: MatchIndex::default(),
             stats: TableStats::default(),
         }
@@ -596,7 +597,8 @@ impl TcamTable {
         self.layout.blocks.iter().flat_map(|b| b.rules.iter())
     }
 
-    /// Looks up a rule by id via the per-id index (`O(log n)`).
+    /// Looks up a rule by id via the per-id index (expected `O(1)` to find
+    /// its sort key, then `O(log n)` to locate it in the layout).
     pub fn get(&self, id: RuleId) -> Option<&Rule> {
         let (bi, wi) = self.find(id).ok()?;
         Some(&self.layout.blocks[bi].rules[wi])
@@ -604,12 +606,12 @@ impl TcamTable {
 
     /// `true` when an entry with this id exists.
     pub fn contains(&self, id: RuleId) -> bool {
-        self.by_id.contains_key(&id)
+        self.by_id.get(id).is_some()
     }
 
     /// Block and offset of the entry with this id.
     fn find(&self, id: RuleId) -> Result<(usize, usize), TcamError> {
-        let key = *self.by_id.get(&id).ok_or(TcamError::NotFound(id))?;
+        let key = self.by_id.get(id).ok_or(TcamError::NotFound(id))?;
         Ok(self
             .layout
             .locate(key)
@@ -633,7 +635,7 @@ impl TcamTable {
     fn raw_remove(&mut self, bi: usize, wi: usize) -> Rule {
         let key = self.layout.blocks[bi].keys[wi];
         let rule = self.layout.raw_remove(bi, wi);
-        self.by_id.remove(&rule.id);
+        self.by_id.remove(rule.id);
         self.index.remove(rule.key, key);
         rule
     }
@@ -747,7 +749,7 @@ impl TcamTable {
         let (index, by_id) = (&mut self.index, &mut self.by_id);
         self.layout.remove_sorted(&doomed, |key, rule| {
             index.remove(rule.key, key);
-            by_id.remove(&rule.id);
+            by_id.remove(rule.id);
         });
         self.stats.deletes += (self.layout.len + doomed.len()) as u64;
         self.stats.inserts += self.layout.len as u64;
@@ -777,7 +779,7 @@ impl TcamTable {
                     }
                 }
                 prev = Some(*k);
-                if k.rp != !r.priority.0 || self.by_id.get(&r.id) != Some(k) {
+                if k.rp != !r.priority.0 || self.by_id.get(r.id) != Some(*k) {
                     return false;
                 }
                 counted += 1;
@@ -785,6 +787,7 @@ impl TcamTable {
         }
         counted == layout.len
             && self.by_id.len() == layout.len
+            && self.by_id.check()
             && layout.len <= layout.capacity
             && self.index.check(layout.len, layout.indexed())
     }
@@ -826,7 +829,7 @@ impl TcamTable {
         let (index, by_id) = (&mut self.index, &mut self.by_id);
         self.layout.remove_sorted(&plan.deleted, |key, rule| {
             index.remove(rule.key, key);
-            by_id.remove(&rule.id);
+            by_id.remove(rule.id);
         });
         self.layout.next_seq += fresh.len() as u64;
         // The match index takes the entries one by one, or is re-laid once
@@ -889,7 +892,7 @@ impl TcamTable {
             let id = group[0].0;
             // The stored entry while it lives and the action the batch last
             // gave it; the in-batch insert that is live, with its op index.
-            let mut stored = self.by_id.get(&id).copied();
+            let mut stored = self.by_id.get(id);
             let mut action = None;
             let mut pending: Option<(usize, Rule)> = None;
             for &(_, at) in group {
@@ -988,7 +991,7 @@ impl TcamTable {
         let mut scratch = self.layout.shape();
         // Sort keys of the entries the replay itself placed; every other
         // live id is where `by_id` says.
-        let mut placed: BTreeMap<RuleId, EntryKey> = BTreeMap::new();
+        let mut placed = IdIndex::default();
         let mut total = 0usize;
         for op in ops {
             match op {
@@ -999,7 +1002,10 @@ impl TcamTable {
                     total += shifts;
                 }
                 TcamOp::Delete(id) => {
-                    let key = placed.remove(id).unwrap_or_else(|| self.by_id[id]);
+                    let key = placed
+                        .remove(*id)
+                        .or_else(|| self.by_id.get(*id))
+                        .expect("INVARIANT: validated batch deletes live entries only");
                     let (bi, wi) = scratch
                         .locate(key)
                         .expect("INVARIANT: validated batch deletes live entries only");
@@ -1410,7 +1416,7 @@ mod batch_merge {
     use hermes_util::check::{arb, just, one_of, range};
     use hermes_util::rng::rngs::StdRng;
     use hermes_util::rng::{Rng, SeedableRng};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::ops::Range;
 
     /// The `BTreeMap` planner — a sequential walk of the ops keeping the
@@ -1459,7 +1465,7 @@ mod batch_merge {
                         if plan.pending.remove(id).is_some() {
                             plan.pending_order.retain(|p| p != id);
                         } else if t.contains(*id) && !plan.deleted.contains_key(id) {
-                            plan.deleted.insert(*id, t.by_id[id]);
+                            plan.deleted.insert(*id, t.by_id.get(*id).expect("live id"));
                             plan.modified.remove(id);
                         } else {
                             return Err(TcamError::NotFound(*id));
