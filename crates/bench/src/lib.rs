@@ -307,8 +307,8 @@ pub fn scenario() -> &'static Scenario {
     match scenario_cached() {
         Ok(sc) => sc,
         // INVARIANT: run_experiment validates the scenario before any
-        // body (and therefore any scenario() call) runs; R6 pins every
-        // exp_* binary to run_experiment.
+        // body (and therefore any scenario() call) runs; tests/matrix.rs
+        // pins every exp_* binary to run_experiment.
         Err(e) => panic!("{e}"),
     }
 }
@@ -724,7 +724,7 @@ mod json_tests {
 mod te_batch_tests {
     use super::*;
     use hermes_rules::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn batches_are_deterministic_and_sized() {
@@ -747,12 +747,12 @@ mod te_batch_tests {
     #[test]
     fn deletes_reference_earlier_inserts_only() {
         let batches = te_batches(false, 400, 2.0, 4);
-        let mut seen: HashSet<RuleId> = HashSet::new();
+        let mut seen: BTreeSet<RuleId> = BTreeSet::new();
         let mut deletes = 0usize;
         for (_, acts) in &batches {
             // Within a batch, inserts may interleave with deletes of rules
             // from *earlier* batches.
-            let before: HashSet<RuleId> = seen.clone();
+            let before: BTreeSet<RuleId> = seen.clone();
             for a in acts {
                 match a {
                     ControlAction::Insert(r) => {
@@ -780,8 +780,8 @@ mod te_batch_tests {
             let mut aggregatable = 0usize;
             let mut total = 0usize;
             for (_, acts) in &batches {
-                let mut groups: std::collections::HashMap<(u32, Action), usize> =
-                    std::collections::HashMap::new();
+                let mut groups: std::collections::BTreeMap<(u32, Action), usize> =
+                    std::collections::BTreeMap::new();
                 let mut inserts = 0usize;
                 for a in acts {
                     if let ControlAction::Insert(r) = a {

@@ -6,7 +6,7 @@
 use hermes_bgp::prelude::*;
 use hermes_rules::prefix::Ipv4Prefix;
 use hermes_util::check::{range, vec_of, weighted, zip2, zip3, zip4, Gen};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn prefix() -> Gen<Ipv4Prefix> {
     // A small pool so updates collide on prefixes.
@@ -44,8 +44,8 @@ fn update() -> Gen<BgpUpdate> {
 
 /// From-scratch oracle: track every peer's latest route per prefix and
 /// pick the best by the decision process.
-fn oracle_best(history: &[BgpUpdate]) -> HashMap<Ipv4Prefix, BgpRoute> {
-    let mut per_peer: HashMap<(Ipv4Prefix, PeerId), BgpRoute> = HashMap::new();
+fn oracle_best(history: &[BgpUpdate]) -> BTreeMap<Ipv4Prefix, BgpRoute> {
+    let mut per_peer: BTreeMap<(Ipv4Prefix, PeerId), BgpRoute> = BTreeMap::new();
     for u in history {
         match u {
             BgpUpdate::Announce { prefix, route } => {
@@ -56,7 +56,7 @@ fn oracle_best(history: &[BgpUpdate]) -> HashMap<Ipv4Prefix, BgpRoute> {
             }
         }
     }
-    let mut best: HashMap<Ipv4Prefix, BgpRoute> = HashMap::new();
+    let mut best: BTreeMap<Ipv4Prefix, BgpRoute> = BTreeMap::new();
     for ((prefix, _), route) in per_peer {
         best.entry(prefix)
             .and_modify(|b| {
@@ -95,7 +95,7 @@ hermes_util::check! {
     /// action is lost or duplicated.
     fn fib_deltas_replay_to_best_routes(updates in vec_of(update(), 1..120)) {
         let mut rib = Rib::new();
-        let mut replayed: HashMap<Ipv4Prefix, u32> = HashMap::new();
+        let mut replayed: BTreeMap<Ipv4Prefix, u32> = BTreeMap::new();
         for u in &updates {
             if let Some(delta) = rib.process(*u) {
                 match delta {

@@ -18,7 +18,7 @@
 //!   plus a seeded shuffle — and [`LaneSched`] picks where an op actually
 //!   runs: `Pinned` always uses the home lane (the phase-1 behaviour),
 //!   `Weighted` sends each op to the least-loaded lane. Both are pure
-//!   functions of the seed and the submission history (R1 determinism);
+//!   functions of the seed and the submission history (determinism);
 //!   with dedicated lanes (`lanes = 0`) scheduling is a no-op and the
 //!   phase-1 timing is bit-preserved.
 //!
@@ -82,7 +82,7 @@ pub struct FleetConfig {
     pub lanes: usize,
     /// Seed for the lane-assignment shuffle and the scheduler tie-break
     /// permutation. The interleaving the lanes produce is a pure function
-    /// of this seed (R1 determinism).
+    /// of this seed (determinism).
     pub seed: u64,
     /// Lane-scheduling mode. With dedicated lanes (`lanes = 0`) every
     /// mode degenerates to `Pinned` and the phase-1 timing is

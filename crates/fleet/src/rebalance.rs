@@ -20,7 +20,7 @@
 //!
 //! Scoring is pure integer/float arithmetic over the snapshot — no RNG,
 //! no hidden state — so the same health history always yields the same
-//! placement (R1 determinism). FDRC (PAPERS.md) motivates reacting to
+//! placement (determinism). FDRC (PAPERS.md) motivates reacting to
 //! observed skew rather than static assignment; the weights follow the
 //! Sadeh et al. weighted-load-balancing line: load terms are additive
 //! and fault terms dominate, so a crash-looping member loses placement

@@ -1,5 +1,5 @@
-//! The rule engine: walks lexed token streams and manifests over a file
-//! tree and produces [`Diagnostic`]s.
+//! The rule engine: walks lexed token streams over a file tree and
+//! produces [`Diagnostic`]s.
 //!
 //! The engine operates on an in-memory tree of `(relative path, content)`
 //! pairs so fixtures can lint synthetic workspaces; [`load_workspace`]
@@ -7,7 +7,6 @@
 
 use crate::flow::{self, FlowFile};
 use crate::lexer::{lex, TokKind, Token};
-use crate::manifest;
 use crate::parser::{self, ParsedFile};
 use crate::suppress::{self, Directive};
 use crate::{AppliedSuppression, Diagnostic, LintOutcome, Rule};
@@ -16,30 +15,6 @@ use std::path::Path;
 /// Workspace-relative path of the telemetry name registry (R5's source of
 /// truth).
 pub const REGISTRY_PATH: &str = "crates/telemetry/registry.txt";
-
-/// R1's explicit allowlist: `(path, identifier, why)`. The lint reports
-/// any other use of a banned primitive.
-pub const R1_ALLOWLIST: &[(&str, &str, &str)] = &[
-    (
-        "crates/util/src/bench.rs",
-        "Instant",
-        "the bench timer harness is the workspace's single sanctioned wall-clock site; \
-         experiment code reaches it through hermes_util::bench::Stopwatch",
-    ),
-    (
-        "crates/util/src/bench.rs",
-        "SystemTime",
-        "reserved alongside Instant for the wall-clock harness",
-    ),
-];
-
-/// Identifiers banned by R1 outside the allowlist.
-const R1_BANNED: &[(&str, &str)] = &[
-    ("Instant", "wall-clock time breaks seeded reproducibility; use SimTime or route through hermes_util::bench::Stopwatch"),
-    ("SystemTime", "wall-clock time breaks seeded reproducibility; use SimTime"),
-    ("HashMap", "unseeded hash iteration order varies across runs; use BTreeMap or suppress with the reason iteration order is never observed"),
-    ("HashSet", "unseeded hash iteration order varies across runs; use BTreeSet or suppress with the reason iteration order is never observed"),
-];
 
 /// Lints an in-memory file tree. Paths must be workspace-relative with
 /// forward slashes. Findings come back sorted and deduplicated;
@@ -58,14 +33,6 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
     for (path, text) in files {
         if path == REGISTRY_PATH {
             registry_text = Some(text);
-            continue;
-        }
-        if path.ends_with("Cargo.toml") {
-            findings.extend(manifest::check_cargo_toml(path, text));
-            continue;
-        }
-        if path.ends_with("Cargo.lock") {
-            findings.extend(manifest::check_cargo_lock(path, text));
             continue;
         }
         if !path.ends_with(".rs") {
@@ -126,8 +93,8 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
     }
 }
 
-/// Loads the workspace tree from disk: every `.rs`, `Cargo.toml`,
-/// `Cargo.lock` and the telemetry registry under `root`, skipping
+/// Loads the workspace tree from disk: every `.rs` file and the
+/// telemetry registry under `root`, skipping
 /// `target/` and dot-directories. Paths are returned workspace-relative,
 /// sorted, with forward slashes.
 pub fn load_workspace(root: &Path) -> std::io::Result<Vec<(String, String)>> {
@@ -151,11 +118,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> std::io::Re
                 continue;
             }
             walk(root, &path, out)?;
-        } else if name.ends_with(".rs")
-            || name == "Cargo.toml"
-            || name == "Cargo.lock"
-            || name == "registry.txt"
-        {
+        } else if name.ends_with(".rs") || name == "registry.txt" {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)
@@ -190,27 +153,11 @@ struct FileScan {
 }
 
 /// `true` for files whose whole content is test/bench/example code —
-/// exempt from R1/R2 (they may use wall clocks and unwrap freely).
+/// exempt from R2 (they may unwrap freely).
 pub fn is_test_like(path: &str) -> bool {
     path.split('/').any(|seg| {
         seg == "tests" || seg == "benches" || seg == "examples" || seg == "fixtures"
     })
-}
-
-/// `true` for crate-root files that must carry `#![forbid(unsafe_code)]`.
-pub fn is_crate_root(path: &str) -> bool {
-    path.ends_with("src/lib.rs")
-        || path.ends_with("src/main.rs")
-        || (path.contains("src/bin/") && path.ends_with(".rs"))
-}
-
-/// `true` for experiment binaries subject to R6.
-pub fn is_exp_binary(path: &str) -> bool {
-    path.contains("src/bin/")
-        && path
-            .rsplit('/')
-            .next()
-            .is_some_and(|f| f.starts_with("exp_") && f.ends_with(".rs"))
 }
 
 fn lint_rust_file(path: &str, text: &str) -> FileScan {
@@ -244,24 +191,6 @@ fn lint_rust_file(path: &str, text: &str) -> FileScan {
             continue;
         }
         let exempt = test_file || in_test(t.line);
-
-        // R1 — determinism.
-        if !exempt {
-            if let Some((_, why)) = R1_BANNED.iter().find(|(b, _)| t.text == *b) {
-                let allowed = R1_ALLOWLIST
-                    .iter()
-                    .any(|(p, ident, _)| *p == path && t.text == *ident);
-                if !allowed {
-                    findings.push(Diagnostic {
-                        file: path.to_string(),
-                        line: t.line,
-                        col: t.col,
-                        rule: Rule::Determinism,
-                        message: format!("nondeterministic primitive `{}`: {}", t.text, why),
-                    });
-                }
-            }
-        }
 
         // R2 — panic policy.
         if !exempt {
@@ -307,28 +236,12 @@ fn lint_rust_file(path: &str, text: &str) -> FileScan {
         }
 
         // R5 — collect telemetry call sites (everywhere, including bins;
-        // cfg(test) regions are exempt like R1/R2).
+        // cfg(test) regions are exempt like R2).
         if !exempt {
             if let Some(u) = telemetry_use_at(&code, i, path) {
                 uses.push(u);
             }
         }
-    }
-
-    // R3 — crate roots must forbid unsafe code.
-    if is_crate_root(path) && !has_forbid_unsafe(&code) {
-        findings.push(Diagnostic {
-            file: path.to_string(),
-            line: 1,
-            col: 1,
-            rule: Rule::UnsafeForbid,
-            message: "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
-        });
-    }
-
-    // R6 — experiment binaries go through run_experiment.
-    if is_exp_binary(path) {
-        findings.extend(check_exp_contract(path, &code));
     }
 
     FileScan {
@@ -338,57 +251,6 @@ fn lint_rust_file(path: &str, text: &str) -> FileScan {
         literals,
         parsed,
         test_regions: test_lines,
-    }
-}
-
-fn has_forbid_unsafe(code: &[&Token]) -> bool {
-    code.windows(3).any(|w| {
-        w[0].is_ident("forbid") && w[1].is_punct('(') && w[2].is_ident("unsafe_code")
-    })
-}
-
-fn check_exp_contract(path: &str, code: &[&Token]) -> Vec<Diagnostic> {
-    let stem = path
-        .rsplit('/')
-        .next()
-        .and_then(|f| f.strip_suffix(".rs"))
-        .unwrap_or_default();
-    let mut call = None;
-    for (i, t) in code.iter().enumerate() {
-        if t.is_ident("run_experiment") && code.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            call = Some((t.line, t.col, code.get(i + 2).map(|a| (a.kind, a.text.clone()))));
-            break;
-        }
-    }
-    match call {
-        None => vec![Diagnostic {
-            file: path.to_string(),
-            line: 1,
-            col: 1,
-            rule: Rule::ExpContract,
-            message: format!(
-                "experiment binary does not call hermes_bench::run_experiment(\"{stem}\", …): \
-                 the harness provides --out, telemetry arming and panic containment"
-            ),
-        }],
-        Some((line, col, arg)) => {
-            let named_ok =
-                matches!(&arg, Some((TokKind::Str, name)) if name == stem);
-            if named_ok {
-                Vec::new()
-            } else {
-                vec![Diagnostic {
-                    file: path.to_string(),
-                    line,
-                    col,
-                    rule: Rule::ExpContract,
-                    message: format!(
-                        "run_experiment's name must be the string literal \"{stem}\" \
-                         (the file stem), so BENCH_*.json reports are traceable"
-                    ),
-                }]
-            }
-        }
     }
 }
 
@@ -707,50 +569,14 @@ mod tests {
     }
 
     #[test]
-    fn r1_flags_banned_primitives() {
-        let out = lint_tree(&tree(&[(
-            "crates/x/src/helper.rs",
-            "use std::collections::HashMap;\nuse std::time::Instant;\n",
-        )]));
-        assert_eq!(rules_fired(&out), vec![Rule::Determinism, Rule::Determinism]);
-        assert_eq!(out.findings[0].line, 1);
-        assert_eq!(out.findings[1].line, 2);
-    }
-
-    #[test]
-    fn r1_allowlist_and_test_exemptions() {
-        // The bench harness may use Instant; test files may use anything.
-        let out = lint_tree(&tree(&[
-            ("crates/util/src/bench.rs", "use std::time::Instant;\n"),
-            ("crates/x/tests/t.rs", "use std::collections::HashMap;\n"),
-            (
-                "crates/x/src/helper.rs",
-                "#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n",
-            ),
-        ]));
-        assert!(out.is_clean(), "{:?}", out.findings);
-    }
-
-    #[test]
-    fn r1_suppression_with_reason() {
-        let out = lint_tree(&tree(&[(
-            "crates/x/src/helper.rs",
-            "// hermes-lint: allow(R1, reason = \"lookup-only\")\nuse std::collections::HashMap;\n",
-        )]));
-        assert!(out.is_clean(), "{:?}", out.findings);
-        assert_eq!(out.suppressions.len(), 1);
-        assert_eq!(out.suppressions[0].reason, "lookup-only");
-    }
-
-    #[test]
     fn s1_suppression_without_reason_is_a_finding() {
         let out = lint_tree(&tree(&[(
             "crates/x/src/helper.rs",
-            "// hermes-lint: allow(R1)\nuse std::collections::HashMap;\n",
+            "// hermes-lint: allow(R2)\npub fn f(v: &[u32]) -> u32 { *v.first().unwrap() }\n",
         )]));
         // Both the malformed suppression AND the original violation fire
         // (sorted by position: the directive comment precedes the use).
-        assert_eq!(rules_fired(&out), vec![Rule::Suppression, Rule::Determinism]);
+        assert_eq!(rules_fired(&out), vec![Rule::Suppression, Rule::PanicPolicy]);
     }
 
     #[test]
@@ -788,25 +614,6 @@ mod tests {
             ("crates/x/benches/b.rs", "fn main() { Some(1).unwrap(); }\n"),
         ]));
         assert!(out.is_clean(), "{:?}", out.findings);
-    }
-
-    #[test]
-    fn r3_crate_roots_must_forbid_unsafe() {
-        let out = lint_tree(&tree(&[
-            ("crates/x/src/lib.rs", "pub fn f() {}\n"),
-            ("crates/y/src/lib.rs", "#![forbid(unsafe_code)]\npub fn g() {}\n"),
-            ("crates/x/src/helper.rs", "pub fn h() {}\n"),
-        ]));
-        assert_eq!(rules_fired(&out), vec![Rule::UnsafeForbid]);
-        assert_eq!(out.findings[0].file, "crates/x/src/lib.rs");
-    }
-
-    #[test]
-    fn r4_external_dep_flagged() {
-        let toml = "[package]\nname = \"x\"\n\n[dependencies]\nserde = \"1.0\"\nhermes-util = { workspace = true }\n";
-        let out = lint_tree(&tree(&[("crates/x/Cargo.toml", toml)]));
-        assert_eq!(rules_fired(&out), vec![Rule::Hermeticity]);
-        assert!(out.findings[0].message.contains("serde"));
     }
 
     #[test]
@@ -857,33 +664,13 @@ mod tests {
     }
 
     #[test]
-    fn r6_exp_binary_contract() {
-        let bad = "fn main() { println!(\"hi\"); }\n";
-        let good = "#![forbid(unsafe_code)]\nfn main() -> std::process::ExitCode {\n    hermes_bench::run_experiment(\"exp_fig99\", run)\n}\nfn run() {}\n";
-        let out = lint_tree(&tree(&[("crates/bench/src/bin/exp_fig98.rs", bad)]));
-        let fired = rules_fired(&out);
-        assert!(fired.contains(&Rule::ExpContract), "{:?}", out.findings);
-
-        let out = lint_tree(&tree(&[("crates/bench/src/bin/exp_fig99.rs", good)]));
-        assert!(out.is_clean(), "{:?}", out.findings);
-
-        // Wrong name literal.
-        let renamed = good.replace("exp_fig99\"", "exp_other\"");
-        let out = lint_tree(&tree(&[(
-            "crates/bench/src/bin/exp_fig99.rs",
-            renamed.as_str(),
-        )]));
-        assert_eq!(rules_fired(&out), vec![Rule::ExpContract]);
-    }
-
-    #[test]
     fn findings_are_sorted_and_deterministic() {
         let files = tree(&[
             (
                 "crates/b/src/lib.rs",
-                "use std::time::Instant;\nfn f() { Some(1).unwrap(); }\n",
+                "fn g() { None::<u32>.unwrap(); }\nfn f() { Some(1).unwrap(); }\n",
             ),
-            ("crates/a/src/lib.rs", "use std::collections::HashMap;\n"),
+            ("crates/a/src/lib.rs", "fn h() { Some(2).unwrap(); }\n"),
         ]);
         let a = lint_tree(&files);
         let b = lint_tree(&files);

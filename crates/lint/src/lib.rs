@@ -1,34 +1,33 @@
 //! # hermes-lint — machine-checked workspace invariants
 //!
-//! Hermes's guarantees rest on conventions the compiler cannot see:
-//! seeded runs must reproduce telemetry byte-for-byte, control-plane code
-//! must never panic on a device fault, and the build must stay hermetic
-//! with zero external crates. This crate turns each convention into a
-//! lint rule over a token-level scan of the whole workspace
-//! (DESIGN.md §9 "Static analysis"):
+//! Hermes's guarantees rest on conventions neither rustc nor clippy can
+//! see: control-plane code must never panic on a device fault, telemetry
+//! names must match the reviewed registry, RNG streams must stay isolated
+//! per subsystem, and every device write must be journaled. This crate
+//! turns each convention into a lint rule over a token-level scan of the
+//! whole workspace (DESIGN.md §9 "Static analysis"):
 //!
 //! | rule | name        | invariant |
 //! |------|-------------|-----------|
-//! | R1   | determinism | `Instant`/`SystemTime`/`HashMap`/`HashSet` forbidden outside the allowlist |
 //! | R2   | panic-policy | `.unwrap()`/`.expect(`/`panic!`/`unreachable!` in non-test code needs an `INVARIANT:` comment |
-//! | R3   | unsafe-forbid | every crate root carries `#![forbid(unsafe_code)]` |
-//! | R4   | hermeticity | every Cargo.toml dependency is a workspace path dep; Cargo.lock has no external packages |
 //! | R5   | telemetry-registry | metric/span names in code ↔ `crates/telemetry/registry.txt`; a non-literal name is a finding |
-//! | R6   | exp-contract | every `exp_*` binary goes through `hermes_bench::run_experiment` |
 //! | R7   | rng-stream-isolation | `seed_from_u64` mixes a `*_SALT` constant or seed variable; no raw literals, no cross-crate sharing |
 //! | R8   | intent-pairing | device-mutating `HermesSwitch` methods record intent on every public path |
 //! | R9   | swallowed-device-errors | `TcamError`/`HermesError` Results are not discarded without an `INVARIANT:` comment |
 //! | S1   | suppression | a suppression must parse and carry a reason |
 //!
-//! R1–R6 and S1 run over the token stream; R7–R9 are flow-sensitive and
+//! R2, R5 and S1 run over the token stream; R7–R9 are flow-sensitive and
 //! run over parsed `fn` items and a per-crate call graph
-//! ([`parser`], [`flow`]). The id R10 is retired, not reused.
+//! ([`parser`], [`flow`]). The ids R1, R3, R4, R6 and R10 are retired,
+//! not reused. The toolchain makes R1's and R3's checks (`clippy.toml`
+//! and the clippy stage's `-F unsafe_code`), and two tests in the root
+//! `tests/matrix.rs` make R4's and R6's.
 //!
 //! Findings can be waived inline:
 //!
 //! ```text
-//! // hermes-lint: allow(R1, reason = "lookup-only map; iteration order never observed")
-//! // hermes-lint: allow-file(R1, reason = "whole file uses sorted iteration")
+//! // hermes-lint: allow(R2, reason = "index bounded by the loop guard above")
+//! // hermes-lint: allow-file(R2, reason = "whole file is a test helper")
 //! ```
 //!
 //! An `allow` on line *N* covers findings on lines *N* and *N+1* (so it
@@ -45,7 +44,6 @@
 pub mod engine;
 pub mod flow;
 pub mod lexer;
-pub mod manifest;
 pub mod parser;
 pub mod suppress;
 
@@ -54,19 +52,11 @@ use std::fmt;
 /// The lint rules, in the order they are documented and reported.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// R1 — wall clock and unseeded hash collections are forbidden.
-    Determinism,
     /// R2 — panicking calls need an adjacent `INVARIANT:` justification.
     PanicPolicy,
-    /// R3 — every crate root forbids `unsafe_code`.
-    UnsafeForbid,
-    /// R4 — all dependencies are in-tree workspace path deps.
-    Hermeticity,
     /// R5 — telemetry names are string literals that match the checked-in
     /// registry, both ways.
     TelemetryRegistry,
-    /// R6 — experiment binaries go through `hermes_bench::run_experiment`.
-    ExpContract,
     /// R7 — every seeded RNG stream mixes a named `*_SALT` constant or a
     /// seed parameter; no raw literal seeds, no cross-crate stream sharing.
     RngStreamIsolation,
@@ -81,13 +71,9 @@ pub enum Rule {
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [Rule; 10] = [
-    Rule::Determinism,
+pub const ALL_RULES: [Rule; 6] = [
     Rule::PanicPolicy,
-    Rule::UnsafeForbid,
-    Rule::Hermeticity,
     Rule::TelemetryRegistry,
-    Rule::ExpContract,
     Rule::RngStreamIsolation,
     Rule::IntentPairing,
     Rule::SwallowedDeviceError,
@@ -95,15 +81,11 @@ pub const ALL_RULES: [Rule; 10] = [
 ];
 
 impl Rule {
-    /// Short id (`R1`…`R9`, `S1`).
+    /// Short id (`R2`…`R9`, `S1`).
     pub fn id(&self) -> &'static str {
         match self {
-            Rule::Determinism => "R1",
             Rule::PanicPolicy => "R2",
-            Rule::UnsafeForbid => "R3",
-            Rule::Hermeticity => "R4",
             Rule::TelemetryRegistry => "R5",
-            Rule::ExpContract => "R6",
             Rule::RngStreamIsolation => "R7",
             Rule::IntentPairing => "R8",
             Rule::SwallowedDeviceError => "R9",
@@ -114,12 +96,8 @@ impl Rule {
     /// Human-readable rule name.
     pub fn name(&self) -> &'static str {
         match self {
-            Rule::Determinism => "determinism",
             Rule::PanicPolicy => "panic-policy",
-            Rule::UnsafeForbid => "unsafe-forbid",
-            Rule::Hermeticity => "hermeticity",
             Rule::TelemetryRegistry => "telemetry-registry",
-            Rule::ExpContract => "exp-contract",
             Rule::RngStreamIsolation => "rng-stream-isolation",
             Rule::IntentPairing => "intent-pairing",
             Rule::SwallowedDeviceError => "swallowed-device-errors",
@@ -127,7 +105,7 @@ impl Rule {
         }
     }
 
-    /// Looks a rule up by id (`R1`) or name (`determinism`).
+    /// Looks a rule up by id (`R2`) or name (`panic-policy`).
     pub fn parse(s: &str) -> Option<Rule> {
         ALL_RULES
             .into_iter()
@@ -187,7 +165,7 @@ pub struct LintOutcome {
     pub findings: Vec<Diagnostic>,
     /// Suppression directives found (whether or not anything matched).
     pub suppressions: Vec<AppliedSuppression>,
-    /// Number of files scanned (`.rs` + manifests + registry).
+    /// Number of files scanned (`.rs` + registry).
     pub files_scanned: usize,
 }
 

@@ -4,10 +4,11 @@
 //! cargo run -p hermes-lint -- --workspace
 //! ```
 //!
-//! Scans the workspace for violations of the determinism, panic-policy,
-//! hermeticity, telemetry-registry, experiment-contract and flow
-//! invariants (DESIGN.md §9) and prints one line per finding. The exit
-//! code is the verdict: 0 clean, 1 findings, 2 usage or I/O error.
+//! Scans the workspace for violations of the panic-policy,
+//! telemetry-registry, RNG-stream, intent-pairing, device-error and
+//! suppression invariants (DESIGN.md §9) and prints one line per finding.
+//! The exit code is the verdict: 0 clean, 1 findings, 2 usage or I/O
+//! error.
 
 #![forbid(unsafe_code)]
 

@@ -3,8 +3,8 @@
 //! Syntax, inside any comment:
 //!
 //! ```text
-//! // hermes-lint: allow(R1, reason = "lookup-only; iteration order never observed")
-//! // hermes-lint: allow(R1, R5, reason = "...")       (several rules, one reason)
+//! // hermes-lint: allow(R2, reason = "index bounded by the loop guard above")
+//! // hermes-lint: allow(R2, R5, reason = "...")       (several rules, one reason)
 //! // hermes-lint: allow-file(R2, reason = "...")      (whole file)
 //! ```
 //!
@@ -173,13 +173,14 @@ mod tests {
 
     #[test]
     fn parses_single_rule() {
-        let (ds, es) = parse("// hermes-lint: allow(R1, reason = \"lookup-only map\")");
+        let (ds, es) =
+            parse("// hermes-lint: allow(R5, reason = \"names resolve to registry entries\")");
         assert!(es.is_empty());
         assert_eq!(
             ds,
             vec![Directive {
-                rules: vec![Rule::Determinism],
-                reason: "lookup-only map".into(),
+                rules: vec![Rule::TelemetryRegistry],
+                reason: "names resolve to registry entries".into(),
                 file_scope: false,
                 line: 10,
             }]
@@ -188,9 +189,9 @@ mod tests {
 
     #[test]
     fn parses_rule_by_name_and_multiple() {
-        let (ds, es) = parse("// hermes-lint: allow(determinism, R5, reason = \"x\")");
+        let (ds, es) = parse("// hermes-lint: allow(panic-policy, R5, reason = \"x\")");
         assert!(es.is_empty());
-        assert_eq!(ds[0].rules, vec![Rule::Determinism, Rule::TelemetryRegistry]);
+        assert_eq!(ds[0].rules, vec![Rule::PanicPolicy, Rule::TelemetryRegistry]);
     }
 
     #[test]
@@ -203,7 +204,7 @@ mod tests {
 
     #[test]
     fn reason_is_mandatory() {
-        let (ds, es) = parse("// hermes-lint: allow(R1)");
+        let (ds, es) = parse("// hermes-lint: allow(R2)");
         assert!(ds.is_empty());
         assert_eq!(es.len(), 1);
         assert_eq!(es[0].rule, Rule::Suppression);
@@ -212,21 +213,38 @@ mod tests {
 
     #[test]
     fn empty_reason_rejected() {
-        let (ds, es) = parse("// hermes-lint: allow(R1, reason = \"  \")");
+        let (ds, es) = parse("// hermes-lint: allow(R2, reason = \"  \")");
         assert!(ds.is_empty());
         assert_eq!(es.len(), 1);
     }
 
     #[test]
     fn unknown_rule_rejected() {
-        let (ds, es) = parse("// hermes-lint: allow(R99, reason = \"x\")");
-        assert!(ds.is_empty());
-        assert!(es[0].message.contains("unknown rule"));
+        // R1, R3, R4, R6 and R10 are retired: a stale waiver naming one, by
+        // id or by its old name, is an S1 finding, not a silent no-op.
+        for rule in [
+            "R99",
+            "R1",
+            "R3",
+            "R4",
+            "R6",
+            "R10",
+            "determinism",
+            "unsafe-forbid",
+            "hermeticity",
+            "exp-contract",
+        ] {
+            let (ds, es) = parse(&format!("// hermes-lint: allow({rule}, reason = \"x\")"));
+            assert!(ds.is_empty(), "{rule}");
+            assert_eq!(es.len(), 1, "{rule}");
+            assert_eq!(es[0].rule, Rule::Suppression);
+            assert!(es[0].message.contains("unknown rule"), "{rule}: {}", es[0].message);
+        }
     }
 
     #[test]
     fn reason_may_contain_parens() {
-        let (ds, es) = parse("// hermes-lint: allow(R1, reason = \"sorted (see above)\")");
+        let (ds, es) = parse("// hermes-lint: allow(R2, reason = \"sorted (see above)\")");
         assert!(es.is_empty());
         assert_eq!(ds[0].reason, "sorted (see above)");
     }
@@ -234,15 +252,15 @@ mod tests {
     #[test]
     fn line_scope_covers_same_and_next_line() {
         let d = Directive {
-            rules: vec![Rule::Determinism],
+            rules: vec![Rule::TelemetryRegistry],
             reason: "r".into(),
             file_scope: false,
             line: 10,
         };
-        assert!(d.covers(Rule::Determinism, 10));
-        assert!(d.covers(Rule::Determinism, 11));
-        assert!(!d.covers(Rule::Determinism, 12));
-        assert!(!d.covers(Rule::Determinism, 9));
+        assert!(d.covers(Rule::TelemetryRegistry, 10));
+        assert!(d.covers(Rule::TelemetryRegistry, 11));
+        assert!(!d.covers(Rule::TelemetryRegistry, 12));
+        assert!(!d.covers(Rule::TelemetryRegistry, 9));
         assert!(!d.covers(Rule::PanicPolicy, 10));
     }
 

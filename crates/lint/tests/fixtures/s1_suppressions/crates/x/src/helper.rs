@@ -1,5 +1,5 @@
-// hermes-lint: allow(R1)
-use std::collections::HashMap;
+// hermes-lint: allow(R2)
+pub fn head(v: &[u32]) -> u32 { *v.first().unwrap() }
 
-// hermes-lint: allow(R1, reason = "lookup-only; iteration order never observed")
-pub type Cache = HashMap<u32, u32>;
+// hermes-lint: allow(R2, reason = "callers check emptiness first")
+pub fn tail(v: &[u32]) -> u32 { *v.last().unwrap() }

@@ -2,8 +2,8 @@
 //! synthetic workspace tree, and its `EXPECTED` file is the byte-exact
 //! render of the lint outcome over that tree. The corpus pins the exact
 //! diagnostic text, positions and suppression echoes for every rule
-//! R1–R9 plus S1, so a wording or ordering change cannot slip through
-//! unreviewed.
+//! (R2, R5, R7–R9 and S1), so a wording or ordering change cannot slip
+//! through unreviewed.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -17,9 +17,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Loads one case directory as an in-memory tree: paths are relative to
-/// the case root with forward slashes, so path-sensitive rules (crate
-/// roots, `src/bin/exp_*`, the registry path) behave as in a real
-/// workspace. `EXPECTED` itself is not part of the tree.
+/// the case root with forward slashes, so path-sensitive rules (test
+/// paths, the registry path) behave as in a real workspace. `EXPECTED` itself is not part of the tree.
 fn load_case(case: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
     collect(case, case, &mut files);
@@ -82,7 +81,7 @@ fn golden_corpus_is_byte_exact_and_covers_every_rule() {
         .filter(|p| p.is_dir())
         .collect();
     cases.sort();
-    assert!(cases.len() >= 10, "corpus has only {} cases", cases.len());
+    assert!(cases.len() >= ALL_RULES.len(), "corpus has only {} cases", cases.len());
 
     let mut covered: BTreeSet<Rule> = BTreeSet::new();
     let mut failures = Vec::new();

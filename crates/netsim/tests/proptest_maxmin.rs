@@ -412,7 +412,7 @@ hermes_util::check! {
             let mut rng = StdRng::seed_from_u64(seed);
             let path = topo.random_shortest_path(src, dst, None, &mut rng).unwrap();
             let mut cur = src;
-            let mut visited = std::collections::HashSet::from([src]);
+            let mut visited = std::collections::BTreeSet::from([src]);
             for &l in &path {
                 cur = topo.links[l].other(cur);
                 assert!(visited.insert(cur), "{}: node revisited", topo.name);

@@ -497,7 +497,7 @@ mod tests {
 
     #[test]
     fn dense_random_consistency_with_naive_scan() {
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
         let mut t = PrefixTrie::new();
         let mut all: Vec<(Ipv4Prefix, u32)> = Vec::new();
         // Deterministic pseudo-random prefixes.
@@ -510,8 +510,8 @@ mod tests {
             all.push((pre, i));
         }
         for &(q, _) in all.iter().step_by(37) {
-            let via_trie: HashSet<u32> = t.overlapping(q).into_iter().copied().collect();
-            let via_scan: HashSet<u32> = all
+            let via_trie: BTreeSet<u32> = t.overlapping(q).into_iter().copied().collect();
+            let via_scan: BTreeSet<u32> = all
                 .iter()
                 .filter(|(p, _)| p.overlaps(&q))
                 .map(|&(_, i)| i)

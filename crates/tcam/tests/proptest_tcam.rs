@@ -364,7 +364,7 @@ hermes_util::check! {
     ) {
         // Unique priorities so FIFO order can't matter.
         let mut table = TcamTable::new(256, PlacementStrategy::Balanced);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut all = Vec::new();
         for (i, (prio, bits, len)) in rules.iter().enumerate() {
             if !seen.insert(*prio) {

@@ -14,7 +14,8 @@
 //!   generator combinators, fixed default seeds, failure minimization by
 //!   halving the generation size, and `HERMES_CHECK_*` env overrides.
 //! * [`mod@bench`] — [`bench::Stopwatch`], the one sanctioned wall-clock read
-//!   (lint R1); the perf ledger and `hermes-harness` measure through it.
+//!   (the one `clippy.toml` exemption); the perf ledger and
+//!   `hermes-harness` measure through it.
 //! * [`stats`] — the shared nearest-rank quantile used by the scenario
 //!   harness, the perf ledger and the netsim metric distributions.
 //!

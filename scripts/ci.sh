@@ -25,13 +25,24 @@ stage_build() {
 }
 
 stage_lint() {
-    # One blocking stage whose verdict is the analyzer's exit code (R1-R6
-    # token rules, R7-R9 flow rules, S1 suppressions -- DESIGN.md §9).
+    # One blocking stage whose verdict is the analyzer's exit code (R2 and
+    # R5 token rules, R7-R9 flow rules, S1 suppressions -- DESIGN.md §9).
     cargo run --release --offline -q -p hermes-lint -- --workspace
 }
 
 stage_clippy() {
-    cargo clippy --offline --workspace --all-targets -- -D warnings
+    # Besides clippy's own lints: clippy.toml's disallowed-types ban on
+    # HashMap/HashSet/Instant/SystemTime (determinism, DESIGN.md §9), a
+    # reason on every #[allow], and no `unsafe` in any target, forbidden
+    # from the command line so a crate root without the attribute is
+    # covered too.
+    cargo clippy --offline --workspace --all-targets -- \
+        -D warnings -D clippy::allow_attributes_without_reason -F unsafe_code
+    # The perf ledger (benchmark/) is its own package: the same ban and the
+    # same forbid. Its sources are frozen for ordinary PRs, so every other
+    # clippy lint stays off there.
+    with_parked_benchmark_lock cargo clippy --offline --manifest-path benchmark/Cargo.toml \
+        --all-targets -- -A clippy::all -D clippy::disallowed_types -F unsafe_code
 }
 
 stage_doc() {
@@ -137,19 +148,37 @@ stage_perfgate() {
     rm -rf "$fresh_dir"
 }
 
-# Where stage_ledger parks the committed benchmark/Cargo.lock while it
-# runs (empty: nothing parked). print_summary, the EXIT trap, puts it back
-# on a failing path; the stage itself on a passing one.
-LEDGER_LOCK_SAVED=""
+# Where with_parked_benchmark_lock parks the committed benchmark/Cargo.lock
+# while its command runs (empty: nothing parked). print_summary, the EXIT
+# trap, puts it back on a failing path; the helper itself on a passing one.
+BENCH_LOCK_SAVED=""
 
-restore_ledger_lock() {
-    [[ -n "$LEDGER_LOCK_SAVED" ]] || return 0
-    cp "$LEDGER_LOCK_SAVED" benchmark/Cargo.lock
-    rm -f "$LEDGER_LOCK_SAVED"
-    LEDGER_LOCK_SAVED=""
+restore_benchmark_lock() {
+    [[ -n "$BENCH_LOCK_SAVED" ]] || return 0
+    cp "$BENCH_LOCK_SAVED" benchmark/Cargo.lock
+    rm -f "$BENCH_LOCK_SAVED"
+    BENCH_LOCK_SAVED=""
+}
+
+# Runs "$@" on a parked copy of benchmark/Cargo.lock. cargo re-resolves
+# (and rewrites) that file whenever a workspace manifest changed since it
+# was committed, and benchmark/ is frozen for ordinary PRs: every cargo
+# call on benchmark/Cargo.toml goes through here, which ends by proving
+# the tree is as clean as it found it.
+with_parked_benchmark_lock() {
+    BENCH_LOCK_SAVED="$(mktemp)"
+    cp benchmark/Cargo.lock "$BENCH_LOCK_SAVED"
+    "$@"
+    restore_benchmark_lock
+    git diff --quiet -- benchmark/Cargo.lock \
+      || { echo "benchmark/Cargo.lock differs from the committed file"; exit 1; }
 }
 
 stage_ledger() {
+    with_parked_benchmark_lock run_ledger
+}
+
+run_ledger() {
     # The perf ledger (benchmark/) as a blocking refactoring oracle and the
     # host-time verdict on its five workloads (the exp_* binaries' host
     # time is matrix_smoke's, below). Its own test suite runs first
@@ -165,13 +194,6 @@ stage_ledger() {
     # committed row in benchmark/results/ (by name): its exit code is the
     # verdict, non-zero on any `regressed` or `unresolved` row. It is only
     # as tight as that row is recent (DESIGN.md §11 lists today's slack).
-    #
-    # cargo re-resolves (and rewrites) benchmark/Cargo.lock whenever a
-    # workspace manifest changed since it was committed, and benchmark/ is
-    # frozen for ordinary PRs: the stage works on a parked copy of the
-    # file and ends by proving the tree is as clean as it found it.
-    LEDGER_LOCK_SAVED="$(mktemp)"
-    cp benchmark/Cargo.lock "$LEDGER_LOCK_SAVED"
     cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
     cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
     local rows=(benchmark/results/*.json) set_dir rc=0
@@ -193,9 +215,6 @@ PY
     [[ $rc == 0 ]] || { tail -n 40 "$set_dir/run.log"; echo "perf-ledger run exited $rc"; exit 1; }
     ./benchmark/target/release/perf-ledger compare "${rows[-1]}" "$set_dir"
     rm -rf "$set_dir"
-    restore_ledger_lock
-    git diff --quiet -- benchmark/Cargo.lock \
-      || { echo "benchmark/Cargo.lock differs from the committed file"; exit 1; }
 }
 
 stage_matrix_smoke() {
@@ -279,7 +298,7 @@ CURRENT_T0=0
 print_summary() {
     local code=$?
     trap - EXIT
-    restore_ledger_lock
+    restore_benchmark_lock
     if [[ -n "$CURRENT_STAGE" ]]; then
         # The trap fired mid-stage: that stage is the failure.
         SUM_NAME+=("$CURRENT_STAGE")

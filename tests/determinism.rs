@@ -262,34 +262,6 @@ fn fleet_run_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn lint_report_is_byte_identical_across_runs() {
-    // The static-analysis pass is part of the reproducibility story too:
-    // its findings and waivers over the same tree must be a pure function
-    // of the sources — no wall clock, no hash-order, no paths that depend
-    // on the invocation directory.
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let files = hermes_lint::engine::load_workspace(&root).expect("workspace readable");
-    let render = || {
-        let out = hermes_lint::engine::lint_tree(&files);
-        let mut s: String = out.findings.iter().map(|f| format!("{f}\n")).collect();
-        for w in &out.suppressions {
-            s.push_str(&format!(
-                "waived: {}:{} {} ({})\n",
-                w.file,
-                w.line,
-                w.rule.id(),
-                w.reason
-            ));
-        }
-        (out.is_clean(), s)
-    };
-    let (clean, a) = render();
-    let (_, b) = render();
-    assert_eq!(a, b, "lint outcome must be byte-deterministic");
-    assert!(clean, "workspace has lint findings:\n{a}");
-}
-
-#[test]
 fn different_seeds_produce_different_json() {
     let a = gravity_run(2, 9);
     let c = gravity_run(3, 10);

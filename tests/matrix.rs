@@ -1,7 +1,8 @@
-//! The committed scenario matrix and the harness report pipeline.
+//! The committed scenario matrix, the harness report pipeline, and the
+//! build contracts the experiments rest on.
 //!
-//! Two guarantees pinned here, from the workspace root so they see the
-//! real `scenarios/matrix.toml` and the real experiment binaries:
+//! Three guarantees pinned here, from the workspace root so they see the
+//! real `scenarios/matrix.toml`, lockfiles and experiment binaries:
 //!
 //! 1. The committed matrix is well-formed: every required scenario is
 //!    present with the contracted repetition count, every referenced
@@ -14,6 +15,10 @@
 //!    fields (wall/RSS/CPU) leak into it. The process-level version of
 //!    this assertion (real spawns, real /proc sampling) lives in
 //!    `crates/harness/tests/fixture.rs`.
+//! 3. The build is hermetic and every experiment goes through the one
+//!    wrapper: neither lockfile records an external package, and every
+//!    `exp_*` binary calls `hermes_bench::run_experiment("<its stem>", …)`
+//!    (DESIGN.md §6, §9).
 
 use hermes_harness::{report, MatrixRun, RepResult, ScenarioRun};
 use hermes_util::json::Json;
@@ -148,4 +153,53 @@ fn canonical_summary_is_independent_of_measured_jitter() {
 
     // And building the same flavor twice is pure.
     assert_eq!(full_fast, report::build(&synthetic_run(10.0), false).to_string());
+}
+
+#[test]
+fn lockfiles_record_no_external_package() {
+    // A registry or git dependency anywhere in a manifest resolves to a
+    // lockfile entry with a `source` key; workspace and path packages
+    // have none.
+    for lock in ["Cargo.lock", "benchmark/Cargo.lock"] {
+        let text = std::fs::read_to_string(repo_root().join(lock)).expect("lockfile is readable");
+        let external: Vec<String> = text
+            .lines()
+            .enumerate()
+            .filter(|(_, line)| line.trim_start().starts_with("source ="))
+            .map(|(i, line)| format!("{lock}:{}: {}", i + 1, line.trim()))
+            .collect();
+        assert!(
+            external.is_empty(),
+            "the build is hermetic (README \"Hermetic build\"): vendor the code into \
+             crates/util or a new in-tree crate instead of\n{}",
+            external.join("\n")
+        );
+    }
+}
+
+#[test]
+fn every_experiment_binary_goes_through_run_experiment() {
+    let bins_dir = repo_root().join("crates/bench/src/bin");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&bins_dir).expect("crates/bench/src/bin is readable") {
+        let path = entry.expect("dir entry").path();
+        let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
+            continue;
+        };
+        if !stem.starts_with("exp_") || path.extension().is_none_or(|e| e != "rs") {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path).expect("binary source is readable");
+        let call = format!("run_experiment(\"{stem}\"");
+        assert!(
+            src.lines()
+                .any(|line| !line.trim_start().starts_with("//") && line.contains(&call)),
+            "crates/bench/src/bin/{stem}.rs does not call \
+             hermes_bench::run_experiment(\"{stem}\", …): the wrapper provides --out, \
+             telemetry arming and panic containment, and the file-stem name keeps its \
+             BENCH_*.json report traceable"
+        );
+        checked += 1;
+    }
+    assert!(checked >= 10, "found only {checked} exp_* binaries in {}", bins_dir.display());
 }
