@@ -189,31 +189,34 @@ impl SlicePlan {
         self.deletes.is_empty() && self.fixes.is_empty() && self.installs.is_empty()
     }
 
-    /// The plan as one batched device transaction: deletes first (freeing
-    /// capacity and clearing drifted shapes), then in-place fixes, then
-    /// installs — the order `apply_batch` validates sequentially.
-    pub fn to_ops(&self) -> Vec<TcamOp> {
-        let fixes = self.fixes.iter().map(|(id, action)| TcamOp::ModifyAction {
-            id: *id,
-            action: *action,
-        });
-        (self.deletes.iter().copied().map(TcamOp::Delete))
-            .chain(fixes)
-            .chain(self.installs.iter().copied().map(TcamOp::Insert))
-            .collect()
+    /// Writes the plan into `ops` (cleared first) as one batched device
+    /// transaction: deletes first (freeing capacity and clearing drifted
+    /// shapes), then in-place fixes, then installs — the order
+    /// `apply_batch` validates sequentially.
+    pub fn to_ops(&self, ops: &mut Vec<TcamOp>) {
+        ops.clear();
+        ops.extend(self.deletes.iter().copied().map(TcamOp::Delete));
+        ops.extend(
+            (self.fixes.iter()).map(|&(id, action)| TcamOp::ModifyAction { id, action }),
+        );
+        ops.extend(self.installs.iter().copied().map(TcamOp::Insert));
     }
 }
 
 /// Diffs the expected physical entries of one slice (ascending, unique
 /// ids) against what the device actually holds after a crash (any order),
-/// producing the minimal repair set in one merge-join of the two sides by
-/// id. Pure and deterministic: all three lists come out in id order.
-pub fn plan_slice(expected: &[Rule], actual: &[Rule]) -> SlicePlan {
+/// writing the minimal repair set into `plan` in one merge-join of the two
+/// sides by id. `actual` is sorted by id in place, and `plan` is cleared
+/// first, so a caller can hand in the buffers of the last pass. Pure and
+/// deterministic: all three lists come out in id order.
+pub fn plan_slice(expected: &[Rule], actual: &mut [Rule], plan: &mut SlicePlan) {
     debug_assert!(expected.windows(2).all(|w| w[0].id < w[1].id));
-    let mut actual: Vec<&Rule> = actual.iter().collect();
     actual.sort_unstable_by_key(|r| r.id);
-    let mut device = actual.into_iter().peekable();
-    let mut plan = SlicePlan::default();
+    plan.deletes.clear();
+    plan.fixes.clear();
+    plan.installs.clear();
+    plan.survivors = 0;
+    let mut device = actual.iter().peekable();
     for want in expected {
         let mut healthy = false;
         while let Some(dev_rule) = device.next_if(|r| r.id <= want.id) {
@@ -237,7 +240,6 @@ pub fn plan_slice(expected: &[Rule], actual: &[Rule]) -> SlicePlan {
         }
     }
     plan.deletes.extend(device.map(|r| r.id));
-    plan
 }
 
 /// Lifetime health counters for the resync subsystem.
@@ -364,7 +366,8 @@ mod tests {
     #[test]
     fn plan_slice_wiped_table_reinstalls_everything() {
         let expected: Vec<Rule> = (1..=5).map(|i| rule(i, i as u32)).collect();
-        let plan = plan_slice(&expected, &[]);
+        let mut plan = SlicePlan::default();
+        plan_slice(&expected, &mut [], &mut plan);
         assert!(plan.deletes.is_empty());
         assert_eq!(plan.installs.len(), 5);
         assert_eq!(plan.survivors, 0);
@@ -379,15 +382,18 @@ mod tests {
         // 1 survives intact, 2 drifted action, 3 lost, plus an orphan 9.
         let mut drifted = rule(2, 2);
         drifted.action = Action::Drop;
-        let actual = vec![rule(1, 1), drifted, rule(4, 4), rule(9, 9)];
-        let plan = plan_slice(&expected, &actual);
+        let mut actual = vec![rule(9, 9), drifted, rule(4, 4), rule(1, 1)];
+        let mut plan = SlicePlan::default();
+        plan_slice(&expected, &mut actual, &mut plan);
         assert_eq!(plan.deletes, vec![RuleId(9)]);
         assert_eq!(plan.fixes.len(), 1);
         assert_eq!(plan.fixes[0].0, RuleId(2));
         assert_eq!(plan.installs.len(), 1);
         assert_eq!(plan.installs[0].id, RuleId(3));
         assert_eq!(plan.survivors, 3);
-        assert_eq!(plan.to_ops().len(), 3);
+        let mut ops = Vec::new();
+        plan.to_ops(&mut ops);
+        assert_eq!(ops.len(), 3);
         assert!(!plan.is_noop());
     }
 
@@ -398,12 +404,14 @@ mod tests {
             priority: Priority(9),
             ..rule(1, 5)
         };
-        let plan = plan_slice(&expected, &[wrong_prio]);
+        let mut plan = SlicePlan::default();
+        plan_slice(&expected, &mut [wrong_prio], &mut plan);
         assert_eq!(plan.deletes, vec![RuleId(1)]);
         assert_eq!(plan.installs.len(), 1);
         assert_eq!(plan.survivors, 0);
         // Batch order: the delete precedes the replacing insert.
-        let ops = plan.to_ops();
+        let mut ops = Vec::new();
+        plan.to_ops(&mut ops);
         assert!(matches!(ops[0], TcamOp::Delete(_)));
         assert!(matches!(ops[1], TcamOp::Insert(_)));
     }

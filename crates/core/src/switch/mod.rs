@@ -239,6 +239,8 @@ pub struct HermesSwitch {
     /// High-water mark of `now` across public entry points; used to stamp
     /// degraded-mode episodes from internal paths that take no clock.
     clock: SimTime,
+    /// Buffers the crash rebuild and the audit refill on every pass.
+    scratch: reconcile::RebuildScratch,
 }
 
 impl HermesSwitch {
@@ -308,6 +310,7 @@ impl HermesSwitch {
             crash_pending: false,
             crash_detected_at: None,
             clock: SimTime::ZERO,
+            scratch: reconcile::RebuildScratch::default(),
         })
     }
 

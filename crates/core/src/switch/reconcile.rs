@@ -4,9 +4,23 @@
 
 use super::{HermesSwitch, MAIN, SHADOW};
 use crate::recovery::AuditReport;
-use crate::resync::{plan_slice, reconnect_backoff, ResyncReport, RECONNECT_ATTEMPTS};
+use crate::resync::{plan_slice, reconnect_backoff, ResyncReport, SlicePlan, RECONNECT_ATTEMPTS};
 use hermes_rules::prelude::*;
-use hermes_tcam::{SimDuration, SimTime, TcamError};
+use hermes_tcam::{SimDuration, SimTime, TcamError, TcamOp};
+
+/// The vectors one slice diff needs — the expected view, the device read,
+/// the plan and the batch — kept by the switch and refilled on every
+/// rebuild and audit instead of allocated afresh. A resync of a full
+/// table would otherwise allocate megabytes per pass, and whether those
+/// pages come back warm depends on the allocator's history (DESIGN.md
+/// §12, "Allocation-stable rebuild").
+#[derive(Debug, Default)]
+pub(super) struct RebuildScratch {
+    expected: Vec<Rule>,
+    actual: Vec<Rule>,
+    plan: SlicePlan,
+    ops: Vec<TcamOp>,
+}
 
 impl HermesSwitch {
     /// Reconciliation audit (recovery layer 3): one sweep that makes the
@@ -48,10 +62,12 @@ impl HermesSwitch {
             report.complete = false;
         }
 
-        let evict = self.reconcile_slice(SHADOW, &mut report);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let evict = self.reconcile_slice(SHADOW, &mut scratch, &mut report);
         // Main reinstalls hit `Full` only when the table is genuinely out
         // of space; there is no eviction target, so the list is empty.
-        let _ = self.reconcile_slice(MAIN, &mut report);
+        let _ = self.reconcile_slice(MAIN, &mut scratch, &mut report);
+        self.scratch = scratch;
 
         self.evict_unplaceable(evict, &mut report);
 
@@ -82,10 +98,23 @@ impl HermesSwitch {
     /// and fixes in device order, then installs in id order. Returns
     /// shadow rules that must be evicted because their pieces no longer
     /// fit.
-    fn reconcile_slice(&mut self, slice: usize, report: &mut AuditReport) -> Vec<RuleId> {
-        let expected = self.expected_slice(slice);
-        let actual: Vec<Rule> = self.device.slice(slice).table.entries();
-        let plan = plan_slice(&expected, &actual);
+    fn reconcile_slice(
+        &mut self,
+        slice: usize,
+        scratch: &mut RebuildScratch,
+        report: &mut AuditReport,
+    ) -> Vec<RuleId> {
+        self.diff_slice(slice, scratch);
+        let RebuildScratch {
+            expected,
+            actual,
+            plan,
+            ..
+        } = scratch;
+        // The plan sorted the device read by id: read it again in device
+        // order, the order the repairs go out in.
+        actual.clear();
+        actual.extend(self.device.slice(slice).table.iter());
         // Stale entries whose delete failed: a reinstall would collide.
         let mut stuck: Vec<RuleId> = Vec::new();
         for id in actual.iter().map(|r| r.id) {
@@ -123,7 +152,7 @@ impl HermesSwitch {
         }
         // Expected entries the device lost (silent drops).
         let mut evict: Vec<RuleId> = Vec::new();
-        for want in plan.installs {
+        for &want in &plan.installs {
             if stuck.contains(&want.id) {
                 continue;
             }
@@ -158,21 +187,30 @@ impl HermesSwitch {
         }
     }
 
-    /// The expected physical entries of one slice in ascending id order:
-    /// the union of every shadow rule's pieces (carrying the owner's
-    /// priority and action), or the main index.
-    fn expected_slice(&self, slice: usize) -> Vec<Rule> {
+    /// Writes the expected physical entries of one slice into `out`
+    /// (cleared first) in ascending id order: the union of every shadow
+    /// rule's pieces (carrying the owner's priority and action), or the
+    /// main index.
+    fn expected_slice(&self, slice: usize, out: &mut Vec<Rule>) {
+        out.clear();
         if slice == SHADOW {
-            let mut expected: Vec<Rule> = (self.shadow.values())
-                .flat_map(|e| {
-                    (e.pieces.iter()).map(|&(id, key)| Rule { id, key, ..e.original })
-                })
-                .collect();
-            expected.sort_unstable_by_key(|r| r.id);
-            expected
+            out.extend((self.shadow.values()).flat_map(|e| {
+                (e.pieces.iter()).map(|&(id, key)| Rule { id, key, ..e.original })
+            }));
+            out.sort_unstable_by_key(|r| r.id);
         } else {
-            self.main_index.iter().collect()
+            out.extend(self.main_index.iter());
         }
+    }
+
+    /// Fills `scratch` with one slice's expected view and device read and
+    /// diffs them into `scratch.plan` ([`plan_slice`], which leaves the
+    /// read sorted by id).
+    fn diff_slice(&self, slice: usize, scratch: &mut RebuildScratch) {
+        self.expected_slice(slice, &mut scratch.expected);
+        scratch.actual.clear();
+        scratch.actual.extend(self.device.slice(slice).table.iter());
+        plan_slice(&scratch.expected, &mut scratch.actual, &mut scratch.plan);
     }
 
     /// Crash-resync pass (see [`crate::resync`]): reconnects the lost
@@ -269,15 +307,16 @@ impl HermesSwitch {
     /// batched device transaction. A rejected batch falls back to the
     /// audit's per-op reconciliation, evictions included.
     fn rebuild(&mut self, report: &mut ResyncReport) {
+        let mut scratch = std::mem::take(&mut self.scratch);
         for slice in [SHADOW, MAIN] {
-            let expected = self.expected_slice(slice);
-            let actual = self.device.slice(slice).table.entries();
-            let plan = plan_slice(&expected, &actual);
+            self.diff_slice(slice, &mut scratch);
+            let plan = &scratch.plan;
             report.survivors += plan.survivors;
             if plan.is_noop() {
                 continue;
             }
-            match self.dev_apply_batch(slice, &plan.to_ops()) {
+            plan.to_ops(&mut scratch.ops);
+            match self.dev_apply_batch(slice, &scratch.ops) {
                 Ok(rep) => {
                     report.duration += rep.latency;
                     report.deleted += plan.deletes.len();
@@ -292,7 +331,7 @@ impl HermesSwitch {
                         complete: true,
                         ..AuditReport::default()
                     };
-                    let evict = self.reconcile_slice(slice, &mut audit);
+                    let evict = self.reconcile_slice(slice, &mut scratch, &mut audit);
                     self.evict_unplaceable(evict, &mut audit);
                     report.duration += audit.duration;
                     report.deleted += audit.orphans_removed;
@@ -304,5 +343,6 @@ impl HermesSwitch {
                 }
             }
         }
+        self.scratch = scratch;
     }
 }

@@ -11,6 +11,7 @@ use hermes_util::check::{arb, range};
 use hermes_util::rng::rngs::StdRng;
 use hermes_util::rng::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 fn rule(id: u64, third: u32, prio: u32) -> Rule {
     let p: Ipv4Prefix = format!("10.{}.{}.0/24", id % 200, third % 250).parse().unwrap();
@@ -237,13 +238,25 @@ mod reference {
 
 const DIFF_STREAM_SALT: u64 = 0x5245_5359_4e43_4446;
 
+/// The one plan every case of the diff property writes into, as the switch
+/// reuses its own across passes: each case starts from what the last one
+/// left.
+static PLAN: Mutex<SlicePlan> = Mutex::new(SlicePlan {
+    deletes: Vec::new(),
+    fixes: Vec::new(),
+    installs: Vec::new(),
+    survivors: 0,
+});
+
 hermes_util::check! {
     #![cases = 256]
 
     /// The merge-join diff plans exactly what the `BTreeMap` version did,
     /// ids ascending in all three lists: expected rules that survived
     /// intact, drifted in action, priority or key, or were lost, device
-    /// orphans, either side empty, and the device side in any order.
+    /// orphans, either side empty, and the device side in any order. The
+    /// plan is one buffer carried dirty from case to case, so nothing the
+    /// last diff left shows through.
     fn plan_slice_matches_btreemap_reference(
         seed in arb::<u64>(),
         n_expected in range(0usize..60),
@@ -275,9 +288,11 @@ hermes_util::check! {
             }
         }
         rng.shuffle(&mut actual);
+        let want = reference::plan_slice(&expected, &actual);
         let sorted: Vec<Rule> = expected.values().copied().collect();
-        let plan = plan_slice(&sorted, &actual);
-        assert_eq!(plan, reference::plan_slice(&expected, &actual));
+        let mut plan = PLAN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        plan_slice(&sorted, &mut actual, &mut plan);
+        assert_eq!(*plan, want);
         let ascending = |ids: Vec<RuleId>| ids.windows(2).all(|w| w[0] < w[1]);
         assert!(ascending(plan.deletes.clone()));
         assert!(ascending(plan.fixes.iter().map(|f| f.0).collect()));

@@ -1,4 +1,4 @@
-//! Binary prefix trie.
+//! Binary prefix trie, path compressed.
 //!
 //! The overlap-detection index stores every rule under its destination
 //! prefix in a binary trie. For prefixes, *overlap implies containment one
@@ -8,51 +8,61 @@
 //! detection into an output-sensitive walk — one of the "efficient data
 //! structures" §3 calls for.
 //!
+//! **Only nodes that hold items or branch exist.** A node stores its own
+//! prefix, so a child may sit any number of bits below its parent: the
+//! chain of itemless one-child nodes a plain binary trie keeps between
+//! them is left out. Every non-root node holds items or has two children,
+//! and a child's prefix is strictly longer than its parent's, lies inside
+//! it, and sits on the side its bit at depth `parent.len` names. So an
+//! insert adds at most two nodes (the leaf, and a fork where it leaves an
+//! edge part-way) and a remove frees at most two (the emptied node, and a
+//! parent left itemless with one child, which is spliced out). With P
+//! distinct live prefixes, at most P nodes hold items and each itemless
+//! non-root node is one of the fewer-than-P binary forks between them, so
+//! at most 2P − 1 non-root nodes are reachable.
+//!
 //! **Storage is bounded by the live prefixes.** Nodes live in one array,
-//! slot 0 the root. [`PrefixTrie::remove`] gives back every non-root node
-//! whose subtree it empties: the node is unlinked, reset and its slot put
-//! on a free list that inserts draw from before the array grows. So every
-//! reachable non-root node has at least one item below it, and the array
-//! never holds more than 1 + Σ (lengths of the distinct live prefixes)
-//! slots at its high-water mark — it follows the rules that are installed,
-//! not the history of every prefix ever installed. There is no compaction
-//! pass.
+//! slot 0 the root (`0.0.0.0/0`). A freed node is reset and its slot put on
+//! a free list that inserts draw from before the array grows, so the array
+//! grows only while every slot is reachable and never holds more than
+//! 2P slots at its high-water mark. There is no compaction pass.
 //!
 //! **Visit order is structural.** Every walk goes root-to-node by address
 //! bits and the descendant walk is a depth-first search that visits a
 //! node's items in storage order and then child 1's subtree before child
 //! 0's. None of that reads a slot number, so which slots a node happens to
 //! occupy — fresh or reused — cannot change what a query visits or in what
-//! order; a pruned node held no items and is skipped exactly as a walk
-//! skips an absent one.
+//! order; and a node the compression leaves out would have held no items,
+//! so skipping it skips nothing.
 
 use crate::prefix::Ipv4Prefix;
 use std::num::NonZeroU32;
 
-/// Slots on a root-to-node path (the root plus one per level down to a
-/// `/32`) — also the most a descendant walk's stack ever holds: one
-/// pending sibling per depth, plus two at the deepest, `/32` nodes having
-/// no children.
-const PATH_SLOTS: usize = 33;
+/// The most a descendant walk's stack ever holds. Each level down is at
+/// least one bit longer, so a node with children sits at most 31 levels
+/// below the walk's start; when it is popped the stack holds at most one
+/// pending sibling per level above it, and it pushes two.
+const STACK_SLOTS: usize = 33;
 
 /// One trie node: 40 bytes.
 #[derive(Debug)]
 struct Node<T> {
     items: Vec<T>,
-    /// Child slots by address bit. Slot 0 is the root and is never a
-    /// child, so `NonZeroU32` leaves room for the `None` niche.
+    /// Child slots by the address bit at depth `prefix.len()`. Slot 0 is
+    /// the root and is never a child, so `NonZeroU32` leaves room for the
+    /// `None` niche.
     children: [Option<NonZeroU32>; 2],
-    /// Number of items stored in this node's entire subtree (including the
-    /// node itself). Never 0 on a reachable non-root node.
-    subtree_items: u32,
+    /// The prefix this node stands for (`0.0.0.0/0` on the root and on a
+    /// freed node).
+    prefix: Ipv4Prefix,
 }
 
 impl<T> Node<T> {
-    fn new() -> Self {
+    fn new(prefix: Ipv4Prefix) -> Self {
         Node {
             items: Vec::new(),
             children: [None, None],
-            subtree_items: 0,
+            prefix,
         }
     }
 }
@@ -63,11 +73,11 @@ impl<T> Node<T> {
 /// priorities or actions frequently share a match).
 #[derive(Debug)]
 pub struct PrefixTrie<T> {
-    // INVARIANT: reclamation keeps `nodes.len()` ≤ 1 + 32 × `len` at its
-    // high-water mark, so slot numbers fit `u32` (and subtree counts, at
-    // most `len`, too) for any table this indexes, far below `u32::MAX`.
+    // INVARIANT: reclamation keeps `nodes.len()` ≤ 2 × `len` + 1 at its
+    // high-water mark, so slot numbers fit `u32` for any table this
+    // indexes, far below `u32::MAX`.
     nodes: Vec<Node<T>>,
-    /// Slots of pruned nodes, each reset; reused before `nodes` grows.
+    /// Slots of freed nodes, each reset; reused before `nodes` grows.
     free: Vec<NonZeroU32>,
     len: usize,
 }
@@ -82,7 +92,7 @@ impl<T> PrefixTrie<T> {
     /// An empty trie.
     pub fn new() -> Self {
         PrefixTrie {
-            nodes: vec![Node::new()],
+            nodes: vec![Node::new(Ipv4Prefix::DEFAULT)],
             free: Vec::new(),
             len: 0,
         }
@@ -101,7 +111,7 @@ impl<T> PrefixTrie<T> {
     /// Removes every item.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.nodes.push(Node::new());
+        self.nodes.push(Node::new(Ipv4Prefix::DEFAULT));
         self.free.clear();
         self.len = 0;
     }
@@ -116,9 +126,11 @@ impl<T> PrefixTrie<T> {
         self.nodes[idx].children[b].map(|c| c.get() as usize)
     }
 
-    /// A reset node's slot: a freed one if any, else a new one at the end.
-    fn alloc(&mut self) -> NonZeroU32 {
+    /// A node for `prefix` with no items or children: a freed slot if any,
+    /// else a new one at the end.
+    fn alloc(&mut self, prefix: Ipv4Prefix) -> NonZeroU32 {
         if let Some(slot) = self.free.pop() {
+            self.nodes[slot.get() as usize].prefix = prefix;
             return slot;
         }
         let slot = u32::try_from(self.nodes.len())
@@ -127,74 +139,130 @@ impl<T> PrefixTrie<T> {
             .expect(
                 "INVARIANT: the root holds slot 0 and the node bound keeps slots below u32::MAX",
             );
-        self.nodes.push(Node::new());
+        self.nodes.push(Node::new(prefix));
         slot
     }
 
-    /// Inserts `item` under `prefix`, creating the path's missing nodes.
+    /// Resets the node at `slot` (never the root) and puts it on the free
+    /// list.
+    fn release(&mut self, slot: usize) {
+        self.nodes[slot] = Node::new(Ipv4Prefix::DEFAULT);
+        self.free.push(
+            NonZeroU32::new(slot as u32).expect("INVARIANT: only child slots are freed, never 0"),
+        );
+    }
+
+    /// Allocates a node for `prefix` and links it as `parent`'s child on
+    /// side `b`, returning its slot.
+    fn attach(&mut self, parent: usize, b: usize, prefix: Ipv4Prefix) -> usize {
+        let slot = self.alloc(prefix);
+        self.nodes[parent].children[b] = Some(slot);
+        slot.get() as usize
+    }
+
+    /// Inserts `item` under `prefix`, adding its node — and a fork where
+    /// it leaves an edge part-way — if missing.
     pub fn insert(&mut self, prefix: Ipv4Prefix, item: T) {
         let mut idx = 0;
-        for depth in 0..prefix.len() {
-            self.nodes[idx].subtree_items += 1;
+        // Loop invariant: the node at `idx` contains `prefix`.
+        while self.nodes[idx].prefix.len() < prefix.len() {
+            let depth = self.nodes[idx].prefix.len();
             let b = Self::bit(prefix.addr(), depth);
-            idx = match self.child(idx, b) {
-                Some(c) => c,
-                None => {
-                    let c = self.alloc();
-                    self.nodes[idx].children[b] = Some(c);
-                    c.get() as usize
-                }
+            let Some(c) = self.nodes[idx].children[b] else {
+                idx = self.attach(idx, b, prefix);
+                break;
             };
+            let below = self.nodes[c.get() as usize].prefix;
+            if below.contains(&prefix) {
+                idx = c.get() as usize;
+                continue;
+            }
+            // `prefix` leaves the edge to `c` part-way or ends on it: a fork
+            // at the longest prefix of both takes `c` on its side and,
+            // unless the fork is `prefix` itself, a new leaf on the other.
+            let fork = Ipv4Prefix::new(prefix.addr(), common_len(below, prefix));
+            let mid = self.attach(idx, b, fork);
+            self.nodes[mid].children[Self::bit(below.addr(), fork.len())] = Some(c);
+            idx = if fork == prefix {
+                mid
+            } else {
+                self.attach(mid, Self::bit(prefix.addr(), fork.len()), prefix)
+            };
+            break;
         }
-        let node = &mut self.nodes[idx];
-        node.subtree_items += 1;
-        node.items.push(item);
+        self.nodes[idx].items.push(item);
         self.len += 1;
     }
 
-    /// Walks to the node for `prefix` without creating nodes.
-    fn walk(&self, prefix: Ipv4Prefix) -> Option<usize> {
+    /// Follows `prefix`'s bits down from the root, handing every node
+    /// whose prefix strictly contains `prefix` to `above` (root first).
+    /// Returns the topmost node inside `prefix` — its own node if there is
+    /// one — or `None` when no node lies inside it.
+    fn descend<'a>(
+        &'a self,
+        prefix: Ipv4Prefix,
+        mut above: impl FnMut(&'a Node<T>),
+    ) -> Option<usize> {
         let mut idx = 0;
-        for depth in 0..prefix.len() {
-            idx = self.child(idx, Self::bit(prefix.addr(), depth))?;
+        // Loop invariant: the node at `idx` overlaps `prefix`, so it lies
+        // inside `prefix` exactly when it is at least as long.
+        loop {
+            let node = &self.nodes[idx];
+            if node.prefix.len() >= prefix.len() {
+                return Some(idx);
+            }
+            above(node);
+            let c = self.child(idx, Self::bit(prefix.addr(), node.prefix.len()))?;
+            let below = self.nodes[c].prefix;
+            if common_len(below, prefix) < below.len().min(prefix.len()) {
+                return None;
+            }
+            idx = c;
         }
-        Some(idx)
     }
 
     /// Visits every item stored exactly at `prefix`.
     pub fn items_at(&self, prefix: Ipv4Prefix) -> &[T] {
-        match self.walk(prefix) {
-            Some(idx) => &self.nodes[idx].items,
-            None => &[],
+        match self.descend(prefix, |_| {}) {
+            Some(idx) if self.nodes[idx].prefix == prefix => &self.nodes[idx].items,
+            _ => &[],
         }
     }
 
     /// Visits every item whose prefix *contains* the query (ancestors,
     /// including the query node itself).
     pub fn for_each_ancestor<'a>(&'a self, prefix: Ipv4Prefix, mut f: impl FnMut(&'a T)) {
-        let mut idx = 0;
-        for depth in 0..prefix.len() {
-            for item in &self.nodes[idx].items {
-                f(item);
-            }
-            match self.child(idx, Self::bit(prefix.addr(), depth)) {
-                Some(c) => idx = c,
-                None => return,
-            }
-        }
-        for item in &self.nodes[idx].items {
-            f(item);
+        let below = self.descend(prefix, |node| node.items.iter().for_each(&mut f));
+        if let Some(idx) = below.filter(|&idx| self.nodes[idx].prefix == prefix) {
+            self.nodes[idx].items.iter().for_each(f);
         }
     }
 
     /// Visits every item whose prefix is *contained in* the query
     /// (descendants, including the query node itself).
-    pub fn for_each_descendant<'a>(&'a self, prefix: Ipv4Prefix, mut f: impl FnMut(&'a T)) {
-        let Some(start) = self.walk(prefix) else {
-            return;
-        };
+    pub fn for_each_descendant<'a>(&'a self, prefix: Ipv4Prefix, f: impl FnMut(&'a T)) {
+        if let Some(start) = self.descend(prefix, |_| {}) {
+            self.for_each_in_subtree(start, f);
+        }
+    }
+
+    /// Visits every item whose prefix overlaps the query. For prefixes this
+    /// is exactly ancestors ∪ descendants; the query node itself is visited
+    /// once.
+    pub fn for_each_overlapping<'a>(&'a self, prefix: Ipv4Prefix, mut f: impl FnMut(&'a T)) {
+        // Ancestors strictly above the query on the way down, then the
+        // subtree under it (which holds the query node's own items).
+        let below = self.descend(prefix, |node| node.items.iter().for_each(&mut f));
+        if let Some(start) = below {
+            self.for_each_in_subtree(start, f);
+        }
+    }
+
+    /// Visits the items of the subtree at `start` depth-first: a node's
+    /// items in storage order, then child 1's subtree, then child 0's.
+    fn for_each_in_subtree<'a>(&'a self, start: usize, mut f: impl FnMut(&'a T)) {
         // `remove` leaves no empty subtree below the root: no node to skip.
-        let mut stack = [0usize; PATH_SLOTS];
+        let mut stack = [0usize; STACK_SLOTS];
         stack[0] = start;
         let mut top = 1;
         while top > 0 {
@@ -210,25 +278,6 @@ impl<T> PrefixTrie<T> {
         }
     }
 
-    /// Visits every item whose prefix overlaps the query. For prefixes this
-    /// is exactly ancestors ∪ descendants; the query node itself is visited
-    /// once.
-    pub fn for_each_overlapping<'a>(&'a self, prefix: Ipv4Prefix, mut f: impl FnMut(&'a T)) {
-        // Ancestors, excluding the query node (handled by the descendant
-        // walk so items at the query node are reported exactly once).
-        let mut idx = 0;
-        for depth in 0..prefix.len() {
-            for item in &self.nodes[idx].items {
-                f(item);
-            }
-            match self.child(idx, Self::bit(prefix.addr(), depth)) {
-                Some(c) => idx = c,
-                None => return,
-            }
-        }
-        self.for_each_descendant(prefix, f);
-    }
-
     /// Collects overlapping items into a vector (convenience wrapper).
     pub fn overlapping(&self, prefix: Ipv4Prefix) -> Vec<&T> {
         let mut out = Vec::new();
@@ -237,14 +286,15 @@ impl<T> PrefixTrie<T> {
         out
     }
 
-    /// Checks the structural invariants (debug aid / property tests):
-    /// every reachable non-root node has items below it, each node's
-    /// `subtree_items` is its own items plus its children's counts, the
-    /// reachable nodes and the free list partition the array with freed
-    /// slots reset, and `len` is the root's count.
+    /// Checks the structural invariants (debug aid / property tests): the
+    /// root is `0.0.0.0/0`; every reachable itemless non-root node has two
+    /// children; every child is strictly inside its parent, on the side
+    /// its bit at the parent's length names; the reachable items number
+    /// `len`; and the reachable nodes and the free list partition the
+    /// array, with freed slots reset.
     pub fn check_invariants(&self) -> bool {
         let mut seen = vec![false; self.nodes.len()];
-        let mut reachable = 0;
+        let (mut reachable, mut items) = (0, 0);
         let mut stack = vec![0usize];
         while let Some(idx) = stack.pop() {
             if seen[idx] {
@@ -253,20 +303,25 @@ impl<T> PrefixTrie<T> {
             seen[idx] = true;
             reachable += 1;
             let node = &self.nodes[idx];
-            if idx != 0 && node.subtree_items == 0 {
+            items += node.items.len();
+            let branches = node.children.iter().flatten().count();
+            if idx != 0 && node.items.is_empty() && branches != 2 {
                 return false;
             }
-            let mut sum = node.items.len();
-            for c in node.children.into_iter().flatten() {
+            for (side, c) in node.children.into_iter().enumerate() {
+                let Some(c) = c else { continue };
                 let c = c.get() as usize;
                 let Some(child) = self.nodes.get(c) else {
                     return false;
                 };
-                sum += child.subtree_items as usize;
+                let (parent, inner) = (node.prefix, child.prefix);
+                if inner.len() <= parent.len()
+                    || !parent.contains(&inner)
+                    || Self::bit(inner.addr(), parent.len()) != side
+                {
+                    return false;
+                }
                 stack.push(c);
-            }
-            if sum != node.subtree_items as usize {
-                return false;
             }
         }
         for slot in &self.free {
@@ -276,7 +331,7 @@ impl<T> PrefixTrie<T> {
                     *seen = true;
                     if !node.items.is_empty()
                         || node.children != [None, None]
-                        || node.subtree_items != 0
+                        || node.prefix != Ipv4Prefix::DEFAULT
                     {
                         return false;
                     }
@@ -284,8 +339,9 @@ impl<T> PrefixTrie<T> {
                 _ => return false,
             }
         }
-        reachable + self.free.len() == self.nodes.len()
-            && self.len == self.nodes[0].subtree_items as usize
+        self.nodes[0].prefix == Ipv4Prefix::DEFAULT
+            && reachable + self.free.len() == self.nodes.len()
+            && items == self.len
     }
 }
 
@@ -293,47 +349,57 @@ impl<T: PartialEq> PrefixTrie<T> {
     /// Removes one occurrence of `item` stored under `prefix`. Returns
     /// `true` when found.
     ///
-    /// One walk down records the root-to-node path; the counts along it are
-    /// then decremented bottom-up. Counts never grow going down a path, so
-    /// the nodes this removal empties are a suffix of it: the topmost is
-    /// unlinked from its parent and every one of them (never the root) is
-    /// reset and its slot freed for the next insert.
+    /// One walk down keeps the node's parent and grandparent. A non-root
+    /// node left itemless goes if it has fewer than two children: with
+    /// none it is unlinked, with one its child takes its place. Unlinking
+    /// can leave the parent itemless with one child, and then the parent
+    /// is spliced out the same way. So at most two nodes are freed.
     pub fn remove(&mut self, prefix: Ipv4Prefix, item: &T) -> bool {
-        let depth = prefix.len() as usize;
-        let mut path = [0usize; PATH_SLOTS];
-        for d in 0..depth {
-            match self.child(path[d], Self::bit(prefix.addr(), d as u8)) {
-                Some(c) => path[d + 1] = c,
-                None => return false,
+        let (mut grand, mut parent, mut idx) = (0, 0, 0);
+        // Loop invariant: the node at `idx` contains `prefix`.
+        while self.nodes[idx].prefix.len() < prefix.len() {
+            let b = Self::bit(prefix.addr(), self.nodes[idx].prefix.len());
+            match self.child(idx, b) {
+                Some(c) if self.nodes[c].prefix.contains(&prefix) => {
+                    (grand, parent, idx) = (parent, idx, c);
+                }
+                _ => return false,
             }
         }
-        let node = &mut self.nodes[path[depth]];
+        let node = &mut self.nodes[idx];
         let Some(pos) = node.items.iter().position(|i| i == item) else {
             return false;
         };
         node.items.swap_remove(pos);
         self.len -= 1;
-        let mut emptied = depth + 1;
-        for d in (0..=depth).rev() {
-            let node = &mut self.nodes[path[d]];
-            node.subtree_items -= 1;
-            if node.subtree_items == 0 && d > 0 {
-                emptied = d;
+        if idx == 0 || !node.items.is_empty() {
+            return true;
+        }
+        let side = Self::bit(prefix.addr(), self.nodes[parent].prefix.len());
+        match self.nodes[idx].children {
+            [Some(_), Some(_)] => return true,
+            [Some(only), None] | [None, Some(only)] => {
+                self.nodes[parent].children[side] = Some(only);
+            }
+            [None, None] => {
+                self.nodes[parent].children[side] = None;
+                if parent != 0 && self.nodes[parent].items.is_empty() {
+                    let [a, b] = self.nodes[parent].children;
+                    let up = Self::bit(prefix.addr(), self.nodes[grand].prefix.len());
+                    self.nodes[grand].children[up] = a.or(b);
+                    self.release(parent);
+                }
             }
         }
-        if emptied <= depth {
-            let b = Self::bit(prefix.addr(), (emptied - 1) as u8);
-            self.nodes[path[emptied - 1]].children[b] = None;
-            for &slot in &path[emptied..=depth] {
-                self.nodes[slot] = Node::new();
-                self.free.push(
-                    NonZeroU32::new(slot as u32)
-                        .expect("INVARIANT: a path slot below the root is a child slot, never 0"),
-                );
-            }
-        }
+        self.release(idx);
         true
     }
+}
+
+/// The length of the longest prefix containing both `a` and `b`.
+fn common_len(a: Ipv4Prefix, b: Ipv4Prefix) -> u8 {
+    let agree = (a.addr() ^ b.addr()).leading_zeros() as u8;
+    agree.min(a.len()).min(b.len())
 }
 
 #[cfg(test)]
@@ -448,26 +514,37 @@ mod tests {
     fn removing_the_last_item_prunes_back_to_the_root() {
         let mut t = PrefixTrie::new();
         t.insert(p("10.1.2.0/24"), 1u32);
+        // The /16 lands on the edge to the /24 and becomes its parent.
         t.insert(p("10.1.0.0/16"), 2);
-        assert_eq!(t.nodes.len(), 25);
-        // The /16 still holds an item: only the 8 nodes below it go.
+        assert_eq!(t.nodes.len(), 3);
+        // The sibling /24 splits the edge below the /16 at a /23 fork.
+        t.insert(p("10.1.3.0/24"), 3);
+        assert_eq!(t.nodes.len(), 5);
+        assert!(t.check_invariants());
+        // Its leaf goes, and the fork, left itemless with one child, is
+        // spliced out: the /16's child is the other /24 again.
+        assert!(t.remove(p("10.1.3.0/24"), &3));
+        assert_eq!(t.free.len(), 2);
+        assert_eq!(t.nodes[t.child(0, 0).unwrap()].prefix, p("10.1.0.0/16"));
+        assert!(t.check_invariants());
+        // The /16 still holds an item: only the /24 below it goes.
         assert!(t.remove(p("10.1.2.0/24"), &1));
-        assert_eq!(t.free.len(), 8);
+        assert_eq!(t.free.len(), 3);
         assert!(t.check_invariants());
         assert!(t.remove(p("10.1.0.0/16"), &2));
-        assert_eq!(t.free.len(), 24);
+        assert_eq!(t.free.len(), 4);
         assert_eq!(t.nodes[0].children, [None, None]);
         assert!(t.check_invariants());
-        // The next insert reuses freed slots instead of growing the array.
+        // The next insert reuses a freed slot instead of growing the array.
         t.insert(p("192.168.0.0/16"), 3);
-        assert_eq!((t.nodes.len(), t.free.len()), (25, 8));
+        assert_eq!((t.nodes.len(), t.free.len()), (5, 3));
         assert!(t.check_invariants());
     }
 
     #[test]
     fn churn_keeps_the_array_bounded_by_live_prefixes() {
         // 100 000 distinct /24s pass through the trie, at most 8 live at a
-        // time: the array must stay within 1 + 8 × 24 slots.
+        // time: the array must stay within the root plus 2 × 8 − 1 slots.
         let mut t = PrefixTrie::new();
         let mut x: u32 = 0x2545_f491;
         let mut live = std::collections::VecDeque::new();
@@ -480,11 +557,7 @@ mod tests {
             }
             t.insert(pre, i);
             live.push_back((pre, i));
-            assert!(
-                t.nodes.len() <= 1 + 8 * 24,
-                "step {i}: {} slots",
-                t.nodes.len()
-            );
+            assert!(t.nodes.len() <= 2 * 8, "step {i}: {} slots", t.nodes.len());
         }
         assert!(t.check_invariants());
         for (pre, id) in live {

@@ -3,11 +3,15 @@
 //! in-tree `hermes_util::check!` harness with pinned default seeds.
 //!
 //! `reclaiming_trie_matches_reference` checks `PrefixTrie` against the
-//! trie as it stood before `remove` reclaimed nodes, kept here as
-//! [`reference`] (DESIGN.md §16). Mutants of `trie.rs` it kills (each was
-//! applied by hand and seen to fail): no pruning; pruning without
-//! unlinking the topmost emptied node from its parent; freeing (and so
-//! reusing) a slot without resetting it; skipping the root's decrement.
+//! trie as it stood before `remove` reclaimed nodes and before path
+//! compression, kept here as [`reference`] (DESIGN.md §16). Mutants of
+//! `trie.rs` it kills, each applied by hand and seen to fail: no pruning
+//! (an emptied node stays linked); freeing (and so reusing) a slot without
+//! resetting it; no splice on remove, either of an emptied node with one
+//! child or of a parent left itemless with one child; the wrong branch bit
+//! on an edge split (the old child filed on the new leaf's side); a walk
+//! that descends into a child that does not contain the query (its items
+//! reported as ancestors).
 
 use hermes_rules::merge::{minimize_keys, optimize_ruleset};
 use hermes_rules::overlap::OverlapIndex;
@@ -212,14 +216,18 @@ mod reference {
 }
 
 /// Prefixes the trie property draws from: a nested chain /0 ⊃ /1 ⊃ /8 ⊃
-/// /16 ⊃ /24 ⊃ /31 ⊃ /32, siblings at several depths and a disjoint branch,
-/// so removals prune chains of every length and shared stems survive.
-const TRIE_POOL: [&str; 12] = [
+/// /12 ⊃ /16 ⊃ /24 ⊃ /25 ⊃ /31 ⊃ /32, siblings at several depths and a
+/// disjoint branch, so removals prune chains of every length and shared
+/// stems survive. The /12 and the /25 land part-way down edges the others
+/// leave, so inserts split edges and removes splice the forks back out.
+const TRIE_POOL: [&str; 14] = [
     "0.0.0.0/0",
     "0.0.0.0/1",
     "10.0.0.0/8",
+    "10.0.0.0/12",
     "10.1.0.0/16",
     "10.1.2.0/24",
+    "10.1.2.0/25",
     "10.1.2.2/31",
     "10.1.2.3/32",
     "10.1.2.2/32",
@@ -230,8 +238,19 @@ const TRIE_POOL: [&str; 12] = [
 ];
 
 /// Queries beyond the pool: prefixes that hold no items but cut through
-/// stored paths.
-const TRIE_QUERIES: [&str; 3] = ["10.1.2.0/23", "10.0.0.0/7", "10.1.2.0/30"];
+/// stored paths, end part-way down an edge (/10, /20, /26), or leave an
+/// edge part-way for a branch nothing is stored under (10.64/10,
+/// 10.1.2.128/25).
+const TRIE_QUERIES: [&str; 8] = [
+    "10.1.2.0/23",
+    "10.0.0.0/7",
+    "10.1.2.0/30",
+    "10.0.0.0/10",
+    "10.1.0.0/20",
+    "10.1.2.0/26",
+    "10.64.0.0/10",
+    "10.1.2.128/25",
+];
 
 #[derive(Clone, Debug)]
 enum TrieOp {

@@ -288,24 +288,28 @@ impl<P: Copy> Block<P> {
         self.rules.truncate(kept);
     }
 
-    /// The block cut into `BLOCK_TARGET`-entry chunks, the last one also
-    /// taking the remainder (so each holds `BLOCK_TARGET..BLOCK_MAX`), every
-    /// one allocated at exactly its length. On a block one past `BLOCK_MAX`
-    /// this is the classic halving split.
+    /// The block cut into [`chunk_ranges`], every chunk allocated at
+    /// exactly its length. On a block one past `BLOCK_MAX` this is the
+    /// classic halving split.
     fn chunks(&self) -> Vec<Block<P>> {
-        let len = self.len();
-        let n = (len / BLOCK_TARGET).max(1);
-        (0..n)
-            .map(|i| {
-                let lo = i * BLOCK_TARGET;
-                let hi = if i + 1 == n { len } else { lo + BLOCK_TARGET };
-                Block {
-                    keys: self.keys[lo..hi].to_vec(),
-                    rules: self.rules[lo..hi].to_vec(),
-                }
+        chunk_ranges(self.len())
+            .map(|r| Block {
+                keys: self.keys[r.clone()].to_vec(),
+                rules: self.rules[r].to_vec(),
             })
             .collect()
     }
+}
+
+/// The runs a block of `len` entries is cut into: one while it fits
+/// `BLOCK_MAX`, else `BLOCK_TARGET`-entry chunks with the last one also
+/// taking the remainder (so each holds `BLOCK_TARGET..BLOCK_MAX`).
+fn chunk_ranges(len: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let n = if len > BLOCK_MAX { len / BLOCK_TARGET } else { 1 };
+    (0..n).map(move |i| {
+        let lo = i * BLOCK_TARGET;
+        lo..if i + 1 == n { len } else { lo + BLOCK_TARGET }
+    })
 }
 
 /// The physical side of a table: which sort key sits in which block and
@@ -456,18 +460,21 @@ impl<P: Copy> Layout<P> {
     /// Lands a batch's new entries (ascending, no key already stored) with
     /// one merge per touched block. Each entry lands in the block
     /// [`target_block`](Self::target_block) names before the batch. A block
-    /// grown past `BLOCK_MAX` is then re-cut into [`Block::chunks`].
+    /// grown past `BLOCK_MAX` is then re-cut into [`Block::chunks`]. Into an
+    /// empty layout (the crash-resync shape) the entries are cut straight
+    /// into the same [`chunk_ranges`], with no merged block to split.
     fn insert_fresh(&mut self, fresh: &[(EntryKey, P)]) {
         if fresh.is_empty() {
             return;
         }
-        if self.blocks.is_empty() {
-            self.blocks.push(Block {
-                keys: Vec::new(),
-                rules: Vec::new(),
-            });
-        }
         self.len += fresh.len();
+        if self.blocks.is_empty() {
+            self.blocks.extend(chunk_ranges(fresh.len()).map(|r| Block {
+                keys: fresh[r.clone()].iter().map(|&(key, _)| key).collect(),
+                rules: fresh[r].iter().map(|&(_, payload)| payload).collect(),
+            }));
+            return;
+        }
         // Back to front, so a split never moves a block still to be merged:
         // block `bi` takes what sorts after the last key of block `bi - 1`.
         let mut rest = fresh;
@@ -1840,23 +1847,35 @@ mod batch_merge {
         }
     }
 
-    /// The resync shape — a whole table reinstalled into an empty one —
-    /// lands in chunks of `BLOCK_TARGET..BLOCK_MAX` entries, each allocated
-    /// at exactly its length.
+    /// A batch into an empty table is cut straight into blocks, the same
+    /// ones merging it into one block and then re-cutting that with
+    /// `chunks()` gave: one block up to `BLOCK_MAX` entries, else
+    /// `BLOCK_TARGET`-entry chunks with the remainder on the last. Checked
+    /// at one entry, at `BLOCK_MAX`, one past it, and the 12 000-entry
+    /// resync shape, against the per-op reference.
     #[test]
-    fn batch_into_empty_table_lands_in_exact_chunks() {
+    fn batch_into_empty_table_cuts_like_merge_then_chunks() {
         let mut rng = StdRng::seed_from_u64(MERGE_STREAM_SALT);
-        let ops: Vec<TcamOp> = (0..12_000)
-            .map(|id| TcamOp::Insert(rule(&mut rng, id, 1..400)))
-            .collect();
-        let mut table = TcamTable::new(16_384, PlacementStrategy::PackedLow);
-        let mut want = table.clone();
-        assert_eq!(table.apply_batch(&ops), reference::apply_batch(&mut want, &ops));
-        assert_same(&table, &want, 12_000, &mut rng);
-        assert_eq!(table.layout.next_seq, want.layout.next_seq, "next seq");
-        for b in &table.layout.blocks {
-            assert!((BLOCK_TARGET..BLOCK_MAX).contains(&b.len()), "block of {}", b.len());
-            assert_eq!((b.keys.capacity(), b.rules.capacity()), (b.len(), b.len()));
+        let cases = [
+            (1, vec![1]),
+            (BLOCK_MAX, vec![BLOCK_MAX]),
+            (BLOCK_MAX + 1, vec![BLOCK_TARGET, BLOCK_TARGET + 1]),
+            (12_000, [vec![BLOCK_TARGET; 22], vec![12_000 - 22 * BLOCK_TARGET]].concat()),
+        ];
+        for (n, lens) in cases {
+            let ops: Vec<TcamOp> = (0..n as u64)
+                .map(|id| TcamOp::Insert(rule(&mut rng, id, 1..400)))
+                .collect();
+            let mut table = TcamTable::new(16_384, PlacementStrategy::PackedLow);
+            let mut want = table.clone();
+            assert_eq!(table.apply_batch(&ops), reference::apply_batch(&mut want, &ops));
+            assert_same(&table, &want, n as u64, &mut rng);
+            assert_eq!(table.layout.next_seq, want.layout.next_seq, "next seq");
+            let got: Vec<usize> = table.layout.blocks.iter().map(Block::len).collect();
+            assert_eq!(got, lens, "{n} entries");
+            for b in &table.layout.blocks {
+                assert_eq!((b.keys.capacity(), b.rules.capacity()), (b.len(), b.len()));
+            }
         }
     }
 }

@@ -7,11 +7,13 @@
 # for the working tree as it is (uncommitted edits included). Then runs
 # <pairs> pairs, <git-ref> first in each, of
 #   run --workload <workload> --seed <seed> --seconds <s> --trace 0
-# with <s> the run_seconds of BENCHMARK.json. Prints every run's
-# `correct`/`failed`, then per end-to-end metric of BENCHMARK.json each
-# side's median [q1, q3] over its runs, the median ratio, and in how many
-# pairs the working tree read better (by the metric's direction). Exits 1
-# if any run was not `correct` or failed an op. benchmark/Cargo.lock (which
+# with <s> the run_seconds of BENCHMARK.json, launched from the Python
+# that summarises them. Prints every run's `correct`/`failed`, then per
+# end-to-end metric of BENCHMARK.json each side's median [q1, q3] over
+# its runs, the median ratio, and in how many pairs the working tree read
+# better (by the metric's direction), then the same for `minflt`: the
+# minor page faults of each run, from the RUSAGE_CHILDREN delta across
+# it. Exits 1 if any run was not `correct` or failed an op. benchmark/Cargo.lock (which
 # cargo rewrites) and `git worktree list` end as the script found them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,19 +45,21 @@ cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
 cp "$tmp/ref/benchmark/target/release/perf-ledger" "$tmp/ref.bin"
 cp benchmark/target/release/perf-ledger "$tmp/change.bin"
 
-for ((i = 1; i <= pairs; i++)); do
-    for side in ref change; do
-        echo "== pair $i/$pairs: $side ==" >&2
-        "$tmp/$side.bin" run --workload "$workload" --seed "$seed" \
-            --seconds "$seconds" --trace 0 > "$tmp/$side.$i.log" || true
-    done
-done
-
-python3 - "$tmp" "$pairs" "$ref" <<'PY'
-import json, statistics, sys
-tmp, pairs, ref = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+python3 - "$tmp" "$pairs" "$ref" "$workload" "$seed" "$seconds" <<'PY'
+import json, resource, statistics, subprocess, sys
+tmp, pairs, ref, workload, seed, seconds = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 runs = {"ref": [], "change": []}
+minflt = {"ref": [], "change": []}
+for i in range(1, pairs + 1):
+    for side in runs:
+        print("== pair %d/%d: %s ==" % (i, pairs, side), file=sys.stderr, flush=True)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        with open("%s/%s.%d.log" % (tmp, side, i), "w") as log:
+            subprocess.run(["%s/%s.bin" % (tmp, side), "run", "--workload", workload,
+                            "--seed", seed, "--seconds", seconds, "--trace", "0"], stdout=log)
+        minflt[side].append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+
 ok = True
 for i in range(1, pairs + 1):
     for side in runs:
@@ -75,19 +79,23 @@ def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return med, q1, q3
 
+def row(name, unit, better, a, b):
+    if not a or len(a) != len(b):
+        return
+    (ma, a1, a3), (mb, b1, b3) = quartiles(a), quartiles(b)
+    higher = better == "higher"
+    wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
+    cell = lambda med, lo, hi: "%.4g [%.4g, %.4g]" % (med, lo, hi)
+    print("%-13s %-6s %-34s %-34s %7.3f %d/%d" % (name, unit, cell(ma, a1, a3),
+                                                 cell(mb, b1, b3), mb / ma if ma else float("nan"),
+                                                 wins, len(a)))
+
 print("\n%-13s %-6s %-34s %-34s %7s %s" % ("metric", "unit", ref + " median [q1, q3]",
                                            "change median [q1, q3]", "ratio", "change better"))
 for m in metrics:
-    a = [r["metrics"][m["name"]]["value"] for r in runs["ref"]]
-    b = [r["metrics"][m["name"]]["value"] for r in runs["change"]]
-    if not a or len(a) != len(b):
-        continue
-    (ma, a1, a3), (mb, b1, b3) = quartiles(a), quartiles(b)
-    higher = m["better"] == "higher"
-    wins = sum(1 for x, y in zip(a, b) if (y > x if higher else y < x))
-    cell = lambda med, lo, hi: "%.4g [%.4g, %.4g]" % (med, lo, hi)
-    print("%-13s %-6s %-34s %-34s %7.3f %d/%d" % (m["name"], m["unit"], cell(ma, a1, a3),
-                                                 cell(mb, b1, b3), mb / ma if ma else float("nan"),
-                                                 wins, len(a)))
+    row(m["name"], m["unit"], m["better"],
+        [r["metrics"][m["name"]]["value"] for r in runs["ref"]],
+        [r["metrics"][m["name"]]["value"] for r in runs["change"]])
+row("minflt", "count", "lower", minflt["ref"], minflt["change"])
 sys.exit(0 if ok else 1)
 PY
