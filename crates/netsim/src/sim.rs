@@ -139,6 +139,7 @@ enum EventKind {
     End,
 }
 
+/// One popped event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Event {
     at: SimTime,
@@ -146,15 +147,86 @@ struct Event {
     kind: EventKind,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+/// [`Entry::flow`] of an entry whose event sits in the slab. No flow
+/// reaches it: ids count up from 0, one per arrival, and
+/// [`EventQueue::push`] refuses it.
+const SLAB: FlowId = FlowId::MAX;
+
+/// A heap entry, 32 bytes. A `FlowComplete` (96 % of all events, most of
+/// them stale) rides inline as `(flow, word = version)`; any other kind
+/// sits in the slab at index `word`, marked by `flow == SLAB`. The derived
+/// order is by `(at, seq)`: `seq` is unique, so `flow` and `word` never
+/// decide.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
+    at: SimTime,
+    seq: u64,
+    flow: FlowId,
+    word: u64,
 }
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// The event queue: a min-heap of [`Entry`] keyed by `(at, seq)`, with
+/// `seq` drawn in push order, so keys are unique and events at one
+/// instant pop first in, first out. The rare kinds wait in a slab whose
+/// freed slots are reused.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<Entry>>,
+    slab: Vec<Option<EventKind>>,
+    free: Vec<usize>,
+    seq: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, at: SimTime, kind: EventKind) {
+        self.seq += 1;
+        let (flow, word) = match kind {
+            EventKind::FlowComplete { flow, version } => {
+                assert_ne!(flow, SLAB, "flow id {SLAB} is the queue's slab marker");
+                (flow, version)
+            }
+            kind => {
+                let i = match self.free.pop() {
+                    Some(i) => {
+                        self.slab[i] = Some(kind);
+                        i
+                    }
+                    None => {
+                        self.slab.push(Some(kind));
+                        self.slab.len() - 1
+                    }
+                };
+                (SLAB, i as u64)
+            }
+        };
+        self.heap.push(Reverse(Entry {
+            at,
+            seq: self.seq,
+            flow,
+            word,
+        }));
+    }
+
+    /// The earliest event, if any.
+    fn pop(&mut self) -> Option<Event> {
+        let Reverse(e) = self.heap.pop()?;
+        let kind = if e.flow == SLAB {
+            let i = e.word as usize;
+            self.free.push(i);
+            self.slab[i]
+                .take()
+                .expect("INVARIANT: every slab entry is referenced by exactly one heap entry")
+        } else {
+            EventKind::FlowComplete {
+                flow: e.flow,
+                version: e.word,
+            }
+        };
+        Some(Event {
+            at: e.at,
+            seq: e.seq,
+            kind,
+        })
     }
 }
 
@@ -170,8 +242,10 @@ pub struct Varys {
     config: VarysConfig,
     fleet: Fleet<Box<dyn ControlPlane>>,
     flows: FlowTable,
-    queue: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    queue: EventQueue,
+    /// Hop distances to each destination a path pick has asked for, by
+    /// node id; filled on first use (the topology never changes).
+    dist: Vec<Option<Box<[usize]>>>,
     now: SimTime,
     last_advance: SimTime,
     jobs: BTreeMap<JobId, JobState>,
@@ -212,8 +286,8 @@ impl Varys {
             config,
             fleet,
             flows: FlowTable::new(),
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::default(),
+            dist: Vec::new(),
             now: SimTime::ZERO,
             last_advance: SimTime::ZERO,
             jobs: BTreeMap::new(),
@@ -273,13 +347,20 @@ impl Varys {
         self.fleet.end_warmup_all();
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind) {
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            at,
-            seq: self.seq,
-            kind,
-        }));
+    /// [`Topology::random_shortest_path`] over the cached distances to
+    /// `dst`: the same path and the same RNG draws.
+    fn random_shortest_path(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        avoid: Option<LinkId>,
+    ) -> Option<Vec<LinkId>> {
+        if self.dist.is_empty() {
+            self.dist.resize(self.topo.node_count(), None);
+        }
+        let dist =
+            self.dist[dst].get_or_insert_with(|| self.topo.distances_to(dst).into_boxed_slice());
+        self.topo.pick_shortest_path(src, dst, dist, avoid, &mut self.rng)
     }
 
     /// Registers MapReduce jobs (the Facebook workload).
@@ -295,7 +376,7 @@ impl Varys {
                 },
             );
             for f in &job.flows {
-                self.push(
+                self.queue.push(
                     at,
                     EventKind::FlowArrive {
                         job: job.id,
@@ -322,7 +403,7 @@ impl Varys {
                     total_bytes: tf.flow.bytes,
                 },
             );
-            self.push(
+            self.queue.push(
                 at,
                 EventKind::FlowArrive {
                     job,
@@ -338,14 +419,14 @@ impl Varys {
     /// final simulated time.
     pub fn run(&mut self, horizon_s: f64) -> SimTime {
         self.end = SimTime::from_secs(horizon_s);
-        self.push(
+        self.queue.push(
             SimTime::from_secs(self.config.te_interval_s),
             EventKind::TeTick,
         );
-        self.push(SimTime::from_secs(MANAGER_TICK_S), EventKind::MgrTick);
-        self.push(self.end, EventKind::End);
+        self.queue.push(SimTime::from_secs(MANAGER_TICK_S), EventKind::MgrTick);
+        self.queue.push(self.end, EventKind::End);
 
-        while let Some(Reverse(ev)) = self.queue.pop() {
+        while let Some(ev) = self.queue.pop() {
             if ev.at > self.end {
                 break;
             }
@@ -433,7 +514,7 @@ impl Varys {
                 (f.version, eta)
             };
             if let Some(at) = eta {
-                self.push(at, EventKind::FlowComplete { flow: id, version });
+                self.queue.push(at, EventKind::FlowComplete { flow: id, version });
             }
         }
     }
@@ -445,13 +526,10 @@ impl Varys {
     fn on_flow_arrive(&mut self, job: JobId, src: usize, dst: usize, bytes: u64) {
         let id = self.next_flow;
         self.next_flow += 1;
-        let path = self
-            .topo
-            .random_shortest_path(src, dst, None, &mut self.rng)
-            .unwrap_or_default();
+        let path = self.random_shortest_path(src, dst, None).unwrap_or_default();
         let ready = self.install_path_rules(id, src, dst, &path);
         self.flow_arrivals.insert(id, self.now);
-        self.push(
+        self.queue.push(
             ready,
             EventKind::FlowStart {
                 flow: id,
@@ -663,10 +741,7 @@ impl Varys {
             let old_load = path_load(&old_path);
             let mut best: Option<(f64, Vec<LinkId>)> = None;
             for _ in 0..4 {
-                let Some(cand) =
-                    self.topo
-                        .random_shortest_path(src, dst, Some(link), &mut self.rng)
-                else {
+                let Some(cand) = self.random_shortest_path(src, dst, Some(link)) else {
                     continue;
                 };
                 if cand == old_path || cand.contains(&link) {
@@ -698,7 +773,7 @@ impl Varys {
         // records the tick (and its nesting) in the rollups.
         span.end(self.now.as_nanos());
         let next = self.now + SimDuration::from_secs(self.config.te_interval_s);
-        self.push(next, EventKind::TeTick);
+        self.queue.push(next, EventKind::TeTick);
     }
 
     /// Issues the rule installations for a new path as a two-phase fleet
@@ -725,7 +800,7 @@ impl Varys {
                 self.fleet.submit(sw, &[ControlAction::Delete(rid)], ready);
             }
         }
-        self.push(
+        self.queue.push(
             ready,
             EventKind::PathSwitch {
                 flow: fid,
@@ -752,7 +827,7 @@ impl Varys {
         // deletes a member previously swallowed.
         self.fleet.tick_all(self.now);
         let next = self.now + SimDuration::from_secs(MANAGER_TICK_S);
-        self.push(next, EventKind::MgrTick);
+        self.queue.push(next, EventKind::MgrTick);
     }
 
     /// The topology under simulation.
@@ -774,6 +849,8 @@ impl Varys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hermes_util::check::Gen;
+    use hermes_util::rng::Rng;
     use hermes_workloads::facebook::{FacebookWorkload, FlowSpec};
 
     fn tiny_jobs(n: usize) -> Vec<JobSpec> {
@@ -976,6 +1053,120 @@ mod tests {
             sim.fleet().stats().txn_rollbacks,
             "path_rollbacks mirrors the fleet's counter exactly — degraded \
              installs are not folded in"
+        );
+    }
+
+    /// One step of a queue history.
+    #[derive(Clone, Debug)]
+    enum QueueOp {
+        Push(SimTime, EventKind),
+        Pop,
+    }
+
+    /// Random push/pop histories over every `EventKind`, most pushes on
+    /// one of four instants so that `seq` decides the order.
+    fn queue_ops() -> Gen<Vec<QueueOp>> {
+        Gen::from_fn(|rng, size| {
+            let path = |rng: &mut StdRng| -> Vec<LinkId> {
+                let n = rng.gen_range(0..5usize);
+                (0..n).map(|_| rng.gen_range(0..48usize)).collect()
+            };
+            (0..rng.gen_range(0..=size * 4))
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        return QueueOp::Pop;
+                    }
+                    let at = if rng.gen_bool(0.8) {
+                        rng.gen_range(0..4u64)
+                    } else {
+                        rng.gen_range(0..1u64 << 40)
+                    };
+                    let flow = rng.gen_range(0..8usize);
+                    let kind = match rng.gen_range(0..7u32) {
+                        0 => EventKind::FlowArrive {
+                            job: rng.gen_range(0..4usize),
+                            src: rng.gen_range(0..16usize),
+                            dst: rng.gen_range(0..16usize),
+                            bytes: rng.gen(),
+                        },
+                        1 => EventKind::FlowStart {
+                            flow,
+                            job: rng.gen_range(0..4usize),
+                            src: rng.gen_range(0..16usize),
+                            dst: rng.gen_range(0..16usize),
+                            bytes: rng.gen(),
+                            path: path(rng),
+                        },
+                        2 | 3 => EventKind::FlowComplete {
+                            flow,
+                            version: rng.gen(),
+                        },
+                        4 => EventKind::PathSwitch { flow, path: path(rng) },
+                        5 => EventKind::TeTick,
+                        6 => EventKind::MgrTick,
+                        _ => EventKind::End,
+                    };
+                    QueueOp::Push(SimTime::from_nanos(at), kind)
+                })
+                .collect()
+        })
+    }
+
+    hermes_util::check! {
+        #![cases = 256]
+
+        /// The slab queue pops the same `(at, seq, kind)` sequence as a
+        /// `BinaryHeap` of whole events ordered by `(at, seq)`.
+        fn event_queue_matches_binary_heap(ops in queue_ops()) {
+            // The reference keeps whole events aside, keyed by `seq`.
+            fn reference_pop(
+                heap: &mut BinaryHeap<Reverse<(SimTime, u64)>>,
+                kinds: &mut BTreeMap<u64, EventKind>,
+            ) -> Option<Event> {
+                heap.pop().map(|Reverse((at, seq))| Event {
+                    at,
+                    seq,
+                    kind: kinds.remove(&seq).expect("every pushed seq has a kind"),
+                })
+            }
+            let mut queue = EventQueue::default();
+            let (mut heap, mut kinds, mut seq) = (BinaryHeap::new(), BTreeMap::new(), 0u64);
+            for op in ops {
+                match op {
+                    QueueOp::Push(at, kind) => {
+                        seq += 1;
+                        heap.push(Reverse((at, seq)));
+                        kinds.insert(seq, kind.clone());
+                        queue.push(at, kind);
+                    }
+                    QueueOp::Pop => assert_eq!(queue.pop(), reference_pop(&mut heap, &mut kinds)),
+                }
+            }
+            loop {
+                let (got, want) = (queue.pop(), reference_pop(&mut heap, &mut kinds));
+                assert_eq!(got, want);
+                if got.is_none() {
+                    break;
+                }
+            }
+            assert_eq!(queue.free.len(), queue.slab.len(), "a drained queue frees every slab slot");
+        }
+    }
+
+    #[test]
+    fn queue_entries_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<Reverse<Entry>>(), 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "slab marker")]
+    fn the_slab_marker_is_not_a_flow_id() {
+        EventQueue::default().push(
+            SimTime::ZERO,
+            EventKind::FlowComplete {
+                flow: SLAB,
+                version: 1,
+            },
         );
     }
 

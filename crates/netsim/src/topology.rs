@@ -346,34 +346,46 @@ impl Topology {
         avoid: Option<LinkId>,
         rng: &mut R,
     ) -> Option<Vec<LinkId>> {
+        self.pick_shortest_path(src, dst, &self.distances_to(dst), avoid, rng)
+    }
+
+    /// [`random_shortest_path`](Self::random_shortest_path) over `dist`,
+    /// the [`distances_to`](Self::distances_to)`(dst)` of this topology,
+    /// so a caller that keeps them skips the BFS. Per hop it lists the
+    /// candidate links in adjacency order and draws one `gen_range` over
+    /// them, so two callers with equal RNGs pick equal paths and leave
+    /// their RNGs equal.
+    pub(crate) fn pick_shortest_path<R: Rng>(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        dist: &[usize],
+        avoid: Option<LinkId>,
+        rng: &mut R,
+    ) -> Option<Vec<LinkId>> {
         if src == dst {
             return Some(Vec::new());
         }
-        let dist = self.distances_to(dst);
         if dist[src] == usize::MAX {
             return None;
         }
         let mut path = Vec::with_capacity(dist[src]);
+        let mut candidates = Vec::new();
         let mut cur = src;
         while cur != dst {
-            let mut candidates: Vec<LinkId> = self.adj[cur]
-                .iter()
-                .copied()
-                .filter(|&lid| {
-                    let next = self.links[lid].other(cur);
-                    // Never transit through a host.
-                    (self.kinds[next] == NodeKind::Switch || next == dst)
-                        && dist[next] == dist[cur] - 1
-                })
-                .collect();
+            candidates.clear();
+            candidates.extend(self.adj[cur].iter().copied().filter(|&lid| {
+                let next = self.links[lid].other(cur);
+                // Never transit through a host.
+                (self.kinds[next] == NodeKind::Switch || next == dst)
+                    && dist[next] == dist[cur] - 1
+            }));
             if candidates.is_empty() {
                 return None;
             }
             if let Some(bad) = avoid {
-                let filtered: Vec<LinkId> =
-                    candidates.iter().copied().filter(|&l| l != bad).collect();
-                if !filtered.is_empty() {
-                    candidates = filtered;
+                if candidates.iter().any(|&l| l != bad) {
+                    candidates.retain(|&l| l != bad);
                 }
             }
             let pick = candidates[rng.gen_range(0..candidates.len())];
@@ -402,7 +414,7 @@ impl Topology {
 mod tests {
     use super::*;
     use hermes_util::rng::rngs::StdRng;
-    use hermes_util::rng::SeedableRng;
+    use hermes_util::rng::{RngCore, SeedableRng};
 
     #[test]
     fn fat_tree_dimensions() {
@@ -555,6 +567,82 @@ mod tests {
             );
         }
         assert!(distinct.len() >= 2);
+    }
+
+    /// `random_shortest_path` as it stood before the pick took its
+    /// distances from the caller: a fresh BFS, and a fresh candidate list
+    /// per hop, filtered into a second list when avoiding a link.
+    fn reference_path<R: Rng>(
+        t: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        avoid: Option<LinkId>,
+        rng: &mut R,
+    ) -> Option<Vec<LinkId>> {
+        if src == dst {
+            return Some(Vec::new());
+        }
+        let dist = t.distances_to(dst);
+        if dist[src] == usize::MAX {
+            return None;
+        }
+        let mut path = Vec::with_capacity(dist[src]);
+        let mut cur = src;
+        while cur != dst {
+            let mut candidates: Vec<LinkId> = t.adj[cur]
+                .iter()
+                .copied()
+                .filter(|&lid| {
+                    let next = t.links[lid].other(cur);
+                    (t.kinds[next] == NodeKind::Switch || next == dst)
+                        && dist[next] == dist[cur] - 1
+                })
+                .collect();
+            if candidates.is_empty() {
+                return None;
+            }
+            if let Some(bad) = avoid {
+                let filtered: Vec<LinkId> =
+                    candidates.iter().copied().filter(|&l| l != bad).collect();
+                if !filtered.is_empty() {
+                    candidates = filtered;
+                }
+            }
+            let pick = candidates[rng.gen_range(0..candidates.len())];
+            path.push(pick);
+            cur = t.links[pick].other(cur);
+        }
+        Some(path)
+    }
+
+    #[test]
+    fn cached_distances_pick_the_same_paths() {
+        for t in [Topology::fat_tree(4, 10e9), Topology::geant()] {
+            let hosts = t.hosts();
+            let dist: Vec<Vec<usize>> = (0..t.node_count()).map(|n| t.distances_to(n)).collect();
+            let mut seed = 0u64;
+            for &s in &hosts {
+                for &d in &hosts {
+                    let first = reference_path(&t, s, d, None, &mut StdRng::seed_from_u64(seed))
+                        .expect("hosts are connected");
+                    let avoids = std::iter::once(None).chain(first.iter().copied().map(Some));
+                    for avoid in avoids {
+                        seed += 1;
+                        let mut rngs = [0; 3].map(|_| StdRng::seed_from_u64(seed));
+                        let [r, u, c] = &mut rngs;
+                        let want = reference_path(&t, s, d, avoid, r);
+                        let case = format!("{}: {s} -> {d} avoiding {avoid:?}", t.name);
+                        assert_eq!(t.random_shortest_path(s, d, avoid, u), want, "{case}");
+                        assert_eq!(t.pick_shortest_path(s, d, &dist[d], avoid, c), want, "{case}");
+                        let next = rngs.map(|mut g| g.next_u64());
+                        assert!(
+                            next[1] == next[0] && next[2] == next[0],
+                            "{case}: RNG streams diverged"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

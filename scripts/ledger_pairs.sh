@@ -1,25 +1,28 @@
 #!/usr/bin/env bash
-# Alternating before/after pairs of one perf-ledger workload.
+# Alternating before/after pairs of perf-ledger workloads.
 #
-#   scripts/ledger_pairs.sh <git-ref> <workload> <seed> <pairs>
+#   scripts/ledger_pairs.sh <git-ref> <workload|all> <seed> <pairs>
 #
-# Builds perf-ledger twice: for <git-ref> in a temporary git worktree, and
-# for the working tree as it is (uncommitted edits included). Then runs
-# <pairs> pairs, <git-ref> first in each, of
+# Builds perf-ledger twice: for <git-ref> in a temporary `git archive`
+# export, and for the working tree as it is (uncommitted edits included).
+# Then runs <pairs> pairs of
 #   run --workload <workload> --seed <seed> --seconds <s> --trace 0
 # with <s> the run_seconds of BENCHMARK.json, launched from the Python
-# that summarises them. Prints every run's `correct`/`failed`, then per
-# end-to-end metric of BENCHMARK.json each side's median [q1, q3] over
-# its runs, the median ratio, and in how many pairs the working tree read
-# better (by the metric's direction), then the same for `minflt`: the
-# minor page faults of each run, from the RUSAGE_CHILDREN delta across
-# it. Exits 1 if any run was not `correct` or failed an op. benchmark/Cargo.lock (which
-# cargo rewrites) and `git worktree list` end as the script found them.
+# that summarises them. Odd pairs run <git-ref> first, even pairs the
+# working tree, so neither side always runs on the warmer host. The
+# workload `all` runs every BENCHMARK.json workload in turn against the
+# same two builds. Prints every run's `correct`/`failed`, then, per
+# workload, per end-to-end metric of BENCHMARK.json each side's median
+# [q1, q3] over its runs, the median ratio, and in how many pairs the
+# working tree read better (by the metric's direction), then the same for
+# `minflt`: the minor page faults of each run, from the RUSAGE_CHILDREN
+# delta across it. Exits 1 if any run was not `correct` or failed an op.
+# benchmark/Cargo.lock (which cargo rewrites) ends as the script found it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if (( $# != 4 )); then
-    echo "usage: $0 <git-ref> <workload> <seed> <pairs>" >&2
+    echo "usage: $0 <git-ref> <workload|all> <seed> <pairs>" >&2
     exit 2
 fi
 ref="$1" workload="$2" seed="$3" pairs="$4"
@@ -31,14 +34,12 @@ tmp="$(mktemp -d)"
 cp benchmark/Cargo.lock "$tmp/Cargo.lock"
 cleanup() {
     cp "$tmp/Cargo.lock" benchmark/Cargo.lock
-    if [[ -d "$tmp/ref" ]]; then
-        git worktree remove --force "$tmp/ref"
-    fi
     rm -rf "$tmp"
 }
 trap cleanup EXIT
 
-git worktree add --quiet --detach "$tmp/ref" "$commit"
+mkdir "$tmp/ref"
+git archive "$commit" | tar -x -C "$tmp/ref"
 echo "== building perf-ledger at $ref (${commit:0:12}) and in the working tree =="
 cargo build --release --offline -q --manifest-path "$tmp/ref/benchmark/Cargo.toml"
 cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
@@ -48,30 +49,9 @@ cp benchmark/target/release/perf-ledger "$tmp/change.bin"
 python3 - "$tmp" "$pairs" "$ref" "$workload" "$seed" "$seconds" <<'PY'
 import json, resource, statistics, subprocess, sys
 tmp, pairs, ref, workload, seed, seconds = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
-metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
-runs = {"ref": [], "change": []}
-minflt = {"ref": [], "change": []}
-for i in range(1, pairs + 1):
-    for side in runs:
-        print("== pair %d/%d: %s ==" % (i, pairs, side), file=sys.stderr, flush=True)
-        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-        with open("%s/%s.%d.log" % (tmp, side, i), "w") as log:
-            subprocess.run(["%s/%s.bin" % (tmp, side), "run", "--workload", workload,
-                            "--seed", seed, "--seconds", seconds, "--trace", "0"], stdout=log)
-        minflt[side].append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
-
-ok = True
-for i in range(1, pairs + 1):
-    for side in runs:
-        lines = open("%s/%s.%d.log" % (tmp, side, i)).read().splitlines()
-        doc = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
-        if doc is None:
-            print("pair %d %-6s: no result line" % (i, side))
-            ok = False
-            continue
-        ok = ok and doc["correct"] is True and doc["failed"] == 0
-        runs[side].append(doc)
-        print("pair %d %-6s: correct=%s failed=%d" % (i, side, doc["correct"], doc["failed"]))
+bench = json.load(open("BENCHMARK.json"))
+metrics = bench["end_to_end"]
+workloads = [w["name"] for w in bench["workloads"]] if workload == "all" else [workload]
 
 def quartiles(xs):
     if len(xs) == 1:
@@ -90,12 +70,45 @@ def row(name, unit, better, a, b):
                                                  cell(mb, b1, b3), mb / ma if ma else float("nan"),
                                                  wins, len(a)))
 
-print("\n%-13s %-6s %-34s %-34s %7s %s" % ("metric", "unit", ref + " median [q1, q3]",
-                                           "change median [q1, q3]", "ratio", "change better"))
-for m in metrics:
-    row(m["name"], m["unit"], m["better"],
-        [r["metrics"][m["name"]]["value"] for r in runs["ref"]],
-        [r["metrics"][m["name"]]["value"] for r in runs["change"]])
-row("minflt", "count", "lower", minflt["ref"], minflt["change"])
+def measure(w):
+    """Runs the pairs of one workload; prints its table; True iff all runs were clean."""
+    runs = {"ref": [], "change": []}
+    minflt = {"ref": [], "change": []}
+    for i in range(1, pairs + 1):
+        order = ("ref", "change") if i % 2 == 1 else ("change", "ref")
+        for side in order:
+            print("== %s pair %d/%d: %s ==" % (w, i, pairs, side), file=sys.stderr, flush=True)
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            with open("%s/%s.%s.%d.log" % (tmp, w, side, i), "w") as log:
+                subprocess.run(["%s/%s.bin" % (tmp, side), "run", "--workload", w,
+                                "--seed", seed, "--seconds", seconds, "--trace", "0"], stdout=log)
+            minflt[side].append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+
+    ok = True
+    print("\n## %s (seed %s, %d pairs, odd pairs %s first)" % (w, seed, pairs, ref))
+    for i in range(1, pairs + 1):
+        for side in runs:
+            lines = open("%s/%s.%s.%d.log" % (tmp, w, side, i)).read().splitlines()
+            doc = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
+            if doc is None:
+                print("pair %d %-6s: no result line" % (i, side))
+                ok = False
+                continue
+            ok = ok and doc["correct"] is True and doc["failed"] == 0
+            runs[side].append(doc)
+            print("pair %d %-6s: correct=%s failed=%d" % (i, side, doc["correct"], doc["failed"]))
+
+    print("\n%-13s %-6s %-34s %-34s %7s %s" % ("metric", "unit", ref + " median [q1, q3]",
+                                               "change median [q1, q3]", "ratio", "change better"))
+    for m in metrics:
+        row(m["name"], m["unit"], m["better"],
+            [r["metrics"][m["name"]]["value"] for r in runs["ref"]],
+            [r["metrics"][m["name"]]["value"] for r in runs["change"]])
+    row("minflt", "count", "lower", minflt["ref"], minflt["change"])
+    return ok
+
+ok = True
+for w in workloads:
+    ok = measure(w) and ok
 sys.exit(0 if ok else 1)
 PY
