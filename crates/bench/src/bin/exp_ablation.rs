@@ -66,8 +66,10 @@ fn run() {
             }
             next_tick += SimDuration::from_ms(100.0);
         }
-        // INVARIANT: this ablation measures migration pauses only; the
-        // admission verdicts are not part of it.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "INVARIANT: this ablation measures migration pauses only; the admission verdicts are not part of it"
+        )]
         let _ = sw.submit(&ta.action, ta.at);
     }
     // Make-before-break never stalls the pipeline; pause-and-swap would

@@ -18,8 +18,7 @@ use hermes_bench::Table;
 use hermes_core::prelude::*;
 use hermes_rules::prelude::*;
 use hermes_tcam::{FaultPlan, SimDuration, SimTime, SwitchModel};
-use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::{Rng, SeedableRng};
+use hermes_util::rng::{stream, Rng, Salt, StdRng};
 
 struct Outcome {
     crashes: u64,
@@ -63,7 +62,7 @@ fn run_storm(count: usize, crash_period: u64, seed: u64) -> Outcome {
     plan.max_reconnect_denials = RECONNECT_DENIALS;
     sw.install_fault_plan(Some(plan));
 
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x4352_4153_4853_544d);
+    let mut rng = stream(seed, Salt::EXP_CRASH);
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
     while (next_id as usize) < count {
@@ -89,8 +88,10 @@ fn run_storm(count: usize, crash_period: u64, seed: u64) -> Outcome {
             for _ in 0..4 {
                 let victim = Rng::gen_range(&mut rng, 0..next_id);
                 now += SimDuration::from_us(200.0);
-                // INVARIANT: deleting an already-lost victim during the
-                // storm is expected; the audit sweeps reconcile state.
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "INVARIANT: deleting an already-lost victim during the storm is expected; the audit sweeps reconcile state"
+                )]
                 let _ = sw.delete(RuleId(victim), now);
             }
         }

@@ -34,8 +34,7 @@ use hermes_fleet::{
 };
 use hermes_rules::prelude::*;
 use hermes_tcam::{CrashKind, SimDuration, SimTime, SwitchModel};
-use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::{Rng, SeedableRng};
+use hermes_util::rng::{stream, Rng, Salt, StdRng};
 use std::collections::BTreeMap;
 
 struct Outcome {
@@ -175,7 +174,7 @@ fn run_phase(
     // faster than the devices drain, so the makespan is set by the lanes,
     // not the arrival process. Periodic crash injections open rollback
     // windows mid-stream.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x464c_4545_5421_2121);
+    let mut rng = stream(seed, Salt::EXP_FLEET_CHURN);
     let mut now = SimTime::ZERO;
     let mut rit_sum_ms = 0.0;
     let mut rit_n = 0u64;
@@ -273,7 +272,7 @@ fn build_storm(
     let assignment = lane_assignment(switches, lanes, seed);
     let hot: Vec<SwitchId> = (0..switches).filter(|&i| assignment[i] == 0).collect();
     let victim = hot[0];
-    let mut rng = StdRng::seed_from_u64(seed ^ STORM_SALT);
+    let mut rng = stream(seed, Salt::EXP_FLEET_STORM);
     // Storm rule ids live far above the preload/churn band.
     let mut next_id = 10_000_000u64;
     let mut crash_index = 0u64;
@@ -460,9 +459,6 @@ fn run_storm(
     }
 }
 
-/// Seed-mixing constant for the storm schedule (its own stream — the
-/// phase-1 churn stream stays untouched).
-const STORM_SALT: u64 = 0x5354_4f52_4d32_2121;
 /// Lanes of the sharded arm (phase 1) and of every storm arm (phase 2).
 const LANES: usize = 4;
 /// Pieces per phase-1 path transaction.

@@ -20,19 +20,15 @@
 use hermes_bench::Table;
 use hermes_rules::prelude::*;
 use hermes_tcam::{PlacementStrategy, TcamOp, TcamTable};
-use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::{Rng, SeedableRng};
+use hermes_util::rng::{stream, Rng, Salt};
 
-/// Workload RNG stream for this experiment (R7: streams are named per
-/// subsystem so two experiments never silently draw the same sequence).
-const SCALE_STREAM_SALT: u64 = 7;
 /// Batch size for the coalesced path (one "transaction" per chunk).
 const CHUNK: usize = 1024;
 /// Rules installed at scale 1.
 const RULES: usize = 100_000;
 
 fn workload(n: usize) -> Vec<Rule> {
-    let mut rng = StdRng::seed_from_u64(SCALE_STREAM_SALT);
+    let mut rng = stream(0, Salt::EXP_SCALE);
     (0..n)
         .map(|i| {
             Rule::new(

@@ -14,16 +14,11 @@
 use hermes_bench::Table;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SwitchModel, TcamDevice};
-use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::{Rng, SeedableRng};
-
-/// Workload RNG stream for this experiment (R7: streams are named per
-/// subsystem so two experiments never silently draw the same sequence).
-const TABLE1_STREAM_SALT: u64 = 1;
+use hermes_util::rng::{stream, Rng, Salt};
 
 fn measured_update_rate(model: &SwitchModel, occupancy: usize, probes: usize) -> f64 {
     let mut dev = TcamDevice::monolithic(model.clone());
-    let mut rng = StdRng::seed_from_u64(TABLE1_STREAM_SALT);
+    let mut rng = stream(0, Salt::EXP_TABLE1);
     // Fill to the target occupancy.
     let mut live: Vec<u64> = Vec::with_capacity(occupancy);
     for i in 0..occupancy {

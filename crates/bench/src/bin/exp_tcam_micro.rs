@@ -12,12 +12,8 @@
 use hermes_bench::Table;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SwitchModel, TcamDevice};
-use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::{Rng, SeedableRng};
+use hermes_util::rng::{stream, Rng, Salt};
 
-/// Workload RNG stream for this experiment (R7: streams are named per
-/// subsystem so two experiments never silently draw the same sequence).
-const TCAM_MICRO_STREAM_SALT: u64 = 9;
 /// Insert probes per occupancy point at scale 1.
 const PROBES: usize = 100;
 
@@ -38,7 +34,7 @@ fn probe_insert(
     n: usize,
 ) -> SimDuration {
     let mut dev = TcamDevice::monolithic(model.clone());
-    let mut rng = StdRng::seed_from_u64(TCAM_MICRO_STREAM_SALT);
+    let mut rng = stream(0, Salt::EXP_TCAM_MICRO);
     for i in 0..occupancy {
         dev.apply(
             0,

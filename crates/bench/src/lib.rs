@@ -105,9 +105,8 @@ pub fn te_batches(
     seed: u64,
 ) -> Vec<(SimTime, Vec<hermes_rules::rule::ControlAction>)> {
     use hermes_rules::prelude::*;
-    use hermes_util::rng::rngs::StdRng;
-    use hermes_util::rng::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
+    use hermes_util::rng::{stream, Rng, Salt};
+    let mut rng = stream(seed, Salt::CALLER);
     let mut out: Vec<(SimTime, Vec<ControlAction>)> = Vec::new();
     let mut now_s = 0.0f64;
     let mut id = 0u64;

@@ -61,6 +61,10 @@ impl Fixture {
     fn new(name: &str) -> Self {
         let dir =
             std::env::temp_dir().join(format!("hermes_perfgate_{name}_{}", std::process::id()));
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "INVARIANT: clears a leftover from an earlier run; a missing dir is the usual case"
+        )]
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(dir.join("base")).expect("INVARIANT: temp dir is writable");
         std::fs::create_dir_all(dir.join("fresh")).expect("INVARIANT: temp dir is writable");
@@ -116,6 +120,10 @@ fn gate(py: &str, mode: &str, a: &Path, b: &Path) -> (i32, String, String) {
 
 impl Drop for Fixture {
     fn drop(&mut self) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "INVARIANT: best-effort cleanup of a temp dir; a failure leaves only litter"
+        )]
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 }

@@ -179,6 +179,10 @@ pub fn verify_partition(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
 mod tests {
     use super::*;
     use hermes_rules::fields::DST_SHIFT;

@@ -29,11 +29,7 @@
 
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime};
-use hermes_util::rng::{Rng, SeedableRng, StdRng};
-
-/// Fixed seed for retry jitter: recovery must be deterministic so chaos
-/// runs reproduce byte-for-byte from the fault seed alone.
-const JITTER_STREAM_SALT: u64 = 0x4845_524d_4553_0001;
+use hermes_util::rng::{stream, Rng, Salt, StdRng};
 
 /// Total attempts per device op (first try + retries).
 pub const RETRY_ATTEMPTS: u32 = 4;
@@ -150,7 +146,7 @@ impl Default for RecoveryState {
             stats: RecoveryStats::default(),
             pending_gc: Vec::new(),
             deferred: Vec::new(),
-            rng: StdRng::seed_from_u64(JITTER_STREAM_SALT),
+            rng: stream(0, Salt::RECOVERY_JITTER),
             consecutive_failures: 0,
             degraded_since: None,
         }

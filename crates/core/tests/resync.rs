@@ -3,6 +3,11 @@
 //! `oracle` chaos properties) — plus the resync diff against the
 //! `BTreeMap` version it replaced, kept here as [`reference`].
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
+
 use hermes_core::prelude::*;
 use hermes_core::resync::{plan_slice, SlicePlan};
 use hermes_rules::prelude::*;

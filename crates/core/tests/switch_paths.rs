@@ -165,6 +165,10 @@ fn eviction_when_shadow_cannot_hold_partitions() {
         .iter()
         .enumerate()
     {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "INVARIANT: the test reads the migration that follows, not the insert verdict"
+        )]
         let _ = sw.insert(rule(10 + i as u64, pfx, 50, 9), now);
         sw.migrate(now);
     }

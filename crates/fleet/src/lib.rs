@@ -53,8 +53,7 @@ pub use rebalance::{MemberHealth, RebalancePolicy, Rebalancer, RebalanceStats};
 use hermes_core::plane::{BatchOutcome, ControlPlane, CpQueue};
 use hermes_rules::prelude::*;
 use hermes_tcam::SimTime;
-use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::{Rng, SeedableRng};
+use hermes_util::rng::{stream, Rng, Salt};
 use std::collections::BTreeMap;
 
 /// Fleet member identifier (a netsim `NodeId` or any dense index).
@@ -208,7 +207,8 @@ pub fn lane_assignment(n: usize, lanes: usize, seed: u64) -> Vec<usize> {
     let lane_count = lanes_for(n, lanes);
     seeded_shuffle(
         (0..n).map(|i| i % lane_count).collect(),
-        seed ^ LANE_SHUFFLE_SALT,
+        seed,
+        Salt::LANE_SHUFFLE,
     )
 }
 
@@ -222,9 +222,9 @@ fn lanes_for(n: usize, lanes: usize) -> usize {
     }
 }
 
-/// Fisher–Yates over `v` on its own seeded stream.
-fn seeded_shuffle(mut v: Vec<usize>, stream: u64) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(stream);
+/// Fisher–Yates over `v` on `salt`'s stream of `seed`.
+fn seeded_shuffle(mut v: Vec<usize>, seed: u64, salt: Salt) -> Vec<usize> {
+    let mut rng = stream(seed, salt);
     for i in (1..v.len()).rev() {
         let j = Rng::gen_range(&mut rng, 0..=i);
         v.swap(i, j);
@@ -280,7 +280,7 @@ impl<P: ControlPlane> Fleet<P> {
             .collect();
         // Tie-break permutation for least-loaded scans: a second seeded
         // shuffle over the lane indices, on its own salted stream.
-        let lane_order = seeded_shuffle((0..lane_count).collect(), config.seed ^ LANE_ORDER_SALT);
+        let lane_order = seeded_shuffle((0..lane_count).collect(), config.seed, Salt::LANE_ORDER);
         if hermes_telemetry::enabled() {
             hermes_telemetry::gauge("fleet.lanes", lane_count as f64);
             hermes_telemetry::gauge("fleet.members", members.len() as f64);
@@ -718,14 +718,6 @@ fn record_stage_ops(
         });
     }
 }
-
-/// Seed-mixing constant for the lane shuffle (keeps the assignment
-/// stream distinct from every other stream derived from the same seed).
-const LANE_SHUFFLE_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Seed-mixing constant for the scheduler tie-break permutation (its own
-/// stream, so adding it never perturbs the home-lane assignment).
-const LANE_ORDER_SALT: u64 = 0x5ca1_ab1e_0f1e_e75c;
 
 #[cfg(test)]
 mod tests {

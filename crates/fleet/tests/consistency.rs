@@ -17,6 +17,11 @@
 //! the per-piece strawman): scheduling and batching decide *when* ops run,
 //! never *what* state they leave behind.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
+
 use hermes_baselines::{ControlPlane, HermesPlane};
 use hermes_core::prelude::{HermesConfig, HermesSwitch};
 use hermes_fleet::{Fleet, FleetConfig, LaneSched, SwitchId};

@@ -7,6 +7,11 @@
 //! default inherited from the phase-1 fleet) it must be a bit-preserving
 //! no-op — the same bytes pinned by the phase-1 determinism tests.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
+
 use hermes_baselines::{ControlPlane, HermesPlane};
 use hermes_core::prelude::{HermesConfig, HermesSwitch};
 use hermes_fleet::{lane_assignment, Fleet, FleetConfig, LaneSched, SwitchId};

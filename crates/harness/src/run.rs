@@ -17,7 +17,7 @@ use hermes_util::bench::Stopwatch;
 use hermes_util::json::Json;
 use hermes_util::scenario::{Matrix, Scenario};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 
 /// What to run: the matrix, where the binaries live, where output goes.
 #[derive(Clone, Debug)]
@@ -212,14 +212,12 @@ fn run_rep(
         match child.try_wait() {
             Ok(Some(status)) => break Some(status),
             Ok(None) if sw.elapsed().as_secs() >= cfg.rep_timeout_s => {
-                let _ = child.kill();
-                let _ = child.wait();
+                stop(&mut child);
                 break None;
             }
             Ok(None) => {}
             Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
+                stop(&mut child);
                 return Err(format!("waiting on {}: {e}", bin.display()));
             }
         }
@@ -251,6 +249,16 @@ fn run_rep(
         samples: usage.samples,
         error,
     })
+}
+
+/// Kills and reaps a child the harness gives up on.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "INVARIANT: kill fails only on a child that already exited, which wait then reaps; the caller reports the timeout or the wait error itself"
+)]
+fn stop(child: &mut Child) {
+    let _ = child.kill();
+    let _ = child.wait();
 }
 
 fn first_stderr_line(path: &Path) -> String {

@@ -58,6 +58,10 @@ impl Fixture {
             "hermes_harness_fixture_{}_{tag}",
             std::process::id()
         ));
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "INVARIANT: clears a leftover from an earlier run; a missing dir is the usual case"
+        )]
         let _ = std::fs::remove_dir_all(&base);
         std::fs::create_dir_all(&base).expect("create fixture dir");
         let matrix_path = base.join("matrix.toml");

@@ -26,7 +26,7 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
     let mut literals: Vec<String> = Vec::new();
     let mut registry_text: Option<&str> = None;
     // Per-file directive inventory and parsed items, for the cross-file
-    // passes (R5 registry, R7–R9 flow) that run after the loop.
+    // passes (R5 registry, R8 flow) that run after the loop.
     let mut directives: Vec<(String, Vec<Directive>)> = Vec::new();
     let mut parsed: Vec<ParsedEntry> = Vec::new();
 
@@ -60,7 +60,7 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
         findings.append(&mut r5);
     }
 
-    // R7–R9: the flow-sensitive pass over parsed items (DESIGN.md §9).
+    // R8: the flow-sensitive pass over parsed items (DESIGN.md §9).
     let flow_files: Vec<FlowFile<'_>> = parsed
         .iter()
         .map(|(path, parsed, test_regions)| FlowFile {

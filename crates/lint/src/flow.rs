@@ -1,20 +1,16 @@
-//! The flow-sensitive rules R7–R9 (DESIGN.md §9).
+//! The flow-sensitive rule R8 (DESIGN.md §9).
 //!
-//! These run over [`crate::parser`] output rather than raw tokens: R7
-//! inspects `seed_from_u64` argument shapes and resolves salt constants,
-//! R8 walks a per-crate call graph rooted at the public `HermesSwitch`
-//! surface, and R9 resolves discard sites against the workspace-wide set
-//! of error-carrying function signatures.
+//! It runs over [`crate::parser`] output rather than raw tokens: R8 walks
+//! a per-crate call graph rooted at the public `HermesSwitch` surface.
 //!
-//! All three respect the same exemptions as the token rules: test-like
-//! files and `#[cfg(test)]` regions are skipped, and an `INVARIANT:`
-//! comment within three lines above a site is an accepted justification
+//! It respects the same exemptions as the token rules: test-like files
+//! and `#[cfg(test)]` regions are skipped, and an `INVARIANT:` comment
+//! within three lines above a site is an accepted justification
 //! ([`ParsedFile::justified`], the window R2 uses too).
 
-use crate::lexer::TokKind;
-use crate::parser::{Call, DiscardKind, FnItem, ParsedFile};
+use crate::parser::{Call, FnItem, ParsedFile};
 use crate::{Diagnostic, Rule};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Everything the flow pass needs to know about one `.rs` file.
 pub struct FlowFile<'a> {
@@ -52,18 +48,6 @@ const DEVICE_MUTATORS: &[&str] = &[
     "apply_batch",
 ];
 
-/// Error types whose `Result`s R9 refuses to see discarded.
-const DEVICE_ERROR_TYPES: &[&str] = &["TcamError", "HermesError"];
-
-/// Runs R7–R9 over the parsed tree.
-pub fn check(files: &[FlowFile<'_>]) -> Vec<Diagnostic> {
-    let mut findings = Vec::new();
-    check_rng_streams(files, &mut findings);
-    check_intent_pairing(files, &mut findings);
-    check_swallowed_errors(files, &mut findings);
-    findings
-}
-
 /// Crate key of a workspace-relative path (`crates/tcam/src/table.rs` →
 /// `crates/tcam`).
 fn crate_of(path: &str) -> String {
@@ -75,159 +59,6 @@ fn crate_of(path: &str) -> String {
     }
 }
 
-// ---------------------------------------------------------------- R7
-
-fn check_rng_streams(files: &[FlowFile<'_>], findings: &mut Vec<Diagnostic>) {
-    // Salt-value resolution: crate -> const name -> numeric value.
-    let mut consts: BTreeMap<String, BTreeMap<String, u128>> = BTreeMap::new();
-    for f in files {
-        let entry = consts.entry(crate_of(f.path)).or_default();
-        for c in &f.parsed.consts {
-            if let Some(v) = parse_int(&c.value) {
-                entry.insert(c.name.clone(), v);
-            }
-        }
-    }
-
-    // Pinned streams (no run-seed variable in the argument): signature ->
-    // sites, for the cross-crate sharing check.
-    let mut pinned: BTreeMap<String, Vec<(String, usize, usize)>> = BTreeMap::new();
-
-    for f in files {
-        let crate_consts = consts.get(&crate_of(f.path));
-        for func in &f.parsed.fns {
-            for call in &func.calls {
-                if call.name != "seed_from_u64" || f.exempt(call.line) {
-                    continue;
-                }
-                let idents: Vec<&str> = call
-                    .args
-                    .iter()
-                    .filter(|(k, _)| matches!(k, TokKind::Ident | TokKind::RawIdent))
-                    .map(|(_, t)| t.as_str())
-                    .collect();
-                let has_salt = idents
-                    .iter()
-                    .any(|s| s.ends_with("_SALT") || s.ends_with("_salt"));
-                let has_var = idents.iter().any(|s| {
-                    s.chars()
-                        .next()
-                        .is_some_and(|c| c.is_ascii_lowercase() || c == '_')
-                });
-                if !has_salt && !has_var {
-                    let msg = if idents.is_empty() {
-                        "raw literal seed: name it (`const <SUBSYSTEM>_STREAM_SALT: u64 = …`) \
-                         or mix a run-seed variable, so RNG streams stay isolated per subsystem"
-                            .to_string()
-                    } else {
-                        format!(
-                            "seed constant `{}` is not named `*_SALT`: rename it so stream \
-                             ownership is auditable (CRASH_STREAM_SALT pattern)",
-                            idents[0]
-                        )
-                    };
-                    findings.push(Diagnostic {
-                        file: f.path.to_string(),
-                        line: call.line,
-                        col: call.col,
-                        rule: Rule::RngStreamIsolation,
-                        message: msg,
-                    });
-                }
-                if !has_var {
-                    if let Some(sig) = pinned_signature(call, crate_consts) {
-                        pinned.entry(sig).or_default().push((
-                            f.path.to_string(),
-                            call.line,
-                            call.col,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // Cross-crate sharing: the same pinned seed value in two crates means
-    // two subsystems draw the same stream.
-    for (sig, sites) in &pinned {
-        let crates: BTreeSet<String> = sites.iter().map(|(p, _, _)| crate_of(p)).collect();
-        if crates.len() < 2 {
-            continue;
-        }
-        for (path, line, col) in sites {
-            let other = sites
-                .iter()
-                .find(|(p, _, _)| crate_of(p) != crate_of(path))
-                .map(|(p, l, _)| format!("{p}:{l}"))
-                .unwrap_or_default();
-            findings.push(Diagnostic {
-                file: path.clone(),
-                line: *line,
-                col: *col,
-                rule: Rule::RngStreamIsolation,
-                message: format!(
-                    "RNG stream seed {sig} is shared across crates (also seeded at {other}): \
-                     give each subsystem its own *_SALT value"
-                ),
-            });
-        }
-    }
-}
-
-/// Canonical signature of a pinned seed argument: numeric literals and
-/// resolvable constants are folded to decimal, operators kept. Returns
-/// `None` when an identifier cannot be resolved.
-fn pinned_signature(call: &Call, consts: Option<&BTreeMap<String, u128>>) -> Option<String> {
-    let mut parts = Vec::new();
-    for (kind, text) in &call.args {
-        match kind {
-            TokKind::Num => parts.push(parse_int(text)?.to_string()),
-            TokKind::Ident | TokKind::RawIdent => {
-                parts.push(consts?.get(text)?.to_string());
-            }
-            TokKind::Punct => parts.push(text.clone()),
-            _ => return None,
-        }
-    }
-    if parts.is_empty() {
-        None
-    } else {
-        Some(parts.join(" "))
-    }
-}
-
-/// Parses Rust integer literal text (`0x4845_524d`, `7u64`, `0b1010`).
-fn parse_int(text: &str) -> Option<u128> {
-    let t: String = text.chars().filter(|c| *c != '_').collect();
-    let t = t
-        .trim_end_matches(|c: char| c.is_ascii_alphabetic())
-        .to_string();
-    // Put back the radix letter the suffix-trim may have eaten (0x → 0).
-    let (radix, digits) = if let Some(d) = text.strip_prefix("0x").or(text.strip_prefix("0X")) {
-        (16, d.chars().filter(|c| *c != '_').collect::<String>())
-    } else if let Some(d) = text.strip_prefix("0b").or(text.strip_prefix("0B")) {
-        (2, d.chars().filter(|c| *c != '_').collect::<String>())
-    } else if let Some(d) = text.strip_prefix("0o").or(text.strip_prefix("0O")) {
-        (8, d.chars().filter(|c| *c != '_').collect::<String>())
-    } else {
-        (10, t)
-    };
-    let digits: String = if radix == 16 {
-        digits
-            .chars()
-            .take_while(|c| c.is_ascii_hexdigit())
-            .collect()
-    } else {
-        digits.chars().take_while(|c| c.is_ascii_digit()).collect()
-    };
-    if digits.is_empty() {
-        return None;
-    }
-    u128::from_str_radix(&digits, radix).ok()
-}
-
-// ---------------------------------------------------------------- R8
-
 /// A mutator called on a `device` receiver, or any call handed
 /// `&mut self.device`: the switch's retry chokepoint issues the device
 /// call it is given as a closure, so lending the device out mutably is
@@ -238,7 +69,7 @@ fn is_device_mutation(call: &Call) -> bool {
         || call
             .args
             .windows(LEND.len())
-            .any(|w| w.iter().map(|(_, text)| text.as_str()).eq(LEND))
+            .any(|w| w.iter().map(String::as_str).eq(LEND))
 }
 
 fn is_intent_touch(call: &Call) -> bool {
@@ -246,7 +77,9 @@ fn is_intent_touch(call: &Call) -> bool {
         || call.name.starts_with("intent")
 }
 
-fn check_intent_pairing(files: &[FlowFile<'_>], findings: &mut Vec<Diagnostic>) {
+/// Runs R8 over the parsed tree.
+pub fn check(files: &[FlowFile<'_>]) -> Vec<Diagnostic> {
+    let mut findings = Vec::new();
     // Group non-test fns by crate; only crates that implement the switch
     // type participate.
     let mut by_crate: BTreeMap<String, Vec<(&FlowFile<'_>, &FnItem)>> = BTreeMap::new();
@@ -417,63 +250,17 @@ fn check_intent_pairing(files: &[FlowFile<'_>], findings: &mut Vec<Diagnostic>) 
             }
         }
     }
-}
-
-// ---------------------------------------------------------------- R9
-
-fn check_swallowed_errors(files: &[FlowFile<'_>], findings: &mut Vec<Diagnostic>) {
-    // Workspace-wide set of fn names whose signatures return device
-    // errors. Name-granular: precise enough in a workspace that reserves
-    // these verbs for table operations.
-    let mut err_fns: BTreeSet<&str> = BTreeSet::new();
-    for f in files {
-        for func in &f.parsed.fns {
-            if DEVICE_ERROR_TYPES.iter().any(|t| func.ret.contains(t)) {
-                err_fns.insert(&func.name);
-            }
-        }
-    }
-    if err_fns.is_empty() {
-        return;
-    }
-
-    for f in files {
-        for func in &f.parsed.fns {
-            for d in &func.discards {
-                if f.exempt(d.line) || f.parsed.justified(d.line) {
-                    continue;
-                }
-                let Some(call) = &d.call else { continue };
-                if !err_fns.contains(call.as_str()) {
-                    continue;
-                }
-                let form = match d.kind {
-                    DiscardKind::LetUnderscore => "`let _ =`",
-                    DiscardKind::OkDrop => "`.ok()`",
-                };
-                findings.push(Diagnostic {
-                    file: f.path.to_string(),
-                    line: d.line,
-                    col: d.col,
-                    rule: Rule::SwallowedDeviceError,
-                    message: format!(
-                        "{form} discards the device-error Result of `{call}`: route the \
-                         error to recovery or add an INVARIANT: comment saying why \
-                         dropping it is sound"
-                    ),
-                });
-            }
-        }
-    }
+    findings
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_file;
+    use crate::lexer::lex;
+    use crate::parser::parse_tokens;
 
     fn run(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let parsed: Vec<ParsedFile> = files.iter().map(|(_, s)| parse_file(s)).collect();
+        let parsed: Vec<ParsedFile> = files.iter().map(|(_, s)| parse_tokens(&lex(s))).collect();
         let flow: Vec<FlowFile<'_>> = files
             .iter()
             .zip(&parsed)
@@ -485,58 +272,6 @@ mod tests {
             })
             .collect();
         check(&flow)
-    }
-
-    #[test]
-    fn r7_raw_literal_seed_flagged() {
-        let out = run(&[(
-            "crates/a/src/lib.rs",
-            "fn f() { let r = StdRng::seed_from_u64(7); }\n",
-        )]);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, Rule::RngStreamIsolation);
-        assert!(out[0].message.contains("raw literal seed"));
-    }
-
-    #[test]
-    fn r7_salt_const_and_seed_variable_are_clean() {
-        let out = run(&[(
-            "crates/a/src/lib.rs",
-            "const A_STREAM_SALT: u64 = 7;\n\
-             fn f(seed: u64) {\n\
-                 let a = StdRng::seed_from_u64(A_STREAM_SALT);\n\
-                 let b = StdRng::seed_from_u64(seed ^ 0xbeef);\n\
-                 let c = StdRng::seed_from_u64(self.seed);\n\
-             }\n",
-        )]);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn r7_uppercase_const_without_salt_suffix_flagged() {
-        let out = run(&[(
-            "crates/a/src/lib.rs",
-            "const JITTER_SEED: u64 = 3;\nfn f() { let r = StdRng::seed_from_u64(JITTER_SEED); }\n",
-        )]);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("JITTER_SEED"), "{}", out[0].message);
-    }
-
-    #[test]
-    fn r7_cross_crate_shared_pinned_seed_flagged() {
-        let out = run(&[
-            (
-                "crates/a/src/lib.rs",
-                "const A_SALT: u64 = 0x10;\nfn f() { let r = StdRng::seed_from_u64(A_SALT); }\n",
-            ),
-            (
-                "crates/b/src/lib.rs",
-                "const B_SALT: u64 = 16;\nfn g() { let r = StdRng::seed_from_u64(B_SALT); }\n",
-            ),
-        ]);
-        // Both sites fire: same resolved value 16 in two crates.
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out.iter().all(|d| d.message.contains("shared across crates")));
     }
 
     #[test]
@@ -577,41 +312,5 @@ mod tests {
         let out = run(&[("crates/core/src/switch.rs", src)]);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("phantom"));
-    }
-
-    #[test]
-    fn r9_discarded_device_error_flagged_and_invariant_waives() {
-        let src = "impl T {\n\
-             fn delete(&mut self, id: u32) -> Result<Rule, TcamError> { Err(TcamError::Missing) }\n\
-             fn replay(&mut self) {\n\
-                 let _ = self.delete(1);\n\
-                 self.delete(2).ok();\n\
-                 // INVARIANT: replay mirrors the sequential path\n\
-                 let _ = self.delete(3);\n\
-             }\n\
-         }\n";
-        let out = run(&[("crates/tcam/src/table.rs", src)]);
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out.iter().all(|d| d.rule == Rule::SwallowedDeviceError));
-    }
-
-    #[test]
-    fn r9_non_error_results_not_flagged() {
-        let src = "impl T {\n\
-             fn reconcile(&mut self) -> Vec<u32> { Vec::new() }\n\
-             fn tick(&mut self) { let _ = self.reconcile(); }\n\
-         }\n";
-        let out = run(&[("crates/core/src/lib.rs", src)]);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn parse_int_handles_radices_and_suffixes() {
-        assert_eq!(parse_int("7"), Some(7));
-        assert_eq!(parse_int("7u64"), Some(7));
-        assert_eq!(parse_int("0x10"), Some(16));
-        assert_eq!(parse_int("0x4845_524d"), Some(0x4845_524d));
-        assert_eq!(parse_int("0b101"), Some(5));
-        assert_eq!(parse_int("0o17"), Some(15));
     }
 }

@@ -2,25 +2,24 @@
 //!
 //! Hermes's guarantees rest on conventions neither rustc nor clippy can
 //! see: control-plane code must never panic on a device fault, telemetry
-//! names must match the reviewed registry, RNG streams must stay isolated
-//! per subsystem, and every device write must be journaled. This crate
-//! turns each convention into a lint rule over a token-level scan of the
-//! whole workspace (DESIGN.md §9 "Static analysis"):
+//! names must match the reviewed registry, and every device write must be
+//! journaled. This crate turns each convention into a lint rule over a
+//! token-level scan of the whole workspace (DESIGN.md §9 "Static
+//! analysis"):
 //!
 //! | rule | name        | invariant |
 //! |------|-------------|-----------|
 //! | R2   | panic-policy | `.unwrap()`/`.expect(`/`panic!`/`unreachable!` in non-test code needs an `INVARIANT:` comment |
 //! | R5   | telemetry-registry | metric/span names in code ↔ `crates/telemetry/registry.txt`; a non-literal name is a finding |
-//! | R7   | rng-stream-isolation | `seed_from_u64` mixes a `*_SALT` constant or seed variable; no raw literals, no cross-crate sharing |
 //! | R8   | intent-pairing | device-mutating `HermesSwitch` methods record intent on every public path |
-//! | R9   | swallowed-device-errors | `TcamError`/`HermesError` Results are not discarded without an `INVARIANT:` comment |
 //! | S1   | suppression | a suppression must parse and carry a reason |
 //!
-//! R2, R5 and S1 run over the token stream; R7–R9 are flow-sensitive and
-//! run over parsed `fn` items and a per-crate call graph
-//! ([`parser`], [`flow`]). The ids R1, R3, R4, R6 and R10 are retired,
-//! not reused. The toolchain makes R1's and R3's checks (`clippy.toml`
-//! and the clippy stage's `-F unsafe_code`), and two tests in the root
+//! R2, R5 and S1 run over the token stream; R8 is flow-sensitive and runs
+//! over parsed `fn` items and a per-crate call graph ([`parser`],
+//! [`flow`]). The ids R1, R3, R4, R6, R7, R9 and R10 are retired, not
+//! reused. The toolchain makes R1's, R3's and R9's checks (`clippy.toml`
+//! and the clippy stage's flags), the `hermes_util::rng::Salt` type plus
+//! a `clippy.toml` ban makes R7's, and two tests in the root
 //! `tests/matrix.rs` make R4's and R6's.
 //!
 //! Findings can be waived inline:
@@ -57,38 +56,28 @@ pub enum Rule {
     /// R5 — telemetry names are string literals that match the checked-in
     /// registry, both ways.
     TelemetryRegistry,
-    /// R7 — every seeded RNG stream mixes a named `*_SALT` constant or a
-    /// seed parameter; no raw literal seeds, no cross-crate stream sharing.
-    RngStreamIsolation,
     /// R8 — device-mutating `HermesSwitch` methods pair with an intent
     /// hook on every path from the public API.
     IntentPairing,
-    /// R9 — `Result`s carrying `TcamError`/`HermesError` may not be
-    /// discarded via `let _ =` or `.ok()` without an `INVARIANT:` comment.
-    SwallowedDeviceError,
     /// S1 — malformed or reason-less suppression directives.
     Suppression,
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [Rule; 6] = [
+pub const ALL_RULES: [Rule; 4] = [
     Rule::PanicPolicy,
     Rule::TelemetryRegistry,
-    Rule::RngStreamIsolation,
     Rule::IntentPairing,
-    Rule::SwallowedDeviceError,
     Rule::Suppression,
 ];
 
 impl Rule {
-    /// Short id (`R2`…`R9`, `S1`).
+    /// Short id (`R2`, `R5`, `R8`, `S1`).
     pub fn id(&self) -> &'static str {
         match self {
             Rule::PanicPolicy => "R2",
             Rule::TelemetryRegistry => "R5",
-            Rule::RngStreamIsolation => "R7",
             Rule::IntentPairing => "R8",
-            Rule::SwallowedDeviceError => "R9",
             Rule::Suppression => "S1",
         }
     }
@@ -98,9 +87,7 @@ impl Rule {
         match self {
             Rule::PanicPolicy => "panic-policy",
             Rule::TelemetryRegistry => "telemetry-registry",
-            Rule::RngStreamIsolation => "rng-stream-isolation",
             Rule::IntentPairing => "intent-pairing",
-            Rule::SwallowedDeviceError => "swallowed-device-errors",
             Rule::Suppression => "suppression",
         }
     }

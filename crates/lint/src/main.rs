@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Scans the workspace for violations of the panic-policy,
-//! telemetry-registry, RNG-stream, intent-pairing, device-error and
-//! suppression invariants (DESIGN.md §9) and prints one line per finding.
+//! telemetry-registry, intent-pairing and suppression invariants
+//! (DESIGN.md §9) and prints one line per finding.
 //! The exit code is the verdict: 0 clean, 1 findings, 2 usage or I/O
 //! error.
 

@@ -220,19 +220,23 @@ mod tests {
 
     #[test]
     fn unknown_rule_rejected() {
-        // R1, R3, R4, R6 and R10 are retired: a stale waiver naming one, by
-        // id or by its old name, is an S1 finding, not a silent no-op.
+        // R1, R3, R4, R6, R7, R9 and R10 are retired: a stale waiver naming
+        // one, by id or by its old name, is an S1 finding, not a silent no-op.
         for rule in [
             "R99",
             "R1",
             "R3",
             "R4",
             "R6",
+            "R7",
+            "R9",
             "R10",
             "determinism",
             "unsafe-forbid",
             "hermeticity",
             "exp-contract",
+            "rng-stream-isolation",
+            "swallowed-device-errors",
         ] {
             let (ds, es) = parse(&format!("// hermes-lint: allow({rule}, reason = \"x\")"));
             assert!(ds.is_empty(), "{rule}");

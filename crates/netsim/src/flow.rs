@@ -291,6 +291,10 @@ impl FlowTable {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
 mod tests {
     use super::*;
     use hermes_util::rng::rngs::StdRng;

@@ -27,7 +27,7 @@ use hermes_tcam::{SimDuration, SimTime, SwitchModel};
 use hermes_workloads::facebook::JobSpec;
 use hermes_workloads::gravity::TimedFlow;
 use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::SeedableRng;
+use hermes_util::rng::{stream, Salt};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
@@ -280,7 +280,7 @@ impl Varys {
                 ..FleetConfig::default()
             },
         );
-        let rng = StdRng::seed_from_u64(config.seed);
+        let rng = stream(config.seed, Salt::CALLER);
         let mut sim = Varys {
             topo,
             config,

@@ -5,6 +5,11 @@
 //! [`reference`]. Runs under the in-tree `hermes_util::check!` harness with
 //! pinned default seeds.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
+
 use hermes_netsim::flow::{ActiveFlow, FlowId, FlowTable};
 use hermes_netsim::prelude::*;
 use hermes_tcam::SimTime;

@@ -124,6 +124,10 @@ pub fn optimize_ruleset(rules: Vec<Rule>) -> Vec<Rule> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
 mod tests {
     use super::*;
     use crate::prefix::Ipv4Prefix;

@@ -154,6 +154,10 @@ impl OverlapIndex {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
 mod tests {
     use super::*;
     use crate::rule::Action;

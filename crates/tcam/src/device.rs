@@ -16,7 +16,7 @@ use crate::perf::SwitchModel;
 use crate::table::{BatchReport, TcamError, TcamOp, TcamTable};
 use crate::time::SimDuration;
 use hermes_rules::prelude::*;
-use hermes_util::rng::{Rng, SeedableRng, StdRng};
+use hermes_util::rng::{stream, Rng, Salt};
 
 /// What a slice does when no entry matches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -214,7 +214,7 @@ impl TcamDevice {
             CrashKind::Partial { survivor_prob } => {
                 self.crash_stats.partials += 1;
                 hermes_telemetry::counter("tcam.crash.partials", 1);
-                let mut rng = StdRng::seed_from_u64(spec.survivor_seed);
+                let mut rng = stream(spec.survivor_seed, Salt::CALLER);
                 for s in &mut self.slices {
                     let before = s.table.len();
                     let dropped = s.table.retain(|_| {

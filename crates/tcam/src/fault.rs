@@ -32,11 +32,7 @@
 //! *separate* seeded stream, so arming crashes never perturbs the per-op
 //! fault sequence of an existing seed.
 
-use hermes_util::rng::{Rng, SeedableRng, StdRng};
-
-/// Salt mixed into the plan seed for the crash-parameter stream, keeping
-/// it independent of the per-op fault stream (b"HERMESCR").
-const CRASH_STREAM_SALT: u64 = 0x4845_524d_4553_4352;
+use hermes_util::rng::{stream, Rng, Salt, StdRng};
 
 /// What the fault layer decided for one control-plane action.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -178,8 +174,8 @@ impl FaultPlan {
             crash_partial_prob: 0.0,
             survivor_prob: 1.0,
             max_reconnect_denials: 0,
-            rng: StdRng::seed_from_u64(seed),
-            crash_rng: StdRng::seed_from_u64(seed ^ CRASH_STREAM_SALT),
+            rng: stream(seed, Salt::CALLER),
+            crash_rng: stream(seed, Salt::FAULT_CRASH),
             ops: 0,
             stats: FaultStats::default(),
         }

@@ -1096,6 +1096,10 @@ fn coalesced_moves_backward(len: usize, insert_pos: &[usize], delete_pos: &[usiz
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
 mod tests {
     use super::*;
 
@@ -1418,6 +1422,10 @@ mod tests {
 /// `BLOCK_MAX` (the crash-resync shape), the planner on batches full of
 /// repeated ids, rejected ops and capacity edges.
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
 mod batch_merge {
     use super::*;
     use hermes_util::check::{arb, just, one_of, range};
@@ -1883,6 +1891,10 @@ mod batch_merge {
 /// `retain` against the drain and re-insert loop it replaced in the crash
 /// re-seat, kept here as [`reference`](retain_reseat::reference).
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
 mod retain_reseat {
     use super::batch_merge::{assert_same, rule, strategy};
     use super::*;

@@ -17,6 +17,11 @@
 //! tuples. One more changes no answer and dies on `check_invariants`
 //! alone: `remove` keeps a dead tuple's mask.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
+
 use hermes_rules::prelude::*;
 use hermes_tcam::{PlacementStrategy, TcamOp, TcamTable};
 use hermes_util::check::{arb, just, one_of, range, vec_of, weighted, zip2, zip3, Gen};
@@ -117,6 +122,10 @@ fn strategy() -> Gen<PlacementStrategy> {
 /// Applies one entry op through the single-op API. Rejections (full,
 /// duplicate, not found) are part of the history.
 fn apply_singly(table: &mut TcamTable, op: TcamOp) {
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "INVARIANT: rejections (full, duplicate, not found) are part of the history both tables replay"
+    )]
     let _ = match op {
         TcamOp::Insert(rule) => table.insert(rule).map(|_| ()),
         TcamOp::Delete(id) => table.delete(id).map(|_| ()),

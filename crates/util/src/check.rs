@@ -34,7 +34,7 @@
 //! * `HERMES_CHECK_SIZE` — pin the generation size (used by the printed
 //!   reproduction command).
 
-use crate::rng::{SampleRange, SeedableRng, Standard, StdRng};
+use crate::rng::{stream, Salt, SampleRange, Standard, StdRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
@@ -222,7 +222,7 @@ where
     for case in 0..cfg.cases {
         let case_seed = cfg.seed.wrapping_add(case);
         let size = cfg.size.unwrap_or_else(|| ramp(case, cfg.cases));
-        let value = gen(&mut StdRng::seed_from_u64(case_seed), size);
+        let value = gen(&mut stream(case_seed, Salt::CALLER), size);
         let Err(first_cause) = run_case(&prop, value) else {
             continue;
         };
@@ -232,7 +232,7 @@ where
         let mut best = (size, first_cause);
         let mut s = size / 2;
         while s >= 1 {
-            let v = gen(&mut StdRng::seed_from_u64(case_seed), s);
+            let v = gen(&mut stream(case_seed, Salt::CALLER), s);
             match run_case(&prop, v) {
                 Err(cause) => {
                     best = (s, cause);
@@ -246,7 +246,7 @@ where
         }
 
         let (min_size, cause) = best;
-        let minimal = gen(&mut StdRng::seed_from_u64(case_seed), min_size);
+        let minimal = gen(&mut stream(case_seed, Salt::CALLER), min_size);
         let mut shown = format!("{minimal:?}");
         if shown.len() > 4096 {
             shown.truncate(4096);
@@ -312,8 +312,13 @@ macro_rules! __check_impl {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
 mod tests {
     use super::*;
+    use crate::rng::SeedableRng;
 
     #[test]
     fn passing_property_runs_all_cases() {

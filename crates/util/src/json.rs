@@ -79,6 +79,10 @@ impl Json {
         out
     }
 
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "INVARIANT: fmt::Write for String never fails"
+    )]
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -136,6 +140,10 @@ impl Json {
     }
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "INVARIANT: fmt::Write for String never fails"
+)]
 fn escape(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {

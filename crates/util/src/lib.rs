@@ -7,7 +7,9 @@
 //!   the workloads use (uniform ranges, Bernoulli, exponential/Poisson
 //!   arrivals, Pareto and log-normal sizes, weighted choice, shuffle).
 //!   The API mirrors the subset of `rand` 0.8 this workspace used, so
-//!   `rand::` call sites port by switching the path to `hermes_util::rng::`.
+//!   `rand::` call sites port by switching the path to `hermes_util::rng::`;
+//!   every stream is seeded through [`rng::stream`] with a [`rng::Salt`]
+//!   from one table.
 //! * [`json`] — a minimal JSON value, writer and reader for experiment
 //!   output and trace files.
 //! * [`mod@check`] — a compact property-testing harness (see [`check!`]) with

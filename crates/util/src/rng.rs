@@ -9,7 +9,8 @@
 //! sizes, weighted choice, Fisher–Yates shuffle).
 //!
 //! Everything is deterministic given the seed; there is deliberately no
-//! OS-entropy constructor.
+//! OS-entropy constructor. Code outside this module seeds a generator
+//! through [`stream`], naming its [`Salt`] (DESIGN.md §9).
 
 /// Core of every generator: a stream of `u64`s.
 pub trait RngCore {
@@ -75,6 +76,68 @@ impl RngCore for StdRng {
         s[3] = s[3].rotate_left(45);
         result
     }
+}
+
+/// What an RNG stream mixes into its seed, so that two subsystems handed
+/// one run seed still draw different numbers. The field is private: the
+/// table of `const`s below is the only place a salt can be built, and a
+/// unit test keeps its values distinct.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Salt(u64);
+
+/// Declares the salt table and, for the distinctness test, the list of
+/// every entry, from one source so the two cannot drift apart.
+macro_rules! salts {
+    ($($(#[$doc:meta])* $name:ident = $value:expr;)*) => {
+        impl Salt {
+            $($(#[$doc])* pub const $name: Salt = Salt($value);)*
+        }
+
+        #[cfg(test)]
+        const ALL_SALTS: &[(&str, Salt)] = &[$((stringify!($name), Salt::$name)),*];
+    };
+}
+
+salts! {
+    /// No salt, for a seed its caller already derived: a run seed, a
+    /// property case's seed, a seed handed down in a config.
+    CALLER = 0;
+    /// `FaultPlan`'s crash-parameter draws, apart from its per-op fault
+    /// draws on the same plan seed (b"HERMESCR").
+    FAULT_CRASH = 0x4845_524d_4553_4352;
+    /// Recovery's retry jitter, a fixed stream (seed 0) so chaos runs
+    /// replay from the fault seed alone.
+    RECOVERY_JITTER = 0x4845_524d_4553_0001;
+    /// The fleet's home-lane assignment shuffle.
+    LANE_SHUFFLE = 0x9e37_79b9_7f4a_7c15;
+    /// The fleet's least-loaded tie-break permutation, apart from the
+    /// assignment so adding it never moved a home lane.
+    LANE_ORDER = 0x5ca1_ab1e_0f1e_e75c;
+    /// `BgpTrace`'s prefix pool, apart from its update stream.
+    BGP_PREFIX_POOL = 0xbeef;
+    /// `exp_crash`'s churn workload, apart from the fault plan's streams.
+    EXP_CRASH = 0x4352_4153_4853_544d;
+    /// `exp_fleet`'s phase-1 path-transaction churn.
+    EXP_FLEET_CHURN = 0x464c_4545_5421_2121;
+    /// `exp_fleet`'s phase-2 storm schedule.
+    EXP_FLEET_STORM = 0x5354_4f52_4d32_2121;
+    /// `exp_scale`'s rule set, a fixed stream.
+    EXP_SCALE = 7;
+    /// `exp_tcam_micro`'s probes, a fixed stream.
+    EXP_TCAM_MICRO = 9;
+    /// `exp_table1`'s probes, a fixed stream.
+    EXP_TABLE1 = 1;
+}
+
+/// The generator for `seed` on `salt`'s stream: `StdRng::seed_from_u64(seed
+/// ^ salt)`. A fixed stream is `stream(0, salt)`. Outside this module,
+/// `clippy.toml` bans calling `seed_from_u64` directly.
+pub fn stream(seed: u64, salt: Salt) -> StdRng {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one seeding site the ban routes every stream through"
+    )]
+    StdRng::seed_from_u64(seed ^ salt.0)
 }
 
 /// Compatibility module so `rand::rngs::StdRng` call sites port by
@@ -339,8 +402,29 @@ pub trait Rng: RngCore {
 impl<R: RngCore> Rng for R {}
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn salts_are_distinct() {
+        for (i, (a, sa)) in ALL_SALTS.iter().enumerate() {
+            for (b, sb) in &ALL_SALTS[i + 1..] {
+                assert_ne!(sa, sb, "Salt::{a} and Salt::{b} would draw the same stream");
+            }
+        }
+        assert_eq!(Salt::CALLER.0, 0);
+    }
+
+    #[test]
+    fn stream_is_the_salted_seed() {
+        let mut a = stream(41, Salt::EXP_SCALE);
+        let mut b = StdRng::seed_from_u64(41 ^ 7);
+        assert!((0..8).all(|_| a.next_u64() == b.next_u64()));
+    }
 
     #[test]
     fn xoshiro_reference_vector() {

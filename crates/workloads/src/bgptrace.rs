@@ -17,8 +17,7 @@
 use hermes_bgp::prelude::*;
 use hermes_rules::prefix::Ipv4Prefix;
 use hermes_tcam::SimTime;
-use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::{Rng, SeedableRng};
+use hermes_util::rng::{stream, Rng, Salt};
 
 /// A timestamped BGP update.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -72,7 +71,7 @@ impl BgpTrace {
     /// The prefix pool (deterministic for the seed): a mix of /16–/24
     /// allocations like a DFZ slice.
     pub fn prefix_pool(&self) -> Vec<Ipv4Prefix> {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xbeef);
+        let mut rng = stream(self.seed, Salt::BGP_PREFIX_POOL);
         (0..self.prefixes)
             .map(|i| {
                 let len = *[16u8, 19, 20, 22, 24, 24, 24]
@@ -88,7 +87,7 @@ impl BgpTrace {
 
     /// Generates the update stream, sorted by time.
     pub fn generate(&self) -> Vec<TimedUpdate> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = stream(self.seed, Salt::CALLER);
         let pool = self.prefix_pool();
         let mut out = Vec::new();
 

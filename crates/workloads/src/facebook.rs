@@ -14,8 +14,7 @@
 //! The figures built on this workload (1, 8, 9) depend on the short/long
 //! dichotomy and the reconfiguration pressure, both preserved here.
 
-use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::{Rng, SeedableRng};
+use hermes_util::rng::{stream, Rng, Salt};
 
 /// One flow of a job: a shuffle transfer between two hosts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,7 +79,7 @@ impl Default for FacebookWorkload {
 impl FacebookWorkload {
     /// Generates the job trace, sorted by arrival time.
     pub fn generate(&self) -> Vec<JobSpec> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = stream(self.seed, Salt::CALLER);
         let mut jobs = Vec::with_capacity(self.jobs);
         for id in 0..self.jobs {
             let arrival_s = rng.gen_range(0.0..self.duration_s);

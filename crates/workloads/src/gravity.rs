@@ -9,8 +9,7 @@
 //! per-OD-pair Poisson flow arrivals whose sizes sum to the matrix cell.
 
 use crate::facebook::FlowSpec;
-use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::{Rng, SeedableRng};
+use hermes_util::rng::{stream, Rng, Salt};
 
 /// A traffic matrix over `n` nodes: `demand[i][j]` bytes per second from
 /// ingress `i` to egress `j`.
@@ -40,7 +39,7 @@ impl TrafficMatrix {
     /// hitters exist, as in real ISP ingresses), `demand[i][j] ∝ m_i·m_j`,
     /// scaled so the whole matrix offers `total_bytes_per_s`.
     pub fn gravity(nodes: usize, total_bytes_per_s: f64, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = stream(seed, Salt::CALLER);
         // Log-normal masses: exp(N(0, 1)).
         let masses: Vec<f64> = (0..nodes)
             .map(|_| {
@@ -99,7 +98,7 @@ pub fn flows_from_matrix(
     mean_flow_bytes: f64,
     seed: u64,
 ) -> Vec<TimedFlow> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = stream(seed, Salt::CALLER);
     let mut out = Vec::new();
     for (i, row) in tm.demand.iter().enumerate() {
         for (j, &d) in row.iter().enumerate() {

@@ -13,8 +13,7 @@
 
 use hermes_rules::prelude::*;
 use hermes_tcam::SimTime;
-use hermes_util::rng::rngs::StdRng;
-use hermes_util::rng::{Rng, SeedableRng};
+use hermes_util::rng::{stream, Rng, Salt};
 
 /// How rule priorities are assigned across the stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,7 +72,7 @@ pub struct TimedAction {
 impl MicroBench {
     /// Generates the insertion stream.
     pub fn generate(&self) -> Vec<TimedAction> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = stream(self.seed, Salt::CALLER);
         let mut out = Vec::with_capacity(self.count);
         let mut now_s = 0.0f64;
         // Existing narrow rules available to overlap with: (prefix, priority).

@@ -26,18 +26,21 @@ stage_build() {
 
 stage_lint() {
     # One blocking stage whose verdict is the analyzer's exit code (R2 and
-    # R5 token rules, R7-R9 flow rules, S1 suppressions -- DESIGN.md §9).
+    # R5 token rules, the R8 flow rule, S1 suppressions -- DESIGN.md §9).
     cargo run --release --offline -q -p hermes-lint -- --workspace
 }
 
 stage_clippy() {
     # Besides clippy's own lints: clippy.toml's disallowed-types ban on
-    # HashMap/HashSet/Instant/SystemTime (determinism, DESIGN.md §9), a
-    # reason on every #[allow], and no `unsafe` in any target, forbidden
-    # from the command line so a crate root without the attribute is
-    # covered too.
+    # HashMap/HashSet/Instant/SystemTime and its disallowed-methods ban on
+    # seeding an RNG anywhere but hermes_util::rng::stream (determinism,
+    # DESIGN.md §9), a reason on every #[allow], no `unsafe` in any target,
+    # forbidden from the command line so a crate root without the attribute
+    # is covered too, and no #[must_use] value dropped by `let _ =` or
+    # `.ok()` without an #[expect] saying why.
     cargo clippy --offline --workspace --all-targets -- \
-        -D warnings -D clippy::allow_attributes_without_reason -F unsafe_code
+        -D warnings -D clippy::allow_attributes_without_reason -F unsafe_code \
+        -D clippy::let_underscore_must_use -D clippy::unused_result_ok
     # The perf ledger (benchmark/) is its own package: the same ban and the
     # same forbid. Its sources are frozen for ordinary PRs, so every other
     # clippy lint stays off there.
@@ -288,7 +291,7 @@ fi
 # stage, thanks to `set -e` + the EXIT trap): one row per stage that ran
 # with its verdict and wall-clock seconds, the first failing stage by
 # name so a red run can be triaged without scrolling, then the per-crate
-# library size from scripts/loc.sh.
+# size from scripts/loc.sh.
 SUM_NAME=()
 SUM_STATUS=()
 SUM_SECS=()
@@ -318,9 +321,9 @@ print_summary() {
         if [[ -n "$first_fail" ]]; then
             echo "first failing stage: $first_fail"
         fi
-        # The one size figure simplicity PRs quote (ROADMAP item 3).
+        # The size figure simplicity PRs quote: the `lib` column (ROADMAP item 14).
         echo
-        echo "== library size: non-blank non-comment lines under crates/*/src =="
+        echo "== size: non-blank non-comment lines under crates/*/src, library and #[cfg(test)] =="
         bash scripts/loc.sh
     fi
     exit "$code"

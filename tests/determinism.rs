@@ -5,6 +5,11 @@
 //! nondeterminism (hash-map iteration order, time-of-day, uninitialized
 //! state) shows up here as a diff.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests pin streams by literal seed"
+)]
+
 use hermes::core::config::HermesConfig;
 use hermes::netsim::metrics::RunMetrics;
 use hermes::netsim::prelude::*;
@@ -72,6 +77,10 @@ fn telemetry_capture(plan: Option<hermes::tcam::FaultPlan>) -> String {
     .generate();
     let mut last = hermes::tcam::SimTime::ZERO;
     for (i, ta) in stream.iter().enumerate() {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "INVARIANT: the run is compared by its telemetry report, not by its admission verdicts"
+        )]
         let _ = sw.submit(&ta.action, ta.at);
         last = ta.at;
         if i % 16 == 15 {
