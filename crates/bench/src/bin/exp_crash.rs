@@ -4,7 +4,7 @@
 //! A Hermes agent ingests a batched rule stream while a `crashy` fault
 //! plan periodically kills the switch; after the storm the plan is
 //! disarmed and audit sweeps must drive every crash window closed. Each
-//! resync diffs the intent store against the survivor subset and replays
+//! resync diffs the logical view against the survivor subset and replays
 //! the minimal repair set through one batched device transaction per
 //! slice.
 //!
@@ -84,7 +84,7 @@ fn run_storm(count: usize, crash_period: u64, seed: u64) -> Outcome {
             sw.tick(now);
         }
         if next_id.is_multiple_of(160) {
-            // A sprinkle of deletes keeps the intent journal honest.
+            // A sprinkle of deletes keeps the rebuild honest about removals.
             for _ in 0..4 {
                 let victim = Rng::gen_range(&mut rng, 0..next_id);
                 now += SimDuration::from_us(200.0);

@@ -108,8 +108,8 @@ fn preload_fleet(fleet: &mut Fleet<HermesPlane>, preload: usize) -> u64 {
 }
 
 /// Quiescence: ticks past the makespan drive reconnect + resync +
-/// rollback re-drives until every member is clean, then asserts the
-/// intent stores and logical tables agree.
+/// rollback re-drives until every member is clean, then asserts no member
+/// books a rule in both slices.
 fn quiesce(fleet: &mut Fleet<HermesPlane>, horizon: SimTime) -> u32 {
     let mut now = horizon;
     let mut sweeps = 0u32;

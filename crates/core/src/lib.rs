@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::partition::{partition_new_rule, PartitionOutcome};
     pub use crate::predict::{Arma, Corrector, CubicSpline, Ewma, Predictor, PredictorKind};
     pub use crate::recovery::{AuditReport, RecoveryStats};
-    pub use crate::resync::{IntentOp, IntentStore, ResyncReport, ResyncStats};
+    pub use crate::resync::{ResyncReport, ResyncStats};
     pub use crate::switch::{
         ActionReport, HermesError, HermesStats, HermesSwitch, ReportDetail, MAIN, SHADOW,
     };

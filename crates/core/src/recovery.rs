@@ -17,8 +17,9 @@
 //! 3. **Reconciliation audit** (`HermesSwitch::audit`): diffs the
 //!    controller's logical bookkeeping against the device slices,
 //!    re-installing silently-dropped entries, deleting orphans and fixing
-//!    action drift. The controller's bookkeeping is the source of truth
-//!    of *intent*; the audit makes the device converge to it.
+//!    action drift. The controller's logical view (shadow residents and
+//!    main index) is the one record of what should be installed; the
+//!    audit makes the device converge to it.
 //!
 //! On top sits **degraded mode**: after [`DEGRADED_THRESHOLD`] consecutive
 //! retry-exhausted ops the Gate Keeper stops hammering the dead channel

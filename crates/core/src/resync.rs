@@ -1,21 +1,22 @@
-//! Crash resync subsystem: the intent store and the diff-based resync
-//! planner that re-establishes the Hermes guarantee after a device crash.
+//! Crash resync subsystem: the diff-based resync planner that
+//! re-establishes the Hermes guarantee after a device crash.
 //!
 //! The per-op recovery layers (see [`crate::recovery`]) assume the TCAM
 //! *keeps its state* across a fault — they repair individual divergences.
 //! A crash-class fault (full wipe, partial retention, control-session
 //! loss; see `hermes_tcam::fault::CrashKind`) breaks that assumption: the
 //! device may come back with an empty table, a random survivor subset, or
-//! just a dead control session. Resync restores the controller's intent
-//! in four steps:
+//! just a dead control session. Resync restores the controller's logical
+//! view (the shadow residents, the main index and the deferred queue) in
+//! four steps:
 //!
 //! 1. **Reconnect** with capped exponential backoff (the device may deny
 //!    the first few attempts while it reboots).
 //! 2. **Journal replay**: the PR 2 delete journal drains first — against
 //!    a wiped table every journaled delete resolves as already-gone.
 //! 3. **Diff + replay**: a [`SlicePlan`] per slice computes the minimal
-//!    delete/fix/install set between the durable [`IntentStore`] view and
-//!    the post-crash table read back via audit, and replays it through
+//!    delete/fix/install set between the slice the logical view expects
+//!    and the post-crash table read back via audit, and replays it through
 //!    the batched `apply_batch` path, keeping every survivor that is
 //!    exactly right.
 //! 4. **Re-admission**: degraded mode ends and the deferred admission
@@ -27,7 +28,6 @@
 use crate::recovery::doubling_backoff;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, TcamOp};
-use std::collections::BTreeMap;
 
 /// Reconnect attempts per resync pass before giving up until the next
 /// tick/audit.
@@ -36,135 +36,12 @@ pub const RECONNECT_ATTEMPTS: u32 = 8;
 pub const RECONNECT_BASE_BACKOFF: SimDuration = SimDuration::from_us(1_000.0);
 /// Reconnect backoff ceiling.
 pub const RECONNECT_MAX_BACKOFF: SimDuration = SimDuration::from_us(50_000.0);
-/// Journal length at which the intent store folds its journal into the
-/// checkpoint.
-pub const CHECKPOINT_INTERVAL: usize = 256;
 
 /// Deterministic capped exponential backoff before reconnect attempt
 /// `attempt` (1-based). No jitter: reconnect pacing must replay
 /// byte-for-byte from the crash seed alone.
 pub fn reconnect_backoff(attempt: u32) -> SimDuration {
     doubling_backoff(RECONNECT_BASE_BACKOFF, RECONNECT_MAX_BACKOFF, attempt)
-}
-
-/// One journaled change to the controller's installed-rule intent.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum IntentOp {
-    /// A logical rule became installed.
-    Install(Rule),
-    /// A logical rule was removed.
-    Remove(RuleId),
-    /// A logical rule's action changed in place (priority changes are
-    /// journaled as remove + install by the switch).
-    Modify {
-        /// Target rule.
-        id: RuleId,
-        /// Replacement action.
-        action: Action,
-    },
-}
-
-/// Durable checkpoint + journal of the rules the controller believes
-/// installed — the authoritative store a crashed switch is rebuilt from
-/// (the FDRC "controller as rule store" model).
-///
-/// Writes append to the journal; once the journal reaches
-/// [`CHECKPOINT_INTERVAL`] entries it is folded into the checkpoint map
-/// (a *checkpoint*, counted in `resync.checkpoints`).
-/// [`snapshot`](Self::snapshot) materializes checkpoint ⊕ journal.
-#[derive(Clone, Debug, Default)]
-pub struct IntentStore {
-    checkpoint: BTreeMap<RuleId, Rule>,
-    journal: Vec<IntentOp>,
-    checkpoints: u64,
-}
-
-impl IntentStore {
-    /// Journals one intent change, folding the journal into the
-    /// checkpoint when it reaches [`CHECKPOINT_INTERVAL`].
-    pub fn record(&mut self, op: IntentOp) {
-        self.journal.push(op);
-        if self.journal.len() >= CHECKPOINT_INTERVAL {
-            self.compact();
-        }
-    }
-
-    /// Folds the journal into the checkpoint now.
-    pub fn compact(&mut self) {
-        if self.journal.is_empty() {
-            return;
-        }
-        let journal = std::mem::take(&mut self.journal);
-        for op in journal {
-            Self::apply(&mut self.checkpoint, op);
-        }
-        self.checkpoints += 1;
-        hermes_telemetry::counter("resync.checkpoints", 1);
-    }
-
-    fn apply(map: &mut BTreeMap<RuleId, Rule>, op: IntentOp) {
-        match op {
-            IntentOp::Install(rule) => {
-                map.insert(rule.id, rule);
-            }
-            IntentOp::Remove(id) => {
-                map.remove(&id);
-            }
-            IntentOp::Modify { id, action } => {
-                if let Some(r) = map.get_mut(&id) {
-                    r.action = action;
-                }
-            }
-        }
-    }
-
-    /// The full intended rule set: checkpoint with the journal replayed
-    /// on top.
-    pub fn snapshot(&self) -> BTreeMap<RuleId, Rule> {
-        let mut map = self.checkpoint.clone();
-        for op in &self.journal {
-            Self::apply(&mut map, *op);
-        }
-        map
-    }
-
-    /// Number of rules in the intended set, counted without materializing
-    /// it: the checkpoint's size, corrected for each id whose last journaled
-    /// install or remove changes its membership.
-    pub fn len(&self) -> usize {
-        let mut last: BTreeMap<RuleId, bool> = BTreeMap::new();
-        for op in &self.journal {
-            match op {
-                IntentOp::Install(rule) => last.insert(rule.id, true),
-                IntentOp::Remove(id) => last.insert(*id, false),
-                IntentOp::Modify { .. } => None,
-            };
-        }
-        let mut len = self.checkpoint.len();
-        for (id, present) in last {
-            match (present, self.checkpoint.contains_key(&id)) {
-                (true, false) => len += 1,
-                (false, true) => len -= 1,
-                _ => {}
-            }
-        }
-        len
-    }
-
-    /// No rules intended?
-    pub fn is_empty(&self) -> bool {
-        self.checkpoint.is_empty() && self.journal.is_empty()
-    }
-
-    /// Un-compacted journal entries.
-    pub fn journal_depth(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// Checkpoints taken so far.
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
-    }
 }
 
 /// Minimal repair set for one TCAM slice: what a resync pass must delete,
@@ -308,60 +185,6 @@ mod tests {
         let p: Ipv4Prefix = format!("10.{}.0.0/16", id % 200).parse().unwrap();
         Rule::new(id, p.to_key(), Priority(prio), Action::Forward(prio % 5 + 1))
     }
-
-    #[test]
-    fn intent_store_snapshot_replays_journal() {
-        let mut store = IntentStore::default();
-        store.record(IntentOp::Install(rule(1, 5)));
-        store.record(IntentOp::Install(rule(2, 7)));
-        store.record(IntentOp::Modify {
-            id: RuleId(1),
-            action: Action::Drop,
-        });
-        store.record(IntentOp::Remove(RuleId(2)));
-        let snap = store.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[&RuleId(1)].action, Action::Drop);
-        assert_eq!(store.journal_depth(), 4);
-        assert_eq!(store.checkpoints(), 0);
-    }
-
-    #[test]
-    fn intent_store_compacts_at_interval() {
-        let mut store = IntentStore::default();
-        // One block of re-installs, modifies, removes of present and absent
-        // ids, and one id removed and re-installed inside a single journal,
-        // repeated across two compaction boundaries that cut the block at
-        // different offsets.
-        let mut block: Vec<IntentOp> = (0..10).map(|i| IntentOp::Install(rule(i, 3))).collect();
-        block.extend([
-            IntentOp::Remove(RuleId(2)),
-            IntentOp::Install(rule(2, 4)),
-            IntentOp::Remove(RuleId(11)),
-            IntentOp::Modify {
-                id: RuleId(5),
-                action: Action::Drop,
-            },
-            IntentOp::Install(rule(11, 3)),
-            IntentOp::Remove(RuleId(3)),
-            IntentOp::Install(rule(3, 3)),
-            IntentOp::Remove(RuleId(3)),
-            IntentOp::Install(rule(1, 9)),
-        ]);
-        let ops = block.repeat(2 * CHECKPOINT_INTERVAL / block.len() + 1);
-        for op in ops {
-            store.record(op);
-            assert_eq!(store.len(), store.snapshot().len(), "after {op:?}");
-        }
-        assert_eq!(store.checkpoints(), 2);
-        assert!(store.journal_depth() < CHECKPOINT_INTERVAL);
-        assert_eq!(store.len(), 10);
-        // Compaction preserves the snapshot exactly.
-        store.compact();
-        assert_eq!(store.journal_depth(), 0);
-        assert_eq!(store.snapshot().len(), 10);
-    }
-
 
     #[test]
     fn plan_slice_wiped_table_reinstalls_everything() {

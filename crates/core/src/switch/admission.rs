@@ -13,7 +13,6 @@ use super::{
 use crate::config::MigrationTrigger;
 use crate::gatekeeper::Route;
 use crate::partition::partition_new_rule_bounded;
-use crate::resync::IntentOp;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, TcamError, TcamOp};
 use std::collections::BTreeSet;
@@ -192,9 +191,6 @@ impl HermesSwitch {
     }
 
     /// Books a fresh shadow resident (zero pieces for a redundant rule).
-    // INVARIANT: the physical write already happened in the caller (per
-    // piece or batched), and a redundant rule has none — intent is
-    // recorded here so the checkpoint sees exactly the admitted rules.
     fn book_shadow_entry(
         &mut self,
         rule: Rule,
@@ -210,7 +206,6 @@ impl HermesSwitch {
         self.shadow.insert(rule.id, entry);
         self.shadow_order.push(rule.id);
         self.prio_add(rule.priority);
-        self.intent.record(IntentOp::Install(rule));
     }
 
     /// Logically installed; nothing written (Fig. 5(a)). Charged only
@@ -266,7 +261,6 @@ impl HermesSwitch {
         let rep = self.dev_insert(MAIN, rule).map_err(admission_error)?;
         self.main_index.insert(rule);
         self.prio_add(rule.priority);
-        self.intent.record(IntentOp::Install(rule));
         self.stats.main_inserts += 1;
 
         let latency = rep.latency + self.recut_below(rule);

@@ -17,8 +17,6 @@ impl HermesSwitch {
     /// degraded-mode failure streak; exhaustion extends it. A batched
     /// transaction is atomic — a rejected one applied nothing — so
     /// re-issuing the identical call is always safe.
-    // INVARIANT: intent-neutral chokepoint — every public caller records
-    // the matching IntentOp itself before or after the physical write.
     fn dev_call<R>(
         &mut self,
         call: impl Fn(&mut TcamDevice) -> Result<R, TcamError>,

@@ -48,7 +48,7 @@ use crate::config::HermesConfig;
 use crate::gatekeeper::{GateKeeper, Route};
 use crate::manager::{MigrationReport, RuleManager};
 use crate::recovery::{RecoveryState, RecoveryStats};
-use crate::resync::{IntentStore, ResyncStats};
+use crate::resync::ResyncStats;
 use hermes_rules::overlap::OverlapIndex;
 use hermes_rules::prelude::*;
 use hermes_tcam::{
@@ -226,9 +226,6 @@ pub struct HermesSwitch {
     stats: HermesStats,
     /// Retry/journal/degraded-mode state (see [`crate::recovery`]).
     recovery: RecoveryState,
-    /// Durable checkpoint + journal of the installed-rule intent — what a
-    /// crashed device is rebuilt from (see [`crate::resync`]).
-    intent: IntentStore,
     /// Crash/resync health counters.
     resync_stats: ResyncStats,
     /// An unresolved crash window is open: the device lost its control
@@ -305,7 +302,6 @@ impl HermesSwitch {
             next_phys: PHYS_BASE,
             stats: HermesStats::default(),
             recovery: RecoveryState::default(),
-            intent: IntentStore::default(),
             resync_stats: ResyncStats::default(),
             crash_pending: false,
             crash_detected_at: None,
@@ -403,15 +399,13 @@ impl HermesSwitch {
         self.crash_pending || !self.device.is_connected()
     }
 
-    /// Rules in the durable intent store (must equal the logical
-    /// shadow + main population).
+    /// Distinct logical rule ids across the shadow and main tables. A rule
+    /// is resident in exactly one of them, so this equals
+    /// [`logical_len`](Self::logical_len) unless bookkeeping double-books
+    /// a rule — the check `intent_len() == logical_len()` detects that.
     pub fn intent_len(&self) -> usize {
-        self.intent.len()
-    }
-
-    /// Intent-journal entries not yet folded into the checkpoint.
-    pub fn intent_journal_depth(&self) -> usize {
-        self.intent.journal_depth()
+        let main = &self.main_index;
+        main.len() + self.shadow.keys().filter(|&&id| !main.contains(id)).count()
     }
 
     /// Injects a crash-class fault directly (netsim switch-down windows
@@ -568,10 +562,6 @@ impl HermesSwitch {
                 "gatekeeper.deferred_depth",
                 self.recovery.deferred.len() as f64,
             );
-            hermes_telemetry::gauge(
-                "resync.intent_journal_depth",
-                self.intent.journal_depth() as f64,
-            );
         }
         self.replay_journal();
         self.flush_deferred(now);
@@ -657,5 +647,25 @@ impl HermesSwitch {
     /// Number of migration passes so far.
     pub fn migrations(&self) -> u64 {
         self.manager.migrations
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn intent_len_counts_a_double_booked_rule_once() {
+        let mut sw =
+            HermesSwitch::new(SwitchModel::pica8_p3290(), HermesConfig::default()).unwrap();
+        let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
+        let rule = Rule::new(1, prefix.to_key(), Priority(5), Action::Forward(1));
+        sw.insert(rule, SimTime::ZERO).unwrap();
+        assert!(sw.shadow.contains_key(&rule.id));
+        // What a migration that books the main copy but keeps the shadow
+        // entry would leave behind.
+        sw.main_index.insert(rule);
+        assert_eq!(sw.intent_len(), 1);
+        assert_eq!(sw.logical_len(), 2);
     }
 }

@@ -5,7 +5,6 @@
 
 use super::{ActionReport, HermesError, HermesSwitch, ReportDetail, ShadowEntry, MAIN, SHADOW};
 use crate::partition::partition_new_rule_bounded;
-use crate::resync::IntentOp;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, TcamError};
 
@@ -234,7 +233,6 @@ impl HermesSwitch {
                 latency += SimDuration::from_us(10.0); // agent bookkeeping only
             }
             self.prio_remove(entry.original.priority);
-            self.intent.record(IntentOp::Remove(id));
             return Ok(ActionReport {
                 latency,
                 detail: ReportDetail::Delete {
@@ -248,7 +246,6 @@ impl HermesSwitch {
             // was silently dropped, so the entry is already gone.
             let mut latency = self.dev_delete_or_journal(MAIN, id);
             self.prio_remove(rule.priority);
-            self.intent.record(IntentOp::Remove(id));
             // Fig. 6: un-partition every shadow rule that was cut against
             // the deleted rule.
             let dependents = self.blockers.remove(&id).unwrap_or_default();
@@ -363,10 +360,6 @@ impl HermesSwitch {
                 latency += rep.latency;
             }
         }
-        self.intent.record(IntentOp::Modify {
-            id,
-            action: new_action,
-        });
         Ok(ActionReport {
             latency,
             detail: ReportDetail::Modify { in_place: true },

@@ -1,6 +1,6 @@
 //! Convergence after faults: the reconciliation audit (recovery layer 3)
 //! and the crash-resync driver that rebuilds a rebooted device from the
-//! durable intent store (see [`crate::recovery`] and [`crate::resync`]).
+//! logical view (see [`crate::recovery`] and [`crate::resync`]).
 
 use super::{HermesSwitch, MAIN, SHADOW};
 use crate::recovery::AuditReport;
@@ -215,8 +215,8 @@ impl HermesSwitch {
 
     /// Crash-resync pass (see [`crate::resync`]): reconnects the lost
     /// control session with capped deterministic backoff, drains the
-    /// delete journal, rebuilds the post-crash table from the durable
-    /// intent store by diffing it against the survivors through the
+    /// delete journal, rebuilds the post-crash table from the logical
+    /// view by diffing it against the survivors through the
     /// batched `apply_batch` path, and finally re-establishes the
     /// guarantee: degraded mode ends and the deferred admission queue
     /// drains.

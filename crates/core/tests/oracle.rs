@@ -512,7 +512,7 @@ hermes_util::check! {
                 "a detected crash must complete at least one resync"
             );
         }
-        // The durable intent store tracks the placed logical set exactly.
+        // No logical rule is booked in both the shadow and the main index.
         assert_eq!(hermes.intent_len(), hermes.logical_len());
 
         for r in &live {

@@ -104,9 +104,9 @@ type InsertOutcome = Result<Option<Route>, HermesError>;
 /// (`chunks` = `None`) or through `admit_batch` in the given chunk
 /// lengths, cycled. At every quiescent point — each tick and the end of
 /// the stream, after the audit has converged with the fault plan lifted
-/// when one is armed — the pair must classify like the flat table, the
-/// intent store must hold exactly the logical rules, and both TCAM slices
-/// must be structurally sound.
+/// when one is armed — the pair must classify like the flat table, no
+/// logical rule may be booked in both slices, and both TCAM slices must be
+/// structurally sound.
 fn drive_admissions(
     stream: &[AdmitStep],
     chunks: Option<&[usize]>,
@@ -234,8 +234,8 @@ hermes_util::check! {
     /// duplicate and out-of-range ids, interleaved deletes, migrations and
     /// ticks — fed rule by rule to one switch and in arbitrary chunkings
     /// (length 1 included) to a twin must route every rule identically on
-    /// a clean channel, and each must hold the flat-table, intent-store and
-    /// TCAM invariants at every quiescent point, faults or not.
+    /// a clean channel, and each must hold the flat-table, single-residency
+    /// and TCAM invariants at every quiescent point, faults or not.
     fn insert_and_admit_batch_share_one_admission_path(
         stream in vec_of(admit_step(), 1..80),
         chunks in vec_of(range(1usize..6), 1..8),

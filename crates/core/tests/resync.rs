@@ -1,7 +1,7 @@
 //! Directed crash/resync scenarios: wipe, partial retention, disconnect,
-//! reconnect denial, and the intent store's checkpoint discipline (the randomized counterpart lives in the
-//! `oracle` chaos properties) — plus the resync diff against the
-//! `BTreeMap` version it replaced, kept here as [`reference`].
+//! reconnect denial and a wipe after deletes (the randomized counterpart
+//! lives in the `oracle` chaos properties) — plus the resync diff against
+//! the `BTreeMap` version it replaced, kept here as [`reference`].
 
 #![expect(
     clippy::disallowed_methods,
@@ -178,22 +178,15 @@ fn armed_crash_plan_is_detected_through_failing_ops() {
 }
 
 #[test]
-fn intent_store_checkpoints_bound_the_journal() {
-    // 200 installs and 100 deletes journal 300 records, past the
-    // 256-record checkpoint interval.
+fn wipe_after_deletes_rebuilds_only_the_remaining_rules() {
     let (mut sw, mut now) = loaded_switch(HermesConfig::default(), 200);
     for id in 0..100u64 {
         now += SimDuration::from_ms(1.0);
         sw.delete(RuleId(id), now).unwrap();
     }
-    assert_eq!(
-        sw.intent_journal_depth(),
-        300 - 256,
-        "the journal folds into the checkpoint at the interval"
-    );
     assert_eq!(sw.intent_len(), sw.logical_len());
 
-    // The compacted store still rebuilds the exact table after a crash.
+    // A wipe rebuilds exactly the surviving logical rules.
     sw.inject_crash(CrashKind::Wipe, 9, 0, now);
     now += SimDuration::from_ms(5.0);
     assert!(sw.resync(now).expect("crash window open").complete);

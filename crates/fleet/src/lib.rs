@@ -34,8 +34,8 @@
 //! `apply_batch` cut per member per transaction (`FleetConfig::coalesce`;
 //! the per-piece mode survives as the measurement strawman). Rollback
 //! deletes ride the normal per-switch machinery — the PR 2 delete journal
-//! absorbs device faults and the intent store retraction keeps a
-//! post-crash resync from resurrecting aborted rules.
+//! absorbs device faults and the logical retraction keeps a post-crash
+//! resync from resurrecting aborted rules.
 //!
 //! The [`rebalance`] module layers TE-driven placement on top:
 //! [`rebalance::Rebalancer`] scores members from [`MemberHealth`]
@@ -536,8 +536,8 @@ impl<P: ControlPlane> Fleet<P> {
     /// only after its last piece — or rolls back: every member's pieces
     /// are deleted, with the deletes depending on the full stage barrier
     /// so they land after what they undo. Deletes on a still-down member
-    /// retract the durable intent immediately (resync will not resurrect
-    /// the rule) and the device-side removal rides the delete journal;
+    /// retract the rule from the logical view immediately (resync will not
+    /// resurrect it) and the device-side removal rides the delete journal;
     /// [`tick_all`](Self::tick_all) re-drives any stragglers.
     pub fn install_path(&mut self, rules: &[(SwitchId, Rule)], now: SimTime) -> PathOutcome {
         let txn = self.next_txn;

@@ -4,10 +4,10 @@
 //! same leftovers, `tick_all` keeps them parked while the member is down
 //! and retires them once it has resynced.
 //!
-//! `HermesPlane` retracts a rule's intent even while its session is down,
-//! so it never leaves anything to park; the member here is the other kind
-//! of plane the fleet has to tolerate — one that refuses everything while
-//! down and still reports what it holds.
+//! `HermesPlane` retracts a rule from its logical view even while its
+//! session is down, so it never leaves anything to park; the member here
+//! is the other kind of plane the fleet has to tolerate — one that refuses
+//! everything while down and still reports what it holds.
 
 use hermes_baselines::{BatchOutcome, ControlPlane};
 use hermes_fleet::{Fleet, FleetConfig, SwitchId};

@@ -5,9 +5,7 @@
 //! pairs so fixtures can lint synthetic workspaces; [`load_workspace`]
 //! reads the real one from disk.
 
-use crate::flow::{self, FlowFile};
 use crate::lexer::{lex, TokKind, Token};
-use crate::parser::{self, ParsedFile};
 use crate::suppress::{self, Directive};
 use crate::{AppliedSuppression, Diagnostic, LintOutcome, Rule};
 use std::path::Path;
@@ -25,10 +23,6 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
     let mut uses: Vec<TelemetryUse> = Vec::new();
     let mut literals: Vec<String> = Vec::new();
     let mut registry_text: Option<&str> = None;
-    // Per-file directive inventory and parsed items, for the cross-file
-    // passes (R5 registry, R8 flow) that run after the loop.
-    let mut directives: Vec<(String, Vec<Directive>)> = Vec::new();
-    let mut parsed: Vec<ParsedEntry> = Vec::new();
 
     for (path, text) in files {
         if path == REGISTRY_PATH {
@@ -42,12 +36,10 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
         findings.extend(file.findings);
         uses.extend(file.uses);
         literals.extend(file.literals);
-        parsed.push((path.clone(), file.parsed, file.test_regions));
         // Apply this file's suppressions to this file's findings only.
         let (kept, applied) = apply_suppressions(findings, path, &file.directives);
         findings = kept;
         suppressions.extend(applied);
-        directives.push((path.clone(), file.directives));
     }
 
     // R5 is cross-file: compare collected uses against the registry. The
@@ -59,24 +51,6 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
         suppressions.extend(applied);
         findings.append(&mut r5);
     }
-
-    // R8: the flow-sensitive pass over parsed items (DESIGN.md §9).
-    let flow_files: Vec<FlowFile<'_>> = parsed
-        .iter()
-        .map(|(path, parsed, test_regions)| FlowFile {
-            path,
-            parsed,
-            is_test: is_test_like(path),
-            test_regions,
-        })
-        .collect();
-    let mut flow_findings = flow::check(&flow_files);
-    for (path, ds) in &directives {
-        let (kept, applied) = apply_suppressions(flow_findings, path, ds);
-        flow_findings = kept;
-        suppressions.extend(applied);
-    }
-    findings.append(&mut flow_findings);
 
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
@@ -130,9 +104,6 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> std::io::Re
     Ok(())
 }
 
-/// Path, parsed items, and test regions of one scanned `.rs` file.
-type ParsedEntry = (String, ParsedFile, Vec<(usize, usize)>);
-
 /// One telemetry name used in code, with the site for diagnostics.
 #[derive(Clone, Debug)]
 struct TelemetryUse {
@@ -148,8 +119,6 @@ struct FileScan {
     directives: Vec<Directive>,
     uses: Vec<TelemetryUse>,
     literals: Vec<String>,
-    parsed: ParsedFile,
-    test_regions: Vec<(usize, usize)>,
 }
 
 /// `true` for files whose whole content is test/bench/example code —
@@ -174,7 +143,14 @@ fn lint_rust_file(path: &str, text: &str) -> FileScan {
         findings.extend(errs);
     }
 
-    let parsed = parser::parse_tokens(&tokens);
+    // R2's justification window: an `INVARIANT:` comment on the line or
+    // within the three lines above it.
+    let invariant_lines: Vec<usize> = (tokens.iter())
+        .filter(|t| t.is_comment() && t.text.contains("INVARIANT:"))
+        .map(|t| t.line)
+        .collect();
+    let justified =
+        |line: usize| (invariant_lines.iter()).any(|&l| l >= line.saturating_sub(3) && l <= line);
     let test_lines = test_region_lines(&tokens);
     let in_test = |line: usize| test_lines.iter().any(|&(a, b)| line >= a && line <= b);
     let test_file = is_test_like(path);
@@ -220,7 +196,7 @@ fn lint_rust_file(path: &str, text: &str) -> FileScan {
                     && code.get(i + 2).is_some_and(|a| {
                         a.kind == TokKind::Str && a.text.starts_with("INVARIANT:")
                     });
-                if !states_invariant && !parsed.justified(t.line) {
+                if !states_invariant && !justified(t.line) {
                     findings.push(Diagnostic {
                         file: path.to_string(),
                         line: t.line,
@@ -249,8 +225,6 @@ fn lint_rust_file(path: &str, text: &str) -> FileScan {
         directives,
         uses,
         literals,
-        parsed,
-        test_regions: test_lines,
     }
 }
 

@@ -1,26 +1,23 @@
 //! # hermes-lint — machine-checked workspace invariants
 //!
 //! Hermes's guarantees rest on conventions neither rustc nor clippy can
-//! see: control-plane code must never panic on a device fault, telemetry
-//! names must match the reviewed registry, and every device write must be
-//! journaled. This crate turns each convention into a lint rule over a
-//! token-level scan of the whole workspace (DESIGN.md §9 "Static
-//! analysis"):
+//! see: control-plane code must never panic on a device fault, and
+//! telemetry names must match the reviewed registry. This crate turns each
+//! convention into a lint rule over a token-level scan of the whole
+//! workspace (DESIGN.md §9 "Static analysis"):
 //!
 //! | rule | name        | invariant |
 //! |------|-------------|-----------|
 //! | R2   | panic-policy | `.unwrap()`/`.expect(`/`panic!`/`unreachable!` in non-test code needs an `INVARIANT:` comment |
 //! | R5   | telemetry-registry | metric/span names in code ↔ `crates/telemetry/registry.txt`; a non-literal name is a finding |
-//! | R8   | intent-pairing | device-mutating `HermesSwitch` methods record intent on every public path |
 //! | S1   | suppression | a suppression must parse and carry a reason |
 //!
-//! R2, R5 and S1 run over the token stream; R8 is flow-sensitive and runs
-//! over parsed `fn` items and a per-crate call graph ([`parser`],
-//! [`flow`]). The ids R1, R3, R4, R6, R7, R9 and R10 are retired, not
-//! reused. The toolchain makes R1's, R3's and R9's checks (`clippy.toml`
-//! and the clippy stage's flags), the `hermes_util::rng::Salt` type plus
-//! a `clippy.toml` ban makes R7's, and two tests in the root
-//! `tests/matrix.rs` make R4's and R6's.
+//! All three run over the token stream. The ids R1, R3, R4, R6, R7, R8,
+//! R9 and R10 are retired, not reused. The toolchain makes R1's, R3's and
+//! R9's checks (`clippy.toml` and the clippy stage's flags), the
+//! `hermes_util::rng::Salt` type plus a `clippy.toml` ban makes R7's, and
+//! two tests in the root `tests/matrix.rs` make R4's and R6's. R8 guarded
+//! a controller-side rule store that nothing read; it went with the store.
 //!
 //! Findings can be waived inline:
 //!
@@ -41,9 +38,7 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod flow;
 pub mod lexer;
-pub mod parser;
 pub mod suppress;
 
 use std::fmt;
@@ -56,28 +51,19 @@ pub enum Rule {
     /// R5 — telemetry names are string literals that match the checked-in
     /// registry, both ways.
     TelemetryRegistry,
-    /// R8 — device-mutating `HermesSwitch` methods pair with an intent
-    /// hook on every path from the public API.
-    IntentPairing,
     /// S1 — malformed or reason-less suppression directives.
     Suppression,
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [Rule; 4] = [
-    Rule::PanicPolicy,
-    Rule::TelemetryRegistry,
-    Rule::IntentPairing,
-    Rule::Suppression,
-];
+pub const ALL_RULES: [Rule; 3] = [Rule::PanicPolicy, Rule::TelemetryRegistry, Rule::Suppression];
 
 impl Rule {
-    /// Short id (`R2`, `R5`, `R8`, `S1`).
+    /// Short id (`R2`, `R5`, `S1`).
     pub fn id(&self) -> &'static str {
         match self {
             Rule::PanicPolicy => "R2",
             Rule::TelemetryRegistry => "R5",
-            Rule::IntentPairing => "R8",
             Rule::Suppression => "S1",
         }
     }
@@ -87,7 +73,6 @@ impl Rule {
         match self {
             Rule::PanicPolicy => "panic-policy",
             Rule::TelemetryRegistry => "telemetry-registry",
-            Rule::IntentPairing => "intent-pairing",
             Rule::Suppression => "suppression",
         }
     }

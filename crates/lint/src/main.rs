@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Scans the workspace for violations of the panic-policy,
-//! telemetry-registry, intent-pairing and suppression invariants
+//! telemetry-registry and suppression invariants
 //! (DESIGN.md §9) and prints one line per finding.
 //! The exit code is the verdict: 0 clean, 1 findings, 2 usage or I/O
 //! error.

@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn unknown_rule_rejected() {
-        // R1, R3, R4, R6, R7, R9 and R10 are retired: a stale waiver naming
+        // R1, R3, R4, R6, R7, R8, R9 and R10 are retired: a stale waiver naming
         // one, by id or by its old name, is an S1 finding, not a silent no-op.
         for rule in [
             "R99",
@@ -229,6 +229,7 @@ mod tests {
             "R4",
             "R6",
             "R7",
+            "R8",
             "R9",
             "R10",
             "determinism",
@@ -236,6 +237,7 @@ mod tests {
             "hermeticity",
             "exp-contract",
             "rng-stream-isolation",
+            "intent-pairing",
             "swallowed-device-errors",
         ] {
             let (ds, es) = parse(&format!("// hermes-lint: allow({rule}, reason = \"x\")"));

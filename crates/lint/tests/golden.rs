@@ -2,7 +2,7 @@
 //! synthetic workspace tree, and its `EXPECTED` file is the byte-exact
 //! render of the lint outcome over that tree. The corpus pins the exact
 //! diagnostic text, positions and suppression echoes for every rule
-//! (R2, R5, R8 and S1), so a wording or ordering change cannot slip
+//! (R2, R5 and S1), so a wording or ordering change cannot slip
 //! through unreviewed.
 //!
 //! To regenerate after an intentional change:

@@ -60,12 +60,6 @@ pub fn minimize_keys(mut keys: Vec<TernaryKey>) -> Vec<TernaryKey> {
     }
 }
 
-/// Counts how many TCAM entries a partitioned rule costs after minimization
-/// — the expected-partition factor `r_p` of Equation 2.
-pub fn minimized_len(keys: &[TernaryKey]) -> usize {
-    minimize_keys(keys.to_vec()).len()
-}
-
 /// Optimizes a whole rule set before migration (§5.2 step 2).
 ///
 /// Three provably-sound rewrites, applied in order:

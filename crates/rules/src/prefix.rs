@@ -55,11 +55,6 @@ impl Ipv4Prefix {
         Ipv4Prefix { addr, len: 32 }
     }
 
-    /// Builds from dotted-quad octets.
-    pub fn from_octets(a: u8, b: u8, c: u8, d: u8, len: u8) -> Self {
-        Self::new(u32::from_be_bytes([a, b, c, d]), len)
-    }
-
     fn mask_of(len: u8) -> u32 {
         if len == 0 {
             0

@@ -25,8 +25,8 @@ stage_build() {
 }
 
 stage_lint() {
-    # One blocking stage whose verdict is the analyzer's exit code (R2 and
-    # R5 token rules, the R8 flow rule, S1 suppressions -- DESIGN.md §9).
+    # One blocking stage whose verdict is the analyzer's exit code (the R2
+    # and R5 token rules and S1 suppressions -- DESIGN.md §9).
     cargo run --release --offline -q -p hermes-lint -- --workspace
 }
 
