@@ -13,7 +13,7 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::{ControlPlane, HermesPlane, ShadowSwitch};
+use hermes_baselines::{ControlPlane, ShadowSwitch};
 use hermes_bench::{drive_stream, Table};
 use hermes_core::config::HermesConfig;
 use hermes_core::prelude::HermesSwitch;
@@ -145,7 +145,7 @@ fn run() {
             rate_limit: Some(f64::INFINITY),
             ..Default::default()
         };
-        let plane = HermesPlane::with_config(SwitchModel::pica8_p3290(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
+        let plane = hermes_bench::hermes_plane(SwitchModel::pica8_p3290(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
         let mut r = drive_stream(plane, &workload, SimDuration::from_ms(100.0));
         t.row(&[
             "Hermes".into(),

@@ -11,7 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::{ControlPlane, CpQueue, HermesPlane, RawSwitch};
+use hermes_baselines::{ControlPlane, CpQueue, RawSwitch};
 use hermes_bench::{print_summary, Table};
 use hermes_bgp::prelude::*;
 use hermes_core::config::{HermesConfig, MigrationTrigger};
@@ -175,7 +175,7 @@ fn run() {
         ..Default::default()
     };
     let mut hermes = drive(
-        HermesPlane::with_config(model.clone(), hermes_cfg).expect("INVARIANT: fixed experiment config is feasible for this model"),
+        hermes_bench::hermes_plane(model.clone(), hermes_cfg).expect("INVARIANT: fixed experiment config is feasible for this model"),
         &actions,
     );
     print_summary("Hermes RIT (ms)", &mut hermes.rit);
@@ -206,7 +206,7 @@ fn run() {
             ..Default::default()
         };
         let mut r = drive(
-            HermesPlane::with_config(model.clone(), cfg).expect("INVARIANT: fixed experiment config is feasible for this model"),
+            hermes_bench::hermes_plane(model.clone(), cfg).expect("INVARIANT: fixed experiment config is feasible for this model"),
             &actions,
         );
         t.row(&[
@@ -234,7 +234,7 @@ fn run() {
             ..Default::default()
         };
         let r = drive(
-            HermesPlane::with_config(model.clone(), cfg).expect("INVARIANT: fixed experiment config is feasible for this model"),
+            hermes_bench::hermes_plane(model.clone(), cfg).expect("INVARIANT: fixed experiment config is feasible for this model"),
             &actions,
         );
         t.row(&[

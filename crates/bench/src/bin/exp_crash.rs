@@ -142,7 +142,7 @@ fn main() -> std::process::ExitCode {
 fn run_experiment_body() {
     let count = hermes_bench::scenario().knob_u64("count", 1500) as usize * hermes_bench::scale();
     let crash_period = hermes_bench::scenario().knob_u64("crash_period", 120);
-    let seed = FaultPlan::env_seed().unwrap_or(7);
+    let seed = hermes_bench::scenario().fault_seed.unwrap_or(7);
     hermes_bench::report_meta("count", &(count as u64));
     hermes_bench::report_meta("crash_period", &crash_period);
 

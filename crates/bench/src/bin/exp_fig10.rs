@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::{EspresSwitch, HermesPlane, RawSwitch, TangoSwitch};
+use hermes_baselines::{EspresSwitch, RawSwitch, TangoSwitch};
 use hermes_bench::{drive_batches, print_cdf, print_summary, te_batches, StreamResult};
 use hermes_core::config::HermesConfig;
 use hermes_tcam::{SimDuration, SwitchModel};
@@ -32,7 +32,7 @@ fn run_all(dc: bool, total_rules: usize) -> Vec<(String, StreamResult)> {
         (
             "Hermes".into(),
             drive_batches(
-                HermesPlane::with_config(model.clone(), HermesConfig::default()).expect("INVARIANT: fixed experiment config is feasible for this model"),
+                hermes_bench::hermes_plane(model.clone(), HermesConfig::default()).expect("INVARIANT: fixed experiment config is feasible for this model"),
                 &batches,
                 tick,
             ),

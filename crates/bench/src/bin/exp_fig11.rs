@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::{ControlPlane, CpQueue, EspresSwitch, HermesPlane, TangoSwitch};
+use hermes_baselines::{ControlPlane, CpQueue, EspresSwitch, TangoSwitch};
 use hermes_bench::te_batches;
 use hermes_core::config::HermesConfig;
 use hermes_rules::rule::ControlAction;
@@ -54,7 +54,7 @@ fn run() {
         let tango = series(TangoSwitch::new(model.clone()), &batches);
         let espres = series(EspresSwitch::new(model.clone()), &batches);
         let hermes = series(
-            HermesPlane::with_config(model.clone(), HermesConfig::default()).expect("INVARIANT: fixed experiment config is feasible for this model"),
+            hermes_bench::hermes_plane(model.clone(), HermesConfig::default()).expect("INVARIANT: fixed experiment config is feasible for this model"),
             &batches,
         );
         println!("\n--- ({label}) trace ---");

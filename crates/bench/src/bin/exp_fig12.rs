@@ -11,7 +11,6 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::HermesPlane;
 use hermes_bench::{drive_stream, Table};
 use hermes_core::config::{HermesConfig, MigrationTrigger};
 use hermes_core::predict::{Corrector, PredictorKind};
@@ -48,7 +47,7 @@ fn run(model: &SwitchModel, trigger: MigrationTrigger, count: usize) -> Outcome 
     };
     let stream = workload(count).generate();
     let duration_s = stream.last().expect("INVARIANT: workload generators emit at least one update").at.as_secs();
-    let plane = HermesPlane::with_config(model.clone(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
+    let plane = hermes_bench::hermes_plane(model.clone(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
     // Fine-grained manager wake-ups: at 1000 updates/s a 100 ms prediction
     // interval would dominate the results with sampling noise.
     let mut result = drive_stream(plane, &stream, SimDuration::from_ms(25.0));

@@ -16,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::{ControlPlane, HermesPlane};
+use hermes_baselines::ControlPlane;
 use hermes_bench::Table;
 use hermes_core::config::{HermesConfig, MigrationTrigger};
 use hermes_core::predict::{Corrector, PredictorKind};
@@ -44,7 +44,7 @@ fn run(rate: f64, overlap: f64, slack: f64, count: usize) -> (f64, f64) {
         ..Default::default()
     }
     .generate();
-    let mut plane = HermesPlane::with_config(SwitchModel::dell_8132f(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
+    let mut plane = hermes_bench::hermes_plane(SwitchModel::dell_8132f(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
     let tick = SimDuration::from_ms(25.0);
     let mut next_tick = SimTime::ZERO + tick;
     let mut shadow_lat = Samples::new();

@@ -11,7 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::{ControlPlane, HermesPlane};
+use hermes_baselines::ControlPlane;
 use hermes_bench::Table;
 use hermes_core::config::{HermesConfig, MigrationTrigger};
 use hermes_core::predict::{Corrector, PredictorKind};
@@ -41,7 +41,7 @@ fn run(kind: PredictorKind, corrector: Corrector, count: usize) -> (f64, f64, f6
         ..Default::default()
     }
     .generate();
-    let mut plane = HermesPlane::with_config(SwitchModel::pica8_p3290(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
+    let mut plane = hermes_bench::hermes_plane(SwitchModel::pica8_p3290(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
     let tick = SimDuration::from_ms(25.0);
     let mut next_tick = SimTime::ZERO + tick;
     let mut lat = Samples::new();

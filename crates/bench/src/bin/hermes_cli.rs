@@ -14,7 +14,6 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::HermesPlane;
 use hermes_bench::{drive_stream, print_summary, Table};
 use hermes_core::config::{HermesConfig, RulePredicate};
 use hermes_core::prelude::*;
@@ -152,7 +151,7 @@ fn cmd_simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
         model.name
     );
     let config = HermesConfig::with_guarantee(SimDuration::from_ms(g_ms));
-    let plane = HermesPlane::with_config(model, config).map_err(|e| e.to_string())?;
+    let plane = hermes_bench::hermes_plane(model, config).map_err(|e| e.to_string())?;
     let mut result = drive_stream(plane, &stream, SimDuration::from_ms(25.0));
     print_summary("RIT (ms)", &mut result.rit_ms);
     println!(

@@ -19,9 +19,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use hermes_baselines::{ControlPlane, CpQueue};
+use hermes_baselines::{ControlPlane, CpQueue, HermesPlane};
+use hermes_core::config::HermesConfig;
+use hermes_core::switch::HermesError;
 use hermes_netsim::metrics::Samples;
-use hermes_tcam::{SimDuration, SimTime};
+use hermes_tcam::{FaultPlan, SimDuration, SimTime, SwitchModel};
 use hermes_util::scenario::Scenario;
 use hermes_workloads::microbench::TimedAction;
 
@@ -238,7 +240,9 @@ pub fn drive_batches<P: ControlPlane>(
     result
 }
 
-/// Loads this process's scenario configuration from the environment.
+/// Loads this process's scenario configuration from the environment —
+/// the one place the workspace reads its `HERMES_*` run knobs; every
+/// library crate receives them as arguments (DESIGN.md §8).
 ///
 /// `HERMES_SCENARIO_FILE` + `HERMES_SCENARIO` select one entry of the
 /// shared scenario matrix (`hermes_util::scenario`; the harness sets
@@ -248,6 +252,10 @@ pub fn drive_batches<P: ControlPlane>(
 /// `HERMES_TRACE`) override the file: that is how the harness varies
 /// per-repetition fault seeds without editing the matrix, and how
 /// operators tweak one-off runs.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the scenario loader is the sanctioned reader of the HERMES_* run knobs"
+)]
 fn load_scenario_from_env() -> Result<Scenario, String> {
     let file = std::env::var("HERMES_SCENARIO_FILE").ok();
     let name = std::env::var("HERMES_SCENARIO").ok();
@@ -286,7 +294,7 @@ fn load_scenario_from_env() -> Result<Scenario, String> {
         );
     }
     if let Ok(v) = std::env::var("HERMES_TRACE") {
-        // Same convention as hermes_telemetry::init_from_env.
+        // Unset, empty or `0` leaves telemetry off; anything else arms it.
         sc.trace = !(v.is_empty() || v == "0");
     }
     Ok(sc)
@@ -315,6 +323,17 @@ pub fn scenario() -> &'static Scenario {
 /// The workload multiplier (`HERMES_SCALE` / the scenario's `scale`).
 pub fn scale() -> usize {
     scenario().scale as usize
+}
+
+/// A Hermes plane for an experiment, armed with [`FaultPlan::seeded`] on
+/// the scenario's fault seed (`HERMES_FAULT_SEED`; unset: fault-free).
+/// Every `exp_*` binary and `hermes_cli` builds its Hermes planes here.
+pub fn hermes_plane(model: SwitchModel, config: HermesConfig) -> Result<HermesPlane, HermesError> {
+    let mut plane = HermesPlane::with_config(model, config)?;
+    plane
+        .switch_mut()
+        .install_fault_plan(scenario().fault_seed.map(FaultPlan::seeded));
+    Ok(plane)
 }
 
 /// Prints a CDF as aligned `value fraction` rows under a header, matching
@@ -481,6 +500,7 @@ pub fn run_varys_facebook(
         max_reroutes_per_tick: 10_000,
         te_interval_s: 0.5,
         seed,
+        fault_seed: scenario().fault_seed,
     };
     let mut sim = Varys::new(topo, config);
     let workload = FacebookWorkload {
@@ -512,6 +532,7 @@ pub fn run_varys_geant(
         max_reroutes_per_tick: 10_000,
         te_interval_s: 0.5,
         seed,
+        fault_seed: scenario().fault_seed,
     };
     let mut sim = Varys::new(topo, config);
     // Offered load sized to congest the 10 Gbps backbone's hot links.
@@ -550,7 +571,7 @@ pub fn catch_panic<T>(body: impl FnOnce() -> T) -> Result<T, String> {
 ///
 /// This is also the telemetry entry point for every `exp_*` binary and the
 /// CLI (DESIGN.md "Observability"): it arms `hermes_telemetry` from the
-/// environment (`HERMES_TRACE`, `HERMES_TRACE_BUF`), stamps the standard
+/// scenario's `trace` flag (`HERMES_TRACE`), stamps the standard
 /// report metadata (scale, fault seed), and on success emits the
 /// `BENCH_<exp>.json` report — to the path given by a uniform `--out`
 /// flag, or to stdout when tracing is enabled without one.
@@ -565,19 +586,7 @@ pub fn run_experiment(name: &str, body: impl FnOnce()) -> std::process::ExitCode
             return std::process::ExitCode::FAILURE;
         }
     };
-    // Project the scenario back into the environment for code that reads
-    // knobs directly (the tcam fault plan reads HERMES_FAULT_SEED, the
-    // telemetry layer reads HERMES_TRACE). Already-set variables win —
-    // they were the overrides that shaped the scenario in the first place.
-    for (k, v) in sc.env(None, 0).0 {
-        if matches!(k.as_str(), "HERMES_REP" | "HERMES_SCENARIO") {
-            continue;
-        }
-        if std::env::var_os(&k).is_none() {
-            std::env::set_var(&k, &v);
-        }
-    }
-    hermes_telemetry::init_from_env();
+    hermes_telemetry::set_enabled(sc.trace);
     hermes_telemetry::reset();
     report_meta("scale", &(scale() as u64));
     if sc.name != "adhoc" {
@@ -586,8 +595,8 @@ pub fn run_experiment(name: &str, body: impl FnOnce()) -> std::process::ExitCode
             hermes_util::json::Json::Str(sc.name.clone()),
         );
     }
-    if let Ok(seed) = std::env::var("HERMES_FAULT_SEED") {
-        hermes_telemetry::set_meta("fault_seed", hermes_util::json::Json::Str(seed));
+    if let Some(seed) = sc.fault_seed {
+        hermes_telemetry::set_meta("fault_seed", hermes_util::json::Json::Str(seed.to_string()));
     }
     let out = out_path_from_args(std::env::args().skip(1));
     match catch_panic(body) {
@@ -640,7 +649,7 @@ fn emit_report(name: &str, out: Option<&str>) {
     if out.is_none() && !hermes_telemetry::enabled() {
         return;
     }
-    let doc = hermes_telemetry::report(exp);
+    let doc = hermes_telemetry::report(exp, &git_rev());
     match out {
         Some(path) => {
             let p = std::path::Path::new(path);
@@ -657,14 +666,31 @@ fn emit_report(name: &str, out: Option<&str>) {
     }
 }
 
+/// The revision stamped into reports: `HERMES_GIT_REV` (CI and the
+/// harness pin it), else `"unknown"`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the report's git-rev stamp is a sanctioned HERMES_* reader"
+)]
+fn git_rev() -> String {
+    std::env::var("HERMES_GIT_REV").unwrap_or_else(|_| "unknown".to_string())
+}
+
 /// Writes a JSON document for downstream plotting when `HERMES_OUT` is set
 /// to a directory: `<HERMES_OUT>/<name>.json`. No-op otherwise. Errors are
 /// reported to stderr but never abort an experiment.
 pub fn export_json<T: hermes_util::json::ToJson>(name: &str, value: &T) {
-    let Ok(dir) = std::env::var("HERMES_OUT") else {
+    #[expect(clippy::disallowed_methods, reason = "HERMES_OUT is a sanctioned HERMES_* reader")]
+    let dir = std::env::var_os("HERMES_OUT");
+    export_json_to(dir.as_deref().map(std::path::Path::new), name, value);
+}
+
+/// [`export_json`] with the output directory passed in.
+fn export_json_to<T: hermes_util::json::ToJson>(dir: Option<&std::path::Path>, name: &str, value: &T) {
+    let Some(dir) = dir else {
         return;
     };
-    let path = std::path::Path::new(&dir).join(format!("{name}.json"));
+    let path = dir.join(format!("{name}.json"));
     if let Err(e) = std::fs::write(&path, value.to_json().to_string()) {
         eprintln!("warning: could not write {}: {e}", path.display());
     }
@@ -706,16 +732,13 @@ mod json_tests {
     #[test]
     fn export_json_respects_env() {
         // Without HERMES_OUT: silent no-op.
-        std::env::remove_var("HERMES_OUT");
-        export_json("should_not_exist", &42u32);
+        export_json_to(None, "should_not_exist", &42u32);
         // With HERMES_OUT: file appears.
         let dir = std::env::temp_dir().join("hermes_export_test");
         std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("HERMES_OUT", &dir);
-        export_json("answer", &vec![1u32, 2, 3]);
+        export_json_to(Some(&dir), "answer", &vec![1u32, 2, 3]);
         let body = std::fs::read_to_string(dir.join("answer.json")).unwrap();
         assert_eq!(body, "[1,2,3]");
-        std::env::remove_var("HERMES_OUT");
     }
 }
 

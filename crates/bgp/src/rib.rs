@@ -123,11 +123,6 @@ impl Rib {
         Self::default()
     }
 
-    /// Number of prefixes with at least one path.
-    pub fn prefix_count(&self) -> usize {
-        self.paths.len()
-    }
-
     /// The current best route for a prefix.
     pub fn best(&self, prefix: Ipv4Prefix) -> Option<&BgpRoute> {
         self.best.get(&prefix)
@@ -346,7 +341,7 @@ mod tests {
                 prefix: p("10.0.0.0/8")
             })
         );
-        assert_eq!(rib.prefix_count(), 0);
+        assert_eq!(rib.paths.len(), 0);
     }
 
     #[test]
@@ -395,7 +390,7 @@ mod tests {
             .collect();
         assert_eq!(deltas, expected);
         assert_eq!(deltas.len(), 64, "fresh prefixes all reach the FIB");
-        assert_eq!(bulk.prefix_count(), serial.prefix_count());
+        assert_eq!(bulk.paths.len(), serial.paths.len());
         assert_eq!(bulk.updates_processed, serial.updates_processed);
         assert_eq!(bulk.fib_changes, serial.fib_changes);
         for &(prefix, _) in &routes {

@@ -207,14 +207,13 @@ impl HermesPlane {
         HermesPlane { switch }
     }
 
-    /// Builds directly from a model and config.
+    /// Builds directly from a model and config. The plane is fault-free;
+    /// a caller that wants chaos arms a plan through
+    /// [`switch_mut`](Self::switch_mut)`.install_fault_plan(..)`.
     pub fn with_config(model: SwitchModel, config: HermesConfig) -> Result<Self, HermesError> {
-        let mut switch = HermesSwitch::new(model, config)?;
-        // Opt-in chaos: HERMES_FAULT_SEED in the environment arms the
-        // deterministic fault plan on every Hermes plane (unset: no faults,
-        // behaviour identical to before the fault layer existed).
-        switch.install_fault_plan(hermes_tcam::FaultPlan::from_env());
-        Ok(HermesPlane { switch })
+        Ok(HermesPlane {
+            switch: HermesSwitch::new(model, config)?,
+        })
     }
 
     /// Borrow the agent.

@@ -453,14 +453,6 @@ impl HermesSwitch {
         self.recovery.deferred.len()
     }
 
-    /// All logical rules currently installed, in no particular order.
-    pub fn logical_rules(&self) -> Vec<Rule> {
-        let mut out: Vec<Rule> = self.main_index.iter().collect();
-        out.extend(self.shadow.values().map(|e| e.original));
-        out.extend(self.recovery.deferred.iter().copied());
-        out
-    }
-
     /// Whether a logical rule is installed (including admissions queued by
     /// degraded mode — they are accepted, just not yet placed).
     pub fn contains(&self, id: RuleId) -> bool {

@@ -531,7 +531,7 @@ hermes_util::check! {
 
 /// Same fault seed + same workload ⇒ byte-identical metrics document: the
 /// whole chaos pipeline (fault decisions, retry jitter, audit repairs) is
-/// deterministic, so failures reproduce from `HERMES_FAULT_SEED` alone.
+/// deterministic, so failures reproduce from the fault seed alone.
 #[test]
 fn chaos_run_is_deterministic_from_seed() {
     let run = |fault_seed: u64| -> String {

@@ -303,12 +303,6 @@ impl<P: ControlPlane> Fleet<P> {
         self.lanes.len()
     }
 
-    /// The home lane a member is sharded onto (where its ops run under
-    /// `Pinned` scheduling).
-    pub fn lane_of(&self, sw: SwitchId) -> usize {
-        self.member(sw).lane
-    }
-
     /// Sorted member ids.
     pub fn switch_ids(&self) -> Vec<SwitchId> {
         self.members.keys().copied().collect()
@@ -782,7 +776,7 @@ mod tests {
         for (i, a) in ids.iter().enumerate() {
             if let Some(b) = ids[i + 1..]
                 .iter()
-                .find(|b| f.lane_of(**b) == f.lane_of(*a))
+                .find(|b| f.member(**b).lane == f.member(*a).lane)
             {
                 return (*a, *b);
             }
@@ -806,7 +800,7 @@ mod tests {
     fn zero_lanes_means_one_per_member() {
         let fleet = raw_fleet(5, 0);
         assert_eq!(fleet.lane_count(), 5);
-        let mut lanes: Vec<usize> = (0..5).map(|sw| fleet.lane_of(sw)).collect();
+        let mut lanes: Vec<usize> = (0..5).map(|sw| fleet.member(sw).lane).collect();
         lanes.sort_unstable();
         assert_eq!(lanes, vec![0, 1, 2, 3, 4], "dedicated lane per member");
     }
@@ -815,8 +809,8 @@ mod tests {
     fn lane_assignment_is_deterministic_and_balanced() {
         let a = raw_fleet(8, 3);
         let b = raw_fleet(8, 3);
-        let la: Vec<usize> = (0..8).map(|sw| a.lane_of(sw)).collect();
-        let lb: Vec<usize> = (0..8).map(|sw| b.lane_of(sw)).collect();
+        let la: Vec<usize> = (0..8).map(|sw| a.member(sw).lane).collect();
+        let lb: Vec<usize> = (0..8).map(|sw| b.member(sw).lane).collect();
         assert_eq!(la, lb, "same seed, same shuffle");
         for lane in 0..3 {
             let n = la.iter().filter(|&&l| l == lane).count();
@@ -828,7 +822,7 @@ mod tests {
     fn lane_assignment_helper_matches_fleet() {
         let fleet = raw_fleet(8, 3);
         let helper = lane_assignment(8, 3, 7);
-        let actual: Vec<usize> = (0..8).map(|sw| fleet.lane_of(sw)).collect();
+        let actual: Vec<usize> = (0..8).map(|sw| fleet.member(sw).lane).collect();
         assert_eq!(helper, actual, "exported helper mirrors Fleet::new");
     }
 

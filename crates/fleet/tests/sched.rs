@@ -91,7 +91,7 @@ fn capture(lanes: usize, seed: u64, sched: LaneSched) -> String {
         now += SimDuration::from_ms(5.0);
         fleet.tick_all(now);
     }
-    hermes_telemetry::report("sched-determinism").to_string()
+    hermes_telemetry::report("sched-determinism", "unknown").to_string()
 }
 
 fn assert_has_counter(report: &str, name: &str) {

@@ -56,7 +56,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<RunConfig, String> {
 }
 
 fn main() -> std::process::ExitCode {
-    hermes_telemetry::init_from_env();
     match real_main() {
         Ok(0) => std::process::ExitCode::SUCCESS,
         Ok(failures) => {

@@ -129,7 +129,6 @@ pub fn run_matrix(cfg: &RunConfig) -> Result<MatrixRun, String> {
                 bin.display()
             ));
         }
-        hermes_telemetry::counter("harness.scenarios", 1);
         let mut run = ScenarioRun {
             name: sc.name.clone(),
             bin: sc.bin.clone(),
@@ -141,19 +140,11 @@ pub fn run_matrix(cfg: &RunConfig) -> Result<MatrixRun, String> {
         std::fs::create_dir_all(&scenario_dir)
             .map_err(|e| format!("cannot create {}: {e}", scenario_dir.display()))?;
         for rep in 0..sc.runs {
-            hermes_telemetry::counter("harness.reps", 1);
             let mut result = run_rep(&bin, sc, cfg, rep, &scenario_dir)?;
             if result.error.is_none() && sc.trace {
-                match read_report(&rep_report_path(&scenario_dir, rep)) {
-                    Ok(doc) => match run.merged.absorb(&doc) {
-                        Ok(()) => hermes_telemetry::counter("harness.reports_merged", 1),
-                        Err(e) => result.error = Some(e),
-                    },
-                    Err(e) => result.error = Some(e),
-                }
-            }
-            if result.error.is_some() {
-                hermes_telemetry::counter("harness.rep_failures", 1);
+                let merged = read_report(&rep_report_path(&scenario_dir, rep))
+                    .and_then(|doc| run.merged.absorb(&doc));
+                result.error = merged.err();
             }
             run.reps.push(result);
         }

@@ -73,6 +73,7 @@ fn render(out: &LintOutcome) -> String {
 #[test]
 fn golden_corpus_is_byte_exact_and_covers_every_rule() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    #[expect(clippy::disallowed_methods, reason = "HERMES_LINT_BLESS is a sanctioned reader")]
     let bless = std::env::var_os("HERMES_LINT_BLESS").is_some();
 
     let mut cases: Vec<PathBuf> = std::fs::read_dir(&root)

@@ -2,7 +2,6 @@
 //! completion time (FCT), job completion time (JCT), plus CDF helpers for
 //! rendering the paper's figures.
 
-use hermes_tcam::SimDuration;
 use hermes_util::json::{Json, ToJson};
 
 /// An empirical distribution of latency/duration samples.
@@ -22,11 +21,6 @@ impl Samples {
     pub fn push(&mut self, v: f64) {
         self.values.push(v);
         self.sorted = false;
-    }
-
-    /// Records a duration in milliseconds.
-    pub fn push_ms(&mut self, d: SimDuration) {
-        self.push(d.as_ms());
     }
 
     /// Number of samples.
@@ -250,12 +244,5 @@ mod tests {
         let mut base = samples(&[10.0, 10.0, 10.0]);
         let mut ours = samples(&[2.0, 2.0, 2.0]);
         assert!((median_improvement(&mut base, &mut ours) - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn push_ms_converts() {
-        let mut s = Samples::new();
-        s.push_ms(SimDuration::from_ms(2.5));
-        assert_eq!(s.values()[0], 2.5);
     }
 }

@@ -23,7 +23,7 @@ use hermes_baselines::{ControlPlane, EspresSwitch, HermesPlane, RawSwitch, Tango
 use hermes_core::config::HermesConfig;
 use hermes_fleet::{Fleet, FleetConfig};
 use hermes_rules::prelude::*;
-use hermes_tcam::{SimDuration, SimTime, SwitchModel};
+use hermes_tcam::{FaultPlan, SimDuration, SimTime, SwitchModel};
 use hermes_workloads::facebook::JobSpec;
 use hermes_workloads::gravity::TimedFlow;
 use hermes_util::rng::rngs::StdRng;
@@ -59,16 +59,22 @@ impl SwitchKind {
         }
     }
 
-    fn build(&self) -> Box<dyn ControlPlane> {
+    /// The control plane for one switch. A `fault_seed` arms
+    /// [`FaultPlan::seeded`] on Hermes planes; the other kinds stay
+    /// fault-free.
+    fn build(&self, fault_seed: Option<u64>) -> Box<dyn ControlPlane> {
         match self {
             SwitchKind::Ideal => Box::new(RawSwitch::new(SwitchModel::ideal())),
             SwitchKind::Raw(m) => Box::new(RawSwitch::new(m.clone())),
             // INVARIANT: scenario constructors pair each Hermes config
             // with a model that admits it; an infeasible pair is a bug in
             // the experiment definition, not a runtime input.
-            SwitchKind::Hermes(m, c) => Box::new(
-                HermesPlane::with_config(m.clone(), c.clone()).expect("INVARIANT: feasible Hermes config"),
-            ),
+            SwitchKind::Hermes(m, c) => {
+                let mut plane =
+                    HermesPlane::with_config(m.clone(), c.clone()).expect("INVARIANT: feasible Hermes config");
+                plane.switch_mut().install_fault_plan(fault_seed.map(FaultPlan::seeded));
+                Box::new(plane)
+            }
             SwitchKind::Tango(m) => Box::new(TangoSwitch::new(m.clone())),
             SwitchKind::Espres(m) => Box::new(EspresSwitch::new(m.clone())),
         }
@@ -91,6 +97,9 @@ pub struct VarysConfig {
     pub base_rules_per_switch: usize,
     /// RNG seed.
     pub seed: u64,
+    /// Arms [`FaultPlan::seeded`] with this seed on every Hermes switch
+    /// before the preload; `None` runs fault-free.
+    pub fault_seed: Option<u64>,
 }
 
 impl Default for VarysConfig {
@@ -102,6 +111,7 @@ impl Default for VarysConfig {
             max_reroutes_per_tick: 16,
             base_rules_per_switch: 200,
             seed: 1,
+            fault_seed: None,
         }
     }
 }
@@ -271,7 +281,7 @@ impl Varys {
         let members: Vec<(NodeId, Box<dyn ControlPlane>)> = topo
             .switches()
             .into_iter()
-            .map(|sw| (sw, config.switch.build()))
+            .map(|sw| (sw, config.switch.build(config.fault_seed)))
             .collect();
         let fleet = Fleet::new(
             members,
@@ -971,6 +981,29 @@ mod tests {
         sim.register_jobs(&jobs);
         sim.run(120.0);
         assert_eq!(sim.metrics.fct_s.len(), 12);
+    }
+
+    #[test]
+    fn fault_seed_arms_hermes_switches_reproducibly() {
+        let run = |fault_seed: Option<u64>| {
+            let topo = Topology::fat_tree(4, 10e9);
+            let cfg = VarysConfig {
+                switch: SwitchKind::Hermes(SwitchModel::pica8_p3290(), HermesConfig::default()),
+                congestion_threshold: 0.5,
+                base_rules_per_switch: 100,
+                fault_seed,
+                ..Default::default()
+            };
+            let mut sim = Varys::new(topo, cfg);
+            sim.register_jobs(&tiny_jobs(12));
+            sim.run(120.0);
+            sim.metrics
+        };
+        let recovered = |m: &RunMetrics| m.device_retries + m.device_failures + m.audit_diffs;
+        let a = run(Some(7));
+        assert!(recovered(&a) > 0, "a seeded plan draws faults the planes recover from");
+        assert_eq!(format!("{a:?}"), format!("{:?}", run(Some(7))), "same seed, same run");
+        assert_eq!(recovered(&run(None)), 0, "no seed, no faults");
     }
 
     #[test]

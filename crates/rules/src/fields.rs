@@ -85,24 +85,6 @@ impl FlowMatch {
         self
     }
 
-    /// Builder: set the destination port.
-    pub fn with_dst_port(mut self, port: u16) -> Self {
-        self.dst_port = Some(port);
-        self
-    }
-
-    /// Builder: set the source port.
-    pub fn with_src_port(mut self, port: u16) -> Self {
-        self.src_port = Some(port);
-        self
-    }
-
-    /// Builder: set the VLAN id (only the low 12 bits are used).
-    pub fn with_vlan(mut self, vlan: u16) -> Self {
-        self.vlan = Some(vlan & 0xfff);
-        self
-    }
-
     /// Packs the match into the 128-bit ternary key.
     pub fn to_key(&self) -> TernaryKey {
         let mut value = 0u128;
@@ -211,13 +193,15 @@ mod tests {
 
     #[test]
     fn full_tuple_roundtrip() {
-        let m = FlowMatch::any()
-            .with_dst(p("10.0.0.0/8"))
-            .with_src(p("192.168.0.0/16"))
-            .with_proto(6)
-            .with_dst_port(443)
-            .with_src_port(5000)
-            .with_vlan(12);
+        let m = FlowMatch {
+            dst_port: Some(443),
+            src_port: Some(5000),
+            vlan: Some(12),
+            ..FlowMatch::any()
+                .with_dst(p("10.0.0.0/8"))
+                .with_src(p("192.168.0.0/16"))
+                .with_proto(6)
+        };
         let key = m.to_key();
         let hit = PacketHeader {
             dst: u32::from_be_bytes([10, 2, 3, 4]),

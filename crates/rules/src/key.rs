@@ -83,22 +83,6 @@ impl TernaryKey {
         self.mask & other.mask == self.mask && (self.value ^ other.value) & self.mask == 0
     }
 
-    /// Are the two keys disjoint (no packet matches both)?
-    pub fn disjoint(&self, other: &TernaryKey) -> bool {
-        !self.overlaps(other)
-    }
-
-    /// The intersection of the two keys, if any packet matches both.
-    pub fn intersection(&self, other: &TernaryKey) -> Option<TernaryKey> {
-        if !self.overlaps(other) {
-            return None;
-        }
-        Some(TernaryKey {
-            value: self.value | other.value,
-            mask: self.mask | other.mask,
-        })
-    }
-
     /// Expresses `self \ other` as a set of *disjoint* ternary keys.
     ///
     /// This is the cutting primitive behind the paper's `EliminateOverlap`:
@@ -182,7 +166,8 @@ impl TernaryKey {
 
     /// `true` if the mask is a contiguous run of most-significant bits
     /// (i.e. the key is a prefix over the 128-bit window).
-    pub fn is_prefix_shaped(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_prefix_shaped(&self) -> bool {
         // A prefix mask looks like 1..10..0; adding the lowest clear run's
         // carry must overflow to zero.
         self.mask.leading_ones() == self.mask.count_ones()
@@ -252,15 +237,20 @@ mod tests {
         assert!(wide.contains(&wide));
     }
 
+    /// `a ∩ b` as one key, when some packet matches both.
+    fn intersection(a: &TernaryKey, b: &TernaryKey) -> Option<TernaryKey> {
+        a.overlaps(b).then(|| key(a.value | b.value, a.mask | b.mask))
+    }
+
     #[test]
     fn intersection_combines_constraints() {
         let a = key(0b10_00, 0b11_00);
         let b = key(0b00_01, 0b00_11);
-        let i = a.intersection(&b).unwrap();
+        let i = intersection(&a, &b).unwrap();
         assert_eq!(i, key(0b10_01, 0b11_11));
         let c = key(0b01_00, 0b11_00);
-        assert!(c.intersection(&b).is_some());
-        assert!(c.intersection(&a).is_none());
+        assert!(intersection(&c, &b).is_some());
+        assert!(intersection(&c, &a).is_none());
     }
 
     #[test]

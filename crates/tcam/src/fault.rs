@@ -27,7 +27,7 @@
 //!   controller reconnects and resyncs.
 //!
 //! Every decision is a pure function of the seed and the op sequence, so a
-//! chaos run reproduces byte-for-byte from `HERMES_FAULT_SEED`. Crash
+//! chaos run reproduces byte-for-byte from its seed. Crash
 //! parameters (kind, survivor subset, reconnect denials) are drawn from a
 //! *separate* seeded stream, so arming crashes never perturbs the per-op
 //! fault sequence of an existing seed.
@@ -210,19 +210,6 @@ impl FaultPlan {
             max_reconnect_denials: 3,
             ..Self::seeded(seed)
         }
-    }
-
-    /// Builds the standard chaos plan from the `HERMES_FAULT_SEED`
-    /// environment variable, or `None` when it is unset/unparsable.
-    pub fn from_env() -> Option<Self> {
-        Self::env_seed().map(Self::seeded)
-    }
-
-    /// The parsed `HERMES_FAULT_SEED` environment variable, if set.
-    pub fn env_seed() -> Option<u64> {
-        std::env::var("HERMES_FAULT_SEED")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
     }
 
     /// Injected-fault counters so far.

@@ -22,7 +22,7 @@
 //!
 //! let pica8 = SwitchModel::pica8_p3290();
 //! // With 1000 entries installed the Pica8 sustains ~23 updates/s.
-//! let rate = pica8.update_rate(1000);
+//! let rate = 1.0 / pica8.mean_update_latency(1000).as_secs();
 //! assert!((rate - 23.0).abs() < 1.0);
 //! ```
 

@@ -236,17 +236,6 @@ impl SwitchModel {
         t += self.modify.mul_f64(modifies as f64);
         t
     }
-
-    /// Mean sustainable update rate at the given occupancy (inverse of
-    /// [`mean_update_latency`](Self::mean_update_latency)), in updates/s.
-    pub fn update_rate(&self, occupancy: usize) -> f64 {
-        let t = self.mean_update_latency(occupancy).as_secs();
-        if t <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / t
-        }
-    }
 }
 
 #[cfg(test)]
@@ -263,13 +252,13 @@ mod tests {
             (1000, 23.0),
             (2000, 12.0),
         ] {
-            let got = m.update_rate(occ);
+            let got = 1.0 / m.mean_update_latency(occ).as_secs();
             let err = (got - rate).abs() / rate;
             assert!(err < 0.01, "occ {occ}: rate {got:.1} vs measured {rate}");
         }
         let d = SwitchModel::dell_8132f();
         for &(occ, rate) in &[(50usize, 970.0f64), (250, 494.0), (500, 42.0), (750, 29.0)] {
-            let got = d.update_rate(occ);
+            let got = 1.0 / d.mean_update_latency(occ).as_secs();
             let err = (got - rate).abs() / rate;
             assert!(err < 0.01, "occ {occ}: rate {got:.1} vs measured {rate}");
         }

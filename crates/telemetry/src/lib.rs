@@ -18,8 +18,8 @@
 //! Recording is gated on one thread-local `Cell<bool>` with a `const`
 //! initializer — no lazy-init check, so with telemetry disabled (the
 //! default) every recording call is one thread-local load and a branch, a
-//! few nanoseconds. Enable programmatically with [`set_enabled`] or from
-//! the environment (`HERMES_TRACE=1`) with [`init_from_env`].
+//! few nanoseconds. Enable with [`set_enabled`]; the crate never reads
+//! the process environment (`hermes_bench` maps `HERMES_TRACE` to it).
 //!
 //! ## Threading model
 //!
@@ -27,7 +27,7 @@
 //! tracer. The simulators are single-threaded, and per-thread state keeps
 //! parallel test runners from interleaving — or switching off — each
 //! other's recording. A thread records only after it calls
-//! [`set_enabled`] (or [`init_from_env`]) itself.
+//! [`set_enabled`] itself.
 //!
 //! ```
 //! use hermes_telemetry as telemetry;
@@ -37,7 +37,7 @@
 //! telemetry::observe("tcam.op_ns", 1_500);
 //! let span = telemetry::span_enter("netsim", "te_tick", 1_000);
 //! span.end(2_000);
-//! let doc = telemetry::report("doctest");
+//! let doc = telemetry::report("doctest", "unknown");
 //! assert_eq!(doc.get("counters").unwrap().get("tcam.ops").unwrap().as_f64(), Some(1.0));
 //! telemetry::set_enabled(false);
 //! ```
@@ -85,26 +85,6 @@ pub fn enabled() -> bool {
 /// Turns recording on or off for the calling thread.
 pub fn set_enabled(on: bool) {
     ENABLED.with(|e| e.set(on));
-}
-
-/// Configures from the environment: `HERMES_TRACE` (unset, empty or `0`
-/// leaves telemetry off; anything else enables it) and `HERMES_TRACE_BUF`
-/// (ring-buffer/series bound, default 4096).
-pub fn init_from_env() {
-    let on = std::env::var("HERMES_TRACE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    set_enabled(on);
-    if let Some(cap) = std::env::var("HERMES_TRACE_BUF")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        STATE.with(|s| {
-            let mut s = s.borrow_mut();
-            s.tracer.set_cap(cap);
-            s.registry.set_series_cap(cap);
-        });
-    }
 }
 
 /// Clears this thread's registry, tracer and report metadata (the enabled
@@ -232,36 +212,13 @@ pub fn snapshot() -> Json {
 }
 
 /// Builds the full `BENCH_<exp>.json` report document for this thread's
-/// recorded state (see [`report::SCHEMA`] for the layout contract).
-pub fn report(experiment: &str) -> Json {
+/// recorded state, stamped with the caller's `git_rev` (see
+/// [`report::SCHEMA`] for the layout contract).
+pub fn report(experiment: &str, git_rev: &str) -> Json {
     STATE.with(|s| {
         let s = s.borrow();
-        report::build(experiment, enabled(), &s.meta, &s.registry, &s.tracer)
+        report::build(experiment, git_rev, enabled(), &s.meta, &s.registry, &s.tracer)
     })
-}
-
-/// Distinct subsystems that contributed any metric or span, derived from
-/// the `<subsystem>.` name prefix (and span labels). Sorted, deduplicated.
-pub fn contributing_subsystems() -> Vec<String> {
-    STATE.with(|s| snapshot_names(&s.borrow()))
-}
-
-fn snapshot_names(s: &State) -> Vec<String> {
-    let mut subs: Vec<String> = Vec::new();
-    let (counters, gauges, histograms, series) = s.registry.to_json_parts();
-    for part in [&counters, &gauges, &histograms, &series] {
-        if let Json::Obj(pairs) = part {
-            for (k, _) in pairs {
-                if let Some((sub, _)) = k.split_once('.') {
-                    subs.push(sub.to_string());
-                }
-            }
-        }
-    }
-    subs.extend(s.tracer.subsystems().iter().map(|x| x.to_string()));
-    subs.sort();
-    subs.dedup();
-    subs
 }
 
 #[cfg(test)]
@@ -277,6 +234,25 @@ mod tests {
         let out = body();
         set_enabled(false);
         out
+    }
+
+    /// Distinct subsystems that contributed any metric or span, derived
+    /// from the `<subsystem>.` name prefix (and span labels).
+    fn contributing_subsystems() -> Vec<String> {
+        STATE.with(|s| {
+            let s = s.borrow();
+            let (counters, gauges, histograms, series) = s.registry.to_json_parts();
+            let mut subs: Vec<String> = Vec::new();
+            for part in [&counters, &gauges, &histograms, &series] {
+                if let Json::Obj(pairs) = part {
+                    subs.extend(pairs.iter().filter_map(|(k, _)| Some(k.split_once('.')?.0.to_string())));
+                }
+            }
+            subs.extend(s.tracer.subsystems().iter().map(|x| x.to_string()));
+            subs.sort();
+            subs.dedup();
+            subs
+        })
     }
 
     #[test]
@@ -320,7 +296,7 @@ mod tests {
             set_meta("seed", Json::Int(1));
             set_meta("scale", Json::Int(2));
             set_meta("seed", Json::Int(9));
-            let doc = report("unit");
+            let doc = report("unit", "unknown");
             assert_eq!(
                 doc.get("meta").unwrap().to_string(),
                 "{\"seed\":9,\"scale\":2}",

@@ -189,12 +189,11 @@ pub struct Registry {
     gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
     series: BTreeMap<&'static str, Series>,
-    series_cap: usize,
 }
 
 impl Registry {
-    /// Default bound on each time series (override via `HERMES_TRACE_BUF`).
-    pub const DEFAULT_SERIES_CAP: usize = 4096;
+    /// Bound on each time series.
+    pub const SERIES_CAP: usize = 4096;
 
     /// Adds to a counter.
     pub fn counter_add(&mut self, name: &'static str, delta: u64) {
@@ -213,20 +212,10 @@ impl Registry {
 
     /// Appends a time-series point.
     pub fn series_push(&mut self, name: &'static str, t_ns: u64, value: f64) {
-        let cap = if self.series_cap == 0 {
-            Self::DEFAULT_SERIES_CAP
-        } else {
-            self.series_cap
-        };
         self.series
             .entry(name)
-            .or_insert_with(|| Series::new(cap))
+            .or_insert_with(|| Series::new(Self::SERIES_CAP))
             .push(t_ns, value);
-    }
-
-    /// Caps future series at `cap` points (existing series keep theirs).
-    pub fn set_series_cap(&mut self, cap: usize) {
-        self.series_cap = cap.max(1);
     }
 
     /// Current value of a counter (0 if never touched).

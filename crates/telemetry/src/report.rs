@@ -4,8 +4,8 @@
 //! `hermes_bench::run_experiment`), versioned under [`SCHEMA`]. The layout
 //! is schema-stable: every top-level key is always present, in a fixed
 //! order, so perf trajectories can be diffed across commits. All content
-//! is a pure function of the run's seeds — the only environmental field is
-//! the git revision, which is constant across repeat runs of one build.
+//! is a pure function of the run's seeds and the caller's arguments — the
+//! git revision is one of them (`hermes_bench` reads `HERMES_GIT_REV`).
 
 use crate::metrics::Registry;
 use crate::trace::Tracer;
@@ -14,30 +14,13 @@ use hermes_util::json::{Json, ToJson};
 /// Report schema identifier; bump on any layout change.
 pub const SCHEMA: &str = "hermes-bench-report/1";
 
-/// Resolves the git revision stamped into reports: `HERMES_GIT_REV` if
-/// set (pinning for reproducible archives), else `git rev-parse HEAD`,
-/// else `"unknown"`.
-pub fn git_rev() -> String {
-    if let Ok(rev) = std::env::var("HERMES_GIT_REV") {
-        return rev;
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Assembles the full report document from a run's telemetry state.
 ///
-/// `meta` is the experiment's own key/value context (seed, scale, config
-/// knobs) in registration order.
+/// `git_rev` is stamped verbatim; `meta` is the experiment's own
+/// key/value context (seed, scale, config knobs) in registration order.
 pub fn build(
     experiment: &str,
+    git_rev: &str,
     enabled: bool,
     meta: &[(String, Json)],
     registry: &Registry,
@@ -48,7 +31,7 @@ pub fn build(
     Json::obj([
         ("schema", SCHEMA.to_json()),
         ("experiment", experiment.to_json()),
-        ("git_rev", git_rev().to_json()),
+        ("git_rev", git_rev.to_json()),
         ("telemetry_enabled", enabled.to_json()),
         (
             "meta",
@@ -71,7 +54,7 @@ mod tests {
     fn report_layout_is_schema_stable() {
         let reg = Registry::default();
         let tr = Tracer::default();
-        let doc = build("unit", false, &[("seed".into(), 7u64.to_json())], &reg, &tr);
+        let doc = build("unit", "unknown", false, &[("seed".into(), 7u64.to_json())], &reg, &tr);
         for key in [
             "schema",
             "experiment",
@@ -95,11 +78,8 @@ mod tests {
     }
 
     #[test]
-    fn git_rev_env_override_wins() {
-        // Process-wide env mutation is safe here: this is the only test in
-        // the crate touching HERMES_GIT_REV.
-        std::env::set_var("HERMES_GIT_REV", "deadbeef");
-        assert_eq!(git_rev(), "deadbeef");
-        std::env::remove_var("HERMES_GIT_REV");
+    fn git_rev_is_stamped_verbatim() {
+        let doc = build("unit", "deadbeef", false, &[], &Registry::default(), &Tracer::default());
+        assert_eq!(doc.get("git_rev").and_then(Json::as_str), Some("deadbeef"));
     }
 }

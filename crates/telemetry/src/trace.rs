@@ -48,7 +48,7 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Default ring-buffer capacity (override via `HERMES_TRACE_BUF`).
+    /// Default ring-buffer capacity.
     pub const DEFAULT_CAP: usize = 4096;
 
     /// An empty tracer bounded at `cap` events.
@@ -61,20 +61,6 @@ impl Tracer {
             stack: Vec::new(),
             rollups: BTreeMap::new(),
         }
-    }
-
-    /// Re-bounds the ring (applies to future events; existing ones kept
-    /// only if they still fit).
-    pub fn set_cap(&mut self, cap: usize) {
-        let cap = cap.max(1);
-        if cap < self.events.len() {
-            let ordered = self.events_chronological();
-            let cut = ordered.len() - cap;
-            self.dropped += cut as u64;
-            self.events = ordered[cut..].to_vec();
-            self.head = 0;
-        }
-        self.cap = cap;
     }
 
     fn push(&mut self, ev: TraceEvent) {
@@ -254,17 +240,5 @@ mod tests {
         t.exit_abandoned();
         let e = t.events_chronological()[0];
         assert_eq!((e.at_ns, e.dur_ns), (7, 0));
-    }
-
-    #[test]
-    fn set_cap_trims_oldest() {
-        let mut t = Tracer::new(8);
-        for i in 0..8u64 {
-            t.span_at("s", "n", i, 0);
-        }
-        t.set_cap(3);
-        let evs = t.events_chronological();
-        assert_eq!(evs.iter().map(|e| e.at_ns).collect::<Vec<_>>(), vec![5, 6, 7]);
-        assert_eq!(t.dropped(), 5);
     }
 }

@@ -60,6 +60,10 @@ impl Config {
     /// Reads `HERMES_CHECK_CASES` / `HERMES_CHECK_SEED` /
     /// `HERMES_CHECK_SIZE`, falling back to `default_cases` and
     /// [`DEFAULT_SEED`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the HERMES_CHECK_* replay knobs are sanctioned readers"
+    )]
     pub fn from_env(default_cases: u64) -> Config {
         let parse = |k: &str| std::env::var(k).ok().and_then(|v| v.parse().ok());
         Config {

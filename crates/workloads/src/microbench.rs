@@ -129,10 +129,14 @@ impl MicroBench {
         }
         out
     }
+}
 
-    /// The fraction of generated rules that overlap an earlier rule
-    /// (diagnostic used by tests and experiment logs).
-    pub fn measured_overlap(actions: &[TimedAction]) -> f64 {
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The fraction of generated rules that overlap an earlier rule.
+    fn measured_overlap(actions: &[TimedAction]) -> f64 {
         let rules: Vec<Rule> = actions
             .iter()
             .filter_map(|t| match t.action {
@@ -151,11 +155,6 @@ impl MicroBench {
         }
         overlapping as f64 / rules.len() as f64
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn deterministic_given_seed() {
@@ -193,7 +192,7 @@ mod tests {
             ..Default::default()
         };
         let stream = cfg.generate();
-        assert_eq!(MicroBench::measured_overlap(&stream), 0.0);
+        assert_eq!(measured_overlap(&stream), 0.0);
     }
 
     #[test]
@@ -204,7 +203,7 @@ mod tests {
                 count: 800,
                 ..Default::default()
             };
-            let got = MicroBench::measured_overlap(&cfg.generate());
+            let got = measured_overlap(&cfg.generate());
             assert!(
                 (got - target).abs() < 0.1,
                 "target {target}, measured {got}"

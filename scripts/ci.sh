@@ -55,7 +55,9 @@ stage_doc() {
 }
 
 stage_test() {
-    cargo test -q --offline --workspace
+    # Under the gate's pinned environment: no library crate reads it
+    # (DESIGN.md §8), so the suite must not care which shell it runs in.
+    HERMES_FAULT_SEED=7 HERMES_TRACE=1 cargo test -q --offline --workspace
 }
 
 stage_bins() {

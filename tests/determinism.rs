@@ -96,7 +96,7 @@ fn telemetry_capture(plan: Option<hermes::tcam::FaultPlan>) -> String {
     for k in 1..=4u32 {
         sw.audit(last + SimDuration::from_ms(5.0 * f64::from(k)));
     }
-    hermes::telemetry::report("determinism").to_string()
+    hermes::telemetry::report("determinism", "unknown").to_string()
 }
 
 #[test]
@@ -245,7 +245,7 @@ fn fleet_capture() -> String {
         now += SimDuration::from_ms(5.0);
         fleet.tick_all(now);
     }
-    hermes::telemetry::report("determinism-fleet").to_string()
+    hermes::telemetry::report("determinism-fleet", "unknown").to_string()
 }
 
 #[test]
