@@ -116,7 +116,7 @@ fn run_storm(count: usize, crash_period: u64, seed: u64) -> Outcome {
     assert_eq!(
         sw.intent_len(),
         sw.logical_len(),
-        "intent store and logical table must agree after recovery"
+        "logical view must hold each rule once after recovery"
     );
 
     let stats = sw.resync_stats();

@@ -135,7 +135,7 @@ fn quiesce(fleet: &mut Fleet<HermesPlane>, horizon: SimTime) -> u32 {
         assert_eq!(
             p.switch().intent_len(),
             p.switch().logical_len(),
-            "intent store and logical table must agree after recovery"
+            "logical view must hold each rule once after recovery"
         );
     }
     sweeps

@@ -170,8 +170,11 @@ impl HermesSwitch {
         // main table.)
         if route == Route::Shadow && pieces > 1 {
             let occ = self.shadow_len() + queued;
+            // `worst_insert_latency` piece by piece, its model scan hoisted.
+            let model = self.device.model();
+            let per_shift = model.worst_per_shift_cost();
             let est: SimDuration = (0..pieces)
-                .map(|j| self.device.model().worst_insert_latency(occ + j))
+                .map(|j| model.base + per_shift.mul_f64((occ + j) as f64))
                 .sum();
             if est > self.config.guarantee {
                 route = Route::MainTooFragmented;

@@ -1,9 +1,10 @@
 //! The id index behind [`TcamTable`](crate::TcamTable): rule id → the
-//! entry's sort key, in expected `O(1)` (DESIGN.md §15).
+//! entry's sort key and slab slot, in expected `O(1)` (DESIGN.md §15).
 //!
 //! One flat open-addressed slot array, a power of two long, probed
 //! linearly from a fixed multiplicative hash of the id — no per-process
-//! state, so runs replay exactly. A slot is free when its `seq` is
+//! state, so runs replay exactly. A slot is 24 bytes, the id beside the
+//! flattened sort key and the slab slot. It is free when its `seq` is
 //! `u64::MAX`, a value real sequence numbers never reach, so every `u64`
 //! is a legal id. Removal shifts the rest of the probe run back instead of
 //! leaving a tombstone, so runs never rot under churn. The array doubles
@@ -25,20 +26,38 @@ const FREE: u64 = u64::MAX;
 
 const K0: u64 = 0x9e37_79b9_7f4a_7c15;
 
+/// `EntryKey` flattened beside the id and the slab slot, so the whole
+/// slot stays 24 bytes.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     id: u64,
-    key: EntryKey,
+    seq: u64,
+    rp: u32,
+    slab: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 24);
 
 impl Slot {
     const FREE: Slot = Slot {
         id: 0,
-        key: EntryKey { rp: 0, seq: FREE },
+        seq: FREE,
+        rp: 0,
+        slab: 0,
     };
 
     fn is_free(&self) -> bool {
-        self.key.seq == FREE
+        self.seq == FREE
+    }
+
+    fn entry(&self) -> (EntryKey, u32) {
+        (
+            EntryKey {
+                rp: self.rp,
+                seq: self.seq,
+            },
+            self.slab,
+        )
     }
 }
 
@@ -74,17 +93,18 @@ impl IdIndex {
         i
     }
 
-    /// The sort key filed under `id`.
-    pub(crate) fn get(&self, id: RuleId) -> Option<EntryKey> {
+    /// The sort key and slab slot filed under `id`.
+    pub(crate) fn get(&self, id: RuleId) -> Option<(EntryKey, u32)> {
         if self.slots.is_empty() {
             return None;
         }
         let s = self.slots[self.probe(id.0)];
-        (!s.is_free()).then_some(s.key)
+        (!s.is_free()).then(|| s.entry())
     }
 
-    /// Files `key` under `id`, replacing what was there.
-    pub(crate) fn insert(&mut self, id: RuleId, key: EntryKey) {
+    /// Files `key` and slab slot `slab` under `id`, replacing what was
+    /// there.
+    pub(crate) fn insert(&mut self, id: RuleId, key: EntryKey, slab: u32) {
         debug_assert!(
             key.seq != FREE,
             "real sequence numbers never reach u64::MAX"
@@ -96,7 +116,12 @@ impl IdIndex {
         if self.slots[i].is_free() {
             self.len += 1;
         }
-        self.slots[i] = Slot { id: id.0, key };
+        self.slots[i] = Slot {
+            id: id.0,
+            seq: key.seq,
+            rp: key.rp,
+            slab,
+        };
     }
 
     /// Doubles the slot array (or allocates the first one) and re-files
@@ -110,8 +135,9 @@ impl IdIndex {
         }
     }
 
-    /// Takes `id` out, returning its sort key if it was filed.
-    pub(crate) fn remove(&mut self, id: RuleId) -> Option<EntryKey> {
+    /// Takes `id` out, returning its sort key and slab slot if it was
+    /// filed.
+    pub(crate) fn remove(&mut self, id: RuleId) -> Option<(EntryKey, u32)> {
         if self.slots.is_empty() {
             return None;
         }
@@ -138,7 +164,7 @@ impl IdIndex {
         }
         self.slots[i] = Slot::FREE;
         self.len -= 1;
-        Some(removed.key)
+        Some(removed.entry())
     }
 
     /// Forgets every id, keeping the slot array.
@@ -213,11 +239,16 @@ mod tests {
         ])
     }
 
-    fn key(seq: u64) -> EntryKey {
-        EntryKey {
+    fn key(seq: u64) -> (EntryKey, u32) {
+        let key = EntryKey {
             rp: seq as u32 ^ 0x5a5a,
             seq,
-        }
+        };
+        (key, (seq as u32).rotate_left(7))
+    }
+
+    fn file(index: &mut IdIndex, id: u64, (key, slab): (EntryKey, u32)) {
+        index.insert(RuleId(id), key, slab);
     }
 
     hermes_util::check! {
@@ -233,10 +264,10 @@ mod tests {
             refill in range(0usize..40),
         ) {
             let mut index = IdIndex::default();
-            let mut want: BTreeMap<u64, EntryKey> = BTreeMap::new();
+            let mut want: BTreeMap<u64, (EntryKey, u32)> = BTreeMap::new();
             let mut touched: Vec<u64> = vec![0, u64::MAX];
-            let mut file = |index: &mut IdIndex, want: &mut BTreeMap<u64, EntryKey>, id: u64| {
-                index.insert(RuleId(id), key(id >> 3));
+            let mut refile = |index: &mut IdIndex, want: &mut BTreeMap<u64, (EntryKey, u32)>, id: u64| {
+                file(index, id, key(id >> 3));
                 want.insert(id, key(id >> 3));
                 touched.push(id);
             };
@@ -244,22 +275,22 @@ mod tests {
             // has grown, and the removed half filed again.
             let first: Vec<u64> = (0..refill as u64).map(|n| n << 40).collect();
             for &id in &first {
-                file(&mut index, &mut want, id);
+                refile(&mut index, &mut want, id);
             }
             for &id in first.iter().step_by(2) {
                 assert_eq!(index.remove(RuleId(id)), want.remove(&id), "drain {id:#x}");
             }
             for n in 0..refill as u64 {
-                file(&mut index, &mut want, (1 << 62) + n);
+                refile(&mut index, &mut want, (1 << 62) + n);
             }
             for &id in first.iter().step_by(2) {
-                file(&mut index, &mut want, id);
+                refile(&mut index, &mut want, id);
             }
             assert!(index.check() && index.len() == want.len(), "after the refill");
             for o in &ops {
                 match *o {
                     Op::Insert(id, seq) => {
-                        index.insert(RuleId(id), key(seq));
+                        file(&mut index, id, key(seq));
                         want.insert(id, key(seq));
                     }
                     Op::Remove(id) => {
@@ -301,15 +332,15 @@ mod tests {
             .chain([u64::MAX - 1, u64::MAX])
             .collect();
         for (seq, &id) in ids[..6].iter().enumerate() {
-            index.insert(RuleId(id), key(seq as u64));
+            file(&mut index, id, key(seq as u64));
         }
         assert_eq!(index.slots.len(), 8, "six ids fill eight slots to ¾");
         assert_eq!(index.remove(RuleId(ids[1])), Some(key(1)));
-        index.insert(RuleId(ids[6]), key(6));
+        file(&mut index, ids[6], key(6));
         assert_eq!(index.slots.len(), 8, "a freed slot is filled first");
-        index.insert(RuleId(ids[7]), key(7));
+        file(&mut index, ids[7], key(7));
         assert_eq!(index.slots.len(), 16, "the seventh id doubles the array");
-        index.insert(RuleId(ids[1]), key(1));
+        file(&mut index, ids[1], key(1));
         assert!(index.check() && index.len() == 8);
         for (seq, &id) in ids.iter().enumerate() {
             assert_eq!(index.get(RuleId(id)), Some(key(seq as u64)), "{id:#x}");

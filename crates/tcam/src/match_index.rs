@@ -6,17 +6,19 @@
 //! exact-match family keyed by `packet & mask`. The index keeps one
 //! [`Tuple`] per distinct mask in the table and one flat open-addressed
 //! slot array for all families; a lookup probes once per mask and keeps the
-//! lowest [`EntryKey`] — the entry's position in the *priority order*, not
-//! its address, so shifts and layout rebuilds never touch the index.
+//! entry lowest in the *priority order* — never an address, so shifts and
+//! layout rebuilds never touch the index.
 //!
-//! A slot is 16 bytes: the `EntryKey` plus a 32-bit tag of the hashed
+//! A slot is 16 bytes: the entry's insertion `seq` (which alone identifies
+//! it), the slab slot holding its rule and a 32-bit tag of the hashed
 //! `(mask, value)`. The tag only filters; the caller confirms a candidate
-//! against the stored rule, so a tag collision costs a wasted confirmation
-//! and never a wrong answer. Entries with equal `(mask, value)` occupy
-//! separate slots of one probe run, removals leave tombstones, and the
-//! array is re-laid from the table (sized from its occupancy) when live
-//! slots plus tombstones pass five eighths of it. The hash is a fixed
-//! multiplicative fold — no per-process state, so runs replay exactly.
+//! with one load of the stored rule, which also yields its priority, so a
+//! tag collision costs a wasted load and never a wrong answer. Entries
+//! with equal `(mask, value)` occupy separate slots of one probe run,
+//! removals leave tombstones, and the array is re-laid from the table
+//! (sized from its occupancy) when live slots plus tombstones pass five
+//! eighths of it. The hash is a fixed multiplicative fold — no per-process
+//! state, so runs replay exactly.
 
 use crate::table::EntryKey;
 use hermes_rules::prelude::TernaryKey;
@@ -53,20 +55,18 @@ fn hash(seed: u64, value: u128) -> u64 {
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     seq: u64,
-    rp: u32,
+    slab: u32,
     tag: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
 impl Slot {
     const EMPTY: Slot = Slot {
         seq: EMPTY,
-        rp: 0,
+        slab: 0,
         tag: 0,
     };
-
-    fn holds(&self, ek: EntryKey) -> bool {
-        self.seq == ek.seq && self.rp == ek.rp
-    }
 }
 
 /// One exact-match family: the entries whose key carries `mask`.
@@ -107,9 +107,10 @@ impl MatchIndex {
         ((h >> 32) as usize & m, m)
     }
 
-    /// Adds `ek` under `key`. Equal keys take separate slots. Requires
-    /// `has_room(1)`, which also guarantees the probe meets a free slot.
-    pub(crate) fn insert(&mut self, key: TernaryKey, ek: EntryKey) {
+    /// Adds the entry `seq`, stored in slab slot `slab`, under `key`. Equal
+    /// keys take separate slots. Requires `has_room(1)`, which also
+    /// guarantees the probe meets a free slot.
+    pub(crate) fn insert(&mut self, key: TernaryKey, seq: u64, slab: u32) {
         debug_assert!(self.has_room(1));
         let seed = match self.tuples.iter_mut().find(|t| t.mask == key.mask()) {
             Some(t) => {
@@ -136,22 +137,22 @@ impl MatchIndex {
             self.tombs -= 1;
         }
         self.slots[i] = Slot {
-            seq: ek.seq,
-            rp: ek.rp,
+            seq,
+            slab,
             tag: h as u32,
         };
         self.live += 1;
     }
 
-    /// Removes `ek`, which must be indexed under `key`.
-    pub(crate) fn remove(&mut self, key: TernaryKey, ek: EntryKey) {
+    /// Removes the entry `seq`, which must be indexed under `key`.
+    pub(crate) fn remove(&mut self, key: TernaryKey, seq: u64) {
         let ti = self
             .tuples
             .iter()
             .position(|t| t.mask == key.mask())
             .expect("INVARIANT: every indexed entry's mask has a tuple");
         let (mut i, m) = self.home(hash(self.tuples[ti].seed, key.value()));
-        while !self.slots[i].holds(ek) {
+        while self.slots[i].seq != seq {
             assert!(
                 self.slots[i].seq != EMPTY,
                 "INVARIANT: a stored entry sits in the probe run of its current key"
@@ -191,26 +192,27 @@ impl MatchIndex {
     /// Re-lays the index for exactly the `n` given entries, sizing the slot
     /// array to 2.5–5× `n` so the next rebuild is at least `n / 2` inserts
     /// away.
-    pub(crate) fn rebuild(&mut self, n: usize, entries: impl Iterator<Item = (TernaryKey, EntryKey)>) {
+    pub(crate) fn rebuild(&mut self, n: usize, entries: impl Iterator<Item = (TernaryKey, u64, u32)>) {
         self.clear();
         self.slots
             .resize((5 * n / 2).next_power_of_two().max(MIN_SLOTS), Slot::EMPTY);
-        for (key, ek) in entries {
-            self.insert(key, ek);
+        for (key, seq, slab) in entries {
+            self.insert(key, seq, slab);
         }
     }
 
     /// The one match loop. Probes each mask's family for `packet & mask`
-    /// and returns what `confirm` made of the lowest-keyed entry it
-    /// accepted. `confirm(ek, key)` must return `Some` iff entry `ek`
-    /// currently stores exactly `key`; it is only asked about candidates
-    /// that would beat the best so far.
-    pub(crate) fn lookup<T>(
+    /// and returns the slab slot of the highest-precedence entry `confirm`
+    /// accepted. `confirm(slab, key)` must return the `rp` of the rule in
+    /// slab slot `slab` iff that rule stores exactly `key`, and is asked
+    /// about every candidate whose tag matches: its answer is the only
+    /// source of the priority that ranks it.
+    pub(crate) fn lookup(
         &self,
         packet: u128,
-        mut confirm: impl FnMut(EntryKey, TernaryKey) -> Option<T>,
-    ) -> Option<T> {
-        let mut best: Option<(EntryKey, T)> = None;
+        mut confirm: impl FnMut(u32, TernaryKey) -> Option<u32>,
+    ) -> Option<u32> {
+        let mut best: Option<(EntryKey, u32)> = None;
         for t in &self.tuples {
             let key = TernaryKey::new(packet, t.mask);
             let h = hash(t.seed, key.value());
@@ -221,25 +223,23 @@ impl MatchIndex {
                     break;
                 }
                 if s.tag == h as u32 && s.seq != TOMB {
-                    let ek = EntryKey {
-                        rp: s.rp,
-                        seq: s.seq,
-                    };
-                    if best.as_ref().is_none_or(|(b, _)| ek < *b) {
-                        if let Some(hit) = confirm(ek, key) {
-                            best = Some((ek, hit));
+                    if let Some(rp) = confirm(s.slab, key) {
+                        let ek = EntryKey { rp, seq: s.seq };
+                        if best.is_none_or(|(b, _)| ek < b) {
+                            best = Some((ek, s.slab));
                         }
                     }
                 }
                 i = (i + 1) & m;
             }
         }
-        best.map(|(_, hit)| hit)
+        best.map(|(_, slab)| slab)
     }
 
-    /// `true` when the index holds exactly the `n` given entries, each once
-    /// and in the probe run of its key, and the tuples count them by mask.
-    pub(crate) fn check(&self, n: usize, entries: impl Iterator<Item = (TernaryKey, EntryKey)>) -> bool {
+    /// `true` when the index holds exactly the `n` given entries (key,
+    /// `seq`, slab slot), each once and in the probe run of its key, and
+    /// the tuples count them by mask.
+    pub(crate) fn check(&self, n: usize, entries: impl Iterator<Item = (TernaryKey, u64, u32)>) -> bool {
         let occupied = self.slots.iter().filter(|s| s.seq < TOMB).count();
         let tombs = self.slots.iter().filter(|s| s.seq == TOMB).count();
         if occupied != n || self.live != n || self.tombs != tombs {
@@ -251,7 +251,7 @@ impl MatchIndex {
             return false;
         }
         let mut per_tuple = vec![0u32; self.tuples.len()];
-        for (key, ek) in entries {
+        for (key, seq, slab) in entries {
             let Some(ti) = self.tuples.iter().position(|t| t.mask == key.mask()) else {
                 return false;
             };
@@ -260,7 +260,8 @@ impl MatchIndex {
             let (mut i, m) = self.home(h);
             let mut found = 0;
             while self.slots[i].seq != EMPTY {
-                if self.slots[i].holds(ek) && self.slots[i].tag == h as u32 {
+                let s = self.slots[i];
+                if s.seq == seq && s.slab == slab && s.tag == h as u32 {
                     found += 1;
                 }
                 i = (i + 1) & m;
@@ -279,30 +280,32 @@ impl MatchIndex {
 mod tests {
     use super::*;
 
-    fn ek(rp: u32, seq: u64) -> EntryKey {
-        EntryKey { rp, seq }
-    }
-
     /// The tag is a filter, `confirm` decides: a candidate it rejects (as
-    /// the table does on a tag collision) must not hide a worse one it
-    /// accepts, and candidates that cannot win are not offered at all.
+    /// the table does on a tag collision) must not shadow a worse one it
+    /// accepts, and every candidate under the packet's key is asked once,
+    /// since only the stored rule knows its priority.
     #[test]
     fn a_rejected_candidate_does_not_shadow_an_accepted_one() {
         let key = TernaryKey::new(0xabcd << 96, 0xffff << 96);
         let mut index = MatchIndex::default();
         index.rebuild(0, std::iter::empty());
-        for e in [ek(5, 2), ek(1, 0), ek(9, 1)] {
-            index.insert(key, e);
+        // (rp, seq, slab): slab slot 1 holds the best entry, 0 the next.
+        let entries = [(5, 2, 0), (1, 0, 1), (9, 1, 2)];
+        for (_, seq, slab) in entries {
+            index.insert(key, seq, slab);
         }
         let packet = (0xabcd << 96) | 0x1234;
         let mut offered = Vec::new();
-        let hit = index.lookup(packet, |e, k| {
+        let hit = index.lookup(packet, |slab, k| {
             assert_eq!(k, key);
-            offered.push(e);
-            (e != ek(1, 0)).then_some(e)
+            offered.push(slab);
+            let (rp, _, _) = entries[slab as usize];
+            (slab != 1).then_some(rp)
         });
-        assert_eq!(hit, Some(ek(5, 2)));
-        assert!(offered.contains(&ek(1, 0)) && !offered.contains(&ek(9, 1)));
-        assert!(index.check(3, [ek(5, 2), ek(1, 0), ek(9, 1)].map(|e| (key, e)).into_iter()));
+        assert_eq!(hit, Some(0));
+        offered.sort_unstable();
+        assert_eq!(offered, [0, 1, 2]);
+        let filed = entries.map(|(_, seq, slab)| (key, seq, slab));
+        assert!(index.check(3, filed.into_iter()));
     }
 }

@@ -12,31 +12,37 @@
 //! not know about latency — the [`perf`](crate::perf) module converts shift
 //! counts into simulated time per switch model.
 //!
-//! ## Storage layout (two sides, three indexes)
+//! ## Storage layout (a slab of rules, indexes of handles)
 //!
-//! A table has a *physical* side and a *match* side that meet only in the
-//! entry's sort key, the private `EntryKey` `{!priority, insertion seq}`.
+//! Each stored [`Rule`] lives exactly once, in the table's private
+//! `Slab`: pages of 64 rules that are never reallocated, plus a free
+//! list of slots. A rule keeps its `u32` slot while it is stored, and
+//! everything else refers to it by that handle.
 //!
-//! The physical side is the private `Layout`: entries live in fixed-fanout
-//! *blocks* (a chunked vector), each block holding a contiguous run of the
-//! priority order as parallel `keys`/`rules` vectors. A control action
-//! touches one block (`O(block)` memmove) instead of the whole table. The
-//! blocks are a host-side storage detail that no modeled number reads: the
-//! shift bill is §2.1's dense closed form, where an insertion at position
-//! `pos` moves `len - pos` entries (PackedLow), `pos` (PackedHigh) or the
+//! The physical side is the private `Layout`: the priority order as
+//! fixed-fanout *blocks* (a chunked vector), each block a contiguous run
+//! of it as parallel vectors of sort keys — the private `EntryKey`
+//! `{!priority, insertion seq}` — and slab slots, 20 bytes an entry. A
+//! control action moves 20-byte handles in one block (`O(block)`
+//! memmove), never a rule and never the whole table. The blocks are a
+//! host-side storage detail that no modeled number reads: the shift bill
+//! is §2.1's dense closed form, where an insertion at position `pos`
+//! moves `len - pos` entries (PackedLow), `pos` (PackedHigh) or the
 //! smaller of the two (Balanced). Shift accounting reads sort keys only,
 //! so the layout is generic over what it stores per key and the batch
 //! replay runs on a `Layout<()>`.
 //!
-//! Two indexes point into it by sort key, never by address, so shifts and
-//! block splits leave both alone: the id index (`id_index.rs`,
-//! `id → EntryKey` in expected `O(1)` per control action) and the
-//! tuple-space match index (`match_index.rs`, DESIGN.md §15) that serves
-//! every lookup — one probe per distinct mask in the table instead of a
-//! walk over every entry. The match index is maintained at `raw_insert`,
-//! `raw_remove`, `reset`, the batch's delete and insert passes and
-//! `retain`'s drop pass, and nowhere else: a stored entry's match never changes in place (Hermes
-//! modifies actions, and priorities via delete+insert, §4.1).
+//! Two indexes hold slab slots beside the sort key, so shifts and block
+//! splits leave both alone: the id index (`id_index.rs`, `id → (EntryKey,
+//! slot)` in expected `O(1)` per control action, so `get` and
+//! `modify_action` never search the blocks) and the tuple-space match
+//! index (`match_index.rs`, DESIGN.md §15) that serves every lookup — one
+//! probe per distinct mask in the table instead of a walk over every
+//! entry, each candidate confirmed by one slab load. The match index is
+//! maintained at `raw_insert`, `delete`, `reset`, the batch's delete and
+//! insert passes and `retain`'s drop pass, and nowhere else: a stored
+//! entry's match never changes in place (Hermes modifies actions, and
+//! priorities via delete+insert, §4.1).
 //!
 //! ## Batched updates
 //!
@@ -224,12 +230,12 @@ impl EntryKey {
     }
 }
 
-/// A contiguous run of the priority order. `rules` holds one payload per
-/// key: the [`Rule`] in a table, `()` in the replay scratch.
+/// A contiguous run of the priority order. `handles` holds one payload per
+/// key: the rule's slab slot in a table, `()` in the replay scratch.
 #[derive(Clone, Debug)]
 struct Block<P> {
     keys: Vec<EntryKey>,
-    rules: Vec<P>,
+    handles: Vec<P>,
 }
 
 impl<P> Block<P> {
@@ -252,15 +258,16 @@ impl<P: Copy> Block<P> {
     fn merge(&mut self, fresh: &[(EntryKey, P)]) {
         let mut end = self.len();
         self.keys.extend(fresh.iter().map(|&(key, _)| key));
-        self.rules.extend(fresh.iter().map(|&(_, payload)| payload));
+        self.handles
+            .extend(fresh.iter().map(|&(_, payload)| payload));
         for (j, &(key, payload)) in fresh.iter().enumerate().rev() {
             // Old entries in `start..end` sort between this fresh entry and
             // the next: the `j + 1` fresh entries up to here push them up.
             let start = self.keys[..end].partition_point(|k| *k < key);
             self.keys.copy_within(start..end, start + j + 1);
-            self.rules.copy_within(start..end, start + j + 1);
+            self.handles.copy_within(start..end, start + j + 1);
             self.keys[start + j] = key;
-            self.rules[start + j] = payload;
+            self.handles[start + j] = payload;
             end = start;
         }
     }
@@ -274,18 +281,18 @@ impl<P: Copy> Block<P> {
         let start = self.keys.partition_point(|k| k < first);
         let (mut kept, mut next) = (start, 0);
         for i in start..self.len() {
-            let (key, payload) = (self.keys[i], self.rules[i]);
+            let (key, payload) = (self.keys[i], self.handles[i]);
             if doomed.get(next) == Some(&key) {
                 removed(key, payload);
                 next += 1;
             } else {
                 self.keys[kept] = key;
-                self.rules[kept] = payload;
+                self.handles[kept] = payload;
                 kept += 1;
             }
         }
         self.keys.truncate(kept);
-        self.rules.truncate(kept);
+        self.handles.truncate(kept);
     }
 
     /// The block cut into [`chunk_ranges`], every chunk allocated at
@@ -295,7 +302,7 @@ impl<P: Copy> Block<P> {
         chunk_ranges(self.len())
             .map(|r| Block {
                 keys: self.keys[r.clone()].to_vec(),
-                rules: self.rules[r].to_vec(),
+                handles: self.handles[r].to_vec(),
             })
             .collect()
     }
@@ -334,7 +341,7 @@ impl<P: Copy> Layout<P> {
                 .iter()
                 .map(|b| Block {
                     keys: b.keys.clone(),
-                    rules: vec![(); b.len()],
+                    handles: vec![(); b.len()],
                 })
                 .collect(),
             next_seq: self.next_seq,
@@ -396,11 +403,11 @@ impl<P: Copy> Layout<P> {
         if self.blocks.is_empty() {
             self.blocks.push(Block {
                 keys: Vec::new(),
-                rules: Vec::new(),
+                handles: Vec::new(),
             });
         }
         self.blocks[bi].keys.insert(wi, key);
-        self.blocks[bi].rules.insert(wi, payload);
+        self.blocks[bi].handles.insert(wi, payload);
         self.len += 1;
         if self.blocks[bi].len() > BLOCK_MAX {
             self.split_block(bi);
@@ -417,7 +424,7 @@ impl<P: Copy> Layout<P> {
     /// dropped.
     fn raw_remove(&mut self, bi: usize, wi: usize) -> P {
         self.blocks[bi].keys.remove(wi);
-        let payload = self.blocks[bi].rules.remove(wi);
+        let payload = self.blocks[bi].handles.remove(wi);
         self.len -= 1;
         if self.blocks[bi].keys.is_empty() {
             self.blocks.remove(bi);
@@ -471,7 +478,7 @@ impl<P: Copy> Layout<P> {
         if self.blocks.is_empty() {
             self.blocks.extend(chunk_ranges(fresh.len()).map(|r| Block {
                 keys: fresh[r.clone()].iter().map(|&(key, _)| key).collect(),
-                rules: fresh[r].iter().map(|&(_, payload)| payload).collect(),
+                handles: fresh[r].iter().map(|&(_, payload)| payload).collect(),
             }));
             return;
         }
@@ -508,12 +515,86 @@ impl<P: Copy> Layout<P> {
     }
 }
 
-impl Layout<Rule> {
-    /// Every stored entry as the match index files it.
-    fn indexed(&self) -> impl Iterator<Item = (TernaryKey, EntryKey)> + '_ {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.rules.iter().map(|r| r.key).zip(b.keys.iter().copied()))
+/// Rules per slab page.
+const PAGE: usize = 64;
+
+/// Where a table's rules live: each exactly once, at a `u32` slot that
+/// stays put while the rule is stored, in pages of exactly `PAGE` rules'
+/// capacity that are never reallocated (a growing `Vec<Rule>` fragmented
+/// the heap, DESIGN.md §15). Slots `0..top` have been handed out since the
+/// last [`clear`](Self::clear), and the pages hold exactly those; the ones
+/// no entry holds are on `free`, which [`alloc`](Self::alloc) pops before
+/// it extends `top`. A freed slot keeps its stale rule until reused.
+#[derive(Debug, Default)]
+struct Slab {
+    pages: Vec<Vec<Rule>>,
+    top: usize,
+    free: Vec<u32>,
+}
+
+impl Clone for Slab {
+    /// Page by page at full capacity: `Vec::clone` would allocate each
+    /// page at its length, and the next `alloc` would reallocate it.
+    fn clone(&self) -> Self {
+        let page = |p: &Vec<Rule>| {
+            let mut copy = Vec::with_capacity(PAGE);
+            copy.extend_from_slice(p);
+            copy
+        };
+        Slab {
+            pages: self.pages.iter().map(page).collect(),
+            top: self.top,
+            free: self.free.clone(),
+        }
+    }
+}
+
+impl Slab {
+    fn get(&self, slot: u32) -> &Rule {
+        let slot = slot as usize;
+        &self.pages[slot / PAGE][slot % PAGE]
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut Rule {
+        let slot = slot as usize;
+        &mut self.pages[slot / PAGE][slot % PAGE]
+    }
+
+    /// Stores `rule` in the most recently freed slot, else in the next
+    /// one never handed out, opening a page when the last is full.
+    fn alloc(&mut self, rule: Rule) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            *self.get_mut(slot) = rule;
+            return slot;
+        }
+        let slot = self.top;
+        if slot / PAGE == self.pages.len() {
+            self.pages.push(Vec::with_capacity(PAGE));
+        }
+        self.pages[slot / PAGE].push(rule);
+        self.top += 1;
+        u32::try_from(slot).expect("INVARIANT: a table holds fewer than 2^32 entries")
+    }
+
+    fn release(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+
+    /// Frees every slot, keeping the pages.
+    fn clear(&mut self) {
+        self.pages.iter_mut().for_each(Vec::clear);
+        self.top = 0;
+        self.free.clear();
+    }
+}
+
+impl Layout<u32> {
+    /// Every stored entry in match order as the match index files it: key,
+    /// `seq` and slab slot.
+    fn indexed<'a>(&'a self, slab: &'a Slab) -> impl Iterator<Item = (TernaryKey, u64, u32)> + 'a {
+        (self.blocks.iter())
+            .flat_map(|b| b.keys.iter().zip(&b.handles))
+            .map(|(key, &slot)| (slab.get(slot).key, key.seq, slot))
     }
 }
 
@@ -541,11 +622,14 @@ impl Layout<Rule> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TcamTable {
-    layout: Layout<Rule>,
-    /// Per-id index: id → its sort key (expected `O(1)`).
+    /// The priority order: sort key and slab slot per entry.
+    layout: Layout<u32>,
+    /// Every stored rule, once.
+    slab: Slab,
+    /// Per-id index: id → its sort key and slab slot (expected `O(1)`).
     by_id: IdIndex,
-    /// Match index: `(mask, packet & mask)` → sort keys of the entries
-    /// stored under that key. Serves every lookup.
+    /// Match index: `(mask, packet & mask)` → `seq`s and slab slots of
+    /// the entries stored under that key. Serves every lookup.
     index: MatchIndex,
     stats: TableStats,
 }
@@ -561,6 +645,7 @@ impl TcamTable {
                 capacity,
                 strategy,
             },
+            slab: Slab::default(),
             by_id: IdIndex::default(),
             index: MatchIndex::default(),
             stats: TableStats::default(),
@@ -601,14 +686,13 @@ impl TcamTable {
 
     /// Iterates the entries in match order without copying.
     pub fn iter(&self) -> impl Iterator<Item = &Rule> {
-        self.layout.blocks.iter().flat_map(|b| b.rules.iter())
+        (self.layout.blocks.iter()).flat_map(|b| b.handles.iter().map(|&slot| self.slab.get(slot)))
     }
 
-    /// Looks up a rule by id via the per-id index (expected `O(1)` to find
-    /// its sort key, then `O(log n)` to locate it in the layout).
+    /// Looks up a rule by id via the per-id index (expected `O(1)`).
     pub fn get(&self, id: RuleId) -> Option<&Rule> {
-        let (bi, wi) = self.find(id).ok()?;
-        Some(&self.layout.blocks[bi].rules[wi])
+        let (_, slot) = self.by_id.get(id)?;
+        Some(self.slab.get(slot))
     }
 
     /// `true` when an entry with this id exists.
@@ -616,41 +700,26 @@ impl TcamTable {
         self.by_id.get(id).is_some()
     }
 
-    /// Block and offset of the entry with this id.
-    fn find(&self, id: RuleId) -> Result<(usize, usize), TcamError> {
-        let key = self.by_id.get(id).ok_or(TcamError::NotFound(id))?;
-        Ok(self
-            .layout
-            .locate(key)
-            .expect("INVARIANT: by_id keys always resolve to a stored entry"))
-    }
-
     /// Stores an entry the layout has already made room for and files it
     /// in both indexes, re-laying the match index from the stored entries
     /// (this one included) when it is out of room.
     fn raw_insert(&mut self, bi: usize, wi: usize, key: EntryKey, rule: Rule) {
-        self.layout.raw_insert(bi, wi, key, rule);
-        self.by_id.insert(rule.id, key);
+        let slot = self.slab.alloc(rule);
+        self.layout.raw_insert(bi, wi, key, slot);
+        self.by_id.insert(rule.id, key, slot);
         if self.index.has_room(1) {
-            self.index.insert(rule.key, key);
+            self.index.insert(rule.key, key.seq, slot);
         } else {
-            self.index.rebuild(self.layout.len, self.layout.indexed());
+            self.index
+                .rebuild(self.layout.len, self.layout.indexed(&self.slab));
         }
     }
 
-    /// Takes an entry out of the layout and both indexes.
-    fn raw_remove(&mut self, bi: usize, wi: usize) -> Rule {
-        let key = self.layout.blocks[bi].keys[wi];
-        let rule = self.layout.raw_remove(bi, wi);
-        self.by_id.remove(rule.id);
-        self.index.remove(rule.key, key);
-        rule
-    }
-
-    /// Drops every entry (no stats).
+    /// Drops every entry (no stats), keeping the slab's pages.
     fn reset(&mut self) {
         self.layout.blocks.clear();
         self.layout.len = 0;
+        self.slab.clear();
         self.by_id.clear();
         self.index.clear();
     }
@@ -683,8 +752,13 @@ impl TcamTable {
     /// invalidation in real TCAMs — no shifting (§2.1: "deletion is a simple
     /// and fast operation").
     pub fn delete(&mut self, id: RuleId) -> Result<Rule, TcamError> {
-        let (bi, wi) = self.find(id)?;
-        let rule = self.raw_remove(bi, wi);
+        let (key, slot) = self.by_id.remove(id).ok_or(TcamError::NotFound(id))?;
+        let (bi, wi) = (self.layout.locate(key))
+            .expect("INVARIANT: by_id keys always resolve to a stored entry");
+        self.layout.raw_remove(bi, wi);
+        let rule = *self.slab.get(slot);
+        self.slab.release(slot);
+        self.index.remove(rule.key, key.seq);
         self.stats.deletes += 1;
         Ok(rule)
     }
@@ -694,24 +768,21 @@ impl TcamTable {
     /// adding new flows"). Priority changes are *not* handled here — Hermes
     /// converts them into delete+insert (§4.1).
     pub fn modify_action(&mut self, id: RuleId, action: Action) -> Result<(), TcamError> {
-        let (bi, wi) = self.find(id)?;
-        self.layout.blocks[bi].rules[wi].action = action;
+        let (_, slot) = self.by_id.get(id).ok_or(TcamError::NotFound(id))?;
+        self.slab.get_mut(slot).action = action;
         self.stats.modifies += 1;
         Ok(())
     }
 
     /// The one match path: the highest-precedence (lowest sort key) entry
-    /// matching the packet, out of the match index. `lookup` and `peek`
-    /// both defer here.
+    /// matching the packet, out of the match index, each candidate
+    /// confirmed by one slab load. `lookup` and `peek` both defer here.
     fn scan(&self, packet: u128) -> Option<Rule> {
-        self.index.lookup(packet, |ek, key| {
-            let (bi, wi) = self
-                .layout
-                .locate(ek)
-                .expect("INVARIANT: the match index holds stored entries only");
-            let rule = &self.layout.blocks[bi].rules[wi];
-            (rule.key == key).then_some(*rule)
-        })
+        let slot = self.index.lookup(packet, |slot, key| {
+            let rule = self.slab.get(slot);
+            (rule.key == key).then_some(!rule.priority.0)
+        })?;
+        Some(*self.slab.get(slot))
     }
 
     /// TCAM lookup: the first (highest-precedence) entry matching the packet.
@@ -745,7 +816,8 @@ impl TcamTable {
         let mut doomed = Vec::new();
         let mut prioritized = 0u64;
         for b in &self.layout.blocks {
-            for (key, rule) in b.keys.iter().zip(&b.rules) {
+            for (key, &slot) in b.keys.iter().zip(&b.handles) {
+                let rule = self.slab.get(slot);
                 if !keep(rule) {
                     doomed.push(*key);
                 } else if !rule.priority.is_none() {
@@ -753,11 +825,7 @@ impl TcamTable {
                 }
             }
         }
-        let (index, by_id) = (&mut self.index, &mut self.by_id);
-        self.layout.remove_sorted(&doomed, |key, rule| {
-            index.remove(rule.key, key);
-            by_id.remove(rule.id);
-        });
+        self.remove_sorted(&doomed);
         self.stats.deletes += (self.layout.len + doomed.len()) as u64;
         self.stats.inserts += self.layout.len as u64;
         if self.layout.strategy == PlacementStrategy::PackedHigh {
@@ -766,37 +834,70 @@ impl TcamTable {
         doomed.len()
     }
 
+    /// Removes the entries keyed by `doomed` (ascending, all stored) from
+    /// the layout, both indexes and the slab.
+    fn remove_sorted(&mut self, doomed: &[EntryKey]) {
+        let (slab, index, by_id) = (&mut self.slab, &mut self.index, &mut self.by_id);
+        self.layout.remove_sorted(doomed, |key, slot| {
+            let rule = slab.get(slot);
+            index.remove(rule.key, key.seq);
+            by_id.remove(rule.id);
+            slab.release(slot);
+        });
+    }
+
     /// Checks the structural invariants (debug aid / property tests):
-    /// priority ordering, id-index consistency, block shape (none empty,
-    /// none past `BLOCK_MAX`), that the entries fit the capacity, and that
-    /// the match index holds every stored entry exactly once under its
-    /// current key and nothing else.
+    /// priority ordering, block shape (none empty, none past
+    /// `BLOCK_MAX`), that every block handle names a distinct slab slot
+    /// holding a rule of its key's priority that the id index files under
+    /// that key and slot, that the free slots are exactly the rest and
+    /// every page keeps its fixed capacity, that the entries fit the
+    /// capacity, and that the match index holds every stored entry exactly
+    /// once under its current key and nothing else.
     pub fn check_invariants(&self) -> bool {
-        let layout = &self.layout;
+        let (layout, slab) = (&self.layout, &self.slab);
+        // Full pages, then the one `alloc` fills next, then any emptied
+        // ones `clear` kept: every slot below `top` can be read.
+        let paged = slab.pages.len() * PAGE >= slab.top
+            && (slab.pages.iter().enumerate()).all(|(i, p)| {
+                p.capacity() == PAGE && p.len() == slab.top.saturating_sub(i * PAGE).min(PAGE)
+            });
+        if !paged {
+            return false;
+        }
+        let mut held = vec![false; slab.top];
+        let mut claim = |slot: u32| match held.get_mut(slot as usize) {
+            Some(h) if !*h => {
+                *h = true;
+                true
+            }
+            _ => false,
+        };
         let mut prev: Option<EntryKey> = None;
         let mut counted = 0;
         for b in &layout.blocks {
-            if b.keys.is_empty() || b.keys.len() != b.rules.len() || b.len() > BLOCK_MAX {
+            if b.keys.is_empty() || b.keys.len() != b.handles.len() || b.len() > BLOCK_MAX {
                 return false;
             }
-            for (k, r) in b.keys.iter().zip(&b.rules) {
-                if let Some(p) = prev {
-                    if *k <= p {
-                        return false;
-                    }
+            for (k, &slot) in b.keys.iter().zip(&b.handles) {
+                if prev.is_some_and(|p| *k <= p) || !claim(slot) {
+                    return false;
                 }
                 prev = Some(*k);
-                if k.rp != !r.priority.0 || self.by_id.get(r.id) != Some(*k) {
+                let r = slab.get(slot);
+                if k.rp != !r.priority.0 || self.by_id.get(r.id) != Some((*k, slot)) {
                     return false;
                 }
                 counted += 1;
             }
         }
         counted == layout.len
+            && slab.free.iter().all(|&slot| claim(slot))
+            && layout.len + slab.free.len() == slab.top
             && self.by_id.len() == layout.len
             && self.by_id.check()
             && layout.len <= layout.capacity
-            && self.index.check(layout.len, layout.indexed())
+            && self.index.check(layout.len, layout.indexed(slab))
     }
 
     /// Applies a whole op sequence as one planned transaction.
@@ -815,42 +916,41 @@ impl TcamTable {
         let occupancy_before = self.layout.len;
         let plan = self.validate_batch(ops)?;
         // The surviving inserts take fresh seqs in submission order (FIFO
-        // among equal priorities); one sort by sort key then serves both
-        // the shift plan and the merge.
+        // among equal priorities); one sort by sort key then serves the
+        // shift plan, the slab writes and the merge. Each key carries its
+        // insert's index in `plan.inserts` until the slab gives it a slot.
         let seqs = self.layout.next_seq..;
-        let mut fresh: Vec<(EntryKey, Rule)> = (plan.inserts.iter().zip(seqs))
-            .map(|(rule, seq)| (EntryKey::new(rule.priority, seq), *rule))
+        let mut fresh: Vec<(EntryKey, u32)> = (plan.inserts.iter().zip(seqs).zip(0..))
+            .map(|((&(rule, _), seq), i)| (EntryKey::new(rule.priority, seq), i))
             .collect();
         fresh.sort_unstable_by_key(|&(key, _)| key);
         let (shifts, naive_shifts) = self.plan_batch_shifts(ops, &fresh, &plan.deleted);
         // Mutate, one pass per touched block: in-place modifies, then the
         // deletes (freeing slots), then the fresh entries merged in. The
         // coalesced plan already billed every move.
-        for &(key, action) in &plan.modified {
-            let (bi, wi) = self
-                .layout
-                .locate(key)
-                .expect("INVARIANT: validated batch targets existing entries");
-            self.layout.blocks[bi].rules[wi].action = action;
+        for &(slot, action) in &plan.modified {
+            self.slab.get_mut(slot).action = action;
         }
-        let (index, by_id) = (&mut self.index, &mut self.by_id);
-        self.layout.remove_sorted(&plan.deleted, |key, rule| {
-            index.remove(rule.key, key);
-            by_id.remove(rule.id);
-        });
+        self.remove_sorted(&plan.deleted);
         self.layout.next_seq += fresh.len() as u64;
-        // The match index takes the entries one by one, or is re-laid once
-        // for the final occupancy when they would overfill it.
+        // Into the slab in sort-key order, so a batch into an emptied table
+        // (the crash rebuild) leaves the slab in match order. The match
+        // index takes the entries one by one, or is re-laid once for the
+        // final occupancy when they would overfill it.
         let index_fits = self.index.has_room(fresh.len());
-        for &(key, rule) in &fresh {
-            self.by_id.insert(rule.id, key);
+        for (key, handle) in &mut fresh {
+            let (rule, action) = plan.inserts[*handle as usize];
+            let rule = Rule { action, ..*rule };
+            *handle = self.slab.alloc(rule);
+            self.by_id.insert(rule.id, *key, *handle);
             if index_fits {
-                self.index.insert(rule.key, key);
+                self.index.insert(rule.key, key.seq, *handle);
             }
         }
         self.layout.insert_fresh(&fresh);
         if !index_fits {
-            self.index.rebuild(self.layout.len, self.layout.indexed());
+            self.index
+                .rebuild(self.layout.len, self.layout.indexed(&self.slab));
         }
         self.stats.inserts += plan.n_inserts;
         self.stats.deletes += plan.n_deletes;
@@ -872,7 +972,7 @@ impl TcamTable {
     /// entries in submission order, and `Duplicate`/`NotFound` come from
     /// walking each id's ops in order after one sort of `(id, op index)`
     /// pairs. An insert checks `Full` first, so on one op `Full` wins.
-    fn validate_batch(&self, ops: &[TcamOp]) -> Result<BatchPlan, TcamError> {
+    fn validate_batch<'a>(&self, ops: &'a [TcamOp]) -> Result<BatchPlan<'a>, TcamError> {
         // Every op before the first error succeeded, so the count is exact
         // up to there.
         let mut live = self.layout.len;
@@ -893,33 +993,34 @@ impl TcamTable {
         let mut order: Vec<(RuleId, usize)> = ops.iter().map(TcamOp::id).zip(0..).collect();
         order.sort_unstable();
         let mut plan = BatchPlan::default();
-        // Surviving inserts with the index of the op that made them.
-        let mut survivors: Vec<(usize, Rule)> = Vec::new();
+        // Surviving inserts with the index of the op that made them and
+        // their final action.
+        let mut survivors: Vec<(usize, &Rule, Action)> = Vec::new();
         for group in order.chunk_by(|a, b| a.0 == b.0) {
             let id = group[0].0;
             // The stored entry while it lives and the action the batch last
             // gave it; the in-batch insert that is live, with its op index.
             let mut stored = self.by_id.get(id);
             let mut action = None;
-            let mut pending: Option<(usize, Rule)> = None;
+            let mut pending: Option<(usize, &Rule, Action)> = None;
             for &(_, at) in group {
                 let live = stored.is_some() || pending.is_some();
                 match (&ops[at], live) {
                     (TcamOp::Insert(rule), false) => {
-                        pending = Some((at, *rule));
+                        pending = Some((at, rule, rule.action));
                         plan.n_inserts += 1;
                     }
                     (TcamOp::Delete(_), true) => {
                         // An in-batch insert nets out; else the stored
                         // entry goes.
                         if pending.take().is_none() {
-                            plan.deleted.extend(stored.take());
+                            plan.deleted.extend(stored.take().map(|(key, _)| key));
                         }
                         plan.n_deletes += 1;
                     }
                     (TcamOp::ModifyAction { action: a, .. }, true) => {
                         match &mut pending {
-                            Some((_, rule)) => rule.action = *a,
+                            Some((_, _, action)) => *action = *a,
                             None => action = Some(*a),
                         }
                         plan.n_modifies += 1;
@@ -936,22 +1037,25 @@ impl TcamTable {
                     }
                 }
             }
-            if let (Some(key), Some(action)) = (stored, action) {
-                plan.modified.push((key, action));
+            if let (Some((_, slot)), Some(action)) = (stored, action) {
+                plan.modified.push((slot, action));
             }
             survivors.extend(pending);
         }
         if let Some((_, err)) = first_err {
             return Err(err);
         }
-        survivors.sort_unstable_by_key(|&(at, _)| at);
-        plan.inserts = survivors.into_iter().map(|(_, rule)| rule).collect();
+        survivors.sort_unstable_by_key(|&(at, _, _)| at);
+        plan.inserts = survivors
+            .into_iter()
+            .map(|(_, rule, action)| (rule, action))
+            .collect();
         plan.deleted.sort_unstable();
         Ok(plan)
     }
 
-    /// The coalesced shift plan for `fresh` (the surviving inserts, sorted
-    /// by sort key) and `deleted` (ascending): counts the pre-existing
+    /// The coalesced shift plan for `fresh` (the surviving inserts' sort
+    /// keys, ascending) and `deleted` (ascending): counts the pre-existing
     /// surviving entries the batch disturbs, letting batch-freed slots
     /// absorb inserts in the strategy's shift direction. Clamped by an
     /// exact sequential replay on small tables so a batch is never billed
@@ -959,14 +1063,14 @@ impl TcamTable {
     fn plan_batch_shifts(
         &self,
         ops: &[TcamOp],
-        fresh: &[(EntryKey, Rule)],
+        fresh: &[(EntryKey, u32)],
         deleted: &[EntryKey],
     ) -> (usize, usize) {
         let layout = &self.layout;
         // Positions of the batch's events among the *current* entries, one
         // walk over the blocks each. `NONE` inserts sort last and are
         // placed freely: no ordering pressure.
-        let prioritized = fresh.partition_point(|(_, rule)| !rule.priority.is_none());
+        let prioritized = fresh.partition_point(|(key, _)| key.rp != !Priority::NONE.0);
         let insert_pos = layout.ranks(fresh[..prioritized].iter().map(|&(key, _)| key));
         let delete_pos = layout.ranks(deleted.iter().copied());
         let (ins, del) = (insert_pos.iter().copied(), delete_pos.iter().copied());
@@ -996,8 +1100,8 @@ impl TcamTable {
     /// used under [`NAIVE_CLAMP_LIMIT`].
     fn replay_singly(&self, ops: &[TcamOp]) -> usize {
         let mut scratch = self.layout.shape();
-        // Sort keys of the entries the replay itself placed; every other
-        // live id is where `by_id` says.
+        // Sort keys of the entries the replay itself placed (no slab slot
+        // behind them); every other live id is where `by_id` says.
         let mut placed = IdIndex::default();
         let mut total = 0usize;
         for op in ops {
@@ -1005,11 +1109,11 @@ impl TcamTable {
                 TcamOp::Insert(rule) => {
                     let (key, bi, wi, shifts) = scratch.open_slot(rule.priority);
                     scratch.raw_insert(bi, wi, key, ());
-                    placed.insert(rule.id, key);
+                    placed.insert(rule.id, key, 0);
                     total += shifts;
                 }
                 TcamOp::Delete(id) => {
-                    let key = placed
+                    let (key, _) = placed
                         .remove(*id)
                         .or_else(|| self.by_id.get(*id))
                         .expect("INVARIANT: validated batch deletes live entries only");
@@ -1025,16 +1129,17 @@ impl TcamTable {
     }
 }
 
-/// A validated batch's net effect.
+/// A validated batch's net effect. It holds no rule of its own: an insert
+/// stays in its op, beside the action the batch left it.
 #[derive(Default)]
-struct BatchPlan {
-    /// Surviving inserts in submission order, in-batch modifies applied.
-    inserts: Vec<Rule>,
+struct BatchPlan<'a> {
+    /// Surviving inserts in submission order, each with its final action.
+    inserts: Vec<(&'a Rule, Action)>,
     /// Sort keys of the pre-existing entries the batch removes, ascending.
     deleted: Vec<EntryKey>,
-    /// Pre-existing entries the batch modifies and keeps: sort key and
+    /// Pre-existing entries the batch modifies and keeps: slab slot and
     /// final action.
-    modified: Vec<(EntryKey, Action)>,
+    modified: Vec<(u32, Action)>,
     /// Per-op tallies (sequential semantics: an insert later deleted still
     /// counts one insert and one delete).
     n_inserts: u64,
@@ -1414,6 +1519,86 @@ mod tests {
         assert_eq!(t.len(), 1);
     }
 
+    /// `check_invariants` catches a block handle naming a freed slot, one
+    /// naming a slot another handle holds, and two handles swapped across
+    /// priorities.
+    #[test]
+    fn a_planted_stale_handle_fails_the_invariants() {
+        let mut t = TcamTable::new(16, PlacementStrategy::PackedLow);
+        for i in 0..4 {
+            t.insert(rule(i, "10.0.0.0/8", 10 - i as u32)).unwrap();
+        }
+        let (_, freed) = t.by_id.get(RuleId(3)).unwrap();
+        t.delete(RuleId(3)).unwrap();
+        assert!(t.check_invariants());
+        let plant = |f: fn(&mut Vec<u32>, u32)| {
+            let mut bad = t.clone();
+            f(&mut bad.layout.blocks[0].handles, freed);
+            bad.check_invariants()
+        };
+        assert!(!plant(|h, freed| h[0] = freed), "a freed slot");
+        assert!(!plant(|h, _| h[0] = h[1]), "a slot held twice");
+        assert!(!plant(|h, _| h.swap(0, 1)), "a rule of another priority");
+    }
+
+    /// Delete/insert churn at a steady occupancy, single and batched,
+    /// lands in freed slots: the slab keeps the pages its peak needed.
+    #[test]
+    fn churn_reuses_slots_without_adding_pages() {
+        let mut t = TcamTable::new(256, PlacementStrategy::Balanced);
+        for i in 0..200u64 {
+            t.insert(rule(i, "10.0.0.0/8", (i % 50) as u32 + 1))
+                .unwrap();
+        }
+        assert_eq!((t.slab.pages.len(), t.slab.top), (4, 200));
+        for i in 0..2000u64 {
+            t.delete(RuleId(i)).unwrap();
+            t.insert(rule(200 + i, "10.0.0.0/8", (i % 70) as u32 + 1))
+                .unwrap();
+        }
+        for round in 0..50u64 {
+            let base = 2000 + 30 * round;
+            let ops: Vec<TcamOp> = (base..base + 30)
+                .map(|id| TcamOp::Delete(RuleId(id)))
+                .chain((base..base + 30).map(|id| TcamOp::Insert(rule(200 + id, "11.0.0.0/8", 7))))
+                .collect();
+            t.apply_batch(&ops).unwrap();
+        }
+        assert_eq!((t.slab.pages.len(), t.slab.top, t.len()), (4, 200, 200));
+        assert!(t.check_invariants());
+    }
+
+    /// `clear` keeps the slab's pages, and a refill, single or batched,
+    /// lands in them without adding or reallocating one. The batch lands
+    /// in sort-key order, so the slab then reads in match order.
+    #[test]
+    fn clear_then_refill_adds_no_pages() {
+        let mut t = TcamTable::new(512, PlacementStrategy::PackedLow);
+        let rules: Vec<Rule> = (0..300u64)
+            .map(|i| rule(i, "10.0.0.0/8", (i % 13) as u32))
+            .collect();
+        let fill = |t: &mut TcamTable| {
+            for &r in &rules {
+                t.insert(r).unwrap();
+            }
+        };
+        fill(&mut t);
+        let pages = |t: &TcamTable| t.slab.pages.iter().map(|p| p.as_ptr()).collect::<Vec<_>>();
+        let before = pages(&t);
+        assert_eq!(before.len(), 5);
+        t.clear();
+        assert!(t.check_invariants() && pages(&t) == before);
+        fill(&mut t);
+        assert!(t.check_invariants() && pages(&t) == before);
+        t.clear();
+        let ops: Vec<TcamOp> = rules.iter().map(|&r| TcamOp::Insert(r)).collect();
+        t.apply_batch(&ops).unwrap();
+        assert!(t.check_invariants() && pages(&t) == before);
+        assert!(
+            t.slab.pages.iter().flatten().eq(t.iter()),
+            "slab in match order"
+        );
+    }
 }
 
 /// `apply_batch` against itself as it stood before the sorted planner and
@@ -1436,7 +1621,7 @@ mod batch_merge {
 
     /// The `BTreeMap` planner — a sequential walk of the ops keeping the
     /// pending inserts, deletes and modifies by id, and the two coalesced
-    /// sweeps over a map of events — then the deletes one `raw_remove` at
+    /// sweeps over a map of events — then the deletes one `Layout::raw_remove` at
     /// a time in id order and the surviving inserts one `Vec::insert` at a
     /// time in submission order.
     mod reference {
@@ -1480,7 +1665,8 @@ mod batch_merge {
                         if plan.pending.remove(id).is_some() {
                             plan.pending_order.retain(|p| p != id);
                         } else if t.contains(*id) && !plan.deleted.contains_key(id) {
-                            plan.deleted.insert(*id, t.by_id.get(*id).expect("live id"));
+                            plan.deleted
+                                .insert(*id, t.by_id.get(*id).expect("live id").0);
                             plan.modified.remove(id);
                         } else {
                             return Err(TcamError::NotFound(*id));
@@ -1581,12 +1767,15 @@ mod batch_merge {
             let plan = validate_batch(t, ops)?;
             let (shifts, naive_shifts) = plan_batch_shifts(t, ops, &plan);
             for (id, action) in &plan.modified {
-                let (bi, wi) = t.find(*id).expect("validated batch");
-                t.layout.blocks[bi].rules[wi].action = *action;
+                let (_, slot) = t.by_id.get(*id).expect("validated batch");
+                t.slab.get_mut(slot).action = *action;
             }
-            for key in plan.deleted.values() {
+            for (id, key) in &plan.deleted {
                 let (bi, wi) = t.layout.locate(*key).expect("validated batch");
-                t.raw_remove(bi, wi);
+                let slot = t.layout.raw_remove(bi, wi);
+                t.index.remove(t.slab.get(slot).key, key.seq);
+                t.slab.release(slot);
+                t.by_id.remove(*id);
             }
             for id in &plan.pending_order {
                 let rule = plan.pending[id];
@@ -1765,10 +1954,10 @@ mod batch_merge {
         assert!(got.check_invariants() && want.check_invariants(), "invariants");
         for b in &got.layout.blocks {
             assert!(
-                b.keys.capacity() <= 2 * BLOCK_MAX && b.rules.capacity() <= 2 * BLOCK_MAX,
+                b.keys.capacity() <= 2 * BLOCK_MAX && b.handles.capacity() <= 2 * BLOCK_MAX,
                 "a block of {} entries holds {} slots",
                 b.len(),
-                b.rules.capacity()
+                b.handles.capacity()
             );
         }
     }
@@ -1882,7 +2071,10 @@ mod batch_merge {
             let got: Vec<usize> = table.layout.blocks.iter().map(Block::len).collect();
             assert_eq!(got, lens, "{n} entries");
             for b in &table.layout.blocks {
-                assert_eq!((b.keys.capacity(), b.rules.capacity()), (b.len(), b.len()));
+                assert_eq!(
+                    (b.keys.capacity(), b.handles.capacity()),
+                    (b.len(), b.len())
+                );
             }
         }
     }

@@ -11,7 +11,7 @@
 //! (behind `clear`) leaves the index populated; `insert` overwrites
 //! a slot with an equal tag, collapsing entries that share one
 //! `(mask, value)`; `remove` always writes EMPTY, so a vacated slot ends
-//! the probe run of the entries behind it; `raw_insert` or `raw_remove`
+//! the probe run of the entries behind it; `raw_insert` or `delete`
 //! skips the index; `retain` leaves a dropped entry in the match index
 //! or in the id index; the index is never rebuilt; `rebuild` keeps the old
 //! tuples. One more changes no answer and dies on `check_invariants`

@@ -58,6 +58,10 @@ stage_test() {
     # Under the gate's pinned environment: no library crate reads it
     # (DESIGN.md §8), so the suite must not care which shell it runs in.
     HERMES_FAULT_SEED=7 HERMES_TRACE=1 cargo test -q --offline --workspace
+    # The TCAM table's storage (slab, handles, both indexes) under eight
+    # times the default cases of its two differential properties.
+    HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-tcam \
+      --test proptest_tcam --test proptest_match_index
 }
 
 stage_bins() {
