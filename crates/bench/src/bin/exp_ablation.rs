@@ -52,7 +52,8 @@ fn run() {
         rate_limit: Some(f64::INFINITY),
         ..Default::default()
     };
-    let mut sw = HermesSwitch::new(SwitchModel::pica8_p3290(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
+    let mut sw = HermesSwitch::new(SwitchModel::pica8_p3290(), config)
+        .expect("INVARIANT: fixed experiment config is feasible for this model");
     let mut total_pause = SimDuration::ZERO;
     let mut worst_pause = SimDuration::ZERO;
     let mut migrations = 0u64;
@@ -105,7 +106,8 @@ fn run() {
             rate_limit: Some(f64::INFINITY),
             ..Default::default()
         };
-        let mut sw = HermesSwitch::new(SwitchModel::pica8_p3290(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
+        let mut sw = HermesSwitch::new(SwitchModel::pica8_p3290(), config)
+            .expect("INVARIANT: fixed experiment config is feasible for this model");
         let mut next_tick = SimTime::ZERO;
         let mut lat_sum = 0.0;
         let mut n = 0u64;
@@ -145,7 +147,8 @@ fn run() {
             rate_limit: Some(f64::INFINITY),
             ..Default::default()
         };
-        let plane = hermes_bench::hermes_plane(SwitchModel::pica8_p3290(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
+        let plane = hermes_bench::hermes_plane(SwitchModel::pica8_p3290(), config)
+            .expect("INVARIANT: fixed experiment config is feasible for this model");
         let mut r = drive_stream(plane, &workload, SimDuration::from_ms(100.0));
         t.row(&[
             "Hermes".into(),

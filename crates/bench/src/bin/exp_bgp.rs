@@ -68,7 +68,10 @@ fn drive<P: ControlPlane>(plane: P, actions: &[(SimTime, ControlAction)]) -> Bgp
             next_tick += tick;
         }
         let (start, outcome) = q.submit(std::slice::from_ref(action), *at);
-        let op = outcome.ops.last().expect("INVARIANT: submit of one action reports at least one op");
+        let op = outcome
+            .ops
+            .last()
+            .expect("INVARIANT: submit of one action reports at least one op");
         if action.is_insert() {
             run.rit.push((start + op.completed_at).since(*at).as_ms());
             run.inserts += 1;
@@ -175,7 +178,8 @@ fn run() {
         ..Default::default()
     };
     let mut hermes = drive(
-        hermes_bench::hermes_plane(model.clone(), hermes_cfg).expect("INVARIANT: fixed experiment config is feasible for this model"),
+        hermes_bench::hermes_plane(model.clone(), hermes_cfg)
+            .expect("INVARIANT: fixed experiment config is feasible for this model"),
         &actions,
     );
     print_summary("Hermes RIT (ms)", &mut hermes.rit);
@@ -206,7 +210,8 @@ fn run() {
             ..Default::default()
         };
         let mut r = drive(
-            hermes_bench::hermes_plane(model.clone(), cfg).expect("INVARIANT: fixed experiment config is feasible for this model"),
+            hermes_bench::hermes_plane(model.clone(), cfg)
+                .expect("INVARIANT: fixed experiment config is feasible for this model"),
             &actions,
         );
         t.row(&[
@@ -234,7 +239,8 @@ fn run() {
             ..Default::default()
         };
         let r = drive(
-            hermes_bench::hermes_plane(model.clone(), cfg).expect("INVARIANT: fixed experiment config is feasible for this model"),
+            hermes_bench::hermes_plane(model.clone(), cfg)
+                .expect("INVARIANT: fixed experiment config is feasible for this model"),
             &actions,
         );
         t.row(&[

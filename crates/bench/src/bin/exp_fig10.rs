@@ -32,7 +32,8 @@ fn run_all(dc: bool, total_rules: usize) -> Vec<(String, StreamResult)> {
         (
             "Hermes".into(),
             drive_batches(
-                hermes_bench::hermes_plane(model.clone(), HermesConfig::default()).expect("INVARIANT: fixed experiment config is feasible for this model"),
+                hermes_bench::hermes_plane(model.clone(), HermesConfig::default())
+                    .expect("INVARIANT: fixed experiment config is feasible for this model"),
                 &batches,
                 tick,
             ),

@@ -54,7 +54,8 @@ fn run() {
         let tango = series(TangoSwitch::new(model.clone()), &batches);
         let espres = series(EspresSwitch::new(model.clone()), &batches);
         let hermes = series(
-            hermes_bench::hermes_plane(model.clone(), HermesConfig::default()).expect("INVARIANT: fixed experiment config is feasible for this model"),
+            hermes_bench::hermes_plane(model.clone(), HermesConfig::default())
+                .expect("INVARIANT: fixed experiment config is feasible for this model"),
             &batches,
         );
         println!("\n--- ({label}) trace ---");

@@ -46,8 +46,13 @@ fn run(model: &SwitchModel, trigger: MigrationTrigger, count: usize) -> Outcome 
         ..Default::default()
     };
     let stream = workload(count).generate();
-    let duration_s = stream.last().expect("INVARIANT: workload generators emit at least one update").at.as_secs();
-    let plane = hermes_bench::hermes_plane(model.clone(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
+    let duration_s = stream
+        .last()
+        .expect("INVARIANT: workload generators emit at least one update")
+        .at
+        .as_secs();
+    let plane = hermes_bench::hermes_plane(model.clone(), config)
+        .expect("INVARIANT: fixed experiment config is feasible for this model");
     // Fine-grained manager wake-ups: at 1000 updates/s a 100 ms prediction
     // interval would dominate the results with sampling noise.
     let mut result = drive_stream(plane, &stream, SimDuration::from_ms(25.0));

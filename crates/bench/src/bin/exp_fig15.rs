@@ -55,7 +55,10 @@ fn run() {
         .iter()
         .map(|s| s * hermes_bench::scale())
         .collect();
-    hermes_bench::report_meta("sizes", &sizes.iter().map(|s| *s as u64).collect::<Vec<_>>());
+    hermes_bench::report_meta(
+        "sizes",
+        &sizes.iter().map(|s| *s as u64).collect::<Vec<_>>(),
+    );
     println!("== Figure 15: Hermes algorithm overheads (measured on this host) ==\n");
 
     println!("-- (b) processing time: insertion vs migration algorithm --");
@@ -82,14 +85,16 @@ fn run() {
         // INVARIANT: shadow_size/rate_limit above satisfy the feasibility
         // check for every size in `sizes`; a failure here is a bug in the
         // sweep itself, not an input condition.
-        let mut sw = HermesSwitch::new(model, config).expect("INVARIANT: config feasible by construction");
+        let mut sw =
+            HermesSwitch::new(model, config).expect("INVARIANT: config feasible by construction");
 
         // Insertion algorithm: partition + gatekeeper + shadow write.
         let mut timer = Stopwatch::start();
         for a in &actions {
             // INVARIANT: the ideal model never faults and capacity covers
             // 2n rules, so submit cannot reject these inserts.
-            sw.submit(a, SimTime::ZERO).expect("INVARIANT: ideal model accepts inserts");
+            sw.submit(a, SimTime::ZERO)
+                .expect("INVARIANT: ideal model accepts inserts");
         }
         let insert_elapsed = timer.lap();
 

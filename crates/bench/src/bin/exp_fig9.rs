@@ -64,7 +64,10 @@ fn run() {
             hermes_sim.metrics.fct_short_s.clone(),
         ));
 
-        let hermes_median = all.last_mut().map(|(_, s, _)| s.median()).expect("INVARIANT: the Hermes series is pushed above");
+        let hermes_median = all
+            .last_mut()
+            .map(|(_, s, _)| s.median())
+            .expect("INVARIANT: the Hermes series is pushed above");
         let hermes_short_p95 = all
             .last_mut()
             .map(|(_, _, s)| s.percentile(0.95))

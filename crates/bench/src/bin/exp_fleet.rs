@@ -318,7 +318,11 @@ fn build_storm(
                 r
             })
             .collect();
-        txns.push(StormTxn { crash, cands, rules });
+        txns.push(StormTxn {
+            crash,
+            cands,
+            rules,
+        });
     }
     (txns, hot)
 }
@@ -391,7 +395,9 @@ fn run_storm(
     for (t, txn) in schedule.iter().enumerate() {
         now += SimDuration::from_us(10.0);
         if let Some((victim, kind, crash_seed)) = txn.crash {
-            fleet.plane_mut(victim).inject_crash(kind, crash_seed, 1, now);
+            fleet
+                .plane_mut(victim)
+                .inject_crash(kind, crash_seed, 1, now);
         }
         let pick = if rebalance {
             let scores = rb.scores(&fleet.member_health(now));
@@ -552,7 +558,14 @@ fn run_experiment_body() {
     let storm_paths = STORM_PATHS * hermes_bench::scale();
     hermes_bench::report_meta("storm_paths", &(storm_paths as u64));
 
-    let (schedule, hot) = build_storm(switches, LANES, storm_paths, STORM_SPAN, STORM_CRASH_EVERY, SEED);
+    let (schedule, hot) = build_storm(
+        switches,
+        LANES,
+        storm_paths,
+        STORM_SPAN,
+        STORM_CRASH_EVERY,
+        SEED,
+    );
     println!(
         "\n== Rebalancing storm: skewed load over the lane-0 hot set ==\n\n\
          {storm_paths} transactions of {STORM_SPAN} pieces, 80% of pieces on the \
@@ -562,15 +575,42 @@ fn run_experiment_body() {
         hot[0],
     );
 
-    let arm_a = run_storm(&schedule, switches, LANES, preload, SEED, &StormArm {
-        sched: LaneSched::Pinned, coalesce: false, rebalance: false,
-    });
-    let arm_b = run_storm(&schedule, switches, LANES, preload, SEED, &StormArm {
-        sched: LaneSched::Weighted, coalesce: true, rebalance: false,
-    });
-    let arm_c = run_storm(&schedule, switches, LANES, preload, SEED, &StormArm {
-        sched: LaneSched::Weighted, coalesce: true, rebalance: true,
-    });
+    let arm_a = run_storm(
+        &schedule,
+        switches,
+        LANES,
+        preload,
+        SEED,
+        &StormArm {
+            sched: LaneSched::Pinned,
+            coalesce: false,
+            rebalance: false,
+        },
+    );
+    let arm_b = run_storm(
+        &schedule,
+        switches,
+        LANES,
+        preload,
+        SEED,
+        &StormArm {
+            sched: LaneSched::Weighted,
+            coalesce: true,
+            rebalance: false,
+        },
+    );
+    let arm_c = run_storm(
+        &schedule,
+        switches,
+        LANES,
+        preload,
+        SEED,
+        &StormArm {
+            sched: LaneSched::Weighted,
+            coalesce: true,
+            rebalance: true,
+        },
+    );
 
     let mut st = Table::new(&[
         "Arm",
@@ -625,8 +665,14 @@ fn run_experiment_body() {
             "arm {label}: every storm transaction either commits or rolls back"
         );
     }
-    assert_eq!(arm_a.steals, 0, "pinned dispatch never leaves the home lane");
-    assert_eq!(arm_a.coalesced, 0, "per-piece mode submits every piece alone");
+    assert_eq!(
+        arm_a.steals, 0,
+        "pinned dispatch never leaves the home lane"
+    );
+    assert_eq!(
+        arm_a.coalesced, 0,
+        "per-piece mode submits every piece alone"
+    );
     assert!(
         arm_b.steals > 0 && arm_b.coalesced > 0,
         "the weighted arm must actually steal ({}) and coalesce ({})",

@@ -41,7 +41,8 @@ fn run(kind: PredictorKind, corrector: Corrector, count: usize) -> (f64, f64, f6
         ..Default::default()
     }
     .generate();
-    let mut plane = hermes_bench::hermes_plane(SwitchModel::pica8_p3290(), config).expect("INVARIANT: fixed experiment config is feasible for this model");
+    let mut plane = hermes_bench::hermes_plane(SwitchModel::pica8_p3290(), config)
+        .expect("INVARIANT: fixed experiment config is feasible for this model");
     let tick = SimDuration::from_ms(25.0);
     let mut next_tick = SimTime::ZERO + tick;
     let mut lat = Samples::new();

@@ -29,7 +29,8 @@ fn measured_update_rate(model: &SwitchModel, occupancy: usize, probes: usize) ->
             Priority(rng.gen_range(1..10_000)),
             Action::Forward(1),
         );
-        dev.apply(0, &ControlAction::Insert(rule)).expect("INVARIANT: fault-free device with capacity sized for the fill");
+        dev.apply(0, &ControlAction::Insert(rule))
+            .expect("INVARIANT: fault-free device with capacity sized for the fill");
         live.push(i as u64);
     }
     // Probe: delete a random live rule, insert a replacement at random

@@ -55,7 +55,8 @@ fn probe_insert(
             .apply(0, &ControlAction::Insert(r))
             .expect("INVARIANT: fault-free device with one reserved probe slot")
             .latency;
-        dev.apply(0, &ControlAction::Delete(r.id)).expect("INVARIANT: deleting the probe rule installed above");
+        dev.apply(0, &ControlAction::Delete(r.id))
+            .expect("INVARIANT: deleting the probe rule installed above");
     }
     total / n as u64
 }

@@ -75,7 +75,10 @@ pub fn drive_stream<P: ControlPlane>(
             next_tick += tick;
         }
         let (start, outcome) = q.submit(std::slice::from_ref(&ta.action), ta.at);
-        let op = outcome.ops.last().expect("INVARIANT: submit of one action reports at least one op");
+        let op = outcome
+            .ops
+            .last()
+            .expect("INVARIANT: submit of one action reports at least one op");
         result
             .rit_ms
             .push((start + op.completed_at).since(ta.at).as_ms());
@@ -261,8 +264,8 @@ fn load_scenario_from_env() -> Result<Scenario, String> {
     let name = std::env::var("HERMES_SCENARIO").ok();
     let mut sc = match (&file, &name) {
         (Some(f), Some(n)) => {
-            let matrix =
-                hermes_util::scenario::Matrix::load(std::path::Path::new(f)).map_err(|e| e.to_string())?;
+            let matrix = hermes_util::scenario::Matrix::load(std::path::Path::new(f))
+                .map_err(|e| e.to_string())?;
             matrix
                 .get(n)
                 .cloned()
@@ -590,10 +593,7 @@ pub fn run_experiment(name: &str, body: impl FnOnce()) -> std::process::ExitCode
     hermes_telemetry::reset();
     report_meta("scale", &(scale() as u64));
     if sc.name != "adhoc" {
-        hermes_telemetry::set_meta(
-            "scenario",
-            hermes_util::json::Json::Str(sc.name.clone()),
-        );
+        hermes_telemetry::set_meta("scenario", hermes_util::json::Json::Str(sc.name.clone()));
     }
     if let Some(seed) = sc.fault_seed {
         hermes_telemetry::set_meta("fault_seed", hermes_util::json::Json::Str(seed.to_string()));
@@ -680,13 +680,20 @@ fn git_rev() -> String {
 /// to a directory: `<HERMES_OUT>/<name>.json`. No-op otherwise. Errors are
 /// reported to stderr but never abort an experiment.
 pub fn export_json<T: hermes_util::json::ToJson>(name: &str, value: &T) {
-    #[expect(clippy::disallowed_methods, reason = "HERMES_OUT is a sanctioned HERMES_* reader")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "HERMES_OUT is a sanctioned HERMES_* reader"
+    )]
     let dir = std::env::var_os("HERMES_OUT");
     export_json_to(dir.as_deref().map(std::path::Path::new), name, value);
 }
 
 /// [`export_json`] with the output directory passed in.
-fn export_json_to<T: hermes_util::json::ToJson>(dir: Option<&std::path::Path>, name: &str, value: &T) {
+fn export_json_to<T: hermes_util::json::ToJson>(
+    dir: Option<&std::path::Path>,
+    name: &str,
+    value: &T,
+) {
     let Some(dir) = dir else {
         return;
     };

@@ -15,15 +15,19 @@ fn prefix() -> Gen<Ipv4Prefix> {
 }
 
 fn route() -> Gen<BgpRoute> {
-    zip4(range(0u32..4), range(50u32..150), range(1u32..6), range(0u32..5)).map(
-        |(peer, lp, aspath, med)| BgpRoute {
-            local_pref: lp,
-            as_path_len: aspath,
-            med,
-            peer: PeerId(peer),
-            next_hop_port: peer + 1,
-        },
+    zip4(
+        range(0u32..4),
+        range(50u32..150),
+        range(1u32..6),
+        range(0u32..5),
     )
+    .map(|(peer, lp, aspath, med)| BgpRoute {
+        local_pref: lp,
+        as_path_len: aspath,
+        med,
+        peer: PeerId(peer),
+        next_hop_port: peer + 1,
+    })
 }
 
 fn update() -> Gen<BgpUpdate> {

@@ -11,7 +11,6 @@
 //! The evaluation (§8.6) finds Slack (combined with Cubic Spline) most
 //! effective, with 100% slack needed at 1000 updates/s.
 
-
 /// A correction applied on top of a raw prediction.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Corrector {

@@ -158,7 +158,9 @@ impl RecoveryState {
     /// Jittered backoff before retry `attempt` (1-based). The returned
     /// span is charged against the latency guarantee by the caller.
     pub fn backoff(&mut self, attempt: u32) -> SimDuration {
-        let jitter = self.rng.gen_range((1.0 - RETRY_JITTER)..(1.0 + RETRY_JITTER));
+        let jitter = self
+            .rng
+            .gen_range((1.0 - RETRY_JITTER)..(1.0 + RETRY_JITTER));
         let b = doubling_backoff(RETRY_BASE_BACKOFF, RETRY_MAX_BACKOFF, attempt).mul_f64(jitter);
         if hermes_telemetry::enabled() {
             hermes_telemetry::counter("recovery.retries", 1);
@@ -248,7 +250,10 @@ mod tests {
         let mut rs = RecoveryState::default();
         assert!(!rs.is_degraded());
         rs.on_permanent_failure(SimTime::from_ms(10.0));
-        assert!(!rs.is_degraded(), "one exhausted op does not trip degraded mode");
+        assert!(
+            !rs.is_degraded(),
+            "one exhausted op does not trip degraded mode"
+        );
         rs.on_permanent_failure(SimTime::from_ms(20.0));
         assert!(rs.is_degraded(), "the second one does");
         assert_eq!(rs.stats.degraded_entries, 1);

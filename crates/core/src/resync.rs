@@ -73,9 +73,7 @@ impl SlicePlan {
     pub fn to_ops(&self, ops: &mut Vec<TcamOp>) {
         ops.clear();
         ops.extend(self.deletes.iter().copied().map(TcamOp::Delete));
-        ops.extend(
-            (self.fixes.iter()).map(|&(id, action)| TcamOp::ModifyAction { id, action }),
-        );
+        ops.extend((self.fixes.iter()).map(|&(id, action)| TcamOp::ModifyAction { id, action }));
         ops.extend(self.installs.iter().copied().map(TcamOp::Insert));
     }
 }
@@ -183,7 +181,12 @@ mod tests {
 
     fn rule(id: u64, prio: u32) -> Rule {
         let p: Ipv4Prefix = format!("10.{}.0.0/16", id % 200).parse().unwrap();
-        Rule::new(id, p.to_key(), Priority(prio), Action::Forward(prio % 5 + 1))
+        Rule::new(
+            id,
+            p.to_key(),
+            Priority(prio),
+            Action::Forward(prio % 5 + 1),
+        )
     }
 
     #[test]

@@ -195,7 +195,11 @@ impl HermesSwitch {
         out.clear();
         if slice == SHADOW {
             out.extend((self.shadow.values()).flat_map(|e| {
-                (e.pieces.iter()).map(|&(id, key)| Rule { id, key, ..e.original })
+                (e.pieces.iter()).map(|&(id, key)| Rule {
+                    id,
+                    key,
+                    ..e.original
+                })
             }));
             out.sort_unstable_by_key(|r| r.id);
         } else {

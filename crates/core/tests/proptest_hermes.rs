@@ -16,8 +16,7 @@ use hermes_tcam::{
 use hermes_util::check::{arb, just, range, vec_of, weighted, zip2, zip3, Gen};
 
 fn prefix() -> Gen<Ipv4Prefix> {
-    zip2(arb::<u32>(), range(8u8..=26))
-        .map(|(a, len)| Ipv4Prefix::new(0x0a00_0000 | (a >> 8), len))
+    zip2(arb::<u32>(), range(8u8..=26)).map(|(a, len)| Ipv4Prefix::new(0x0a00_0000 | (a >> 8), len))
 }
 
 #[derive(Clone, Debug)]
@@ -38,8 +37,7 @@ fn op() -> Gen<Op> {
         (2, arb::<usize>().map(|idx| Op::Delete { idx })),
         (
             1,
-            zip2(arb::<usize>(), range(1u32..30))
-                .map(|(idx, prio)| Op::ModifyPrio { idx, prio }),
+            zip2(arb::<usize>(), range(1u32..30)).map(|(idx, prio)| Op::ModifyPrio { idx, prio }),
         ),
         (1, just(Op::Tick)),
         (1, just(Op::Migrate)),

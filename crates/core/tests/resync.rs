@@ -19,8 +19,15 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 fn rule(id: u64, third: u32, prio: u32) -> Rule {
-    let p: Ipv4Prefix = format!("10.{}.{}.0/24", id % 200, third % 250).parse().unwrap();
-    Rule::new(id, p.to_key(), Priority(prio), Action::Forward(prio % 5 + 1))
+    let p: Ipv4Prefix = format!("10.{}.{}.0/24", id % 200, third % 250)
+        .parse()
+        .unwrap();
+    Rule::new(
+        id,
+        p.to_key(),
+        Priority(prio),
+        Action::Forward(prio % 5 + 1),
+    )
 }
 
 fn loaded_switch(config: HermesConfig, n: u64) -> (HermesSwitch, SimTime) {
@@ -69,7 +76,10 @@ fn wipe_crash_warm_resync_restores_the_table() {
         assert!(sw.contains(RuleId(id)), "rule {id} lost in the wipe");
     }
     now += SimDuration::from_ms(5.0);
-    assert!(sw.audit(now).clean(), "post-resync audit certifies the device");
+    assert!(
+        sw.audit(now).clean(),
+        "post-resync audit certifies the device"
+    );
 }
 
 #[test]
@@ -77,22 +87,21 @@ fn partial_crash_warm_resync_keeps_survivors() {
     let (mut sw, mut now) = loaded_switch(HermesConfig::default(), 40);
     let physical_before = sw.shadow_len() + sw.main_len();
 
-    sw.inject_crash(
-        CrashKind::Partial {
-            survivor_prob: 0.6,
-        },
-        7,
-        0,
-        now,
-    );
+    sw.inject_crash(CrashKind::Partial { survivor_prob: 0.6 }, 7, 0, now);
     let physical_after = sw.shadow_len() + sw.main_len();
-    assert!(physical_after < physical_before, "partial crash loses entries");
+    assert!(
+        physical_after < physical_before,
+        "partial crash loses entries"
+    );
     assert!(physical_after > 0, "but a survivor subset remains");
 
     now += SimDuration::from_ms(5.0);
     let report = sw.resync(now).expect("crash window open");
     assert!(report.complete);
-    assert_eq!(report.survivors, physical_after, "resync keeps the survivors");
+    assert_eq!(
+        report.survivors, physical_after,
+        "resync keeps the survivors"
+    );
     assert_eq!(
         report.reinstalled,
         physical_before - physical_after,
@@ -114,7 +123,10 @@ fn reconnect_denials_back_off_and_eventually_reconnect() {
         report.reconnect_attempts, 3,
         "two denials, then the third attempt lands"
     );
-    assert!(report.duration >= SimDuration::from_ms(3.0), "backoff charged");
+    assert!(
+        report.duration >= SimDuration::from_ms(3.0),
+        "backoff charged"
+    );
 }
 
 #[test]
@@ -124,8 +136,14 @@ fn reconnect_denied_past_budget_retries_on_later_passes() {
 
     now += SimDuration::from_ms(5.0);
     let first = sw.resync(now).expect("crash window open");
-    assert!(!first.complete, "ten denials outlast an eight-attempt budget");
-    assert_eq!(first.reconnect_attempts, 8, "the pass spends its whole budget");
+    assert!(
+        !first.complete,
+        "ten denials outlast an eight-attempt budget"
+    );
+    assert_eq!(
+        first.reconnect_attempts, 8,
+        "the pass spends its whole budget"
+    );
     assert!(sw.is_down());
     assert_eq!(sw.resync_stats().reconnect_failures, 1);
 

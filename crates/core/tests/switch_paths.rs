@@ -334,7 +334,10 @@ fn admit_batch_flushes_before_main_landings() {
     ];
     let reps = sw.admit_batch(&batch, now);
     assert_eq!(reps[0].as_ref().unwrap().route(), Some(Route::Shadow));
-    assert_eq!(reps[2].as_ref().unwrap().route(), Some(Route::MainUnmatched));
+    assert_eq!(
+        reps[2].as_ref().unwrap().route(),
+        Some(Route::MainUnmatched)
+    );
     assert_eq!(reps[3].as_ref().unwrap().route(), Some(Route::Shadow));
     assert_eq!(sw.logical_len(), 4);
     // Overlap region answers with the higher-priority rule 2.

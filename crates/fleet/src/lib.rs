@@ -48,7 +48,7 @@
 
 pub mod rebalance;
 
-pub use rebalance::{MemberHealth, RebalancePolicy, Rebalancer, RebalanceStats};
+pub use rebalance::{MemberHealth, RebalancePolicy, RebalanceStats, Rebalancer};
 
 use hermes_core::plane::{BatchOutcome, ControlPlane, CpQueue};
 use hermes_rules::prelude::*;
@@ -330,7 +330,10 @@ impl<P: ControlPlane> Fleet<P> {
 
     /// Total installed entries across the fleet.
     pub fn occupancy(&self) -> usize {
-        self.members.values().map(|m| m.queue.plane().occupancy()).sum()
+        self.members
+            .values()
+            .map(|m| m.queue.plane().occupancy())
+            .sum()
     }
 
     /// The latest busy horizon over all lanes: the modeled makespan of
@@ -366,7 +369,11 @@ impl<P: ControlPlane> Fleet<P> {
                     id: *id,
                     lane: m.lane,
                     occupancy: p.occupancy(),
-                    backlog_ns: if busy > now { busy.since(now).as_nanos() } else { 0 },
+                    backlog_ns: if busy > now {
+                        busy.since(now).as_nanos()
+                    } else {
+                        0
+                    },
                     mean_rit_ns: (m.wait_ns + m.service_ns).checked_div(m.ops).unwrap_or(0),
                     is_down: p.is_down(),
                     crashes,
@@ -762,8 +769,8 @@ mod tests {
     fn hermes_fleet_with(n: usize, config: FleetConfig) -> Fleet<HermesPlane> {
         let members = (0..n)
             .map(|i| {
-                let sw = HermesSwitch::new(SwitchModel::pica8_p3290(), HermesConfig::default())
-                    .unwrap();
+                let sw =
+                    HermesSwitch::new(SwitchModel::pica8_p3290(), HermesConfig::default()).unwrap();
                 (i, HermesPlane::new(sw))
             })
             .collect();
@@ -872,7 +879,10 @@ mod tests {
         weighted.submit(a, &[ControlAction::Insert(rule(1))], now);
         let (sw, _, _) = weighted.submit_after(b, &[ControlAction::Insert(rule(2))], now, &[]);
         assert_eq!(sw, now, "weighted: second op runs on the idle lane");
-        assert!(weighted.stats().steals >= 1, "the off-home dispatch is a steal");
+        assert!(
+            weighted.stats().steals >= 1,
+            "the off-home dispatch is a steal"
+        );
     }
 
     #[test]
@@ -945,8 +955,15 @@ mod tests {
         assert!(out.committed);
         assert_eq!(out.ops.len(), 3);
         let stats = fleet.stats();
-        assert_eq!(stats.submits - before, 2, "one cut per member, not per piece");
-        assert_eq!(stats.coalesced_pieces, 1, "the shared piece rode member 0's cut");
+        assert_eq!(
+            stats.submits - before,
+            2,
+            "one cut per member, not per piece"
+        );
+        assert_eq!(
+            stats.coalesced_pieces, 1,
+            "the shared piece rode member 0's cut"
+        );
     }
 
     #[test]
@@ -973,8 +990,7 @@ mod tests {
     fn migrate_rules_moves_load_between_members() {
         let mut fleet = hermes_fleet(2, 2);
         let rules: Vec<Rule> = (1..=5).map(rule).collect();
-        let inserts: Vec<ControlAction> =
-            rules.iter().map(|r| ControlAction::Insert(*r)).collect();
+        let inserts: Vec<ControlAction> = rules.iter().map(|r| ControlAction::Insert(*r)).collect();
         fleet.submit(0, &inserts, SimTime::ZERO);
         let out = fleet.migrate_rules(0, 1, &rules, SimTime::from_secs(1.0));
         assert!(out.committed);
@@ -984,8 +1000,16 @@ mod tests {
             fleet.tick_all(now);
         }
         for r in &rules {
-            assert_eq!(fleet.plane(1).contains_rule(r.id), Some(true), "landed on target");
-            assert_eq!(fleet.plane(0).contains_rule(r.id), Some(false), "cleared from source");
+            assert_eq!(
+                fleet.plane(1).contains_rule(r.id),
+                Some(true),
+                "landed on target"
+            );
+            assert_eq!(
+                fleet.plane(0).contains_rule(r.id),
+                Some(false),
+                "cleared from source"
+            );
         }
         let stats = fleet.stats();
         assert_eq!(stats.migrations, 1);
@@ -996,8 +1020,7 @@ mod tests {
     fn migrate_rules_aborts_onto_a_down_target() {
         let mut fleet = hermes_fleet(2, 2);
         let rules: Vec<Rule> = (1..=3).map(rule).collect();
-        let inserts: Vec<ControlAction> =
-            rules.iter().map(|r| ControlAction::Insert(*r)).collect();
+        let inserts: Vec<ControlAction> = rules.iter().map(|r| ControlAction::Insert(*r)).collect();
         fleet.submit(0, &inserts, SimTime::ZERO);
         fleet
             .plane_mut(1)
@@ -1013,8 +1036,16 @@ mod tests {
             fleet.tick_all(now);
         }
         for r in &rules {
-            assert_eq!(fleet.plane(0).contains_rule(r.id), Some(true), "source untouched");
-            assert_eq!(fleet.plane(1).contains_rule(r.id), Some(false), "target retracted");
+            assert_eq!(
+                fleet.plane(0).contains_rule(r.id),
+                Some(true),
+                "source untouched"
+            );
+            assert_eq!(
+                fleet.plane(1).contains_rule(r.id),
+                Some(false),
+                "target retracted"
+            );
         }
         assert_eq!(fleet.pending_rollback_len(), 0);
     }
@@ -1022,9 +1053,7 @@ mod tests {
     #[test]
     fn member_health_reports_backlog_and_rit() {
         let mut fleet = hermes_fleet(2, 2);
-        let rules: Vec<ControlAction> = (1..=20)
-            .map(|i| ControlAction::Insert(rule(i)))
-            .collect();
+        let rules: Vec<ControlAction> = (1..=20).map(|i| ControlAction::Insert(rule(i))).collect();
         fleet.submit(0, &rules, SimTime::ZERO);
         let health = fleet.member_health(SimTime::ZERO);
         assert_eq!(health.len(), 2);
@@ -1045,7 +1074,10 @@ mod tests {
         fleet.end_warmup_all();
         assert_eq!(fleet.horizon(), SimTime::ZERO);
         let health = fleet.member_health(SimTime::ZERO);
-        assert!(health.iter().all(|h| h.mean_rit_ns == 0), "RIT aggregates reset");
+        assert!(
+            health.iter().all(|h| h.mean_rit_ns == 0),
+            "RIT aggregates reset"
+        );
     }
 
     #[test]

@@ -156,7 +156,10 @@ impl Rebalancer {
         candidates: &[Vec<SwitchId>],
         scores: &BTreeMap<SwitchId, f64>,
     ) -> usize {
-        assert!(!candidates.is_empty(), "INVARIANT: pick_slice needs a candidate");
+        assert!(
+            !candidates.is_empty(),
+            "INVARIANT: pick_slice needs a candidate"
+        );
         let pressure = |set: &[SwitchId]| -> (f64, f64) {
             let mut worst = 0.0_f64;
             let mut total = 0.0_f64;
@@ -223,9 +226,9 @@ impl Rebalancer {
         let mut used: Vec<SwitchId> = Vec::new();
         let mut plan = Vec::new();
         for (hot_id, hot_score) in hot.into_iter().take(self.policy.max_moves) {
-            let target = cold.iter().find(|(id, s)| {
-                *id != hot_id && !used.contains(id) && *s < hot_score
-            });
+            let target = cold
+                .iter()
+                .find(|(id, s)| *id != hot_id && !used.contains(id) && *s < hot_score);
             if let Some((cold_id, _)) = target {
                 used.push(hot_id);
                 used.push(*cold_id);
@@ -258,15 +261,27 @@ mod tests {
     fn score_is_monotone_in_load_and_faults() {
         let r = Rebalancer::default();
         let base = health(0, 10);
-        let loaded = MemberHealth { occupancy: 50, ..base };
-        let backlogged = MemberHealth { backlog_ns: 500_000, ..base };
+        let loaded = MemberHealth {
+            occupancy: 50,
+            ..base
+        };
+        let backlogged = MemberHealth {
+            backlog_ns: 500_000,
+            ..base
+        };
         let crashed = MemberHealth { crashes: 1, ..base };
-        let down = MemberHealth { is_down: true, ..base };
+        let down = MemberHealth {
+            is_down: true,
+            ..base
+        };
         let s = |h: &MemberHealth| r.score(h);
         assert!(s(&loaded) > s(&base));
         assert!(s(&backlogged) > s(&base));
         assert!(s(&crashed) > s(&loaded), "one crash outweighs load skew");
-        assert!(s(&down) > s(&crashed), "a live crash window dominates everything");
+        assert!(
+            s(&down) > s(&crashed),
+            "a live crash window dominates everything"
+        );
     }
 
     #[test]
@@ -282,7 +297,10 @@ mod tests {
     #[test]
     fn pick_slice_steers_away_from_a_crash_looping_member() {
         let mut r = Rebalancer::default();
-        let sick = MemberHealth { crashes: 4, ..health(1, 10) };
+        let sick = MemberHealth {
+            crashes: 4,
+            ..health(1, 10)
+        };
         let scores = r.scores(&[health(0, 10), sick, health(2, 10), health(3, 10)]);
         let pick = r.pick_slice(&[vec![0, 1], vec![2, 3]], &scores);
         assert_eq!(pick, 1, "the path through the crash-looper loses");
@@ -296,7 +314,10 @@ mod tests {
         // member; candidate 1 wins.
         let scores = r.scores(&[
             health(0, 0),
-            MemberHealth { occupancy: 100, ..health(1, 0) },
+            MemberHealth {
+                occupancy: 100,
+                ..health(1, 0)
+            },
             health(2, 30),
             health(3, 30),
         ]);
@@ -307,12 +328,7 @@ mod tests {
     #[test]
     fn plan_moves_pairs_hot_with_cold() {
         let mut r = Rebalancer::default();
-        let fleet = [
-            health(0, 200),
-            health(1, 10),
-            health(2, 10),
-            health(3, 10),
-        ];
+        let fleet = [health(0, 200), health(1, 10), health(2, 10), health(3, 10)];
         let plan = r.plan_moves(&fleet);
         assert_eq!(plan, vec![(0, 1)], "hottest drains to the coldest");
         assert_eq!(r.stats().moves_planned, 1);
@@ -328,11 +344,18 @@ mod tests {
         let fleet = [
             health(0, 300),
             health(1, 280),
-            MemberHealth { is_down: true, ..health(2, 0) },
+            MemberHealth {
+                is_down: true,
+                ..health(2, 0)
+            },
             health(3, 5),
         ];
         let plan = r.plan_moves(&fleet);
-        assert_eq!(plan.len(), 1, "two members are hot but max_moves bounds the pass");
+        assert_eq!(
+            plan.len(),
+            1,
+            "two members are hot but max_moves bounds the pass"
+        );
         let (hot, cold) = plan[0];
         assert_eq!(hot, 0, "hottest member drains first");
         assert_eq!(cold, 3, "the down member never receives load");
@@ -353,7 +376,12 @@ mod tests {
         let r1 = Rebalancer::default();
         let r2 = Rebalancer::default();
         let fleet = [
-            MemberHealth { backlog_ns: 123_456, mean_rit_ns: 9_876, crashes: 2, ..health(0, 77) },
+            MemberHealth {
+                backlog_ns: 123_456,
+                mean_rit_ns: 9_876,
+                crashes: 2,
+                ..health(0, 77)
+            },
             health(1, 3),
         ];
         assert_eq!(r1.scores(&fleet), r2.scores(&fleet));

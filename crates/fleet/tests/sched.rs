@@ -38,7 +38,15 @@ fn capture(lanes: usize, seed: u64, sched: LaneSched) -> String {
             (i, HermesPlane::new(sw))
         })
         .collect();
-    let mut fleet = Fleet::new(members, FleetConfig { lanes, seed, sched, coalesce: true });
+    let mut fleet = Fleet::new(
+        members,
+        FleetConfig {
+            lanes,
+            seed,
+            sched,
+            coalesce: true,
+        },
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;

@@ -60,9 +60,17 @@ fn canned_report(sc: &Scenario) -> Json {
     Json::obj([
         ("schema", "hermes-bench-report/1".to_json()),
         ("experiment", "stub".to_json()),
-        ("git_rev", std::env::var("HERMES_GIT_REV").unwrap_or_default().to_json()),
+        (
+            "git_rev",
+            std::env::var("HERMES_GIT_REV")
+                .unwrap_or_default()
+                .to_json(),
+        ),
         ("telemetry_enabled", true.to_json()),
-        ("meta", Json::obj([("scenario", sc.name.as_str().to_json())])),
+        (
+            "meta",
+            Json::obj([("scenario", sc.name.as_str().to_json())]),
+        ),
         (
             "counters",
             Json::obj([

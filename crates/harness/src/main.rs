@@ -34,7 +34,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<RunConfig, String> {
     let mut args = args;
     while let Some(a) = args.next() {
         let mut value = |flag: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{flag} needs a value\n{}", usage()))
+            args.next()
+                .ok_or_else(|| format!("{flag} needs a value\n{}", usage()))
         };
         match a.as_str() {
             "--matrix" => cfg.matrix_path = PathBuf::from(value("--matrix")?),
@@ -96,7 +97,10 @@ fn real_main() -> Result<u64, String> {
     }
     let full = report::build(&run, false);
     let canonical = report::build(&run, true);
-    for (name, doc) in [("matrix_report.json", &full), ("matrix_summary.json", &canonical)] {
+    for (name, doc) in [
+        ("matrix_report.json", &full),
+        ("matrix_summary.json", &canonical),
+    ] {
         let path = cfg.out_dir.join(name);
         std::fs::write(&path, doc.to_string())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;

@@ -39,7 +39,11 @@ impl MergedHistogram {
             return Ok(());
         }
         let (min, max) = (num("min")? as u64, num("max")? as u64);
-        self.min = if self.count == 0 { min } else { self.min.min(min) };
+        self.min = if self.count == 0 {
+            min
+        } else {
+            self.min.min(min)
+        };
         self.max = self.max.max(max);
         self.count += count;
         self.sum += num("sum")? as i128;
@@ -113,7 +117,10 @@ impl MergedScenario {
             let value = v
                 .as_f64()
                 .ok_or_else(|| format!("counter {name:?} is not numeric"))?;
-            self.counters.entry(name.clone()).or_default().push(value as i64);
+            self.counters
+                .entry(name.clone())
+                .or_default()
+                .push(value as i64);
         }
         let Some(Json::Obj(histograms)) = doc.get("histograms") else {
             return Err("report has no histograms object".into());

@@ -95,9 +95,18 @@ mod tests {
     #[test]
     fn usage_tracks_peak_and_last() {
         let mut u = ProcUsage::default();
-        u.absorb(ProcSample { rss_bytes: 10, cpu_ticks: 1 });
-        u.absorb(ProcSample { rss_bytes: 30, cpu_ticks: 5 });
-        u.absorb(ProcSample { rss_bytes: 20, cpu_ticks: 9 });
+        u.absorb(ProcSample {
+            rss_bytes: 10,
+            cpu_ticks: 1,
+        });
+        u.absorb(ProcSample {
+            rss_bytes: 30,
+            cpu_ticks: 5,
+        });
+        u.absorb(ProcSample {
+            rss_bytes: 20,
+            cpu_ticks: 9,
+        });
         assert_eq!(u.max_rss_bytes, 30);
         assert_eq!(u.cpu_ticks, 9);
         assert_eq!(u.samples, 3);

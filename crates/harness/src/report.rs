@@ -33,7 +33,12 @@ pub fn build(run: &MatrixRun, canonical: bool) -> Json {
         ),
         (
             "scenarios",
-            Json::Arr(run.scenarios.iter().map(|s| scenario_json(s, canonical)).collect()),
+            Json::Arr(
+                run.scenarios
+                    .iter()
+                    .map(|s| scenario_json(s, canonical))
+                    .collect(),
+            ),
         ),
     ])
 }
@@ -73,7 +78,10 @@ fn merged_json(m: &MergedScenario) -> Json {
         (
             name.clone(),
             Json::obj([
-                ("reps", Json::Arr(reps.iter().map(|&v| Json::Int(v as i128)).collect())),
+                (
+                    "reps",
+                    Json::Arr(reps.iter().map(|&v| Json::Int(v as i128)).collect()),
+                ),
                 ("min", quantile_sorted(&vals, 0.0).to_json()),
                 ("p50", quantile_sorted(&vals, 0.5).to_json()),
                 ("max", quantile_sorted(&vals, 1.0).to_json()),
@@ -130,7 +138,10 @@ fn series_json(values: &[f64], with_ci: bool) -> Json {
         ("max".to_string(), quantile_sorted(&sorted, 1.0).to_json()),
     ];
     if with_ci {
-        pairs.push(("ci95_halfwidth".to_string(), ci95_halfwidth(values).to_json()));
+        pairs.push((
+            "ci95_halfwidth".to_string(),
+            ci95_halfwidth(values).to_json(),
+        ));
     }
     Json::Obj(pairs)
 }
@@ -179,7 +190,11 @@ mod tests {
                 name: "s".into(),
                 bin: "stub".into(),
                 runs: 3,
-                reps: vec![rep(0, 10.0, None), rep(1, 12.0, None), rep(2, 11.0, Some("exit code 3"))],
+                reps: vec![
+                    rep(0, 10.0, None),
+                    rep(1, 12.0, None),
+                    rep(2, 11.0, Some("exit code 3")),
+                ],
                 merged,
             }],
         }
@@ -191,7 +206,11 @@ mod tests {
         let canon = build(&run, true);
         let full = build(&run, false);
         assert_eq!(canon.get("kind").and_then(Json::as_str), Some("canonical"));
-        let sc = |doc: &Json| doc.get("scenarios").and_then(Json::as_arr).map(|a| a[0].clone());
+        let sc = |doc: &Json| {
+            doc.get("scenarios")
+                .and_then(Json::as_arr)
+                .map(|a| a[0].clone())
+        };
         let c = sc(&canon).expect("scenario present");
         let f = sc(&full).expect("scenario present");
         assert!(c.get("measured").is_none(), "canonical must drop measured");

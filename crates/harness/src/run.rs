@@ -113,13 +113,15 @@ pub fn run_matrix(cfg: &RunConfig) -> Result<MatrixRun, String> {
         Some(names) => names
             .iter()
             .map(|n| {
-                matrix.get(n).ok_or_else(|| {
-                    format!("scenario {n:?} not in {}", cfg.matrix_path.display())
-                })
+                matrix
+                    .get(n)
+                    .ok_or_else(|| format!("scenario {n:?} not in {}", cfg.matrix_path.display()))
             })
             .collect::<Result<_, _>>()?,
     };
-    let mut out = MatrixRun { scenarios: Vec::new() };
+    let mut out = MatrixRun {
+        scenarios: Vec::new(),
+    };
     for sc in selected {
         let bin = cfg.bin_dir.join(&sc.bin);
         if !bin.is_file() {

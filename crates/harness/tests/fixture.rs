@@ -70,7 +70,10 @@ impl Fixture {
         Fixture {
             base,
             matrix_path,
-            bin_dir: stub.parent().expect("stub binary has a parent dir").to_path_buf(),
+            bin_dir: stub
+                .parent()
+                .expect("stub binary has a parent dir")
+                .to_path_buf(),
         }
     }
 
@@ -183,9 +186,16 @@ fn nonzero_exit_is_a_rep_failure() {
         assert_eq!(r.exit_code, Some(3));
     }
     let doc = report::build(&run, true);
-    let sc = doc.get("scenarios").and_then(Json::as_arr).map(|a| a[0].clone()).expect("scenario");
+    let sc = doc
+        .get("scenarios")
+        .and_then(Json::as_arr)
+        .map(|a| a[0].clone())
+        .expect("scenario");
     assert_eq!(sc.get("clean_reps").and_then(Json::as_f64), Some(0.0));
-    let errors = sc.get("errors").and_then(Json::as_arr).expect("errors array");
+    let errors = sc
+        .get("errors")
+        .and_then(Json::as_arr)
+        .expect("errors array");
     assert_eq!(errors.len(), 2);
 }
 
@@ -212,7 +222,10 @@ fn malformed_report_is_a_rep_failure() {
     let fx = Fixture::new("malformed");
     let run = run_matrix(&fx.config("out", &["stub-malformed"])).expect("matrix runs");
     assert_eq!(run.failures(), 2);
-    let e = run.scenarios[0].reps[0].error.as_deref().expect("error recorded");
+    let e = run.scenarios[0].reps[0]
+        .error
+        .as_deref()
+        .expect("error recorded");
     assert!(e.contains("malformed BENCH report"), "error {e:?}");
     // Nothing malformed reaches the merged view.
     assert_eq!(run.scenarios[0].merged.reports, 0);
@@ -274,7 +287,7 @@ fn orchestrator_binary_end_to_end() {
 }
 
 #[test]
-fn rep_artifacts_land_in_scenario_dirs(){
+fn rep_artifacts_land_in_scenario_dirs() {
     let fx = Fixture::new("artifacts");
     let cfg = fx.config("out", &["stub-ok"]);
     run_matrix(&cfg).expect("matrix runs");

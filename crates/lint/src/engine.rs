@@ -52,9 +52,8 @@ pub fn lint_tree(files: &[(String, String)]) -> LintOutcome {
         findings.append(&mut r5);
     }
 
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
-    });
+    findings
+        .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     findings.dedup();
     suppressions.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     // The cross-file R5 pass re-parses directives from files it touches;
@@ -124,9 +123,8 @@ struct FileScan {
 /// `true` for files whose whole content is test/bench/example code —
 /// exempt from R2 (they may unwrap freely).
 pub fn is_test_like(path: &str) -> bool {
-    path.split('/').any(|seg| {
-        seg == "tests" || seg == "benches" || seg == "examples" || seg == "fixtures"
-    })
+    path.split('/')
+        .any(|seg| seg == "tests" || seg == "benches" || seg == "examples" || seg == "fixtures")
 }
 
 fn lint_rust_file(path: &str, text: &str) -> FileScan {
@@ -176,9 +174,8 @@ fn lint_rust_file(path: &str, text: &str) -> FileScan {
                     && code[i - 1].is_punct('.')
                     && code.get(i + 1).is_some_and(|n| n.is_punct('('))
             };
-            let is_macro = |name: &str| {
-                t.text == name && code.get(i + 1).is_some_and(|n| n.is_punct('!'))
-            };
+            let is_macro =
+                |name: &str| t.text == name && code.get(i + 1).is_some_and(|n| n.is_punct('!'));
             let call = if is_method("unwrap") {
                 Some(".unwrap()")
             } else if is_method("expect") {
@@ -550,7 +547,10 @@ mod tests {
         )]));
         // Both the malformed suppression AND the original violation fire
         // (sorted by position: the directive comment precedes the use).
-        assert_eq!(rules_fired(&out), vec![Rule::Suppression, Rule::PanicPolicy]);
+        assert_eq!(
+            rules_fired(&out),
+            vec![Rule::Suppression, Rule::PanicPolicy]
+        );
     }
 
     #[test]
@@ -604,7 +604,10 @@ mod tests {
         // Unregistered use direction.
         let out = lint_tree(&tree(&[
             ("crates/x/src/helper.rs", src),
-            (REGISTRY_PATH, "counter other.c\n# but other.c is covered by literal? no\n"),
+            (
+                REGISTRY_PATH,
+                "counter other.c\n# but other.c is covered by literal? no\n",
+            ),
         ]));
         let fired = rules_fired(&out);
         assert!(fired.iter().all(|r| *r == Rule::TelemetryRegistry));
@@ -649,8 +652,7 @@ mod tests {
         let a = lint_tree(&files);
         let b = lint_tree(&files);
         assert_eq!(a.findings, b.findings);
-        let keys: Vec<(&String, usize)> =
-            a.findings.iter().map(|f| (&f.file, f.line)).collect();
+        let keys: Vec<(&String, usize)> = a.findings.iter().map(|f| (&f.file, f.line)).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);

@@ -592,7 +592,9 @@ mod tests {
     #[test]
     fn unicode_char_literal_survives() {
         let toks = lex("let c = '→';");
-        assert!(toks.iter().any(|t| t.kind == TokKind::Char && t.text == "→"));
+        assert!(toks
+            .iter()
+            .any(|t| t.kind == TokKind::Char && t.text == "→"));
     }
 
     #[test]

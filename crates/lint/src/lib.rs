@@ -56,7 +56,11 @@ pub enum Rule {
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [Rule; 3] = [Rule::PanicPolicy, Rule::TelemetryRegistry, Rule::Suppression];
+pub const ALL_RULES: [Rule; 3] = [
+    Rule::PanicPolicy,
+    Rule::TelemetryRegistry,
+    Rule::Suppression,
+];
 
 impl Rule {
     /// Short id (`R2`, `R5`, `S1`).

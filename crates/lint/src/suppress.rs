@@ -101,8 +101,7 @@ fn parse_one(s: &str, line: usize) -> Result<(Directive, &str), String> {
     // Split off `reason = "..."` — everything before it is the rule list.
     let Some(rpos) = body.find("reason") else {
         return Err(
-            "suppression without a reason: add `reason = \"why the invariant holds\"`"
-                .to_string(),
+            "suppression without a reason: add `reason = \"why the invariant holds\"`".to_string(),
         );
     };
     let rules_part = body[..rpos].trim_end().trim_end_matches(',');
@@ -191,7 +190,10 @@ mod tests {
     fn parses_rule_by_name_and_multiple() {
         let (ds, es) = parse("// hermes-lint: allow(panic-policy, R5, reason = \"x\")");
         assert!(es.is_empty());
-        assert_eq!(ds[0].rules, vec![Rule::PanicPolicy, Rule::TelemetryRegistry]);
+        assert_eq!(
+            ds[0].rules,
+            vec![Rule::PanicPolicy, Rule::TelemetryRegistry]
+        );
     }
 
     #[test]
@@ -208,7 +210,11 @@ mod tests {
         assert!(ds.is_empty());
         assert_eq!(es.len(), 1);
         assert_eq!(es[0].rule, Rule::Suppression);
-        assert!(es[0].message.contains("without a reason"), "{}", es[0].message);
+        assert!(
+            es[0].message.contains("without a reason"),
+            "{}",
+            es[0].message
+        );
     }
 
     #[test]
@@ -244,7 +250,11 @@ mod tests {
             assert!(ds.is_empty(), "{rule}");
             assert_eq!(es.len(), 1, "{rule}");
             assert_eq!(es[0].rule, Rule::Suppression);
-            assert!(es[0].message.contains("unknown rule"), "{rule}: {}", es[0].message);
+            assert!(
+                es[0].message.contains("unknown rule"),
+                "{rule}: {}",
+                es[0].message
+            );
         }
     }
 

@@ -13,7 +13,11 @@ fn tree(files: &[(&str, &str)]) -> Vec<(String, String)> {
 }
 
 fn rules_fired(files: &[(&str, &str)]) -> Vec<Rule> {
-    lint_tree(&tree(files)).findings.iter().map(|f| f.rule).collect()
+    lint_tree(&tree(files))
+        .findings
+        .iter()
+        .map(|f| f.rule)
+        .collect()
 }
 
 // ---------------------------------------------------------------- R2
@@ -21,7 +25,10 @@ fn rules_fired(files: &[(&str, &str)]) -> Vec<Rule> {
 #[test]
 fn r2_unwrap_needs_justification() {
     let bare = "pub fn f(v: &[u32]) -> u32 { *v.first().unwrap() }\n";
-    assert_eq!(rules_fired(&[("crates/x/src/helper.rs", bare)]), vec![Rule::PanicPolicy]);
+    assert_eq!(
+        rules_fired(&[("crates/x/src/helper.rs", bare)]),
+        vec![Rule::PanicPolicy]
+    );
 
     let commented = "pub fn f(v: &[u32]) -> u32 {\n    // INVARIANT: caller guarantees non-empty\n    *v.first().unwrap()\n}\n";
     assert!(lint_tree(&tree(&[("crates/x/src/helper.rs", commented)])).is_clean());
@@ -33,7 +40,10 @@ fn r2_unwrap_needs_justification() {
 #[test]
 fn r2_comment_window_is_three_lines() {
     let far = "pub fn f(v: &[u32]) -> u32 {\n    // INVARIANT: non-empty\n    let _a = 1;\n    let _b = 2;\n    let _c = 3;\n    *v.first().unwrap()\n}\n";
-    assert_eq!(rules_fired(&[("crates/x/src/helper.rs", far)]), vec![Rule::PanicPolicy]);
+    assert_eq!(
+        rules_fired(&[("crates/x/src/helper.rs", far)]),
+        vec![Rule::PanicPolicy]
+    );
 }
 
 #[test]
@@ -45,8 +55,7 @@ fn r2_flags_panic_and_unreachable_macros() {
 
 // ---------------------------------------------------------------- R5
 
-const TELEMETRY_USE: &str =
-    "pub fn f() { hermes_telemetry::counter(\"x.hits\", 1); }\n";
+const TELEMETRY_USE: &str = "pub fn f() { hermes_telemetry::counter(\"x.hits\", 1); }\n";
 
 #[test]
 fn r5_use_without_registry_entry() {
@@ -116,7 +125,10 @@ fn r5_malformed_and_duplicate_registry_lines() {
         "bogus x.a\ncounter\ncounter x.c extra\n",
     )]));
     assert_eq!(out.findings.len(), 3);
-    assert!(out.findings.iter().all(|f| f.rule == Rule::TelemetryRegistry));
+    assert!(out
+        .findings
+        .iter()
+        .all(|f| f.rule == Rule::TelemetryRegistry));
 }
 
 // ------------------------------------------------------- suppressions
@@ -126,7 +138,13 @@ fn suppression_waives_and_is_echoed() {
     let src = "// hermes-lint: allow(R2, reason = \"callers check emptiness first\")\npub fn f(v: &[u32]) -> u32 { *v.first().unwrap() }\npub fn g(v: &[u32]) -> u32 { *v.first().unwrap() + *v.last().unwrap() }\n";
     let out = lint_tree(&tree(&[("crates/x/src/helper.rs", src)]));
     // Line 3's unwraps are outside the directive's 2-line span.
-    assert_eq!(out.findings.iter().filter(|f| f.rule == Rule::PanicPolicy).count(), 2);
+    assert_eq!(
+        out.findings
+            .iter()
+            .filter(|f| f.rule == Rule::PanicPolicy)
+            .count(),
+        2
+    );
     assert_eq!(out.suppressions.len(), 1);
     assert_eq!(out.suppressions[0].reason, "callers check emptiness first");
 
@@ -159,10 +177,15 @@ fn diagnostics_render_as_file_line_col() {
         "crates/x/src/lib.rs",
         "pub fn f(v: &[u32]) -> u32 { *v.first().unwrap() }\n",
     )]));
-    let shown = out.findings.iter().map(|f| f.to_string()).collect::<Vec<_>>();
+    let shown = out
+        .findings
+        .iter()
+        .map(|f| f.to_string())
+        .collect::<Vec<_>>();
     assert!(
-        shown.iter().any(|s| s.starts_with("crates/x/src/lib.rs:1:")
-            && s.contains("R2[panic-policy]")),
+        shown
+            .iter()
+            .any(|s| s.starts_with("crates/x/src/lib.rs:1:") && s.contains("R2[panic-policy]")),
         "{shown:?}"
     );
 }
@@ -184,7 +207,13 @@ fn the_workspace_is_lint_clean() {
         let out = lint_tree(&files);
         let mut s: String = out.findings.iter().map(|f| format!("{f}\n")).collect();
         for w in &out.suppressions {
-            s.push_str(&format!("waived: {}:{} {} ({})\n", w.file, w.line, w.rule.id(), w.reason));
+            s.push_str(&format!(
+                "waived: {}:{} {} ({})\n",
+                w.file,
+                w.line,
+                w.rule.id(),
+                w.reason
+            ));
         }
         (out, s)
     };

@@ -42,7 +42,10 @@ fn collect(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
             .expect("under case root")
             .to_string_lossy()
             .replace('\\', "/");
-        out.push((rel, std::fs::read_to_string(&path).expect("fixture readable")));
+        out.push((
+            rel,
+            std::fs::read_to_string(&path).expect("fixture readable"),
+        ));
     }
 }
 
@@ -73,7 +76,10 @@ fn render(out: &LintOutcome) -> String {
 #[test]
 fn golden_corpus_is_byte_exact_and_covers_every_rule() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    #[expect(clippy::disallowed_methods, reason = "HERMES_LINT_BLESS is a sanctioned reader")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "HERMES_LINT_BLESS is a sanctioned reader"
+    )]
     let bless = std::env::var_os("HERMES_LINT_BLESS").is_some();
 
     let mut cases: Vec<PathBuf> = std::fs::read_dir(&root)
@@ -82,12 +88,20 @@ fn golden_corpus_is_byte_exact_and_covers_every_rule() {
         .filter(|p| p.is_dir())
         .collect();
     cases.sort();
-    assert!(cases.len() >= ALL_RULES.len(), "corpus has only {} cases", cases.len());
+    assert!(
+        cases.len() >= ALL_RULES.len(),
+        "corpus has only {} cases",
+        cases.len()
+    );
 
     let mut covered: BTreeSet<Rule> = BTreeSet::new();
     let mut failures = Vec::new();
     for case in &cases {
-        let name = case.file_name().unwrap_or_default().to_string_lossy().into_owned();
+        let name = case
+            .file_name()
+            .unwrap_or_default()
+            .to_string_lossy()
+            .into_owned();
         let files = load_case(case);
         assert!(!files.is_empty(), "case {name} has no fixture files");
         let out = lint_tree(&files);
@@ -116,6 +130,10 @@ fn golden_corpus_is_byte_exact_and_covers_every_rule() {
     // Every rule must fire somewhere in the corpus — a rule nobody can
     // demonstrate is a rule nobody can trust.
     for rule in ALL_RULES {
-        assert!(covered.contains(&rule), "no corpus case exercises {}", rule.id());
+        assert!(
+            covered.contains(&rule),
+            "no corpus case exercises {}",
+            rule.id()
+        );
     }
 }

@@ -66,7 +66,10 @@ impl Samples {
             return f64::NAN;
         }
         self.ensure_sorted();
-        *self.values.last().expect("INVARIANT: emptiness checked at function entry")
+        *self
+            .values
+            .last()
+            .expect("INVARIANT: emptiness checked at function entry")
     }
 
     /// Renders the CDF as `points` (value, cumulative-fraction) pairs —

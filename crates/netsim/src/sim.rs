@@ -24,10 +24,10 @@ use hermes_core::config::HermesConfig;
 use hermes_fleet::{Fleet, FleetConfig};
 use hermes_rules::prelude::*;
 use hermes_tcam::{FaultPlan, SimDuration, SimTime, SwitchModel};
-use hermes_workloads::facebook::JobSpec;
-use hermes_workloads::gravity::TimedFlow;
 use hermes_util::rng::rngs::StdRng;
 use hermes_util::rng::{stream, Salt};
+use hermes_workloads::facebook::JobSpec;
+use hermes_workloads::gravity::TimedFlow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
@@ -70,9 +70,11 @@ impl SwitchKind {
             // with a model that admits it; an infeasible pair is a bug in
             // the experiment definition, not a runtime input.
             SwitchKind::Hermes(m, c) => {
-                let mut plane =
-                    HermesPlane::with_config(m.clone(), c.clone()).expect("INVARIANT: feasible Hermes config");
-                plane.switch_mut().install_fault_plan(fault_seed.map(FaultPlan::seeded));
+                let mut plane = HermesPlane::with_config(m.clone(), c.clone())
+                    .expect("INVARIANT: feasible Hermes config");
+                plane
+                    .switch_mut()
+                    .install_fault_plan(fault_seed.map(FaultPlan::seeded));
                 Box::new(plane)
             }
             SwitchKind::Tango(m) => Box::new(TangoSwitch::new(m.clone())),
@@ -370,7 +372,8 @@ impl Varys {
         }
         let dist =
             self.dist[dst].get_or_insert_with(|| self.topo.distances_to(dst).into_boxed_slice());
-        self.topo.pick_shortest_path(src, dst, dist, avoid, &mut self.rng)
+        self.topo
+            .pick_shortest_path(src, dst, dist, avoid, &mut self.rng)
     }
 
     /// Registers MapReduce jobs (the Facebook workload).
@@ -433,7 +436,8 @@ impl Varys {
             SimTime::from_secs(self.config.te_interval_s),
             EventKind::TeTick,
         );
-        self.queue.push(SimTime::from_secs(MANAGER_TICK_S), EventKind::MgrTick);
+        self.queue
+            .push(SimTime::from_secs(MANAGER_TICK_S), EventKind::MgrTick);
         self.queue.push(self.end, EventKind::End);
 
         while let Some(ev) = self.queue.pop() {
@@ -505,7 +509,10 @@ impl Varys {
         let changed = self.flows.allocate_max_min(&self.topo);
         for id in changed {
             let (version, eta) = {
-                let f = self.flows.get(id).expect("INVARIANT: allocate_max_min returns ids of live flows");
+                let f = self
+                    .flows
+                    .get(id)
+                    .expect("INVARIANT: allocate_max_min returns ids of live flows");
                 let eta = if f.rate_bps > 0.0 {
                     // +2 ns guard: `from_secs` rounds to integer nanoseconds
                     // and rounding *down* would leave a few bytes unfinished
@@ -524,7 +531,8 @@ impl Varys {
                 (f.version, eta)
             };
             if let Some(at) = eta {
-                self.queue.push(at, EventKind::FlowComplete { flow: id, version });
+                self.queue
+                    .push(at, EventKind::FlowComplete { flow: id, version });
             }
         }
     }
@@ -536,7 +544,9 @@ impl Varys {
     fn on_flow_arrive(&mut self, job: JobId, src: usize, dst: usize, bytes: u64) {
         let id = self.next_flow;
         self.next_flow += 1;
-        let path = self.random_shortest_path(src, dst, None).unwrap_or_default();
+        let path = self
+            .random_shortest_path(src, dst, None)
+            .unwrap_or_default();
         let ready = self.install_path_rules(id, src, dst, &path);
         self.flow_arrivals.insert(id, self.now);
         self.queue.push(
@@ -582,7 +592,8 @@ impl Varys {
     /// switch, all sharing one priority draw from the TE band.
     fn path_pieces(&mut self, src: usize, dst: usize, path: &[LinkId]) -> Vec<(NodeId, Rule)> {
         let switches = self.topo.switches_on_path(src, path);
-        let priority = Priority(200 + (hermes_util::rng::Rng::gen_range(&mut self.rng, 0..1600u32)));
+        let priority =
+            Priority(200 + (hermes_util::rng::Rng::gen_range(&mut self.rng, 0..1600u32)));
         let mut pieces = Vec::with_capacity(switches.len());
         for sw in switches {
             let rule = Rule::new(
@@ -645,9 +656,9 @@ impl Varys {
                 hermes_telemetry::counter("fleet.path_degraded", 1);
             }
             for (sw, rule) in &pieces {
-                let (start, bo) = self
-                    .fleet
-                    .submit(*sw, &[ControlAction::Insert(*rule)], outcome.ready);
+                let (start, bo) =
+                    self.fleet
+                        .submit(*sw, &[ControlAction::Insert(*rule)], outcome.ready);
                 let op = bo
                     .ops
                     .last()
@@ -675,7 +686,10 @@ impl Varys {
         if !valid {
             return; // stale event
         }
-        let flow = self.flows.remove(id).expect("INVARIANT: flow presence validated above");
+        let flow = self
+            .flows
+            .remove(id)
+            .expect("INVARIANT: flow presence validated above");
         let fct = self.now.since(flow.started).as_secs();
         self.metrics.fct_s.push(fct);
         if hermes_telemetry::enabled() {
@@ -694,7 +708,8 @@ impl Varys {
         // flow's critical path).
         if let Some(rules) = self.flow_rules.remove(&id) {
             for (sw, rid) in rules {
-                self.fleet.submit(sw, &[ControlAction::Delete(rid)], self.now);
+                self.fleet
+                    .submit(sw, &[ControlAction::Delete(rid)], self.now);
             }
         }
         // Job accounting.
@@ -1001,8 +1016,15 @@ mod tests {
         };
         let recovered = |m: &RunMetrics| m.device_retries + m.device_failures + m.audit_diffs;
         let a = run(Some(7));
-        assert!(recovered(&a) > 0, "a seeded plan draws faults the planes recover from");
-        assert_eq!(format!("{a:?}"), format!("{:?}", run(Some(7))), "same seed, same run");
+        assert!(
+            recovered(&a) > 0,
+            "a seeded plan draws faults the planes recover from"
+        );
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{:?}", run(Some(7))),
+            "same seed, same run"
+        );
         assert_eq!(recovered(&run(None)), 0, "no seed, no faults");
     }
 
@@ -1074,7 +1096,10 @@ mod tests {
             .collect();
         sim.register_jobs(&jobs);
         sim.run(240.0);
-        assert!(sim.metrics.path_degraded > 0, "full members produced degraded installs");
+        assert!(
+            sim.metrics.path_degraded > 0,
+            "full members produced degraded installs"
+        );
         assert!(
             sim.metrics.path_rollbacks >= sim.metrics.path_degraded,
             "every degraded install implies a rollback ({} rollbacks, {} degraded)",
@@ -1134,7 +1159,10 @@ mod tests {
                             flow,
                             version: rng.gen(),
                         },
-                        4 => EventKind::PathSwitch { flow, path: path(rng) },
+                        4 => EventKind::PathSwitch {
+                            flow,
+                            path: path(rng),
+                        },
                         5 => EventKind::TeTick,
                         6 => EventKind::MgrTick,
                         _ => EventKind::End,

@@ -377,8 +377,7 @@ impl Topology {
             candidates.extend(self.adj[cur].iter().copied().filter(|&lid| {
                 let next = self.links[lid].other(cur);
                 // Never transit through a host.
-                (self.kinds[next] == NodeKind::Switch || next == dst)
-                    && dist[next] == dist[cur] - 1
+                (self.kinds[next] == NodeKind::Switch || next == dst) && dist[next] == dist[cur] - 1
             }));
             if candidates.is_empty() {
                 return None;
@@ -637,7 +636,11 @@ mod tests {
                         let want = reference_path(&t, s, d, avoid, r);
                         let case = format!("{}: {s} -> {d} avoiding {avoid:?}", t.name);
                         assert_eq!(t.random_shortest_path(s, d, avoid, u), want, "{case}");
-                        assert_eq!(t.pick_shortest_path(s, d, &dist[d], avoid, c), want, "{case}");
+                        assert_eq!(
+                            t.pick_shortest_path(s, d, &dist[d], avoid, c),
+                            want,
+                            "{case}"
+                        );
                         let next = rngs.map(|mut g| g.next_u64());
                         assert!(
                             next[1] == next[0] && next[2] == next[0],

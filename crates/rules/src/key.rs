@@ -239,7 +239,8 @@ mod tests {
 
     /// `a ∩ b` as one key, when some packet matches both.
     fn intersection(a: &TernaryKey, b: &TernaryKey) -> Option<TernaryKey> {
-        a.overlaps(b).then(|| key(a.value | b.value, a.mask | b.mask))
+        a.overlaps(b)
+            .then(|| key(a.value | b.value, a.mask | b.mask))
     }
 
     #[test]

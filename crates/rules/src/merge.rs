@@ -107,7 +107,9 @@ pub fn optimize_ruleset(rules: Vec<Rule>) -> Vec<Rule> {
     let mut group_keys: Vec<(u32, crate::rule::Action)> = groups.keys().copied().collect();
     group_keys.sort_by_key(|(p, _)| std::cmp::Reverse(*p));
     for gk in group_keys {
-        let members = groups.remove(&gk).expect("INVARIANT: key came from groups.keys() above");
+        let members = groups
+            .remove(&gk)
+            .expect("INVARIANT: key came from groups.keys() above");
         let representative = members[0];
         let keys: Vec<TernaryKey> = members.iter().map(|r| r.key).collect();
         for key in minimize_keys(keys) {

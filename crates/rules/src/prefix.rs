@@ -155,8 +155,13 @@ impl Ipv4Prefix {
         let mut out = Vec::with_capacity((other.len - self.len) as usize);
         let mut cur = *other;
         while cur.len > self.len {
-            out.push(cur.sibling().expect("INVARIANT: loop guard keeps cur.len > self.len >= 0"));
-            cur = cur.parent().expect("INVARIANT: loop guard keeps cur.len > self.len >= 0");
+            out.push(
+                cur.sibling()
+                    .expect("INVARIANT: loop guard keeps cur.len > self.len >= 0"),
+            );
+            cur = cur
+                .parent()
+                .expect("INVARIANT: loop guard keeps cur.len > self.len >= 0");
         }
         out
     }

@@ -709,7 +709,10 @@ mod tests {
         let mut singly = SimDuration::ZERO;
         for op in &ops {
             if let TcamOp::Insert(r) = op {
-                singly += singly_dev.apply(0, &ControlAction::Insert(*r)).unwrap().latency;
+                singly += singly_dev
+                    .apply(0, &ControlAction::Insert(*r))
+                    .unwrap()
+                    .latency;
             }
         }
         let rep = dev.apply_batch(0, &ops).unwrap();
@@ -788,7 +791,10 @@ mod tests {
         a.force_crash(spec);
         b.force_crash(spec);
         let kept = a.total_entries();
-        assert!(kept > 0 && kept < 200, "p=0.5 keeps a strict subset, kept {kept}");
+        assert!(
+            kept > 0 && kept < 200,
+            "p=0.5 keeps a strict subset, kept {kept}"
+        );
         assert_eq!(
             a.slice(0).table.entries(),
             b.slice(0).table.entries(),

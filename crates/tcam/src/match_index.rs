@@ -192,7 +192,11 @@ impl MatchIndex {
     /// Re-lays the index for exactly the `n` given entries, sizing the slot
     /// array to 2.5–5× `n` so the next rebuild is at least `n / 2` inserts
     /// away.
-    pub(crate) fn rebuild(&mut self, n: usize, entries: impl Iterator<Item = (TernaryKey, u64, u32)>) {
+    pub(crate) fn rebuild(
+        &mut self,
+        n: usize,
+        entries: impl Iterator<Item = (TernaryKey, u64, u32)>,
+    ) {
         self.clear();
         self.slots
             .resize((5 * n / 2).next_power_of_two().max(MIN_SLOTS), Slot::EMPTY);
@@ -239,7 +243,11 @@ impl MatchIndex {
     /// `true` when the index holds exactly the `n` given entries (key,
     /// `seq`, slab slot), each once and in the probe run of its key, and
     /// the tuples count them by mask.
-    pub(crate) fn check(&self, n: usize, entries: impl Iterator<Item = (TernaryKey, u64, u32)>) -> bool {
+    pub(crate) fn check(
+        &self,
+        n: usize,
+        entries: impl Iterator<Item = (TernaryKey, u64, u32)>,
+    ) -> bool {
         let occupied = self.slots.iter().filter(|s| s.seq < TOMB).count();
         let tombs = self.slots.iter().filter(|s| s.seq == TOMB).count();
         if occupied != n || self.live != n || self.tombs != tombs {
@@ -272,7 +280,10 @@ impl MatchIndex {
         }
         // `position` counts under the first tuple of a mask, so a duplicate
         // or dead tuple shows up as a zero count.
-        self.tuples.iter().zip(&per_tuple).all(|(t, &c)| t.live == c && c > 0)
+        self.tuples
+            .iter()
+            .zip(&per_tuple)
+            .all(|(t, &c)| t.live == c && c > 0)
     }
 }
 

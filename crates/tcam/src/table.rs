@@ -130,7 +130,10 @@ impl std::fmt::Display for TcamError {
             TcamError::ChannelBusy => write!(f, "TCAM control channel busy (transient)"),
             TcamError::Outage => write!(f, "TCAM control channel outage"),
             TcamError::Disconnected => {
-                write!(f, "TCAM control session lost (device crash; resync required)")
+                write!(
+                    f,
+                    "TCAM control session lost (device crash; resync required)"
+                )
             }
         }
     }
@@ -312,7 +315,11 @@ impl<P: Copy> Block<P> {
 /// `BLOCK_MAX`, else `BLOCK_TARGET`-entry chunks with the last one also
 /// taking the remainder (so each holds `BLOCK_TARGET..BLOCK_MAX`).
 fn chunk_ranges(len: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
-    let n = if len > BLOCK_MAX { len / BLOCK_TARGET } else { 1 };
+    let n = if len > BLOCK_MAX {
+        len / BLOCK_TARGET
+    } else {
+        1
+    };
     (0..n).map(move |i| {
         let lo = i * BLOCK_TARGET;
         lo..if i + 1 == n { len } else { lo + BLOCK_TARGET }
@@ -391,7 +398,10 @@ impl<P: Copy> Layout<P> {
                     before += self.blocks[bi].len();
                     bi += 1;
                 }
-                let wi = self.blocks.get(bi).map_or(0, |b| b.keys.partition_point(|k| *k < key));
+                let wi = self
+                    .blocks
+                    .get(bi)
+                    .map_or(0, |b| b.keys.partition_point(|k| *k < key));
                 before + wi
             })
             .collect()
@@ -1084,7 +1094,10 @@ impl TcamTable {
         // Estimate of the per-op sequential cost against the pre-batch
         // table (for the telemetry "saved" metric when the exact replay is
         // skipped).
-        let estimate: usize = insert_pos.iter().map(|&p| layout.single_insert_cost(p)).sum();
+        let estimate: usize = insert_pos
+            .iter()
+            .map(|&p| layout.single_insert_cost(p))
+            .sum();
         if layout.len + ops.len() <= NAIVE_CLAMP_LIMIT {
             let naive = self.replay_singly(ops);
             (formula.min(naive), naive)
@@ -1379,7 +1392,8 @@ mod tests {
         // resolve through the index.
         let mut t = TcamTable::new(4096, PlacementStrategy::PackedLow);
         for i in 0..3000u64 {
-            t.insert(rule(i, "10.0.0.0/8", (i % 37) as u32 + 1)).unwrap();
+            t.insert(rule(i, "10.0.0.0/8", (i % 37) as u32 + 1))
+                .unwrap();
         }
         assert!(t.check_invariants());
         for i in (0..3000u64).step_by(97) {
@@ -1409,7 +1423,8 @@ mod tests {
         // So does a batch that takes a full block one past BLOCK_MAX.
         let mut t = fill(BLOCK_MAX as u64);
         assert_eq!(t.layout.blocks.len(), 1);
-        t.apply_batch(&[TcamOp::Insert(rule(9999, "10.0.0.0/8", 1))]).unwrap();
+        t.apply_batch(&[TcamOp::Insert(rule(9999, "10.0.0.0/8", 1))])
+            .unwrap();
         assert!(t.check_invariants());
     }
 
@@ -1512,10 +1527,13 @@ mod tests {
         let mut t = TcamTable::new(16, PlacementStrategy::PackedLow);
         t.insert(rule(1, "10.0.0.0/8", 5)).unwrap();
         let rep = t.apply_batch(&[]).unwrap();
-        assert_eq!(rep, BatchReport {
-            occupancy_before: 1,
-            ..BatchReport::default()
-        });
+        assert_eq!(
+            rep,
+            BatchReport {
+                occupancy_before: 1,
+                ..BatchReport::default()
+            }
+        );
         assert_eq!(t.len(), 1);
     }
 
@@ -1716,7 +1734,10 @@ mod batch_merge {
                 PlacementStrategy::PackedHigh => bwd,
                 PlacementStrategy::Balanced => fwd.min(bwd),
             };
-            let estimate: usize = insert_pos.iter().map(|&p| layout.single_insert_cost(p)).sum();
+            let estimate: usize = insert_pos
+                .iter()
+                .map(|&p| layout.single_insert_cost(p))
+                .sum();
             if layout.len + ops.len() <= NAIVE_CLAMP_LIMIT {
                 let naive = t.replay_singly(ops);
                 (formula.min(naive), naive)
@@ -1725,7 +1746,11 @@ mod batch_merge {
             }
         }
 
-        fn coalesced_moves_forward(len: usize, insert_pos: &[usize], delete_pos: &[usize]) -> usize {
+        fn coalesced_moves_forward(
+            len: usize,
+            insert_pos: &[usize],
+            delete_pos: &[usize],
+        ) -> usize {
             let mut events: BTreeMap<usize, (usize, bool)> = BTreeMap::new();
             for &p in insert_pos {
                 events.entry(p).or_default().0 += 1;
@@ -1753,7 +1778,11 @@ mod batch_merge {
             moved
         }
 
-        fn coalesced_moves_backward(len: usize, insert_pos: &[usize], delete_pos: &[usize]) -> usize {
+        fn coalesced_moves_backward(
+            len: usize,
+            insert_pos: &[usize],
+            delete_pos: &[usize],
+        ) -> usize {
             let ins: Vec<usize> = insert_pos.iter().map(|&p| len - p).collect();
             let del: Vec<usize> = delete_pos.iter().map(|&p| len - 1 - p).collect();
             coalesced_moves_forward(len, &ins, &del)
@@ -1808,9 +1837,18 @@ mod batch_merge {
     pub(super) fn rule(rng: &mut StdRng, id: u64, prios: Range<u32>) -> Rule {
         let len = [8u8, 16, 24][rng.gen_range(0..3usize)];
         let addr = 0x0a00_0000 | (rng.gen::<u32>() & 0x000f_ff00);
-        let prio = if rng.gen_bool(0.05) { 0 } else { rng.gen_range(prios) };
+        let prio = if rng.gen_bool(0.05) {
+            0
+        } else {
+            rng.gen_range(prios)
+        };
         let action = Action::Forward(rng.gen_range(0..8u32));
-        Rule::new(id, Ipv4Prefix::new(addr, len).to_key(), Priority(prio), action)
+        Rule::new(
+            id,
+            Ipv4Prefix::new(addr, len).to_key(),
+            Priority(prio),
+            action,
+        )
     }
 
     /// A valid op sequence against `t`: deletes of `sweep` entries
@@ -1852,7 +1890,10 @@ mod batch_merge {
                 8 if !live.is_empty() => {
                     let id = live[rng.gen_range(0..live.len())];
                     let action = Action::Forward(rng.gen_range(8..16u32));
-                    ops.push(TcamOp::ModifyAction { id: RuleId(id), action });
+                    ops.push(TcamOp::ModifyAction {
+                        id: RuleId(id),
+                        action,
+                    });
                 }
                 9 if !live.is_empty() => {
                     let id = live[rng.gen_range(0..live.len())];
@@ -1951,7 +1992,10 @@ mod batch_merge {
             assert_eq!(got.peek(packet), want.peek(packet), "peek({packet:#x})");
         }
         assert_eq!(got.stats(), want.stats(), "stats");
-        assert!(got.check_invariants() && want.check_invariants(), "invariants");
+        assert!(
+            got.check_invariants() && want.check_invariants(),
+            "invariants"
+        );
         for b in &got.layout.blocks {
             assert!(
                 b.keys.capacity() <= 2 * BLOCK_MAX && b.handles.capacity() <= 2 * BLOCK_MAX,
@@ -2057,7 +2101,10 @@ mod batch_merge {
             (1, vec![1]),
             (BLOCK_MAX, vec![BLOCK_MAX]),
             (BLOCK_MAX + 1, vec![BLOCK_TARGET, BLOCK_TARGET + 1]),
-            (12_000, [vec![BLOCK_TARGET; 22], vec![12_000 - 22 * BLOCK_TARGET]].concat()),
+            (
+                12_000,
+                [vec![BLOCK_TARGET; 22], vec![12_000 - 22 * BLOCK_TARGET]].concat(),
+            ),
         ];
         for (n, lens) in cases {
             let ops: Vec<TcamOp> = (0..n as u64)
@@ -2065,7 +2112,10 @@ mod batch_merge {
                 .collect();
             let mut table = TcamTable::new(16_384, PlacementStrategy::PackedLow);
             let mut want = table.clone();
-            assert_eq!(table.apply_batch(&ops), reference::apply_batch(&mut want, &ops));
+            assert_eq!(
+                table.apply_batch(&ops),
+                reference::apply_batch(&mut want, &ops)
+            );
             assert_same(&table, &want, n as u64, &mut rng);
             assert_eq!(table.layout.next_seq, want.layout.next_seq, "next seq");
             let got: Vec<usize> = table.layout.blocks.iter().map(Block::len).collect();

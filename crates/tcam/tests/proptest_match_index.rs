@@ -88,7 +88,12 @@ fn entry_op() -> Gen<TcamOp> {
         (
             6,
             zip3(range(0u64..48), range(0u32..4), key()).map(|(id, prio, key)| {
-                TcamOp::Insert(Rule::new(id, key, Priority(prio), Action::Forward(id as u32)))
+                TcamOp::Insert(Rule::new(
+                    id,
+                    key,
+                    Priority(prio),
+                    Action::Forward(id as u32),
+                ))
             }),
         ),
         (3, id().map(TcamOp::Delete)),

@@ -20,15 +20,16 @@ fn op() -> Gen<Op> {
     weighted(vec![
         (
             3,
-            zip3(prio, arb::<u32>(), range(8u8..=30)).map(
-                |(prio, pfx_bits, len)| Op::Insert { prio, pfx_bits, len },
-            ),
+            zip3(prio, arb::<u32>(), range(8u8..=30)).map(|(prio, pfx_bits, len)| Op::Insert {
+                prio,
+                pfx_bits,
+                len,
+            }),
         ),
         (1, arb::<usize>().map(|idx| Op::Delete { idx })),
         (
             1,
-            zip2(arb::<usize>(), range(0u32..48))
-                .map(|(idx, port)| Op::ModifyAction { idx, port }),
+            zip2(arb::<usize>(), range(0u32..48)).map(|(idx, port)| Op::ModifyAction { idx, port }),
         ),
     ])
 }
@@ -47,9 +48,13 @@ fn batch_op() -> Gen<BOp> {
     weighted(vec![
         (
             4,
-            zip3(range(0u32..2000), arb::<u32>(), range(8u8..=30)).map(
-                |(prio, pfx_bits, len)| BOp::Insert { prio, pfx_bits, len },
-            ),
+            zip3(range(0u32..2000), arb::<u32>(), range(8u8..=30)).map(|(prio, pfx_bits, len)| {
+                BOp::Insert {
+                    prio,
+                    pfx_bits,
+                    len,
+                }
+            }),
         ),
         (2, arb::<usize>().map(|idx| BOp::Delete { idx })),
         (
@@ -65,9 +70,19 @@ fn batch_op() -> Gen<BOp> {
 /// exercise the atomic-rejection path as often as the happy path.
 #[derive(Clone, Debug)]
 enum RawOp {
-    Insert { id: u64, prio: u32, pfx_bits: u32, len: u8 },
-    Delete { id: u64 },
-    ModifyAction { id: u64, port: u32 },
+    Insert {
+        id: u64,
+        prio: u32,
+        pfx_bits: u32,
+        len: u8,
+    },
+    Delete {
+        id: u64,
+    },
+    ModifyAction {
+        id: u64,
+        port: u32,
+    },
 }
 
 fn raw_op() -> Gen<RawOp> {
@@ -78,7 +93,12 @@ fn raw_op() -> Gen<RawOp> {
         (
             4,
             zip3(id(), range(0u32..100), zip2(arb::<u32>(), range(8u8..=28))).map(
-                |(id, prio, (pfx_bits, len))| RawOp::Insert { id, prio, pfx_bits, len },
+                |(id, prio, (pfx_bits, len))| RawOp::Insert {
+                    id,
+                    prio,
+                    pfx_bits,
+                    len,
+                },
             ),
         ),
         (2, id().map(|id| RawOp::Delete { id })),

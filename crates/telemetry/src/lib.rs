@@ -138,7 +138,11 @@ pub fn span(subsystem: &'static str, name: &'static str, at_ns: u64, dur_ns: u64
     if !enabled() {
         return;
     }
-    STATE.with(|s| s.borrow_mut().tracer.span_at(subsystem, name, at_ns, dur_ns));
+    STATE.with(|s| {
+        s.borrow_mut()
+            .tracer
+            .span_at(subsystem, name, at_ns, dur_ns)
+    });
 }
 
 /// RAII handle for a scoped span opened by [`span_enter`]. Close it with
@@ -217,7 +221,14 @@ pub fn snapshot() -> Json {
 pub fn report(experiment: &str, git_rev: &str) -> Json {
     STATE.with(|s| {
         let s = s.borrow();
-        report::build(experiment, git_rev, enabled(), &s.meta, &s.registry, &s.tracer)
+        report::build(
+            experiment,
+            git_rev,
+            enabled(),
+            &s.meta,
+            &s.registry,
+            &s.tracer,
+        )
     })
 }
 
@@ -245,7 +256,11 @@ mod tests {
             let mut subs: Vec<String> = Vec::new();
             for part in [&counters, &gauges, &histograms, &series] {
                 if let Json::Obj(pairs) = part {
-                    subs.extend(pairs.iter().filter_map(|(k, _)| Some(k.split_once('.')?.0.to_string())));
+                    subs.extend(
+                        pairs
+                            .iter()
+                            .filter_map(|(k, _)| Some(k.split_once('.')?.0.to_string())),
+                    );
                 }
             }
             subs.extend(s.tracer.subsystems().iter().map(|x| x.to_string()));
@@ -280,7 +295,11 @@ mod tests {
             span("recovery", "audit", 5, 10);
             let doc = snapshot();
             assert_eq!(
-                doc.get("counters").unwrap().get("tcam.ops").unwrap().as_f64(),
+                doc.get("counters")
+                    .unwrap()
+                    .get("tcam.ops")
+                    .unwrap()
+                    .as_f64(),
                 Some(5.0)
             );
             let subs = contributing_subsystems();

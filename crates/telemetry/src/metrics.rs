@@ -263,10 +263,7 @@ mod tests {
             assert!(lower <= v, "lower bound {lower} above value {v}");
             // The top bucket has no successor (its upper edge is 2^64).
             if idx < bucket_index(u64::MAX) {
-                assert!(
-                    bucket_lower(idx + 1) > v,
-                    "value {v} not below next bucket"
-                );
+                assert!(bucket_lower(idx + 1) > v, "value {v} not below next bucket");
             }
             last = Some((v, idx));
         }

@@ -54,7 +54,14 @@ mod tests {
     fn report_layout_is_schema_stable() {
         let reg = Registry::default();
         let tr = Tracer::default();
-        let doc = build("unit", "unknown", false, &[("seed".into(), 7u64.to_json())], &reg, &tr);
+        let doc = build(
+            "unit",
+            "unknown",
+            false,
+            &[("seed".into(), 7u64.to_json())],
+            &reg,
+            &tr,
+        );
         for key in [
             "schema",
             "experiment",
@@ -72,14 +79,23 @@ mod tests {
         }
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(
-            doc.get("meta").and_then(|m| m.get("seed")).and_then(Json::as_f64),
+            doc.get("meta")
+                .and_then(|m| m.get("seed"))
+                .and_then(Json::as_f64),
             Some(7.0)
         );
     }
 
     #[test]
     fn git_rev_is_stamped_verbatim() {
-        let doc = build("unit", "deadbeef", false, &[], &Registry::default(), &Tracer::default());
+        let doc = build(
+            "unit",
+            "deadbeef",
+            false,
+            &[],
+            &Registry::default(),
+            &Tracer::default(),
+        );
         assert_eq!(doc.get("git_rev").and_then(Json::as_str), Some("deadbeef"));
     }
 }

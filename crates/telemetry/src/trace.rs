@@ -64,10 +64,7 @@ impl Tracer {
     }
 
     fn push(&mut self, ev: TraceEvent) {
-        let roll = self
-            .rollups
-            .entry((ev.subsystem, ev.name))
-            .or_default();
+        let roll = self.rollups.entry((ev.subsystem, ev.name)).or_default();
         roll.count += 1;
         roll.total_ns += u128::from(ev.dur_ns);
         roll.max_ns = roll.max_ns.max(ev.dur_ns);
@@ -81,7 +78,13 @@ impl Tracer {
     }
 
     /// Records an already-measured span at the current nesting depth.
-    pub fn span_at(&mut self, subsystem: &'static str, name: &'static str, at_ns: u64, dur_ns: u64) {
+    pub fn span_at(
+        &mut self,
+        subsystem: &'static str,
+        name: &'static str,
+        at_ns: u64,
+        dur_ns: u64,
+    ) {
         let depth = self.stack.len() as u32;
         self.push(TraceEvent {
             at_ns,
@@ -202,15 +205,21 @@ mod tests {
         let mut t = Tracer::default();
         t.enter("netsim", "te_tick", 100);
         t.span_at("tcam", "apply", 110, 5);
-        t.enter("manager", "migrate", 120, );
+        t.enter("manager", "migrate", 120);
         t.exit(150);
         t.exit(200);
         let evs = t.events_chronological();
         assert_eq!(evs.len(), 3);
         // Innermost events carry their nesting depth at record time.
         assert_eq!((evs[0].subsystem, evs[0].depth), ("tcam", 1));
-        assert_eq!((evs[1].subsystem, evs[1].depth, evs[1].dur_ns), ("manager", 1, 30));
-        assert_eq!((evs[2].subsystem, evs[2].depth, evs[2].dur_ns), ("netsim", 0, 100));
+        assert_eq!(
+            (evs[1].subsystem, evs[1].depth, evs[1].dur_ns),
+            ("manager", 1, 30)
+        );
+        assert_eq!(
+            (evs[2].subsystem, evs[2].depth, evs[2].dur_ns),
+            ("netsim", 0, 100)
+        );
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! to `hermes-harness` (DESIGN.md §11); both read the clock through this
 //! type.
 
-#![expect(clippy::disallowed_types, reason = "the workspace's one sanctioned wall-clock read")]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the workspace's one sanctioned wall-clock read"
+)]
 
 use std::time::{Duration, Instant};
 

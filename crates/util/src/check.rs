@@ -85,7 +85,9 @@ pub struct Gen<T> {
 
 impl<T> Clone for Gen<T> {
     fn clone(&self) -> Self {
-        Gen { f: Rc::clone(&self.f) }
+        Gen {
+            f: Rc::clone(&self.f),
+        }
     }
 }
 
@@ -168,13 +170,13 @@ pub fn zip2<A: 'static, B: 'static>(a: Gen<A>, b: Gen<B>) -> Gen<(A, B)> {
 }
 
 /// Triples three generators.
-pub fn zip3<A: 'static, B: 'static, C: 'static>(
-    a: Gen<A>,
-    b: Gen<B>,
-    c: Gen<C>,
-) -> Gen<(A, B, C)> {
+pub fn zip3<A: 'static, B: 'static, C: 'static>(a: Gen<A>, b: Gen<B>, c: Gen<C>) -> Gen<(A, B, C)> {
     Gen::from_fn(move |rng, size| {
-        (a.generate(rng, size), b.generate(rng, size), c.generate(rng, size))
+        (
+            a.generate(rng, size),
+            b.generate(rng, size),
+            c.generate(rng, size),
+        )
     })
 }
 
@@ -327,7 +329,11 @@ mod tests {
     #[test]
     fn passing_property_runs_all_cases() {
         let count = std::cell::Cell::new(0u64);
-        let cfg = Config { cases: 100, seed: 1, size: None };
+        let cfg = Config {
+            cases: 100,
+            seed: 1,
+            size: None,
+        };
         run(
             "counter",
             cfg,
@@ -339,7 +345,11 @@ mod tests {
 
     #[test]
     fn failing_property_panics_with_repro_line() {
-        let cfg = Config { cases: 50, seed: DEFAULT_SEED, size: None };
+        let cfg = Config {
+            cases: 50,
+            seed: DEFAULT_SEED,
+            size: None,
+        };
         let result = catch_unwind(AssertUnwindSafe(|| {
             run(
                 "always_small",
@@ -361,7 +371,11 @@ mod tests {
     fn minimization_halves_toward_small_inputs() {
         // A property failing for any vec with ≥ 1 element: the minimized
         // report must be at size 1 (the smallest halving step).
-        let cfg = Config { cases: 10, seed: 7, size: None };
+        let cfg = Config {
+            cases: 10,
+            seed: 7,
+            size: None,
+        };
         let result = catch_unwind(AssertUnwindSafe(|| {
             run(
                 "nonempty_fails",

@@ -173,7 +173,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "json parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -306,8 +310,8 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex =
+                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
                             let cp = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates (used only for astral chars) are
@@ -494,7 +498,10 @@ mod tests {
     #[test]
     fn parse_round_trips_own_output() {
         let doc = Json::obj([
-            ("a", Json::Arr(vec![Json::Int(1), Json::Num(2.5), Json::Null])),
+            (
+                "a",
+                Json::Arr(vec![Json::Int(1), Json::Num(2.5), Json::Null]),
+            ),
             ("s", Json::Str("x\n\"y\"".into())),
             ("b", Json::Bool(false)),
             ("nested", Json::obj([("k", Json::Int(-7))])),

@@ -63,10 +63,7 @@ impl SeedableRng for StdRng {
 impl RngCore for StdRng {
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
-        let result = s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -513,10 +510,15 @@ mod tests {
             let n = 50_000;
             let draws: Vec<f64> = (0..n).map(|_| r.poisson(lambda) as f64).collect();
             let mean = draws.iter().sum::<f64>() / n as f64;
-            let var =
-                draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n as f64;
-            assert!((mean - lambda).abs() < lambda * 0.1 + 0.05, "mean {mean} vs {lambda}");
-            assert!((var - lambda).abs() < lambda * 0.2 + 0.1, "var {var} vs {lambda}");
+            let var = draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n as f64;
+            assert!(
+                (mean - lambda).abs() < lambda * 0.1 + 0.05,
+                "mean {mean} vs {lambda}"
+            );
+            assert!(
+                (var - lambda).abs() < lambda * 0.2 + 0.1,
+                "var {var} vs {lambda}"
+            );
         }
         assert_eq!(r.poisson(0.0), 0);
     }
@@ -531,7 +533,10 @@ mod tests {
         sorted.sort_by(f64::total_cmp);
         let median = sorted[sorted.len() / 2];
         let expect = 10.0 * 2f64.powf(1.0 / 1.5);
-        assert!((median - expect).abs() / expect < 0.05, "{median} vs {expect}");
+        assert!(
+            (median - expect).abs() / expect < 0.05,
+            "{median} vs {expect}"
+        );
     }
 
     #[test]
@@ -541,7 +546,10 @@ mod tests {
         draws.sort_by(f64::total_cmp);
         let median = draws[draws.len() / 2];
         let expect = 1f64.exp();
-        assert!((median - expect).abs() / expect < 0.05, "{median} vs {expect}");
+        assert!(
+            (median - expect).abs() / expect < 0.05,
+            "{median} vs {expect}"
+        );
     }
 
     #[test]

@@ -173,11 +173,7 @@ impl Scenario {
     /// scenario through the same parser (`HERMES_SCENARIO_FILE` +
     /// `HERMES_SCENARIO`). Variables in the remove list must be cleared so
     /// a stale shell environment cannot leak into a seeded run.
-    pub fn env(
-        &self,
-        matrix_path: Option<&str>,
-        rep: u32,
-    ) -> (Vec<(String, String)>, Vec<String>) {
+    pub fn env(&self, matrix_path: Option<&str>, rep: u32) -> (Vec<(String, String)>, Vec<String>) {
         let mut set = vec![
             ("HERMES_SCALE".to_string(), self.scale.to_string()),
             (
@@ -258,11 +254,10 @@ impl Matrix {
                 return err(lineno, format!("expected `key = value`, got {line:?}"));
             };
             let key = key.trim();
-            let value = parse_value(value.trim())
-                .ok_or_else(|| ScenarioError {
-                    line: lineno,
-                    message: format!("unparseable value for {key}: {}", value.trim()),
-                })?;
+            let value = parse_value(value.trim()).ok_or_else(|| ScenarioError {
+                line: lineno,
+                message: format!("unparseable value for {key}: {}", value.trim()),
+            })?;
             match current.as_mut() {
                 None => {
                     // Top-level: only the schema declaration is allowed.
@@ -270,7 +265,10 @@ impl Matrix {
                         return err(lineno, format!("unexpected top-level key {key:?}"));
                     }
                     if value.as_str() != Some(SCHEMA) {
-                        return err(lineno, format!("unsupported schema {value} (want {SCHEMA})"));
+                        return err(
+                            lineno,
+                            format!("unsupported schema {value} (want {SCHEMA})"),
+                        );
                     }
                 }
                 Some(s) => match key {
@@ -457,16 +455,31 @@ knobs.hard = false
                 e.message
             );
         };
-        bad("[scenario.x]\nbin = \"b\"\ntypo_knob = 1\n", "unknown scenario key");
+        bad(
+            "[scenario.x]\nbin = \"b\"\ntypo_knob = 1\n",
+            "unknown scenario key",
+        );
         bad("[scenario.x]\nruns = 3\n", "declares no bin");
-        bad("[scenario.x]\nbin = \"b\"\n[scenario.x]\nbin = \"b\"\n", "duplicate scenario");
+        bad(
+            "[scenario.x]\nbin = \"b\"\n[scenario.x]\nbin = \"b\"\n",
+            "duplicate scenario",
+        );
         bad("[scenario.x]\nbin = \"b\"\nruns = 0\n", "runs must be");
         bad("[other.x]\nbin = \"b\"\n", "unknown section");
         bad("schema = \"hermes-scenario/9\"\n", "unsupported schema");
         bad("loose = 1\n", "unexpected top-level key");
-        bad("[scenario.bad name]\nbin = \"b\"\n", "invalid scenario name");
-        bad("[scenario.x]\nbin = \"b\"\nknobs.a = 1\nknobs.a = 2\n", "duplicate knob");
-        bad("[scenario.x]\nbin = \"b\"\nknobs.a = what\n", "unparseable value");
+        bad(
+            "[scenario.bad name]\nbin = \"b\"\n",
+            "invalid scenario name",
+        );
+        bad(
+            "[scenario.x]\nbin = \"b\"\nknobs.a = 1\nknobs.a = 2\n",
+            "duplicate knob",
+        );
+        bad(
+            "[scenario.x]\nbin = \"b\"\nknobs.a = what\n",
+            "unparseable value",
+        );
     }
 
     #[test]

@@ -197,7 +197,12 @@ impl BgpTrace {
         if updates.is_empty() {
             return 0.0;
         }
-        let end = updates.last().expect("INVARIANT: emptiness checked above").at.as_secs().ceil() as usize;
+        let end = updates
+            .last()
+            .expect("INVARIANT: emptiness checked above")
+            .at
+            .as_secs()
+            .ceil() as usize;
         let mut counts = vec![0usize; end + 1];
         for u in updates {
             counts[u.at.as_secs() as usize] += 1;

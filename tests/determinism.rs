@@ -106,7 +106,10 @@ fn telemetry_report_is_byte_identical_across_runs() {
     let b = telemetry_capture(None);
     hermes::telemetry::set_enabled(false);
     assert!(a.starts_with('{'));
-    assert_eq!(a, b, "telemetry report must be a pure function of the seeds");
+    assert_eq!(
+        a, b,
+        "telemetry report must be a pure function of the seeds"
+    );
 
     let parsed = Json::parse(&a).expect("self-produced report parses");
     assert_eq!(
@@ -196,7 +199,14 @@ fn fleet_capture() -> String {
             (i, HermesPlane::new(sw))
         })
         .collect();
-    let mut fleet = Fleet::new(members, FleetConfig { lanes: 4, seed: 23, ..FleetConfig::default() });
+    let mut fleet = Fleet::new(
+        members,
+        FleetConfig {
+            lanes: 4,
+            seed: 23,
+            ..FleetConfig::default()
+        },
+    );
     let mut rng = StdRng::seed_from_u64(23);
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
@@ -340,5 +350,8 @@ fn varys_result_bits_are_pinned() {
     );
     assert_eq!(end.as_nanos(), 2_757_698_573, "sim_end_ns");
     assert_eq!(m.fct_s.len(), 154, "flows_completed");
-    assert_eq!(bits, 0xffdb_5a39_4cf4_2643, "FNV-1a of every FCT, JCT and RIT bit pattern");
+    assert_eq!(
+        bits, 0xffdb_5a39_4cf4_2643,
+        "FNV-1a of every FCT, JCT and RIT bit pattern"
+    );
 }

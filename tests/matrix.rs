@@ -48,7 +48,11 @@ fn committed_matrix_has_the_contracted_scenarios() {
         let sc = matrix
             .get(name)
             .unwrap_or_else(|| panic!("scenario {name:?} missing from scenarios/matrix.toml"));
-        assert!(sc.runs >= 5, "{name}: full-tier scenarios need ≥5 reps, got {}", sc.runs);
+        assert!(
+            sc.runs >= 5,
+            "{name}: full-tier scenarios need ≥5 reps, got {}",
+            sc.runs
+        );
     }
     // The CI smoke tier stays cheap.
     for name in ["smoke-chaos", "smoke-crash", "smoke-fleet"] {
@@ -119,7 +123,9 @@ fn synthetic_run(wall_ms: f64) -> MatrixRun {
         merged: Default::default(),
     };
     for rep in 0..2 {
-        sc.merged.absorb(&bench_report).expect("fixture report merges");
+        sc.merged
+            .absorb(&bench_report)
+            .expect("fixture report merges");
         sc.reps.push(RepResult {
             rep,
             exit_code: Some(0),
@@ -130,7 +136,9 @@ fn synthetic_run(wall_ms: f64) -> MatrixRun {
             error: None,
         });
     }
-    MatrixRun { scenarios: vec![sc] }
+    MatrixRun {
+        scenarios: vec![sc],
+    }
 }
 
 #[test]
@@ -139,7 +147,10 @@ fn canonical_summary_is_independent_of_measured_jitter() {
     // canonical summaries must still be byte-identical.
     let fast = report::build(&synthetic_run(10.0), true).to_string();
     let slow = report::build(&synthetic_run(9000.0), true).to_string();
-    assert_eq!(fast, slow, "measured jitter leaked into the canonical summary");
+    assert_eq!(
+        fast, slow,
+        "measured jitter leaked into the canonical summary"
+    );
     assert!(
         !fast.contains("measured"),
         "canonical summary must omit the measured section"
@@ -152,7 +163,10 @@ fn canonical_summary_is_independent_of_measured_jitter() {
     assert!(full_fast.contains("measured"));
 
     // And building the same flavor twice is pure.
-    assert_eq!(full_fast, report::build(&synthetic_run(10.0), false).to_string());
+    assert_eq!(
+        full_fast,
+        report::build(&synthetic_run(10.0), false).to_string()
+    );
 }
 
 #[test]
@@ -201,5 +215,9 @@ fn every_experiment_binary_goes_through_run_experiment() {
         );
         checked += 1;
     }
-    assert!(checked >= 10, "found only {checked} exp_* binaries in {}", bins_dir.display());
+    assert!(
+        checked >= 10,
+        "found only {checked} exp_* binaries in {}",
+        bins_dir.display()
+    );
 }
