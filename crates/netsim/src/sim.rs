@@ -122,7 +122,7 @@ impl Default for VarysConfig {
 /// (Hermes migrates shadow→main on these ticks).
 const MANAGER_TICK_S: f64 = 0.1;
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     FlowArrive {
         job: JobId,
@@ -140,7 +140,6 @@ enum EventKind {
     },
     FlowComplete {
         flow: FlowId,
-        version: u64,
     },
     TeTick,
     MgrTick,
@@ -151,94 +150,169 @@ enum EventKind {
     End,
 }
 
-/// One popped event.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One event. The derived order is by `(at, seq)`: `seq` is unique, so
+/// `kind` never decides.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
     at: SimTime,
     seq: u64,
     kind: EventKind,
 }
 
-/// [`Entry::flow`] of an entry whose event sits in the slab. No flow
-/// reaches it: ids count up from 0, one per arrival, and
-/// [`EventQueue::push`] refuses it.
-const SLAB: FlowId = FlowId::MAX;
-
-/// A heap entry, 32 bytes. A `FlowComplete` (96 % of all events, most of
-/// them stale) rides inline as `(flow, word = version)`; any other kind
-/// sits in the slab at index `word`, marked by `flow == SLAB`. The derived
-/// order is by `(at, seq)`: `seq` is unique, so `flow` and `word` never
-/// decide.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct Entry {
+/// A flow's scheduled completion. The derived order is by `(at, seq)`:
+/// `seq` is unique, so `flow` never decides.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
     at: SimTime,
     seq: u64,
     flow: FlowId,
-    word: u64,
 }
 
-/// The event queue: a min-heap of [`Entry`] keyed by `(at, seq)`, with
-/// `seq` drawn in push order, so keys are unique and events at one
-/// instant pop first in, first out. The rare kinds wait in a slab whose
-/// freed slots are reused.
+/// [`EventQueue::pos`] of a flow with no scheduled completion.
+const UNSCHEDULED: u32 = u32::MAX;
+
+/// The event queue. A flow has at most one scheduled completion: the
+/// completions form an indexed binary min-heap of [`Due`] entries, and
+/// `pos` holds each flow's place in it (by flow id: ids count up from 0,
+/// one per arrival), so a rate change re-keys the flow's entry in place
+/// and a rate of 0 cancels it. Every other kind waits in a plain
+/// `BinaryHeap` keyed `(at, seq)`. One `seq` counter, drawn on every push
+/// and re-key, serves both heaps, and `pop` takes the smaller `(at, seq)`
+/// of the two heads: keys are unique, and events at one instant pop first
+/// in, first out.
 #[derive(Default)]
 struct EventQueue {
-    heap: BinaryHeap<Reverse<Entry>>,
-    slab: Vec<Option<EventKind>>,
-    free: Vec<usize>,
+    completions: Vec<Due>,
+    pos: Vec<u32>,
+    others: BinaryHeap<Reverse<Event>>,
     seq: u64,
 }
 
 impl EventQueue {
+    /// Queues `kind` at `at`. A `FlowComplete` replaces the flow's
+    /// scheduled completion, if it has one.
     fn push(&mut self, at: SimTime, kind: EventKind) {
-        self.seq += 1;
-        let (flow, word) = match kind {
-            EventKind::FlowComplete { flow, version } => {
-                assert_ne!(flow, SLAB, "flow id {SLAB} is the queue's slab marker");
-                (flow, version)
-            }
+        match kind {
+            EventKind::FlowComplete { flow } => self.schedule(flow, at),
             kind => {
-                let i = match self.free.pop() {
-                    Some(i) => {
-                        self.slab[i] = Some(kind);
-                        i
-                    }
-                    None => {
-                        self.slab.push(Some(kind));
-                        self.slab.len() - 1
-                    }
-                };
-                (SLAB, i as u64)
+                self.seq += 1;
+                self.others.push(Reverse(Event {
+                    at,
+                    seq: self.seq,
+                    kind,
+                }));
             }
-        };
-        self.heap.push(Reverse(Entry {
+        }
+    }
+
+    /// Schedules `flow`'s completion at `at`, re-keying the entry it
+    /// already has.
+    fn schedule(&mut self, flow: FlowId, at: SimTime) {
+        self.seq += 1;
+        let due = Due {
             at,
             seq: self.seq,
             flow,
-            word,
-        }));
+        };
+        if flow >= self.pos.len() {
+            self.pos.resize(flow + 1, UNSCHEDULED);
+        }
+        match self.pos[flow] {
+            UNSCHEDULED => {
+                self.completions.push(due);
+                self.sift_up(self.completions.len() - 1);
+            }
+            i => {
+                let i = i as usize;
+                let old = std::mem::replace(&mut self.completions[i], due);
+                if due < old {
+                    self.sift_up(i);
+                } else {
+                    self.sift_down(i);
+                }
+            }
+        }
+    }
+
+    /// Drops `flow`'s scheduled completion, if it has one.
+    fn cancel(&mut self, flow: FlowId) {
+        match self.pos.get(flow) {
+            Some(&i) if i != UNSCHEDULED => {
+                self.remove_at(i as usize);
+            }
+            _ => {}
+        }
     }
 
     /// The earliest event, if any.
     fn pop(&mut self) -> Option<Event> {
-        let Reverse(e) = self.heap.pop()?;
-        let kind = if e.flow == SLAB {
-            let i = e.word as usize;
-            self.free.push(i);
-            self.slab[i]
-                .take()
-                .expect("INVARIANT: every slab entry is referenced by exactly one heap entry")
-        } else {
-            EventKind::FlowComplete {
-                flow: e.flow,
-                version: e.word,
+        let other = self.others.peek().map(|Reverse(e)| (e.at, e.seq));
+        match self.completions.first() {
+            Some(d) if other.is_none_or(|o| (d.at, d.seq) < o) => {
+                let d = self.remove_at(0);
+                Some(Event {
+                    at: d.at,
+                    seq: d.seq,
+                    kind: EventKind::FlowComplete { flow: d.flow },
+                })
             }
-        };
-        Some(Event {
-            at: e.at,
-            seq: e.seq,
-            kind,
-        })
+            _ => self.others.pop().map(|Reverse(e)| e),
+        }
+    }
+
+    /// Takes the completion at heap index `i` out; the last entry fills
+    /// the hole and moves to its place.
+    fn remove_at(&mut self, i: usize) -> Due {
+        let gone = self.completions.swap_remove(i);
+        self.pos[gone.flow] = UNSCHEDULED;
+        if i < self.completions.len() {
+            // A promoted child is no smaller than the removed entry, so
+            // at most one of the two sifts moves anything.
+            self.sift_down(i);
+            self.sift_up(i);
+        }
+        gone
+    }
+
+    /// Moves the completion at `i` up to its place, keeping `pos` in step.
+    fn sift_up(&mut self, mut i: usize) {
+        let due = self.completions[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.completions[parent] <= due {
+                break;
+            }
+            self.place(i, self.completions[parent]);
+            i = parent;
+        }
+        self.place(i, due);
+    }
+
+    /// Moves the completion at `i` down to its place, keeping `pos` in
+    /// step.
+    fn sift_down(&mut self, mut i: usize) {
+        let due = self.completions[i];
+        let n = self.completions.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.completions[child + 1] < self.completions[child] {
+                child += 1;
+            }
+            if due <= self.completions[child] {
+                break;
+            }
+            self.place(i, self.completions[child]);
+            i = child;
+        }
+        self.place(i, due);
+    }
+
+    fn place(&mut self, i: usize, due: Due) {
+        self.completions[i] = due;
+        self.pos[due.flow] = i as u32;
     }
 }
 
@@ -460,7 +534,7 @@ impl Varys {
                     bytes,
                     path,
                 } => self.on_flow_start(flow, job, src, dst, bytes, path),
-                EventKind::FlowComplete { flow, version } => self.on_flow_complete(flow, version),
+                EventKind::FlowComplete { flow } => self.on_flow_complete(flow),
                 EventKind::TeTick => self.on_te_tick(),
                 EventKind::MgrTick => self.on_mgr_tick(),
                 EventKind::PathSwitch { flow, path } => self.on_path_switch(flow, path),
@@ -508,31 +582,23 @@ impl Varys {
     fn reallocate_and_reschedule(&mut self) {
         let changed = self.flows.allocate_max_min(&self.topo);
         for id in changed {
-            let (version, eta) = {
-                let f = self
-                    .flows
-                    .get(id)
-                    .expect("INVARIANT: allocate_max_min returns ids of live flows");
-                let eta = if f.rate_bps > 0.0 {
-                    // +2 ns guard: `from_secs` rounds to integer nanoseconds
-                    // and rounding *down* would leave a few bytes unfinished
-                    // at the event — with no further rate change ever
-                    // rescheduling it (observed at 40 Gbps where 1 ns ≈ 5
-                    // bytes). Overshooting by 2 ns is harmless: `advance`
-                    // clamps remaining at zero.
-                    Some(
-                        self.now
-                            + SimDuration::from_secs(f.remaining_bytes * 8.0 / f.rate_bps)
-                            + SimDuration::from_nanos(2),
-                    )
-                } else {
-                    None
-                };
-                (f.version, eta)
-            };
-            if let Some(at) = eta {
-                self.queue
-                    .push(at, EventKind::FlowComplete { flow: id, version });
+            let f = self
+                .flows
+                .get(id)
+                .expect("INVARIANT: allocate_max_min returns ids of live flows");
+            if f.rate_bps > 0.0 {
+                // +2 ns guard: `from_secs` rounds to integer nanoseconds
+                // and rounding *down* would leave a few bytes unfinished
+                // at the event — with no further rate change ever
+                // rescheduling it (observed at 40 Gbps where 1 ns ≈ 5
+                // bytes). Overshooting by 2 ns is harmless: `advance`
+                // clamps remaining at zero.
+                let at = self.now
+                    + SimDuration::from_secs(f.remaining_bytes * 8.0 / f.rate_bps)
+                    + SimDuration::from_nanos(2);
+                self.queue.schedule(id, at);
+            } else {
+                self.queue.cancel(id);
             }
         }
     }
@@ -677,14 +743,12 @@ impl Varys {
         ready
     }
 
-    fn on_flow_complete(&mut self, id: FlowId, version: u64) {
-        let valid = self
-            .flows
-            .get(id)
-            .map(|f| f.version == version && f.remaining_bytes <= 1.0)
-            .unwrap_or(false);
-        if !valid {
-            return; // stale event
+    fn on_flow_complete(&mut self, id: FlowId) {
+        // The popped completion is the flow's only one, so it is current;
+        // a flow short of its last bytes waits for its next rate change.
+        let done = self.flows.get(id).is_some_and(|f| f.remaining_bytes <= 1.0);
+        if !done {
+            return;
         }
         let flow = self
             .flows
@@ -839,10 +903,9 @@ impl Varys {
         if !self.flows.set_path(fid, path) {
             return;
         }
-        // Do NOT bump the version here: if the reallocation below leaves
-        // this flow's rate unchanged, its already-scheduled completion
-        // event is still exactly right (bumping would orphan the flow).
-        // Any rate that does change is re-versioned and rescheduled by
+        // The flow's scheduled completion stays: if the reallocation below
+        // leaves its rate unchanged, that completion is still exactly
+        // right. Any rate that does change is re-keyed by
         // `reallocate_and_reschedule`.
         self.reallocate_and_reschedule();
     }
@@ -1117,12 +1180,15 @@ mod tests {
     /// One step of a queue history.
     #[derive(Clone, Debug)]
     enum QueueOp {
+        /// Any kind; a `FlowComplete` schedules or re-keys its flow.
         Push(SimTime, EventKind),
+        Cancel(FlowId),
         Pop,
     }
 
-    /// Random push/pop histories over every `EventKind`, most pushes on
-    /// one of four instants so that `seq` decides the order.
+    /// Random histories over every `EventKind` plus cancels, most pushes
+    /// on one of four instants so that `seq` decides the order, and
+    /// completions on eight flows so that most of them re-key.
     fn queue_ops() -> Gen<Vec<QueueOp>> {
         Gen::from_fn(|rng, size| {
             let path = |rng: &mut StdRng| -> Vec<LinkId> {
@@ -1131,16 +1197,18 @@ mod tests {
             };
             (0..rng.gen_range(0..=size * 4))
                 .map(|_| {
-                    if rng.gen_bool(0.3) {
-                        return QueueOp::Pop;
+                    let flow = rng.gen_range(0..8usize);
+                    match rng.gen_range(0..10u32) {
+                        0..=2 => return QueueOp::Pop,
+                        3 => return QueueOp::Cancel(flow),
+                        _ => {}
                     }
                     let at = if rng.gen_bool(0.8) {
                         rng.gen_range(0..4u64)
                     } else {
                         rng.gen_range(0..1u64 << 40)
                     };
-                    let flow = rng.gen_range(0..8usize);
-                    let kind = match rng.gen_range(0..7u32) {
+                    let kind = match rng.gen_range(0..9u32) {
                         0 => EventKind::FlowArrive {
                             job: rng.gen_range(0..4usize),
                             src: rng.gen_range(0..16usize),
@@ -1155,17 +1223,14 @@ mod tests {
                             bytes: rng.gen(),
                             path: path(rng),
                         },
-                        2 | 3 => EventKind::FlowComplete {
-                            flow,
-                            version: rng.gen(),
-                        },
-                        4 => EventKind::PathSwitch {
+                        2 => EventKind::PathSwitch {
                             flow,
                             path: path(rng),
                         },
-                        5 => EventKind::TeTick,
-                        6 => EventKind::MgrTick,
-                        _ => EventKind::End,
+                        3 => EventKind::TeTick,
+                        4 => EventKind::MgrTick,
+                        5 => EventKind::End,
+                        _ => EventKind::FlowComplete { flow },
                     };
                     QueueOp::Push(SimTime::from_nanos(at), kind)
                 })
@@ -1173,62 +1238,94 @@ mod tests {
         })
     }
 
+    /// The reference queue: every event under its `(at, seq)` key, and
+    /// each flow's scheduled completion key.
+    #[derive(Default)]
+    struct ModelQueue {
+        events: BTreeMap<(SimTime, u64), EventKind>,
+        due: BTreeMap<FlowId, (SimTime, u64)>,
+        seq: u64,
+    }
+
+    impl ModelQueue {
+        fn push(&mut self, at: SimTime, kind: EventKind) {
+            self.seq += 1;
+            if let EventKind::FlowComplete { flow } = kind {
+                self.cancel(flow);
+                self.due.insert(flow, (at, self.seq));
+            }
+            self.events.insert((at, self.seq), kind);
+        }
+
+        fn cancel(&mut self, flow: FlowId) {
+            if let Some(key) = self.due.remove(&flow) {
+                self.events.remove(&key);
+            }
+        }
+
+        fn pop(&mut self) -> Option<Event> {
+            let ((at, seq), kind) = self.events.pop_first()?;
+            if let EventKind::FlowComplete { flow } = kind {
+                self.due.remove(&flow);
+            }
+            Some(Event { at, seq, kind })
+        }
+    }
+
+    /// `pos` and the completion heap describe the same entries, and they
+    /// are the model's scheduled completions.
+    fn assert_positions_agree(queue: &EventQueue, model: &ModelQueue) {
+        for (i, d) in queue.completions.iter().enumerate() {
+            assert_eq!(queue.pos[d.flow] as usize, i, "pos of flow {}", d.flow);
+        }
+        let scheduled: BTreeMap<FlowId, (SimTime, u64)> = queue
+            .pos
+            .iter()
+            .enumerate()
+            .filter(|&(_, &i)| i != UNSCHEDULED)
+            .map(|(flow, &i)| {
+                let d = queue.completions[i as usize];
+                assert_eq!(d.flow, flow, "heap entry {i} belongs to flow {flow}");
+                (flow, (d.at, d.seq))
+            })
+            .collect();
+        assert_eq!(scheduled, model.due);
+    }
+
     hermes_util::check! {
         #![cases = 256]
 
-        /// The slab queue pops the same `(at, seq, kind)` sequence as a
-        /// `BinaryHeap` of whole events ordered by `(at, seq)`.
-        fn event_queue_matches_binary_heap(ops in queue_ops()) {
-            // The reference keeps whole events aside, keyed by `seq`.
-            fn reference_pop(
-                heap: &mut BinaryHeap<Reverse<(SimTime, u64)>>,
-                kinds: &mut BTreeMap<u64, EventKind>,
-            ) -> Option<Event> {
-                heap.pop().map(|Reverse((at, seq))| Event {
-                    at,
-                    seq,
-                    kind: kinds.remove(&seq).expect("every pushed seq has a kind"),
-                })
-            }
+        /// The queue pops the same `(at, seq, kind)` sequence as a
+        /// `BTreeMap` of whole events keyed by `(at, seq)` in which a
+        /// flow's new completion replaces its old one and a cancel drops
+        /// it; after every step its position map agrees with its heap.
+        fn event_queue_matches_reference_model(ops in queue_ops()) {
             let mut queue = EventQueue::default();
-            let (mut heap, mut kinds, mut seq) = (BinaryHeap::new(), BTreeMap::new(), 0u64);
+            let mut model = ModelQueue::default();
             for op in ops {
                 match op {
                     QueueOp::Push(at, kind) => {
-                        seq += 1;
-                        heap.push(Reverse((at, seq)));
-                        kinds.insert(seq, kind.clone());
+                        model.push(at, kind.clone());
                         queue.push(at, kind);
                     }
-                    QueueOp::Pop => assert_eq!(queue.pop(), reference_pop(&mut heap, &mut kinds)),
+                    QueueOp::Cancel(flow) => {
+                        model.cancel(flow);
+                        queue.cancel(flow);
+                    }
+                    QueueOp::Pop => assert_eq!(queue.pop(), model.pop()),
                 }
+                assert_positions_agree(&queue, &model);
             }
             loop {
-                let (got, want) = (queue.pop(), reference_pop(&mut heap, &mut kinds));
+                let (got, want) = (queue.pop(), model.pop());
                 assert_eq!(got, want);
                 if got.is_none() {
                     break;
                 }
             }
-            assert_eq!(queue.free.len(), queue.slab.len(), "a drained queue frees every slab slot");
+            assert!(queue.completions.is_empty() && queue.others.is_empty());
+            assert!(queue.pos.iter().all(|&i| i == UNSCHEDULED), "a drained queue schedules no flow");
         }
-    }
-
-    #[test]
-    fn queue_entries_are_32_bytes() {
-        assert_eq!(std::mem::size_of::<Reverse<Entry>>(), 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "slab marker")]
-    fn the_slab_marker_is_not_a_flow_id() {
-        EventQueue::default().push(
-            SimTime::ZERO,
-            EventKind::FlowComplete {
-                flow: SLAB,
-                version: 1,
-            },
-        );
     }
 
     #[test]

@@ -46,6 +46,11 @@ fn fold(a: u64, b: u64) -> u64 {
     (m as u64) ^ ((m >> 64) as u64)
 }
 
+/// Hash seed of the family of entries carrying `mask`.
+fn seed_of(mask: u128) -> u64 {
+    fold(mask as u64 ^ K0, (mask >> 64) as u64 ^ K1)
+}
+
 /// Hash of one `(mask, value)` pair; `seed` stands in for the mask.
 fn hash(seed: u64, value: u128) -> u64 {
     let (lo, hi) = (value as u64, (value >> 64) as u64);
@@ -119,7 +124,7 @@ impl MatchIndex {
             }
             None => {
                 let mask = key.mask();
-                let seed = fold(mask as u64 ^ K0, (mask >> 64) as u64 ^ K1);
+                let seed = seed_of(mask);
                 self.tuples.push(Tuple {
                     mask,
                     seed,
@@ -318,5 +323,58 @@ mod tests {
         assert_eq!(offered, [0, 1, 2]);
         let filed = entries.map(|(_, seq, slab)| (key, seq, slab));
         assert!(index.check(3, filed.into_iter()));
+    }
+
+    /// A 32-bit tag collision cannot answer a lookup: a birthday search
+    /// finds two values under one mask with equal tags and equal homes in
+    /// the 8-slot array of a two-entry table, so each one's probe run
+    /// passes the other. With the colliding rule at the higher priority,
+    /// a `confirm` that ignored the key would answer the other value's
+    /// lookups with it.
+    #[test]
+    fn a_tag_collision_does_not_answer_a_lookup() {
+        use crate::table::{PlacementStrategy, TcamTable};
+        use hermes_rules::prelude::{Action, Priority, Rule};
+
+        // Exact-match keys, values spread over all 128 bits.
+        let mask = u128::MAX;
+        let seed = seed_of(mask);
+        let home_mask = MIN_SLOTS as u64 - 1;
+        // Tag plus the home bits of an 8-slot array: ~2^17.5 draws expected.
+        let mut seen = std::collections::BTreeMap::new();
+        let (a, b) = (1u128..1 << 20)
+            .find_map(|i| {
+                let value = i.wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835);
+                let h = hash(seed, value);
+                let probe = (h as u32, (h >> 32) & home_mask);
+                seen.insert(probe, value).map(|other| (other, value))
+            })
+            .expect("a collision among 2^20 values");
+        let (key_a, key_b) = (TernaryKey::new(a, mask), TernaryKey::new(b, mask));
+
+        // Both probe runs offer both entries.
+        let mut index = MatchIndex::default();
+        index.rebuild(2, [(key_a, 0, 0), (key_b, 1, 1)].into_iter());
+        assert_eq!(index.slots.len(), MIN_SLOTS);
+        for packet in [a, b] {
+            let mut offered = Vec::new();
+            index.lookup(packet, |slab, _| {
+                offered.push(slab);
+                None
+            });
+            offered.sort_unstable();
+            assert_eq!(offered, [0, 1], "both candidates share a probe run");
+        }
+
+        let mut table = TcamTable::new(16, PlacementStrategy::PackedLow);
+        table
+            .insert(Rule::new(1, key_a, Priority(9), Action::Forward(1)))
+            .unwrap();
+        table
+            .insert(Rule::new(2, key_b, Priority(1), Action::Forward(2)))
+            .unwrap();
+        assert_eq!(table.peek(a).map(|r| r.id.0), Some(1));
+        assert_eq!(table.peek(b).map(|r| r.id.0), Some(2));
+        assert_eq!(table.lookup(b).map(|r| r.id.0), Some(2));
     }
 }

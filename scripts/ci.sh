@@ -25,9 +25,11 @@ stage_build() {
 }
 
 stage_lint() {
-    # One blocking stage whose verdict is the analyzer's exit code (the R2
-    # and R5 token rules and S1 suppressions -- DESIGN.md §9).
+    # The analyzer's exit code (the R2 and R5 token rules and S1
+    # suppressions -- DESIGN.md §9), then rustfmt over the root workspace
+    # (benchmark/ is its own workspace and is not formatted here).
     cargo run --release --offline -q -p hermes-lint -- --workspace
+    cargo fmt --all --check
 }
 
 stage_clippy() {

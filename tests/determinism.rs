@@ -302,14 +302,24 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// Pins the simulator's result bits across versions, not just across two
-/// runs of one build: a small Facebook trace on a k=4 fat tree with Hermes
-/// on every switch, busy enough that the TE app reroutes. The constants
-/// were computed before the event queue and the path picks were last
-/// reworked. Trace seed 10 is the lowest at which letting stale
-/// completions skip `advance_to` moves a result bit (on about one trace in
-/// nine the f64 drift reaches the nanosecond-rounded event times); ordering
-/// the queue by time alone moves them on any trace.
+/// The largest distance allowed between an FCT or JCT of
+/// `varys_result_bits_are_pinned`'s trace and the value the event loop
+/// computed when every superseded completion still ran `advance_to`
+/// (`tests/data/varys_pin_fct_jct.txt`): twice the worst drift measured
+/// over 400 such traces, 2 ns (DESIGN.md §14).
+const FCT_JCT_DRIFT_S: f64 = 4e-9;
+
+/// Pins the simulator's results across versions, not just across two runs
+/// of one build: a small Facebook trace on a k=4 fat tree with Hermes on
+/// every switch, busy enough that the TE app reroutes. What stays exact
+/// is pinned exactly: the end time, the flow count and the RIT bits,
+/// whose FNV was computed before the event queue kept one completion per
+/// flow. FCTs and JCTs come from integrating `remaining_bytes` between
+/// events, in f64: they must lie within [`FCT_JCT_DRIFT_S`] of the values
+/// the old per-event integration gave, and their bits are pinned to the
+/// current loop. Trace seed 10 is the lowest at which the two loops
+/// differ (one FCT moves by 1 ns), so this trace tells them apart;
+/// ordering the queue by time alone moves the end time.
 #[test]
 fn varys_result_bits_are_pinned() {
     use hermes::workloads::facebook::FacebookWorkload;
@@ -336,12 +346,7 @@ fn varys_result_bits_are_pinned() {
     sim.register_jobs(&jobs);
     let end = sim.run(600.0);
     let m = &sim.metrics;
-    let bits = fnv1a(
-        [m.fct_s.values(), m.jct_s.values(), m.rit_ms.values()]
-            .into_iter()
-            .flatten()
-            .map(|v| v.to_bits()),
-    );
+    let bits = |samples: &[&[f64]]| fnv1a(samples.iter().copied().flatten().map(|v| v.to_bits()));
     assert_eq!(m.fct_s.len(), flows, "every flow completes");
     assert!(
         m.path_txns > flows as u64 && m.path_rollbacks == 0,
@@ -351,7 +356,32 @@ fn varys_result_bits_are_pinned() {
     assert_eq!(end.as_nanos(), 2_757_698_573, "sim_end_ns");
     assert_eq!(m.fct_s.len(), 154, "flows_completed");
     assert_eq!(
-        bits, 0xffdb_5a39_4cf4_2643,
-        "FNV-1a of every FCT, JCT and RIT bit pattern"
+        bits(&[m.rit_ms.values()]),
+        0x56b9_93ed_2360_f7b4,
+        "FNV-1a of every RIT bit pattern"
+    );
+
+    let old: Vec<(&str, f64)> = include_str!("data/varys_pin_fct_jct.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let (name, v) = l.split_once(' ').expect("a name and a value");
+            (name, v.parse().expect("an f64"))
+        })
+        .collect();
+    let new = m.fct_s.values().iter().map(|&v| ("fct_s", v));
+    let new = new.chain(m.jct_s.values().iter().map(|&v| ("jct_s", v)));
+    assert_eq!(old.len(), m.fct_s.len() + m.jct_s.len(), "fixture length");
+    for (i, ((old_name, old), (name, new))) in old.into_iter().zip(new).enumerate() {
+        assert_eq!(old_name, name, "fixture line {i}");
+        assert!(
+            (new - old).abs() <= FCT_JCT_DRIFT_S,
+            "{name} #{i}: {new} drifted more than {FCT_JCT_DRIFT_S} s from {old}"
+        );
+    }
+    assert_eq!(
+        bits(&[m.fct_s.values(), m.jct_s.values()]),
+        0x1060_0b6b_e68d_ad46,
+        "FNV-1a of every FCT and JCT bit pattern"
     );
 }
