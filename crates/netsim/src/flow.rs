@@ -8,7 +8,6 @@
 
 use crate::topology::{LinkId, Topology};
 use hermes_tcam::SimTime;
-use std::collections::BTreeMap;
 
 /// Flow identifier.
 pub type FlowId = usize;
@@ -34,18 +33,56 @@ pub struct ActiveFlow {
     pub path: Vec<LinkId>,
     /// When the flow started (for FCT).
     pub started: SimTime,
-    /// Bumped on every rate/path change; invalidates stale completion
-    /// events in the queue.
+    /// How many times [`FlowTable::allocate_max_min`] has rewritten
+    /// `rate_bps`. The event loop no longer reads it: a flow has at most
+    /// one queued completion, re-keyed on every rate change (DESIGN.md
+    /// §14).
     pub version: u64,
 }
 
-/// Per-call working state of [`FlowTable::allocate_max_min`], kept
-/// between calls so a solve allocates nothing but its result.
+/// [`FlowTable`]'s `slot_of` entry of an id with no active flow.
+const ABSENT: u32 = u32::MAX;
+
+/// Links whose flow set changed since the last solve, each listed once.
+#[derive(Clone, Debug, Default)]
+struct ChangedLinks {
+    list: Vec<LinkId>,
+    /// `list` as a per-link flag.
+    marked: Vec<bool>,
+}
+
+impl ChangedLinks {
+    fn mark(&mut self, path: &[LinkId]) {
+        for &l in path {
+            if l >= self.marked.len() {
+                self.marked.resize(l + 1, false);
+            }
+            if !self.marked[l] {
+                self.marked[l] = true;
+                self.list.push(l);
+            }
+        }
+    }
+
+    fn contains(&self, link: LinkId) -> bool {
+        self.marked.get(link).copied().unwrap_or(false)
+    }
+
+    fn clear(&mut self) {
+        for l in self.list.drain(..) {
+            self.marked[l] = false;
+        }
+    }
+}
+
+/// Working state of [`FlowTable::allocate_max_min`], kept between calls
+/// so a solve allocates nothing but its result, and the last solve's
+/// rounds, which the next solve replays.
 #[derive(Clone, Debug, Default)]
 struct Scratch {
     /// Residual capacity per link.
     residual: Vec<f64>,
-    /// Unfrozen flows per link.
+    /// Unfrozen flows per link; all 0 between solves.
     unfrozen_on: Vec<usize>,
     /// Links still carrying an unfrozen flow.
     live: Vec<LinkId>,
@@ -53,6 +90,116 @@ struct Scratch {
     new_rate: Vec<f64>,
     /// Has the slot's flow been given its rate?
     frozen: Vec<bool>,
+    /// The last solve's filling rounds in order, as `(bottleneck,
+    /// share)`: at most one per link, since a round leaves its
+    /// bottleneck without unfrozen flows.
+    rounds: Vec<(LinkId, f64)>,
+    /// The capacity per link that `rounds` was solved against.
+    capacity: Vec<f64>,
+}
+
+impl Scratch {
+    /// Solves into `new_rate`: replays the rounds of the last solve that
+    /// `changed` cannot have altered, then fills as usual, logging each
+    /// round it scans.
+    fn solve(
+        &mut self,
+        flows: &[ActiveFlow],
+        on_link: &[Vec<usize>],
+        changed: &ChangedLinks,
+        topo: &Topology,
+    ) {
+        self.residual.resize(on_link.len(), 0.0);
+        self.unfrozen_on.resize(on_link.len(), 0);
+        self.capacity.resize(on_link.len(), f64::NAN);
+        self.live.clear();
+        for (l, slots) in on_link.iter().enumerate() {
+            if !slots.is_empty() {
+                let capacity = topo.links[l].capacity_bps;
+                if capacity.to_bits() != self.capacity[l].to_bits() {
+                    self.capacity[l] = capacity;
+                    self.rounds.clear();
+                }
+                self.residual[l] = capacity;
+                self.unfrozen_on[l] = slots.len();
+                self.live.push(l);
+            }
+        }
+        // Flows with empty paths (same-host transfers) run at a nominal
+        // local rate.
+        self.new_rate.clear();
+        self.new_rate.extend(
+            flows
+                .iter()
+                .map(|f| if f.path.is_empty() { 100e9 } else { 0.0 }),
+        );
+        self.frozen.clear();
+        self.frozen.extend(flows.iter().map(|f| f.path.is_empty()));
+
+        // Replay. Up to a round, an unchanged link has the flows, the
+        // unfrozen count and the subtractions it had in the last solve,
+        // so its share is bit-identical and the logged bottleneck still
+        // beats it. Only a changed link can take the round, and the
+        // changed links are few enough to check each round.
+        let mut replayed = 0;
+        while let Some(&(bottleneck, share)) = self.rounds.get(replayed) {
+            let displaced = changed.contains(bottleneck)
+                || changed.list.iter().any(|&c| {
+                    let n = self.unfrozen_on[c];
+                    n > 0 && {
+                        let s = self.residual[c] / n as f64;
+                        s < share || (s == share && c < bottleneck)
+                    }
+                });
+            if displaced {
+                break;
+            }
+            self.freeze(flows, &on_link[bottleneck], share);
+            replayed += 1;
+        }
+        self.rounds.truncate(replayed);
+
+        loop {
+            // The bottleneck link: minimal fair share among links carrying
+            // unfrozen flows, lowest link id on ties. Links that ran out of
+            // them leave `live`.
+            let mut best: Option<(f64, LinkId)> = None;
+            let mut i = 0;
+            while i < self.live.len() {
+                let l = self.live[i];
+                if self.unfrozen_on[l] == 0 {
+                    self.live.swap_remove(i);
+                    continue;
+                }
+                let share = self.residual[l] / self.unfrozen_on[l] as f64;
+                if best.is_none_or(|(s, b)| share < s || (share == s && l < b)) {
+                    best = Some((share, l));
+                }
+                i += 1;
+            }
+            let Some((share, bottleneck)) = best else {
+                break;
+            };
+            self.freeze(flows, &on_link[bottleneck], share);
+            self.rounds.push((bottleneck, share));
+        }
+    }
+
+    /// One filling round: freezes every unfrozen flow of `slots` (the
+    /// bottleneck's) at `share`.
+    fn freeze(&mut self, flows: &[ActiveFlow], slots: &[usize], share: f64) {
+        for &slot in slots {
+            if self.frozen[slot] {
+                continue;
+            }
+            self.frozen[slot] = true;
+            self.new_rate[slot] = share.max(0.0);
+            for &l in &flows[slot].path {
+                self.residual[l] = (self.residual[l] - share).max(0.0);
+                self.unfrozen_on[l] -= 1;
+            }
+        }
+    }
 }
 
 /// The set of active flows plus the allocator.
@@ -60,17 +207,20 @@ struct Scratch {
 /// Flows sit densely in `flows` (a removal moves the last flow into the
 /// hole), `slot_of` finds them by id and `on_link` lists, per link, the
 /// slots of the flows crossing it. Every path change goes through
-/// `insert`/`remove`/`set_path`, which keep the three in step.
+/// `insert`/`remove`/`set_path`, which keep the three in step and mark
+/// the links whose flow set changed for the next solve.
 #[derive(Clone, Debug, Default)]
 pub struct FlowTable {
     flows: Vec<ActiveFlow>,
-    // BTreeMap: iteration in ascending flow id makes whole simulations
-    // reproducible bit-for-bit given a seed.
-    slot_of: BTreeMap<FlowId, usize>,
+    /// Flow id → slot, [`ABSENT`] for none. Ids count up from 0, so the
+    /// vector is dense, and walking it visits flows in ascending id,
+    /// which makes whole simulations reproducible bit-for-bit.
+    slot_of: Vec<u32>,
     /// Link → slots of the flows on it, in ascending flow id (so sums
     /// and picks over a link do not depend on slot history). Grows to
     /// the highest link id seen.
     on_link: Vec<Vec<usize>>,
+    changed: ChangedLinks,
     scratch: Scratch,
 }
 
@@ -88,6 +238,13 @@ impl FlowTable {
     /// `true` when no flows are active.
     pub fn is_empty(&self) -> bool {
         self.flows.is_empty()
+    }
+
+    fn slot(&self, id: FlowId) -> Option<usize> {
+        match self.slot_of.get(id) {
+            Some(&slot) if slot != ABSENT => Some(slot as usize),
+            _ => None,
+        }
     }
 
     /// Enters the flow in `slot` into the link lists of its path.
@@ -114,35 +271,46 @@ impl FlowTable {
     }
 
     /// Adds a flow, replacing any flow already present under its id.
+    /// The id index grows to the largest id seen: ids are meant to count
+    /// up from 0.
     pub fn insert(&mut self, flow: ActiveFlow) {
-        let slot = match self.slot_of.get(&flow.id) {
-            Some(&slot) => {
+        let slot = match self.slot(flow.id) {
+            Some(slot) => {
+                self.changed.mark(&self.flows[slot].path);
                 self.unindex(slot);
                 self.flows[slot] = flow;
                 slot
             }
             None => {
                 let slot = self.flows.len();
-                self.slot_of.insert(flow.id, slot);
+                if flow.id >= self.slot_of.len() {
+                    self.slot_of.resize(flow.id + 1, ABSENT);
+                }
+                self.slot_of[flow.id] =
+                    u32::try_from(slot).expect("INVARIANT: fewer than u32::MAX flows are active");
                 self.flows.push(flow);
                 slot
             }
         };
+        self.changed.mark(&self.flows[slot].path);
         self.index(slot);
     }
 
     /// Removes a flow (on completion).
     pub fn remove(&mut self, id: FlowId) -> Option<ActiveFlow> {
-        let slot = self.slot_of.remove(&id)?;
+        let slot = self.slot(id)?;
+        self.slot_of[id] = ABSENT;
+        self.changed.mark(&self.flows[slot].path);
         self.unindex(slot);
-        // The last flow moves into the hole: re-enter it under its new slot.
+        // The last flow moves into the hole: re-enter it under its new
+        // slot. Its flow set is the same, so its links are not marked.
         let last = self.flows.len() - 1;
         if slot != last {
             self.unindex(last);
         }
         let flow = self.flows.swap_remove(slot);
         if slot != last {
-            self.slot_of.insert(self.flows[slot].id, slot);
+            self.slot_of[self.flows[slot].id] = slot as u32;
             self.index(slot);
         }
         Some(flow)
@@ -151,9 +319,11 @@ impl FlowTable {
     /// Moves a flow onto `path`, leaving its rate and version alone;
     /// `false` if the flow is not present.
     pub fn set_path(&mut self, id: FlowId, path: Vec<LinkId>) -> bool {
-        let Some(&slot) = self.slot_of.get(&id) else {
+        let Some(slot) = self.slot(id) else {
             return false;
         };
+        self.changed.mark(&self.flows[slot].path);
+        self.changed.mark(&path);
         self.unindex(slot);
         self.flows[slot].path = path;
         self.index(slot);
@@ -162,12 +332,15 @@ impl FlowTable {
 
     /// Borrows a flow.
     pub fn get(&self, id: FlowId) -> Option<&ActiveFlow> {
-        self.slot_of.get(&id).map(|&slot| &self.flows[slot])
+        self.slot(id).map(|slot| &self.flows[slot])
     }
 
     /// Iterates over the active flows in ascending id.
     pub fn iter(&self) -> impl Iterator<Item = &ActiveFlow> {
-        self.slot_of.values().map(|&slot| &self.flows[slot])
+        self.slot_of
+            .iter()
+            .filter(|&&slot| slot != ABSENT)
+            .map(|&slot| &self.flows[slot as usize])
     }
 
     /// The flows whose path crosses `link`, in ascending id.
@@ -194,79 +367,23 @@ impl FlowTable {
     ///
     /// Results are pinned bit-for-bit (DESIGN.md §14):
     /// each round freezes the unfrozen flows of the link with the least
-    /// `residual / unfrozen`, lowest link id on ties.
+    /// `residual / unfrozen`, lowest link id on ties. A solve replays
+    /// the leading rounds of the last one that the links changed since
+    /// cannot have moved, and scans links only from there on.
     pub fn allocate_max_min(&mut self, topo: &Topology) -> Vec<FlowId> {
         let FlowTable {
             flows,
             on_link,
+            changed,
             scratch,
             ..
         } = self;
-        let Scratch {
-            residual,
-            unfrozen_on,
-            live,
-            new_rate,
-            frozen,
-        } = scratch;
-        residual.resize(on_link.len(), 0.0);
-        unfrozen_on.resize(on_link.len(), 0);
-        live.clear();
-        for (l, slots) in on_link.iter().enumerate() {
-            if !slots.is_empty() {
-                residual[l] = topo.links[l].capacity_bps;
-                unfrozen_on[l] = slots.len();
-                live.push(l);
-            }
-        }
-        // Flows with empty paths (same-host transfers) run at a nominal
-        // local rate.
-        new_rate.clear();
-        new_rate.extend(
-            flows
-                .iter()
-                .map(|f| if f.path.is_empty() { 100e9 } else { 0.0 }),
-        );
-        frozen.clear();
-        frozen.extend(flows.iter().map(|f| f.path.is_empty()));
-
-        loop {
-            // The bottleneck link: minimal fair share among links carrying
-            // unfrozen flows. Links that ran out of them leave `live`.
-            let mut best: Option<(f64, LinkId)> = None;
-            let mut i = 0;
-            while i < live.len() {
-                let l = live[i];
-                if unfrozen_on[l] == 0 {
-                    live.swap_remove(i);
-                    continue;
-                }
-                let share = residual[l] / unfrozen_on[l] as f64;
-                if best.is_none_or(|(s, b)| share < s || (share == s && l < b)) {
-                    best = Some((share, l));
-                }
-                i += 1;
-            }
-            let Some((share, bottleneck)) = best else {
-                break;
-            };
-            // Freeze every unfrozen flow on the bottleneck at `share`.
-            for &slot in &on_link[bottleneck] {
-                if frozen[slot] {
-                    continue;
-                }
-                frozen[slot] = true;
-                new_rate[slot] = share.max(0.0);
-                for &l in &flows[slot].path {
-                    residual[l] = (residual[l] - share).max(0.0);
-                    unfrozen_on[l] -= 1;
-                }
-            }
-        }
+        scratch.solve(flows, on_link, changed, topo);
+        changed.clear();
 
         // Apply, reporting changes.
         let mut changed = Vec::new();
-        for (f, &new_rate) in flows.iter_mut().zip(new_rate.iter()) {
+        for (f, &new_rate) in flows.iter_mut().zip(scratch.new_rate.iter()) {
             if (new_rate - f.rate_bps).abs() > 1e-6 {
                 f.rate_bps = new_rate;
                 f.version += 1;

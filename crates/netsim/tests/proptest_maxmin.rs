@@ -2,8 +2,9 @@
 //! conservation, and max-min optimality (no flow can be raised without
 //! lowering a flow that is no better off), plus the differential property
 //! that pins `FlowTable` bit-for-bit to the reference solver in
-//! [`reference`]. Runs under the in-tree `hermes_util::check!` harness with
-//! pinned default seeds.
+//! [`reference`] and the one that pins a warm solve (replaying the last
+//! solve's rounds) to a cold solve of the same flows. Runs under the
+//! in-tree `hermes_util::check!` harness with pinned default seeds.
 
 #![expect(
     clippy::disallowed_methods,
@@ -280,8 +281,161 @@ fn build(topo: &Topology, pairs: &[(usize, usize)], seed: u64) -> FlowTable {
     ft
 }
 
+/// One change to a Varys-shaped table between two solves. `pick` chooses
+/// a live flow by position in ascending id (modulo their number).
+#[derive(Clone, Debug)]
+enum Change {
+    /// A flow arrives under the next id, between two hosts.
+    Start { src: usize, dst: usize, route: u64 },
+    /// A flow completes.
+    Complete { pick: usize },
+    /// A flow moves to a path sampled under `route`, avoiding the link
+    /// at `avoid` of its current path where a shortest path can.
+    Switch {
+        pick: usize,
+        route: u64,
+        avoid: usize,
+    },
+    /// A flow is inserted again under its id, on a new path and rate 0.
+    Replace { pick: usize, route: u64 },
+}
+
+fn change() -> Gen<Change> {
+    weighted(vec![
+        (
+            4,
+            zip3(arb::<usize>(), arb::<usize>(), arb::<u64>())
+                .map(|(src, dst, route)| Change::Start { src, dst, route }),
+        ),
+        (4, arb::<usize>().map(|pick| Change::Complete { pick })),
+        (
+            3,
+            zip3(arb::<usize>(), arb::<u64>(), arb::<usize>())
+                .map(|(pick, route, avoid)| Change::Switch { pick, route, avoid }),
+        ),
+        (
+            1,
+            zip2(arb::<usize>(), arb::<u64>()).map(|(pick, route)| Change::Replace { pick, route }),
+        ),
+    ])
+}
+
+/// The changes between two solves: mostly one, as in Varys, sometimes
+/// several.
+fn step() -> Gen<Vec<Change>> {
+    weighted(vec![
+        (4, vec_of(change(), 1..2)),
+        (1, vec_of(change(), 2..6)),
+    ])
+}
+
+/// A shortest path between two distinct hosts picked by `src`/`dst`.
+fn host_path(topo: &Topology, src: usize, dst: usize, seed: u64) -> (usize, usize, Vec<LinkId>) {
+    let hosts = topo.hosts();
+    let src = hosts[src % hosts.len()];
+    let mut dst = hosts[dst % hosts.len()];
+    if dst == src {
+        dst = hosts[(hosts.iter().position(|&h| h == src).unwrap() + 1) % hosts.len()];
+    }
+    let path = topo
+        .random_shortest_path(src, dst, None, &mut StdRng::seed_from_u64(seed))
+        .unwrap_or_default();
+    (src, dst, path)
+}
+
+/// Applies `change` to `table`; `next_id` is the id the next arrival gets.
+fn apply(topo: &Topology, table: &mut FlowTable, next_id: &mut FlowId, change: &Change) {
+    let live: Vec<&ActiveFlow> = table.iter().collect();
+    let picked = |pick: usize| (!live.is_empty()).then(|| live[pick % live.len()].clone());
+    match *change {
+        Change::Start { src, dst, route } => {
+            let (src, dst, path) = host_path(topo, src, dst, route);
+            table.insert(ActiveFlow {
+                src,
+                dst,
+                ..flow_on(*next_id, path, 0.0)
+            });
+            *next_id += 1;
+        }
+        Change::Complete { pick } => {
+            if let Some(f) = picked(pick) {
+                assert!(table.remove(f.id).is_some());
+            }
+        }
+        Change::Switch { pick, route, avoid } => {
+            if let Some(f) = picked(pick) {
+                let avoid = (!f.path.is_empty()).then(|| f.path[avoid % f.path.len()]);
+                let path = topo
+                    .random_shortest_path(f.src, f.dst, avoid, &mut StdRng::seed_from_u64(route))
+                    .unwrap_or_default();
+                assert!(table.set_path(f.id, path));
+            }
+        }
+        Change::Replace { pick, route } => {
+            if let Some(f) = picked(pick) {
+                let path = topo
+                    .random_shortest_path(f.src, f.dst, None, &mut StdRng::seed_from_u64(route))
+                    .unwrap_or_default();
+                table.insert(ActiveFlow {
+                    path,
+                    rate_bps: 0.0,
+                    ..f
+                });
+            }
+        }
+    }
+}
+
+/// Solves `table` and checks the result against a fresh table of the
+/// same flows, stored rates and versions solved cold: the same `changed`
+/// list and the same rate and version bits on every flow.
+fn solve_matches_cold(topo: &Topology, table: &mut FlowTable) {
+    let mut cold = FlowTable::new();
+    for f in table.iter() {
+        cold.insert(f.clone());
+    }
+    assert_eq!(table.allocate_max_min(topo), cold.allocate_max_min(topo));
+    assert_eq!(table.len(), cold.len());
+    for (warm, cold) in table.iter().zip(cold.iter()) {
+        assert_eq!(warm.id, cold.id);
+        assert_eq!(
+            (warm.rate_bps.to_bits(), warm.version),
+            (cold.rate_bps.to_bits(), cold.version),
+            "rate and version of flow {}",
+            warm.id
+        );
+    }
+}
+
 hermes_util::check! {
     #![cases = 256]
+
+    /// A warm solve (replaying the last solve's rounds) equals a cold one
+    /// over long Varys-shaped histories: 50–300 flows, then arrivals,
+    /// completions, path switches and re-inserts, one solve after every
+    /// change or after a few.
+    fn warm_solves_equal_cold_solves(
+        flows in range(50usize..300),
+        seed in arb::<u64>(),
+        steps in vec_of(step(), 1..40),
+        isp in arb::<bool>(),
+    ) {
+        let topo = if isp { Topology::geant() } else { Topology::fat_tree(4, 10e9) };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut table = FlowTable::new();
+        let mut next_id = 0;
+        for _ in 0..flows {
+            let start = Change::Start { src: rng.gen(), dst: rng.gen(), route: rng.gen() };
+            apply(&topo, &mut table, &mut next_id, &start);
+        }
+        solve_matches_cold(&topo, &mut table);
+        for changes in &steps {
+            for change in changes {
+                apply(&topo, &mut table, &mut next_id, change);
+            }
+            solve_matches_cold(&topo, &mut table);
+        }
+    }
 
     /// Feasibility + work conservation + max-min optimality on a fat tree.
     fn max_min_is_fair_and_feasible(
@@ -486,4 +640,43 @@ fn rates_within_1e6_keep_their_old_bits() {
         (rewritten.rate_bps.to_bits(), rewritten.version),
         (1e6f64.to_bits(), 1)
     );
+}
+
+/// A solve after the capacities changed is a cold solve: the rounds
+/// logged against the old capacities are not replayed, with or without a
+/// flow change in between.
+#[test]
+fn changed_capacities_drop_the_logged_rounds() {
+    let topo = Topology::fat_tree(4, 10e9);
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut table = FlowTable::new();
+    let mut next_id = 0;
+    for _ in 0..120 {
+        let start = Change::Start {
+            src: rng.gen(),
+            dst: rng.gen(),
+            route: rng.gen(),
+        };
+        apply(&topo, &mut table, &mut next_id, &start);
+    }
+    solve_matches_cold(&topo, &mut table);
+    // Every link that carries a flow changes capacity, one at a time.
+    let used: Vec<LinkId> = (0..topo.links.len())
+        .filter(|&l| table.flows_on(l).next().is_some())
+        .collect();
+    let mut slower = topo.clone();
+    for (i, &l) in used.iter().enumerate() {
+        slower.links[l].capacity_bps = 10e9 - 1e9 * (1 + i % 7) as f64;
+        if i % 2 == 1 {
+            apply(
+                &slower,
+                &mut table,
+                &mut next_id,
+                &Change::Complete { pick: i },
+            );
+        }
+        solve_matches_cold(&slower, &mut table);
+    }
+    // And back to the original capacities at once.
+    solve_matches_cold(&topo, &mut table);
 }

@@ -64,6 +64,10 @@ stage_test() {
     # times the default cases of its two differential properties.
     HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-tcam \
       --test proptest_tcam --test proptest_match_index
+    # The max-min solver's replay of logged rounds, warm against cold and
+    # against the pre-index solver, under eight times the default cases.
+    HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-netsim \
+      --test proptest_maxmin
 }
 
 stage_bins() {
