@@ -82,19 +82,18 @@ fn run() {
             rate_limit: Some(f64::INFINITY),
             ..Default::default()
         };
-        // INVARIANT: shadow_size/rate_limit above satisfy the feasibility
-        // check for every size in `sizes`; a failure here is a bug in the
-        // sweep itself, not an input condition.
-        let mut sw =
-            HermesSwitch::new(model, config).expect("INVARIANT: config feasible by construction");
+        let mut sw = HermesSwitch::new(model, config).expect(
+            "INVARIANT: shadow_size/rate_limit above satisfy the feasibility check for \
+             every size in `sizes`; a failure here is a bug in the sweep itself",
+        );
 
         // Insertion algorithm: partition + gatekeeper + shadow write.
         let mut timer = Stopwatch::start();
         for a in &actions {
-            // INVARIANT: the ideal model never faults and capacity covers
-            // 2n rules, so submit cannot reject these inserts.
-            sw.submit(a, SimTime::ZERO)
-                .expect("INVARIANT: ideal model accepts inserts");
+            sw.submit(a, SimTime::ZERO).expect(
+                "INVARIANT: the ideal model never faults and capacity covers 2n rules, \
+                 so submit cannot reject these inserts",
+            );
         }
         let insert_elapsed = timer.lap();
 

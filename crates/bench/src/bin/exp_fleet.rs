@@ -141,10 +141,6 @@ fn quiesce(fleet: &mut Fleet<HermesPlane>, horizon: SimTime) -> u32 {
     sweeps
 }
 
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one call per phase, serial and sharded, differing only in `lanes`; a config struct would be built twice and read once"
-)]
 fn run_phase(
     lanes: usize,
     switches: usize,

@@ -20,6 +20,7 @@
 use hermes_bench::Table;
 use hermes_rules::prelude::*;
 use hermes_tcam::{PlacementStrategy, TcamOp, TcamTable};
+use hermes_telemetry::names;
 use hermes_util::rng::{stream, Rng, Salt};
 
 /// Batch size for the coalesced path (one "transaction" per chunk).
@@ -93,10 +94,10 @@ fn run() {
         "batched path is observationally equivalent to per-op"
     );
 
-    hermes_telemetry::counter("scale.rules", n as u64);
-    hermes_telemetry::counter("scale.per_op_shifts", per_op);
-    hermes_telemetry::counter("scale.batch_shifts", batch);
-    hermes_telemetry::counter("scale.batch_naive_shifts", batch_naive);
+    hermes_telemetry::counter(names::SCALE_RULES, n as u64);
+    hermes_telemetry::counter(names::SCALE_PER_OP_SHIFTS, per_op);
+    hermes_telemetry::counter(names::SCALE_BATCH_SHIFTS, batch);
+    hermes_telemetry::counter(names::SCALE_BATCH_NAIVE_SHIFTS, batch_naive);
 
     let ratio = |a: u64, b: u64| {
         if b == 0 {

@@ -216,8 +216,11 @@ fn main() -> ExitCode {
             "simulate" => cmd_simulate(&flags),
             other => Err(format!("unknown command '{other}'\n{USAGE}")),
         };
+        #[expect(
+            clippy::panic,
+            reason = "run_experiment's catch guard turns this into the CLI's one-line error and nonzero exit"
+        )]
         if let Err(e) = result {
-            // hermes-lint: allow(R2, reason = "run_experiment's catch guard turns this into the CLI's one-line error and nonzero exit")
             panic!("{e}");
         }
     })

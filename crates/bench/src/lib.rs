@@ -316,9 +316,12 @@ fn scenario_cached() -> &'static Result<Scenario, String> {
 pub fn scenario() -> &'static Scenario {
     match scenario_cached() {
         Ok(sc) => sc,
-        // INVARIANT: run_experiment validates the scenario before any
-        // body (and therefore any scenario() call) runs; tests/matrix.rs
-        // pins every exp_* binary to run_experiment.
+        #[expect(
+            clippy::panic,
+            reason = "INVARIANT: run_experiment validates the scenario before any body \
+                      (and therefore any scenario() call) runs; tests/matrix.rs pins every \
+                      exp_* binary to run_experiment"
+        )]
         Err(e) => panic!("{e}"),
     }
 }

@@ -57,12 +57,10 @@ impl Fib {
             FibDelta::Replace {
                 prefix, new_port, ..
             } => {
-                // INVARIANT: Rib emits Replace only for a prefix whose
-                // Add it already emitted, and compile installed it then.
-                let id = *self
-                    .installed
-                    .get(&prefix)
-                    .expect("INVARIANT: replace of prefix that was never added");
+                let id = *self.installed.get(&prefix).expect(
+                    "INVARIANT: Rib emits Replace only for a prefix whose Add it already \
+                     emitted, and compile installed it then",
+                );
                 ControlAction::Modify {
                     id,
                     action: Some(Action::Forward(new_port)),
@@ -70,12 +68,10 @@ impl Fib {
                 }
             }
             FibDelta::Remove { prefix } => {
-                // INVARIANT: Rib emits Remove only for a prefix whose
-                // Add it already emitted, and compile installed it then.
-                let id = self
-                    .installed
-                    .remove(&prefix)
-                    .expect("INVARIANT: remove of prefix that was never added");
+                let id = self.installed.remove(&prefix).expect(
+                    "INVARIANT: Rib emits Remove only for a prefix whose Add it already \
+                     emitted, and compile installed it then",
+                );
                 ControlAction::Delete(id)
             }
         }

@@ -16,6 +16,7 @@
 use crate::config::RulePredicate;
 use hermes_rules::prelude::*;
 use hermes_tcam::SimTime;
+use hermes_telemetry::names::{self, Counter};
 
 /// A standard token bucket for admission control.
 #[derive(Clone, Debug)]
@@ -96,23 +97,22 @@ impl Route {
 
     /// The telemetry counter tallying this route (DESIGN.md
     /// "Observability": `gatekeeper.route_<decision>`).
-    pub fn metric_name(&self) -> &'static str {
+    fn metric(&self) -> Counter {
         match self {
-            Route::Shadow => "gatekeeper.route_shadow",
-            Route::MainUnmatched => "gatekeeper.route_main_unmatched",
-            Route::MainLowPriority => "gatekeeper.route_main_low_priority",
-            Route::MainOverRate => "gatekeeper.route_main_over_rate",
-            Route::MainTooFragmented => "gatekeeper.route_main_too_fragmented",
-            Route::MainShadowFull => "gatekeeper.route_main_shadow_full",
-            Route::Redundant => "gatekeeper.route_redundant",
-            Route::Deferred => "gatekeeper.route_deferred",
+            Route::Shadow => names::GATEKEEPER_ROUTE_SHADOW,
+            Route::MainUnmatched => names::GATEKEEPER_ROUTE_MAIN_UNMATCHED,
+            Route::MainLowPriority => names::GATEKEEPER_ROUTE_MAIN_LOW_PRIORITY,
+            Route::MainOverRate => names::GATEKEEPER_ROUTE_MAIN_OVER_RATE,
+            Route::MainTooFragmented => names::GATEKEEPER_ROUTE_MAIN_TOO_FRAGMENTED,
+            Route::MainShadowFull => names::GATEKEEPER_ROUTE_MAIN_SHADOW_FULL,
+            Route::Redundant => names::GATEKEEPER_ROUTE_REDUNDANT,
+            Route::Deferred => names::GATEKEEPER_ROUTE_DEFERRED,
         }
     }
 
     /// Bumps this route's telemetry counter (no-op while disabled).
     pub fn record(&self) {
-        // hermes-lint: allow(R5, reason = "dispatch through metric_name(); all eight gatekeeper.route_* literals above are in the registry")
-        hermes_telemetry::counter(self.metric_name(), 1);
+        hermes_telemetry::counter(self.metric(), 1);
     }
 }
 

@@ -143,10 +143,10 @@ impl RuleManager {
                 shadow_len as f64 >= fraction * shadow_cap as f64 && shadow_len > 0
             }
             MigrationTrigger::Predictive { .. } => {
-                // INVARIANT: `RuleManager::new` constructs `predictor` as
-                // `Some` exactly when the trigger is `Predictive`, and
-                // neither field is reassigned afterwards.
-                let predictor = self.predictor.as_mut().expect("predictive trigger");
+                let predictor = self.predictor.as_mut().expect(
+                    "INVARIANT: RuleManager::new constructs the predictor exactly when the \
+                     trigger is Predictive, and neither field is reassigned afterwards",
+                );
                 predictor.observe(arrived);
                 let predicted = self.corrector.apply(predictor.predict());
                 let projected = shadow_len as f64 + predicted * expected_partitions.max(1.0);

@@ -20,6 +20,7 @@
 use hermes_rules::merge::minimize_keys;
 use hermes_rules::overlap::OverlapIndex;
 use hermes_rules::prelude::*;
+use hermes_telemetry::names;
 
 /// The result of partitioning one new rule against the main table.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,11 +35,6 @@ pub struct PartitionOutcome {
 }
 
 impl PartitionOutcome {
-    /// `true` when the rule installs nothing (fully subsumed).
-    pub fn is_redundant(&self) -> bool {
-        self.pieces.is_empty()
-    }
-
     /// `true` when the rule was not cut at all.
     pub fn is_intact(&self, original: &TernaryKey) -> bool {
         self.pieces.len() == 1 && self.pieces[0] == *original
@@ -68,9 +64,10 @@ impl PartitionOutcome {
 /// assert_eq!(outcome.cut_against, vec![RuleId(1)]);
 /// ```
 pub fn partition_new_rule(rule: &Rule, main: &OverlapIndex) -> PartitionOutcome {
-    // INVARIANT: the only error is `OverBudget`, and a working set can
-    // never exceed a `usize::MAX` limit.
-    partition_new_rule_bounded(rule, main, usize::MAX).expect("unbounded partition")
+    partition_new_rule_bounded(rule, main, usize::MAX).expect(
+        "INVARIANT: the only error is OverBudget, and a working set can never exceed \
+         a usize::MAX limit",
+    )
 }
 
 /// Returned by [`partition_new_rule_bounded`] when the intermediate
@@ -97,8 +94,8 @@ pub fn partition_new_rule_bounded(
     let overlaps = main.overlapping_above(&rule.key, rule.priority);
     if overlaps.is_empty() {
         if hermes_telemetry::enabled() {
-            hermes_telemetry::counter("partition.calls", 1);
-            hermes_telemetry::observe("partition.pieces", 1);
+            hermes_telemetry::counter(names::PARTITION_CALLS, 1);
+            hermes_telemetry::observe(names::PARTITION_PIECES, 1);
         }
         return Ok(PartitionOutcome {
             pieces: vec![rule.key],
@@ -140,9 +137,9 @@ pub fn partition_new_rule_bounded(
     // Step 4 (line 8): the mapping set M is materialized by the caller from
     // `cut_against`.
     if hermes_telemetry::enabled() {
-        hermes_telemetry::counter("partition.calls", 1);
-        hermes_telemetry::counter("partition.cuts", overlaps.len() as u64);
-        hermes_telemetry::observe("partition.pieces", pieces.len() as u64);
+        hermes_telemetry::counter(names::PARTITION_CALLS, 1);
+        hermes_telemetry::counter(names::PARTITION_CUTS, overlaps.len() as u64);
+        hermes_telemetry::observe(names::PARTITION_PIECES, pieces.len() as u64);
     }
     Ok(PartitionOutcome {
         pieces,
@@ -231,7 +228,7 @@ mod tests {
         main.insert(rule(1, "10.0.0.0/8", 10));
         let new = rule(2, "10.1.0.0/16", 1);
         let out = partition_new_rule(&new, &main);
-        assert!(out.is_redundant());
+        assert!(out.pieces.is_empty());
         assert_eq!(out.cut_against, vec![RuleId(1)]);
     }
 
@@ -261,7 +258,7 @@ mod tests {
         main.insert(rule(2, "10.128.0.0/10", 20));
         let new = rule(3, "10.0.0.0/8", 1);
         let out = partition_new_rule(&new, &main);
-        assert!(!out.is_redundant());
+        assert!(!out.pieces.is_empty());
         assert_eq!(out.cut_against.len(), 2);
         // Sampled semantic check.
         let samples: Vec<u128> = (0..1024u32)
@@ -309,7 +306,7 @@ mod tests {
         main.insert(tcp);
         let new = rule(2, "10.0.0.0/8", 1);
         let out = partition_new_rule(&new, &main);
-        assert!(!out.is_redundant());
+        assert!(!out.pieces.is_empty());
         // TCP packet must not match any piece; UDP must.
         let tcp_pkt = PacketHeader {
             dst: 0x0a010101,

@@ -30,6 +30,7 @@
 
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime};
+use hermes_telemetry::names;
 use hermes_util::rng::{stream, Rng, Salt, StdRng};
 
 /// Total attempts per device op (first try + retries).
@@ -163,8 +164,8 @@ impl RecoveryState {
             .gen_range((1.0 - RETRY_JITTER)..(1.0 + RETRY_JITTER));
         let b = doubling_backoff(RETRY_BASE_BACKOFF, RETRY_MAX_BACKOFF, attempt).mul_f64(jitter);
         if hermes_telemetry::enabled() {
-            hermes_telemetry::counter("recovery.retries", 1);
-            hermes_telemetry::observe("recovery.backoff_ns", b.as_nanos());
+            hermes_telemetry::counter(names::RECOVERY_RETRIES, 1);
+            hermes_telemetry::observe(names::RECOVERY_BACKOFF_NS, b.as_nanos());
         }
         b
     }
@@ -181,7 +182,7 @@ impl RecoveryState {
         if let Some(since) = self.degraded_since.take() {
             let episode = now.since(since).as_nanos();
             self.stats.degraded_ns += episode;
-            hermes_telemetry::counter("recovery.degraded_ns", episode);
+            hermes_telemetry::counter(names::RECOVERY_DEGRADED_NS, episode);
         }
     }
 
@@ -193,7 +194,7 @@ impl RecoveryState {
         if self.degraded_since.is_none() {
             self.degraded_since = Some(now);
             self.stats.degraded_entries += 1;
-            hermes_telemetry::counter("recovery.degraded_entries", 1);
+            hermes_telemetry::counter(names::RECOVERY_DEGRADED_ENTRIES, 1);
         }
     }
 
@@ -202,18 +203,18 @@ impl RecoveryState {
     pub fn on_permanent_failure(&mut self, now: SimTime) {
         self.stats.permanent_failures += 1;
         self.consecutive_failures += 1;
-        hermes_telemetry::counter("recovery.permanent_failures", 1);
+        hermes_telemetry::counter(names::RECOVERY_PERMANENT_FAILURES, 1);
         if self.consecutive_failures >= DEGRADED_THRESHOLD && self.degraded_since.is_none() {
             self.degraded_since = Some(now);
             self.stats.degraded_entries += 1;
-            hermes_telemetry::counter("recovery.degraded_entries", 1);
+            hermes_telemetry::counter(names::RECOVERY_DEGRADED_ENTRIES, 1);
         }
     }
 
     /// Queues an admission while degraded.
     pub fn defer(&mut self, rule: Rule) {
         self.stats.deferred += 1;
-        hermes_telemetry::counter("recovery.deferred", 1);
+        hermes_telemetry::counter(names::RECOVERY_DEFERRED, 1);
         self.deferred.push(rule);
     }
 }

@@ -15,6 +15,7 @@ use crate::gatekeeper::Route;
 use crate::partition::partition_new_rule_bounded;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, TcamError, TcamOp};
+use hermes_telemetry::names;
 use std::collections::BTreeSet;
 
 /// A shadow-bound rule whose pieces have been cut but not yet written.
@@ -242,7 +243,7 @@ impl HermesSwitch {
         let written = pieces.len();
         self.book_shadow_entry(p.rule, pieces, p.cut_against);
         Route::Shadow.record();
-        hermes_telemetry::observe("gatekeeper.shadow_insert_ns", latency.as_nanos());
+        hermes_telemetry::observe(names::GATEKEEPER_SHADOW_INSERT_NS, latency.as_nanos());
         let breached = latency > self.config.guarantee;
         self.insert_report(&p.rule, Route::Shadow, written, latency, breached)
     }

@@ -5,6 +5,7 @@ use super::{HermesSwitch, MAIN, SHADOW};
 use crate::manager::MigrationReport;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimTime, TcamError, TcamOp};
+use hermes_telemetry::names;
 
 impl HermesSwitch {
     /// Runs one migration pass (Fig. 7): every logical shadow rule is
@@ -123,13 +124,12 @@ impl HermesSwitch {
         self.stats.migrations += 1;
         self.stats.rules_migrated += report.rules_migrated as u64;
         if hermes_telemetry::enabled() {
-            hermes_telemetry::counter("manager.migrations", 1);
-            hermes_telemetry::counter("manager.entries_saved", report.entries_saved as u64);
-            hermes_telemetry::observe("manager.migration_batch", report.rules_migrated as u64);
-            hermes_telemetry::observe("manager.migration_ns", report.duration.as_nanos());
+            hermes_telemetry::counter(names::MANAGER_MIGRATIONS, 1);
+            hermes_telemetry::counter(names::MANAGER_ENTRIES_SAVED, report.entries_saved as u64);
+            hermes_telemetry::observe(names::MANAGER_MIGRATION_BATCH, report.rules_migrated as u64);
+            hermes_telemetry::observe(names::MANAGER_MIGRATION_NS, report.duration.as_nanos());
             hermes_telemetry::span(
-                "manager",
-                "migrate",
+                names::MANAGER_MIGRATE,
                 now.as_nanos(),
                 report.duration.as_nanos(),
             );

@@ -55,6 +55,7 @@ use hermes_tcam::{
     CrashKind, CrashSpec, FaultPlan, FaultStats, LookupResult, MissBehavior, SimDuration, SimTime,
     SwitchModel, TcamDevice, TcamError,
 };
+use hermes_telemetry::names;
 use std::collections::BTreeMap;
 
 /// Slice index of the shadow table.
@@ -438,7 +439,7 @@ impl HermesSwitch {
         self.crash_pending = true;
         self.crash_detected_at = Some(self.clock);
         self.resync_stats.crashes_detected += 1;
-        hermes_telemetry::counter("resync.crashes_detected", 1);
+        hermes_telemetry::counter(names::RESYNC_CRASHES_DETECTED, 1);
         self.recovery.enter_degraded(self.clock);
     }
 
@@ -547,11 +548,11 @@ impl HermesSwitch {
         }
         if hermes_telemetry::enabled() {
             hermes_telemetry::gauge(
-                "recovery.journal_depth",
+                names::RECOVERY_JOURNAL_DEPTH,
                 self.recovery.pending_gc.len() as f64,
             );
             hermes_telemetry::gauge(
-                "gatekeeper.deferred_depth",
+                names::GATEKEEPER_DEFERRED_DEPTH,
                 self.recovery.deferred.len() as f64,
             );
         }
@@ -568,7 +569,7 @@ impl HermesSwitch {
         };
         if hermes_telemetry::enabled() {
             hermes_telemetry::series(
-                "manager.shadow_occupancy",
+                names::MANAGER_SHADOW_OCCUPANCY,
                 now.as_nanos(),
                 self.shadow_len() as f64,
             );

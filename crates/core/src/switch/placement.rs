@@ -351,9 +351,10 @@ impl HermesSwitch {
                 }
             }
         } else {
-            // INVARIANT: `current` came from get(), the deferred and
-            // shadow branches returned above, so the rule is main-resident.
-            let mut rule = self.main_index.get(id).expect("checked contains");
+            let mut rule = self.main_index.get(id).expect(
+                "INVARIANT: `current` came from get(), and the deferred and shadow \
+                 branches returned above, so the rule is main-resident",
+            );
             rule.action = new_action;
             self.main_index.insert(rule); // replace
             if let Ok(rep) = self.dev_set_action(MAIN, id, new_action) {

@@ -7,6 +7,7 @@ use crate::recovery::AuditReport;
 use crate::resync::{plan_slice, reconnect_backoff, ResyncReport, SlicePlan, RECONNECT_ATTEMPTS};
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, TcamError, TcamOp};
+use hermes_telemetry::names;
 
 /// The vectors one slice diff needs — the expected view, the device read,
 /// the plan and the batch — kept by the switch and refilled on every
@@ -81,11 +82,10 @@ impl HermesSwitch {
         self.recovery.stats.orphans_removed += report.orphans_removed as u64;
         self.recovery.stats.actions_fixed += report.actions_fixed as u64;
         if hermes_telemetry::enabled() {
-            hermes_telemetry::counter("recovery.audits", 1);
-            hermes_telemetry::counter("recovery.audit_diffs", report.diffs() as u64);
+            hermes_telemetry::counter(names::RECOVERY_AUDITS, 1);
+            hermes_telemetry::counter(names::RECOVERY_AUDIT_DIFFS, report.diffs() as u64);
             hermes_telemetry::span(
-                "recovery",
-                "audit",
+                names::RECOVERY_AUDIT,
                 now.as_nanos(),
                 report.duration.as_nanos(),
             );
@@ -238,7 +238,7 @@ impl HermesSwitch {
         // rebuild so the window and degraded mode are always stamped.
         self.note_crash();
         self.resync_stats.resyncs_started += 1;
-        hermes_telemetry::counter("resync.started", 1);
+        hermes_telemetry::counter(names::RESYNC_STARTED, 1);
         let mut report = ResyncReport::default();
 
         // Step 1: reconnect. The device may deny the first attempts while
@@ -248,7 +248,7 @@ impl HermesSwitch {
         while !self.device.is_connected() {
             if attempt >= RECONNECT_ATTEMPTS {
                 self.resync_stats.reconnect_failures += 1;
-                hermes_telemetry::counter("resync.reconnect_failures", 1);
+                hermes_telemetry::counter(names::RESYNC_RECONNECT_FAILURES, 1);
                 report.complete = false;
                 return Some(report);
             }
@@ -258,7 +258,7 @@ impl HermesSwitch {
             }
             report.reconnect_attempts += 1;
             self.resync_stats.reconnect_attempts += 1;
-            hermes_telemetry::counter("resync.reconnect_attempts", 1);
+            hermes_telemetry::counter(names::RESYNC_RECONNECT_ATTEMPTS, 1);
             self.device.reconnect();
         }
 
@@ -286,8 +286,8 @@ impl HermesSwitch {
                 + report.duration.as_nanos();
             self.resync_stats.resyncs_completed += 1;
             self.resync_stats.guarantee_gap_ns += gap;
-            hermes_telemetry::counter("resync.completed", 1);
-            hermes_telemetry::counter("resync.guarantee_gap_ns", gap);
+            hermes_telemetry::counter(names::RESYNC_COMPLETED, 1);
+            hermes_telemetry::counter(names::RESYNC_GUARANTEE_GAP_NS, gap);
             // The channel is provably live again: end the degraded
             // episode explicitly (a zero-diff resync never touches the
             // device) and drain the queued admissions through the live
@@ -299,10 +299,14 @@ impl HermesSwitch {
         self.resync_stats.rules_reinstalled += report.reinstalled as u64;
         self.resync_stats.entries_deleted += report.deleted as u64;
         self.resync_stats.survivors_kept += report.survivors as u64;
-        hermes_telemetry::counter("resync.reinstalled", report.reinstalled as u64);
-        hermes_telemetry::counter("resync.deleted", report.deleted as u64);
-        hermes_telemetry::counter("resync.survivors_kept", report.survivors as u64);
-        hermes_telemetry::span("resync", "run", now.as_nanos(), report.duration.as_nanos());
+        hermes_telemetry::counter(names::RESYNC_REINSTALLED, report.reinstalled as u64);
+        hermes_telemetry::counter(names::RESYNC_DELETED, report.deleted as u64);
+        hermes_telemetry::counter(names::RESYNC_SURVIVORS_KEPT, report.survivors as u64);
+        hermes_telemetry::span(
+            names::RESYNC_RUN,
+            now.as_nanos(),
+            report.duration.as_nanos(),
+        );
         Some(report)
     }
 

@@ -53,6 +53,7 @@ pub use rebalance::{MemberHealth, RebalancePolicy, RebalanceStats, Rebalancer};
 use hermes_core::plane::{BatchOutcome, ControlPlane, CpQueue};
 use hermes_rules::prelude::*;
 use hermes_tcam::SimTime;
+use hermes_telemetry::names;
 use hermes_util::rng::{stream, Rng, Salt};
 use std::collections::BTreeMap;
 
@@ -282,8 +283,8 @@ impl<P: ControlPlane> Fleet<P> {
         // shuffle over the lane indices, on its own salted stream.
         let lane_order = seeded_shuffle((0..lane_count).collect(), config.seed, Salt::LANE_ORDER);
         if hermes_telemetry::enabled() {
-            hermes_telemetry::gauge("fleet.lanes", lane_count as f64);
-            hermes_telemetry::gauge("fleet.members", members.len() as f64);
+            hermes_telemetry::gauge(names::FLEET_LANES, lane_count as f64);
+            hermes_telemetry::gauge(names::FLEET_MEMBERS, members.len() as f64);
         }
         Fleet {
             members,
@@ -419,7 +420,7 @@ impl<P: ControlPlane> Fleet<P> {
         };
         if chosen != home {
             self.stats.steals += 1;
-            hermes_telemetry::counter("fleet.sched.steals", 1);
+            hermes_telemetry::counter(names::FLEET_SCHED_STEALS, 1);
         }
         chosen
     }
@@ -459,9 +460,9 @@ impl<P: ControlPlane> Fleet<P> {
         self.stats.submits += 1;
         self.stats.ops += actions.len() as u64;
         if hermes_telemetry::enabled() {
-            hermes_telemetry::counter("fleet.submits", 1);
-            hermes_telemetry::counter("fleet.ops", actions.len() as u64);
-            hermes_telemetry::observe("fleet.dispatch_wait_ns", start.since(now).as_nanos());
+            hermes_telemetry::counter(names::FLEET_SUBMITS, 1);
+            hermes_telemetry::counter(names::FLEET_OPS, actions.len() as u64);
+            hermes_telemetry::observe(names::FLEET_DISPATCH_WAIT_NS, start.since(now).as_nanos());
         }
         (start, outcome, OpToken { done })
     }
@@ -486,7 +487,7 @@ impl<P: ControlPlane> Fleet<P> {
             if cut.len() > 1 {
                 let shared = cut.len() as u64 - 1;
                 self.stats.coalesced_pieces += shared;
-                hermes_telemetry::counter("fleet.txn_coalesced_pieces", shared);
+                hermes_telemetry::counter(names::FLEET_TXN_COALESCED_PIECES, shared);
             }
         }
     }
@@ -544,8 +545,8 @@ impl<P: ControlPlane> Fleet<P> {
         let txn = self.next_txn;
         self.next_txn += 1;
         self.stats.txns += 1;
-        let span = hermes_telemetry::span_enter("fleet", "install_path", now.as_nanos());
-        hermes_telemetry::counter("fleet.txns", 1);
+        let span = hermes_telemetry::span_enter(names::FLEET_INSTALL_PATH, now.as_nanos());
+        hermes_telemetry::counter(names::FLEET_TXNS, 1);
         let mut by_member: BTreeMap<SwitchId, Vec<Rule>> = BTreeMap::new();
         for (sw, r) in rules {
             by_member.entry(*sw).or_default().push(*r);
@@ -571,13 +572,13 @@ impl<P: ControlPlane> Fleet<P> {
             // Phase 2a: commit — nothing to write, the stage barrier *is*
             // the commit point.
             self.stats.txn_commits += 1;
-            hermes_telemetry::counter("fleet.txn_commits", 1);
+            hermes_telemetry::counter(names::FLEET_TXN_COMMITS, 1);
         } else {
             // Phase 2b: roll back everywhere.
             self.stats.txn_rollbacks += 1;
             self.stats.txn_member_failures += failed.len() as u64;
-            hermes_telemetry::counter("fleet.txn_rollbacks", 1);
-            hermes_telemetry::counter("fleet.txn_member_failures", failed.len() as u64);
+            hermes_telemetry::counter(names::FLEET_TXN_ROLLBACKS, 1);
+            hermes_telemetry::counter(names::FLEET_TXN_MEMBER_FAILURES, failed.len() as u64);
             for (sw, batch) in &by_member {
                 let ids: Vec<RuleId> = batch.iter().map(|r| r.id).collect();
                 let retracted = self.retract(*sw, &ids, now, &tokens, !self.coalesce);
@@ -631,11 +632,11 @@ impl<P: ControlPlane> Fleet<P> {
         if landed {
             self.stats.migrations += 1;
             self.stats.rules_moved += rules.len() as u64;
-            hermes_telemetry::counter("fleet.rebalance.migrations", 1);
-            hermes_telemetry::counter("fleet.rebalance.rules_moved", rules.len() as u64);
+            hermes_telemetry::counter(names::FLEET_REBALANCE_MIGRATIONS, 1);
+            hermes_telemetry::counter(names::FLEET_REBALANCE_RULES_MOVED, rules.len() as u64);
         } else {
             self.stats.migrations_aborted += 1;
-            hermes_telemetry::counter("fleet.rebalance.migrations_aborted", 1);
+            hermes_telemetry::counter(names::FLEET_REBALANCE_MIGRATIONS_ABORTED, 1);
         }
         MigrateOutcome {
             committed: landed,
@@ -668,7 +669,7 @@ impl<P: ControlPlane> Fleet<P> {
                 continue;
             }
             self.stats.rollback_retries += retry.len() as u64;
-            hermes_telemetry::counter("fleet.rollback_retries", retry.len() as u64);
+            hermes_telemetry::counter(names::FLEET_ROLLBACK_RETRIES, retry.len() as u64);
             self.retract(sw, &retry, now, &[], false);
         }
     }

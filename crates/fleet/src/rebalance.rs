@@ -27,6 +27,7 @@
 //! even when momentarily idle.
 
 use crate::SwitchId;
+use hermes_telemetry::names;
 use std::collections::BTreeMap;
 
 /// Per-member health snapshot — the scoring input, produced by
@@ -180,10 +181,10 @@ impl Rebalancer {
             }
         }
         self.stats.picks += 1;
-        hermes_telemetry::counter("fleet.rebalance.picks", 1);
+        hermes_telemetry::counter(names::FLEET_REBALANCE_PICKS, 1);
         if best != 0 {
             self.stats.steered += 1;
-            hermes_telemetry::counter("fleet.rebalance.steered", 1);
+            hermes_telemetry::counter(names::FLEET_REBALANCE_STEERED, 1);
         }
         best
     }

@@ -24,6 +24,7 @@ use hermes_core::config::HermesConfig;
 use hermes_fleet::{Fleet, FleetConfig};
 use hermes_rules::prelude::*;
 use hermes_tcam::{FaultPlan, SimDuration, SimTime, SwitchModel};
+use hermes_telemetry::names;
 use hermes_util::rng::rngs::StdRng;
 use hermes_util::rng::{stream, Salt};
 use hermes_workloads::facebook::JobSpec;
@@ -66,12 +67,11 @@ impl SwitchKind {
         match self {
             SwitchKind::Ideal => Box::new(RawSwitch::new(SwitchModel::ideal())),
             SwitchKind::Raw(m) => Box::new(RawSwitch::new(m.clone())),
-            // INVARIANT: scenario constructors pair each Hermes config
-            // with a model that admits it; an infeasible pair is a bug in
-            // the experiment definition, not a runtime input.
             SwitchKind::Hermes(m, c) => {
-                let mut plane = HermesPlane::with_config(m.clone(), c.clone())
-                    .expect("INVARIANT: feasible Hermes config");
+                let mut plane = HermesPlane::with_config(m.clone(), c.clone()).expect(
+                    "INVARIANT: scenario constructors pair each Hermes config with a model \
+                     that admits it; an infeasible pair is a bug in the experiment definition",
+                );
                 plane
                     .switch_mut()
                     .install_fault_plan(fault_seed.map(FaultPlan::seeded));
@@ -688,8 +688,8 @@ impl Varys {
                 self.metrics.violations += 1;
             }
             if hermes_telemetry::enabled() {
-                hermes_telemetry::counter("netsim.rule_installs", 1);
-                hermes_telemetry::observe("netsim.rit_ns", op.done.since(self.now).as_nanos());
+                hermes_telemetry::counter(names::NETSIM_RULE_INSTALLS, 1);
+                hermes_telemetry::observe(names::NETSIM_RIT_NS, op.done.since(self.now).as_nanos());
             }
         }
     }
@@ -719,7 +719,7 @@ impl Varys {
             // rules went out without atomicity cover.
             self.metrics.path_degraded += 1;
             if hermes_telemetry::enabled() {
-                hermes_telemetry::counter("fleet.path_degraded", 1);
+                hermes_telemetry::counter(names::FLEET_PATH_DEGRADED, 1);
             }
             for (sw, rule) in &pieces {
                 let (start, bo) =
@@ -757,8 +757,11 @@ impl Varys {
         let fct = self.now.since(flow.started).as_secs();
         self.metrics.fct_s.push(fct);
         if hermes_telemetry::enabled() {
-            hermes_telemetry::counter("netsim.flows_completed", 1);
-            hermes_telemetry::observe("netsim.fct_ns", self.now.since(flow.started).as_nanos());
+            hermes_telemetry::counter(names::NETSIM_FLOWS_COMPLETED, 1);
+            hermes_telemetry::observe(
+                names::NETSIM_FCT_NS,
+                self.now.since(flow.started).as_nanos(),
+            );
         }
         // Fig. 9(b) plots the FCT of flows belonging to *short jobs*
         // (total job size under 1 GB).
@@ -796,7 +799,7 @@ impl Varys {
 
     /// The proactive TE SDNApp: move the biggest flows off congested links.
     fn on_te_tick(&mut self) {
-        let span = hermes_telemetry::span_enter("netsim", "te_tick", self.now.as_nanos());
+        let span = hermes_telemetry::span_enter(names::NETSIM_TE_TICK, self.now.as_nanos());
         let util = self.flows.link_utilization(&self.topo);
         // Congested links, most loaded first.
         let mut congested: Vec<(f64, LinkId)> = util
@@ -851,9 +854,9 @@ impl Varys {
             rerouted += 1;
         }
         if hermes_telemetry::enabled() {
-            hermes_telemetry::counter("netsim.reroutes", rerouted as u64);
+            hermes_telemetry::counter(names::NETSIM_REROUTES, rerouted as u64);
             hermes_telemetry::series(
-                "netsim.active_flows",
+                names::NETSIM_ACTIVE_FLOWS,
                 self.now.as_nanos(),
                 self.flows.len() as f64,
             );

@@ -34,8 +34,6 @@ pub struct Priority(pub u32);
 impl Priority {
     /// A rule without an ordering requirement.
     pub const NONE: Priority = Priority(0);
-    /// The lowest orderable priority.
-    pub const MIN: Priority = Priority(1);
     /// The highest priority.
     pub const MAX: Priority = Priority(u32::MAX);
 
@@ -157,7 +155,7 @@ mod tests {
     fn priority_ordering() {
         assert!(Priority(10) > Priority(1));
         assert!(Priority::NONE.is_none());
-        assert!(!Priority::MIN.is_none());
+        assert!(!Priority(1).is_none());
         assert!(Priority::MAX > Priority(1_000_000));
     }
 

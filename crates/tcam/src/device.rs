@@ -16,6 +16,7 @@ use crate::perf::SwitchModel;
 use crate::table::{BatchReport, TcamError, TcamOp, TcamTable};
 use crate::time::SimDuration;
 use hermes_rules::prelude::*;
+use hermes_telemetry::names;
 use hermes_util::rng::{stream, Rng, Salt};
 
 /// What a slice does when no entry matches.
@@ -186,11 +187,11 @@ impl TcamDevice {
         if self.reconnect_denials > 0 {
             self.reconnect_denials -= 1;
             self.crash_stats.reconnects_denied += 1;
-            hermes_telemetry::counter("tcam.crash.reconnect_denied", 1);
+            hermes_telemetry::counter(names::TCAM_CRASH_RECONNECT_DENIED, 1);
             return false;
         }
         self.connected = true;
-        hermes_telemetry::counter("tcam.crash.reconnects", 1);
+        hermes_telemetry::counter(names::TCAM_CRASH_RECONNECTS, 1);
         true
     }
 
@@ -206,14 +207,14 @@ impl TcamDevice {
         match spec.kind {
             CrashKind::Wipe => {
                 self.crash_stats.wipes += 1;
-                hermes_telemetry::counter("tcam.crash.wipes", 1);
+                hermes_telemetry::counter(names::TCAM_CRASH_WIPES, 1);
                 for s in &mut self.slices {
                     lost += s.table.clear() as u64;
                 }
             }
             CrashKind::Partial { survivor_prob } => {
                 self.crash_stats.partials += 1;
-                hermes_telemetry::counter("tcam.crash.partials", 1);
+                hermes_telemetry::counter(names::TCAM_CRASH_PARTIALS, 1);
                 let mut rng = stream(spec.survivor_seed, Salt::CALLER);
                 for s in &mut self.slices {
                     let before = s.table.len();
@@ -227,12 +228,12 @@ impl TcamDevice {
             }
             CrashKind::Disconnect => {
                 self.crash_stats.disconnects += 1;
-                hermes_telemetry::counter("tcam.crash.disconnects", 1);
+                hermes_telemetry::counter(names::TCAM_CRASH_DISCONNECTS, 1);
             }
         }
         self.crash_stats.entries_lost += lost;
         if lost > 0 {
-            hermes_telemetry::counter("tcam.crash.entries_lost", lost);
+            hermes_telemetry::counter(names::TCAM_CRASH_ENTRIES_LOST, lost);
         }
     }
 
@@ -275,19 +276,19 @@ impl TcamDevice {
                 Err(TcamError::Disconnected)
             }
             FaultDecision::Fail => {
-                hermes_telemetry::counter("tcam.fault_fail", 1);
+                hermes_telemetry::counter(names::TCAM_FAULT_FAIL, 1);
                 Err(TcamError::ChannelBusy)
             }
             FaultDecision::Outage => {
-                hermes_telemetry::counter("tcam.fault_outage", 1);
+                hermes_telemetry::counter(names::TCAM_FAULT_OUTAGE, 1);
                 Err(TcamError::Outage)
             }
             FaultDecision::Spike(spike) => {
-                hermes_telemetry::counter("tcam.fault_spike", 1);
+                hermes_telemetry::counter(names::TCAM_FAULT_SPIKE, 1);
                 Ok(Gate::Proceed { spike })
             }
             FaultDecision::SilentDrop => {
-                hermes_telemetry::counter("tcam.fault_silent_drop", 1);
+                hermes_telemetry::counter(names::TCAM_FAULT_SILENT_DROP, 1);
                 Ok(Gate::Dropped)
             }
         }
@@ -361,7 +362,7 @@ impl TcamDevice {
             }
         };
         let latency = charge(spike, latency, 1, shifts);
-        hermes_telemetry::observe("tcam.op_ns", latency.as_nanos());
+        hermes_telemetry::observe(names::TCAM_OP_NS, latency.as_nanos());
         Ok(OpReport {
             latency,
             shifts,
@@ -424,12 +425,12 @@ impl TcamDevice {
         let report = self.slices[slice].table.apply_batch(ops)?;
         let latency = charge(spike, self.batch_latency(&report), ops.len(), report.shifts);
         if hermes_telemetry::enabled() {
-            hermes_telemetry::observe("tcam.batch_ns", latency.as_nanos());
-            hermes_telemetry::counter("tcam.batch_ops", 1);
-            hermes_telemetry::counter("tcam.batch_entries", ops.len() as u64);
-            hermes_telemetry::counter("tcam.batch_shifts", report.shifts as u64);
+            hermes_telemetry::observe(names::TCAM_BATCH_NS, latency.as_nanos());
+            hermes_telemetry::counter(names::TCAM_BATCH_OPS, 1);
+            hermes_telemetry::counter(names::TCAM_BATCH_ENTRIES, ops.len() as u64);
+            hermes_telemetry::counter(names::TCAM_BATCH_SHIFTS, report.shifts as u64);
             hermes_telemetry::counter(
-                "tcam.batch_saved_shifts",
+                names::TCAM_BATCH_SAVED_SHIFTS,
                 report.naive_shifts.saturating_sub(report.shifts) as u64,
             );
         }
@@ -487,8 +488,8 @@ enum Gate {
 /// model's figure, spiked when the gate said so.
 fn charge(spike: f64, modeled: SimDuration, ops: usize, shifts: usize) -> SimDuration {
     if hermes_telemetry::enabled() {
-        hermes_telemetry::counter("tcam.ops", ops as u64);
-        hermes_telemetry::counter("tcam.shifts", shifts as u64);
+        hermes_telemetry::counter(names::TCAM_OPS, ops as u64);
+        hermes_telemetry::counter(names::TCAM_SHIFTS, shifts as u64);
     }
     if spike != 1.0 {
         modeled.mul_f64(spike)

@@ -3,11 +3,13 @@
 //! The workspace's observability substrate (DESIGN.md "Observability"):
 //!
 //! * a **span/event tracer** keyed on simulated time — nested scoped spans
-//!   with static labels in a bounded ring buffer ([`trace`]);
+//!   with static labels in a bounded ring buffer;
 //! * a **metrics registry** — counters, gauges, log-linear histograms and
-//!   bounded time series ([`metrics`]);
+//!   bounded time series;
+//! * the **name table** — every metric and span name the workspace may
+//!   emit, as typed handles only it can build ([`names`]);
 //! * a **report writer** emitting the versioned, schema-stable
-//!   `BENCH_<exp>.json` document ([`mod@report`]).
+//!   `BENCH_<exp>.json` document ([`report()`]).
 //!
 //! Determinism is the design constraint: every timestamp is sim-time
 //! nanoseconds (never wall clock), every export iterates sorted maps, so a
@@ -31,11 +33,12 @@
 //!
 //! ```
 //! use hermes_telemetry as telemetry;
+//! use telemetry::names;
 //! telemetry::set_enabled(true);
 //! telemetry::reset();
-//! telemetry::counter("tcam.ops", 1);
-//! telemetry::observe("tcam.op_ns", 1_500);
-//! let span = telemetry::span_enter("netsim", "te_tick", 1_000);
+//! telemetry::counter(names::TCAM_OPS, 1);
+//! telemetry::observe(names::TCAM_OP_NS, 1_500);
+//! let span = telemetry::span_enter(names::NETSIM_TE_TICK, 1_000);
 //! span.end(2_000);
 //! let doc = telemetry::report("doctest", "unknown");
 //! assert_eq!(doc.get("counters").unwrap().get("tcam.ops").unwrap().as_f64(), Some(1.0));
@@ -45,12 +48,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod metrics;
-pub mod report;
-pub mod trace;
+mod metrics;
+pub mod names;
+mod report;
+mod trace;
 
 use hermes_util::json::Json;
 use metrics::Registry;
+use names::{Counter, Gauge, Histogram, Series, Span};
 use std::cell::{Cell, RefCell};
 use trace::Tracer;
 
@@ -95,53 +100,57 @@ pub fn reset() {
 
 /// Adds `delta` to a counter. No-op while disabled.
 #[inline]
-pub fn counter(name: &'static str, delta: u64) {
+pub fn counter(name: Counter, delta: u64) {
     if !enabled() {
         return;
     }
-    STATE.with(|s| s.borrow_mut().registry.counter_add(name, delta));
+    STATE.with(|s| s.borrow_mut().registry.counter_add(name.name(), delta));
 }
 
 /// Sets a gauge to its latest value. No-op while disabled.
 #[inline]
-pub fn gauge(name: &'static str, value: f64) {
+pub fn gauge(name: Gauge, value: f64) {
     if !enabled() {
         return;
     }
-    STATE.with(|s| s.borrow_mut().registry.gauge_set(name, value));
+    STATE.with(|s| s.borrow_mut().registry.gauge_set(name.name(), value));
 }
 
 /// Records a value into a log-linear histogram (nanoseconds for `_ns`
 /// metrics, raw counts otherwise). No-op while disabled.
 #[inline]
-pub fn observe(name: &'static str, value: u64) {
+pub fn observe(name: Histogram, value: u64) {
     if !enabled() {
         return;
     }
-    STATE.with(|s| s.borrow_mut().registry.observe(name, value));
+    STATE.with(|s| s.borrow_mut().registry.observe(name.name(), value));
 }
 
 /// Appends a `(sim-time ns, value)` point to a bounded time series.
 /// No-op while disabled.
 #[inline]
-pub fn series(name: &'static str, t_ns: u64, value: f64) {
+pub fn series(name: Series, t_ns: u64, value: f64) {
     if !enabled() {
         return;
     }
-    STATE.with(|s| s.borrow_mut().registry.series_push(name, t_ns, value));
+    STATE.with(|s| {
+        s.borrow_mut()
+            .registry
+            .series_push(name.name(), t_ns, value)
+    });
 }
 
 /// Records an already-measured span (start + duration in sim-time ns) at
 /// the current nesting depth. No-op while disabled.
 #[inline]
-pub fn span(subsystem: &'static str, name: &'static str, at_ns: u64, dur_ns: u64) {
+pub fn span(span: Span, at_ns: u64, dur_ns: u64) {
     if !enabled() {
         return;
     }
     STATE.with(|s| {
         s.borrow_mut()
             .tracer
-            .span_at(subsystem, name, at_ns, dur_ns)
+            .span_at(span.subsystem(), span.name(), at_ns, dur_ns)
     });
 }
 
@@ -175,11 +184,15 @@ impl Drop for SpanGuard {
 /// Opens a nested scoped span at `at_ns` sim-time nanoseconds. While
 /// disabled the returned guard is inert.
 #[inline]
-pub fn span_enter(subsystem: &'static str, name: &'static str, at_ns: u64) -> SpanGuard {
+pub fn span_enter(span: Span, at_ns: u64) -> SpanGuard {
     if !enabled() {
         return SpanGuard { armed: false };
     }
-    STATE.with(|s| s.borrow_mut().tracer.enter(subsystem, name, at_ns));
+    STATE.with(|s| {
+        s.borrow_mut()
+            .tracer
+            .enter(span.subsystem(), span.name(), at_ns)
+    });
     SpanGuard { armed: true }
 }
 
@@ -216,8 +229,9 @@ pub fn snapshot() -> Json {
 }
 
 /// Builds the full `BENCH_<exp>.json` report document for this thread's
-/// recorded state, stamped with the caller's `git_rev` (see
-/// [`report::SCHEMA`] for the layout contract).
+/// recorded state, stamped with the caller's `git_rev` (schema
+/// `hermes-bench-report/1`; DESIGN.md "Observability" has the layout
+/// contract).
 pub fn report(experiment: &str, git_rev: &str) -> Json {
     STATE.with(|s| {
         let s = s.borrow();
@@ -235,6 +249,7 @@ pub fn report(experiment: &str, git_rev: &str) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use names::*;
 
     // The crate's thread-local state plus cargo's parallel test threads
     // means each test must fully own its state: reset + enable at the
@@ -250,35 +265,38 @@ mod tests {
     /// Distinct subsystems that contributed any metric or span, derived
     /// from the `<subsystem>.` name prefix (and span labels).
     fn contributing_subsystems() -> Vec<String> {
-        STATE.with(|s| {
-            let s = s.borrow();
-            let (counters, gauges, histograms, series) = s.registry.to_json_parts();
-            let mut subs: Vec<String> = Vec::new();
-            for part in [&counters, &gauges, &histograms, &series] {
-                if let Json::Obj(pairs) = part {
-                    subs.extend(
-                        pairs
-                            .iter()
-                            .filter_map(|(k, _)| Some(k.split_once('.')?.0.to_string())),
-                    );
-                }
+        let doc = snapshot();
+        let mut subs: Vec<String> = Vec::new();
+        for part in ["counters", "gauges", "histograms", "series"] {
+            if let Some(Json::Obj(pairs)) = doc.get(part) {
+                subs.extend(
+                    pairs
+                        .iter()
+                        .filter_map(|(k, _)| Some(k.split_once('.')?.0.to_string())),
+                );
             }
-            subs.extend(s.tracer.subsystems().iter().map(|x| x.to_string()));
-            subs.sort();
-            subs.dedup();
-            subs
-        })
+        }
+        for span in doc.get("spans").and_then(Json::as_arr).unwrap_or_default() {
+            subs.extend(
+                span.get("subsystem")
+                    .and_then(Json::as_str)
+                    .map(str::to_string),
+            );
+        }
+        subs.sort();
+        subs.dedup();
+        subs
     }
 
     #[test]
     fn disabled_calls_are_no_ops() {
         set_enabled(false);
         reset();
-        counter("x.c", 1);
-        observe("x.h", 5);
-        series("x.s", 1, 1.0);
-        span("x", "s", 0, 1);
-        span_enter("x", "s", 0).end(5);
+        counter(TCAM_OPS, 1);
+        observe(TCAM_OP_NS, 5);
+        series(NETSIM_ACTIVE_FLOWS, 1, 1.0);
+        span(RECOVERY_AUDIT, 0, 1);
+        span_enter(NETSIM_TE_TICK, 0).end(5);
         let doc = snapshot();
         assert_eq!(doc.get("counters").unwrap().to_string(), "{}");
         assert_eq!(doc.get("spans").unwrap().to_string(), "[]");
@@ -287,12 +305,12 @@ mod tests {
     #[test]
     fn enabled_calls_record_and_reset_clears() {
         scoped(|| {
-            counter("tcam.ops", 2);
-            counter("tcam.ops", 3);
-            gauge("manager.occupancy", 0.5);
-            observe("tcam.op_ns", 1000);
-            series("netsim.active_flows", 10, 4.0);
-            span("recovery", "audit", 5, 10);
+            counter(TCAM_OPS, 2);
+            counter(TCAM_OPS, 3);
+            gauge(RECOVERY_JOURNAL_DEPTH, 0.5);
+            observe(TCAM_OP_NS, 1000);
+            series(MANAGER_SHADOW_OCCUPANCY, 10, 4.0);
+            span(NETSIM_TE_TICK, 5, 10);
             let doc = snapshot();
             assert_eq!(
                 doc.get("counters")
@@ -329,9 +347,9 @@ mod tests {
         let run = || {
             scoped(|| {
                 for i in 0..100u64 {
-                    counter("tcam.ops", 1);
-                    observe("tcam.op_ns", i * 37 % 9000);
-                    span("gatekeeper", "admit", i * 10, i % 7);
+                    counter(TCAM_OPS, 1);
+                    observe(TCAM_OP_NS, i * 37 % 9000);
+                    span(MANAGER_MIGRATE, i * 10, i % 7);
                 }
                 snapshot().to_string()
             })
@@ -342,8 +360,8 @@ mod tests {
     #[test]
     fn guard_nesting_and_abandonment() {
         scoped(|| {
-            let outer = span_enter("netsim", "te_tick", 100);
-            let inner = span_enter("manager", "migrate", 110);
+            let outer = span_enter(NETSIM_TE_TICK, 100);
+            let inner = span_enter(MANAGER_MIGRATE, 110);
             inner.end(150);
             drop(outer); // abandoned: closes at start with zero duration
             let doc = snapshot();

@@ -70,16 +70,6 @@ impl Histogram {
         self.sum += u128::from(v);
     }
 
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
     /// Nearest-rank p-quantile, resolved to the lower bound of the bucket
     /// holding that rank (0 when empty).
     pub fn quantile(&self, p: f64) -> u64 {
@@ -161,11 +151,6 @@ impl Series {
         out.extend_from_slice(&self.points[..self.head]);
         out
     }
-
-    /// Points evicted from the ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 impl ToJson for Series {
@@ -218,24 +203,6 @@ impl Registry {
             .push(t_ns, value);
     }
 
-    /// Current value of a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Borrow a histogram, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.series.is_empty()
-    }
-
     /// Deterministic JSON snapshot: four name-sorted maps.
     pub fn to_json_parts(&self) -> (Json, Json, Json, Json) {
         (
@@ -275,8 +242,8 @@ mod tests {
         for v in [100u64, 200, 300, 400, 100_000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 101_000);
+        assert_eq!(h.count, 5);
+        assert_eq!(h.sum, 101_000);
         // Nearest-rank p50 of 5 values is the 3rd; bucket lower bound of
         // 300 in the log-linear scheme is ≤ 300 and > 200.
         let p50 = h.quantile(0.5);
@@ -298,7 +265,7 @@ mod tests {
         for i in 0..5u64 {
             s.push(i, i as f64);
         }
-        assert_eq!(s.dropped(), 2);
+        assert_eq!(s.dropped, 2);
         assert_eq!(
             s.points(),
             vec![(2, 2.0), (3, 3.0), (4, 4.0)],

@@ -131,28 +131,6 @@ impl Tracer {
         out
     }
 
-    /// Events evicted from the ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Per-label rollups (deterministically ordered).
-    pub fn rollups(&self) -> &BTreeMap<(&'static str, &'static str), Rollup> {
-        &self.rollups
-    }
-
-    /// Distinct subsystems that recorded at least one span.
-    pub fn subsystems(&self) -> Vec<&'static str> {
-        let mut subs: Vec<&'static str> = self.rollups.keys().map(|(s, _)| *s).collect();
-        subs.dedup();
-        subs
-    }
-
-    /// `true` when no span was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.rollups.is_empty()
-    }
-
     /// Deterministic JSON export: `(spans rollup array, trace object)`.
     pub fn to_json_parts(&self) -> (Json, Json) {
         let spans: Vec<Json> = self
@@ -229,8 +207,8 @@ mod tests {
             t.span_at("tcam", "apply", i, 1);
         }
         assert_eq!(t.events_chronological().len(), 4);
-        assert_eq!(t.dropped(), 6);
-        let r = t.rollups()[&("tcam", "apply")];
+        assert_eq!(t.dropped, 6);
+        let r = t.rollups[&("tcam", "apply")];
         assert_eq!((r.count, r.total_ns, r.max_ns), (10, 10, 1));
     }
 

@@ -158,9 +158,14 @@ pub fn weighted<T: 'static>(choices: Vec<(u32, Gen<T>)>) -> Gen<T> {
             }
             x -= *w as u64;
         }
-        // INVARIANT: total > 0 is asserted above, so choices is
-        // non-empty; x only underflows past the loop by rounding.
-        choices.last().unwrap().1.generate(rng, size)
+        choices
+            .last()
+            .expect(
+                "INVARIANT: total > 0 is asserted above, so choices is non-empty; \
+                 x only underflows past the loop by rounding",
+            )
+            .1
+            .generate(rng, size)
     })
 }
 
@@ -220,6 +225,10 @@ fn run_case<T, P: Fn(T)>(prop: &P, value: T) -> Result<(), String> {
 /// Drives one property: `cases` generated inputs through `prop`, with
 /// halving minimization and a reproduction line on failure. Used by the
 /// [`check!`](crate::check!) macro; callable directly for custom shapes.
+#[expect(
+    clippy::panic,
+    reason = "this panic is the product: it is how a failed property reaches the test harness"
+)]
 pub fn run<T: std::fmt::Debug, G, P>(name: &str, cfg: Config, gen: G, prop: P)
 where
     G: Fn(&mut StdRng, usize) -> T,
@@ -258,7 +267,6 @@ where
             shown.truncate(4096);
             shown.push_str("… (truncated)");
         }
-        // hermes-lint: allow(R2, reason = "this panic is the product: it is how a failed property reaches the test harness")
         panic!(
             "\n[hermes-check] property '{name}' failed at case {case}/{cases} \
              (seed {case_seed}, size {size}, minimized to size {min_size})\n\

@@ -69,7 +69,7 @@ impl Json {
     }
 
     /// Serializes compactly (no whitespace).
-    #[allow(
+    #[expect(
         clippy::inherent_to_string,
         reason = "the writer fills a `String` directly and no caller formats a `Json` through `{}`, so a `Display` impl would be unused surface"
     )]
@@ -330,9 +330,10 @@ impl<'a> Parser<'a> {
                     // Consume one UTF-8 scalar.
                     let rest = &self.bytes[self.pos..];
                     let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    // INVARIANT: the Some(_) arm means rest is
-                    // non-empty, and from_utf8 succeeded just above.
-                    let c = s.chars().next().unwrap();
+                    let c = s.chars().next().expect(
+                        "INVARIANT: the Some(_) arm means rest is non-empty, \
+                         and from_utf8 succeeded just above",
+                    );
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -356,9 +357,10 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        // INVARIANT: every byte consumed by the number scanner is
-        // ASCII (digits, sign, dot, exponent), so the slice is UTF-8.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect(
+            "INVARIANT: every byte consumed by the number scanner is ASCII \
+             (digits, sign, dot, exponent), so the slice is UTF-8",
+        );
         if !is_float {
             if let Ok(i) = text.parse::<i128>() {
                 return Ok(Json::Int(i));

@@ -150,9 +150,12 @@ impl Scenario {
     pub fn knob_u64(&self, name: &str, default: u64) -> u64 {
         match self.knobs.get(name) {
             None => default,
+            #[expect(
+                clippy::panic,
+                reason = "a mistyped knob is operator error; the panic becomes a one-line nonzero exit via hermes_bench::catch_panic"
+            )]
             Some(v) => v
                 .as_u64()
-                // hermes-lint: allow(R2, reason = "a mistyped knob is operator error; the panic becomes a one-line nonzero exit via hermes_bench::catch_panic")
                 .unwrap_or_else(|| panic!("scenario {}: knob {name} is not an integer", self.name)),
         }
     }
@@ -161,9 +164,12 @@ impl Scenario {
     pub fn knob_bool(&self, name: &str, default: bool) -> bool {
         match self.knobs.get(name) {
             None => default,
+            #[expect(
+                clippy::panic,
+                reason = "a mistyped knob is operator error; the panic becomes a one-line nonzero exit via hermes_bench::catch_panic"
+            )]
             Some(v) => v
                 .as_bool()
-                // hermes-lint: allow(R2, reason = "a mistyped knob is operator error; the panic becomes a one-line nonzero exit via hermes_bench::catch_panic")
                 .unwrap_or_else(|| panic!("scenario {}: knob {name} is not a bool", self.name)),
         }
     }

@@ -25,10 +25,9 @@ stage_build() {
 }
 
 stage_lint() {
-    # The analyzer's exit code (the R2 and R5 token rules and S1
-    # suppressions -- DESIGN.md §9), then rustfmt over the root workspace
-    # (benchmark/ is its own workspace and is not formatted here).
-    cargo run --release --offline -q -p hermes-lint -- --workspace
+    # rustfmt over the root workspace (benchmark/ is its own workspace and
+    # is not formatted here). The workspace conventions are the clippy
+    # stage's flags and the root tests/matrix.rs (DESIGN.md §9).
     cargo fmt --all --check
 }
 
@@ -36,13 +35,20 @@ stage_clippy() {
     # Besides clippy's own lints: clippy.toml's disallowed-types ban on
     # HashMap/HashSet/Instant/SystemTime and its disallowed-methods ban on
     # seeding an RNG anywhere but hermes_util::rng::stream (determinism,
-    # DESIGN.md §9), a reason on every #[allow], no `unsafe` in any target,
-    # forbidden from the command line so a crate root without the attribute
-    # is covered too, and no #[must_use] value dropped by `let _ =` or
-    # `.ok()` without an #[expect] saying why.
+    # DESIGN.md §9), every waiver an #[expect] with a reason (so a waiver
+    # that goes stale fails here), no `unsafe` in any target, forbidden
+    # from the command line so a crate root without the attribute is
+    # covered too, and no #[must_use] value dropped by `let _ =` or `.ok()`
+    # without an #[expect] saying why.
     cargo clippy --offline --workspace --all-targets -- \
-        -D warnings -D clippy::allow_attributes_without_reason -F unsafe_code \
-        -D clippy::let_underscore_must_use -D clippy::unused_result_ok
+        -D warnings -D clippy::allow_attributes -D clippy::allow_attributes_without_reason \
+        -F unsafe_code -D clippy::let_underscore_must_use -D clippy::unused_result_ok
+    # The panic policy (DESIGN.md §9), over library and binary code only
+    # (tests, benches and examples may unwrap): no unwrap, panic! or
+    # unreachable!, so a value the code cannot do without is taken with
+    # `.expect("INVARIANT: …")`, whose message tests/matrix.rs checks.
+    cargo clippy --offline --workspace --lib --bins -- \
+        -D clippy::unwrap_used -D clippy::panic -D clippy::unreachable
     # The perf ledger (benchmark/) is its own package: the same ban and the
     # same forbid. Its sources are frozen for ordinary PRs, so every other
     # clippy lint stays off there.

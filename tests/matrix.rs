@@ -19,6 +19,9 @@
 //!    wrapper: neither lockfile records an external package, and every
 //!    `exp_*` binary calls `hermes_bench::run_experiment("<its stem>", …)`
 //!    (DESIGN.md §6, §9).
+//! 4. The source conventions clippy cannot check: every non-test
+//!    `.expect(` states its invariant, and every telemetry name in the
+//!    `hermes_telemetry::names` table is emitted somewhere (DESIGN.md §9).
 
 use hermes_harness::{report, MatrixRun, RepResult, ScenarioRun};
 use hermes_util::json::Json;
@@ -219,5 +222,150 @@ fn every_experiment_binary_goes_through_run_experiment() {
         checked >= 10,
         "found only {checked} exp_* binaries in {}",
         bins_dir.display()
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively, in path order.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    let mut entries: Vec<_> = std::fs::read_dir(dir)
+        .expect("source dir is readable")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every `.rs` file of the library and binary sources: `crates/*/src`
+/// and the root `src/`.
+fn workspace_sources() -> Vec<std::path::PathBuf> {
+    let mut files = Vec::new();
+    rust_files(&repo_root().join("src"), &mut files);
+    let mut crates: Vec<_> = std::fs::read_dir(repo_root().join("crates"))
+        .expect("crates/ is readable")
+        .map(|e| e.expect("dir entry").path().join("src"))
+        .filter(|src| src.is_dir())
+        .collect();
+    crates.sort();
+    for src in crates {
+        rust_files(&src, &mut files);
+    }
+    files
+}
+
+/// `src` with every `//` comment line and every `#[cfg(test)]` item
+/// blanked, line count kept. An item runs from the attribute to the line
+/// where its braces balance, or to its `;` if it has no body (the regions
+/// `scripts/loc.sh` counts as test lines).
+fn non_test_code(src: &str) -> String {
+    let (mut in_test, mut opened, mut depth) = (false, false, 0i64);
+    let mut out = String::new();
+    for line in src.lines() {
+        let code = line.trim_start();
+        if !in_test && code.starts_with("#[cfg(test)]") {
+            (in_test, opened, depth) = (true, false, 0);
+        }
+        if !in_test && !code.starts_with("//") {
+            out.push_str(line);
+        }
+        out.push('\n');
+        if !in_test {
+            continue;
+        }
+        // Braces inside a string or char literal do not nest.
+        let (mut in_str, mut escaped) = (false, false);
+        for c in code
+            .replace("'{'", "")
+            .replace("'}'", "")
+            .replace("'\"'", "")
+            .chars()
+        {
+            match (in_str, c) {
+                (true, _) if escaped => escaped = false,
+                (true, '\\') => escaped = true,
+                (_, '"') => in_str = !in_str,
+                (false, '{') => (depth, opened) = (depth + 1, true),
+                (false, '}') => depth -= 1,
+                _ => {}
+            }
+        }
+        if (opened && depth <= 0) || (!opened && code.ends_with(';')) {
+            in_test = false;
+        }
+    }
+    out
+}
+
+#[test]
+fn every_expect_states_its_invariant() {
+    // The panic policy (DESIGN.md §9): clippy's `unwrap_used`, `panic`
+    // and `unreachable` leave `.expect` as the one way library and binary
+    // code may panic on a value, and its message must say why it cannot.
+    let mut bare = Vec::new();
+    let mut checked = 0;
+    for path in workspace_sources() {
+        let src = std::fs::read_to_string(&path).expect("source is readable");
+        let code = non_test_code(&src);
+        for (at, _) in code.match_indices(".expect(") {
+            checked += 1;
+            if !code[at + ".expect(".len()..]
+                .trim_start()
+                .starts_with("\"INVARIANT:")
+            {
+                let line = code[..at].matches('\n').count() + 1;
+                let rel = path.strip_prefix(repo_root()).unwrap_or(&path);
+                bare.push(format!("{}:{line}", rel.display()));
+            }
+        }
+    }
+    assert!(checked >= 50, "found only {checked} .expect( calls");
+    assert!(
+        bare.is_empty(),
+        "outside #[cfg(test)], an .expect( message starts with \"INVARIANT: \" and says \
+         why the value is always there:\n{}",
+        bare.join("\n")
+    );
+}
+
+#[test]
+fn every_telemetry_name_is_emitted() {
+    // The table makes an unregistered name a compile error; this is the
+    // other direction, a registered name that no code emits.
+    let table = repo_root().join("crates/telemetry/src/names.rs");
+    let text = std::fs::read_to_string(&table).expect("the name table is readable");
+    let entries: Vec<&str> = text
+        .lines()
+        .filter_map(|line| {
+            let (kind, rest) = line.trim_start().split_once(' ')?;
+            let handle = ["Counter", "Gauge", "Histogram", "Series", "Span"].contains(&kind);
+            handle.then(|| rest.split_once(" = ").map(|(name, _)| name))?
+        })
+        .collect();
+    assert!(
+        entries.len() >= 80,
+        "found only {} table entries",
+        entries.len()
+    );
+    let mut idents = std::collections::BTreeSet::new();
+    for path in workspace_sources().into_iter().filter(|p| *p != table) {
+        let src = std::fs::read_to_string(&path).expect("source is readable");
+        idents.extend(
+            src.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .map(str::to_string),
+        );
+    }
+    let unused: Vec<&str> = entries
+        .into_iter()
+        .filter(|name| !idents.contains(*name))
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "hermes_telemetry::names lists names nothing emits: delete them, or emit them:\n{}",
+        unused.join("\n")
     );
 }
