@@ -171,11 +171,11 @@ impl HermesSwitch {
         // main table.)
         if route == Route::Shadow && pieces > 1 {
             let occ = self.shadow_len() + queued;
-            // `worst_insert_latency` piece by piece, its model scan hoisted.
-            let model = self.device.model();
-            let per_shift = model.worst_per_shift_cost();
+            // `worst_insert_latency` piece by piece, its model scan hoisted
+            // to construction.
+            let base = self.device.model().base;
             let est: SimDuration = (0..pieces)
-                .map(|j| model.base + per_shift.mul_f64((occ + j) as f64))
+                .map(|j| base + self.worst_per_shift.mul_f64((occ + j) as f64))
                 .sum();
             if est > self.config.guarantee {
                 route = Route::MainTooFragmented;
@@ -207,8 +207,7 @@ impl HermesSwitch {
             pieces,
             cut_against,
         };
-        self.shadow.insert(rule.id, entry);
-        self.shadow_order.push(rule.id);
+        self.shadow.push(entry);
         self.prio_add(rule.priority);
     }
 

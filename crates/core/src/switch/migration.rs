@@ -32,16 +32,11 @@ impl HermesSwitch {
             return MigrationReport::default();
         }
         let mut report = MigrationReport::default();
-        if self.shadow_order.is_empty() {
+        if self.shadow.is_empty() {
             return report;
         }
-        let items: Vec<(Rule, Vec<RuleId>)> = self
-            .shadow_order
-            .iter()
-            .map(|id| {
-                let e = &self.shadow[id];
-                (e.original, e.pieces.iter().map(|(pid, _)| *pid).collect())
-            })
+        let items: Vec<(Rule, Vec<RuleId>)> = (self.shadow.iter())
+            .map(|e| (e.original, e.pieces.iter().map(|(pid, _)| *pid).collect()))
             .collect();
         let plan = self.manager.plan_migration_batch(&items);
         let insert_ops: Vec<TcamOp> = plan.inserts.iter().copied().map(TcamOp::Insert).collect();
@@ -62,7 +57,7 @@ impl HermesSwitch {
             Err(_) => return self.finish_migration(now, report),
         }
         for id in &plan.order {
-            let Some(entry) = self.shadow.remove(id) else {
+            let Some(entry) = self.shadow.remove(*id) else {
                 continue;
             };
             self.main_index.insert(entry.original);
@@ -70,7 +65,6 @@ impl HermesSwitch {
             report.entries_saved += entry.pieces.len().saturating_sub(1);
             report.rules_migrated += 1;
         }
-        self.shadow_order.clear();
         report.duration += self.dev_delete_all(SHADOW, &plan.piece_deletes);
         report.pieces_deleted += plan.piece_deletes.len();
         self.finish_migration(now, report)
@@ -81,11 +75,13 @@ impl HermesSwitch {
     fn migrate_per_rule(&mut self, now: SimTime) -> MigrationReport {
         let mut report = MigrationReport::default();
         // Ascending priority, FIFO among equals (sort is stable).
-        let mut order = self.shadow_order.clone();
-        order.sort_by_key(|id| self.shadow[id].original.priority);
+        let mut order: Vec<(Priority, RuleId)> = (self.shadow.iter())
+            .map(|e| (e.original.priority, e.original.id))
+            .collect();
+        order.sort_by_key(|&(priority, _)| priority);
 
-        for id in order {
-            let entry = match self.shadow.get(&id) {
+        for (_, id) in order {
+            let entry = match self.shadow.get(id) {
                 Some(e) => e.clone(),
                 None => continue,
             };

@@ -36,13 +36,14 @@
 //! insert path (planner, commits, `insert` / `admit_batch` drivers);
 //! `placement` shadow re-cuts, eviction, `delete` and `modify`;
 //! `migration` the shadow→main drain; `reconcile` audit and
-//! crash-resync.
+//! crash-resync; `shadow_store` the FIFO store of shadow residents.
 
 mod admission;
 mod device_io;
 mod migration;
 mod placement;
 mod reconcile;
+mod shadow_store;
 
 use crate::config::HermesConfig;
 use crate::gatekeeper::{GateKeeper, Route};
@@ -56,6 +57,8 @@ use hermes_tcam::{
     SwitchModel, TcamDevice, TcamError,
 };
 use hermes_telemetry::names;
+use shadow_store::ShadowStore;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Slice index of the shadow table.
@@ -214,15 +217,17 @@ pub struct HermesSwitch {
     manager: RuleManager,
     /// Logical rules resident in the main table, with original priorities.
     main_index: OverlapIndex,
-    /// Logical rules resident in the shadow table.
-    shadow: BTreeMap<RuleId, ShadowEntry>,
-    /// Shadow insertion order (FIFO semantics + migration order).
-    shadow_order: Vec<RuleId>,
+    /// Logical rules resident in the shadow table, in insertion order
+    /// (FIFO semantics + migration order).
+    shadow: ShadowStore,
     /// main rule id → shadow rules cut against it (the reverse of `M`).
     blockers: BTreeMap<RuleId, Vec<RuleId>>,
     /// Priority histogram over all logical rules (for the low-priority
     /// bypass check).
     prio_counts: BTreeMap<u32, usize>,
+    /// The model's worst per-shift cost, fixed with the model: the
+    /// admission planner's guarantee estimate for multi-piece rules.
+    worst_per_shift: SimDuration,
     next_phys: u64,
     stats: HermesStats,
     /// Retry/journal/degraded-mode state (see [`crate::recovery`]).
@@ -291,13 +296,13 @@ impl HermesSwitch {
         gate.set_low_priority_bypass(config.low_priority_bypass);
         let manager = RuleManager::new(config.trigger);
         Ok(HermesSwitch {
+            worst_per_shift: device.model().worst_per_shift_cost(),
             device,
             config,
             gate,
             manager,
             main_index: OverlapIndex::new(),
-            shadow: BTreeMap::new(),
-            shadow_order: Vec::new(),
+            shadow: ShadowStore::default(),
             blockers: BTreeMap::new(),
             prio_counts: BTreeMap::new(),
             next_phys: PHYS_BASE,
@@ -406,7 +411,10 @@ impl HermesSwitch {
     /// a rule — the check `intent_len() == logical_len()` detects that.
     pub fn intent_len(&self) -> usize {
         let main = &self.main_index;
-        main.len() + self.shadow.keys().filter(|&&id| !main.contains(id)).count()
+        main.len()
+            + (self.shadow.iter())
+                .filter(|e| !main.contains(e.original.id))
+                .count()
     }
 
     /// Injects a crash-class fault directly (netsim switch-down windows
@@ -457,7 +465,7 @@ impl HermesSwitch {
     /// Whether a logical rule is installed (including admissions queued by
     /// degraded mode — they are accepted, just not yet placed).
     pub fn contains(&self, id: RuleId) -> bool {
-        self.shadow.contains_key(&id)
+        self.shadow.contains(id)
             || self.main_index.contains(id)
             || self.recovery.deferred.iter().any(|r| r.id == id)
     }
@@ -465,7 +473,7 @@ impl HermesSwitch {
     /// Looks up a logical rule.
     pub fn get(&self, id: RuleId) -> Option<Rule> {
         self.shadow
-            .get(&id)
+            .get(id)
             .map(|e| e.original)
             .or_else(|| self.main_index.get(id))
             .or_else(|| self.recovery.deferred.iter().find(|r| r.id == id).copied())
@@ -487,10 +495,10 @@ impl HermesSwitch {
     }
 
     pub(super) fn prio_remove(&mut self, p: Priority) {
-        if let Some(c) = self.prio_counts.get_mut(&p.0) {
-            *c -= 1;
-            if *c == 0 {
-                self.prio_counts.remove(&p.0);
+        if let Entry::Occupied(mut c) = self.prio_counts.entry(p.0) {
+            *c.get_mut() -= 1;
+            if *c.get() == 0 {
+                c.remove();
             }
         }
     }
@@ -580,7 +588,7 @@ impl HermesSwitch {
     /// The shadow resident a physical piece id belongs to.
     pub(super) fn piece_owner(&self, pid: RuleId) -> Option<RuleId> {
         self.shadow
-            .values()
+            .iter()
             .find(|e| e.pieces.iter().any(|(p, _)| *p == pid))
             .map(|e| e.original.id)
     }
@@ -654,11 +662,40 @@ mod tests {
         let prefix: Ipv4Prefix = "10.0.0.0/24".parse().unwrap();
         let rule = Rule::new(1, prefix.to_key(), Priority(5), Action::Forward(1));
         sw.insert(rule, SimTime::ZERO).unwrap();
-        assert!(sw.shadow.contains_key(&rule.id));
+        assert!(sw.shadow.contains(rule.id));
         // What a migration that books the main copy but keeps the shadow
         // entry would leave behind.
         sw.main_index.insert(rule);
         assert_eq!(sw.intent_len(), 1);
         assert_eq!(sw.logical_len(), 2);
+    }
+
+    /// Equal-priority shadow residents migrate in admission order, also
+    /// after one left from the middle of the queue: the main table, which
+    /// matches equal priorities in insertion order, then lists them so.
+    #[test]
+    fn migration_keeps_fifo_order_among_equal_priorities() {
+        // Equal priorities would otherwise take the §4.2 bypass to main.
+        let config = HermesConfig {
+            low_priority_bypass: false,
+            ..HermesConfig::default()
+        };
+        let mut sw = HermesSwitch::new(SwitchModel::pica8_p3290(), config).unwrap();
+        let rule = |id: u64| {
+            let prefix = Ipv4Prefix::new(0x0a00_0000 | ((id as u32) << 8), 24);
+            Rule::new(id, prefix.to_key(), Priority(5), Action::Forward(1))
+        };
+        for id in 1..=4 {
+            sw.insert(rule(id), SimTime::ZERO).unwrap();
+        }
+        sw.delete(RuleId(2), SimTime::ZERO).unwrap();
+        sw.insert(rule(5), SimTime::ZERO).unwrap();
+        assert!((1..=5).all(|id| id == 2 || sw.shadow.contains(RuleId(id))));
+        sw.migrate(SimTime::ZERO);
+        assert!(sw.shadow.is_empty());
+        let main: Vec<u64> = (sw.device.slice(MAIN).table.iter())
+            .map(|r| r.id.0)
+            .collect();
+        assert_eq!(main, vec![1, 3, 4, 5]);
     }
 }

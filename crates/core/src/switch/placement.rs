@@ -64,7 +64,7 @@ impl HermesSwitch {
     pub(super) fn recut_below(&mut self, new_main: Rule) -> SimDuration {
         let mut affected: Vec<RuleId> = self
             .shadow
-            .values()
+            .iter()
             .filter(|e| {
                 e.original.priority < new_main.priority
                     && e.pieces.iter().any(|(_, k)| k.overlaps(&new_main.key))
@@ -72,9 +72,7 @@ impl HermesSwitch {
             .map(|e| e.original.id)
             .collect();
         // The op sequence must be deterministic (fault plans and latencies
-        // depend on it). BTreeMap iteration is already RuleId-sorted; the
-        // explicit sort documents the requirement and keeps it true even
-        // if the container changes again.
+        // depend on it) and goes out in RuleId order.
         affected.sort_unstable_by_key(|id| id.0);
         let mut latency = SimDuration::ZERO;
         for id in affected {
@@ -87,7 +85,7 @@ impl HermesSwitch {
     /// main-table key (make-before-break). Falls back to evicting the rule
     /// to the main table if the shadow cannot hold the replacements.
     fn narrow_shadow_rule(&mut self, id: RuleId, against: Rule) -> SimDuration {
-        let entry = match self.shadow.get(&id) {
+        let entry = match self.shadow.get(id) {
             Some(e) => e.clone(),
             None => return SimDuration::ZERO,
         };
@@ -122,7 +120,7 @@ impl HermesSwitch {
     /// current main table, replacing its pieces. Returns the TCAM time
     /// spent.
     fn repartition_shadow_rule(&mut self, id: RuleId) -> SimDuration {
-        let entry = match self.shadow.get(&id) {
+        let entry = match self.shadow.get(id) {
             Some(e) => e.clone(),
             None => return SimDuration::ZERO,
         };
@@ -166,7 +164,7 @@ impl HermesSwitch {
             latency += self.dev_delete_or_journal(SHADOW, *pid);
         }
         kept.extend(new_ids);
-        if let Some(e) = self.shadow.get_mut(&entry.original.id) {
+        if let Some(e) = self.shadow.get_mut(entry.original.id) {
             e.pieces = kept;
             e.cut_against = cut_against;
         }
@@ -184,8 +182,7 @@ impl HermesSwitch {
             latency += self.dev_delete_or_journal(SHADOW, *pid);
         }
         self.unregister_blockers(id, &entry.cut_against);
-        self.shadow.remove(&id);
-        self.shadow_order.retain(|r| *r != id);
+        self.shadow.remove(id);
         latency
     }
 
@@ -227,7 +224,7 @@ impl HermesSwitch {
                 },
             });
         }
-        if let Some(entry) = self.shadow.remove(&id) {
+        if let Some(entry) = self.shadow.remove(id) {
             let mut latency = self.remove_shadow_resident(&entry);
             if entry.pieces.is_empty() {
                 latency += SimDuration::from_us(10.0); // agent bookkeeping only
@@ -339,7 +336,7 @@ impl HermesSwitch {
             });
         };
         let mut latency = SimDuration::ZERO;
-        if let Some(entry) = self.shadow.get_mut(&id) {
+        if let Some(entry) = self.shadow.get_mut(id) {
             entry.original.action = new_action;
             let pieces = entry.pieces.clone();
             for (pid, _) in pieces {

@@ -180,7 +180,7 @@ impl HermesSwitch {
     /// could not re-seat into the main table.
     fn evict_unplaceable(&mut self, ids: Vec<RuleId>, report: &mut AuditReport) {
         for id in ids {
-            if let Some(entry) = self.shadow.get(&id).cloned() {
+            if let Some(entry) = self.shadow.get(id).cloned() {
                 report.duration += self.evict_shadow_rule_to_main(&entry);
                 report.evicted += 1;
             }
@@ -194,7 +194,7 @@ impl HermesSwitch {
     fn expected_slice(&self, slice: usize, out: &mut Vec<Rule>) {
         out.clear();
         if slice == SHADOW {
-            out.extend((self.shadow.values()).flat_map(|e| {
+            out.extend((self.shadow.iter()).flat_map(|e| {
                 (e.pieces.iter()).map(|&(id, key)| Rule {
                     id,
                     key,

@@ -236,7 +236,9 @@ fn seeded_shuffle(mut v: Vec<usize>, seed: u64, salt: Salt) -> Vec<usize> {
 /// The fleet controller: N per-switch control planes sharded across
 /// deterministic worker lanes.
 pub struct Fleet<P: ControlPlane> {
-    members: BTreeMap<SwitchId, Member<P>>,
+    /// Sorted by id, each id once: found by binary search, iterated in
+    /// ascending id.
+    members: Vec<(SwitchId, Member<P>)>,
     /// Per-lane busy horizon (the lane's serial clock).
     lanes: Vec<SimTime>,
     /// Seeded lane permutation breaking ties in least-loaded scans.
@@ -263,7 +265,7 @@ impl<P: ControlPlane> Fleet<P> {
         let assignment = lane_assignment(n, config.lanes, config.seed);
         let mut sorted = members;
         sorted.sort_by_key(|(id, _)| *id);
-        let members: BTreeMap<SwitchId, Member<P>> = sorted
+        let mut members: Vec<(SwitchId, Member<P>)> = sorted
             .into_iter()
             .zip(assignment)
             .map(|((id, plane), lane)| {
@@ -279,6 +281,14 @@ impl<P: ControlPlane> Fleet<P> {
                 )
             })
             .collect();
+        // A repeated id keeps its last entry, lane included.
+        members.dedup_by(|later, kept| {
+            let repeat = later.0 == kept.0;
+            if repeat {
+                std::mem::swap(later, kept);
+            }
+            repeat
+        });
         // Tie-break permutation for least-loaded scans: a second seeded
         // shuffle over the lane indices, on its own salted stream.
         let lane_order = seeded_shuffle((0..lane_count).collect(), config.seed, Salt::LANE_ORDER);
@@ -306,7 +316,7 @@ impl<P: ControlPlane> Fleet<P> {
 
     /// Sorted member ids.
     pub fn switch_ids(&self) -> Vec<SwitchId> {
-        self.members.keys().copied().collect()
+        self.members.iter().map(|(id, _)| *id).collect()
     }
 
     /// Iterates members as `(id, plane)`.
@@ -332,8 +342,8 @@ impl<P: ControlPlane> Fleet<P> {
     /// Total installed entries across the fleet.
     pub fn occupancy(&self) -> usize {
         self.members
-            .values()
-            .map(|m| m.queue.plane().occupancy())
+            .iter()
+            .map(|(_, m)| m.queue.plane().occupancy())
             .sum()
     }
 
@@ -384,16 +394,20 @@ impl<P: ControlPlane> Fleet<P> {
             .collect()
     }
 
-    fn member(&self, sw: SwitchId) -> &Member<P> {
+    /// Position of `sw` in `members`.
+    fn position(&self, sw: SwitchId) -> usize {
         self.members
-            .get(&sw)
+            .binary_search_by_key(&sw, |(id, _)| *id)
             .expect("INVARIANT: fleet calls target a registered member")
     }
 
+    fn member(&self, sw: SwitchId) -> &Member<P> {
+        &self.members[self.position(sw)].1
+    }
+
     fn member_mut(&mut self, sw: SwitchId) -> &mut Member<P> {
-        self.members
-            .get_mut(&sw)
-            .expect("INVARIANT: fleet calls target a registered member")
+        let pos = self.position(sw);
+        &mut self.members[pos].1
     }
 
     /// The lane with the earliest busy horizon, scanned in the seeded
@@ -648,7 +662,7 @@ impl<P: ControlPlane> Fleet<P> {
     /// Manager migrations, crash-window reconnects) and re-drives any
     /// rollback deletes a crash window previously swallowed.
     pub fn tick_all(&mut self, now: SimTime) {
-        for m in self.members.values_mut() {
+        for (_, m) in &mut self.members {
             m.queue.plane_mut().tick(now);
         }
         if self.pending_rollbacks.is_empty() {
@@ -678,7 +692,7 @@ impl<P: ControlPlane> Fleet<P> {
     /// time-dependent state (lane horizons, admission buckets, the
     /// per-member RIT aggregates) resets to the epoch.
     pub fn end_warmup_all(&mut self) {
-        for m in self.members.values_mut() {
+        for (_, m) in &mut self.members {
             m.queue.plane_mut().end_warmup();
             m.ops = 0;
             m.wait_ns = 0;

@@ -2,7 +2,8 @@
 //!
 //! The rule-manipulation substrate of the Hermes reproduction (CoNEXT'17):
 //! ternary match keys with overlap/containment/difference operations,
-//! IPv4 prefixes, multi-field flow matches, a prefix-trie overlap index, and
+//! IPv4 prefixes, multi-field flow matches, a prefix-trie overlap index, the
+//! flat slab and id index that rule tables store rules in, and
 //! semantics-preserving rule-set minimization.
 //!
 //! Everything in this crate is pure data manipulation — no clocks, no I/O —
@@ -34,6 +35,7 @@ pub mod merge;
 pub mod overlap;
 pub mod prefix;
 pub mod rule;
+pub mod store;
 pub mod trie;
 
 /// Convenient glob-import of the crate's main types.

@@ -16,20 +16,25 @@ use crate::fields::FlowMatch;
 use crate::key::TernaryKey;
 use crate::prefix::Ipv4Prefix;
 use crate::rule::{Priority, Rule, RuleId};
-use std::collections::BTreeMap;
-
+use crate::store::{IdIndex, Slab};
 use crate::trie::PrefixTrie;
 
 /// An index over a set of rules supporting fast "which rules overlap this
 /// key?" queries.
+///
+/// Each rule is stored once, in a paged slab, and found by id through a
+/// flat id index; the trie and the fallback list hold its `u32` slab slot
+/// (DESIGN.md §16). Which slot a rule gets never reaches an output: walks
+/// visit slots in the positions `insert` and `remove` leave them in, and
+/// [`iter`](Self::iter) sorts by id.
 #[derive(Debug, Default)]
 pub struct OverlapIndex {
-    trie: PrefixTrie<Rule>,
-    /// Rules whose destination mask is non-contiguous.
-    fallback: Vec<Rule>,
-    /// Every indexed rule by id: serves `get` and `iter` without touching
-    /// the trie, and tells `remove` where the rule is filed.
-    by_id: BTreeMap<RuleId, Rule>,
+    trie: PrefixTrie<u32>,
+    /// Slots of the rules whose destination mask is non-contiguous.
+    fallback: Vec<u32>,
+    rules: Slab<Rule>,
+    /// Rule id → slab slot.
+    ids: IdIndex,
 }
 
 impl OverlapIndex {
@@ -40,12 +45,12 @@ impl OverlapIndex {
 
     /// Number of indexed rules.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.ids.len()
     }
 
     /// `true` when no rules are indexed.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.ids.is_empty()
     }
 
     /// Indexes a rule. A rule id may be indexed only once; re-inserting an
@@ -53,32 +58,44 @@ impl OverlapIndex {
     pub fn insert(&mut self, rule: Rule) {
         // The replaced entry leaves before the new one is filed, so a
         // re-insert under the same prefix lands where insert-after-remove
-        // would put it.
-        if let Some(old) = self.by_id.insert(rule.id, rule) {
-            self.unfile(&old);
-        }
+        // would put it. It keeps its slab slot.
+        let slot = match self.ids.get(rule.id) {
+            Some(slot) => {
+                let old = self.rules.get(slot).key;
+                self.unfile(&old, slot);
+                *self.rules.get_mut(slot) = rule;
+                slot
+            }
+            None => {
+                let slot = self.rules.alloc(rule);
+                self.ids.insert(rule.id, slot);
+                slot
+            }
+        };
         match FlowMatch::dst_prefix_of_key(&rule.key) {
-            Some(pre) => self.trie.insert(pre, rule),
-            None => self.fallback.push(rule),
+            Some(pre) => self.trie.insert(pre, slot),
+            None => self.fallback.push(slot),
         }
     }
 
     /// Removes a rule by id. Returns the removed rule if present.
     pub fn remove(&mut self, id: RuleId) -> Option<Rule> {
-        let rule = self.by_id.remove(&id)?;
-        self.unfile(&rule);
+        let slot = self.ids.remove(id)?;
+        let rule = *self.rules.get(slot);
+        self.unfile(&rule.key, slot);
+        self.rules.release(slot);
         Some(rule)
     }
 
-    /// Takes `rule` out of the trie node or the fallback list `insert`
-    /// filed it under.
-    fn unfile(&mut self, rule: &Rule) {
-        match FlowMatch::dst_prefix_of_key(&rule.key) {
+    /// Takes `slot` out of the trie node or the fallback list `insert`
+    /// filed it under for `key`.
+    fn unfile(&mut self, key: &TernaryKey, slot: u32) {
+        match FlowMatch::dst_prefix_of_key(key) {
             Some(pre) => {
-                self.trie.remove(pre, rule);
+                self.trie.remove(pre, &slot);
             }
             None => {
-                if let Some(pos) = self.fallback.iter().position(|r| r.id == rule.id) {
+                if let Some(pos) = self.fallback.iter().position(|&s| s == slot) {
                     self.fallback.swap_remove(pos);
                 }
             }
@@ -87,19 +104,20 @@ impl OverlapIndex {
 
     /// Looks up a rule by id.
     pub fn get(&self, id: RuleId) -> Option<Rule> {
-        self.by_id.get(&id).copied()
+        self.ids.get(id).map(|slot| *self.rules.get(slot))
     }
 
     /// `true` when the id is indexed.
     pub fn contains(&self, id: RuleId) -> bool {
-        self.by_id.contains_key(&id)
+        self.ids.get(id).is_some()
     }
 
     /// Removes every rule.
     pub fn clear(&mut self) {
         self.trie.clear();
         self.fallback.clear();
-        self.by_id.clear();
+        self.rules.clear();
+        self.ids.clear();
     }
 
     /// All rules overlapping `key` (in no particular order).
@@ -123,33 +141,80 @@ impl OverlapIndex {
 
     /// Visits each overlapping rule.
     pub fn for_each_overlapping(&self, key: &TernaryKey, mut f: impl FnMut(&Rule)) {
-        match FlowMatch::dst_prefix_of_key(key) {
-            Some(pre) => {
-                self.trie.for_each_overlapping(pre, |r| {
-                    if r.key.overlaps(key) {
-                        f(r);
-                    }
-                });
-            }
-            None => {
-                // Non-prefix query: the trie cannot prune, walk everything.
-                self.trie.for_each_descendant(Ipv4Prefix::DEFAULT, |r| {
-                    if r.key.overlaps(key) {
-                        f(r);
-                    }
-                });
-            }
-        }
-        for r in &self.fallback {
+        let rules = &self.rules;
+        let mut visit = |&slot: &u32| {
+            let r = rules.get(slot);
             if r.key.overlaps(key) {
                 f(r);
             }
+        };
+        match FlowMatch::dst_prefix_of_key(key) {
+            Some(pre) => self.trie.for_each_overlapping(pre, &mut visit),
+            // Non-prefix query: the trie cannot prune, walk everything.
+            None => self
+                .trie
+                .for_each_descendant(Ipv4Prefix::DEFAULT, &mut visit),
         }
+        self.fallback.iter().for_each(visit);
     }
 
-    /// Iterates over all indexed rules in ascending id order.
+    /// Iterates over all indexed rules in ascending id order. Orders the
+    /// ids first: call it for a whole-table view, not per rule.
     pub fn iter(&self) -> impl Iterator<Item = Rule> + '_ {
-        self.by_id.values().copied()
+        (self.slots_by_id().into_iter()).map(|slot| *self.rules.get(slot))
+    }
+
+    /// The slab slot of every rule, in ascending id order. Ids that span at
+    /// most four times their count — how a controller numbers its rules —
+    /// are placed straight into a table indexed by `id − min`, which is
+    /// then squeezed in place: time linear in the span, and one
+    /// allocation. Sparser ids take a comparison sort.
+    fn slots_by_id(&self) -> Vec<u32> {
+        let Some((lo, hi)) = (self.ids.iter()).fold(None, |span, (id, _)| match span {
+            None => Some((id.0, id.0)),
+            Some((lo, hi)) => Some((id.0.min(lo), id.0.max(hi))),
+        }) else {
+            return Vec::new();
+        };
+        if (hi - lo) / 4 >= self.len() as u64 {
+            let mut held: Vec<(RuleId, u32)> = self.ids.iter().collect();
+            held.sort_unstable_by_key(|&(id, _)| id);
+            return held.into_iter().map(|(_, slot)| slot).collect();
+        }
+        // `u32::MAX` is never a slot: a slab holds fewer than 2^32 − 1 rules.
+        let mut at = vec![u32::MAX; (hi - lo) as usize + 1];
+        for (id, slot) in self.ids.iter() {
+            at[(id.0 - lo) as usize] = slot;
+        }
+        at.retain(|&slot| slot != u32::MAX);
+        at
+    }
+
+    /// Checks the storage invariants (debug aid / property tests): the
+    /// trie's own, the id index's own, every id's slot holds the rule of
+    /// that id and is filed once, under the rule's destination prefix or
+    /// in the fallback list when it has none, and the filed slots and the
+    /// slab's free list account for every slab slot exactly once.
+    pub fn check_invariants(&self) -> bool {
+        let filed = self.trie.len() + self.fallback.len();
+        let each_filed = self.ids.iter().all(|(id, slot)| {
+            let rule = self.rules.get(slot);
+            rule.id == id
+                && match FlowMatch::dst_prefix_of_key(&rule.key) {
+                    Some(pre) => self.trie.items_at(pre).contains(&slot),
+                    None => self.fallback.contains(&slot),
+                }
+        });
+        // `len` distinct slots each filed at least once among `len` filed
+        // items: each is filed exactly once, and nothing else is.
+        let mut held: Vec<u32> = self.fallback.clone();
+        self.trie
+            .for_each_descendant(Ipv4Prefix::DEFAULT, |&slot| held.push(slot));
+        self.trie.check_invariants()
+            && self.ids.check()
+            && filed == self.ids.len()
+            && each_filed
+            && self.rules.check(held)
     }
 }
 

@@ -221,6 +221,14 @@ impl<T> PrefixTrie<T> {
         }
     }
 
+    /// The items stored exactly at `prefix`, in storage order.
+    pub(crate) fn items_at(&self, prefix: Ipv4Prefix) -> &[T] {
+        match self.descend(prefix, |_| {}) {
+            Some(idx) if self.nodes[idx].prefix == prefix => &self.nodes[idx].items,
+            _ => &[],
+        }
+    }
+
     /// Visits every item whose prefix is *contained in* the query
     /// (descendants, including the query node itself).
     pub fn for_each_descendant<'a>(&'a self, prefix: Ipv4Prefix, f: impl FnMut(&'a T)) {
@@ -393,14 +401,6 @@ mod tests {
         s.parse().unwrap()
     }
 
-    /// The items stored exactly at `prefix`.
-    fn items_at<T>(t: &PrefixTrie<T>, prefix: Ipv4Prefix) -> &[T] {
-        match t.descend(prefix, |_| {}) {
-            Some(idx) if t.nodes[idx].prefix == prefix => &t.nodes[idx].items,
-            _ => &[],
-        }
-    }
-
     #[test]
     fn insert_and_query_at() {
         let mut t = PrefixTrie::new();
@@ -408,9 +408,9 @@ mod tests {
         t.insert(p("10.0.0.0/8"), 2);
         t.insert(p("10.1.0.0/16"), 3);
         assert_eq!(t.len(), 3);
-        assert_eq!(items_at(&t, p("10.0.0.0/8")), &[1, 2]);
-        assert_eq!(items_at(&t, p("10.1.0.0/16")), &[3]);
-        assert!(items_at(&t, p("10.2.0.0/16")).is_empty());
+        assert_eq!(t.items_at(p("10.0.0.0/8")), &[1, 2]);
+        assert_eq!(t.items_at(p("10.1.0.0/16")), &[3]);
+        assert!(t.items_at(p("10.2.0.0/16")).is_empty());
     }
 
     #[test]
@@ -473,7 +473,7 @@ mod tests {
         // Ancestors: the items above the query on the way down, then its own.
         let mut anc: Vec<char> = Vec::new();
         t.descend(p("10.1.0.0/16"), |node| anc.extend(&node.items));
-        anc.extend(items_at(&t, p("10.1.0.0/16")));
+        anc.extend(t.items_at(p("10.1.0.0/16")));
         assert_eq!(anc, vec!['a', 'b']);
 
         let mut desc = Vec::new();

@@ -12,11 +12,165 @@
 //! on an edge split (the old child filed on the new leaf's side); a walk
 //! that descends into a child that does not contain the query (its items
 //! reported as ancestors).
+//!
+//! `overlap_index_churn_matches_reference` checks `OverlapIndex` against
+//! the index as it stood before it kept each rule once in a slab behind a
+//! flat id index, kept here as [`reference_index`] (DESIGN.md §16).
 
 use hermes_rules::merge::{minimize_keys, optimize_ruleset};
 use hermes_rules::overlap::OverlapIndex;
 use hermes_rules::prelude::*;
 use hermes_util::check::{arb, just, range, vec_of, weighted, zip2, zip3, Gen};
+
+/// The overlap index before it stored each rule once: every rule sat both
+/// in a `BTreeMap` by id and, as a copy, in its trie node or the fallback
+/// list. Its storage and walks, verbatim, over the plain [`reference`]
+/// trie, whose walks `reclaiming_trie_matches_reference` equates with the
+/// library trie's.
+mod reference_index {
+    use hermes_rules::fields::FlowMatch;
+    use hermes_rules::key::TernaryKey;
+    use hermes_rules::prefix::Ipv4Prefix;
+    use hermes_rules::rule::{Priority, Rule, RuleId};
+    use std::collections::BTreeMap;
+
+    // The plain trie above, not the library's: a trie mutant cannot move
+    // both sides of the comparison at once.
+    use super::reference::PrefixTrie;
+
+    /// An index over a set of rules supporting fast "which rules overlap this
+    /// key?" queries.
+    #[derive(Debug, Default)]
+    pub struct OverlapIndex {
+        trie: PrefixTrie<Rule>,
+        /// Rules whose destination mask is non-contiguous.
+        fallback: Vec<Rule>,
+        /// Every indexed rule by id: serves `get` and `iter` without touching
+        /// the trie, and tells `remove` where the rule is filed.
+        by_id: BTreeMap<RuleId, Rule>,
+    }
+
+    impl OverlapIndex {
+        /// An empty index.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Number of indexed rules.
+        pub fn len(&self) -> usize {
+            self.by_id.len()
+        }
+
+        /// `true` when no rules are indexed.
+        pub fn is_empty(&self) -> bool {
+            self.by_id.is_empty()
+        }
+
+        /// Indexes a rule. A rule id may be indexed only once; re-inserting an
+        /// id replaces the previous entry.
+        pub fn insert(&mut self, rule: Rule) {
+            // The replaced entry leaves before the new one is filed, so a
+            // re-insert under the same prefix lands where insert-after-remove
+            // would put it.
+            if let Some(old) = self.by_id.insert(rule.id, rule) {
+                self.unfile(&old);
+            }
+            match FlowMatch::dst_prefix_of_key(&rule.key) {
+                Some(pre) => self.trie.insert(pre, rule),
+                None => self.fallback.push(rule),
+            }
+        }
+
+        /// Removes a rule by id. Returns the removed rule if present.
+        pub fn remove(&mut self, id: RuleId) -> Option<Rule> {
+            let rule = self.by_id.remove(&id)?;
+            self.unfile(&rule);
+            Some(rule)
+        }
+
+        /// Takes `rule` out of the trie node or the fallback list `insert`
+        /// filed it under.
+        fn unfile(&mut self, rule: &Rule) {
+            match FlowMatch::dst_prefix_of_key(&rule.key) {
+                Some(pre) => {
+                    self.trie.remove(pre, rule);
+                }
+                None => {
+                    if let Some(pos) = self.fallback.iter().position(|r| r.id == rule.id) {
+                        self.fallback.swap_remove(pos);
+                    }
+                }
+            }
+        }
+
+        /// Looks up a rule by id.
+        pub fn get(&self, id: RuleId) -> Option<Rule> {
+            self.by_id.get(&id).copied()
+        }
+
+        /// `true` when the id is indexed.
+        pub fn contains(&self, id: RuleId) -> bool {
+            self.by_id.contains_key(&id)
+        }
+
+        /// Removes every rule.
+        pub fn clear(&mut self) {
+            self.trie.clear();
+            self.fallback.clear();
+            self.by_id.clear();
+        }
+
+        /// All rules overlapping `key` (in no particular order).
+        pub fn overlapping(&self, key: &TernaryKey) -> Vec<Rule> {
+            let mut out = Vec::new();
+            self.for_each_overlapping(key, |r| out.push(*r));
+            out
+        }
+
+        /// All rules overlapping `key` with priority *strictly above* `below`
+        /// — exactly the `O` set of Algorithm 1 line 3.
+        pub fn overlapping_above(&self, key: &TernaryKey, below: Priority) -> Vec<Rule> {
+            let mut out = Vec::new();
+            self.for_each_overlapping(key, |r| {
+                if r.priority > below {
+                    out.push(*r);
+                }
+            });
+            out
+        }
+
+        /// Visits each overlapping rule.
+        pub fn for_each_overlapping(&self, key: &TernaryKey, mut f: impl FnMut(&Rule)) {
+            match FlowMatch::dst_prefix_of_key(key) {
+                Some(pre) => {
+                    self.trie.for_each_overlapping(pre, |r| {
+                        if r.key.overlaps(key) {
+                            f(r);
+                        }
+                    });
+                }
+                None => {
+                    // Non-prefix query: the trie cannot prune, walk everything.
+                    self.trie.for_each_descendant(Ipv4Prefix::DEFAULT, |r| {
+                        if r.key.overlaps(key) {
+                            f(r);
+                        }
+                    });
+                }
+            }
+            for r in &self.fallback {
+                if r.key.overlaps(key) {
+                    f(r);
+                }
+            }
+        }
+
+        /// Iterates over all indexed rules in ascending id order.
+        pub fn iter(&self) -> impl Iterator<Item = Rule> + '_ {
+            self.by_id.values().copied()
+        }
+    }
+}
 
 /// The prefix trie before `remove` reclaimed emptied nodes: nodes are
 /// never given back, so the array grows with every prefix ever inserted.
@@ -48,6 +202,12 @@ mod reference {
     pub struct PrefixTrie<T> {
         nodes: Vec<Node<T>>,
         len: usize,
+    }
+
+    impl<T> Default for PrefixTrie<T> {
+        fn default() -> Self {
+            Self::new()
+        }
     }
 
     impl<T> PrefixTrie<T> {
@@ -252,6 +412,74 @@ macro_rules! trie_walks {
         $trie.for_each_descendant($q, |v| desc.push(*v));
         (over, desc)
     }};
+}
+
+/// Non-contiguous destination masks: a rule keyed on one of them is filed
+/// in the overlap index's fallback list.
+const HOLED_MASKS: [u32; 4] = [0xff00_ff00, 0x00ff_ffff, 0xffff_00ff, 0x8000_0001];
+
+/// Id draws 0..24, so inserts often hit a live id.
+const CHURN_IDS: u64 = 24;
+
+/// The id of draw `k`: every fourth far above the rest, so `iter` sorts
+/// sparse id sets as well as dense ones.
+fn churn_id(k: u64) -> RuleId {
+    RuleId(if k % 4 == 3 { k << 40 } else { k })
+}
+
+/// A rule key from `TRIE_POOL[p]` in one of four shapes: the prefix
+/// (twice as likely), the prefix narrowed to TCP, or its address under a
+/// holed mask.
+fn churn_key(p: usize, shape: u8) -> TernaryKey {
+    let pre: Ipv4Prefix = TRIE_POOL[p].parse().unwrap();
+    match shape {
+        0 | 1 => pre.to_key(),
+        2 => FlowMatch::dst_prefix(pre).with_proto(6).to_key(),
+        _ => {
+            let mask = HOLED_MASKS[p % HOLED_MASKS.len()];
+            TernaryKey::new(u128::from(pre.addr() & mask) << 96, u128::from(mask) << 96)
+        }
+    }
+}
+
+#[derive(Clone, Debug)]
+enum ChurnOp {
+    /// Insert under an id draw (live or not): pool prefix, key shape,
+    /// priority.
+    Insert(u64, usize, u8, u32),
+    /// Re-insert the live id at this position (mod the live count) with a
+    /// new key and priority.
+    Reinsert(usize, usize, u8, u32),
+    /// Remove an id draw, live or absent.
+    Remove(u64),
+    /// Remove the live id at this position (mod the live count).
+    RemoveLive(usize),
+    Clear,
+}
+
+/// Priorities from a few values so equal priorities are common.
+fn churn_op() -> Gen<ChurnOp> {
+    let key = || {
+        zip3(
+            range(0usize..TRIE_POOL.len()),
+            range(0u8..4),
+            range(1u32..6),
+        )
+    };
+    weighted(vec![
+        (
+            10,
+            zip2(range(0u64..CHURN_IDS), key())
+                .map(|(id, (p, s, pr))| ChurnOp::Insert(id, p, s, pr)),
+        ),
+        (
+            4,
+            zip2(range(0usize..64), key()).map(|(k, (p, s, pr))| ChurnOp::Reinsert(k, p, s, pr)),
+        ),
+        (4, range(0u64..CHURN_IDS + 8).map(ChurnOp::Remove)),
+        (4, range(0usize..64).map(ChurnOp::RemoveLive)),
+        (1, just(ChurnOp::Clear)),
+    ])
 }
 
 /// `a ∩ b` as one key, when some packet matches both.
@@ -483,6 +711,71 @@ hermes_util::check! {
             assert_eq!((trie.len(), trie.is_empty()), (reference.len(), reference.is_empty()));
             for &q in &queries {
                 assert_eq!(trie_walks!(trie, q), trie_walks!(reference, q), "step {step}: {op:?}, query {q}");
+            }
+        }
+    }
+
+    /// The overlap index over its slab and id index answers exactly as the
+    /// one that kept every rule in a `BTreeMap` and a trie copy, through
+    /// inserts, re-inserts of live ids and removes of live and absent ids
+    /// (holed destination masks included, so the fallback list churns
+    /// too): after every step `get`, `contains`, `len` and `iter` agree,
+    /// `overlapping` and `overlapping_above` return the same rules in the
+    /// same order for every query, and the storage invariants hold.
+    fn overlap_index_churn_matches_reference(ops in vec_of(churn_op(), 1..120)) {
+        let mut queries: Vec<TernaryKey> = TRIE_QUERIES
+            .iter()
+            .map(|s| s.parse::<Ipv4Prefix>().unwrap().to_key())
+            .collect();
+        queries.extend((0..TRIE_POOL.len()).flat_map(|p| [2, 3].map(|s| churn_key(p, s))));
+        queries.push(TernaryKey::ANY);
+        let mut idx = OverlapIndex::new();
+        let mut reference = reference_index::OverlapIndex::new();
+        for (step, op) in ops.iter().enumerate() {
+            let live: Vec<RuleId> = reference.iter().map(|r| r.id).collect();
+            let nth_live = |k: usize| (!live.is_empty()).then(|| live[k % live.len()]);
+            match *op {
+                ChurnOp::Insert(k, p, shape, prio) => {
+                    let r = Rule::new(churn_id(k).0, churn_key(p, shape), Priority(prio), Action::Forward(k as u32));
+                    idx.insert(r);
+                    reference.insert(r);
+                }
+                ChurnOp::Reinsert(k, p, shape, prio) => {
+                    if let Some(id) = nth_live(k) {
+                        let r = Rule::new(id.0, churn_key(p, shape), Priority(prio), Action::Drop);
+                        idx.insert(r);
+                        reference.insert(r);
+                    }
+                }
+                ChurnOp::Remove(k) => {
+                    assert_eq!(idx.remove(churn_id(k)), reference.remove(churn_id(k)), "step {step}");
+                }
+                ChurnOp::RemoveLive(k) => {
+                    if let Some(id) = nth_live(k) {
+                        assert_eq!(idx.remove(id), reference.remove(id), "step {step}");
+                    }
+                }
+                ChurnOp::Clear => {
+                    idx.clear();
+                    reference.clear();
+                }
+            }
+            assert!(idx.check_invariants(), "step {step}: {op:?}");
+            assert_eq!((idx.len(), idx.is_empty()), (reference.len(), reference.is_empty()));
+            assert_eq!(idx.iter().collect::<Vec<_>>(), reference.iter().collect::<Vec<_>>(), "step {step}");
+            for id in (0..CHURN_IDS + 8).map(churn_id) {
+                assert_eq!(idx.get(id), reference.get(id), "step {step}: {id}");
+                assert_eq!(idx.contains(id), reference.contains(id), "step {step}: {id}");
+            }
+            for q in &queries {
+                assert_eq!(idx.overlapping(q), reference.overlapping(q), "step {step}: {op:?}, {q:?}");
+                for below in [Priority::NONE, Priority(3)] {
+                    assert_eq!(
+                        idx.overlapping_above(q, below),
+                        reference.overlapping_above(q, below),
+                        "step {step}: {op:?}, {q:?} above {below:?}"
+                    );
+                }
             }
         }
     }

@@ -14,10 +14,10 @@
 //!
 //! ## Storage layout (a slab of rules, indexes of handles)
 //!
-//! Each stored [`Rule`] lives exactly once, in the table's private
-//! `Slab`: pages of 64 rules that are never reallocated, plus a free
-//! list of slots. A rule keeps its `u32` slot while it is stored, and
-//! everything else refers to it by that handle.
+//! Each stored [`Rule`] lives exactly once, in the table's [`Slab`]:
+//! pages of 64 rules that are never reallocated, plus a free list of
+//! slots. A rule keeps its `u32` slot while it is stored, and everything
+//! else refers to it by that handle.
 //!
 //! The physical side is the private `Layout`: the priority order as
 //! fixed-fanout *blocks* (a chunked vector), each block a contiguous run
@@ -57,6 +57,7 @@
 use crate::id_index::IdIndex;
 use crate::match_index::MatchIndex;
 use hermes_rules::prelude::*;
+use hermes_rules::store::Slab;
 
 /// Target block size for the chunked entry storage; blocks split at twice
 /// this length.
@@ -525,83 +526,13 @@ impl<P: Copy> Layout<P> {
     }
 }
 
-/// Rules per slab page.
-const PAGE: usize = 64;
-
-/// Where a table's rules live: each exactly once, at a `u32` slot that
-/// stays put while the rule is stored, in pages of exactly `PAGE` rules'
-/// capacity that are never reallocated (a growing `Vec<Rule>` fragmented
-/// the heap, DESIGN.md §15). Slots `0..top` have been handed out since the
-/// last [`clear`](Self::clear), and the pages hold exactly those; the ones
-/// no entry holds are on `free`, which [`alloc`](Self::alloc) pops before
-/// it extends `top`. A freed slot keeps its stale rule until reused.
-#[derive(Debug, Default)]
-struct Slab {
-    pages: Vec<Vec<Rule>>,
-    top: usize,
-    free: Vec<u32>,
-}
-
-impl Clone for Slab {
-    /// Page by page at full capacity: `Vec::clone` would allocate each
-    /// page at its length, and the next `alloc` would reallocate it.
-    fn clone(&self) -> Self {
-        let page = |p: &Vec<Rule>| {
-            let mut copy = Vec::with_capacity(PAGE);
-            copy.extend_from_slice(p);
-            copy
-        };
-        Slab {
-            pages: self.pages.iter().map(page).collect(),
-            top: self.top,
-            free: self.free.clone(),
-        }
-    }
-}
-
-impl Slab {
-    fn get(&self, slot: u32) -> &Rule {
-        let slot = slot as usize;
-        &self.pages[slot / PAGE][slot % PAGE]
-    }
-
-    fn get_mut(&mut self, slot: u32) -> &mut Rule {
-        let slot = slot as usize;
-        &mut self.pages[slot / PAGE][slot % PAGE]
-    }
-
-    /// Stores `rule` in the most recently freed slot, else in the next
-    /// one never handed out, opening a page when the last is full.
-    fn alloc(&mut self, rule: Rule) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            *self.get_mut(slot) = rule;
-            return slot;
-        }
-        let slot = self.top;
-        if slot / PAGE == self.pages.len() {
-            self.pages.push(Vec::with_capacity(PAGE));
-        }
-        self.pages[slot / PAGE].push(rule);
-        self.top += 1;
-        u32::try_from(slot).expect("INVARIANT: a table holds fewer than 2^32 entries")
-    }
-
-    fn release(&mut self, slot: u32) {
-        self.free.push(slot);
-    }
-
-    /// Frees every slot, keeping the pages.
-    fn clear(&mut self) {
-        self.pages.iter_mut().for_each(Vec::clear);
-        self.top = 0;
-        self.free.clear();
-    }
-}
-
 impl Layout<u32> {
     /// Every stored entry in match order as the match index files it: key,
     /// `seq` and slab slot.
-    fn indexed<'a>(&'a self, slab: &'a Slab) -> impl Iterator<Item = (TernaryKey, u64, u32)> + 'a {
+    fn indexed<'a>(
+        &'a self,
+        slab: &'a Slab<Rule>,
+    ) -> impl Iterator<Item = (TernaryKey, u64, u32)> + 'a {
         (self.blocks.iter())
             .flat_map(|b| b.keys.iter().zip(&b.handles))
             .map(|(key, &slot)| (slab.get(slot).key, key.seq, slot))
@@ -635,7 +566,7 @@ pub struct TcamTable {
     /// The priority order: sort key and slab slot per entry.
     layout: Layout<u32>,
     /// Every stored rule, once.
-    slab: Slab,
+    slab: Slab<Rule>,
     /// Per-id index: id → its sort key and slab slot (expected `O(1)`).
     by_id: IdIndex,
     /// Match index: `(mask, packet & mask)` → `seq`s and slab slots of
@@ -866,23 +797,10 @@ impl TcamTable {
     /// once under its current key and nothing else.
     pub fn check_invariants(&self) -> bool {
         let (layout, slab) = (&self.layout, &self.slab);
-        // Full pages, then the one `alloc` fills next, then any emptied
-        // ones `clear` kept: every slot below `top` can be read.
-        let paged = slab.pages.len() * PAGE >= slab.top
-            && (slab.pages.iter().enumerate()).all(|(i, p)| {
-                p.capacity() == PAGE && p.len() == slab.top.saturating_sub(i * PAGE).min(PAGE)
-            });
-        if !paged {
+        // First, so that every handle the loop below reads is a live slot.
+        if !slab.check((layout.blocks.iter()).flat_map(|b| b.handles.iter().copied())) {
             return false;
         }
-        let mut held = vec![false; slab.top];
-        let mut claim = |slot: u32| match held.get_mut(slot as usize) {
-            Some(h) if !*h => {
-                *h = true;
-                true
-            }
-            _ => false,
-        };
         let mut prev: Option<EntryKey> = None;
         let mut counted = 0;
         for b in &layout.blocks {
@@ -890,7 +808,7 @@ impl TcamTable {
                 return false;
             }
             for (k, &slot) in b.keys.iter().zip(&b.handles) {
-                if prev.is_some_and(|p| *k <= p) || !claim(slot) {
+                if prev.is_some_and(|p| *k <= p) {
                     return false;
                 }
                 prev = Some(*k);
@@ -902,8 +820,6 @@ impl TcamTable {
             }
         }
         counted == layout.len
-            && slab.free.iter().all(|&slot| claim(slot))
-            && layout.len + slab.free.len() == slab.top
             && self.by_id.len() == layout.len
             && self.by_id.check()
             && layout.len <= layout.capacity
@@ -1568,7 +1484,8 @@ mod tests {
             t.insert(rule(i, "10.0.0.0/8", (i % 50) as u32 + 1))
                 .unwrap();
         }
-        assert_eq!((t.slab.pages.len(), t.slab.top), (4, 200));
+        let handed_out = |t: &TcamTable| t.slab.pages().map(<[Rule]>::len).sum::<usize>();
+        assert_eq!((t.slab.pages().len(), handed_out(&t)), (4, 200));
         for i in 0..2000u64 {
             t.delete(RuleId(i)).unwrap();
             t.insert(rule(200 + i, "10.0.0.0/8", (i % 70) as u32 + 1))
@@ -1582,7 +1499,10 @@ mod tests {
                 .collect();
             t.apply_batch(&ops).unwrap();
         }
-        assert_eq!((t.slab.pages.len(), t.slab.top, t.len()), (4, 200, 200));
+        assert_eq!(
+            (t.slab.pages().len(), handed_out(&t), t.len()),
+            (4, 200, 200)
+        );
         assert!(t.check_invariants());
     }
 
@@ -1601,7 +1521,7 @@ mod tests {
             }
         };
         fill(&mut t);
-        let pages = |t: &TcamTable| t.slab.pages.iter().map(|p| p.as_ptr()).collect::<Vec<_>>();
+        let pages = |t: &TcamTable| t.slab.pages().map(<[Rule]>::as_ptr).collect::<Vec<_>>();
         let before = pages(&t);
         assert_eq!(before.len(), 5);
         t.clear();
@@ -1612,10 +1532,7 @@ mod tests {
         let ops: Vec<TcamOp> = rules.iter().map(|&r| TcamOp::Insert(r)).collect();
         t.apply_batch(&ops).unwrap();
         assert!(t.check_invariants() && pages(&t) == before);
-        assert!(
-            t.slab.pages.iter().flatten().eq(t.iter()),
-            "slab in match order"
-        );
+        assert!(t.slab.pages().flatten().eq(t.iter()), "slab in match order");
     }
 }
 

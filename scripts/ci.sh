@@ -74,6 +74,10 @@ stage_test() {
     # against the pre-index solver, under eight times the default cases.
     HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-netsim \
       --test proptest_maxmin
+    # The overlap index's storage (slab, id index, trie slots) against the
+    # index it replaced, under eight times the default cases.
+    HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-rules \
+      --test proptest_algebra overlap_index_churn_matches_reference
 }
 
 stage_bins() {
