@@ -9,8 +9,8 @@
 //! two rows of a tier table, so their cases run from one table here too
 //! ([`BANDED`]): in-band medians pass, out-of-band medians fail
 //! (SLOW/HEAVY), sub-band medians are noted (FAST/LEAN), scenarios
-//! missing from either side fail (MISSING/UNTRACKED), failed reps fail
-//! (BROKEN). Inputs the gate cannot judge exit 2, never 1.
+//! missing from either side fail (MISSING/UNTRACKED), failed reps and
+//! zero medians fail (BROKEN). Inputs the gate cannot judge exit 2, never 1.
 //!
 //! The script is python3 + stdlib; when the interpreter is absent the
 //! tests skip (printed to stderr) rather than fail, so `cargo test`
@@ -256,9 +256,8 @@ impl Banded {
         )
     }
 
-    /// A full (non-canonical) hermes-matrix-report/1 document whose
-    /// scenarios each carry a measured median (in units) and `clean` of 3
-    /// clean reps.
+    /// A hermes-matrix-report/2 document whose scenarios each carry a
+    /// measured median (in units) and `clean` of 3 clean reps.
     fn report(&self, clean: u32, scenarios: &[(&str, f64)]) -> String {
         let body: Vec<String> = scenarios
             .iter()
@@ -273,8 +272,7 @@ impl Banded {
             })
             .collect();
         format!(
-            "{{\"schema\": \"hermes-matrix-report/1\", \"kind\": \"full\", \
-             \"scenarios\": [{}]}}",
+            "{{\"schema\": \"hermes-matrix-report/2\", \"scenarios\": [{}]}}",
             body.join(", ")
         )
     }
@@ -287,7 +285,7 @@ fn banded_envelope_verdicts() {
     // against a 25% (wall-clock) / 35% (RSS) band, all in units.
     for t in &BANDED {
         let envelope = format!("within the {} envelope", t.noun);
-        let cases: [(&str, f64, f64, f64, i32, &str); 4] = [
+        let cases: [(&str, f64, f64, f64, i32, &str); 5] = [
             // 115 vs 100: inside either band.
             ("in_band", 100.0, 4.0, 115.0, 0, &envelope),
             // 200 vs 100: above 100 * 1.35 + 4 = 139.
@@ -297,6 +295,8 @@ fn banded_envelope_verdicts() {
             // A small scenario doubling (8 -> 16) is scheduler / allocator
             // jitter under a floor of 16 — the band alone would flag it.
             ("floor", 8.0, 16.0, 16.0, 0, &envelope),
+            // A zero median is no measurement at all, not a fast run.
+            ("zero", 100.0, 4.0, 0.0, 1, "BROKEN"),
         ];
         for (case, base, floor, measured, want, word) in cases {
             let f = Fixture::new(&format!("{}_{case}", t.mode));
@@ -357,26 +357,13 @@ fn banded_broken_reps_fail() {
 }
 
 #[test]
-fn banded_rejects_canonical_reports() {
-    let Some(py) = python3() else { return };
-    let report = "{\"schema\": \"hermes-matrix-report/1\", \"kind\": \"canonical\", \
-                  \"scenarios\": []}";
-    for t in &BANDED {
-        let f = Fixture::new(&format!("{}_canon", t.mode));
-        let (code, _) = f.run_band(py, t.mode, &t.baseline(4.0, &[]), report);
-        assert_eq!(code, 2, "canonical summaries carry no measured section");
-    }
-}
-
-#[test]
 fn committed_banded_baselines_are_wellformed() {
     let Some(py) = python3() else { return };
     // The committed envelopes must parse and track the gated scenarios
     // (ci.sh runs exactly wallclock.json's keys); an empty fresh report
     // against them must flag every tracked scenario as MISSING (proving
     // they are all tracked).
-    let empty = "{\"schema\": \"hermes-matrix-report/1\", \"kind\": \"full\", \
-                 \"scenarios\": []}";
+    let empty = "{\"schema\": \"hermes-matrix-report/2\", \"scenarios\": []}";
     for t in &BANDED {
         let f = Fixture::new(&format!("{}_committed", t.mode));
         let path = repo_root().join(format!("bench_baselines/{}.json", t.mode));
@@ -402,7 +389,7 @@ fn refresh_rewrites_medians_and_keeps_the_knobs() {
     // One report carries both measures (300 units each); `refresh`
     // rewrites <dir>/<tier>.json for both tiers from it.
     let report = f.dir.join("matrix_report.json");
-    let both = "{\"schema\": \"hermes-matrix-report/1\", \"kind\": \"full\", \"scenarios\": \
+    let both = "{\"schema\": \"hermes-matrix-report/2\", \"scenarios\": \
                 [{\"name\": \"smoke-a\", \"runs\": 3, \"clean_reps\": 3, \"measured\": \
                 {\"wall_ms\": {\"p50\": 300.04}, \"max_rss_bytes\": {\"p50\": 314572800}}}]}";
     std::fs::write(&report, both).expect("INVARIANT: temp dir is writable");

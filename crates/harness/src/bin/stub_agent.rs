@@ -12,9 +12,8 @@
 //! * `knobs.stub_malformed` — emit truncated JSON (default false).
 //!
 //! The canned report is a minimal `hermes-bench-report/1`: one counter
-//! keyed by the stub value, one per-rep counter derived from
-//! `HERMES_FAULT_SEED` (proving the harness seeds each repetition), and
-//! one histogram.
+//! keyed by the stub value and one per-rep counter derived from
+//! `HERMES_FAULT_SEED` (proving the harness seeds each repetition).
 
 #![forbid(unsafe_code)]
 #![expect(
@@ -79,25 +78,7 @@ fn canned_report(sc: &Scenario) -> Json {
             ]),
         ),
         ("gauges", Json::Obj(Vec::new())),
-        (
-            "histograms",
-            Json::obj([(
-                "stub.lat",
-                Json::obj([
-                    ("count", value.to_json()),
-                    ("sum", Json::Int((value * 4) as i128)),
-                    ("min", 4u64.to_json()),
-                    ("max", 4u64.to_json()),
-                    ("p50", 4u64.to_json()),
-                    ("p95", 4u64.to_json()),
-                    ("p99", 4u64.to_json()),
-                    (
-                        "buckets",
-                        Json::Arr(vec![Json::Arr(vec![4u64.to_json(), value.to_json()])]),
-                    ),
-                ]),
-            )]),
-        ),
+        ("histograms", Json::Obj(Vec::new())),
         ("series", Json::Obj(Vec::new())),
         ("spans", Json::Arr(vec![])),
         ("trace", Json::Arr(vec![])),

@@ -5,31 +5,22 @@
 //! them (DESIGN.md §11). It loads the scenario matrix
 //! (`scenarios/matrix.toml`, parsed by [`hermes_util::scenario`] — the
 //! same parser the binaries use), spawns each scenario's release
-//! `exp_*` binary as an OS process `runs` seeded times, samples
-//! `/proc/<pid>/{statm,stat}` for RSS/CPU while the child runs, merges
-//! the emitted `BENCH_*.json` reports, and writes a versioned
-//! [`report::SCHEMA`] (`hermes-matrix-report/1`) summary with
-//! nearest-rank percentiles and confidence intervals.
+//! `exp_*` binary as an OS process `runs` seeded times, and gives each
+//! repetition a verdict: a nonzero exit, a timeout, or a traced rep
+//! whose BENCH report is missing, unparsable or of the wrong schema
+//! fails it. It also measures what the `scripts/perfgate.py` envelopes
+//! read — wall-clock and the peak RSS from `/proc/<pid>/status` — and
+//! writes both into a versioned [`report::SCHEMA`]
+//! (`hermes-matrix-report/2`) document.
 //!
-//! The report splits into two halves with different determinism
-//! contracts:
-//!
-//! * **merged** — everything derived from the children's BENCH reports
-//!   (counters, histograms, exit statuses). A pure function of the
-//!   matrix and the seeds: byte-identical across identical runs, which
-//!   is what the *canonical summary* contains and what the determinism
-//!   tests pin.
-//! * **measured** — wall-clock, peak RSS and CPU time observed from
-//!   outside. Jittery by nature; gated not byte-wise but by
-//!   `scripts/perfgate.py wallclock`'s tolerance band.
+//! The children's counters are not read here: `perfgate.py counters`
+//! and the ledger digests gate them byte-exact.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod merge;
 pub mod procsample;
 pub mod report;
 pub mod run;
 
-pub use merge::{MergedHistogram, MergedScenario};
 pub use run::{run_matrix, MatrixRun, RepResult, RunConfig, ScenarioRun};

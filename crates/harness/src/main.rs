@@ -7,9 +7,8 @@
 //!
 //! Runs every selected scenario its matrix `runs` times. Writes
 //! per-repetition `BENCH` reports and stderr captures under
-//! `<out>/<scenario>/`, the full `hermes-matrix-report/1` document to
-//! `<out>/matrix_report.json`, and the byte-stable canonical summary to
-//! `<out>/matrix_summary.json`. Exits nonzero when any repetition fails
+//! `<out>/<scenario>/` and the `hermes-matrix-report/2` document to
+//! `<out>/matrix_report.json`. Exits nonzero when any repetition fails
 //! or the configuration is invalid.
 
 #![forbid(unsafe_code)]
@@ -76,18 +75,16 @@ fn real_main() -> Result<u64, String> {
         .map_err(|e| format!("cannot create {}: {e}", cfg.out_dir.display()))?;
     let run = run_matrix(&cfg)?;
     for s in &run.scenarios {
-        let wall: Vec<f64> = s.reps.iter().map(|r| r.wall_ms).collect();
-        let mut sorted = wall.clone();
-        hermes_util::stats::sort_samples(&mut sorted);
+        let mut wall: Vec<f64> = s.reps.iter().map(|r| r.wall_ms).collect();
+        hermes_util::stats::sort_samples(&mut wall);
         println!(
-            "{:<14} {:<14} runs={} clean={} wall p50={:.1}ms max={:.1}ms ±{:.1}ms",
+            "{:<14} {:<14} runs={} clean={} wall p50={:.1}ms max={:.1}ms",
             s.name,
             s.bin,
             s.runs,
             s.runs as u64 - s.failures(),
-            hermes_util::stats::quantile_sorted(&sorted, 0.5),
-            hermes_util::stats::quantile_sorted(&sorted, 1.0),
-            report::ci95_halfwidth(&wall),
+            hermes_util::stats::quantile_sorted(&wall, 0.5),
+            hermes_util::stats::quantile_sorted(&wall, 1.0),
         );
         for r in &s.reps {
             if let Some(e) = &r.error {
@@ -95,16 +92,9 @@ fn real_main() -> Result<u64, String> {
             }
         }
     }
-    let full = report::build(&run, false);
-    let canonical = report::build(&run, true);
-    for (name, doc) in [
-        ("matrix_report.json", &full),
-        ("matrix_summary.json", &canonical),
-    ] {
-        let path = cfg.out_dir.join(name);
-        std::fs::write(&path, doc.to_string())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-    }
+    let path = cfg.out_dir.join("matrix_report.json");
+    std::fs::write(&path, report::build(&run).to_string())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
     Ok(run.failures())
 }

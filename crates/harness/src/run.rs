@@ -4,15 +4,16 @@
 //! launched with the environment [`hermes_util::scenario::Scenario::env`]
 //! derives (seeded per repetition), `--out` pointed at a per-rep report
 //! path, stdout discarded and stderr captured to a side file for
-//! diagnosis. While the child runs the harness polls `/proc` for RSS/CPU
-//! with an adaptive backoff (1 ms → 5 ms): millisecond-scale smoke
-//! binaries still get a sample, and since the child's exit is noticed at
-//! the next poll, `wall_ms` overshoots by at most 5 ms. A child still
-//! running after [`RunConfig::rep_timeout_s`] is killed and its
-//! repetition reported as failed, so a hung binary cannot hang CI.
+//! diagnosis. While the child runs the harness polls `/proc` for its
+//! peak RSS with an adaptive backoff (1 ms → 5 ms): millisecond-scale
+//! smoke binaries still get a sample, and since the child's exit is
+//! noticed at the next poll, `wall_ms` overshoots by at most 5 ms. A
+//! child still running after [`RunConfig::rep_timeout_s`] is killed and
+//! its repetition reported as failed, so a hung binary cannot hang CI.
+//! A traced repetition also fails unless it left a parsable
+//! `hermes-bench-report/1` document at its `--out` path.
 
-use crate::merge::MergedScenario;
-use crate::procsample::{self, ProcUsage};
+use crate::procsample;
 use hermes_util::bench::Stopwatch;
 use hermes_util::json::Json;
 use hermes_util::scenario::{Matrix, Scenario};
@@ -26,7 +27,7 @@ pub struct RunConfig {
     pub matrix_path: PathBuf,
     /// Directory holding the release binaries (`target/release`).
     pub bin_dir: PathBuf,
-    /// Output directory for per-rep reports and the matrix summary.
+    /// Output directory for per-rep reports and the matrix report.
     pub out_dir: PathBuf,
     /// Subset of scenario names to run; `None` runs the whole matrix.
     pub scenarios: Option<Vec<String>>,
@@ -50,10 +51,6 @@ pub struct RepResult {
     pub wall_ms: f64,
     /// Peak resident set observed, bytes.
     pub max_rss_bytes: u64,
-    /// CPU time observed at the last `/proc` sample, milliseconds.
-    pub cpu_ms: f64,
-    /// `/proc` samples taken.
-    pub samples: u64,
     /// Why this repetition does not count (nonzero exit, timeout, missing
     /// or malformed report). `None` for a clean rep.
     pub error: Option<String>,
@@ -66,7 +63,7 @@ impl RepResult {
     }
 }
 
-/// One scenario's repetitions plus their merged report view.
+/// One scenario's repetitions.
 #[derive(Clone, Debug)]
 pub struct ScenarioRun {
     /// Scenario name.
@@ -77,8 +74,6 @@ pub struct ScenarioRun {
     pub runs: u32,
     /// Per-repetition outcomes, in rep order.
     pub reps: Vec<RepResult>,
-    /// Merged BENCH-report view over the clean repetitions.
-    pub merged: MergedScenario,
 }
 
 impl ScenarioRun {
@@ -136,7 +131,6 @@ pub fn run_matrix(cfg: &RunConfig) -> Result<MatrixRun, String> {
             bin: sc.bin.clone(),
             runs: sc.runs,
             reps: Vec::new(),
-            merged: MergedScenario::default(),
         };
         let scenario_dir = cfg.out_dir.join(&sc.name);
         std::fs::create_dir_all(&scenario_dir)
@@ -144,9 +138,7 @@ pub fn run_matrix(cfg: &RunConfig) -> Result<MatrixRun, String> {
         for rep in 0..sc.runs {
             let mut result = run_rep(&bin, sc, cfg, rep, &scenario_dir)?;
             if result.error.is_none() && sc.trace {
-                let merged = read_report(&rep_report_path(&scenario_dir, rep))
-                    .and_then(|doc| run.merged.absorb(&doc));
-                result.error = merged.err();
+                result.error = check_report(&rep_report_path(&scenario_dir, rep)).err();
             }
             run.reps.push(result);
         }
@@ -160,10 +152,20 @@ pub fn rep_report_path(scenario_dir: &Path, rep: u32) -> PathBuf {
     scenario_dir.join(format!("rep{rep}.json"))
 }
 
-fn read_report(path: &Path) -> Result<Json, String> {
+/// A traced repetition's report verdict: the file exists, parses, and
+/// is a `hermes-bench-report/1` document.
+fn check_report(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("no BENCH report at {}: {e}", path.display()))?;
-    Json::parse(&text).map_err(|e| format!("malformed BENCH report {}: {e:?}", path.display()))
+    let doc = Json::parse(&text)
+        .map_err(|e| format!("malformed BENCH report {}: {e:?}", path.display()))?;
+    match doc.get("schema").and_then(Json::as_str) {
+        Some("hermes-bench-report/1") => Ok(()),
+        schema => Err(format!(
+            "unsupported report schema {:?} (want hermes-bench-report/1)",
+            schema.unwrap_or("<missing>")
+        )),
+    }
 }
 
 fn run_rep(
@@ -190,8 +192,8 @@ fn run_rep(
         cmd.env_remove(k);
     }
     // Children must not inherit stray workspace knobs, and their reports
-    // must not embed the ambient git revision (the canonical summary is
-    // compared byte-wise across runs).
+    // carry a fixed revision stamp, not the ambient one, so a rep's report
+    // depends only on its scenario and seed.
     cmd.env_remove("HERMES_OUT");
     cmd.env("HERMES_GIT_REV", "harness");
     let sw = Stopwatch::start();
@@ -199,7 +201,7 @@ fn run_rep(
         .spawn()
         .map_err(|e| format!("cannot spawn {}: {e}", bin.display()))?;
     let pid = child.id();
-    let mut usage = ProcUsage::default();
+    let mut max_rss_bytes = 0u64;
     let mut sleep_ms = 1u64;
     let status = loop {
         match child.try_wait() {
@@ -214,8 +216,8 @@ fn run_rep(
                 return Err(format!("waiting on {}: {e}", bin.display()));
             }
         }
-        if let Some(s) = procsample::sample_pid(pid) {
-            usage.absorb(s);
+        if let Some(peak) = procsample::sample_pid(pid) {
+            max_rss_bytes = max_rss_bytes.max(peak);
         }
         std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
         sleep_ms = (sleep_ms + sleep_ms / 4 + 1).min(5);
@@ -237,9 +239,7 @@ fn run_rep(
         rep,
         exit_code,
         wall_ms,
-        max_rss_bytes: usage.max_rss_bytes,
-        cpu_ms: usage.cpu_ms(),
-        samples: usage.samples,
+        max_rss_bytes,
         error,
     })
 }
@@ -261,5 +261,32 @@ fn first_stderr_line(path: &Path) -> String {
             None => String::new(),
         },
         Err(_) => String::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wrong_schema_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("hermes_harness_check_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let verdict = |name: &str, body: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, body).expect("write report");
+            check_report(&path)
+        };
+        assert_eq!(
+            verdict("ok.json", "{\"schema\": \"hermes-bench-report/1\"}"),
+            Ok(())
+        );
+        let e = verdict("v9.json", "{\"schema\": \"hermes-bench-report/9\"}").unwrap_err();
+        assert!(e.contains("unsupported report schema"), "{e}");
+        let e = verdict("none.json", "{}").unwrap_err();
+        assert!(e.contains("<missing>"), "{e}");
+        let e = check_report(&dir.join("absent.json")).unwrap_err();
+        assert!(e.contains("no BENCH report"), "{e}");
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * `hermes-harness` (the orchestrator) loads the matrix, spawns the
 //!   named binary once per repetition with the scenario's environment
-//!   ([`Scenario::env`]), and merges the emitted `BENCH_*.json` reports;
+//!   ([`Scenario::env`]), and checks each emitted `BENCH_*.json` report;
 //! * the `exp_*` binaries (via `hermes_bench::scenario()`) load the same
 //!   scenario back from `HERMES_SCENARIO_FILE`/`HERMES_SCENARIO` and read
 //!   their workload knobs from the [`Scenario`] struct.

@@ -249,11 +249,13 @@ stage_matrix_smoke() {
     # each) plus two full-tier scenarios promoted into the gated tier
     # (N=5 each) -- chaos-suite (fault plans armed) and baseline
     # (exp_fig9, the one end-to-end run long enough that its band means
-    # seconds rather than scheduler noise). The merged
-    # hermes-matrix-report/1 summary is schema-validated, then BOTH
-    # tolerance-band comparisons are BLOCKING: wall-clock medians against
+    # seconds rather than scheduler noise). The harness exits non-zero
+    # unless every repetition is clean, then BOTH tolerance-band
+    # comparisons are BLOCKING: wall-clock medians against
     # bench_baselines/wallclock.json and peak-RSS medians against
-    # bench_baselines/rss.json. A band breach fails CI and must be either
+    # bench_baselines/rss.json. perfgate.py also checks the report's
+    # schema, that it ran exactly the gated scenarios, and that each
+    # median is positive. A band breach fails CI and must be either
     # fixed or re-baselined via scripts/refresh_baselines.sh (DESIGN.md
     # §11).
     cargo build --release --offline -q -p hermes-harness --bin hermes-harness
@@ -267,20 +269,6 @@ print(",".join(json.load(open(sys.argv[1]))["scenarios"]))' bench_baselines/wall
         --bin-dir target/release \
         --out "$smoke_dir" \
         --scenarios "$gated"
-    python3 - "$smoke_dir/matrix_report.json" "$gated" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "hermes-matrix-report/1", doc.get("schema")
-assert doc["kind"] == "full", doc.get("kind")
-names = {sc["name"] for sc in doc["scenarios"]}
-assert names == set(sys.argv[2].split(",")), names
-for sc in doc["scenarios"]:
-    assert sc["clean_reps"] == sc["runs"], (sc["name"], sc["errors"])
-    assert sc["measured"]["wall_ms"]["p50"] > 0, sc["name"]
-    assert sc["measured"]["max_rss_bytes"]["p50"] > 0, sc["name"]
-    assert sc["merged"]["reports"] == sc["runs"], sc["name"]
-print("ok: matrix report schema-valid, %d scenario(s) clean" % len(names))
-PY
     python3 scripts/perfgate.py wallclock \
         bench_baselines/wallclock.json "$smoke_dir/matrix_report.json"
     python3 scripts/perfgate.py rss \

@@ -22,13 +22,13 @@ The simulation's counters are deterministic under the pinned seed/env
 not noise.
 
 Tiers 2 and 3 — wallclock and rss (tolerance band). Both compare one
-per-scenario median measured by hermes-harness (a hermes-matrix-report/1
+per-scenario median measured by hermes-harness (a hermes-matrix-report/2
 document) against a committed envelope; TIERS below is the one place
 that says what differs between them (schema, keys, unit, verdict words):
 
   * scenario in baseline, not in report ...... FAIL (MISSING)
   * scenario in report, not in baseline ...... FAIL (UNTRACKED)
-  * failed reps / no median in the report .... FAIL (BROKEN)
+  * failed reps / no positive median ......... FAIL (BROKEN)
   * median above baseline*(1+band)+floor ..... FAIL (SLOW / HEAVY)
   * median below baseline*(1-band)-floor ..... note only (FAST / LEAN —
                                                 refresh to bank it)
@@ -197,14 +197,15 @@ def load_baseline(tier, path):
 
 def load_medians(tier, path):
     """scenario name -> (measured median or None, failed rep count), in
-    report order, from a full hermes-matrix-report/1 document."""
+    report order, from a hermes-matrix-report/2 document. A median that is
+    not a positive number is None: no run takes zero time or memory."""
     t = TIERS[tier]
-    report = load_json(path, "hermes-matrix-report/1")
-    if report.get("kind") == "canonical":
-        raise BadInput(f"{path}: {tier} tier needs the full report (canonical omits 'measured')")
+    report = load_json(path, "hermes-matrix-report/2")
     out = {}
     for sc in report.get("scenarios", []):
         median = ((sc.get("measured") or {}).get(t.report_key) or {}).get("p50")
+        if not is_num(median) or median <= 0:
+            median = None
         out[sc["name"]] = (median, sc.get("runs", 0) - sc.get("clean_reps", 0))
     return out
 
@@ -237,7 +238,7 @@ def run_band(tier, baseline_path, report_path):
             failures += 1
             continue
         if median is None:
-            print(f"FAIL {name}: report carries no {t.noun} median (BROKEN)")
+            print(f"FAIL {name}: report carries no positive {t.noun} median (BROKEN)")
             failures += 1
             continue
         baseline = scenarios[name][t.base_key]

@@ -1,5 +1,5 @@
-//! The committed scenario matrix, the harness report pipeline, and the
-//! build contracts the experiments rest on.
+//! The committed scenario matrix and the build contracts the experiments
+//! rest on.
 //!
 //! Three guarantees pinned here, from the workspace root so they see the
 //! real `scenarios/matrix.toml`, lockfiles and experiment binaries:
@@ -8,23 +8,16 @@
 //!    present with the contracted repetition count, every referenced
 //!    binary is a real `crates/bench` experiment, and every knob it sets
 //!    is read by that binary (or the matrix drifts from the workspace
-//!    silently).
-//! 2. The `hermes-matrix-report/1` canonical summary is a pure function
-//!    of the children's BENCH reports: building it twice from the same
-//!    merged data is byte-identical, and none of the jittery measured
-//!    fields (wall/RSS/CPU) leak into it. The process-level version of
-//!    this assertion (real spawns, real /proc sampling) lives in
+//!    silently). How the harness runs it is pinned in
 //!    `crates/harness/tests/fixture.rs`.
-//! 3. The build is hermetic and every experiment goes through the one
+//! 2. The build is hermetic and every experiment goes through the one
 //!    wrapper: neither lockfile records an external package, and every
 //!    `exp_*` binary calls `hermes_bench::run_experiment("<its stem>", …)`
 //!    (DESIGN.md §6, §9).
-//! 4. The source conventions clippy cannot check: every non-test
+//! 3. The source conventions clippy cannot check: every non-test
 //!    `.expect(` states its invariant, and every telemetry name in the
 //!    `hermes_telemetry::names` table is emitted somewhere (DESIGN.md §9).
 
-use hermes_harness::{report, MatrixRun, RepResult, ScenarioRun};
-use hermes_util::json::Json;
 use hermes_util::scenario::Matrix;
 use std::path::Path;
 
@@ -107,69 +100,6 @@ fn committed_matrix_binaries_exist_in_the_workspace() {
             );
         }
     }
-}
-
-/// A synthetic run with both merged (deterministic) and measured
-/// (jittery) data, so the canonical/full split is observable.
-fn synthetic_run(wall_ms: f64) -> MatrixRun {
-    let bench_report = Json::parse(
-        r#"{"schema": "hermes-bench-report/1", "counters": {"x.ops": 41},
-            "histograms": {"x.ns": {"count": 2, "sum": 20, "min": 8, "max": 12,
-                                    "buckets": [[8, 2]]}}}"#,
-    )
-    .expect("static fixture parses");
-    let mut sc = ScenarioRun {
-        name: "synthetic".into(),
-        bin: "stub".into(),
-        runs: 2,
-        reps: Vec::new(),
-        merged: Default::default(),
-    };
-    for rep in 0..2 {
-        sc.merged
-            .absorb(&bench_report)
-            .expect("fixture report merges");
-        sc.reps.push(RepResult {
-            rep,
-            exit_code: Some(0),
-            wall_ms: wall_ms + rep as f64,
-            max_rss_bytes: 4096 * (rep as u64 + 1),
-            cpu_ms: wall_ms / 2.0,
-            samples: 3,
-            error: None,
-        });
-    }
-    MatrixRun {
-        scenarios: vec![sc],
-    }
-}
-
-#[test]
-fn canonical_summary_is_independent_of_measured_jitter() {
-    // Same merged BENCH data, wildly different wall clocks: the
-    // canonical summaries must still be byte-identical.
-    let fast = report::build(&synthetic_run(10.0), true).to_string();
-    let slow = report::build(&synthetic_run(9000.0), true).to_string();
-    assert_eq!(
-        fast, slow,
-        "measured jitter leaked into the canonical summary"
-    );
-    assert!(
-        !fast.contains("measured"),
-        "canonical summary must omit the measured section"
-    );
-
-    // The full report DOES see the difference — that is its job.
-    let full_fast = report::build(&synthetic_run(10.0), false).to_string();
-    let full_slow = report::build(&synthetic_run(9000.0), false).to_string();
-    assert_ne!(full_fast, full_slow);
-    assert!(full_fast.contains("measured"));
-
-    // And building the same flavor twice is pure.
-    assert_eq!(
-        full_fast,
-        report::build(&synthetic_run(10.0), false).to_string()
-    );
 }
 
 #[test]
