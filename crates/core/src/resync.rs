@@ -46,16 +46,20 @@ pub fn reconnect_backoff(attempt: u32) -> SimDuration {
 
 /// Minimal repair set for one TCAM slice: what a resync pass must delete,
 /// fix in place and install to make the device match the expected
-/// physical view.
+/// physical view, written as the one batched device transaction that does
+/// it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SlicePlan {
+    /// The repair batch: the deletes, then the in-place fixes, then the
+    /// installs, each in ascending id order — the order `apply_batch`
+    /// validates sequentially (deletes free capacity and clear drifted
+    /// shapes before their replacements install).
+    pub ops: Vec<TcamOp>,
     /// Device entries with no owner, or whose key/priority drifted
-    /// (replacements arrive via `installs`).
+    /// (replacements arrive among the installs), ascending.
     pub deletes: Vec<RuleId>,
-    /// Entries whose action drifted, rewritten in place.
+    /// Entries whose action drifted, rewritten in place, ascending.
     pub fixes: Vec<(RuleId, Action)>,
-    /// Expected entries the device lost.
-    pub installs: Vec<Rule>,
     /// Entries that survived the crash exactly right.
     pub survivors: usize,
 }
@@ -63,36 +67,38 @@ pub struct SlicePlan {
 impl SlicePlan {
     /// Nothing to repair?
     pub fn is_noop(&self) -> bool {
-        self.deletes.is_empty() && self.fixes.is_empty() && self.installs.is_empty()
+        self.ops.is_empty()
     }
 
-    /// Writes the plan into `ops` (cleared first) as one batched device
-    /// transaction: deletes first (freeing capacity and clearing drifted
-    /// shapes), then in-place fixes, then installs — the order
-    /// `apply_batch` validates sequentially.
-    pub fn to_ops(&self, ops: &mut Vec<TcamOp>) {
-        ops.clear();
-        ops.extend(self.deletes.iter().copied().map(TcamOp::Delete));
-        ops.extend((self.fixes.iter()).map(|&(id, action)| TcamOp::ModifyAction { id, action }));
-        ops.extend(self.installs.iter().copied().map(TcamOp::Insert));
+    /// The install ops: the tail of [`ops`](Self::ops), ascending ids.
+    pub fn installs(&self) -> &[TcamOp] {
+        &self.ops[self.deletes.len() + self.fixes.len()..]
     }
 }
 
 /// Diffs the expected physical entries of one slice (ascending, unique
-/// ids) against what the device actually holds after a crash (any order),
-/// writing the minimal repair set into `plan` in one merge-join of the two
-/// sides by id. `actual` is sorted by id in place, and `plan` is cleared
-/// first, so a caller can hand in the buffers of the last pass. Pure and
-/// deterministic: all three lists come out in id order.
-pub fn plan_slice(expected: &[Rule], actual: &mut [Rule], plan: &mut SlicePlan) {
-    debug_assert!(expected.windows(2).all(|w| w[0].id < w[1].id));
+/// ids) against what the device actually holds after a crash (any order,
+/// unique ids), writing the minimal repair set into `plan` in one
+/// merge-join of the two sides by id. The installs go straight into the
+/// batch; the deletes and fixes, which only drift or orphans produce, are
+/// listed aside and spliced in front of them once the walk ends. `actual`
+/// is sorted by id in place, and `plan` is cleared first, so a caller can
+/// hand in the buffers of the last pass. Pure and deterministic.
+pub fn plan_slice<'a>(
+    expected: impl IntoIterator<Item = &'a Rule>,
+    actual: &mut [Rule],
+    plan: &mut SlicePlan,
+) {
     actual.sort_unstable_by_key(|r| r.id);
+    plan.ops.clear();
     plan.deletes.clear();
     plan.fixes.clear();
-    plan.installs.clear();
     plan.survivors = 0;
     let mut device = actual.iter().peekable();
+    let mut last: Option<RuleId> = None;
     for want in expected {
+        debug_assert!(last < Some(want.id), "expected ids ascend");
+        last = Some(want.id);
         let mut healthy = false;
         while let Some(dev_rule) = device.next_if(|r| r.id <= want.id) {
             if dev_rule.id < want.id
@@ -111,10 +117,15 @@ pub fn plan_slice(expected: &[Rule], actual: &mut [Rule], plan: &mut SlicePlan) 
             plan.survivors += 1;
         }
         if !healthy {
-            plan.installs.push(*want);
+            plan.ops.push(TcamOp::Insert(*want));
         }
     }
     plan.deletes.extend(device.map(|r| r.id));
+    if !plan.deletes.is_empty() || !plan.fixes.is_empty() {
+        let deletes = plan.deletes.iter().copied().map(TcamOp::Delete);
+        let fixes = (plan.fixes.iter()).map(|&(id, action)| TcamOp::ModifyAction { id, action });
+        plan.ops.splice(0..0, deletes.chain(fixes));
+    }
 }
 
 /// Lifetime health counters for the resync subsystem.
@@ -195,10 +206,10 @@ mod tests {
         let mut plan = SlicePlan::default();
         plan_slice(&expected, &mut [], &mut plan);
         assert!(plan.deletes.is_empty());
-        assert_eq!(plan.installs.len(), 5);
+        assert_eq!(plan.installs().len(), 5);
         assert_eq!(plan.survivors, 0);
         // Installs are id-sorted for deterministic replay.
-        let ids: Vec<u64> = plan.installs.iter().map(|r| r.id.0).collect();
+        let ids: Vec<u64> = plan.installs().iter().map(|op| op.id().0).collect();
         assert_eq!(ids, vec![1, 2, 3, 4, 5]);
     }
 
@@ -214,12 +225,11 @@ mod tests {
         assert_eq!(plan.deletes, vec![RuleId(9)]);
         assert_eq!(plan.fixes.len(), 1);
         assert_eq!(plan.fixes[0].0, RuleId(2));
-        assert_eq!(plan.installs.len(), 1);
-        assert_eq!(plan.installs[0].id, RuleId(3));
+        assert_eq!(plan.installs(), [TcamOp::Insert(rule(3, 3))]);
         assert_eq!(plan.survivors, 3);
-        let mut ops = Vec::new();
-        plan.to_ops(&mut ops);
-        assert_eq!(ops.len(), 3);
+        // Deletes, then fixes, then installs.
+        let ids: Vec<u64> = plan.ops.iter().map(|op| op.id().0).collect();
+        assert_eq!(ids, vec![9, 2, 3]);
         assert!(!plan.is_noop());
     }
 
@@ -233,13 +243,11 @@ mod tests {
         let mut plan = SlicePlan::default();
         plan_slice(&expected, &mut [wrong_prio], &mut plan);
         assert_eq!(plan.deletes, vec![RuleId(1)]);
-        assert_eq!(plan.installs.len(), 1);
+        assert_eq!(plan.installs().len(), 1);
         assert_eq!(plan.survivors, 0);
         // Batch order: the delete precedes the replacing insert.
-        let mut ops = Vec::new();
-        plan.to_ops(&mut ops);
-        assert!(matches!(ops[0], TcamOp::Delete(_)));
-        assert!(matches!(ops[1], TcamOp::Insert(_)));
+        assert!(matches!(plan.ops[0], TcamOp::Delete(_)));
+        assert!(matches!(plan.ops[1], TcamOp::Insert(_)));
     }
 
     #[test]

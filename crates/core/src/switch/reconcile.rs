@@ -9,18 +9,18 @@ use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, TcamError, TcamOp};
 use hermes_telemetry::names;
 
-/// The vectors one slice diff needs — the expected view, the device read,
-/// the plan and the batch — kept by the switch and refilled on every
-/// rebuild and audit instead of allocated afresh. A resync of a full
-/// table would otherwise allocate megabytes per pass, and whether those
-/// pages come back warm depends on the allocator's history (DESIGN.md
-/// §12, "Allocation-stable rebuild").
+/// The vectors one slice diff needs — the shadow's expected view, the
+/// device read and the plan with its batch — kept by the switch and
+/// refilled on every rebuild and audit instead of allocated afresh. A
+/// resync of a full table would otherwise allocate megabytes per pass, and
+/// whether those pages come back warm depends on the allocator's history
+/// (DESIGN.md §12, "Allocation-stable rebuild"). The main table's expected
+/// view is never copied: the planner reads it from the main index.
 #[derive(Debug, Default)]
 pub(super) struct RebuildScratch {
     expected: Vec<Rule>,
     actual: Vec<Rule>,
     plan: SlicePlan,
-    ops: Vec<TcamOp>,
 }
 
 impl HermesSwitch {
@@ -94,10 +94,10 @@ impl HermesSwitch {
     }
 
     /// Diffs one slice against its expected physical entries
-    /// ([`plan_slice`]) and repairs the device one op at a time: deletes
-    /// and fixes in device order, then installs in id order. Returns
-    /// shadow rules that must be evicted because their pieces no longer
-    /// fit.
+    /// ([`plan_slice`]) and repairs the device one op at a time from the
+    /// same plan the batched rebuild sends: deletes and fixes in device
+    /// order, then installs in id order. Returns shadow rules that must be
+    /// evicted because their pieces no longer fit.
     fn reconcile_slice(
         &mut self,
         slice: usize,
@@ -105,12 +105,7 @@ impl HermesSwitch {
         report: &mut AuditReport,
     ) -> Vec<RuleId> {
         self.diff_slice(slice, scratch);
-        let RebuildScratch {
-            expected,
-            actual,
-            plan,
-            ..
-        } = scratch;
+        let RebuildScratch { actual, plan, .. } = scratch;
         // The plan sorted the device read by id: read it again in device
         // order, the order the repairs go out in.
         actual.clear();
@@ -118,10 +113,13 @@ impl HermesSwitch {
         // Stale entries whose delete failed: a reinstall would collide.
         let mut stuck: Vec<RuleId> = Vec::new();
         for id in actual.iter().map(|r| r.id) {
-            if plan.deletes.binary_search_by_key(&id.0, |d| d.0).is_ok() {
+            if plan.deletes.binary_search(&id).is_ok() {
                 // No logical owner (a stranded piece or stale entry), or
-                // the wrong shape under a reused logical id.
-                let orphan = expected.binary_search_by_key(&id, |r| r.id).is_err();
+                // the wrong shape under a reused logical id. Device ids
+                // are unique, so a deleted entry with an owner is one the
+                // plan re-installs: an orphan is one it does not.
+                let installs = plan.installs();
+                let orphan = installs.binary_search_by_key(&id, TcamOp::id).is_err();
                 match self.dev_delete(slice, id) {
                     Some(spent) if orphan => {
                         report.duration += spent;
@@ -140,7 +138,7 @@ impl HermesSwitch {
                         }
                     }
                 }
-            } else if let Ok(i) = plan.fixes.binary_search_by_key(&id.0, |(f, _)| f.0) {
+            } else if let Ok(i) = plan.fixes.binary_search_by_key(&id, |&(f, _)| f) {
                 match self.dev_set_action(slice, id, plan.fixes[i].1) {
                     Ok(rep) => {
                         report.duration += rep.latency;
@@ -152,7 +150,10 @@ impl HermesSwitch {
         }
         // Expected entries the device lost (silent drops).
         let mut evict: Vec<RuleId> = Vec::new();
-        for &want in &plan.installs {
+        for op in plan.installs() {
+            let TcamOp::Insert(want) = *op else {
+                continue;
+            };
             if stuck.contains(&want.id) {
                 continue;
             }
@@ -187,34 +188,38 @@ impl HermesSwitch {
         }
     }
 
-    /// Writes the expected physical entries of one slice into `out`
+    /// Writes the shadow slice's expected physical entries into `out`
     /// (cleared first) in ascending id order: the union of every shadow
-    /// rule's pieces (carrying the owner's priority and action), or the
-    /// main index.
-    fn expected_slice(&self, slice: usize, out: &mut Vec<Rule>) {
+    /// rule's pieces, carrying the owner's priority and action.
+    fn expected_shadow(&self, out: &mut Vec<Rule>) {
         out.clear();
-        if slice == SHADOW {
-            out.extend((self.shadow.iter()).flat_map(|e| {
-                (e.pieces.iter()).map(|&(id, key)| Rule {
-                    id,
-                    key,
-                    ..e.original
-                })
-            }));
-            out.sort_unstable_by_key(|r| r.id);
-        } else {
-            out.extend(self.main_index.iter());
-        }
+        out.extend((self.shadow.iter()).flat_map(|e| {
+            (e.pieces.iter()).map(|&(id, key)| Rule {
+                id,
+                key,
+                ..e.original
+            })
+        }));
+        out.sort_unstable_by_key(|r| r.id);
     }
 
-    /// Fills `scratch` with one slice's expected view and device read and
-    /// diffs them into `scratch.plan` ([`plan_slice`], which leaves the
-    /// read sorted by id).
-    fn diff_slice(&self, slice: usize, scratch: &mut RebuildScratch) {
-        self.expected_slice(slice, &mut scratch.expected);
+    /// Reads one slice of the device into `scratch.actual` and diffs it
+    /// into `scratch.plan` ([`plan_slice`], which leaves the read sorted
+    /// by id) against the expected view: the shadow pieces gathered into
+    /// `scratch.expected`, or the main index read in its kept id order.
+    fn diff_slice(&mut self, slice: usize, scratch: &mut RebuildScratch) {
         scratch.actual.clear();
         scratch.actual.extend(self.device.slice(slice).table.iter());
-        plan_slice(&scratch.expected, &mut scratch.actual, &mut scratch.plan);
+        if slice == SHADOW {
+            self.expected_shadow(&mut scratch.expected);
+            plan_slice(&scratch.expected, &mut scratch.actual, &mut scratch.plan);
+        } else {
+            plan_slice(
+                self.main_index.iter(),
+                &mut scratch.actual,
+                &mut scratch.plan,
+            );
+        }
     }
 
     /// Crash-resync pass (see [`crate::resync`]): reconnects the lost
@@ -323,13 +328,12 @@ impl HermesSwitch {
             if plan.is_noop() {
                 continue;
             }
-            plan.to_ops(&mut scratch.ops);
-            match self.dev_apply_batch(slice, &scratch.ops) {
+            match self.dev_apply_batch(slice, &plan.ops) {
                 Ok(rep) => {
                     report.duration += rep.latency;
                     report.deleted += plan.deletes.len();
                     report.fixed += plan.fixes.len();
-                    report.reinstalled += plan.installs.len();
+                    report.reinstalled += plan.installs().len();
                 }
                 Err(_) => {
                     // Batch rejected (e.g. a pre-crash oversubscribed

@@ -1,7 +1,8 @@
 //! Directed crash/resync scenarios: wipe, partial retention, disconnect,
 //! reconnect denial and a wipe after deletes (the randomized counterpart
 //! lives in the `oracle` chaos properties) — plus the resync diff against
-//! the `BTreeMap` version it replaced, kept here as [`reference`].
+//! the `BTreeMap` version it replaced and the rebuild against the
+//! copy-then-convert planner it replaced, both kept here in [`reference`].
 
 #![expect(
     clippy::disallowed_methods,
@@ -11,7 +12,7 @@
 use hermes_core::prelude::*;
 use hermes_core::resync::{plan_slice, SlicePlan};
 use hermes_rules::prelude::*;
-use hermes_tcam::{CrashKind, FaultPlan, SimDuration, SimTime, SwitchModel};
+use hermes_tcam::{CrashKind, FaultPlan, SimDuration, SimTime, SwitchModel, TcamOp};
 use hermes_util::check::{arb, range};
 use hermes_util::rng::rngs::StdRng;
 use hermes_util::rng::{Rng, SeedableRng};
@@ -214,13 +215,36 @@ fn wipe_after_deletes_rebuilds_only_the_remaining_rules() {
     }
 }
 
-/// `plan_slice` as it stood before the merge-join: a `BTreeMap` lookup per
-/// device entry, a `BTreeSet` of the healthy ones, then three sorts.
+/// The planners the resync diff replaced. [`reference::SlicePlan`] is the
+/// plan as it was before the batch went into it: three lists, written out
+/// as a batch by `to_ops`.
 mod reference {
     use super::*;
     use std::collections::BTreeSet;
 
-    pub fn plan_slice(expected: &BTreeMap<RuleId, Rule>, actual: &[Rule]) -> SlicePlan {
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct SlicePlan {
+        pub deletes: Vec<RuleId>,
+        pub fixes: Vec<(RuleId, Action)>,
+        pub installs: Vec<Rule>,
+        pub survivors: usize,
+    }
+
+    impl SlicePlan {
+        pub fn to_ops(&self, ops: &mut Vec<TcamOp>) {
+            ops.clear();
+            ops.extend(self.deletes.iter().copied().map(TcamOp::Delete));
+            ops.extend(
+                (self.fixes.iter()).map(|&(id, action)| TcamOp::ModifyAction { id, action }),
+            );
+            ops.extend(self.installs.iter().copied().map(TcamOp::Insert));
+        }
+    }
+
+    /// `plan_slice` as it stood before the merge-join: a `BTreeMap` lookup
+    /// per device entry, a `BTreeSet` of the healthy ones, then three
+    /// sorts.
+    pub fn plan_slice_btree(expected: &BTreeMap<RuleId, Rule>, actual: &[Rule]) -> SlicePlan {
         let mut plan = SlicePlan::default();
         let mut healthy: BTreeSet<RuleId> = BTreeSet::new();
         for dev_rule in actual {
@@ -250,6 +274,38 @@ mod reference {
         plan.installs.sort_unstable_by_key(|r| r.id.0);
         plan
     }
+
+    /// `plan_slice` as it stood before the installs went straight into the
+    /// batch: the merge-join over a copied expected view, into three lists.
+    pub fn plan_slice(expected: &[Rule], actual: &mut [Rule], plan: &mut SlicePlan) {
+        actual.sort_unstable_by_key(|r| r.id);
+        plan.deletes.clear();
+        plan.fixes.clear();
+        plan.installs.clear();
+        plan.survivors = 0;
+        let mut device = actual.iter().peekable();
+        for want in expected {
+            let mut healthy = false;
+            while let Some(dev_rule) = device.next_if(|r| r.id <= want.id) {
+                if dev_rule.id < want.id
+                    || want.priority != dev_rule.priority
+                    || want.key != dev_rule.key
+                {
+                    plan.deletes.push(dev_rule.id);
+                    continue;
+                }
+                if want.action != dev_rule.action {
+                    plan.fixes.push((dev_rule.id, want.action));
+                }
+                healthy = true;
+                plan.survivors += 1;
+            }
+            if !healthy {
+                plan.installs.push(*want);
+            }
+        }
+        plan.deletes.extend(device.map(|r| r.id));
+    }
 }
 
 const DIFF_STREAM_SALT: u64 = 0x5245_5359_4e43_4446;
@@ -258,11 +314,53 @@ const DIFF_STREAM_SALT: u64 = 0x5245_5359_4e43_4446;
 /// reuses its own across passes: each case starts from what the last one
 /// left.
 static PLAN: Mutex<SlicePlan> = Mutex::new(SlicePlan {
+    ops: Vec::new(),
     deletes: Vec::new(),
     fixes: Vec::new(),
-    installs: Vec::new(),
     survivors: 0,
 });
+
+/// A rule over a small address space, /16 or /24, so that admissions
+/// overlap main-table rules and cut pieces into the shadow.
+fn overlapping_rule(rng: &mut StdRng, id: u64) -> Rule {
+    let len = if rng.gen_bool(0.3) { 16 } else { 24 };
+    let addr = (10u32 << 24) | (rng.gen_range(0..4u32) << 16) | (rng.gen_range(0..8u32) << 8);
+    let prio = rng.gen_range(1..12u32);
+    Rule::new(
+        id,
+        Ipv4Prefix::new(addr, len).to_key(),
+        Priority(prio),
+        Action::Forward(prio % 5 + 1),
+    )
+}
+
+/// Expected view and post-crash read of every slice, the reference's
+/// batches for them (shadow, then main, as `rebuild` sends them), and the
+/// device those batches leave behind.
+fn reference_rebuild(
+    before: &hermes_tcam::TcamDevice,
+    crashed: &hermes_tcam::TcamDevice,
+) -> (Vec<Vec<TcamOp>>, hermes_tcam::TcamDevice) {
+    let mut device = crashed.clone();
+    assert!(device.reconnect(), "no reconnect denials armed");
+    let mut batches = Vec::new();
+    for slice in [SHADOW, MAIN] {
+        let mut expected = before.slice(slice).table.entries();
+        expected.sort_unstable_by_key(|r| r.id);
+        let mut actual = crashed.slice(slice).table.entries();
+        let mut plan = reference::SlicePlan::default();
+        reference::plan_slice(&expected, &mut actual, &mut plan);
+        let mut ops = Vec::new();
+        plan.to_ops(&mut ops);
+        if !ops.is_empty() {
+            device
+                .apply_batch(slice, &ops)
+                .expect("the reference batch applies");
+        }
+        batches.push(ops);
+    }
+    (batches, device)
+}
 
 hermes_util::check! {
     #![cases = 256]
@@ -304,14 +402,80 @@ hermes_util::check! {
             }
         }
         rng.shuffle(&mut actual);
-        let want = reference::plan_slice(&expected, &actual);
-        let sorted: Vec<Rule> = expected.values().copied().collect();
+        let want = reference::plan_slice_btree(&expected, &actual);
+        let mut want_ops = Vec::new();
+        want.to_ops(&mut want_ops);
         let mut plan = PLAN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        plan_slice(&sorted, &mut actual, &mut plan);
-        assert_eq!(*plan, want);
+        plan_slice(expected.values(), &mut actual, &mut plan);
+        assert_eq!(
+            (&plan.deletes, &plan.fixes, plan.survivors),
+            (&want.deletes, &want.fixes, want.survivors)
+        );
+        assert_eq!(plan.ops, want_ops);
         let ascending = |ids: Vec<RuleId>| ids.windows(2).all(|w| w[0] < w[1]);
         assert!(ascending(plan.deletes.clone()));
         assert!(ascending(plan.fixes.iter().map(|f| f.0).collect()));
-        assert!(ascending(plan.installs.iter().map(|r| r.id).collect()));
+        assert!(ascending(plan.installs().iter().map(TcamOp::id).collect()));
+    }
+
+    /// The rebuild after a Wipe, a Partial or a Disconnect crash leaves each
+    /// slice exactly as the batch of the planner it replaced does — the
+    /// expected view copied out of the logical view, diffed into three
+    /// lists, written out by `to_ops` — applied to the same post-crash
+    /// device: the same entries in the same match order, and the same
+    /// insert, delete, modify and shift counts, which a batch in any other
+    /// order would not give. Several crash rounds per case, with churn
+    /// between them, so the main index's kept id order is read both after
+    /// a few changes and after many.
+    fn rebuild_sends_the_reference_batches(
+        seed in arb::<u64>(),
+        rounds in range(1usize..4),
+        churn in range(0usize..80),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ DIFF_STREAM_SALT);
+        let mut sw = HermesSwitch::new(SwitchModel::pica8_p3290(), HermesConfig::default()).unwrap();
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0u64;
+        let mut live: Vec<RuleId> = Vec::new();
+        for round in 0..rounds {
+            let n = if round == 0 { 40 + churn } else { churn };
+            for _ in 0..n {
+                now += SimDuration::from_ms(2.0);
+                if !live.is_empty() && rng.gen_bool(0.3) {
+                    let id = live.swap_remove(rng.gen_range(0..live.len()));
+                    sw.delete(id, now).unwrap();
+                } else {
+                    sw.insert(overlapping_rule(&mut rng, next_id), now).unwrap();
+                    live.push(RuleId(next_id));
+                    next_id += 1;
+                }
+                if rng.gen_bool(0.15) {
+                    sw.tick(now);
+                }
+            }
+            now += SimDuration::from_ms(5.0);
+            assert!(sw.audit(now).clean(), "the device matches the logical view");
+            let before = sw.device().clone();
+            let kind = match rng.gen_range(0..3u32) {
+                0 => CrashKind::Wipe,
+                1 => CrashKind::Partial { survivor_prob: 0.5 },
+                _ => CrashKind::Disconnect,
+            };
+            sw.inject_crash(kind, rng.gen(), 0, now);
+            let (batches, want) = reference_rebuild(&before, sw.device());
+            now += SimDuration::from_ms(5.0);
+            let report = sw.resync(now).expect("crash window open");
+            assert!(report.complete, "round {round}: {kind:?}");
+            assert_eq!(
+                report.reinstalled + report.deleted + report.fixed,
+                batches.iter().map(Vec::len).sum::<usize>(),
+                "round {round}: {kind:?}"
+            );
+            for slice in [SHADOW, MAIN] {
+                let (got, want) = (&sw.device().slice(slice).table, &want.slice(slice).table);
+                assert_eq!(got.entries(), want.entries(), "round {round}: {kind:?}, slice {slice}");
+                assert_eq!(got.stats(), want.stats(), "round {round}: {kind:?}, slice {slice}");
+            }
+        }
     }
 }

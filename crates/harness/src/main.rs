@@ -13,8 +13,9 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_harness::{report, run_matrix, RunConfig};
-use std::path::PathBuf;
+use hermes_harness::{report, run_matrix, MatrixRun, RunConfig};
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 fn usage() -> String {
     "usage: hermes-harness [--matrix <file>] [--scenarios <a,b,c>] [--bin-dir <dir>] \
@@ -74,10 +75,27 @@ fn real_main() -> Result<u64, String> {
     std::fs::create_dir_all(&cfg.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", cfg.out_dir.display()))?;
     let run = run_matrix(&cfg)?;
+    // The report first: it is what a gate reads, and a reader that closes
+    // stdout early must not cost it.
+    let path = cfg.out_dir.join("matrix_report.json");
+    std::fs::write(&path, report::build(&run).to_string())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    // A closed stdout ends the summary; it is not a failure of the run.
+    if print_summary(&run, &path).is_err() {
+        eprintln!("hermes-harness: stdout closed; summary not printed");
+    }
+    Ok(run.failures())
+}
+
+/// One line per scenario (each failed rep's error to stderr), then where
+/// the report went. Stops at the first failed write to stdout.
+fn print_summary(run: &MatrixRun, path: &Path) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
     for s in &run.scenarios {
         let mut wall: Vec<f64> = s.reps.iter().map(|r| r.wall_ms).collect();
         hermes_util::stats::sort_samples(&mut wall);
-        println!(
+        writeln!(
+            out,
             "{:<14} {:<14} runs={} clean={} wall p50={:.1}ms max={:.1}ms",
             s.name,
             s.bin,
@@ -85,16 +103,13 @@ fn real_main() -> Result<u64, String> {
             s.runs as u64 - s.failures(),
             hermes_util::stats::quantile_sorted(&wall, 0.5),
             hermes_util::stats::quantile_sorted(&wall, 1.0),
-        );
+        )?;
         for r in &s.reps {
             if let Some(e) = &r.error {
                 eprintln!("  rep {}: {e}", r.rep);
             }
         }
     }
-    let path = cfg.out_dir.join("matrix_report.json");
-    std::fs::write(&path, report::build(&run).to_string())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
-    Ok(run.failures())
+    writeln!(out, "wrote {}", path.display())?;
+    out.flush()
 }

@@ -256,6 +256,31 @@ fn orchestrator_binary_end_to_end() {
 }
 
 #[test]
+fn closed_stdout_still_writes_the_report() {
+    let fx = Fixture::new("closed_stdout");
+    let out = fx.base.join("cli_out");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_hermes-harness"))
+        .args(["--matrix"])
+        .arg(&fx.matrix_path)
+        .args(["--bin-dir"])
+        .arg(&fx.bin_dir)
+        .args(["--out"])
+        .arg(&out)
+        .args(["--scenarios", "stub-ok"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn hermes-harness");
+    // No reader: the summary's first write finds the pipe closed.
+    drop(child.stdout.take());
+    let status = child.wait().expect("wait for hermes-harness");
+    assert_eq!(status.code(), Some(0), "a closed stdout is not a failure");
+    let text = std::fs::read_to_string(out.join("matrix_report.json"))
+        .unwrap_or_else(|e| panic!("matrix_report.json missing: {e}"));
+    assert!(Json::parse(&text).is_ok(), "the report is whole");
+}
+
+#[test]
 fn rep_artifacts_land_in_scenario_dirs() {
     let fx = Fixture::new("artifacts");
     let cfg = fx.config("out", &["stub-ok"]);

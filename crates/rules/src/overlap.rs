@@ -19,6 +19,13 @@ use crate::rule::{Priority, Rule, RuleId};
 use crate::store::{IdIndex, Slab};
 use crate::trie::PrefixTrie;
 
+/// Share of the kept id order (as a fraction) the ids touched since the
+/// last ordered read may reach before the order is dropped. Past half, the
+/// merge (a sort of the touched ids, then a pass over the whole kept list)
+/// costs about what one sort of every id does, and the touched list, which
+/// holds repeats, never outgrows half the index.
+const REBUILD_SHARE: (usize, usize) = (1, 2);
+
 /// An index over a set of rules supporting fast "which rules overlap this
 /// key?" queries.
 ///
@@ -26,7 +33,7 @@ use crate::trie::PrefixTrie;
 /// flat id index; the trie and the fallback list hold its `u32` slab slot
 /// (DESIGN.md §16). Which slot a rule gets never reaches an output: walks
 /// visit slots in the positions `insert` and `remove` leave them in, and
-/// [`iter`](Self::iter) sorts by id.
+/// [`iter`](Self::iter) walks ascending ids.
 #[derive(Debug, Default)]
 pub struct OverlapIndex {
     trie: PrefixTrie<u32>,
@@ -35,6 +42,111 @@ pub struct OverlapIndex {
     rules: Slab<Rule>,
     /// Rule id → slab slot.
     ids: IdIndex,
+    /// The id order [`iter`](Self::iter) last read, kept up to date by
+    /// merging in what changed since.
+    order: IdOrder,
+}
+
+/// The rules' `(id, slot)` pairs in ascending id order as of the last
+/// ordered read, and the ids inserted or removed since. Nothing is kept
+/// before the first ordered read, nor once the touched ids pass
+/// [`REBUILD_SHARE`] of the kept list: the next read then sorts every id.
+/// A re-insert of a live id keeps its slot, so it touches nothing.
+#[derive(Debug, Default)]
+struct IdOrder {
+    kept: bool,
+    pairs: Vec<(RuleId, u32)>,
+    /// Ids that came or went since the last read, repeats included; a read
+    /// fills in the slots of those still live before merging them.
+    touched: Vec<(RuleId, u32)>,
+}
+
+impl IdOrder {
+    /// Notes that `id` came or went.
+    fn touch(&mut self, id: RuleId) {
+        if !self.kept {
+            return;
+        }
+        self.touched.push((id, u32::MAX));
+        if self.touched.len() * REBUILD_SHARE.1 > self.pairs.len() * REBUILD_SHARE.0 {
+            self.forget();
+        }
+    }
+
+    /// Drops the kept order, keeping the buffers.
+    fn forget(&mut self) {
+        self.kept = false;
+        self.pairs.clear();
+        self.touched.clear();
+    }
+
+    /// Brings `pairs` level with `ids`: the touched ids, sorted, leave the
+    /// kept list in one pass, and those still live merge back in with the
+    /// slots `ids` holds now. With no order kept, one sort of every id.
+    fn refresh(&mut self, ids: &IdIndex) {
+        if !self.kept {
+            self.pairs.extend(ids.iter());
+            self.pairs.sort_unstable_by_key(|&(id, _)| id);
+            self.kept = true;
+            return;
+        }
+        if self.touched.is_empty() {
+            return;
+        }
+        self.touched.sort_unstable_by_key(|&(id, _)| id);
+        self.touched.dedup_by_key(|&mut (id, _)| id);
+        let touched = &self.touched;
+        let mut next = 0;
+        self.pairs.retain(|&(id, _)| {
+            while touched.get(next).is_some_and(|&(t, _)| t < id) {
+                next += 1;
+            }
+            touched.get(next).is_none_or(|&(t, _)| t != id)
+        });
+        // Those still live take the slots they hold now.
+        self.touched.retain_mut(|(id, slot)| match ids.get(*id) {
+            Some(live) => {
+                *slot = live;
+                true
+            }
+            None => false,
+        });
+        merge_back(&mut self.pairs, &self.touched);
+        self.touched.clear();
+    }
+
+    /// `true` when nothing is kept, or when the kept pairs ascend by id and
+    /// agree with `ids` on every id not touched since, and the touched ids
+    /// stay within [`REBUILD_SHARE`].
+    fn check(&self, ids: &IdIndex) -> bool {
+        if !self.kept {
+            return self.pairs.is_empty() && self.touched.is_empty();
+        }
+        let mut touched: Vec<RuleId> = self.touched.iter().map(|&(id, _)| id).collect();
+        touched.sort_unstable();
+        let untouched = |id: &RuleId| touched.binary_search(id).is_err();
+        let at = |id: RuleId| {
+            (self.pairs.binary_search_by_key(&id, |&(id, _)| id)).map(|i| self.pairs[i].1)
+        };
+        self.pairs.windows(2).all(|w| w[0].0 < w[1].0)
+            && (self.pairs.iter()).all(|&(id, slot)| !untouched(&id) || ids.get(id) == Some(slot))
+            && (ids.iter()).all(|(id, slot)| !untouched(&id) || at(id) == Ok(slot))
+            && self.touched.len() * REBUILD_SHARE.1 <= self.pairs.len() * REBUILD_SHARE.0
+    }
+}
+
+/// Merges `fresh` (ascending, no id already in `pairs`) into `pairs`
+/// (ascending) in place, back to front: every run of old pairs moves once,
+/// and the pairs below the smallest fresh id not at all.
+fn merge_back(pairs: &mut Vec<(RuleId, u32)>, fresh: &[(RuleId, u32)]) {
+    let mut end = pairs.len();
+    pairs.extend_from_slice(fresh);
+    for (j, &pair) in fresh.iter().enumerate().rev() {
+        let start = pairs[..end].partition_point(|&(id, _)| id < pair.0);
+        pairs.copy_within(start..end, start + j + 1);
+        pairs[start + j] = pair;
+        end = start;
+    }
 }
 
 impl OverlapIndex {
@@ -69,6 +181,7 @@ impl OverlapIndex {
             None => {
                 let slot = self.rules.alloc(rule);
                 self.ids.insert(rule.id, slot);
+                self.order.touch(rule.id);
                 slot
             }
         };
@@ -81,6 +194,7 @@ impl OverlapIndex {
     /// Removes a rule by id. Returns the removed rule if present.
     pub fn remove(&mut self, id: RuleId) -> Option<Rule> {
         let slot = self.ids.remove(id)?;
+        self.order.touch(id);
         let rule = *self.rules.get(slot);
         self.unfile(&rule.key, slot);
         self.rules.release(slot);
@@ -118,6 +232,7 @@ impl OverlapIndex {
         self.fallback.clear();
         self.rules.clear();
         self.ids.clear();
+        self.order.forget();
     }
 
     /// All rules overlapping `key` (in no particular order).
@@ -158,43 +273,26 @@ impl OverlapIndex {
         self.fallback.iter().for_each(visit);
     }
 
-    /// Iterates over all indexed rules in ascending id order. Orders the
-    /// ids first: call it for a whole-table view, not per rule.
-    pub fn iter(&self) -> impl Iterator<Item = Rule> + '_ {
-        (self.slots_by_id().into_iter()).map(|slot| *self.rules.get(slot))
-    }
-
-    /// The slab slot of every rule, in ascending id order. Ids that span at
-    /// most four times their count — how a controller numbers its rules —
-    /// are placed straight into a table indexed by `id − min`, which is
-    /// then squeezed in place: time linear in the span, and one
-    /// allocation. Sparser ids take a comparison sort.
-    fn slots_by_id(&self) -> Vec<u32> {
-        let Some((lo, hi)) = (self.ids.iter()).fold(None, |span, (id, _)| match span {
-            None => Some((id.0, id.0)),
-            Some((lo, hi)) => Some((id.0.min(lo), id.0.max(hi))),
-        }) else {
-            return Vec::new();
-        };
-        if (hi - lo) / 4 >= self.len() as u64 {
-            let mut held: Vec<(RuleId, u32)> = self.ids.iter().collect();
-            held.sort_unstable_by_key(|&(id, _)| id);
-            return held.into_iter().map(|(_, slot)| slot).collect();
-        }
-        // `u32::MAX` is never a slot: a slab holds fewer than 2^32 − 1 rules.
-        let mut at = vec![u32::MAX; (hi - lo) as usize + 1];
-        for (id, slot) in self.ids.iter() {
-            at[(id.0 - lo) as usize] = slot;
-        }
-        at.retain(|&slot| slot != u32::MAX);
-        at
+    /// Iterates over all indexed rules in ascending id order.
+    ///
+    /// The index keeps the order of its last ordered read and the ids
+    /// inserted or removed since, so a read sorts only those and merges
+    /// them into the rest: a whole-table view costs what changed since the
+    /// last one, plus one pass over the kept order. The first read, and
+    /// one after churn past half the index, sorts every id instead.
+    pub fn iter(&mut self) -> impl Iterator<Item = &Rule> + '_ {
+        self.order.refresh(&self.ids);
+        let rules = &self.rules;
+        (self.order.pairs.iter()).map(move |&(_, slot)| rules.get(slot))
     }
 
     /// Checks the storage invariants (debug aid / property tests): the
     /// trie's own, the id index's own, every id's slot holds the rule of
     /// that id and is filed once, under the rule's destination prefix or
     /// in the fallback list when it has none, and the filed slots and the
-    /// slab's free list account for every slab slot exactly once.
+    /// slab's free list account for every slab slot exactly once, and a
+    /// kept id order agrees with the id index on every id not touched since
+    /// it was read.
     pub fn check_invariants(&self) -> bool {
         let filed = self.trie.len() + self.fallback.len();
         let each_filed = self.ids.iter().all(|(id, slot)| {
@@ -215,6 +313,7 @@ impl OverlapIndex {
             && filed == self.ids.len()
             && each_filed
             && self.rules.check(held)
+            && self.order.check(&self.ids)
     }
 }
 

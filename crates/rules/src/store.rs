@@ -242,9 +242,11 @@ impl<V: Filed> IdIndex<V> {
         self.slots.len()
     }
 
-    /// The value filed under `id`.
+    /// The value filed under `id`. An empty index answers without a
+    /// probe: a crash rebuild into a wiped table asks once for every id it
+    /// installs, and each probe of the kept slot array is a cache miss.
     pub fn get(&self, id: RuleId) -> Option<V> {
-        if self.slots.is_empty() {
+        if self.len == 0 {
             return None;
         }
         let s = self.slots[self.probe(id.0)];

@@ -188,7 +188,7 @@ pub enum TcamOp {
 
 impl TcamOp {
     /// The id of the entry the op targets.
-    fn id(&self) -> RuleId {
+    pub fn id(&self) -> RuleId {
         match self {
             TcamOp::Insert(rule) => rule.id,
             TcamOp::Delete(id) | TcamOp::ModifyAction { id, .. } => *id,
@@ -843,13 +843,24 @@ impl TcamTable {
         let plan = self.validate_batch(ops)?;
         // The surviving inserts take fresh seqs in submission order (FIFO
         // among equal priorities); one sort by sort key then serves the
-        // shift plan, the slab writes and the merge. Each key carries its
-        // insert's index in `plan.inserts` until the slab gives it a slot.
-        let seqs = self.layout.next_seq..;
-        let mut fresh: Vec<(EntryKey, u32)> = (plan.inserts.iter().zip(seqs).zip(0..))
-            .map(|((&(rule, _), seq), i)| (EntryKey::new(rule.priority, seq), i))
+        // shift plan, the slab writes and the merge. Insert `i` takes seq
+        // `next_seq + i`, so `(!priority, i)` packed in one `u64` sorts
+        // exactly as its `EntryKey`. Each key carries `i` until the slab
+        // gives it a slot.
+        let n = u32::try_from(plan.inserts.len())
+            .expect("INVARIANT: a batch holds fewer than 2^32 inserts");
+        let mut packed: Vec<u64> = (plan.inserts.iter().zip(0..n))
+            .map(|(&(rule, _), i)| (u64::from(!rule.priority.0) << 32) | u64::from(i))
             .collect();
-        fresh.sort_unstable_by_key(|&(key, _)| key);
+        packed.sort_unstable();
+        let next_seq = self.layout.next_seq;
+        let mut fresh: Vec<(EntryKey, u32)> = (packed.into_iter())
+            .map(|k| {
+                let (rp, i) = ((k >> 32) as u32, k as u32);
+                let seq = next_seq + u64::from(i);
+                (EntryKey { rp, seq }, i)
+            })
+            .collect();
         let (shifts, naive_shifts) = self.plan_batch_shifts(ops, &fresh, &plan.deleted);
         // Mutate, one pass per touched block: in-place modifies, then the
         // deletes (freeing slots), then the fresh entries merged in. The

@@ -409,4 +409,57 @@ hermes_util::check! {
         let after: Vec<_> = probes.iter().map(|&p| table.peek((p as u128) << 96)).collect();
         assert_eq!(before, after);
     }
+
+    /// `apply_batch` leaves the entries in the match order of the sort key
+    /// it replaced: `(!priority, seq)`, the batch's surviving inserts taking
+    /// seqs after every stored entry's, in submission order. Priorities
+    /// come from a few values — `Priority::NONE`, `Priority(u32::MAX)` and
+    /// three others — so equal priorities run long, and the batch is large
+    /// enough (up to 600 inserts) that its fresh entries span several
+    /// blocks.
+    fn batch_keeps_the_sort_key_order(
+        init in vec_of(zip2(range(0usize..5), range(0u32..4096)), 0..300),
+        inserts in vec_of(zip2(range(0usize..5), range(0u32..4096)), 1..600),
+        deletes in vec_of(arb::<usize>(), 0..100),
+        placement in strategy(),
+    ) {
+        const PRIOS: [u32; 5] = [0, u32::MAX, 1, 7, u32::MAX - 1];
+        let rule = |id: u64, (p, slot): (usize, u32)| {
+            Rule::new(
+                id,
+                Ipv4Prefix::new((10 << 24) | (slot << 8), 24).to_key(),
+                Priority(PRIOS[p]),
+                Action::Forward(slot),
+            )
+        };
+        let mut table = TcamTable::new(1024, placement);
+        for (i, &draw) in init.iter().enumerate() {
+            table.insert(rule(i as u64, draw)).expect("capacity");
+        }
+        // The stored entries keep their seqs, which ascend in match order
+        // among equal priorities: their index there stands in for them.
+        let mut keyed: Vec<((u32, u64), RuleId)> = (table.entries().iter())
+            .enumerate()
+            .map(|(i, r)| ((!r.priority.0, i as u64), r.id))
+            .collect();
+        let mut ops: Vec<TcamOp> = Vec::new();
+        for d in deletes {
+            if !keyed.is_empty() {
+                let (_, id) = keyed.remove(d % keyed.len());
+                ops.push(TcamOp::Delete(id));
+            }
+        }
+        let base = init.len() as u64;
+        for (i, &draw) in inserts.iter().enumerate() {
+            let r = rule(10_000 + i as u64, draw);
+            keyed.push(((!r.priority.0, base + i as u64), r.id));
+            ops.push(TcamOp::Insert(r));
+        }
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        table.apply_batch(&ops).expect("valid by construction");
+        let got: Vec<RuleId> = table.entries().iter().map(|r| r.id).collect();
+        let want: Vec<RuleId> = keyed.iter().map(|&(_, id)| id).collect();
+        assert_eq!(got, want);
+        assert!(table.check_invariants());
+    }
 }

@@ -67,6 +67,15 @@ impl Default for BgpTrace {
     }
 }
 
+/// A uniform pick among the pool indices homed on peer `p` — those with
+/// `i % peers == p`, which are `p, p + peers, …` — in one draw, without
+/// listing them. An empty set panics in `gen_range`, as a pick from an
+/// empty list would.
+fn homed_pick(pool_len: usize, peers: usize, p: usize, rng: &mut impl Rng) -> usize {
+    let homed_len = pool_len.saturating_sub(p).div_ceil(peers);
+    p + peers * rng.gen_range(0..homed_len)
+}
+
 impl BgpTrace {
     /// The prefix pool (deterministic for the seed): a mix of /16–/24
     /// allocations like a DFZ slice.
@@ -135,10 +144,7 @@ impl BgpTrace {
                 // >1000 update/s pattern that hammers the FIB.
                 let (bs, be) = bursts[b];
                 let reset_peer = PeerId((b % self.peers) as u32);
-                let homed: Vec<usize> = (0..pool.len())
-                    .filter(|&i| home_peer(i) == reset_peer)
-                    .collect();
-                let idx = homed[rng.gen_range(0..homed.len())];
+                let idx = homed_pick(pool.len(), self.peers, b % self.peers, &mut rng);
                 let prefix = pool[idx];
                 if now < bs + (be - bs) / 2.0 {
                     BgpUpdate::Withdraw {
@@ -214,6 +220,34 @@ impl BgpTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The arithmetic pick draws what a pick from the filtered list did,
+    /// on pools that are not a multiple of the peer count and on pools
+    /// that leave a peer nothing.
+    #[test]
+    fn homed_pick_matches_the_filtered_list() {
+        for peers in 1..6usize {
+            for pool_len in 0..23usize {
+                for p in 0..peers {
+                    let homed: Vec<usize> = (0..pool_len).filter(|&i| i % peers == p).collect();
+                    let mut old = stream(pool_len as u64, Salt::CALLER);
+                    let mut new = stream(pool_len as u64, Salt::CALLER);
+                    if homed.is_empty() {
+                        let picked = std::panic::catch_unwind(move || {
+                            homed_pick(pool_len, peers, p, &mut new)
+                        });
+                        assert!(picked.is_err(), "an empty homed set has no pick");
+                        continue;
+                    }
+                    for _ in 0..8 {
+                        let want = homed[old.gen_range(0..homed.len())];
+                        assert_eq!(homed_pick(pool_len, peers, p, &mut new), want);
+                    }
+                    assert_eq!(old.gen::<u64>(), new.gen::<u64>(), "same draws");
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic() {
