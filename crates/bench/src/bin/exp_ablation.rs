@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 
 use hermes_baselines::{ControlPlane, ShadowSwitch};
-use hermes_bench::{drive_stream, Table};
+use hermes_bench::{drive_batches, Table};
 use hermes_core::config::HermesConfig;
 use hermes_core::prelude::HermesSwitch;
 use hermes_rules::prelude::*;
@@ -149,7 +149,8 @@ fn run() {
         };
         let plane = hermes_bench::hermes_plane(SwitchModel::pica8_p3290(), config)
             .expect("INVARIANT: fixed experiment config is feasible for this model");
-        let mut r = drive_stream(plane, &workload, SimDuration::from_ms(100.0));
+        let batches: Vec<_> = workload.iter().map(|ta| (ta.at, [ta.action])).collect();
+        let mut r = drive_batches(plane, &batches, SimDuration::from_ms(100.0));
         t.row(&[
             "Hermes".into(),
             format!("{:.3}", r.exec_ms.median()),

@@ -11,12 +11,11 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::{ControlPlane, CpQueue, RawSwitch};
-use hermes_bench::{print_summary, Table};
+use hermes_baselines::RawSwitch;
+use hermes_bench::{drive_batches, print_summary, Table};
 use hermes_bgp::prelude::*;
 use hermes_core::config::{HermesConfig, MigrationTrigger};
 use hermes_core::predict::{Corrector, PredictorKind};
-use hermes_netsim::metrics::Samples;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, SwitchModel};
 use hermes_workloads::bgptrace::BgpTrace;
@@ -26,15 +25,16 @@ const DURATION_S: f64 = 60.0;
 /// Update rate inside a burst, in updates/s.
 const BURST_RATE: f64 = 1500.0;
 
-/// FIB-level control actions with timestamps, after RIB processing.
-fn fib_actions(trace: &BgpTrace) -> Vec<(SimTime, ControlAction)> {
+/// FIB-level control actions with timestamps, after RIB processing, each
+/// its own one-action batch.
+fn fib_actions(trace: &BgpTrace) -> Vec<(SimTime, [ControlAction; 1])> {
     let updates = trace.generate();
     let mut rib = Rib::new();
     let mut fib = Fib::new();
     let mut out = Vec::new();
     for u in &updates {
         if let Some(delta) = rib.process(u.update) {
-            out.push((u.at, fib.compile(delta)));
+            out.push((u.at, [fib.compile(delta)]));
         }
     }
     println!(
@@ -45,42 +45,6 @@ fn fib_actions(trace: &BgpTrace) -> Vec<(SimTime, ControlAction)> {
         BgpTrace::peak_rate(&updates),
     );
     out
-}
-
-struct BgpRun {
-    rit: Samples,
-    violations: u64,
-    inserts: u64,
-}
-
-fn drive<P: ControlPlane>(plane: P, actions: &[(SimTime, ControlAction)]) -> BgpRun {
-    let mut q = CpQueue::new(plane);
-    let tick = SimDuration::from_ms(100.0);
-    let mut next_tick = SimTime::ZERO + tick;
-    let mut run = BgpRun {
-        rit: Samples::new(),
-        violations: 0,
-        inserts: 0,
-    };
-    for (at, action) in actions {
-        while next_tick <= *at {
-            q.plane_mut().tick(next_tick);
-            next_tick += tick;
-        }
-        let (start, outcome) = q.submit(std::slice::from_ref(action), *at);
-        let op = outcome
-            .ops
-            .last()
-            .expect("INVARIANT: submit of one action reports at least one op");
-        if action.is_insert() {
-            run.rit.push((start + op.completed_at).since(*at).as_ms());
-            run.inserts += 1;
-            if op.violated {
-                run.violations += 1;
-            }
-        }
-    }
-    run
 }
 
 fn main() -> std::process::ExitCode {
@@ -166,10 +130,11 @@ fn run() {
     }
     let actions = fib_actions(&trace);
     let model = SwitchModel::pica8_p3290();
+    let tick = SimDuration::from_ms(100.0);
 
     println!("\n-- raw switch vs Hermes --");
-    let mut raw = drive(RawSwitch::new(model.clone()), &actions);
-    print_summary("Raw switch RIT (ms)", &mut raw.rit);
+    let mut raw = drive_batches(RawSwitch::new(model.clone()), &actions, tick);
+    print_summary("Raw switch RIT (ms)", &mut raw.rit_ms);
     // Deployed configuration: admission control on. Burst traffic beyond
     // the agreed rate is serviced best-effort from the main table; rules
     // the Gate Keeper admits keep their guarantee even mid-burst.
@@ -177,18 +142,19 @@ fn run() {
         guarantee: SimDuration::from_ms(5.0),
         ..Default::default()
     };
-    let mut hermes = drive(
+    let mut hermes = drive_batches(
         hermes_bench::hermes_plane(model.clone(), hermes_cfg)
             .expect("INVARIANT: fixed experiment config is feasible for this model"),
         &actions,
+        tick,
     );
-    print_summary("Hermes RIT (ms)", &mut hermes.rit);
+    print_summary("Hermes RIT (ms)", &mut hermes.rit_ms);
     println!(
         "median improvement: {:.0}%   violations: {}/{} ({:.2}%)",
-        (raw.rit.median() - hermes.rit.median()) / raw.rit.median() * 100.0,
+        (raw.rit_ms.median() - hermes.rit_ms.median()) / raw.rit_ms.median() * 100.0,
         hermes.violations,
         hermes.inserts,
-        100.0 * hermes.violations as f64 / hermes.inserts as f64
+        hermes.violation_pct()
     );
 
     println!("\n-- slack sensitivity (Cubic Spline; admission disabled so every update");
@@ -209,19 +175,17 @@ fn run() {
             rate_limit: Some(f64::INFINITY),
             ..Default::default()
         };
-        let mut r = drive(
+        let mut r = drive_batches(
             hermes_bench::hermes_plane(model.clone(), cfg)
                 .expect("INVARIANT: fixed experiment config is feasible for this model"),
             &actions,
+            tick,
         );
         t.row(&[
             format!("{:.0}", slack * 100.0),
-            format!(
-                "{:.2}",
-                100.0 * r.violations as f64 / r.inserts.max(1) as f64
-            ),
-            format!("{:.3}", r.rit.mean()),
-            format!("{:.3}", r.rit.percentile(0.99)),
+            format!("{:.2}", r.violation_pct()),
+            format!("{:.3}", r.rit_ms.mean()),
+            format!("{:.3}", r.rit_ms.percentile(0.99)),
         ]);
     }
     t.print();
@@ -238,18 +202,16 @@ fn run() {
             rate_limit: Some(f64::INFINITY),
             ..Default::default()
         };
-        let r = drive(
+        let r = drive_batches(
             hermes_bench::hermes_plane(model.clone(), cfg)
                 .expect("INVARIANT: fixed experiment config is feasible for this model"),
             &actions,
+            tick,
         );
         t.row(&[
             format!("{kind:?}"),
-            format!(
-                "{:.2}",
-                100.0 * r.violations as f64 / r.inserts.max(1) as f64
-            ),
-            format!("{:.3}", r.rit.mean()),
+            format!("{:.2}", r.violation_pct()),
+            format!("{:.3}", r.rit_ms.mean()),
         ]);
     }
     t.print();

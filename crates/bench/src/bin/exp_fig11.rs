@@ -7,37 +7,10 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::{ControlPlane, CpQueue, EspresSwitch, TangoSwitch};
-use hermes_bench::te_batches;
+use hermes_baselines::{EspresSwitch, TangoSwitch};
+use hermes_bench::{drive_batches, te_batches};
 use hermes_core::config::HermesConfig;
-use hermes_rules::rule::ControlAction;
-use hermes_tcam::{SimDuration, SimTime, SwitchModel};
-
-/// Per-rule execution latency series (installation time of rule #i).
-fn series<P: ControlPlane>(plane: P, batches: &[(SimTime, Vec<ControlAction>)]) -> Vec<f64> {
-    let mut q = CpQueue::new(plane);
-    let tick = SimDuration::from_ms(100.0);
-    let mut next_tick = SimTime::ZERO + tick;
-    let mut out = Vec::new();
-    for (at, actions) in batches {
-        while next_tick <= *at {
-            q.plane_mut().tick(next_tick);
-            next_tick += tick;
-        }
-        let (_, outcome) = q.submit(actions, *at);
-        let insert_ids: std::collections::BTreeSet<_> = actions
-            .iter()
-            .filter(|a| a.is_insert())
-            .map(|a| a.rule_id())
-            .collect();
-        for op in &outcome.ops {
-            if insert_ids.contains(&op.id) {
-                out.push(op.exec.as_ms());
-            }
-        }
-    }
-    out
-}
+use hermes_tcam::{SimDuration, SwitchModel};
 
 fn main() -> std::process::ExitCode {
     hermes_bench::run_experiment("exp_fig11", run)
@@ -51,13 +24,19 @@ fn run() {
     println!("== Figure 11: Time Series of Rule Installation Time (first {count} rules) ==");
     for (dc, label) in [(true, "Facebook"), (false, "Geant")] {
         let batches = te_batches(dc, count, 0.5, 7);
-        let tango = series(TangoSwitch::new(model.clone()), &batches);
-        let espres = series(EspresSwitch::new(model.clone()), &batches);
-        let hermes = series(
+        // Per-rule execution latency, in op order: installation time of
+        // rule #i.
+        let tick = SimDuration::from_ms(100.0);
+        let tango = drive_batches(TangoSwitch::new(model.clone()), &batches, tick).exec_ms;
+        let espres = drive_batches(EspresSwitch::new(model.clone()), &batches, tick).exec_ms;
+        let hermes = drive_batches(
             hermes_bench::hermes_plane(model.clone(), HermesConfig::default())
                 .expect("INVARIANT: fixed experiment config is feasible for this model"),
             &batches,
-        );
+            tick,
+        )
+        .exec_ms;
+        let (tango, espres, hermes) = (tango.values(), espres.values(), hermes.values());
         println!("\n--- ({label}) trace ---");
         println!(
             "{:>6} {:>12} {:>12} {:>12}",
@@ -69,18 +48,18 @@ fn run() {
             println!(
                 "{:>6} {:>12.3} {:>12.3} {:>12.3}",
                 i + 1,
-                avg(&tango),
-                avg(&espres),
-                avg(&hermes)
+                avg(tango),
+                avg(espres),
+                avg(hermes)
             );
         }
         let last_100 = |v: &[f64]| v[count - 100..].iter().sum::<f64>() / 100.0;
         let first_100 = |v: &[f64]| v[..100].iter().sum::<f64>() / 100.0;
         println!(
             "growth first→last 100 rules: Tango {:.1}x  ESPRES {:.1}x  Hermes {:.1}x",
-            last_100(&tango) / first_100(&tango).max(1e-9),
-            last_100(&espres) / first_100(&espres).max(1e-9),
-            last_100(&hermes) / first_100(&hermes).max(1e-9),
+            last_100(tango) / first_100(tango).max(1e-9),
+            last_100(espres) / first_100(espres).max(1e-9),
+            last_100(hermes) / first_100(hermes).max(1e-9),
         );
     }
 }

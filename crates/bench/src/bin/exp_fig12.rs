@@ -11,7 +11,7 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_bench::{drive_stream, Table};
+use hermes_bench::{drive_batches, Table};
 use hermes_core::config::{HermesConfig, MigrationTrigger};
 use hermes_core::predict::{Corrector, PredictorKind};
 use hermes_tcam::{SimDuration, SwitchModel};
@@ -45,17 +45,19 @@ fn run(model: &SwitchModel, trigger: MigrationTrigger, count: usize) -> Outcome 
         rate_limit: Some(f64::INFINITY),
         ..Default::default()
     };
-    let stream = workload(count).generate();
+    let stream: Vec<_> = (workload(count).generate().into_iter())
+        .map(|ta| (ta.at, [ta.action]))
+        .collect();
     let duration_s = stream
         .last()
         .expect("INVARIANT: workload generators emit at least one update")
-        .at
+        .0
         .as_secs();
     let plane = hermes_bench::hermes_plane(model.clone(), config)
         .expect("INVARIANT: fixed experiment config is feasible for this model");
     // Fine-grained manager wake-ups: at 1000 updates/s a 100 ms prediction
     // interval would dominate the results with sampling noise.
-    let mut result = drive_stream(plane, &stream, SimDuration::from_ms(25.0));
+    let mut result = drive_batches(plane, &stream, SimDuration::from_ms(25.0));
     // The paper's violation metric under this stress setup: the fraction
     // of insertions whose latency exceeded the promised bound — a late
     // migration forces rules into the (slow) main table, and each of those

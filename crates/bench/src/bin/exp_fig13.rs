@@ -16,13 +16,10 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::ControlPlane;
-use hermes_bench::Table;
+use hermes_bench::{drive_inserts, Table};
 use hermes_core::config::{HermesConfig, MigrationTrigger};
 use hermes_core::predict::{Corrector, PredictorKind};
-use hermes_netsim::metrics::Samples;
-use hermes_rules::prelude::*;
-use hermes_tcam::{SimDuration, SimTime, SwitchModel};
+use hermes_tcam::{SimDuration, SwitchModel};
 use hermes_workloads::microbench::MicroBench;
 
 /// Mean latency of guaranteed (shadow-routed) insertions plus the
@@ -46,33 +43,8 @@ fn run(rate: f64, overlap: f64, slack: f64, count: usize) -> (f64, f64) {
     .generate();
     let mut plane = hermes_bench::hermes_plane(SwitchModel::dell_8132f(), config)
         .expect("INVARIANT: fixed experiment config is feasible for this model");
-    let tick = SimDuration::from_ms(25.0);
-    let mut next_tick = SimTime::ZERO + tick;
-    let mut shadow_lat = Samples::new();
-    let mut violations = 0u64;
-    let mut attempts = 0u64;
-    for ta in &stream {
-        while next_tick <= ta.at {
-            plane.tick(next_tick);
-            next_tick += tick;
-        }
-        if let ControlAction::Insert(rule) = ta.action {
-            let Ok(report) = plane.switch_mut().insert(rule, ta.at) else {
-                continue; // TCAM exhausted: nothing left to measure
-            };
-            attempts += 1;
-            if report.violated() {
-                violations += 1;
-            }
-            if matches!(report.route(), Some(hermes_core::gatekeeper::Route::Shadow)) {
-                shadow_lat.push(report.latency.as_ms());
-            }
-        }
-    }
-    (
-        shadow_lat.mean(),
-        100.0 * violations as f64 / attempts.max(1) as f64,
-    )
+    let run = drive_inserts(&mut plane, &stream, SimDuration::from_ms(25.0));
+    (run.shadow_ms.mean(), run.violation_pct())
 }
 
 fn main() -> std::process::ExitCode {

@@ -11,13 +11,10 @@
 
 #![forbid(unsafe_code)]
 
-use hermes_baselines::ControlPlane;
-use hermes_bench::Table;
+use hermes_bench::{drive_inserts, Table};
 use hermes_core::config::{HermesConfig, MigrationTrigger};
 use hermes_core::predict::{Corrector, PredictorKind};
-use hermes_netsim::metrics::Samples;
-use hermes_rules::prelude::*;
-use hermes_tcam::{SimDuration, SimTime, SwitchModel};
+use hermes_tcam::{SimDuration, SwitchModel};
 use hermes_workloads::microbench::MicroBench;
 
 /// Runs Hermes with the given predictor/corrector and reports
@@ -43,33 +40,11 @@ fn run(kind: PredictorKind, corrector: Corrector, count: usize) -> (f64, f64, f6
     .generate();
     let mut plane = hermes_bench::hermes_plane(SwitchModel::pica8_p3290(), config)
         .expect("INVARIANT: fixed experiment config is feasible for this model");
-    let tick = SimDuration::from_ms(25.0);
-    let mut next_tick = SimTime::ZERO + tick;
-    let mut lat = Samples::new();
-    let mut violations = 0u64;
-    let mut attempts = 0u64;
-    for ta in &stream {
-        while next_tick <= ta.at {
-            plane.tick(next_tick);
-            next_tick += tick;
-        }
-        if let ControlAction::Insert(rule) = ta.action {
-            let Ok(report) = plane.switch_mut().insert(rule, ta.at) else {
-                continue;
-            };
-            attempts += 1;
-            if report.violated() {
-                violations += 1;
-            }
-            if matches!(report.route(), Some(hermes_core::gatekeeper::Route::Shadow)) {
-                lat.push(report.latency.as_ms());
-            }
-        }
-    }
+    let mut run = drive_inserts(&mut plane, &stream, SimDuration::from_ms(25.0));
     (
-        lat.mean(),
-        lat.percentile(0.99),
-        100.0 * violations as f64 / attempts.max(1) as f64,
+        run.shadow_ms.mean(),
+        run.shadow_ms.percentile(0.99),
+        run.violation_pct(),
     )
 }
 

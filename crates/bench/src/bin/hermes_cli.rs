@@ -2,24 +2,22 @@
 //!
 //! ```text
 //! hermes_cli switches                      list the built-in switch models
-//! hermes_cli overheads --switch pica8      Fig. 14 row for one switch
 //! hermes_cli plan --switch dell --guarantee-ms 5 [--prefix 10.0.0.0/8]
 //!                                          size the shadow + admitted rate
-//! hermes_cli simulate --switch hp --rate 100 --count 2000 [--overlap 0.3]
-//!                                          drive a MicroBench stream and
-//!                                          report RIT/violations
 //! ```
+//!
+//! The overhead table for every guarantee is `exp_fig14`'s; driving a
+//! stream through a switch is what the `exp_*` binaries do.
 //!
 //! Argument parsing is deliberately dependency-free (`--key value` pairs).
 
 #![forbid(unsafe_code)]
 
-use hermes_bench::{drive_stream, print_summary, Table};
-use hermes_core::config::{HermesConfig, RulePredicate};
+use hermes_bench::Table;
+use hermes_core::config::RulePredicate;
 use hermes_core::prelude::*;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SwitchModel};
-use hermes_workloads::microbench::MicroBench;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -62,30 +60,6 @@ fn cmd_switches() {
     t.print();
 }
 
-fn cmd_overheads(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let model = model_by_name(flags.get("switch").ok_or("--switch required")?)?;
-    let mut t = Table::new(&[
-        "Guarantee (ms)",
-        "Shadow entries",
-        "Overhead (%)",
-        "Max rate (rules/s)",
-    ]);
-    for g_ms in [1.0, 2.0, 5.0, 10.0, 20.0, 50.0] {
-        let config = HermesConfig::with_guarantee(SimDuration::from_ms(g_ms));
-        match HermesSwitch::new(model.clone(), config) {
-            Ok(sw) => t.row(&[
-                format!("{g_ms:.0}"),
-                sw.shadow_capacity().to_string(),
-                format!("{:.2}", sw.overhead_fraction() * 100.0),
-                format!("{:.0}", sw.max_supported_rate()),
-            ]),
-            Err(e) => t.row(&[format!("{g_ms:.0}"), "-".into(), "-".into(), e.to_string()]),
-        }
-    }
-    t.print();
-    Ok(())
-}
-
 fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let model = model_by_name(flags.get("switch").ok_or("--switch required")?)?;
     let g_ms: f64 = flags
@@ -115,60 +89,9 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let model = model_by_name(flags.get("switch").ok_or("--switch required")?)?;
-    let rate: f64 = flags
-        .get("rate")
-        .map(|s| s.parse().map_err(|_| "--rate must be a number"))
-        .transpose()?
-        .unwrap_or(50.0);
-    let count: usize = flags
-        .get("count")
-        .map(|s| s.parse().map_err(|_| "--count must be an integer"))
-        .transpose()?
-        .unwrap_or(1000);
-    let overlap: f64 = flags
-        .get("overlap")
-        .map(|s| s.parse().map_err(|_| "--overlap must be a number"))
-        .transpose()?
-        .unwrap_or(0.2);
-    let g_ms: f64 = flags
-        .get("guarantee-ms")
-        .map(|s| s.parse().map_err(|_| "--guarantee-ms must be a number"))
-        .transpose()?
-        .unwrap_or(5.0);
-
-    let stream = MicroBench {
-        arrival_rate: rate,
-        overlap_rate: overlap,
-        count,
-        ..Default::default()
-    }
-    .generate();
-    println!(
-        "driving {count} inserts at {rate:.0}/s (overlap {:.0}%) into {} under a {g_ms} ms guarantee…",
-        overlap * 100.0,
-        model.name
-    );
-    let config = HermesConfig::with_guarantee(SimDuration::from_ms(g_ms));
-    let plane = hermes_bench::hermes_plane(model, config).map_err(|e| e.to_string())?;
-    let mut result = drive_stream(plane, &stream, SimDuration::from_ms(25.0));
-    print_summary("RIT (ms)", &mut result.rit_ms);
-    println!(
-        "violations: {} ({:.2}%) | migrations: {} | final occupancy: {}",
-        result.violations,
-        result.violation_pct(),
-        result.migrations,
-        result.occupancy
-    );
-    Ok(())
-}
-
-const USAGE: &str = "usage: hermes_cli <switches|overheads|plan|simulate> [--flag value]...
+const USAGE: &str = "usage: hermes_cli <switches|plan> [--flag value]...
   switches                              list built-in switch models
-  overheads --switch <name>             overhead vs guarantee table
-  plan      --switch <name> --guarantee-ms <ms> [--prefix <cidr>]
-  simulate  --switch <name> [--rate <n>] [--count <n>] [--overlap <f>] [--guarantee-ms <ms>]";
+  plan      --switch <name> --guarantee-ms <ms> [--prefix <cidr>]";
 
 /// Strips the uniform `--out` report flag (consumed by
 /// `hermes_bench::run_experiment`, which re-reads argv) so subcommand
@@ -211,9 +134,7 @@ fn main() -> ExitCode {
                 cmd_switches();
                 Ok(())
             }
-            "overheads" => cmd_overheads(&flags),
             "plan" => cmd_plan(&flags),
-            "simulate" => cmd_simulate(&flags),
             other => Err(format!("unknown command '{other}'\n{USAGE}")),
         };
         #[expect(
@@ -258,8 +179,8 @@ mod tests {
     fn strip_out_flag_removes_both_forms() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(
-            strip_out_flag(args(&["simulate", "--out", "r.json", "--rate", "5"])),
-            args(&["simulate", "--rate", "5"])
+            strip_out_flag(args(&["plan", "--out", "r.json", "--switch", "dell"])),
+            args(&["plan", "--switch", "dell"])
         );
         assert_eq!(
             strip_out_flag(args(&["--out=r.json", "switches"])),
@@ -292,16 +213,5 @@ mod tests {
             .is_err(),
             "infeasible guarantee must error"
         );
-    }
-
-    #[test]
-    fn overheads_and_simulate_run() {
-        cmd_overheads(&flags(&[("switch", "dell")])).unwrap();
-        cmd_simulate(&flags(&[
-            ("switch", "hp"),
-            ("rate", "20"),
-            ("count", "100"),
-        ]))
-        .unwrap();
     }
 }

@@ -21,13 +21,15 @@
 
 use hermes_baselines::{ControlPlane, CpQueue, HermesPlane};
 use hermes_core::config::HermesConfig;
+use hermes_core::gatekeeper::Route;
 use hermes_core::switch::HermesError;
 use hermes_netsim::metrics::Samples;
+use hermes_rules::rule::ControlAction;
 use hermes_tcam::{FaultPlan, SimDuration, SimTime, SwitchModel};
 use hermes_util::scenario::Scenario;
 use hermes_workloads::microbench::TimedAction;
 
-/// Result of driving a timed action stream through one control plane.
+/// What [`drive_batches`] measured on one control plane.
 #[derive(Debug, Default)]
 pub struct StreamResult {
     /// Rule installation times (arrival → completion, queueing included), ms.
@@ -37,8 +39,8 @@ pub struct StreamResult {
     pub exec_ms: Samples,
     /// Guarantee violations reported by the plane.
     pub violations: u64,
-    /// Actions driven.
-    pub actions: u64,
+    /// Insertions sampled.
+    pub inserts: u64,
     /// Final table occupancy.
     pub occupancy: usize,
     /// Migration passes performed (Hermes planes only).
@@ -46,51 +48,14 @@ pub struct StreamResult {
 }
 
 impl StreamResult {
-    /// Violations as a percentage of actions.
+    /// Violations as a percentage of insertions.
     pub fn violation_pct(&self) -> f64 {
-        if self.actions == 0 {
+        if self.inserts == 0 {
             0.0
         } else {
-            100.0 * self.violations as f64 / self.actions as f64
+            100.0 * self.violations as f64 / self.inserts as f64
         }
     }
-}
-
-/// Drives a timed action stream through a control plane with serial
-/// control-channel queueing, ticking the plane's background manager every
-/// `tick`. RIT = completion − arrival (queueing included), exactly the
-/// metric of §8.1.2.
-pub fn drive_stream<P: ControlPlane>(
-    plane: P,
-    actions: &[TimedAction],
-    tick: SimDuration,
-) -> StreamResult {
-    let mut q = CpQueue::new(plane);
-    let mut result = StreamResult::default();
-    let mut next_tick = SimTime::ZERO + tick;
-    for ta in actions {
-        // Catch up on manager ticks before this arrival.
-        while next_tick <= ta.at {
-            q.plane_mut().tick(next_tick);
-            next_tick += tick;
-        }
-        let (start, outcome) = q.submit(std::slice::from_ref(&ta.action), ta.at);
-        let op = outcome
-            .ops
-            .last()
-            .expect("INVARIANT: submit of one action reports at least one op");
-        result
-            .rit_ms
-            .push((start + op.completed_at).since(ta.at).as_ms());
-        result.exec_ms.push(op.exec.as_ms());
-        if op.violated {
-            result.violations += 1;
-        }
-        result.actions += 1;
-    }
-    result.occupancy = q.plane().occupancy();
-    result.migrations = q.plane().migrations();
-    result
 }
 
 /// Generates a traffic-engineering-style workload for the Fig. 10/11
@@ -108,7 +73,7 @@ pub fn te_batches(
     total_rules: usize,
     batches_per_s: f64,
     seed: u64,
-) -> Vec<(SimTime, Vec<hermes_rules::rule::ControlAction>)> {
+) -> Vec<(SimTime, Vec<ControlAction>)> {
     use hermes_rules::prelude::*;
     use hermes_util::rng::{stream, Rng, Salt};
     let mut rng = stream(seed, Salt::CALLER);
@@ -201,24 +166,31 @@ pub fn te_batches(
 }
 
 /// Drives batched reconfigurations through a control plane with serial
-/// control-channel queueing. The per-rule RIT is
-/// `queueing delay + completion offset within the batch`.
-pub fn drive_batches<P: ControlPlane>(
+/// control-channel queueing, ticking the plane's background manager every
+/// `tick` from `ZERO + tick` up to each arrival. The one RIT driver of the
+/// experiments: a per-action stream is a run of one-action batches.
+///
+/// Each insertion yields one sample, in execution order (which a
+/// reordering plane may change): its RIT, [`CpQueue::rit`] — queueing
+/// delay plus completion offset within the batch, exactly the metric of
+/// §8.1.2 — and its execution time alone. Deletes and modifies are
+/// executed and timed on the channel but not sampled: §8.1.2 defines RIT
+/// over rule installations.
+pub fn drive_batches<P: ControlPlane, B: AsRef<[ControlAction]>>(
     plane: P,
-    batches: &[(SimTime, Vec<hermes_rules::rule::ControlAction>)],
+    batches: &[(SimTime, B)],
     tick: SimDuration,
 ) -> StreamResult {
     let mut q = CpQueue::new(plane);
     let mut result = StreamResult::default();
     let mut next_tick = SimTime::ZERO + tick;
     for (at, actions) in batches {
+        let actions = actions.as_ref();
         while next_tick <= *at {
             q.plane_mut().tick(next_tick);
             next_tick += tick;
         }
         let (start, outcome) = q.submit(actions, *at);
-        // Only insertions count as RIT samples (§8.1.2 defines RIT over
-        // rule installations; the teardown deletes are cheap bookkeeping).
         let insert_ids: std::collections::BTreeSet<_> = actions
             .iter()
             .filter(|a| a.is_insert())
@@ -230,17 +202,69 @@ pub fn drive_batches<P: ControlPlane>(
             }
             result
                 .rit_ms
-                .push((start + op.completed_at).since(*at).as_ms());
+                .push(CpQueue::<P>::rit(*at, start, op).as_ms());
             result.exec_ms.push(op.exec.as_ms());
             if op.violated {
                 result.violations += 1;
             }
-            result.actions += 1;
+            result.inserts += 1;
         }
     }
     result.occupancy = q.plane().occupancy();
     result.migrations = q.plane().migrations();
     result
+}
+
+/// What [`drive_inserts`] measured.
+#[derive(Debug, Default)]
+pub struct InsertRun {
+    /// Latencies of the shadow-routed (guaranteed) insertions, ms.
+    pub shadow_ms: Samples,
+    /// Insertions the switch accepted.
+    pub attempts: u64,
+    /// Accepted insertions that broke the guarantee.
+    pub violations: u64,
+}
+
+impl InsertRun {
+    /// Violations as a percentage of accepted insertions.
+    pub fn violation_pct(&self) -> f64 {
+        100.0 * self.violations as f64 / self.attempts.max(1) as f64
+    }
+}
+
+/// Drives the insertions of a timed stream straight into a Hermes switch,
+/// without the control-channel queue, ticking its Rule Manager every
+/// `tick` from `ZERO + tick` up to each arrival. An insertion the switch
+/// rejects (TCAM exhausted) leaves nothing to measure: it counts neither
+/// as an attempt nor as a violation. Other actions are skipped.
+pub fn drive_inserts(
+    plane: &mut HermesPlane,
+    stream: &[TimedAction],
+    tick: SimDuration,
+) -> InsertRun {
+    let mut run = InsertRun::default();
+    let mut next_tick = SimTime::ZERO + tick;
+    for ta in stream {
+        while next_tick <= ta.at {
+            plane.tick(next_tick);
+            next_tick += tick;
+        }
+        let ControlAction::Insert(rule) = ta.action else {
+            continue;
+        };
+        let Ok(report) = plane.switch_mut().insert(rule, ta.at) else {
+            continue;
+        };
+        run.attempts += 1;
+        if report.violated() {
+            run.violations += 1;
+        }
+        if report.route() == Some(Route::Shadow) {
+            run.shadow_ms.push(report.latency.as_ms());
+        }
+    }
+    run
 }
 
 /// Loads this process's scenario configuration from the environment —
@@ -417,23 +441,30 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_baselines::RawSwitch;
+    use hermes_baselines::{EspresSwitch, RawSwitch};
+    use hermes_rules::prelude::RuleId;
     use hermes_tcam::SwitchModel;
     use hermes_workloads::microbench::MicroBench;
 
+    /// A per-action stream as the one-action batches the experiments
+    /// drive it in.
+    fn singletons(stream: &[TimedAction]) -> Vec<(SimTime, [ControlAction; 1])> {
+        stream.iter().map(|ta| (ta.at, [ta.action])).collect()
+    }
+
     #[test]
-    fn drive_stream_records_every_action() {
+    fn drive_batches_records_every_action() {
         let cfg = MicroBench {
             count: 100,
             ..Default::default()
         };
         let stream = cfg.generate();
-        let result = drive_stream(
+        let result = drive_batches(
             RawSwitch::new(SwitchModel::pica8_p3290()),
-            &stream,
+            &singletons(&stream),
             SimDuration::from_ms(100.0),
         );
-        assert_eq!(result.actions, 100);
+        assert_eq!(result.inserts, 100);
         assert_eq!(result.rit_ms.len(), 100);
         assert_eq!(result.violations, 0);
         assert_eq!(result.occupancy, 100);
@@ -449,14 +480,89 @@ mod tests {
             ..Default::default()
         };
         let stream = cfg.generate();
-        let mut result = drive_stream(
+        let mut result = drive_batches(
             RawSwitch::new(SwitchModel::dell_8132f()),
-            &stream,
+            &singletons(&stream),
             SimDuration::from_ms(100.0),
         );
         let p99 = result.rit_ms.percentile(0.99);
         let p10 = result.rit_ms.percentile(0.10);
         assert!(p99 > 10.0 * p10.max(0.1), "p99 {p99} vs p10 {p10}");
+    }
+
+    /// ESPRES executes a batch's deletes before its inserts: the driver
+    /// must still sample each insertion exactly once, in execution order,
+    /// at the RIT `CpQueue::rit` gives its op — and no delete.
+    #[test]
+    fn reordering_plane_yields_one_rit_per_insert() {
+        let model = SwitchModel::pica8_p3290();
+        let batches = te_batches(false, 300, 2.0, 4);
+        let result = drive_batches(
+            EspresSwitch::new(model.clone()),
+            &batches,
+            SimDuration::from_ms(100.0),
+        );
+        // ESPRES has no manager to tick, so a bare queue replays it.
+        let mut q = CpQueue::new(EspresSwitch::new(model));
+        let mut want = Vec::new();
+        let mut reordered = false;
+        for (at, actions) in &batches {
+            let (start, outcome) = q.submit(actions, *at);
+            let ids = |it: &mut dyn Iterator<Item = RuleId>| it.collect::<Vec<_>>();
+            reordered |= ids(&mut outcome.ops.iter().map(|op| op.id))
+                != ids(&mut actions.iter().map(|a| a.rule_id()));
+            for op in &outcome.ops {
+                let action = actions.iter().find(|a| a.rule_id() == op.id);
+                if action.is_some_and(|a| a.is_insert()) {
+                    want.push(CpQueue::<EspresSwitch>::rit(*at, start, op).as_ms());
+                }
+            }
+        }
+        let deletes = batches
+            .iter()
+            .flat_map(|(_, acts)| acts)
+            .filter(|a| matches!(a, ControlAction::Delete(_)))
+            .count();
+        assert!(reordered && deletes > 0, "the case must interleave deletes");
+        assert_eq!(result.inserts, 300, "one sample per insert");
+        assert_eq!(result.rit_ms.len(), 300);
+        assert_eq!(result.exec_ms.len(), 300);
+        assert_eq!(result.rit_ms.values(), want.as_slice());
+    }
+
+    /// A rejected insertion is neither an attempt nor a violation: once
+    /// the TCAM is full, the counts stay at what the accepted insertions
+    /// made.
+    #[test]
+    fn drive_inserts_skips_rejected_inserts() {
+        let model = SwitchModel {
+            capacity: 256,
+            ..SwitchModel::pica8_p3290()
+        };
+        let config = HermesConfig {
+            guarantee: SimDuration::from_ms(5.0),
+            rate_limit: Some(f64::INFINITY),
+            ..Default::default()
+        };
+        let stream = MicroBench {
+            arrival_rate: 20.0,
+            count: 400,
+            ..Default::default()
+        }
+        .generate();
+        let mut plane = HermesPlane::with_config(model, config).unwrap();
+        let run = drive_inserts(&mut plane, &stream, SimDuration::from_ms(25.0));
+        let held = (stream.iter())
+            .filter(|ta| plane.switch().contains(ta.action.rule_id()))
+            .count() as u64;
+        assert!(held < 400, "the table must fill and reject");
+        assert_eq!(run.attempts, held);
+        assert_eq!(run.violations, plane.switch().stats().violations);
+        assert!(run.shadow_ms.len() as u64 <= run.attempts);
+        assert_eq!(
+            run.violation_pct(),
+            100.0 * run.violations as f64 / run.attempts as f64
+        );
     }
 
     #[test]

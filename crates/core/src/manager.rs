@@ -10,7 +10,6 @@
 
 use crate::config::MigrationTrigger;
 use crate::predict::{Corrector, Predictor};
-use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime};
 
 /// Outcome of one migration pass (Fig. 7's four-step workflow).
@@ -27,28 +26,6 @@ pub struct MigrationReport {
     pub entries_saved: usize,
     /// Total simulated time the migration occupied the control plane.
     pub duration: SimDuration,
-}
-
-/// A whole migration pass planned up front: the shadow drain expressed as
-/// two device transactions (main-table inserts, then shadow piece
-/// deletes) instead of one op per rule. The plan preserves the Algorithm-1
-/// cut invariant by construction — rules are ordered ascending by
-/// priority, FIFO among equals, exactly like the per-rule pass — and the
-/// make-before-break property holds batch-wise: every main insert lands
-/// (or the whole pass aborts) before any shadow piece is released.
-#[derive(Clone, Debug, Default)]
-pub struct MigrationPlan {
-    /// Logical rules in migration order (ascending priority, FIFO among
-    /// equals).
-    pub order: Vec<RuleId>,
-    /// One main-table insert (the original, un-cut rule) per logical rule,
-    /// in `order` — the §5.2 step-2 optimization rewrite.
-    pub inserts: Vec<Rule>,
-    /// Every shadow piece the pass releases, grouped by owner in `order`.
-    pub piece_deletes: Vec<RuleId>,
-    /// Entries saved by the optimization step (pieces collapsed back into
-    /// originals).
-    pub entries_saved: usize,
 }
 
 /// The migration-trigger state machine.
@@ -163,24 +140,6 @@ impl RuleManager {
         self.busy_until = now + duration;
         self.migrations += 1;
     }
-
-    /// Plans one whole migration pass over the current shadow residents —
-    /// `(original rule, its installed piece ids)` pairs — sorted into the
-    /// cut-invariant-safe order (ascending priority, FIFO among equals;
-    /// the input order is the FIFO order).
-    pub fn plan_migration_batch(&self, rules: &[(Rule, Vec<RuleId>)]) -> MigrationPlan {
-        let mut items: Vec<&(Rule, Vec<RuleId>)> = rules.iter().collect();
-        // Stable sort: equal priorities keep their shadow-arrival order.
-        items.sort_by_key(|(r, _)| r.priority);
-        let mut plan = MigrationPlan::default();
-        for (rule, pieces) in items {
-            plan.order.push(rule.id);
-            plan.inserts.push(*rule);
-            plan.entries_saved += pieces.len().saturating_sub(1);
-            plan.piece_deletes.extend(pieces.iter().copied());
-        }
-        plan
-    }
 }
 
 #[cfg(test)]
@@ -284,36 +243,6 @@ mod tests {
         assert!(!m.is_busy(SimTime::from_ms(500.0)));
         assert!(m.on_tick(SimTime::from_ms(500.0), 9, 10, 1.0));
         assert_eq!(m.migrations, 1);
-    }
-
-    #[test]
-    fn migration_plan_orders_ascending_priority_fifo() {
-        let m = RuleManager::new(MigrationTrigger::Threshold { fraction: 0.5 });
-        let key = |p: &str| p.parse::<Ipv4Prefix>().unwrap().to_key();
-        let rules = vec![
-            (
-                Rule::new(1, key("10.0.0.0/8"), Priority(5), Action::Drop),
-                vec![RuleId(100), RuleId(101)],
-            ),
-            (
-                Rule::new(2, key("11.0.0.0/8"), Priority(2), Action::Drop),
-                vec![RuleId(102)],
-            ),
-            // Same priority as rule 1 but arrived later: FIFO keeps it after.
-            (
-                Rule::new(3, key("12.0.0.0/8"), Priority(5), Action::Drop),
-                vec![],
-            ),
-        ];
-        let plan = m.plan_migration_batch(&rules);
-        assert_eq!(plan.order, vec![RuleId(2), RuleId(1), RuleId(3)]);
-        assert_eq!(plan.inserts.len(), 3);
-        assert_eq!(
-            plan.piece_deletes,
-            vec![RuleId(102), RuleId(100), RuleId(101)]
-        );
-        // Rule 1 collapses two pieces into one original: one entry saved.
-        assert_eq!(plan.entries_saved, 1);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! batch queues consecutive shadow plans into one device transaction.
 
 use super::{
-    ActionReport, HermesError, HermesSwitch, ReportDetail, ShadowEntry, MAIN, PHYS_BASE, SHADOW,
+    ActionReport, HermesError, HermesSwitch, ReportDetail, ShadowEntry, AGENT_ONLY, MAIN,
+    PHYS_BASE, SHADOW,
 };
 use crate::config::MigrationTrigger;
 use crate::gatekeeper::Route;
@@ -90,7 +91,7 @@ impl HermesSwitch {
     fn defer_admission(&mut self, rule: Rule) -> ActionReport {
         self.recovery.defer(rule);
         Route::Deferred.record();
-        self.insert_report(&rule, Route::Deferred, 0, SimDuration::from_us(10.0), false)
+        self.insert_report(&rule, Route::Deferred, 0, AGENT_ONLY, false)
     }
 
     /// Closes an admission: whether the rule was entitled to the
@@ -217,13 +218,7 @@ impl HermesSwitch {
         self.stats.redundant_inserts += 1;
         self.book_shadow_entry(rule, Vec::new(), cut_against);
         Route::Redundant.record();
-        self.insert_report(
-            &rule,
-            Route::Redundant,
-            0,
-            SimDuration::from_us(10.0),
-            false,
-        )
+        self.insert_report(&rule, Route::Redundant, 0, AGENT_ONLY, false)
     }
 
     /// Bookkeeping for one shadow rule whose pieces are physically

@@ -12,16 +12,15 @@ impl HermesSwitch {
     /// rewritten into its original (un-cut) form in the main table — the
     /// optimization step, since one original replaces up to `r_p` pieces —
     /// then its shadow pieces are deleted. Rules move in ascending priority
-    /// order so remaining (higher-priority) shadow rules never need
-    /// re-cutting mid-flight.
+    /// order, FIFO among equals, so remaining (higher-priority) shadow
+    /// rules never need re-cutting mid-flight.
     ///
-    /// The whole shadow drain is planned up front
-    /// ([`RuleManager::plan_migration_batch`](crate::manager::RuleManager::plan_migration_batch))
-    /// and pushed through two device transactions — one main-table insert
-    /// batch (step 3 for every rule at once, make-before-break held
-    /// batch-wise), then one shadow piece-delete batch (step 4). Falls
-    /// back to the per-rule pass when the insert batch cannot apply
-    /// atomically (main table full, or a stale duplicate needing per-rule
+    /// The pass sorts the residents into that order once, and everything
+    /// after walks the one list: one main-table insert batch (step 3 for
+    /// every rule at once, make-before-break held batch-wise), then one
+    /// shadow piece-delete batch (step 4). Falls back to the per-rule pass
+    /// over the same list when the insert batch cannot apply atomically
+    /// (main table full, or a stale duplicate needing per-rule
     /// self-healing), and aborts the pass wholesale on a transient channel
     /// failure — the rejected batch moved nothing, so the cut invariant is
     /// untouched.
@@ -35,11 +34,11 @@ impl HermesSwitch {
         if self.shadow.is_empty() {
             return report;
         }
-        let items: Vec<(Rule, Vec<RuleId>)> = (self.shadow.iter())
-            .map(|e| (e.original, e.pieces.iter().map(|(pid, _)| *pid).collect()))
-            .collect();
-        let plan = self.manager.plan_migration_batch(&items);
-        let insert_ops: Vec<TcamOp> = plan.inserts.iter().copied().map(TcamOp::Insert).collect();
+        // The store iterates in admission order and the sort is stable:
+        // equal priorities keep their FIFO order.
+        let mut order: Vec<Rule> = self.shadow.iter().map(|e| e.original).collect();
+        order.sort_by_key(|rule| rule.priority);
+        let insert_ops: Vec<TcamOp> = order.iter().copied().map(TcamOp::Insert).collect();
         match self.dev_apply_batch(MAIN, &insert_ops) {
             Ok(rep) => {
                 report.duration += rep.latency;
@@ -49,39 +48,36 @@ impl HermesSwitch {
             // the per-rule path can still make partial progress (and
             // self-heal stale duplicates) — retarget the pass there.
             Err(TcamError::Full) | Err(TcamError::Duplicate(_)) => {
-                return self.migrate_per_rule(now);
+                return self.migrate_per_rule(now, &order);
             }
             // Channel dead even after retries: abort the whole pass. The
             // atomic batch applied nothing, so every rule simply stays in
             // the shadow — make-before-break means nothing was broken.
             Err(_) => return self.finish_migration(now, report),
         }
-        for id in &plan.order {
-            let Some(entry) = self.shadow.remove(*id) else {
+        let mut piece_deletes = Vec::with_capacity(order.len());
+        for rule in &order {
+            let Some(entry) = self.shadow.remove(rule.id) else {
                 continue;
             };
             self.main_index.insert(entry.original);
-            self.unregister_blockers(*id, &entry.cut_against);
+            self.unregister_blockers(rule.id, &entry.cut_against);
             report.entries_saved += entry.pieces.len().saturating_sub(1);
             report.rules_migrated += 1;
+            piece_deletes.extend(entry.pieces.iter().map(|(pid, _)| *pid));
         }
-        report.duration += self.dev_delete_all(SHADOW, &plan.piece_deletes);
-        report.pieces_deleted += plan.piece_deletes.len();
+        report.duration += self.dev_delete_all(SHADOW, &piece_deletes);
+        report.pieces_deleted += piece_deletes.len();
         self.finish_migration(now, report)
     }
 
-    /// The one-op-per-rule migration pass: what [`migrate`](Self::migrate)
-    /// retargets to when its insert batch rejects `Full` or `Duplicate`.
-    fn migrate_per_rule(&mut self, now: SimTime) -> MigrationReport {
+    /// The one-op-per-rule migration pass over `order` (the residents in
+    /// migration order): what [`migrate`](Self::migrate) retargets to when
+    /// its insert batch rejects `Full` or `Duplicate`.
+    fn migrate_per_rule(&mut self, now: SimTime, order: &[Rule]) -> MigrationReport {
         let mut report = MigrationReport::default();
-        // Ascending priority, FIFO among equals (sort is stable).
-        let mut order: Vec<(Priority, RuleId)> = (self.shadow.iter())
-            .map(|e| (e.original.priority, e.original.id))
-            .collect();
-        order.sort_by_key(|&(priority, _)| priority);
-
-        for (_, id) in order {
-            let entry = match self.shadow.get(id) {
+        for rule in order {
+            let entry = match self.shadow.get(rule.id) {
                 Some(e) => e.clone(),
                 None => continue,
             };

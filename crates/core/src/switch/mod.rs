@@ -66,6 +66,13 @@ pub const SHADOW: usize = 0;
 /// Slice index of the main table.
 pub const MAIN: usize = 1;
 
+/// What an action the agent settles in its own books, with no device
+/// write, costs on the control channel: agent processing only. Charged
+/// to a deferred admission, a redundant insert (Fig. 5(a)), the delete of
+/// a deferred or piece-less shadow rule, and a modify of a deferred rule
+/// or one that changes nothing.
+const AGENT_ONLY: SimDuration = SimDuration::from_us(10.0);
+
 /// Physical piece ids live above this bit so they can never collide with
 /// controller-assigned logical ids.
 const PHYS_BASE: u64 = 1 << 62;

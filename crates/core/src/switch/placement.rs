@@ -3,7 +3,9 @@
 //! its symmetric case), eviction to the main table, and the `delete` /
 //! `modify` entry points that trigger them.
 
-use super::{ActionReport, HermesError, HermesSwitch, ReportDetail, ShadowEntry, MAIN, SHADOW};
+use super::{
+    ActionReport, HermesError, HermesSwitch, ReportDetail, ShadowEntry, AGENT_ONLY, MAIN, SHADOW,
+};
 use crate::partition::partition_new_rule_bounded;
 use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime, TcamError};
@@ -217,7 +219,7 @@ impl HermesSwitch {
             self.recovery.deferred.remove(pos);
             self.recovery.stats.deferred_dropped += 1;
             return Ok(ActionReport {
-                latency: SimDuration::from_us(10.0),
+                latency: AGENT_ONLY,
                 detail: ReportDetail::Delete {
                     pieces_removed: 0,
                     repartitioned: 0,
@@ -227,7 +229,7 @@ impl HermesSwitch {
         if let Some(entry) = self.shadow.remove(id) {
             let mut latency = self.remove_shadow_resident(&entry);
             if entry.pieces.is_empty() {
-                latency += SimDuration::from_us(10.0); // agent bookkeeping only
+                latency += AGENT_ONLY;
             }
             self.prio_remove(entry.original.priority);
             return Ok(ActionReport {
@@ -287,7 +289,7 @@ impl HermesSwitch {
             };
             self.stats.modifies += 1;
             return Ok(ActionReport {
-                latency: SimDuration::from_us(10.0),
+                latency: AGENT_ONLY,
                 detail: ReportDetail::Modify { in_place },
             });
         }
@@ -331,7 +333,7 @@ impl HermesSwitch {
         let Some(new_action) = action else {
             // Nothing to change.
             return Ok(ActionReport {
-                latency: SimDuration::from_us(10.0),
+                latency: AGENT_ONLY,
                 detail: ReportDetail::Modify { in_place: true },
             });
         };

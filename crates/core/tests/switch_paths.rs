@@ -494,6 +494,52 @@ fn full_main_table_retargets_migration_to_the_per_rule_pass() {
     }
 }
 
+/// One migration order, ascending priority and FIFO among equals, rules
+/// both the batched drain and the per-rule fallback. Residents are
+/// admitted out of priority order: rule 2 (priority 5, cut in two), then
+/// 20 (2), 0 (5, after rule 2) and 22 (3), so the order is 20, 22, 2, 0 —
+/// not the id order among equals.
+/// With room for all four the batch applies; with less, the per-rule pass
+/// moves exactly the first `room` rules of that order and stops.
+#[test]
+fn migration_orders_ascending_priority_fifo() {
+    let order = [20, 22, 2, 0];
+    for room in [2, 3, 4] {
+        let mut sw = switch_with_shadow_residents(room, 0);
+        for (id, prio) in [(20, 2), (0, 5), (22, 3)] {
+            sw.insert(
+                rule(id, &format!("{}.0.0.0/8", 30 + id), prio, 4),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        let rep = sw.migrate(SimTime::ZERO);
+        let (moved, stayed) = order.split_at(room);
+        let main: Vec<u64> = (sw.device().slice(MAIN).table.entries().iter())
+            .map(|r| r.id.0)
+            .filter(|id| order.contains(id))
+            .collect();
+        for id in moved {
+            assert!(main.contains(id), "room {room}: rule {id} must migrate");
+        }
+        for id in stayed {
+            assert!(!main.contains(id), "room {room}: rule {id} must stay");
+            assert!(sw.contains(RuleId(*id)));
+        }
+        let cut = moved.contains(&2);
+        assert_eq!(rep.rules_migrated, room);
+        assert_eq!(rep.entries_written, room);
+        assert_eq!(rep.pieces_deleted, room + usize::from(cut));
+        assert_eq!(rep.entries_saved, usize::from(cut));
+        assert_eq!(sw.shadow_len(), 5 - rep.pieces_deleted);
+        if room == 4 {
+            // Equal priorities land in the main table in FIFO order.
+            let fives: Vec<u64> = main.into_iter().filter(|id| [2, 0].contains(id)).collect();
+            assert_eq!(fives, vec![2, 0]);
+        }
+    }
+}
+
 #[test]
 fn migration_report_accounts_for_optimization() {
     let mut sw = switch();

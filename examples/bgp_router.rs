@@ -8,36 +8,12 @@
 //! cargo run --release --example bgp_router
 //! ```
 
-use hermes::baselines::{ControlPlane, CpQueue, HermesPlane, RawSwitch};
+use hermes::baselines::{HermesPlane, RawSwitch};
 use hermes::bgp::prelude::*;
 use hermes::core::config::HermesConfig;
-use hermes::netsim::metrics::Samples;
-use hermes::rules::prelude::ControlAction;
-use hermes::tcam::{SimDuration, SimTime, SwitchModel};
+use hermes::tcam::{SimDuration, SwitchModel};
 use hermes::workloads::bgptrace::BgpTrace;
-
-fn drive<P: ControlPlane>(plane: P, actions: &[(SimTime, ControlAction)]) -> (Samples, u64) {
-    let mut q = CpQueue::new(plane);
-    let mut rit = Samples::new();
-    let mut violations = 0;
-    let tick = SimDuration::from_ms(100.0);
-    let mut next_tick = SimTime::ZERO + tick;
-    for (at, action) in actions {
-        while next_tick <= *at {
-            q.plane_mut().tick(next_tick);
-            next_tick += tick;
-        }
-        let (start, outcome) = q.submit(std::slice::from_ref(action), *at);
-        if action.is_insert() {
-            let op = outcome.ops.last().expect("one op");
-            rit.push((start + op.completed_at).since(*at).as_ms());
-            if op.violated {
-                violations += 1;
-            }
-        }
-    }
-    (rit, violations)
-}
+use hermes_bench::drive_batches;
 
 fn main() {
     // A synthetic BGPStream-like feed: calm baseline, violent bursts.
@@ -54,13 +30,14 @@ fn main() {
         BgpTrace::peak_rate(&updates)
     );
 
-    // RIB → FIB: most updates never reach the TCAM.
+    // RIB → FIB: most updates never reach the TCAM. Each FIB action goes
+    // to the switch as its own one-action batch.
     let mut rib = Rib::new();
     let mut fib = Fib::new();
     let mut actions = Vec::new();
     for u in &updates {
         if let Some(delta) = rib.process(u.update) {
-            actions.push((u.at, fib.compile(delta)));
+            actions.push((u.at, [fib.compile(delta)]));
         }
     }
     println!(
@@ -70,7 +47,8 @@ fn main() {
     );
 
     let model = SwitchModel::pica8_p3290();
-    let (mut raw_rit, _) = drive(RawSwitch::new(model.clone()), &actions);
+    let tick = SimDuration::from_ms(100.0);
+    let mut raw_rit = drive_batches(RawSwitch::new(model.clone()), &actions, tick).rit_ms;
     println!(
         "raw router:    RIT median {:>7.3}ms  p99 {:>8.3}ms  max {:>8.3}ms",
         raw_rit.median(),
@@ -83,14 +61,15 @@ fn main() {
         rate_limit: Some(f64::INFINITY),
         ..Default::default()
     };
-    let hermes = HermesPlane::with_config(model, config).expect("feasible");
-    let (mut hermes_rit, violations) = drive(hermes, &actions);
+    let plane = HermesPlane::with_config(model, config).expect("feasible");
+    let hermes = drive_batches(plane, &actions, tick);
+    let mut hermes_rit = hermes.rit_ms;
     println!(
         "hermes router: RIT median {:>7.3}ms  p99 {:>8.3}ms  max {:>8.3}ms  ({} violations)",
         hermes_rit.median(),
         hermes_rit.percentile(0.99),
         hermes_rit.max(),
-        violations
+        hermes.violations
     );
     println!(
         "\nmedian improvement: {:.0}%",

@@ -82,6 +82,13 @@ stage_test() {
 
 stage_bins() {
     cargo build --release --offline -p hermes-bench --bins
+    # The operator CLI is the §7 API front end: `switches` and `plan` must
+    # run, and the experiments it no longer repeats must be refused.
+    ./target/release/hermes_cli switches > /dev/null
+    ./target/release/hermes_cli plan --switch pica8 --guarantee-ms 5 > /dev/null
+    if ./target/release/hermes_cli simulate > /dev/null 2>&1; then
+        echo "hermes_cli simulate must exit non-zero"; exit 1
+    fi
 }
 
 stage_chaos() {

@@ -11,7 +11,9 @@
 # that summarises them. Odd pairs run <git-ref> first, even pairs the
 # working tree, so neither side always runs on the warmer host. The
 # workload `all` runs every BENCHMARK.json workload in turn against the
-# same two builds. Prints every run's `correct`/`failed`, then, per
+# same two builds. Prints every run's `correct`/`failed` and its
+# end-to-end metric values (so a lost pair or a bimodal side can be read
+# back), then, per
 # workload, per end-to-end metric of BENCHMARK.json each side's median
 # [q1, q3] over its runs, the median ratio, and in how many pairs the
 # working tree read better (by the metric's direction), then the same for
@@ -96,7 +98,10 @@ def measure(w):
                 continue
             ok = ok and doc["correct"] is True and doc["failed"] == 0
             runs[side].append(doc)
-            print("pair %d %-6s: correct=%s failed=%d" % (i, side, doc["correct"], doc["failed"]))
+            values = " ".join("%s=%.4g" % (m["name"], doc["metrics"][m["name"]]["value"])
+                              for m in metrics)
+            print("pair %d %-6s: correct=%s failed=%d %s" % (i, side, doc["correct"],
+                                                             doc["failed"], values))
 
     print("\n%-13s %-6s %-34s %-34s %7s %s" % ("metric", "unit", ref + " median [q1, q3]",
                                                "change median [q1, q3]", "ratio", "change better"))

@@ -1,34 +1,18 @@
 //! Cross-crate integration: Hermes vs a raw switch on generated workloads,
 //! checking the paper's headline properties end to end.
 
-use hermes::baselines::{ControlPlane, CpQueue, HermesPlane, RawSwitch};
+use hermes::baselines::{ControlPlane, HermesPlane, RawSwitch};
 use hermes::core::config::HermesConfig;
 use hermes::netsim::metrics::Samples;
-use hermes::rules::prelude::*;
-use hermes::tcam::{SimDuration, SimTime, SwitchModel};
+use hermes::tcam::{SimDuration, SwitchModel};
 use hermes::workloads::microbench::{MicroBench, TimedAction};
+use hermes_bench::{drive_batches, drive_inserts};
 
-fn drive<P: ControlPlane>(plane: P, stream: &[TimedAction]) -> (Samples, Samples, u64) {
-    let mut q = CpQueue::new(plane);
-    let tick = SimDuration::from_ms(100.0);
-    let mut next_tick = SimTime::ZERO + tick;
-    let mut rit = Samples::new();
-    let mut exec = Samples::new();
-    let mut violations = 0;
-    for ta in stream {
-        while next_tick <= ta.at {
-            q.plane_mut().tick(next_tick);
-            next_tick += tick;
-        }
-        let (start, outcome) = q.submit(std::slice::from_ref(&ta.action), ta.at);
-        let op = outcome.ops.last().expect("one op");
-        rit.push((start + op.completed_at).since(ta.at).as_ms());
-        exec.push(op.exec.as_ms());
-        if op.violated {
-            violations += 1;
-        }
-    }
-    (rit, exec, violations)
+/// Drives a per-action stream through `plane` as one-action batches;
+/// returns the per-rule execution latencies.
+fn exec_ms<P: ControlPlane>(plane: P, stream: &[TimedAction]) -> Samples {
+    let batches: Vec<_> = stream.iter().map(|ta| (ta.at, [ta.action])).collect();
+    drive_batches(plane, &batches, SimDuration::from_ms(100.0)).exec_ms
 }
 
 /// Headline: Hermes improves the median RIT by a large factor once the raw
@@ -43,9 +27,9 @@ fn hermes_beats_raw_switch_at_scale() {
     }
     .generate();
     let model = SwitchModel::pica8_p3290();
-    let (_, mut raw_exec, _) = drive(RawSwitch::new(model.clone()), &stream);
+    let mut raw_exec = exec_ms(RawSwitch::new(model.clone()), &stream);
     let config = HermesConfig::default();
-    let (_, mut hermes_exec, _) = drive(
+    let mut hermes_exec = exec_ms(
         HermesPlane::with_config(model, config).expect("feasible"),
         &stream,
     );
@@ -76,32 +60,13 @@ fn guarantee_holds_within_admitted_rate() {
         ..Default::default()
     }
     .generate();
-    let tick = SimDuration::from_ms(100.0);
-    let mut q_next = SimTime::ZERO + tick;
-    let mut worst_guaranteed = SimDuration::ZERO;
-    let mut violations = 0u64;
-    for ta in &stream {
-        while q_next <= ta.at {
-            plane.tick(q_next);
-            q_next += tick;
-        }
-        if let ControlAction::Insert(rule) = ta.action {
-            let report = plane.switch_mut().insert(rule, ta.at).expect("insert");
-            if report.violated() {
-                violations += 1;
-            }
-            if matches!(
-                report.route(),
-                Some(hermes::core::gatekeeper::Route::Shadow)
-            ) {
-                worst_guaranteed = worst_guaranteed.max(report.latency);
-            }
-        }
-    }
-    assert_eq!(violations, 0, "no violations under the admitted rate");
+    let mut run = drive_inserts(&mut plane, &stream, SimDuration::from_ms(100.0));
+    assert_eq!(run.attempts, 600, "every insert is accepted");
+    assert_eq!(run.violations, 0, "no violations under the admitted rate");
+    let worst_guaranteed = run.shadow_ms.max();
     assert!(
-        worst_guaranteed <= guarantee,
-        "worst shadow-routed latency {worst_guaranteed} exceeds {guarantee}"
+        worst_guaranteed <= guarantee.as_ms(),
+        "worst shadow-routed latency {worst_guaranteed} ms exceeds {guarantee}"
     );
 }
 
@@ -123,32 +88,17 @@ fn overload_diverts_rather_than_violates() {
         ..Default::default()
     }
     .generate();
-    let mut diverted = 0u64;
-    let mut shadow_worst = SimDuration::ZERO;
-    let tick = SimDuration::from_ms(100.0);
-    let mut q_next = SimTime::ZERO + tick;
-    for ta in &stream {
-        while q_next <= ta.at {
-            plane.tick(q_next);
-            q_next += tick;
-        }
-        if let ControlAction::Insert(rule) = ta.action {
-            let report = plane.switch_mut().insert(rule, ta.at).expect("insert");
-            match report.route().expect("insert") {
-                hermes::core::gatekeeper::Route::Shadow => {
-                    shadow_worst = shadow_worst.max(report.latency)
-                }
-                _ => diverted += 1,
-            }
-        }
-    }
+    let mut run = drive_inserts(&mut plane, &stream, SimDuration::from_ms(100.0));
+    assert_eq!(run.attempts, 1800, "every insert is accepted");
+    let diverted = run.attempts - run.shadow_ms.len() as u64;
+    let shadow_worst = run.shadow_ms.max();
     assert!(
         diverted > 500,
         "overload must divert to the main table ({diverted})"
     );
     assert!(
-        shadow_worst <= SimDuration::from_ms(5.0),
-        "admitted rules still bounded: {shadow_worst}"
+        shadow_worst <= 5.0,
+        "admitted rules still bounded: {shadow_worst} ms"
     );
     let stats = plane.switch().stats();
     assert!(
