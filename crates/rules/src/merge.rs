@@ -20,8 +20,10 @@ use crate::rule::Rule;
 use std::collections::BTreeMap;
 
 /// Merges a set of ternary keys (assumed to share action and priority) into
-/// a minimal-or-smaller equivalent set by repeated pairwise adjacency
-/// merging (Quine–McCluskey style) until fixpoint.
+/// an equivalent set no larger than its input by repeated pairwise
+/// adjacency merging (Quine–McCluskey style) until fixpoint. The merge is
+/// greedy and depends on the order it meets the keys in, so the result is
+/// not always minimal.
 ///
 /// The keys need not be disjoint; containment collapses too. Complexity is
 /// O(n² · rounds) which is fine for partition sets (bounded by the key

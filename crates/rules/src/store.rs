@@ -255,15 +255,34 @@ impl<V: Filed> IdIndex<V> {
 
     /// Files `val` under `id`, replacing what was there.
     pub fn insert(&mut self, id: RuleId, val: V) {
-        debug_assert!(!val.is_free(), "the free marker is never filed");
-        if (self.len + 1) * MAX_LOAD.1 > self.slots.len() * MAX_LOAD.0 {
-            self.grow();
-        }
-        let i = self.probe(id.0);
+        let i = self.place(id, &val);
         if self.slots[i].is_free() {
             self.len += 1;
         }
         self.slots[i] = Slot { id: id.0, val };
+    }
+
+    /// Files `val` under `id` unless `id` is already filed, in one probe;
+    /// `false` when it was, with the filed value left as it is.
+    pub fn try_insert(&mut self, id: RuleId, val: V) -> bool {
+        let i = self.place(id, &val);
+        if !self.slots[i].is_free() {
+            return false;
+        }
+        self.len += 1;
+        self.slots[i] = Slot { id: id.0, val };
+        true
+    }
+
+    /// The slot holding `id`, or the free one `id` would be filed in,
+    /// after doubling the array if one more id would fill it past
+    /// `MAX_LOAD`.
+    fn place(&mut self, id: RuleId, val: &V) -> usize {
+        debug_assert!(!val.is_free(), "the free marker is never filed");
+        if (self.len + 1) * MAX_LOAD.1 > self.slots.len() * MAX_LOAD.0 {
+            self.grow();
+        }
+        self.probe(id.0)
     }
 
     /// Doubles the slot array (or allocates the first one) and re-files
@@ -352,6 +371,7 @@ mod tests {
     #[derive(Clone, Debug)]
     enum Op {
         Insert(u64, u32),
+        TryInsert(u64, u32),
         Remove(u64),
         Get(u64),
         Clear,
@@ -380,6 +400,10 @@ mod tests {
                 8,
                 zip2(id(), range(0u32..1 << 20)).map(|(id, v)| Op::Insert(id, v)),
             ),
+            (
+                4,
+                zip2(id(), range(0u32..1 << 20)).map(|(id, v)| Op::TryInsert(id, v)),
+            ),
             (5, id().map(Op::Remove)),
             (3, id().map(Op::Get)),
             (1, just(Op::Clear)),
@@ -389,8 +413,8 @@ mod tests {
     hermes_util::check! {
         #![cases = 256]
 
-        /// After every step of an insert/remove/get/clear history the index
-        /// answers as a `BTreeMap` would, for every id the history touched,
+        /// After every step of an insert/try-insert/remove/get/clear history
+        /// the index answers as a `BTreeMap` would, for every id the history touched,
         /// passes `check`, and `iter` sorted by id is the map's contents.
         fn id_index_matches_a_btreemap(ops in vec_of(op(), 1..300)) {
             let mut index = IdIndex::default();
@@ -401,6 +425,11 @@ mod tests {
                     Op::Insert(id, v) => {
                         index.insert(RuleId(id), v);
                         want.insert(id, v);
+                    }
+                    Op::TryInsert(id, v) => {
+                        let vacant = !want.contains_key(&id);
+                        want.entry(id).or_insert(v);
+                        assert_eq!(index.try_insert(RuleId(id), v), vacant, "try_insert {id:#x}");
                     }
                     Op::Remove(id) => {
                         assert_eq!(index.remove(RuleId(id)), want.remove(&id), "remove {id:#x}");
@@ -413,7 +442,7 @@ mod tests {
                         want.clear();
                     }
                 }
-                if let Op::Insert(id, _) | Op::Remove(id) | Op::Get(id) = *o {
+                if let Op::Insert(id, _) | Op::TryInsert(id, _) | Op::Remove(id) | Op::Get(id) = *o {
                     touched.push(id);
                 }
                 assert!(index.check(), "check after {o:?}");

@@ -72,6 +72,17 @@ impl IdIndex {
         self.0.insert(id, entry);
     }
 
+    /// Files `key` and slab slot `slab` under `id` unless `id` is already
+    /// filed, in one probe; `false` when it was.
+    pub(crate) fn try_insert(&mut self, id: RuleId, key: EntryKey, slab: u32) -> bool {
+        let entry = Entry {
+            seq: key.seq,
+            rp: key.rp,
+            slab,
+        };
+        self.0.try_insert(id, entry)
+    }
+
     /// Takes `id` out, returning its sort key and slab slot if it was
     /// filed.
     pub(crate) fn remove(&mut self, id: RuleId) -> Option<(EntryKey, u32)> {
@@ -98,6 +109,7 @@ mod tests {
     #[derive(Clone, Debug)]
     enum Op {
         Insert(u64, u64),
+        TryInsert(u64, u64),
         Remove(u64),
         Get(u64),
         Clear,
@@ -128,6 +140,10 @@ mod tests {
                 8,
                 zip2(id(), range(0u64..1 << 20)).map(|(id, seq)| Op::Insert(id, seq)),
             ),
+            (
+                4,
+                zip2(id(), range(0u64..1 << 20)).map(|(id, seq)| Op::TryInsert(id, seq)),
+            ),
             (5, id().map(Op::Remove)),
             (3, id().map(Op::Get)),
             (1, just(Op::Clear)),
@@ -149,8 +165,8 @@ mod tests {
     hermes_util::check! {
         #![cases = 256]
 
-        /// After every step of an insert/remove/get/clear history the index
-        /// answers as the `BTreeMap` it replaced, for every id the history
+        /// After every step of an insert/try-insert/remove/get/clear history
+        /// the index answers as the `BTreeMap` it replaced, for every id the history
         /// touched, and passes `check`. Before the history, `refill` ids
         /// are filed and half of them removed, then the array is grown
         /// past them and the removed half filed again.
@@ -188,6 +204,12 @@ mod tests {
                         file(&mut index, id, key(seq));
                         want.insert(id, key(seq));
                     }
+                    Op::TryInsert(id, seq) => {
+                        let (k, slab) = key(seq);
+                        let vacant = !want.contains_key(&id);
+                        want.entry(id).or_insert((k, slab));
+                        assert_eq!(index.try_insert(RuleId(id), k, slab), vacant, "try_insert {id:#x}");
+                    }
                     Op::Remove(id) => {
                         assert_eq!(index.remove(RuleId(id)), want.remove(&id), "remove {id:#x}");
                     }
@@ -199,7 +221,7 @@ mod tests {
                         want.clear();
                     }
                 }
-                if let Op::Insert(id, _) | Op::Remove(id) | Op::Get(id) = *o {
+                if let Op::Insert(id, _) | Op::TryInsert(id, _) | Op::Remove(id) | Op::Get(id) = *o {
                     touched.push(id);
                 }
                 assert!(index.check(), "check after {o:?}");

@@ -28,9 +28,9 @@
 //! host-side storage detail that no modeled number reads: the shift bill
 //! is §2.1's dense closed form, where an insertion at position `pos`
 //! moves `len - pos` entries (PackedLow), `pos` (PackedHigh) or the
-//! smaller of the two (Balanced). Shift accounting reads sort keys only,
-//! so the layout is generic over what it stores per key and the batch
-//! replay runs on a `Layout<()>`.
+//! smaller of the two (Balanced). Shift accounting reads sort keys only:
+//! a batch's sequential bill is counted from its own events' ranks among
+//! the stored keys, with no copy of the layout.
 //!
 //! Two indexes hold slab slots beside the sort key, so shifts and block
 //! splits leave both alone: the id index (`id_index.rs`, `id → (EntryKey,
@@ -50,9 +50,11 @@
 //! atomically, plans the final layout once, and charges one *coalesced*
 //! shift plan: an entry disturbed by several ops in the batch moves (and is
 //! billed) once, which is where batched control channels get their speedup.
-//! The host work follows the same shape: the batch lands in one pass per
-//! touched block (a compaction for its deletes, a merge for its inserts)
-//! instead of one `Vec::insert` per op (DESIGN.md §10).
+//! The host work follows the same shape and scales with the batch, not the
+//! table: one validation pass over the ops against the id index, a bill
+//! counted over the batch's own events, and one landing pass per touched
+//! block (a compaction for its deletes, a merge for its inserts) instead
+//! of one `Vec::insert` per op (DESIGN.md §10).
 
 use crate::id_index::IdIndex;
 use crate::match_index::MatchIndex;
@@ -64,11 +66,13 @@ use hermes_rules::store::Slab;
 const BLOCK_TARGET: usize = 512;
 /// Maximum block length before a split.
 const BLOCK_MAX: usize = 2 * BLOCK_TARGET;
-/// Below this table-plus-batch size, `apply_batch` also computes the exact
-/// sequential per-op cost on a scratch layout and charges the minimum — a
-/// hard guarantee that a batch is never billed worse than its ops applied
-/// singly. Above it, the closed-form coalesced plan is used alone (the
-/// scratch replay would dominate the runtime it is modeling).
+/// Up to this table-plus-batch size, `apply_batch` also counts the exact
+/// sequential per-op cost and charges the minimum — a hard guarantee that
+/// a batch is never billed worse than its ops applied singly. Above it,
+/// the coalesced plan is clamped by an estimate against the pre-batch
+/// table instead. The count costs `O(m log m)` for `m` ops whatever the
+/// table holds, so the limit no longer exists for speed: it stays
+/// because removing it would change the bill of batches on bigger tables.
 const NAIVE_CLAMP_LIMIT: usize = 8192;
 
 /// How the switch software packs entries into the physical TCAM, which
@@ -202,9 +206,10 @@ pub struct BatchReport {
     /// Entries physically moved under the coalesced plan (each disturbed
     /// entry billed once). This is what the latency model charges.
     pub shifts: usize,
-    /// Modeled cost of the same ops applied singly (exact when the table
-    /// is small enough for a scratch replay, a dense-layout estimate
-    /// otherwise) — `shifts` is never charged above the exact figure.
+    /// Modeled cost of the same ops applied singly: exact (counted over
+    /// the batch's own events) while table plus batch stay within
+    /// `NAIVE_CLAMP_LIMIT`, else the sum of its surviving inserts' costs
+    /// against the pre-batch table. `shifts` is never charged above it.
     pub naive_shifts: usize,
     /// Net new entries written (inserts surviving the batch).
     pub inserts: usize,
@@ -235,7 +240,7 @@ impl EntryKey {
 }
 
 /// A contiguous run of the priority order. `handles` holds one payload per
-/// key: the rule's slab slot in a table, `()` in the replay scratch.
+/// key: the rule's slab slot in a table, `()` in the tests' per-op replay.
 #[derive(Clone, Debug)]
 struct Block<P> {
     keys: Vec<EntryKey>,
@@ -329,8 +334,8 @@ fn chunk_ranges(len: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
 
 /// The physical side of a table: which sort key sits in which block and
 /// what an insertion at a given point shifts. Everything the shift
-/// accounting needs and nothing a lookup needs, so
-/// [`TcamTable::replay_singly`] can replay a batch over a `Layout<()>`.
+/// accounting needs and nothing a lookup needs, so the tests' per-op
+/// replay runs over a `Layout<()>`.
 #[derive(Clone, Debug)]
 struct Layout<P> {
     blocks: Vec<Block<P>>,
@@ -341,24 +346,6 @@ struct Layout<P> {
 }
 
 impl<P: Copy> Layout<P> {
-    /// The same keys with the payloads dropped.
-    fn shape(&self) -> Layout<()> {
-        Layout {
-            blocks: self
-                .blocks
-                .iter()
-                .map(|b| Block {
-                    keys: b.keys.clone(),
-                    handles: vec![(); b.len()],
-                })
-                .collect(),
-            next_seq: self.next_seq,
-            len: self.len,
-            capacity: self.capacity,
-            strategy: self.strategy,
-        }
-    }
-
     /// Index of the block containing `key`, plus the offset within it.
     fn locate(&self, key: EntryKey) -> Option<(usize, usize)> {
         let bi = self.blocks.partition_point(|b| b.last_key() < key);
@@ -453,7 +440,7 @@ impl<P: Copy> Layout<P> {
         let shifts = if priority.is_none() {
             0
         } else {
-            self.single_insert_cost(pos)
+            self.single_insert_cost(pos, self.len)
         };
         (key, bi, wi, shifts)
     }
@@ -513,15 +500,15 @@ impl<P: Copy> Layout<P> {
         }
     }
 
-    /// The shifts a single insertion at global position `pos` pays under
-    /// §2.1's dense cost model: every entry between the new slot and the
-    /// strategy's packing boundary moves — `len - pos` (PackedLow), `pos`
-    /// (PackedHigh), whichever is smaller (Balanced).
-    fn single_insert_cost(&self, pos: usize) -> usize {
+    /// The shifts a single insertion at global position `pos` among `len`
+    /// entries pays under §2.1's dense cost model: every entry between the
+    /// new slot and the strategy's packing boundary moves — `len - pos`
+    /// (PackedLow), `pos` (PackedHigh), whichever is smaller (Balanced).
+    fn single_insert_cost(&self, pos: usize, len: usize) -> usize {
         match self.strategy {
-            PlacementStrategy::PackedLow => self.len - pos,
+            PlacementStrategy::PackedLow => len - pos,
             PlacementStrategy::PackedHigh => pos,
-            PlacementStrategy::Balanced => pos.min(self.len - pos),
+            PlacementStrategy::Balanced => pos.min(len - pos),
         }
     }
 }
@@ -761,6 +748,7 @@ impl TcamTable {
                 let rule = self.slab.get(slot);
                 if !keep(rule) {
                     doomed.push(*key);
+                    self.by_id.remove(rule.id);
                 } else if !rule.priority.is_none() {
                     prioritized += 1;
                 }
@@ -776,19 +764,20 @@ impl TcamTable {
     }
 
     /// Removes the entries keyed by `doomed` (ascending, all stored) from
-    /// the layout, both indexes and the slab.
+    /// the layout, the match index and the slab. The caller has already
+    /// taken their ids out of `by_id`, which may file one of them again
+    /// (a batch's delete then re-insert).
     fn remove_sorted(&mut self, doomed: &[EntryKey]) {
-        let (slab, index, by_id) = (&mut self.slab, &mut self.index, &mut self.by_id);
+        let (slab, index) = (&mut self.slab, &mut self.index);
         self.layout.remove_sorted(doomed, |key, slot| {
-            let rule = slab.get(slot);
-            index.remove(rule.key, key.seq);
-            by_id.remove(rule.id);
+            index.remove(slab.get(slot).key, key.seq);
             slab.release(slot);
         });
     }
 
     /// Checks the structural invariants (debug aid / property tests):
-    /// priority ordering, block shape (none empty, none past
+    /// priority ordering with every `seq` below the next one drawn, block
+    /// shape (none empty, none past
     /// `BLOCK_MAX`), that every block handle names a distinct slab slot
     /// holding a rule of its key's priority that the id index files under
     /// that key and slot, that the free slots are exactly the rest and
@@ -808,7 +797,7 @@ impl TcamTable {
                 return false;
             }
             for (k, &slot) in b.keys.iter().zip(&b.handles) {
-                if prev.is_some_and(|p| *k <= p) {
+                if prev.is_some_and(|p| *k <= p) || k.seq >= layout.next_seq {
                     return false;
                 }
                 prev = Some(*k);
@@ -828,60 +817,130 @@ impl TcamTable {
 
     /// Applies a whole op sequence as one planned transaction.
     ///
-    /// The batch is **atomic**: every op is validated against the
-    /// sequential semantics first, and the first violation
-    /// ([`TcamError::Full`] / [`TcamError::Duplicate`] /
-    /// [`TcamError::NotFound`]) rejects the entire batch with the table
-    /// untouched. On success the final layout is computed once and the
-    /// batch is charged a *coalesced* shift plan: an entry disturbed by
-    /// several ops moves once, and slots freed by the batch's own deletes
-    /// absorb its inserts. The result is observationally equivalent to
-    /// applying the ops singly (same final entries, same per-op stats) but
-    /// never billed more shifts.
+    /// The batch is **atomic**: the first op that violates the sequential
+    /// semantics ([`TcamError::Full`] / [`TcamError::Duplicate`] /
+    /// [`TcamError::NotFound`]) rejects the entire batch with the table as
+    /// it was. On success the final layout is computed once and the batch
+    /// is charged a *coalesced* shift plan: an entry disturbed by several
+    /// ops moves once, and slots freed by the batch's own deletes absorb
+    /// its inserts. The result is observationally equivalent to applying
+    /// the ops singly (same final entries, same per-op stats) but never
+    /// billed more shifts.
     pub fn apply_batch(&mut self, ops: &[TcamOp]) -> Result<BatchReport, TcamError> {
         let occupancy_before = self.layout.len;
-        let plan = self.validate_batch(ops)?;
-        // The surviving inserts take fresh seqs in submission order (FIFO
-        // among equal priorities); one sort by sort key then serves the
-        // shift plan, the slab writes and the merge. Insert `i` takes seq
-        // `next_seq + i`, so `(!priority, i)` packed in one `u64` sorts
-        // exactly as its `EntryKey`. Each key carries `i` until the slab
-        // gives it a slot.
-        let n = u32::try_from(plan.inserts.len())
-            .expect("INVARIANT: a batch holds fewer than 2^32 inserts");
-        let mut packed: Vec<u64> = (plan.inserts.iter().zip(0..n))
-            .map(|(&(rule, _), i)| (u64::from(!rule.priority.0) << 32) | u64::from(i))
-            .collect();
-        packed.sort_unstable();
         let next_seq = self.layout.next_seq;
-        let mut fresh: Vec<(EntryKey, u32)> = (packed.into_iter())
-            .map(|k| {
-                let (rp, i) = ((k >> 32) as u32, k as u32);
-                let seq = next_seq + u64::from(i);
-                (EntryKey { rp, seq }, i)
-            })
-            .collect();
-        let (shifts, naive_shifts) = self.plan_batch_shifts(ops, &fresh, &plan.deleted);
+        // Insert op `k` (its ordinal among the insert ops) takes seq
+        // `next_seq + k`, so `(!priority, k)` packed in one `u64` sorts
+        // exactly as its `EntryKey`. `slots[k]` holds the op's index until
+        // the slab gives its rule a slot.
+        let n = ops.iter().filter_map(inserted).count();
+        let (mut packed, mut slots) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (at, op) in ops.iter().enumerate() {
+            if let TcamOp::Insert(rule) = op {
+                let at = u32::try_from(at).expect("INVARIANT: a batch holds fewer than 2^32 ops");
+                packed.push((u64::from(!rule.priority.0) << 32) | slots.len() as u64);
+                slots.push(at);
+            }
+        }
+        packed.sort_unstable();
+        // Into the slab in sort-key order, so a batch into an emptied table
+        // (the crash rebuild) leaves the slab in match order.
+        for &p in &packed {
+            let k = p as u32 as usize;
+            let rule =
+                inserted(&ops[slots[k] as usize]).expect("INVARIANT: slots[k] names an insert");
+            slots[k] = self.slab.alloc(*rule);
+        }
+        // One pass in submission order against `by_id`, which then holds
+        // the sequential live state: the first error is the one with the
+        // lowest op index, and an insert checks `Full` first.
+        let mut live = self.layout.len;
+        let mut inserts = 0;
+        // The key each delete took out, in op order: a stored entry's, or
+        // that of the in-batch insert it nets out.
+        let mut gone: Vec<EntryKey> = Vec::with_capacity(ops.len() - n);
+        // Modifies of stored entries, applied once the batch is known good;
+        // a pending insert's rule is rewritten in its fresh slot at once.
+        let mut modified: Vec<(EntryKey, u32, Action)> = Vec::new();
+        for (at, op) in ops.iter().enumerate() {
+            let failed = match op {
+                TcamOp::Insert(_) if live >= self.layout.capacity => Some(TcamError::Full),
+                TcamOp::Insert(rule) => {
+                    let key = EntryKey::new(rule.priority, next_seq + inserts as u64);
+                    let filed = self.by_id.try_insert(rule.id, key, slots[inserts]);
+                    inserts += usize::from(filed);
+                    live += usize::from(filed);
+                    (!filed).then_some(TcamError::Duplicate(rule.id))
+                }
+                TcamOp::Delete(id) => {
+                    self.by_id
+                        .remove(*id)
+                        .map_or(Some(TcamError::NotFound(*id)), |(key, _)| {
+                            gone.push(key);
+                            live -= 1;
+                            None
+                        })
+                }
+                TcamOp::ModifyAction { id, action } => match self.by_id.get(*id) {
+                    Some((key, slot)) if key.seq >= next_seq => {
+                        self.slab.get_mut(slot).action = *action;
+                        None
+                    }
+                    Some((key, slot)) => {
+                        modified.push((key, slot, *action));
+                        None
+                    }
+                    None => Some(TcamError::NotFound(*id)),
+                },
+            };
+            if let Some(err) = failed {
+                self.undo_batch(&ops[..at], &gone, &packed, &slots);
+                return Err(err);
+            }
+        }
+        let (mut netted, mut deleted) = (Vec::new(), Vec::with_capacity(gone.len()));
+        for &key in &gone {
+            if key.seq < next_seq {
+                deleted.push(key);
+            } else {
+                netted.push(key);
+            }
+        }
+        netted.sort_unstable();
+        deleted.sort_unstable();
+        let (shifts, naive_shifts) = if inserts == 0 {
+            (0, 0)
+        } else {
+            self.plan_batch_shifts(ops, &packed, &deleted, &netted, &gone)
+        };
         // Mutate, one pass per touched block: in-place modifies, then the
         // deletes (freeing slots), then the fresh entries merged in. The
         // coalesced plan already billed every move.
-        for &(slot, action) in &plan.modified {
+        for &(_, slot, action) in &modified {
             self.slab.get_mut(slot).action = action;
         }
-        self.remove_sorted(&plan.deleted);
-        self.layout.next_seq += fresh.len() as u64;
-        // Into the slab in sort-key order, so a batch into an emptied table
-        // (the crash rebuild) leaves the slab in match order. The match
-        // index takes the entries one by one, or is re-laid once for the
-        // final occupancy when they would overfill it.
+        modified.sort_by_key(|&(key, _, _)| key);
+        modified.dedup_by_key(|&mut (key, _, _)| key);
+        let modifies = (modified.iter())
+            .filter(|(key, _, _)| deleted.binary_search(key).is_err())
+            .count();
+        for key in &netted {
+            self.slab.release(slots[(key.seq - next_seq) as usize]);
+        }
+        self.remove_sorted(&deleted);
+        self.layout.next_seq += inserts as u64;
+        let mut fresh = Vec::with_capacity(n - netted.len());
+        fresh.extend(
+            (packed.iter())
+                .map(|&p| (unpack(p, next_seq), slots[p as u32 as usize]))
+                .filter(|(key, _)| netted.binary_search(key).is_err()),
+        );
+        // The match index takes the entries one by one, or is re-laid once
+        // for the final occupancy when they would overfill it.
         let index_fits = self.index.has_room(fresh.len());
-        for (key, handle) in &mut fresh {
-            let (rule, action) = plan.inserts[*handle as usize];
-            let rule = Rule { action, ..*rule };
-            *handle = self.slab.alloc(rule);
-            self.by_id.insert(rule.id, *key, *handle);
-            if index_fits {
-                self.index.insert(rule.key, key.seq, *handle);
+        if index_fits {
+            for &(key, slot) in &fresh {
+                self.index.insert(self.slab.get(slot).key, key.seq, slot);
             }
         }
         self.layout.insert_fresh(&fresh);
@@ -889,127 +948,85 @@ impl TcamTable {
             self.index
                 .rebuild(self.layout.len, self.layout.indexed(&self.slab));
         }
-        self.stats.inserts += plan.n_inserts;
-        self.stats.deletes += plan.n_deletes;
-        self.stats.modifies += plan.n_modifies;
+        self.stats.inserts += inserts as u64;
+        self.stats.deletes += gone.len() as u64;
+        self.stats.modifies += (ops.len() - inserts - gone.len()) as u64;
         self.stats.total_shifts += shifts as u64;
         Ok(BatchReport {
             shifts,
             naive_shifts,
             inserts: fresh.len(),
-            deletes: plan.deleted.len(),
-            modifies: plan.modified.len(),
+            deletes: deleted.len(),
+            modifies,
             occupancy_before,
         })
     }
 
-    /// Walks the ops under sequential semantics without touching the
-    /// table; the first violation (by op index) rejects the batch
-    /// atomically. Two passes, no map: `Full` is a prefix count of the live
-    /// entries in submission order, and `Duplicate`/`NotFound` come from
-    /// walking each id's ops in order after one sort of `(id, op index)`
-    /// pairs. An insert checks `Full` first, so on one op `Full` wins.
-    fn validate_batch<'a>(&self, ops: &'a [TcamOp]) -> Result<BatchPlan<'a>, TcamError> {
-        // Every op before the first error succeeded, so the count is exact
-        // up to there.
-        let mut live = self.layout.len;
-        let mut first_err = ops
-            .iter()
-            .position(|op| match op {
-                TcamOp::Insert(_) => {
-                    live += 1;
-                    live > self.layout.capacity
-                }
-                TcamOp::Delete(_) => {
-                    live = live.saturating_sub(1);
-                    false
-                }
-                TcamOp::ModifyAction { .. } => false,
-            })
-            .map(|at| (at, TcamError::Full));
-        let mut order: Vec<(RuleId, usize)> = ops.iter().map(TcamOp::id).zip(0..).collect();
-        order.sort_unstable();
-        let mut plan = BatchPlan::default();
-        // Surviving inserts with the index of the op that made them and
-        // their final action.
-        let mut survivors: Vec<(usize, &Rule, Action)> = Vec::new();
-        for group in order.chunk_by(|a, b| a.0 == b.0) {
-            let id = group[0].0;
-            // The stored entry while it lives and the action the batch last
-            // gave it; the in-batch insert that is live, with its op index.
-            let mut stored = self.by_id.get(id);
-            let mut action = None;
-            let mut pending: Option<(usize, &Rule, Action)> = None;
-            for &(_, at) in group {
-                let live = stored.is_some() || pending.is_some();
-                match (&ops[at], live) {
-                    (TcamOp::Insert(rule), false) => {
-                        pending = Some((at, rule, rule.action));
-                        plan.n_inserts += 1;
-                    }
-                    (TcamOp::Delete(_), true) => {
-                        // An in-batch insert nets out; else the stored
-                        // entry goes.
-                        if pending.take().is_none() {
-                            plan.deleted.extend(stored.take().map(|(key, _)| key));
-                        }
-                        plan.n_deletes += 1;
-                    }
-                    (TcamOp::ModifyAction { action: a, .. }, true) => {
-                        match &mut pending {
-                            Some((_, _, action)) => *action = *a,
-                            None => action = Some(*a),
-                        }
-                        plan.n_modifies += 1;
-                    }
-                    (op, _) => {
-                        let err = match op {
-                            TcamOp::Insert(_) => TcamError::Duplicate(id),
-                            _ => TcamError::NotFound(id),
-                        };
-                        if first_err.is_none_or(|(first, _)| at < first) {
-                            first_err = Some((at, err));
-                        }
-                        break;
-                    }
-                }
-            }
-            if let (Some((_, slot)), Some(action)) = (stored, action) {
-                plan.modified.push((slot, action));
-            }
-            survivors.extend(pending);
+    /// Puts `by_id` and the slab back as they were before a batch whose
+    /// ops `done` went through and whose next op failed: `gone` holds the
+    /// keys those ops deleted, `packed` and `slots` the batch's insert keys
+    /// and the slots allocated for them. Every id an insert filed comes
+    /// out, then every stored entry a delete took out is filed again
+    /// (a re-inserted id takes both steps), and the slots go back in the
+    /// reverse of the order they were allocated in.
+    fn undo_batch(&mut self, done: &[TcamOp], gone: &[EntryKey], packed: &[u64], slots: &[u32]) {
+        for rule in done.iter().filter_map(inserted) {
+            self.by_id.remove(rule.id);
         }
-        if let Some((_, err)) = first_err {
-            return Err(err);
+        let next_seq = self.layout.next_seq;
+        for &key in gone.iter().filter(|key| key.seq < next_seq) {
+            let (bi, wi) = (self.layout.locate(key))
+                .expect("INVARIANT: a stored entry stays laid out until the batch lands");
+            let slot = self.layout.blocks[bi].handles[wi];
+            self.by_id.insert(self.slab.get(slot).id, key, slot);
         }
-        survivors.sort_unstable_by_key(|&(at, _, _)| at);
-        plan.inserts = survivors
-            .into_iter()
-            .map(|(_, rule, action)| (rule, action))
-            .collect();
-        plan.deleted.sort_unstable();
-        Ok(plan)
+        for &p in packed.iter().rev() {
+            self.slab.release(slots[p as u32 as usize]);
+        }
     }
 
-    /// The coalesced shift plan for `fresh` (the surviving inserts' sort
-    /// keys, ascending) and `deleted` (ascending): counts the pre-existing
-    /// surviving entries the batch disturbs, letting batch-freed slots
-    /// absorb inserts in the strategy's shift direction. Clamped by an
-    /// exact sequential replay on small tables so a batch is never billed
-    /// worse than its ops applied singly.
+    /// The coalesced shift plan and the sequential bill of a validated
+    /// batch with at least one insert. `packed` holds every insert op's
+    /// packed key, ascending; `deleted` the keys of the stored entries the
+    /// batch removes and `netted` those of its inserts a later delete nets
+    /// out, both ascending; `gone` the key each delete took out, in op
+    /// order. The coalesced plan counts the pre-existing surviving entries
+    /// the batch disturbs, letting batch-freed slots absorb inserts in the
+    /// strategy's shift direction, and is clamped by the sequential bill
+    /// so a batch is never billed worse than its ops applied singly.
     fn plan_batch_shifts(
         &self,
         ops: &[TcamOp],
-        fresh: &[(EntryKey, u32)],
+        packed: &[u64],
         deleted: &[EntryKey],
+        netted: &[EntryKey],
+        gone: &[EntryKey],
     ) -> (usize, usize) {
         let layout = &self.layout;
-        // Positions of the batch's events among the *current* entries, one
-        // walk over the blocks each. `NONE` inserts sort last and are
-        // placed freely: no ordering pressure.
-        let prioritized = fresh.partition_point(|(key, _)| key.rp != !Priority::NONE.0);
-        let insert_pos = layout.ranks(fresh[..prioritized].iter().map(|&(key, _)| key));
-        let delete_pos = layout.ranks(deleted.iter().copied());
+        // Every event key, ascending: each insert op's and each deleted
+        // stored entry's (a netted insert's is already among the former).
+        let mut events = Vec::with_capacity(packed.len() + deleted.len());
+        let mut stored = deleted.iter().copied().peekable();
+        for key in packed.iter().map(|&p| unpack(p, layout.next_seq)) {
+            while let Some(d) = stored.next_if(|d| *d < key) {
+                events.push(d);
+            }
+            events.push(key);
+        }
+        events.extend(stored);
+        // Their positions among the *current* entries, one walk over the
+        // blocks. `NONE` inserts sort last and are placed freely: no
+        // ordering pressure.
+        let ranks = layout.ranks(events.iter().copied());
+        let mut insert_pos = Vec::with_capacity(packed.len());
+        let mut delete_pos = Vec::with_capacity(deleted.len());
+        for (key, &pos) in events.iter().zip(&ranks) {
+            if key.seq < layout.next_seq {
+                delete_pos.push(pos);
+            } else if key.rp != !Priority::NONE.0 && netted.binary_search(key).is_err() {
+                insert_pos.push(pos);
+            }
+        }
         let (ins, del) = (insert_pos.iter().copied(), delete_pos.iter().copied());
         let fwd = coalesced_moves_forward(layout.len, ins, del);
         let bwd = coalesced_moves_backward(layout.len, &insert_pos, &delete_pos);
@@ -1018,49 +1035,59 @@ impl TcamTable {
             PlacementStrategy::PackedHigh => bwd,
             PlacementStrategy::Balanced => fwd.min(bwd),
         };
-        // Estimate of the per-op sequential cost against the pre-batch
-        // table (for the telemetry "saved" metric when the exact replay is
-        // skipped).
-        let estimate: usize = insert_pos
-            .iter()
-            .map(|&p| layout.single_insert_cost(p))
-            .sum();
         if layout.len + ops.len() <= NAIVE_CLAMP_LIMIT {
-            let naive = self.replay_singly(ops);
+            let naive = self.count_singly(ops, &events, &ranks, gone);
             (formula.min(naive), naive)
         } else {
+            // Estimate of the per-op sequential cost against the pre-batch
+            // table.
+            let estimate: usize = (insert_pos.iter())
+                .map(|&p| layout.single_insert_cost(p, layout.len))
+                .sum();
             (formula.min(estimate), estimate)
         }
     }
 
-    /// Exact sequential cost of a *validated* batch: its inserts and
-    /// deletes applied singly to a scratch copy of the layout. Shifts
-    /// depend on sort keys alone, so the scratch carries no rules
-    /// and no match index, and the in-place modifies are skipped. Only
-    /// used under [`NAIVE_CLAMP_LIMIT`].
-    fn replay_singly(&self, ops: &[TcamOp]) -> usize {
-        let mut scratch = self.layout.shape();
-        // Sort keys of the entries the replay itself placed (no slab slot
-        // behind them); every other live id is where `by_id` says.
-        let mut placed = IdIndex::default();
-        let mut total = 0usize;
+    /// Exact sequential cost of a validated batch: what its ops cost
+    /// applied singly, counted over its own events instead of replayed on
+    /// a copy of the layout. `events` holds every event key ascending,
+    /// `ranks` their positions among the current entries, `gone` the key
+    /// each delete took out, in op order. A Fenwick tree over `events`
+    /// holds +1 for every insert placed so far and −1 for every entry
+    /// deleted so far, so an insert lands at its rank plus the prefix sum
+    /// below its key, among the current entries plus the net so far.
+    /// `O(m log m)` for `m` ops whatever the table holds.
+    fn count_singly(
+        &self,
+        ops: &[TcamOp],
+        events: &[EntryKey],
+        ranks: &[usize],
+        gone: &[EntryKey],
+    ) -> usize {
+        let layout = &self.layout;
+        let at = |key: &EntryKey| {
+            (events.binary_search(key)).expect("INVARIANT: every event key is among `events`")
+        };
+        let mut tree = vec![0isize; events.len() + 1];
+        let (mut len, mut seq, mut deletes) = (layout.len, layout.next_seq, gone.iter());
+        let mut total = 0;
         for op in ops {
             match op {
                 TcamOp::Insert(rule) => {
-                    let (key, bi, wi, shifts) = scratch.open_slot(rule.priority);
-                    scratch.raw_insert(bi, wi, key, ());
-                    placed.insert(rule.id, key, 0);
-                    total += shifts;
+                    let i = at(&EntryKey::new(rule.priority, seq));
+                    seq += 1;
+                    if !rule.priority.is_none() {
+                        let pos = (ranks[i].checked_add_signed(fenwick_prefix(&tree, i)))
+                            .expect("INVARIANT: a position is never negative");
+                        total += layout.single_insert_cost(pos, len);
+                    }
+                    fenwick_add(&mut tree, i, 1);
+                    len += 1;
                 }
-                TcamOp::Delete(id) => {
-                    let (key, _) = placed
-                        .remove(*id)
-                        .or_else(|| self.by_id.get(*id))
-                        .expect("INVARIANT: validated batch deletes live entries only");
-                    let (bi, wi) = scratch
-                        .locate(key)
-                        .expect("INVARIANT: validated batch deletes live entries only");
-                    scratch.raw_remove(bi, wi);
+                TcamOp::Delete(_) => {
+                    let key = deletes.next().expect("INVARIANT: one key per delete");
+                    fenwick_add(&mut tree, at(key), -1);
+                    len -= 1;
                 }
                 TcamOp::ModifyAction { .. } => {}
             }
@@ -1069,22 +1096,41 @@ impl TcamTable {
     }
 }
 
-/// A validated batch's net effect. It holds no rule of its own: an insert
-/// stays in its op, beside the action the batch left it.
-#[derive(Default)]
-struct BatchPlan<'a> {
-    /// Surviving inserts in submission order, each with its final action.
-    inserts: Vec<(&'a Rule, Action)>,
-    /// Sort keys of the pre-existing entries the batch removes, ascending.
-    deleted: Vec<EntryKey>,
-    /// Pre-existing entries the batch modifies and keeps: slab slot and
-    /// final action.
-    modified: Vec<(u32, Action)>,
-    /// Per-op tallies (sequential semantics: an insert later deleted still
-    /// counts one insert and one delete).
-    n_inserts: u64,
-    n_deletes: u64,
-    n_modifies: u64,
+/// The rule an insert op carries.
+fn inserted(op: &TcamOp) -> Option<&Rule> {
+    match op {
+        TcamOp::Insert(rule) => Some(rule),
+        TcamOp::Delete(_) | TcamOp::ModifyAction { .. } => None,
+    }
+}
+
+/// The sort key of packed insert key `p` (see [`TcamTable::apply_batch`])
+/// in a batch whose first insert takes seq `next_seq`.
+fn unpack(p: u64, next_seq: u64) -> EntryKey {
+    EntryKey {
+        rp: (p >> 32) as u32,
+        seq: next_seq + u64::from(p as u32),
+    }
+}
+
+/// The sum of a Fenwick `tree`'s values at indices below `i` (index `j`
+/// lives at `tree[j + 1]`).
+fn fenwick_prefix(tree: &[isize], mut i: usize) -> isize {
+    let mut sum = 0;
+    while i > 0 {
+        sum += tree[i];
+        i &= i - 1;
+    }
+    sum
+}
+
+/// Adds `v` at index `i` of a Fenwick `tree`.
+fn fenwick_add(tree: &mut [isize], i: usize, v: isize) {
+    let mut i = i + 1;
+    while i < tree.len() {
+        tree[i] += v;
+        i += i & i.wrapping_neg();
+    }
 }
 
 /// Entries moved when every insert opens its slot by shifting *forward*
@@ -1487,7 +1533,10 @@ mod tests {
     }
 
     /// Delete/insert churn at a steady occupancy, single and batched,
-    /// lands in freed slots: the slab keeps the pages its peak needed.
+    /// lands in freed slots: the slab keeps the pages its peak needed. A
+    /// batch takes its inserts' slots before its deletes free theirs, so
+    /// batched churn hands out one batch's inserts (30) beyond the peak,
+    /// once, and reuses them from then on.
     #[test]
     fn churn_reuses_slots_without_adding_pages() {
         let mut t = TcamTable::new(256, PlacementStrategy::Balanced);
@@ -1512,7 +1561,7 @@ mod tests {
         }
         assert_eq!(
             (t.slab.pages().len(), handed_out(&t), t.len()),
-            (4, 200, 200)
+            (4, 230, 200)
         );
         assert!(t.check_invariants());
     }
@@ -1566,12 +1615,67 @@ mod batch_merge {
     use std::ops::Range;
 
     /// The `BTreeMap` planner — a sequential walk of the ops keeping the
-    /// pending inserts, deletes and modifies by id, and the two coalesced
-    /// sweeps over a map of events — then the deletes one `Layout::raw_remove` at
-    /// a time in id order and the surviving inserts one `Vec::insert` at a
-    /// time in submission order.
-    mod reference {
+    /// pending inserts, deletes and modifies by id, the two coalesced
+    /// sweeps over a map of events, and the sequential bill replayed op by
+    /// op on a scratch copy of the layout — then the deletes one
+    /// `Layout::raw_remove` at a time in id order and the surviving inserts
+    /// one `Vec::insert` at a time in submission order.
+    pub(super) mod reference {
         use super::*;
+
+        impl<P: Copy> Layout<P> {
+            /// The same keys with the payloads dropped.
+            fn shape(&self) -> Layout<()> {
+                Layout {
+                    blocks: self
+                        .blocks
+                        .iter()
+                        .map(|b| Block {
+                            keys: b.keys.clone(),
+                            handles: vec![(); b.len()],
+                        })
+                        .collect(),
+                    next_seq: self.next_seq,
+                    len: self.len,
+                    capacity: self.capacity,
+                    strategy: self.strategy,
+                }
+            }
+        }
+
+        /// Exact sequential cost of a *validated* batch: its inserts and
+        /// deletes applied singly to a scratch copy of the layout. Shifts
+        /// depend on sort keys alone, so the scratch carries no rules
+        /// and no match index, and the in-place modifies are skipped.
+        pub(super) fn replay_singly(t: &TcamTable, ops: &[TcamOp]) -> usize {
+            let mut scratch = t.layout.shape();
+            // Sort keys of the entries the replay itself placed (no slab slot
+            // behind them); every other live id is where `by_id` says.
+            let mut placed = IdIndex::default();
+            let mut total = 0usize;
+            for op in ops {
+                match op {
+                    TcamOp::Insert(rule) => {
+                        let (key, bi, wi, shifts) = scratch.open_slot(rule.priority);
+                        scratch.raw_insert(bi, wi, key, ());
+                        placed.insert(rule.id, key, 0);
+                        total += shifts;
+                    }
+                    TcamOp::Delete(id) => {
+                        let (key, _) = placed
+                            .remove(*id)
+                            .or_else(|| t.by_id.get(*id))
+                            .expect("INVARIANT: validated batch deletes live entries only");
+                        let (bi, wi) = scratch
+                            .locate(key)
+                            .expect("INVARIANT: validated batch deletes live entries only");
+                        scratch.raw_remove(bi, wi);
+                    }
+                    TcamOp::ModifyAction { .. } => {}
+                }
+            }
+            total
+        }
 
         /// Sequential-walk state for a validated batch.
         #[derive(Default)]
@@ -1664,10 +1768,10 @@ mod batch_merge {
             };
             let estimate: usize = insert_pos
                 .iter()
-                .map(|&p| layout.single_insert_cost(p))
+                .map(|&p| layout.single_insert_cost(p, layout.len))
                 .sum();
             if layout.len + ops.len() <= NAIVE_CLAMP_LIMIT {
-                let naive = t.replay_singly(ops);
+                let naive = replay_singly(t, ops);
                 (formula.min(naive), naive)
             } else {
                 (formula.min(estimate), estimate)
@@ -1758,6 +1862,8 @@ mod batch_merge {
 
     const MERGE_STREAM_SALT: u64 = 0x4d45_5247_455f_4241;
     const PLAN_STREAM_SALT: u64 = 0x504c_414e_5f42_4154;
+    const SHAPE_STREAM_SALT: u64 = 0x5348_4150_455f_4241;
+    const BILL_STREAM_SALT: u64 = 0x4249_4c4c_5f43_4e54;
 
     /// A rule under 10.0.0.0/12 (/8, /16 or /24, so packets hit several
     /// entries at once) with a priority from `prios`, or one time in twenty
@@ -1899,6 +2005,77 @@ mod batch_merge {
         ops
     }
 
+    /// The two batch shapes the workloads send most: `len` inserts of new
+    /// ids, as many as fit (a migration's main-table batch, a crash
+    /// rebuild), or deletes of up to `len` distinct stored ids in random
+    /// order (a shadow drain). With `slips`, one op the table must reject
+    /// is planted: among inserts, a duplicate of an earlier insert of the
+    /// batch or of a stored id, or a run on past capacity with a
+    /// duplicate behind the op that overfills it; among deletes, a
+    /// repeated delete or a delete of an id never stored.
+    fn shaped_batch(
+        rng: &mut StdRng,
+        t: &TcamTable,
+        next_id: &mut u64,
+        len: usize,
+        inserts: bool,
+        slips: bool,
+    ) -> Vec<TcamOp> {
+        let mut stored: Vec<u64> = t.iter().map(|r| r.id.0).collect();
+        let slip = if slips {
+            rng.gen_range(0..3u32)
+        } else {
+            u32::MAX
+        };
+        if inserts {
+            let n = match slip {
+                2 => t.free() + 1 + rng.gen_range(0..8usize),
+                _ => len.min(t.free()),
+            };
+            let mut ops: Vec<TcamOp> = (0..n)
+                .map(|_| {
+                    *next_id += 1;
+                    TcamOp::Insert(rule(rng, *next_id - 1, 1..400))
+                })
+                .collect();
+            let (dup, lo) = match slip {
+                0 if !ops.is_empty() => (ops[rng.gen_range(0..ops.len())].id().0, 0),
+                1 if !stored.is_empty() => (stored[rng.gen_range(0..stored.len())], 0),
+                2 if t.free() > 0 => (ops[rng.gen_range(0..t.free())].id().0, t.free() + 1),
+                _ => return ops,
+            };
+            // Behind the first insert of `dup` (and behind the overfill).
+            let first = ops
+                .iter()
+                .position(|op| op.id().0 == dup)
+                .map_or(0, |i| i + 1);
+            let at = rng.gen_range(first.max(lo)..=ops.len());
+            ops.insert(at, TcamOp::Insert(rule(rng, dup, 1..400)));
+            ops
+        } else {
+            let mut ops = Vec::new();
+            while ops.len() < len && !stored.is_empty() {
+                let id = stored.swap_remove(rng.gen_range(0..stored.len()));
+                ops.push(TcamOp::Delete(RuleId(id)));
+            }
+            let dead = match slip {
+                0 | 1 if !ops.is_empty() => ops[rng.gen_range(0..ops.len())].id(),
+                2 => {
+                    *next_id += 1;
+                    RuleId(*next_id - 1)
+                }
+                _ => return ops,
+            };
+            let first = ops
+                .iter()
+                .position(|op| op.id() == dead)
+                .map_or(0, |i| i + 1);
+            let at = rng.gen_range(first..=ops.len());
+            ops.insert(at, TcamOp::Delete(dead));
+            ops
+        }
+    }
+
     /// Everything a caller can observe of two tables agrees: entries in
     /// match order, every id ever used, lookups on a packet sample and
     /// stats; both are well formed, and no block of `got` holds more than
@@ -1932,6 +2109,26 @@ mod batch_merge {
                 b.handles.capacity()
             );
         }
+    }
+
+    /// `apply_batch` draws one seq per insert op, the reference one per
+    /// surviving insert, so after a good batch the table is ahead by the
+    /// inserts a later delete netted out; after a rejected one neither
+    /// moved.
+    fn assert_next_seq(
+        got: &TcamTable,
+        want: &TcamTable,
+        ops: &[TcamOp],
+        result: &Result<BatchReport, TcamError>,
+    ) {
+        let netted = result.as_ref().map_or(0, |report| {
+            ops.iter().filter_map(inserted).count() - report.inserts
+        });
+        assert_eq!(
+            got.layout.next_seq,
+            want.layout.next_seq + netted as u64,
+            "next seq"
+        );
     }
 
     pub(super) fn strategy() -> hermes_util::check::Gen<PlacementStrategy> {
@@ -1972,7 +2169,7 @@ mod batch_merge {
             let want_report = reference::apply_batch(&mut want, &ops);
             assert_eq!(table.apply_batch(&ops), want_report, "batch report");
             assert_same(&table, &want, next_id, &mut rng);
-            assert_eq!(table.layout.next_seq, want.layout.next_seq, "next seq");
+            assert_next_seq(&table, &want, &ops, &want_report);
             let follow = batch(&mut rng, &table, &mut next_id, (0, 64), 1..400);
             assert_eq!(table.apply_batch(&follow), want.apply_batch(&follow), "follow-up batch");
             let single = rule(&mut rng, next_id, 1..400);
@@ -2010,9 +2207,86 @@ mod batch_merge {
             let want_result = reference::apply_batch(&mut want, &ops);
             assert_eq!(table.apply_batch(&ops), want_result, "batch result");
             assert_same(&table, &want, next_id, &mut rng);
-            assert_eq!(table.layout.next_seq, want.layout.next_seq, "next seq");
+            assert_next_seq(&table, &want, &ops, &want_result);
             let single = rule(&mut rng, next_id, 1..400);
             assert_eq!(table.insert(single), want.insert(single), "follow-up insert");
+        }
+    }
+
+    hermes_util::check! {
+        #![cases = 256]
+
+        /// The batch shapes the workloads send most, insert-only and
+        /// delete-only, against the `BTreeMap` planner, on 0–60-entry and
+        /// 1 100–3 000-entry tables for every strategy: the same first
+        /// error, and on success the same report and table. A rejected
+        /// batch leaves entries, stats, every `get` and the invariants as
+        /// they were (the reference never touches the table before it has
+        /// validated the whole batch). The next single insert and batch are
+        /// billed the same.
+        fn shaped_batches_match_reference(
+            seed in arb::<u64>(),
+            n in one_of(vec![range(0usize..60), range(1100usize..3000)]),
+            extra in one_of(vec![range(0usize..8), range(0usize..400)]),
+            len in one_of(vec![range(1usize..8), range(1usize..300)]),
+            placement in strategy(),
+            inserts in arb::<bool>(),
+            slips in arb::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed ^ SHAPE_STREAM_SALT);
+            let mut table = TcamTable::new(n + extra, placement);
+            for id in 0..n as u64 {
+                table.insert(rule(&mut rng, id, 1..400)).expect("capacity");
+            }
+            let mut next_id = n as u64;
+            let ops = shaped_batch(&mut rng, &table, &mut next_id, len, inserts, slips);
+            let mut want = table.clone();
+            let want_result = reference::apply_batch(&mut want, &ops);
+            assert_eq!(table.apply_batch(&ops), want_result, "batch result");
+            assert!(slips || want_result.is_ok(), "an unslipped batch is valid");
+            assert_same(&table, &want, next_id, &mut rng);
+            assert_next_seq(&table, &want, &ops, &want_result);
+            let follow = messy_batch(&mut rng, &table, &mut next_id, 32, 1..400, false);
+            assert_eq!(table.apply_batch(&follow), want.apply_batch(&follow), "follow-up batch");
+            let single = rule(&mut rng, next_id, 1..400);
+            assert_eq!(table.insert(single), want.insert(single), "follow-up insert");
+            assert_same(&table, &want, next_id + 1, &mut rng);
+        }
+    }
+
+    hermes_util::check! {
+        #![cases = 256]
+
+        /// The sequential bill counted over the batch's events equals the
+        /// per-op replay on a scratch copy of the layout, for valid
+        /// batches full of insert → delete and delete → re-insert chains on
+        /// one id (stored or new), `NONE` inserts and FIFO ties, every
+        /// strategy, and tables from empty to past two `BLOCK_MAX` blocks,
+        /// some of them holding the gaps an earlier batch's deletes left.
+        fn counted_bill_matches_layout_replay(
+            seed in arb::<u64>(),
+            n in one_of(vec![range(0usize..40), range(0usize..2 * BLOCK_MAX + 300)]),
+            extra in one_of(vec![range(0usize..8), range(0usize..400)]),
+            len in range(1usize..200),
+            placement in strategy(),
+            narrow in arb::<bool>(),
+            churned in arb::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed ^ BILL_STREAM_SALT);
+            let mut table = TcamTable::new(n + extra, placement);
+            for id in 0..n as u64 {
+                table.insert(rule(&mut rng, id, 1..400)).expect("capacity");
+            }
+            let prios = if narrow { 200..203 } else { 1..400 };
+            let mut next_id = n as u64;
+            if churned {
+                let warm = messy_batch(&mut rng, &table, &mut next_id, 64, prios.clone(), false);
+                table.apply_batch(&warm).expect("a valid batch");
+            }
+            let ops = messy_batch(&mut rng, &table, &mut next_id, len, prios, false);
+            let want = reference::replay_singly(&table, &ops);
+            let got = table.apply_batch(&ops).expect("a valid batch");
+            assert_eq!(got.naive_shifts, want, "sequential bill");
         }
     }
 

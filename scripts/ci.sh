@@ -70,6 +70,10 @@ stage_test() {
     # times the default cases of its two differential properties.
     HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-tcam \
       --test proptest_tcam --test proptest_match_index
+    # A batch's sequential bill, counted over its own events, against the
+    # per-op replay on a scratch copy of the layout, likewise.
+    HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-tcam \
+      --lib counted_bill_matches_layout_replay
     # The max-min solver's replay of logged rounds, warm against cold and
     # against the pre-index solver, under eight times the default cases.
     HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-netsim \
