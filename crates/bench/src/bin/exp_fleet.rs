@@ -153,12 +153,14 @@ fn run_phase(
     // Admission control off (the exp_crash precedent): the experiment
     // measures device-channel and lane throughput, and the token bucket
     // would otherwise reward the slower driver — ops serviced later see a
-    // refilled bucket and route cheaper, masking the pipeline win.
+    // refilled bucket and route cheaper, masking the pipeline win. Phase 1
+    // is the static home-lane sharding.
     let mut fleet = build_fleet(
         switches,
         FleetConfig {
             lanes,
             seed,
+            sched: LaneSched::Pinned,
             ..FleetConfig::default()
         },
     );

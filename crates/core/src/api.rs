@@ -17,7 +17,7 @@
 //! this guarantee cost?" without configuring anything.
 
 use crate::config::{HermesConfig, RulePredicate};
-use crate::switch::{HermesError, HermesSwitch};
+use crate::switch::{shadow_size, HermesError, HermesSwitch};
 use hermes_tcam::{SimDuration, SwitchModel};
 use std::collections::BTreeMap;
 
@@ -197,10 +197,8 @@ impl HermesApi {
             .models
             .get(&switch)
             .ok_or(ApiError::UnknownSwitch(switch))?;
-        match model.max_table_for_guarantee(guarantee) {
-            Some(size) => Ok(size.min(model.capacity / 2) as f64 / model.capacity as f64),
-            None => Err(ApiError::Infeasible(HermesError::InfeasibleGuarantee)),
-        }
+        let size = shadow_size(model, guarantee, None).map_err(ApiError::Infeasible)?;
+        Ok(size as f64 / model.capacity as f64)
     }
 
     /// Access a configured agent (the data path for simulations).
@@ -342,6 +340,31 @@ mod tests {
         // Headline number: 5 ms under 5%.
         assert!(o5 < 0.05);
         let _ = api;
+    }
+
+    /// `QoSOverheads` quotes the shadow `CreateTCAMQoS` carves, also at the
+    /// edge guarantee `base + 1 ns`, which buys no whole entry and gets the
+    /// one-entry minimum.
+    #[test]
+    fn overheads_quote_the_configured_shadow() {
+        for model in SwitchModel::paper_models() {
+            let edge = model.base + SimDuration::from_nanos(1);
+            assert_eq!(model.max_table_for_guarantee(edge), Some(0));
+            let ms = SimDuration::from_ms;
+            for guarantee in [ms(1.0), ms(5.0), ms(10.0), edge] {
+                let mut api = HermesApi::new();
+                api.register_switch(SwitchId(1), model.clone());
+                let quoted = api.qos_overheads(SwitchId(1), guarantee).unwrap();
+                let configured = api
+                    .create_tcam_qos(SwitchId(1), guarantee, RulePredicate::All)
+                    .unwrap();
+                assert_eq!(
+                    quoted, configured.overhead,
+                    "{} at {guarantee:?}",
+                    model.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   fragment the most (§4.2's optimization), or
 //! * the shadow table cannot hold their partitions.
 
-use crate::config::RulePredicate;
+use crate::config::{HermesConfig, RulePredicate};
 use hermes_rules::prelude::*;
 use hermes_tcam::SimTime;
 use hermes_telemetry::names::{self, Counter};
@@ -126,24 +126,19 @@ pub struct GateKeeper {
 }
 
 impl GateKeeper {
-    /// Builds a Gate Keeper. `rate_limit` of `None` disables admission
-    /// control (every qualifying rule may use the shadow).
-    pub fn new(
-        predicate: RulePredicate,
-        rate_limit: Option<(f64, f64)>,
-        max_partitions: usize,
-    ) -> Self {
+    /// Builds the Gate Keeper a configuration asks for: its predicate,
+    /// partition cap and §4.2 lowest-priority bypass. `rate_limit` is the
+    /// admission rate and burst; `None` or an infinite rate disables
+    /// admission control (every qualifying rule may use the shadow).
+    pub fn new(config: &HermesConfig, rate_limit: Option<(f64, f64)>) -> Self {
         GateKeeper {
-            predicate,
-            bucket: rate_limit.map(|(rate, burst)| TokenBucket::new(rate, burst)),
-            max_partitions,
-            low_priority_bypass: true,
+            predicate: config.predicate.clone(),
+            bucket: (rate_limit)
+                .filter(|(rate, _)| rate.is_finite())
+                .map(|(rate, burst)| TokenBucket::new(rate, burst)),
+            max_partitions: config.max_partitions,
+            low_priority_bypass: config.low_priority_bypass,
         }
-    }
-
-    /// Enables or disables the §4.2 lowest-priority bypass.
-    pub fn set_low_priority_bypass(&mut self, enabled: bool) {
-        self.low_priority_bypass = enabled;
     }
 
     /// Does the rule qualify for the guarantee at all?
@@ -197,12 +192,6 @@ impl GateKeeper {
         }
     }
 
-    /// Updates the admission rate (e.g. after `ModQoSConfig` re-sizes the
-    /// shadow table).
-    pub fn set_rate(&mut self, rate: Option<(f64, f64)>) {
-        self.bucket = rate.map(|(r, b)| TokenBucket::new(r, b));
-    }
-
     /// The configured admission rate, if any.
     pub fn rate(&self) -> Option<f64> {
         self.bucket.as_ref().map(|b| b.rate())
@@ -217,6 +206,19 @@ mod tests {
     fn rule(pfx: &str, prio: u32) -> Rule {
         let p: Ipv4Prefix = pfx.parse().unwrap();
         Rule::new(1, p.to_key(), Priority(prio), Action::Drop)
+    }
+
+    fn gate(
+        predicate: RulePredicate,
+        rate_limit: Option<(f64, f64)>,
+        max_partitions: usize,
+    ) -> GateKeeper {
+        let config = HermesConfig {
+            predicate,
+            max_partitions,
+            ..HermesConfig::default()
+        };
+        GateKeeper::new(&config, rate_limit)
     }
 
     #[test]
@@ -245,7 +247,7 @@ mod tests {
 
     #[test]
     fn pre_route_unmatched_goes_to_main() {
-        let mut gk = GateKeeper::new(
+        let mut gk = gate(
             RulePredicate::DstWithin("10.0.0.0/8".parse().unwrap()),
             None,
             16,
@@ -259,7 +261,7 @@ mod tests {
 
     #[test]
     fn pre_route_low_priority_bypass() {
-        let mut gk = GateKeeper::new(RulePredicate::All, None, 16);
+        let mut gk = gate(RulePredicate::All, None, 16);
         // No-priority rule bypasses regardless.
         assert_eq!(
             gk.pre_route(&rule("10.0.0.0/8", 0), SimTime::ZERO, Some(Priority(5))),
@@ -285,7 +287,7 @@ mod tests {
 
     #[test]
     fn pre_route_rate_limit() {
-        let mut gk = GateKeeper::new(RulePredicate::All, Some((10.0, 2.0)), 16);
+        let mut gk = gate(RulePredicate::All, Some((10.0, 2.0)), 16);
         let r = rule("10.0.0.0/8", 9);
         let t = SimTime::ZERO;
         assert_eq!(gk.pre_route(&r, t, Some(Priority(1))), None);
@@ -298,7 +300,7 @@ mod tests {
 
     #[test]
     fn post_route_decisions() {
-        let gk = GateKeeper::new(RulePredicate::All, None, 4);
+        let gk = gate(RulePredicate::All, None, 4);
         assert_eq!(gk.post_route(0, 10), Route::Redundant);
         assert_eq!(gk.post_route(5, 10), Route::MainTooFragmented);
         assert_eq!(gk.post_route(3, 2), Route::MainShadowFull);

@@ -28,49 +28,64 @@ pub struct MigrationReport {
     pub duration: SimDuration,
 }
 
-/// The migration-trigger state machine.
+/// The migration trigger (§5.1): the one owner of *when* to migrate. The
+/// switch asks it twice — after an admission and on every tick — and it
+/// answers from the shadow occupancy, the predicted arrivals and its own
+/// busy window.
 pub struct RuleManager {
-    trigger: MigrationTrigger,
-    predictor: Option<Box<dyn Predictor>>,
-    corrector: Corrector,
+    /// The configured trigger, its predictor built.
+    policy: Policy,
     /// Insert arrivals since the last tick (the predictor's observable).
     arrivals: u64,
     /// The control plane is busy migrating until this instant; a new
     /// migration cannot start before then (this is what bounds the
     /// sustainable insertion rate, Equation 1).
-    pub busy_until: SimTime,
-    /// Lifetime number of migrations triggered.
-    pub migrations: u64,
+    busy_until: SimTime,
+}
+
+/// A [`MigrationTrigger`] with its predictor built.
+enum Policy {
+    /// Hermes-SIMPLE: migrate at this occupancy fraction.
+    Threshold(f64),
+    /// Predict the next interval's arrivals, inflate them by the corrector.
+    Predictive(Box<dyn Predictor>, Corrector),
 }
 
 impl std::fmt::Debug for RuleManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuleManager")
-            .field("trigger", &self.trigger)
             .field("arrivals", &self.arrivals)
             .field("busy_until", &self.busy_until)
-            .field("migrations", &self.migrations)
             .finish_non_exhaustive()
     }
+}
+
+/// Hermes-SIMPLE's test: occupancy at `fraction` of the shadow, and never
+/// an empty shadow.
+fn over_threshold(fraction: f64, shadow_len: usize, shadow_cap: usize) -> bool {
+    shadow_len as f64 >= fraction * shadow_cap as f64 && shadow_len > 0
+}
+
+/// The predictive manager's safety net: the shadow is nearly full,
+/// whatever the prediction says.
+fn nearly_full(shadow_len: usize, shadow_cap: usize) -> bool {
+    shadow_len as f64 >= 0.9 * shadow_cap as f64
 }
 
 impl RuleManager {
     /// Builds the manager for a trigger policy.
     pub fn new(trigger: MigrationTrigger) -> Self {
-        let (predictor, corrector) = match trigger {
+        let policy = match trigger {
             MigrationTrigger::Predictive {
                 predictor,
                 corrector,
-            } => (Some(predictor.build()), corrector),
-            MigrationTrigger::Threshold { .. } => (None, Corrector::None),
+            } => Policy::Predictive(predictor.build(), corrector),
+            MigrationTrigger::Threshold { fraction } => Policy::Threshold(fraction),
         };
         RuleManager {
-            trigger,
-            predictor,
-            corrector,
+            policy,
             arrivals: 0,
             busy_until: SimTime::ZERO,
-            migrations: 0,
         }
     }
 
@@ -80,19 +95,22 @@ impl RuleManager {
     }
 
     /// `true` while a migration is still draining.
-    pub fn is_busy(&self, now: SimTime) -> bool {
+    fn is_busy(&self, now: SimTime) -> bool {
         now < self.busy_until
     }
 
-    /// Threshold-mode inline check (evaluated after every insert, since
-    /// Hermes-SIMPLE has no notion of prediction windows).
-    pub fn wants_migration_inline(&self, shadow_len: usize, shadow_cap: usize) -> bool {
-        match self.trigger {
-            MigrationTrigger::Threshold { fraction } => {
-                shadow_len as f64 >= fraction * shadow_cap as f64 && shadow_len > 0
+    /// The check that ends an admission. Hermes-SIMPLE tests its threshold
+    /// after every admission, since it has no notion of prediction
+    /// windows. The predictive manager tests only its safety net, so a
+    /// burst arriving between ticks cannot silently fill the shadow (the
+    /// threshold baseline deliberately has no such net — that naivety is
+    /// exactly what §8.5 measures).
+    pub fn after_admission(&self, now: SimTime, shadow_len: usize, shadow_cap: usize) -> bool {
+        !self.is_busy(now)
+            && match self.policy {
+                Policy::Threshold(fraction) => over_threshold(fraction, shadow_len, shadow_cap),
+                Policy::Predictive(..) => nearly_full(shadow_len, shadow_cap),
             }
-            MigrationTrigger::Predictive { .. } => false,
-        }
     }
 
     /// Periodic tick: feeds the predictor and decides whether to migrate.
@@ -110,27 +128,21 @@ impl RuleManager {
         let arrived = std::mem::take(&mut self.arrivals) as f64;
         if self.is_busy(now) {
             // Still draining: keep the predictor fed but don't re-trigger.
-            if let Some(p) = &mut self.predictor {
-                p.observe(arrived);
+            if let Policy::Predictive(predictor, _) = &mut self.policy {
+                predictor.observe(arrived);
             }
             return false;
         }
-        match self.trigger {
-            MigrationTrigger::Threshold { fraction } => {
-                shadow_len as f64 >= fraction * shadow_cap as f64 && shadow_len > 0
-            }
-            MigrationTrigger::Predictive { .. } => {
-                let predictor = self.predictor.as_mut().expect(
-                    "INVARIANT: RuleManager::new constructs the predictor exactly when the \
-                     trigger is Predictive, and neither field is reassigned afterwards",
-                );
+        match &mut self.policy {
+            Policy::Threshold(fraction) => over_threshold(*fraction, shadow_len, shadow_cap),
+            Policy::Predictive(predictor, corrector) => {
                 predictor.observe(arrived);
-                let predicted = self.corrector.apply(predictor.predict());
+                let predicted = corrector.apply(predictor.predict());
                 let projected = shadow_len as f64 + predicted * expected_partitions.max(1.0);
                 // Migrate when the projection overflows, or as a safety net
                 // when the shadow is nearly full regardless of prediction.
                 (projected >= shadow_cap as f64 && shadow_len > 0)
-                    || shadow_len as f64 >= 0.9 * shadow_cap as f64
+                    || nearly_full(shadow_len, shadow_cap)
             }
         }
     }
@@ -138,7 +150,11 @@ impl RuleManager {
     /// Marks a migration as started, blocking re-trigger until it drains.
     pub fn migration_started(&mut self, now: SimTime, duration: SimDuration) {
         self.busy_until = now + duration;
-        self.migrations += 1;
+    }
+
+    /// Clears the busy window (the clock restarts after a warm-up).
+    pub fn end_warmup(&mut self) {
+        self.busy_until = SimTime::ZERO;
     }
 }
 
@@ -159,17 +175,17 @@ mod tests {
         let mut m = RuleManager::new(MigrationTrigger::Threshold { fraction: 0.5 });
         assert!(!m.on_tick(SimTime::from_ms(100.0), 4, 10, 1.0));
         assert!(m.on_tick(SimTime::from_ms(200.0), 5, 10, 1.0));
-        // Inline check mirrors the tick decision.
-        assert!(m.wants_migration_inline(5, 10));
-        assert!(!m.wants_migration_inline(4, 10));
+        // The admission check mirrors the tick decision.
+        assert!(m.after_admission(SimTime::from_ms(200.0), 5, 10));
+        assert!(!m.after_admission(SimTime::from_ms(200.0), 4, 10));
     }
 
     #[test]
     fn threshold_zero_migrates_whenever_nonempty() {
         let m = RuleManager::new(MigrationTrigger::Threshold { fraction: 0.0 });
-        assert!(m.wants_migration_inline(1, 10));
+        assert!(m.after_admission(SimTime::ZERO, 1, 10));
         assert!(
-            !m.wants_migration_inline(0, 10),
+            !m.after_admission(SimTime::ZERO, 0, 10),
             "empty shadow never migrates"
         );
     }
@@ -240,9 +256,12 @@ mod tests {
         m.migration_started(SimTime::ZERO, SimDuration::from_ms(500.0));
         assert!(m.is_busy(SimTime::from_ms(100.0)));
         assert!(!m.on_tick(SimTime::from_ms(100.0), 9, 10, 1.0));
+        assert!(!m.after_admission(SimTime::from_ms(100.0), 9, 10));
         assert!(!m.is_busy(SimTime::from_ms(500.0)));
         assert!(m.on_tick(SimTime::from_ms(500.0), 9, 10, 1.0));
-        assert_eq!(m.migrations, 1);
+        m.migration_started(SimTime::from_ms(500.0), SimDuration::from_ms(500.0));
+        m.end_warmup();
+        assert!(m.after_admission(SimTime::ZERO, 9, 10));
     }
 
     #[test]
@@ -250,5 +269,8 @@ mod tests {
         let mut m = predictive(Corrector::None);
         // No arrivals at all (prediction 0) but shadow at 95%: migrate.
         assert!(m.on_tick(SimTime::from_ms(100.0), 95, 100, 1.0));
+        // The same net ends an admission; below it, only a tick decides.
+        assert!(m.after_admission(SimTime::from_ms(100.0), 90, 100));
+        assert!(!m.after_admission(SimTime::from_ms(100.0), 89, 100));
     }
 }

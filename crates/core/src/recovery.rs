@@ -32,6 +32,7 @@ use hermes_rules::prelude::*;
 use hermes_tcam::{SimDuration, SimTime};
 use hermes_telemetry::names;
 use hermes_util::rng::{stream, Rng, Salt, StdRng};
+use std::collections::VecDeque;
 
 /// Total attempts per device op (first try + retries).
 pub const RETRY_ATTEMPTS: u32 = 4;
@@ -136,7 +137,7 @@ pub struct RecoveryState {
     /// `(slice, physical rule id)`.
     pub pending_gc: Vec<(usize, RuleId)>,
     /// Admissions queued while degraded, in arrival order.
-    pub deferred: Vec<Rule>,
+    pub deferred: VecDeque<Rule>,
     rng: StdRng,
     consecutive_failures: u32,
     degraded_since: Option<SimTime>,
@@ -147,7 +148,7 @@ impl Default for RecoveryState {
         RecoveryState {
             stats: RecoveryStats::default(),
             pending_gc: Vec::new(),
-            deferred: Vec::new(),
+            deferred: VecDeque::new(),
             rng: stream(0, Salt::RECOVERY_JITTER),
             consecutive_failures: 0,
             degraded_since: None,
@@ -215,7 +216,7 @@ impl RecoveryState {
     pub fn defer(&mut self, rule: Rule) {
         self.stats.deferred += 1;
         hermes_telemetry::counter(names::RECOVERY_DEFERRED, 1);
-        self.deferred.push(rule);
+        self.deferred.push_back(rule);
     }
 }
 

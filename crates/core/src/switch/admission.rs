@@ -11,7 +11,6 @@ use super::{
     ActionReport, HermesError, HermesSwitch, ReportDetail, ShadowEntry, AGENT_ONLY, MAIN,
     PHYS_BASE, SHADOW,
 };
-use crate::config::MigrationTrigger;
 use crate::gatekeeper::Route;
 use crate::partition::partition_new_rule_bounded;
 use hermes_rules::prelude::*;
@@ -391,21 +390,10 @@ impl HermesSwitch {
         }
     }
 
-    /// The migration-trigger check that ends an admission. Hermes-SIMPLE
-    /// checks its threshold after every insert; the predictive manager
-    /// additionally gets an emergency check so a burst arriving between
-    /// ticks cannot silently fill the shadow (the threshold baseline
-    /// deliberately has no such safety net — that naivety is exactly what
-    /// §8.5 measures).
+    /// The migration-trigger check that ends an admission
+    /// ([`RuleManager::after_admission`](crate::manager::RuleManager::after_admission)).
     fn maybe_migrate(&mut self, now: SimTime) {
-        let emergency = matches!(self.config.trigger, MigrationTrigger::Predictive { .. })
-            && self.shadow_len() as f64 >= 0.9 * self.shadow_capacity() as f64;
-        if (self
-            .manager
-            .wants_migration_inline(self.shadow_len(), self.shadow_capacity())
-            || emergency)
-            && !self.manager.is_busy(now)
-        {
+        if (self.manager).after_admission(now, self.shadow_len(), self.shadow_capacity()) {
             self.migrate(now);
         }
     }
@@ -417,8 +405,7 @@ impl HermesSwitch {
     pub(super) fn flush_deferred(&mut self, now: SimTime) -> (usize, SimDuration) {
         let mut flushed = 0;
         let mut latency = SimDuration::ZERO;
-        while !self.recovery.deferred.is_empty() {
-            let rule = self.recovery.deferred.remove(0);
+        while let Some(rule) = self.recovery.deferred.pop_front() {
             match self.admit_one(rule, now) {
                 Ok(rep) => {
                     latency += rep.latency;
@@ -428,7 +415,7 @@ impl HermesSwitch {
                 Err(HermesError::Device(_)) => {
                     // Channel still dead: put it back at the front and
                     // stop probing.
-                    self.recovery.deferred.insert(0, rule);
+                    self.recovery.deferred.push_front(rule);
                     break;
                 }
                 Err(_) => {

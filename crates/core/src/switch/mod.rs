@@ -241,11 +241,10 @@ pub struct HermesSwitch {
     recovery: RecoveryState,
     /// Crash/resync health counters.
     resync_stats: ResyncStats,
-    /// An unresolved crash window is open: the device lost its control
-    /// session (and possibly state) and resync has not yet completed.
-    crash_pending: bool,
-    /// When the open crash window was detected (guarantee-gap metric).
-    crash_detected_at: Option<SimTime>,
+    /// When the open crash window was detected (guarantee-gap metric):
+    /// the device lost its control session (and possibly state) and
+    /// resync has not yet completed. `None` outside a crash window.
+    crash_window: Option<SimTime>,
     /// High-water mark of `now` across public entry points; used to stamp
     /// degraded-mode episodes from internal paths that take no clock.
     clock: SimTime,
@@ -260,16 +259,7 @@ impl HermesSwitch {
     /// insertion latency meets the guarantee (or `config.shadow_size` when
     /// overridden); the main slice gets the remainder of the TCAM.
     pub fn new(model: SwitchModel, config: HermesConfig) -> Result<Self, HermesError> {
-        let shadow_size = match config.shadow_size {
-            Some(s) => s.min(model.capacity / 2),
-            None => model
-                .max_table_for_guarantee(config.guarantee)
-                .ok_or(HermesError::InfeasibleGuarantee)?
-                .clamp(1, model.capacity / 2),
-        };
-        if shadow_size == 0 {
-            return Err(HermesError::InfeasibleGuarantee);
-        }
+        let shadow_size = shadow_size(&model, config.guarantee, config.shadow_size)?;
         let main_size = model.capacity - shadow_size;
         let device = TcamDevice::carved(
             model,
@@ -278,36 +268,15 @@ impl HermesSwitch {
                 ("main", main_size, MissBehavior::ToController),
             ],
         );
-        // Admission rate from Equation 2, λ = S_ST / (r_p · t_m), reading
-        // t_m as the time to drain the full shadow (S_ST rules at the
-        // per-rule migration cost — the only reading with consistent
-        // units): λ = 1 / (r_p · per_rule_migration_time). Initial
-        // estimates: r_p = 1, migration cost at half main occupancy. The
-        // token bucket's burst is the shadow capacity itself.
-        let per_rule = device.model().mean_update_latency(main_size / 2).as_secs();
-        let derived = if per_rule > 0.0 {
-            1.0 / per_rule
-        } else {
-            f64::INFINITY
-        };
-        let rate = config.rate_limit.unwrap_or(derived);
-        let mut gate = GateKeeper::new(
-            config.predicate.clone(),
-            if rate.is_finite() {
-                Some((rate, shadow_size as f64))
-            } else {
-                None
-            },
-            config.max_partitions,
-        );
-        gate.set_low_priority_bypass(config.low_priority_bypass);
-        let manager = RuleManager::new(config.trigger);
+        // The initial estimates of Equation 2 are an empty main table and
+        // r_p = 1. The token bucket's burst is the shadow capacity itself.
+        let rate = (config.rate_limit).unwrap_or_else(|| admission_rate(&device, 1.0));
         Ok(HermesSwitch {
             worst_per_shift: device.model().worst_per_shift_cost(),
+            gate: GateKeeper::new(&config, Some((rate, shadow_size as f64))),
+            manager: RuleManager::new(config.trigger),
             device,
             config,
-            gate,
-            manager,
             main_index: OverlapIndex::new(),
             shadow: ShadowStore::default(),
             blockers: BTreeMap::new(),
@@ -316,8 +285,7 @@ impl HermesSwitch {
             stats: HermesStats::default(),
             recovery: RecoveryState::default(),
             resync_stats: ResyncStats::default(),
-            crash_pending: false,
-            crash_detected_at: None,
+            crash_window: None,
             clock: SimTime::ZERO,
             scratch: reconcile::RebuildScratch::default(),
         })
@@ -358,25 +326,12 @@ impl HermesSwitch {
         self.shadow_capacity() as f64 / self.device.model().capacity as f64
     }
 
-    /// The maximum *sustained* guaranteed insertion rate λ (Equation 2,
-    /// `λ = S_ST / (r_p · t_m)` with `t_m` the time to drain the full
-    /// shadow): rules cannot enter the shadow faster than migration can
-    /// move them out, so λ = 1 / (r_p · per-rule migration cost). Bursts
-    /// up to the shadow capacity on top of this are absorbed by the
-    /// token bucket.
+    /// The maximum *sustained* guaranteed insertion rate λ (Equation 2)
+    /// at the current main occupancy and `r_p`: rules cannot enter the
+    /// shadow faster than migration can move them out. Bursts up to the
+    /// shadow capacity on top of this are absorbed by the token bucket.
     pub fn max_supported_rate(&self) -> f64 {
-        let per_rule = self
-            .device
-            .model()
-            .mean_update_latency(
-                self.main_len()
-                    .max(self.device.slice(MAIN).table.capacity() / 2),
-            )
-            .as_secs();
-        if per_rule <= 0.0 {
-            return f64::INFINITY;
-        }
-        1.0 / (self.stats.expected_partitions() * per_rule)
+        admission_rate(&self.device, self.stats.expected_partitions())
     }
 
     /// Borrow the underlying device (telemetry/tests).
@@ -409,7 +364,7 @@ impl HermesSwitch {
     /// is down, or it crashed and resync has not yet completed. The
     /// guarantee is suspended until [`resync`](Self::resync) finishes.
     pub fn is_down(&self) -> bool {
-        self.crash_pending || !self.device.is_connected()
+        self.crash_window.is_some() || !self.device.is_connected()
     }
 
     /// Distinct logical rule ids across the shadow and main tables. A rule
@@ -448,11 +403,10 @@ impl HermesSwitch {
     /// Keeper into degraded mode so admissions queue instead of hammering
     /// the dead session.
     pub(super) fn note_crash(&mut self) {
-        if self.crash_pending {
+        if self.crash_window.is_some() {
             return;
         }
-        self.crash_pending = true;
-        self.crash_detected_at = Some(self.clock);
+        self.crash_window = Some(self.clock);
         self.resync_stats.crashes_detected += 1;
         hermes_telemetry::counter(names::RESYNC_CRASHES_DETECTED, 1);
         self.recovery.enter_degraded(self.clock);
@@ -630,32 +584,69 @@ impl HermesSwitch {
 
     /// Replaces the QoS predicate (`ModQoSMatch`, §7).
     pub fn set_predicate(&mut self, predicate: crate::config::RulePredicate) {
-        self.config.predicate = predicate.clone();
+        self.config.predicate = predicate;
+        self.rebuild_gate(self.shadow_capacity() as f64);
+    }
+
+    /// Rebuilds the Gate Keeper from the configuration, at its current
+    /// admission rate and with a full bucket of `burst` tokens.
+    fn rebuild_gate(&mut self, burst: f64) {
         let rate = self.gate.rate();
-        self.gate = GateKeeper::new(
-            predicate,
-            rate.map(|r| (r, self.shadow_capacity() as f64)),
-            self.config.max_partitions,
-        );
-        self.gate
-            .set_low_priority_bypass(self.config.low_priority_bypass);
+        self.gate = GateKeeper::new(&self.config, rate.map(|r| (r, burst)));
     }
 
     /// Resets time-dependent state after a warm-up/preload phase: refills
-    /// the admission bucket, clears the migration busy window and pending
-    /// arrival counts. Call when installed state should carry over but the
+    /// the admission bucket (to half the shadow) and clears the migration
+    /// busy window. Arrivals counted so far still reach the next tick's
+    /// prediction. Call when installed state should carry over but the
     /// clock conceptually restarts at zero (e.g. simulator preloading).
     pub fn end_warmup(&mut self) {
-        let rate = self.gate.rate();
-        self.gate
-            .set_rate(rate.map(|r| (r, (self.shadow_capacity() as f64 / 2.0).max(1.0))));
-        self.manager.busy_until = SimTime::ZERO;
+        self.rebuild_gate((self.shadow_capacity() as f64 / 2.0).max(1.0));
+        self.manager.end_warmup();
     }
 
     /// Number of migration passes so far.
     pub fn migrations(&self) -> u64 {
-        self.manager.migrations
+        self.stats.migrations
     }
+}
+
+/// The shadow-table size a guarantee buys (§7 `QoSOverheads`): the largest
+/// table whose *worst-case* insertion latency meets `guarantee`, at least
+/// one entry, or the `fixed` override; at most half the TCAM either way.
+pub(crate) fn shadow_size(
+    model: &SwitchModel,
+    guarantee: SimDuration,
+    fixed: Option<usize>,
+) -> Result<usize, HermesError> {
+    let size = match fixed {
+        Some(s) => s.min(model.capacity / 2),
+        None => model
+            .max_table_for_guarantee(guarantee)
+            .ok_or(HermesError::InfeasibleGuarantee)?
+            .clamp(1, model.capacity / 2),
+    };
+    if size == 0 {
+        return Err(HermesError::InfeasibleGuarantee);
+    }
+    Ok(size)
+}
+
+/// The admission rate λ of Equation 2, `λ = S_ST / (r_p · t_m)`, reading
+/// `t_m` as the time to drain the full shadow (`S_ST` rules at the
+/// per-rule migration cost — the only reading with consistent units):
+/// λ = 1 / (r_p · per-rule migration cost), with `r_p` the
+/// `expected_partitions`. The per-rule cost is read at the main table's
+/// occupancy, but never below half its capacity.
+fn admission_rate(device: &TcamDevice, expected_partitions: f64) -> f64 {
+    let main = &device.slice(MAIN).table;
+    let per_rule = (device.model())
+        .mean_update_latency(main.len().max(main.capacity() / 2))
+        .as_secs();
+    if per_rule <= 0.0 {
+        return f64::INFINITY;
+    }
+    1.0 / (expected_partitions * per_rule)
 }
 
 #[cfg(test)]

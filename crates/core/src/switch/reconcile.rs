@@ -235,7 +235,7 @@ impl HermesSwitch {
     /// open; the next tick/audit retries — every step is idempotent.
     pub fn resync(&mut self, now: SimTime) -> Option<ResyncReport> {
         self.clock = self.clock.max(now);
-        if self.device.is_connected() && !self.crash_pending {
+        if !self.is_down() {
             return None;
         }
         // A crash can land between ops (netsim injection, or the fault
@@ -282,12 +282,7 @@ impl HermesSwitch {
         // crash window; an incomplete one keeps it open so the next
         // tick/audit reruns the (idempotent) rebuild.
         if report.complete {
-            self.crash_pending = false;
-            let gap = self
-                .crash_detected_at
-                .take()
-                .map(|t| self.clock.since(t).as_nanos())
-                .unwrap_or(0)
+            let gap = (self.crash_window.take()).map_or(0, |t| self.clock.since(t).as_nanos())
                 + report.duration.as_nanos();
             self.resync_stats.resyncs_completed += 1;
             self.resync_stats.guarantee_gap_ns += gap;

@@ -558,3 +558,40 @@ fn migration_report_accounts_for_optimization() {
     assert!(report.pieces_deleted >= 1);
     assert!(report.duration > SimDuration::ZERO);
 }
+
+/// The migration trigger's `insert`/`admit_batch` asymmetry, pinned until
+/// a behaviour change unifies it: an insert the Gate Keeper pre-routes to
+/// the main table returns before the trigger check, while `admit_batch`
+/// checks once after every batch, whatever its rules' routes.
+#[test]
+fn a_bypassing_insert_skips_the_trigger_but_a_batch_of_it_does_not() {
+    let build = || {
+        let config = HermesConfig {
+            trigger: MigrationTrigger::Threshold { fraction: 0.0 },
+            predicate: RulePredicate::DstWithin("10.0.0.0/8".parse().unwrap()),
+            rate_limit: Some(f64::INFINITY),
+            ..Default::default()
+        };
+        let mut sw = HermesSwitch::new(SwitchModel::pica8_p3290(), config).unwrap();
+        // The first shadow admission migrates at once and opens a busy
+        // window; the second, inside it, stays resident.
+        sw.insert(rule(1, "10.1.0.0/16", 5, 1), SimTime::ZERO)
+            .unwrap();
+        sw.insert(rule(2, "10.2.0.0/16", 6, 1), SimTime::ZERO)
+            .unwrap();
+        assert_eq!((sw.migrations(), sw.shadow_len()), (1, 1));
+        sw
+    };
+    let later = SimTime::from_secs(10.0);
+    let outside = rule(3, "11.0.0.0/8", 9, 1);
+
+    let mut single = build();
+    let report = single.insert(outside, later).unwrap();
+    assert_eq!(report.route(), Some(Route::MainUnmatched));
+    assert_eq!((single.migrations(), single.shadow_len()), (1, 1));
+
+    let mut batched = build();
+    let reports = batched.admit_batch(&[outside], later);
+    assert_eq!(reports[0].unwrap().route(), Some(Route::MainUnmatched));
+    assert_eq!((batched.migrations(), batched.shadow_len()), (2, 0));
+}

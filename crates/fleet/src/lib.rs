@@ -17,10 +17,10 @@
 //! * every member has a **home lane** — round-robin over the sorted ids
 //!   plus a seeded shuffle — and [`LaneSched`] picks where an op actually
 //!   runs: `Pinned` always uses the home lane (the phase-1 behaviour),
-//!   `Weighted` sends each op to the least-loaded lane. Both are pure
-//!   functions of the seed and the submission history (determinism);
-//!   with dedicated lanes (`lanes = 0`) scheduling is a no-op and the
-//!   phase-1 timing is bit-preserved.
+//!   `Weighted` (the default) sends each op to the least-loaded lane.
+//!   Both are pure functions of the seed and the submission history
+//!   (determinism); with dedicated lanes (`lanes = 0`) scheduling is a
+//!   no-op and the phase-1 timing is bit-preserved.
 //!
 //! Dependency tracking rides [`OpToken`]s: a submission handed the tokens
 //! of earlier submissions starts only after all of them complete, even
@@ -65,11 +65,11 @@ pub type SwitchId = usize;
 pub enum LaneSched {
     /// Every op runs on its member's home lane — the phase-1 static
     /// round-robin sharding.
-    #[default]
     Pinned,
     /// Occupancy-weighted assignment: every op runs on the least-loaded
     /// lane (earliest busy horizon), ties broken by a seeded lane
     /// permutation. Keeps all lanes busy when one member dominates.
+    #[default]
     Weighted,
 }
 
@@ -100,7 +100,7 @@ impl Default for FleetConfig {
         FleetConfig {
             lanes: 0,
             seed: 1,
-            sched: LaneSched::Pinned,
+            sched: LaneSched::default(),
             coalesce: true,
         }
     }

@@ -309,30 +309,24 @@ impl TcamDevice {
         let table = &mut self.slices[slice].table;
         let occupancy_before = table.len();
         let Gate::Proceed { spike } = gate else {
-            // Ack with a plausible latency, apply nothing.
-            let latency = match action {
-                ControlAction::Insert(_) => model.insert_latency(occupancy_before, 0),
-                ControlAction::Delete(_) => model.delete,
-                ControlAction::Modify { .. } => model.modify,
-            };
+            // Ack with a plausible latency, apply nothing: what the op
+            // costs when it shifts nothing.
             return Ok(OpReport {
-                latency,
+                latency: op_latency(model, action, occupancy_before, 0),
                 shifts: 0,
                 occupancy_before,
                 slice,
             });
         };
-        let (latency, shifts) = match action {
+        // The occupancy the op's insert (if any) saw.
+        let (occupancy, shifts) = match action {
             ControlAction::Insert(rule) => {
                 let placed = table.insert(*rule)?;
-                (
-                    model.insert_latency(placed.occupancy_before, placed.shifts),
-                    placed.shifts,
-                )
+                (placed.occupancy_before, placed.shifts)
             }
             ControlAction::Delete(id) => {
                 table.delete(*id)?;
-                (model.delete, 0)
+                (occupancy_before, 0)
             }
             ControlAction::Modify {
                 id,
@@ -347,8 +341,7 @@ impl TcamDevice {
                 }
                 new_rule.priority = *priority;
                 let placed = table.insert(new_rule)?;
-                let insert = model.insert_latency(placed.occupancy_before, placed.shifts);
-                (model.delete + insert, placed.shifts)
+                (placed.occupancy_before, placed.shifts)
             }
             ControlAction::Modify {
                 id,
@@ -358,9 +351,10 @@ impl TcamDevice {
                 if let Some(a) = action {
                     table.modify_action(*id, *a)?;
                 }
-                (model.modify, 0)
+                (occupancy_before, 0)
             }
         };
+        let latency = op_latency(model, action, occupancy, shifts);
         let latency = charge(spike, latency, 1, shifts);
         hermes_telemetry::observe(names::TCAM_OP_NS, latency.as_nanos());
         Ok(OpReport {
@@ -486,6 +480,25 @@ enum Gate {
 /// The one tail of a call that reached the table: the volume counters
 /// both entry points share, and the latency actually charged — the
 /// model's figure, spiked when the gate said so.
+/// The modeled latency of one control action whose insert (if any) saw
+/// `occupancy` entries and shifted `shifts` of them. A priority modify is a
+/// delete plus an insert; an action-only modify and a delete shift nothing.
+fn op_latency(
+    model: &SwitchModel,
+    action: &ControlAction,
+    occupancy: usize,
+    shifts: usize,
+) -> SimDuration {
+    match action {
+        ControlAction::Insert(_) => model.insert_latency(occupancy, shifts),
+        ControlAction::Delete(_) => model.delete,
+        ControlAction::Modify {
+            priority: Some(_), ..
+        } => model.delete + model.insert_latency(occupancy, shifts),
+        ControlAction::Modify { priority: None, .. } => model.modify,
+    }
+}
+
 fn charge(spike: f64, modeled: SimDuration, ops: usize, shifts: usize) -> SimDuration {
     if hermes_telemetry::enabled() {
         hermes_telemetry::counter(names::TCAM_OPS, ops as u64);
@@ -866,6 +879,49 @@ mod tests {
             draws: dev.fault_stats().map(|s| s.ops_seen),
             crashes: dev.crash_stats(),
             table: dev.slice(0).table.entries(),
+        }
+    }
+
+    /// A silently dropped op is acked at what the applied op costs when it
+    /// shifts nothing, for every action kind. The plan drops only inserts
+    /// and deletes (a modify passes it and applies), so the drop branch's
+    /// price, `op_latency` at zero shifts, is also checked against every
+    /// applied op directly.
+    #[test]
+    fn a_dropped_op_costs_what_the_applied_op_costs_without_shifts() {
+        let model = SwitchModel::pica8_p3290();
+        let (id, action) = (RuleId(0), Some(Action::Drop));
+        let actions = [
+            ControlAction::Insert(rule(500, "12.0.0.0/8", 7, 1)),
+            ControlAction::Delete(id),
+            ControlAction::Modify {
+                id,
+                action,
+                priority: None,
+            },
+            ControlAction::Modify {
+                id,
+                action,
+                priority: Some(Priority(7)),
+            },
+        ];
+        for op in actions {
+            let applied = loaded_device(5).apply(0, &op).unwrap();
+            assert_eq!(applied.shifts, 0, "{op:?} lands at the bottom");
+            let priced = op_latency(&model, &op, applied.occupancy_before, 0);
+            assert_eq!(priced, applied.latency, "{op:?}");
+            let mut dev = loaded_device(5);
+            let mut plan = FaultPlan::quiet(11);
+            plan.silent_drop_prob = 1.0;
+            dev.set_fault_plan(Some(plan));
+            assert_eq!(
+                dev.apply(0, &op).unwrap().latency,
+                applied.latency,
+                "{op:?}"
+            );
+            let dropped = op.is_insert() || matches!(op, ControlAction::Delete(_));
+            let drops = dev.fault_stats().map(|s| s.silent_drops);
+            assert_eq!(drops, Some(u64::from(dropped)), "{op:?}");
         }
     }
 

@@ -129,10 +129,11 @@ stage_chaos() {
 }
 
 stage_telemetry() {
-    # A traced, fault-seeded exp_fig9 run must emit a well-formed
-    # hermes-bench-report/1 document (DESIGN.md "Observability") with at
-    # least six subsystems contributing, and a repeat run with the same
-    # seeds must reproduce it byte-for-byte.
+    # A traced, fault-seeded exp_fig9 run must reproduce its report
+    # byte-for-byte on a repeat run with the same seeds. The report's
+    # hermes-bench-report/1 schema and its six contributing subsystems
+    # are checked in-process by tests/determinism.rs
+    # (`traced_report_is_schema_valid_with_six_subsystems`).
     local bench_dir
     bench_dir="$(mktemp -d)"
     HERMES_TRACE=1 HERMES_FAULT_SEED=7 HERMES_GIT_REV=ci \
@@ -141,23 +142,7 @@ stage_telemetry() {
         ./target/release/exp_fig9 --out "$bench_dir/b.json" >/dev/null
     cmp "$bench_dir/a.json" "$bench_dir/b.json" \
       || { echo "telemetry report not deterministic under HERMES_FAULT_SEED"; exit 1; }
-    python3 - "$bench_dir/a.json" <<'PY'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "hermes-bench-report/1", doc.get("schema")
-required = ["schema", "experiment", "git_rev", "telemetry_enabled", "meta",
-            "counters", "gauges", "histograms", "series", "spans", "trace"]
-missing = [k for k in required if k not in doc]
-assert not missing, "missing report keys: %s" % missing
-assert doc["experiment"] == "fig9"
-assert doc["telemetry_enabled"] is True
-subsystems = set()
-for section in ("counters", "gauges", "histograms", "series"):
-    subsystems.update(name.split(".")[0] for name in doc[section])
-subsystems.update(span["subsystem"] for span in doc["spans"])
-assert len(subsystems) >= 6, "only %s contributed" % sorted(subsystems)
-print("ok: schema-valid, deterministic, subsystems: %s" % ", ".join(sorted(subsystems)))
-PY
+    echo "ok: exp_fig9's traced report is deterministic"
     rm -rf "$bench_dir"
 }
 

@@ -177,6 +177,66 @@ fn telemetry_report_is_deterministic_under_crash_plan() {
     }
 }
 
+/// The `hermes-bench-report/1` layout every `BENCH_*.json` shares: these
+/// top-level keys, in this order (DESIGN.md "Observability").
+const REPORT_KEYS: [&str; 11] = [
+    "schema",
+    "experiment",
+    "git_rev",
+    "telemetry_enabled",
+    "meta",
+    "counters",
+    "gauges",
+    "histograms",
+    "series",
+    "spans",
+    "trace",
+];
+
+/// A traced run's report is schema-valid and at least six subsystems
+/// contribute to it (by metric-name prefix or span subsystem). The crash
+/// plan reaches the recovery and resync layers beside the switch's own.
+#[test]
+fn traced_report_is_schema_valid_with_six_subsystems() {
+    let mut plan = hermes::tcam::FaultPlan::crashy(0xC4A5);
+    plan.crash_period = 60;
+    hermes::telemetry::set_enabled(true);
+    let report = telemetry_capture(Some(plan));
+    hermes::telemetry::set_enabled(false);
+    let doc = Json::parse(&report).expect("self-produced report parses");
+    let Json::Obj(pairs) = &doc else {
+        panic!("report is not an object");
+    };
+    let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, REPORT_KEYS, "report keys");
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("hermes-bench-report/1")
+    );
+    assert_eq!(
+        doc.get("experiment").and_then(Json::as_str),
+        Some("determinism")
+    );
+    assert_eq!(doc.get("telemetry_enabled"), Some(&Json::Bool(true)));
+
+    let mut subsystems: Vec<&str> = Vec::new();
+    for section in ["counters", "gauges", "histograms", "series"] {
+        let Some(Json::Obj(names)) = doc.get(section) else {
+            panic!("report has no {section} object");
+        };
+        subsystems.extend(names.iter().filter_map(|(k, _)| Some(k.split_once('.')?.0)));
+    }
+    let spans = doc
+        .get("spans")
+        .and_then(Json::as_arr)
+        .expect("spans array");
+    subsystems
+        .extend((spans.iter()).filter_map(|span| span.get("subsystem").and_then(Json::as_str)));
+    subsystems.sort_unstable();
+    subsystems.dedup();
+    assert!(subsystems.len() >= 6, "only {subsystems:?} contributed");
+}
+
 /// Drives a seeded multi-switch workload — background churn, two-phase
 /// path transactions, injected crashes — through an 8-member fleet on 4
 /// worker lanes with telemetry recording, and returns the serialized
