@@ -14,6 +14,39 @@
 use crate::plane::{exec_on, BatchOutcome, ControlPlane};
 use hermes_rules::prelude::*;
 use hermes_tcam::{PlacementStrategy, SimTime, SwitchModel, TcamDevice};
+use std::collections::VecDeque;
+
+/// ESPRES's insertion order for a switch's packing, over anything keyed by
+/// priority. Ties keep their order (the sorts are stable).
+pub(crate) fn packing_order<T>(
+    placement: PlacementStrategy,
+    mut inserts: Vec<T>,
+    priority: impl Fn(&T) -> Priority,
+) -> Vec<T> {
+    match placement {
+        // Low-packed: the lowest-priority entry lives at the end, so
+        // installing high→low priority makes every insert an append.
+        PlacementStrategy::PackedLow => inserts.sort_by_key(|t| std::cmp::Reverse(priority(t))),
+        // High-packed: the opposite.
+        PlacementStrategy::PackedHigh => inserts.sort_by_key(priority),
+        // Balanced packing: alternate extremes so each insert lands near
+        // an edge.
+        PlacementStrategy::Balanced => {
+            inserts.sort_by_key(priority);
+            let mut rest = VecDeque::from(inserts);
+            inserts = (0..rest.len())
+                .filter_map(|i| {
+                    if i % 2 == 0 {
+                        rest.pop_back()
+                    } else {
+                        rest.pop_front()
+                    }
+                })
+                .collect();
+        }
+    }
+    inserts
+}
 
 /// The ESPRES scheduler over a monolithic switch.
 #[derive(Debug)]
@@ -50,34 +83,10 @@ impl EspresSwitch {
                 ControlAction::Modify { .. } => modifies.push(*a),
             }
         }
-        let ascending = |a: &ControlAction| match a {
+        let inserts = packing_order(self.device.model().placement, inserts, |a| match a {
             ControlAction::Insert(r) => r.priority,
             _ => Priority::NONE,
-        };
-        match self.device.model().placement {
-            // Low-packed: the lowest-priority entry lives at the end, so
-            // installing high→low priority makes every insert an append.
-            PlacementStrategy::PackedLow => {
-                inserts.sort_by_key(|a| std::cmp::Reverse(ascending(a)))
-            }
-            // High-packed: the opposite.
-            PlacementStrategy::PackedHigh => inserts.sort_by_key(ascending),
-            // Balanced packing: alternate extremes so each insert lands
-            // near an edge.
-            PlacementStrategy::Balanced => {
-                inserts.sort_by_key(ascending);
-                let mut rest = std::collections::VecDeque::from(inserts);
-                inserts = (0..rest.len())
-                    .filter_map(|i| {
-                        if i % 2 == 0 {
-                            rest.pop_back()
-                        } else {
-                            rest.pop_front()
-                        }
-                    })
-                    .collect();
-            }
-        }
+        });
         deletes.into_iter().chain(inserts).chain(modifies).collect()
     }
 }

@@ -16,10 +16,11 @@
 //! itself is an install-time optimizer; this is the natural completion of
 //! its bookkeeping).
 
+use crate::espres::packing_order;
 use crate::plane::{exec_on, BatchOutcome, ControlPlane, OpOutcome};
 use hermes_rules::merge::minimize_keys;
 use hermes_rules::prelude::*;
-use hermes_tcam::{PlacementStrategy, SimTime, SwitchModel, TcamDevice};
+use hermes_tcam::{SimTime, SwitchModel, TcamDevice};
 use std::collections::BTreeMap;
 
 /// Physical ids for aggregated entries live above this bit.
@@ -105,18 +106,6 @@ impl TangoSwitch {
         out
     }
 
-    /// Insertion order matching the switch packing (same policy as ESPRES).
-    fn order_inserts(&self, physical: &mut [(Rule, Vec<Rule>)]) {
-        match self.device.model().placement {
-            PlacementStrategy::PackedLow => {
-                physical.sort_by_key(|(r, _)| std::cmp::Reverse(r.priority))
-            }
-            PlacementStrategy::PackedHigh | PlacementStrategy::Balanced => {
-                physical.sort_by_key(|(r, _)| r.priority)
-            }
-        }
-    }
-
     fn delete_logical(&mut self, id: RuleId, out: &mut BatchOutcome) {
         let Some(phys_id) = self.locate.remove(&id) else {
             out.push(id, BatchOutcome::REJECTION_COST, false);
@@ -161,8 +150,8 @@ impl ControlPlane for TangoSwitch {
                 _ => None,
             })
             .collect();
-        let mut physical = self.aggregate(&inserts);
-        self.order_inserts(&mut physical);
+        let placement = self.device.model().placement;
+        let physical = packing_order(placement, self.aggregate(&inserts), |(r, _)| r.priority);
         for (phys, members) in physical {
             let exec = exec_on(&mut self.device, &ControlAction::Insert(phys));
             // Every member completes when its physical entry lands; report
@@ -297,6 +286,32 @@ mod tests {
             e.total
         );
         assert!(tango.occupancy() < espres.occupancy());
+    }
+
+    /// With nothing to aggregate, Tango writes a batch in ESPRES's order on
+    /// every packing.
+    #[test]
+    fn inserts_follow_the_espres_order_on_every_placement() {
+        let batch: Vec<ControlAction> = [5u32, 9, 1, 7, 3, 8]
+            .iter()
+            .enumerate()
+            .map(|(i, &prio)| {
+                let addr = format!("10.{i}.0.0/16");
+                ControlAction::Insert(rule(i as u64, &addr, prio, i as u32))
+            })
+            .collect();
+        let written = |out: BatchOutcome| out.ops.iter().map(|o| o.id).collect::<Vec<_>>();
+        for model in [
+            SwitchModel::pica8_p3290(),
+            SwitchModel::dell_8132f(),
+            SwitchModel::hp_5406zl(),
+        ] {
+            let mut tango = TangoSwitch::new(model.clone());
+            let mut espres = EspresSwitch::new(model.clone());
+            let t = written(tango.apply_batch(&batch, SimTime::ZERO));
+            let e = written(espres.apply_batch(&batch, SimTime::ZERO));
+            assert_eq!(t, e, "{:?}", model.placement);
+        }
     }
 
     #[test]

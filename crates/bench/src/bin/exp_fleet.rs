@@ -29,9 +29,7 @@
 use hermes_baselines::{ControlPlane, HermesPlane};
 use hermes_bench::Table;
 use hermes_core::prelude::*;
-use hermes_fleet::{
-    lane_assignment, Fleet, FleetConfig, LaneSched, RebalancePolicy, Rebalancer, SwitchId,
-};
+use hermes_fleet::{Fleet, FleetConfig, LaneSched, RebalancePolicy, Rebalancer, SwitchId};
 use hermes_rules::prelude::*;
 use hermes_tcam::{CrashKind, SimDuration, SimTime, SwitchModel};
 use hermes_util::rng::{stream, Rng, Salt, StdRng};
@@ -267,8 +265,16 @@ fn build_storm(
     crash_every: usize,
     seed: u64,
 ) -> (Vec<StormTxn>, Vec<SwitchId>) {
-    let assignment = lane_assignment(switches, lanes, seed);
-    let hot: Vec<SwitchId> = (0..switches).filter(|&i| assignment[i] == 0).collect();
+    let config = FleetConfig {
+        lanes,
+        seed,
+        ..FleetConfig::default()
+    };
+    let hot: Vec<SwitchId> = (build_fleet(switches, config).member_health(SimTime::ZERO))
+        .iter()
+        .filter(|h| h.lane == 0)
+        .map(|h| h.id)
+        .collect();
     let victim = hot[0];
     let mut rng = stream(seed, Salt::EXP_FLEET_STORM);
     // Storm rule ids live far above the preload/churn band.

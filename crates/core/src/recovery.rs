@@ -58,8 +58,6 @@ pub(crate) fn doubling_backoff(base: SimDuration, cap: SimDuration, attempt: u32
 pub struct RecoveryStats {
     /// Device ops retried after a transient failure.
     pub retries: u64,
-    /// Transient device failures observed (each retry attempt counts).
-    pub transient_failures: u64,
     /// Device ops that exhausted their retry budget.
     pub permanent_failures: u64,
     /// Partial installs rolled back after a mid-transaction failure.
@@ -68,12 +66,6 @@ pub struct RecoveryStats {
     pub journal_replays: u64,
     /// Admissions queued by degraded mode.
     pub deferred: u64,
-    /// Queued admissions later applied.
-    pub deferred_flushed: u64,
-    /// Queued admissions dropped (e.g. the table filled meanwhile).
-    pub deferred_dropped: u64,
-    /// Reconciliation audits run.
-    pub audits: u64,
     /// Total divergences found by audits (missing + orphan + action drift).
     pub audit_diffs: u64,
     /// Silently-dropped entries re-installed by audits.

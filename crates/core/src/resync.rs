@@ -133,8 +133,6 @@ pub fn plan_slice<'a>(
 pub struct ResyncStats {
     /// Crashes detected (first failed op or explicit injection).
     pub crashes_detected: u64,
-    /// Resync passes started (incomplete passes retry and re-count).
-    pub resyncs_started: u64,
     /// Resync passes that fully re-established the guarantee.
     pub resyncs_completed: u64,
     /// Reconnect attempts issued (denied attempts included).
@@ -143,8 +141,6 @@ pub struct ResyncStats {
     pub reconnect_failures: u64,
     /// Physical entries (re)installed by resync.
     pub rules_reinstalled: u64,
-    /// Physical entries deleted by resync (orphans, drifted shapes).
-    pub entries_deleted: u64,
     /// Survivor entries a pass kept in place.
     pub survivors_kept: u64,
     /// Simulated ns between crash detection and guarantee re-establishment.

@@ -410,7 +410,6 @@ impl HermesSwitch {
                 Ok(rep) => {
                     latency += rep.latency;
                     flushed += 1;
-                    self.recovery.stats.deferred_flushed += 1;
                 }
                 Err(HermesError::Device(_)) => {
                     // Channel still dead: put it back at the front and
@@ -418,11 +417,9 @@ impl HermesSwitch {
                     self.recovery.deferred.push_front(rule);
                     break;
                 }
-                Err(_) => {
-                    // Permanently unplaceable (e.g. the table filled while
-                    // the rule waited): drop it, surfaced by the counter.
-                    self.recovery.stats.deferred_dropped += 1;
-                }
+                // Permanently unplaceable (e.g. the table filled while the
+                // rule waited): drop it.
+                Err(_) => {}
             }
         }
         (flushed, latency)

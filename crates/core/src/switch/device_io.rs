@@ -30,7 +30,6 @@ impl HermesSwitch {
                     return Ok((rep, penalty));
                 }
                 Err(e) if e.is_transient() => {
-                    self.recovery.stats.transient_failures += 1;
                     if attempt >= RETRY_ATTEMPTS {
                         self.recovery.on_permanent_failure(self.clock);
                         return Err(e);

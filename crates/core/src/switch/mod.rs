@@ -53,8 +53,8 @@ use crate::resync::ResyncStats;
 use hermes_rules::overlap::OverlapIndex;
 use hermes_rules::prelude::*;
 use hermes_tcam::{
-    CrashKind, CrashSpec, FaultPlan, FaultStats, LookupResult, MissBehavior, SimDuration, SimTime,
-    SwitchModel, TcamDevice, TcamError,
+    CrashKind, CrashSpec, FaultPlan, FaultStats, LookupResult, SimDuration, SimTime, SwitchModel,
+    TcamDevice, TcamError,
 };
 use hermes_telemetry::names;
 use shadow_store::ShadowStore;
@@ -261,13 +261,7 @@ impl HermesSwitch {
     pub fn new(model: SwitchModel, config: HermesConfig) -> Result<Self, HermesError> {
         let shadow_size = shadow_size(&model, config.guarantee, config.shadow_size)?;
         let main_size = model.capacity - shadow_size;
-        let device = TcamDevice::carved(
-            model,
-            &[
-                ("shadow", shadow_size, MissBehavior::GotoNextSlice),
-                ("main", main_size, MissBehavior::ToController),
-            ],
-        );
+        let device = TcamDevice::carved(model, &[shadow_size, main_size]);
         // The initial estimates of Equation 2 are an empty main table and
         // r_p = 1. The token bucket's burst is the shadow capacity itself.
         let rate = (config.rate_limit).unwrap_or_else(|| admission_rate(&device, 1.0));

@@ -217,7 +217,6 @@ impl HermesSwitch {
         // physically nowhere: deleting it is pure bookkeeping.
         if let Some(pos) = self.recovery.deferred.iter().position(|r| r.id == id) {
             self.recovery.deferred.remove(pos);
-            self.recovery.stats.deferred_dropped += 1;
             return Ok(ActionReport {
                 latency: AGENT_ONLY,
                 detail: ReportDetail::Delete {

@@ -76,7 +76,6 @@ impl HermesSwitch {
         report.deferred_flushed = flushed;
         report.duration += lat;
 
-        self.recovery.stats.audits += 1;
         self.recovery.stats.audit_diffs += report.diffs() as u64;
         self.recovery.stats.reinstalled += report.reinstalled as u64;
         self.recovery.stats.orphans_removed += report.orphans_removed as u64;
@@ -242,7 +241,6 @@ impl HermesSwitch {
         // plan inside another rule's transaction): book it before the
         // rebuild so the window and degraded mode are always stamped.
         self.note_crash();
-        self.resync_stats.resyncs_started += 1;
         hermes_telemetry::counter(names::RESYNC_STARTED, 1);
         let mut report = ResyncReport::default();
 
@@ -297,7 +295,6 @@ impl HermesSwitch {
             report.duration += lat;
         }
         self.resync_stats.rules_reinstalled += report.reinstalled as u64;
-        self.resync_stats.entries_deleted += report.deleted as u64;
         self.resync_stats.survivors_kept += report.survivors as u64;
         hermes_telemetry::counter(names::RESYNC_REINSTALLED, report.reinstalled as u64);
         hermes_telemetry::counter(names::RESYNC_DELETED, report.deleted as u64);

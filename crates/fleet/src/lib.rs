@@ -202,9 +202,8 @@ struct Member<P> {
 /// Computes the home-lane assignment for `n` sorted members over
 /// `lane_count` lanes under `seed`: round-robin over the sorted ids, then
 /// a seeded Fisher–Yates shuffle of the assignment vector — balanced
-/// *and* seed-dependent. Exposed so experiments can reconstruct which
-/// members share a lane without building a fleet.
-pub fn lane_assignment(n: usize, lanes: usize, seed: u64) -> Vec<usize> {
+/// *and* seed-dependent. [`Fleet::member_health`] reports the result.
+fn lane_assignment(n: usize, lanes: usize, seed: u64) -> Vec<usize> {
     let lane_count = lanes_for(n, lanes);
     seeded_shuffle(
         (0..n).map(|i| i % lane_count).collect(),
@@ -838,14 +837,6 @@ mod tests {
             let n = la.iter().filter(|&&l| l == lane).count();
             assert!((2..=3).contains(&n), "lane {lane} holds {n} members");
         }
-    }
-
-    #[test]
-    fn lane_assignment_helper_matches_fleet() {
-        let fleet = raw_fleet(8, 3);
-        let helper = lane_assignment(8, 3, 7);
-        let actual: Vec<usize> = (0..8).map(|sw| fleet.member(sw).lane).collect();
-        assert_eq!(helper, actual, "exported helper mirrors Fleet::new");
     }
 
     #[test]

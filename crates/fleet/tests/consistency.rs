@@ -11,6 +11,10 @@
 //! 2. **Flat equivalence**: each member's table classifies identically to
 //!    a flat priority-ordered table driven in lockstep with the acked
 //!    operations (the PR 5 sequential oracle, per member).
+//! 3. **No parked rollbacks**: a Hermes plane drops a retracted rule from
+//!    its logical view even while its session is down, so no
+//!    `install_path` or `migrate_rules` leaves a rollback to re-drive, and
+//!    `tick_all` never re-drives one.
 //!
 //! The property is quantified over both lane schedulers (pinned and
 //! weighted) and both commit shapes (coalesced per-member cuts and
@@ -167,6 +171,7 @@ hermes_util::check! {
                     })
                     .collect();
                 let out = fleet.install_path(&pieces, now);
+                assert_eq!(fleet.pending_rollback_len(), 0, "install_path parked a rollback");
                 if out.committed {
                     for (sw, r) in &pieces {
                         oracles[*sw].insert(*r).unwrap();
@@ -192,6 +197,7 @@ hermes_util::check! {
                         rules[..take].to_vec()
                     };
                     let out = fleet.migrate_rules(from, to, &batch, now);
+                    assert_eq!(fleet.pending_rollback_len(), 0, "migrate_rules parked a rollback");
                     if out.committed {
                         live.get_mut(&from).unwrap().drain(..batch.len());
                         for r in &batch {
@@ -247,6 +253,7 @@ hermes_util::check! {
             }
         }
         assert!(converged, "fleet failed to quiesce after faults cleared");
+        assert_eq!(fleet.stats().rollback_retries, 0, "no rollback was re-driven");
 
         // 1. Path atomicity: committed ⇒ live everywhere; aborted ⇒
         //    nowhere.

@@ -12,9 +12,9 @@
     reason = "tests pin streams by literal seed"
 )]
 
-use hermes_baselines::{ControlPlane, HermesPlane};
+use hermes_baselines::{ControlPlane, HermesPlane, RawSwitch};
 use hermes_core::prelude::{HermesConfig, HermesSwitch};
-use hermes_fleet::{lane_assignment, Fleet, FleetConfig, LaneSched, SwitchId};
+use hermes_fleet::{Fleet, FleetConfig, LaneSched, SwitchId};
 use hermes_rules::prelude::*;
 use hermes_tcam::{CrashKind, SimDuration, SimTime, SwitchModel};
 use hermes_util::json::Json;
@@ -146,8 +146,19 @@ fn seed_permutes_the_home_lane_assignment() {
     // The seeded Fisher–Yates shuffle must react to the seed (otherwise
     // per-seed determinism would hold trivially) while keeping the lane
     // loads balanced to within one member.
-    let a = lane_assignment(MEMBERS, 3, 7);
-    let b = lane_assignment(MEMBERS, 3, 8);
+    let home_lanes = |seed| -> Vec<usize> {
+        let members = (0..MEMBERS).map(|i| (i, RawSwitch::new(SwitchModel::pica8_p3290())));
+        let config = FleetConfig {
+            lanes: 3,
+            seed,
+            ..FleetConfig::default()
+        };
+        let fleet = Fleet::new(members.collect(), config);
+        (fleet.member_health(SimTime::ZERO).iter())
+            .map(|h| h.lane)
+            .collect()
+    };
+    let (a, b) = (home_lanes(7), home_lanes(8));
     assert_eq!(a.len(), MEMBERS);
     assert_ne!(a, b, "distinct seeds must permute the home-lane map");
     for lanes in [a, b] {

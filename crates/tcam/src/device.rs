@@ -7,11 +7,13 @@
 //! identical keys and chosen sizes, and (2) target control actions at a
 //! specific slice. [`TcamDevice`] models that surface.
 //!
-//! Lookup walks the slices in configured order — for Hermes, shadow first,
-//! then main — honouring each slice's table-miss behaviour, which is how
-//! the paper preserves the single-logical-table abstraction (§3).
+//! Lookup walks the slices in carving order — for Hermes, shadow first,
+//! then main. A miss falls through to the next slice, and a miss in the
+//! last slice goes to the controller, which is how the paper preserves the
+//! single-logical-table abstraction (§3, Fig. 3). A monolithic switch is
+//! the one-slice case of the same walk.
 
-use crate::fault::{CrashKind, CrashSpec, CrashStats, FaultDecision, FaultPlan, FaultStats};
+use crate::fault::{CrashKind, CrashSpec, FaultDecision, FaultPlan, FaultStats};
 use crate::perf::SwitchModel;
 use crate::table::{BatchReport, TcamError, TcamOp, TcamTable};
 use crate::time::SimDuration;
@@ -19,27 +21,11 @@ use hermes_rules::prelude::*;
 use hermes_telemetry::names;
 use hermes_util::rng::{stream, Rng, Salt};
 
-/// What a slice does when no entry matches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MissBehavior {
-    /// Continue the lookup in the next slice (Hermes shadow-table default:
-    /// "forward to next table").
-    GotoNextSlice,
-    /// Drop the packet.
-    Drop,
-    /// Punt to the controller (OpenFlow table-miss default).
-    ToController,
-}
-
 /// One carved TCAM slice.
 #[derive(Clone, Debug)]
 pub struct Slice {
-    /// Operator-visible slice label.
-    pub label: String,
     /// The slice's entry table.
     pub table: TcamTable,
-    /// Behaviour on lookup miss.
-    pub miss: MissBehavior,
 }
 
 /// Outcome of one control-plane action against a device.
@@ -49,10 +35,6 @@ pub struct OpReport {
     pub latency: SimDuration,
     /// Entries physically shifted (insertions only).
     pub shifts: usize,
-    /// Slice occupancy before the action.
-    pub occupancy_before: usize,
-    /// Which slice the action was applied to.
-    pub slice: usize,
 }
 
 /// Outcome of one batched control-plane transaction against a device.
@@ -62,8 +44,6 @@ pub struct BatchOpReport {
     pub latency: SimDuration,
     /// The table-level accounting (coalesced shifts, per-kind tallies).
     pub report: BatchReport,
-    /// Which slice the transaction was applied to.
-    pub slice: usize,
 }
 
 /// The result of a packet lookup across the slice pipeline.
@@ -76,8 +56,6 @@ pub enum LookupResult {
         /// The matching rule.
         rule: Rule,
     },
-    /// The pipeline ended with a drop.
-    Dropped,
     /// The pipeline punted the packet to the controller.
     ToController,
 }
@@ -111,15 +89,14 @@ pub struct TcamDevice {
     connected: bool,
     /// Reconnect attempts still to be denied (the switch is "booting").
     reconnect_denials: u32,
-    crash_stats: CrashStats,
 }
 
 impl TcamDevice {
-    /// A traditional single-table switch: the whole TCAM in one slice with
-    /// OpenFlow's punt-on-miss default.
+    /// A traditional single-table switch: the whole TCAM in one slice, a
+    /// miss punted to the controller (OpenFlow's table-miss default).
     pub fn monolithic(model: SwitchModel) -> Self {
         let capacity = model.capacity;
-        Self::carved(model, &[("main", capacity, MissBehavior::ToController)])
+        Self::carved(model, &[capacity])
     }
 
     /// Carves the TCAM into slices of the given sizes. The sum of sizes
@@ -128,8 +105,8 @@ impl TcamDevice {
     ///
     /// # Panics
     /// Panics if the sizes oversubscribe the TCAM.
-    pub fn carved(model: SwitchModel, slices: &[(&str, usize, MissBehavior)]) -> Self {
-        let total: usize = slices.iter().map(|(_, s, _)| s).sum();
+    pub fn carved(model: SwitchModel, sizes: &[usize]) -> Self {
+        let total: usize = sizes.iter().sum();
         assert!(
             total <= model.capacity,
             "carving {total} entries exceeds capacity {}",
@@ -138,18 +115,14 @@ impl TcamDevice {
         let placement = model.placement;
         TcamDevice {
             model,
-            slices: slices
-                .iter()
-                .map(|(label, size, miss)| Slice {
-                    label: (*label).into(),
-                    table: TcamTable::new(*size, placement),
-                    miss: *miss,
+            slices: (sizes.iter())
+                .map(|&size| Slice {
+                    table: TcamTable::new(size, placement),
                 })
                 .collect(),
             fault: None,
             connected: true,
             reconnect_denials: 0,
-            crash_stats: CrashStats::default(),
         }
     }
 
@@ -170,23 +143,16 @@ impl TcamDevice {
         self.connected
     }
 
-    /// Applied-crash counters (wipes, survivors, reconnect handshakes).
-    pub fn crash_stats(&self) -> CrashStats {
-        self.crash_stats
-    }
-
     /// One controller reconnect attempt. Returns `true` once the session
     /// is up; a still-booting device denies the first
     /// [`CrashSpec::reconnect_denials`] attempts. Idempotent when already
     /// connected.
     pub fn reconnect(&mut self) -> bool {
-        self.crash_stats.reconnect_attempts += 1;
         if self.connected {
             return true;
         }
         if self.reconnect_denials > 0 {
             self.reconnect_denials -= 1;
-            self.crash_stats.reconnects_denied += 1;
             hermes_telemetry::counter(names::TCAM_CRASH_RECONNECT_DENIED, 1);
             return false;
         }
@@ -202,36 +168,29 @@ impl TcamDevice {
     pub fn force_crash(&mut self, spec: CrashSpec) {
         self.connected = false;
         self.reconnect_denials = spec.reconnect_denials;
-        self.crash_stats.crashes += 1;
         let mut lost = 0u64;
         match spec.kind {
             CrashKind::Wipe => {
-                self.crash_stats.wipes += 1;
                 hermes_telemetry::counter(names::TCAM_CRASH_WIPES, 1);
                 for s in &mut self.slices {
                     lost += s.table.clear() as u64;
                 }
             }
             CrashKind::Partial { survivor_prob } => {
-                self.crash_stats.partials += 1;
                 hermes_telemetry::counter(names::TCAM_CRASH_PARTIALS, 1);
                 let mut rng = stream(spec.survivor_seed, Salt::CALLER);
                 for s in &mut self.slices {
-                    let before = s.table.len();
                     let dropped = s.table.retain(|_| {
                         let roll: f64 = rng.gen_range(0.0..1.0);
                         roll < survivor_prob
                     });
-                    self.crash_stats.entries_retained += (before - dropped) as u64;
                     lost += dropped as u64;
                 }
             }
             CrashKind::Disconnect => {
-                self.crash_stats.disconnects += 1;
                 hermes_telemetry::counter(names::TCAM_CRASH_DISCONNECTS, 1);
             }
         }
-        self.crash_stats.entries_lost += lost;
         if lost > 0 {
             hermes_telemetry::counter(names::TCAM_CRASH_ENTRIES_LOST, lost);
         }
@@ -314,8 +273,6 @@ impl TcamDevice {
             return Ok(OpReport {
                 latency: op_latency(model, action, occupancy_before, 0),
                 shifts: 0,
-                occupancy_before,
-                slice,
             });
         };
         // The occupancy the op's insert (if any) saw.
@@ -357,12 +314,7 @@ impl TcamDevice {
         let latency = op_latency(model, action, occupancy, shifts);
         let latency = charge(spike, latency, 1, shifts);
         hermes_telemetry::observe(names::TCAM_OP_NS, latency.as_nanos());
-        Ok(OpReport {
-            latency,
-            shifts,
-            occupancy_before,
-            slice,
-        })
+        Ok(OpReport { latency, shifts })
     }
 
     /// Applies a whole [`TcamOp`] sequence to a slice as one control-plane
@@ -390,7 +342,6 @@ impl TcamDevice {
                     occupancy_before,
                     ..BatchReport::default()
                 },
-                slice,
             });
         }
         let gate = self.fault_gate(
@@ -413,7 +364,6 @@ impl TcamDevice {
             return Ok(BatchOpReport {
                 latency: self.batch_latency(&report),
                 report,
-                slice,
             });
         };
         let report = self.slices[slice].table.apply_batch(ops)?;
@@ -428,11 +378,7 @@ impl TcamDevice {
                 report.naive_shifts.saturating_sub(report.shifts) as u64,
             );
         }
-        Ok(BatchOpReport {
-            latency,
-            report,
-            slice,
-        })
+        Ok(BatchOpReport { latency, report })
     }
 
     /// The model's price for a batch with this accounting.
@@ -449,18 +395,12 @@ impl TcamDevice {
     /// Packet lookup through the slice pipeline.
     pub fn lookup(&mut self, packet: u128) -> LookupResult {
         let slices = &mut self.slices;
-        walk_pipeline(slices.len(), |i| {
-            let hit = slices[i].table.lookup(packet);
-            (hit.map(|rule| (i, rule)), slices[i].miss)
-        })
+        walk_pipeline(slices.len(), |i| slices[i].table.lookup(packet))
     }
 
     /// Lookup without statistics (oracle/tests).
     pub fn peek(&self, packet: u128) -> LookupResult {
-        walk_pipeline(self.slices.len(), |i| {
-            let s = &self.slices[i];
-            (s.table.peek(packet).map(|rule| (i, rule)), s.miss)
-        })
+        walk_pipeline(self.slices.len(), |i| self.slices[i].table.peek(packet))
     }
 }
 
@@ -477,9 +417,6 @@ enum Gate {
     Dropped,
 }
 
-/// The one tail of a call that reached the table: the volume counters
-/// both entry points share, and the latency actually charged — the
-/// model's figure, spiked when the gate said so.
 /// The modeled latency of one control action whose insert (if any) saw
 /// `occupancy` entries and shifted `shifts` of them. A priority modify is a
 /// delete plus an insert; an action-only modify and a delete shift nothing.
@@ -499,6 +436,9 @@ fn op_latency(
     }
 }
 
+/// The one tail of a call that reached the table: the volume counters
+/// both entry points share, and the latency actually charged — the
+/// model's figure, spiked when the gate said so.
 fn charge(spike: f64, modeled: SimDuration, ops: usize, shifts: usize) -> SimDuration {
     if hermes_telemetry::enabled() {
         hermes_telemetry::counter(names::TCAM_OPS, ops as u64);
@@ -511,24 +451,19 @@ fn charge(spike: f64, modeled: SimDuration, ops: usize, shifts: usize) -> SimDur
     }
 }
 
-/// The pipeline rules, once: stages are consulted in order, each reporting
-/// its match as `(slice, rule)` plus its miss behaviour. A match whose
-/// action is [`Action::GotoNextTable`] continues to the next stage, any
-/// other match ends the walk; a miss follows the stage's
-/// [`MissBehavior`]; walking off the end punts to the controller. A stage
-/// is only consulted when the walk reaches it, so per-stage lookup
-/// counters see exactly the packets that got that far.
-fn walk_pipeline(
-    stages: usize,
-    mut stage: impl FnMut(usize) -> (Option<(usize, Rule)>, MissBehavior),
-) -> LookupResult {
-    for i in 0..stages {
-        match stage(i) {
-            (Some((_, rule)), _) if rule.action == Action::GotoNextTable => continue,
-            (Some((slice, rule)), _) => return LookupResult::Matched { slice, rule },
-            (None, MissBehavior::GotoNextSlice) => continue,
-            (None, MissBehavior::Drop) => return LookupResult::Dropped,
-            (None, MissBehavior::ToController) => return LookupResult::ToController,
+/// The pipeline rule, once: stages are consulted in order. A match ends
+/// the walk unless its action is [`Action::GotoNextTable`]; a miss, like
+/// that fall-through, continues to the next stage; walking off the end
+/// punts to the controller. A stage is only consulted when the walk
+/// reaches it, so per-stage lookup counters see exactly the packets that
+/// got that far.
+fn walk_pipeline(stages: usize, mut stage: impl FnMut(usize) -> Option<Rule>) -> LookupResult {
+    for slice in 0..stages {
+        match stage(slice) {
+            Some(rule) if rule.action != Action::GotoNextTable => {
+                return LookupResult::Matched { slice, rule }
+            }
+            _ => {}
         }
     }
     LookupResult::ToController
@@ -546,15 +481,9 @@ mod tests {
     }
 
     /// A Pica8 carved the Hermes way: a 64-entry shadow in front of a main
-    /// slice with the given miss behaviour.
-    fn shadow_main(main_miss: MissBehavior) -> TcamDevice {
-        TcamDevice::carved(
-            SwitchModel::pica8_p3290(),
-            &[
-                ("shadow", 64, MissBehavior::GotoNextSlice),
-                ("main", 1900, main_miss),
-            ],
-        )
+    /// slice.
+    fn shadow_main() -> TcamDevice {
+        TcamDevice::carved(SwitchModel::pica8_p3290(), &[64, 1900])
     }
 
     fn pkt(addr: &str) -> u128 {
@@ -590,13 +519,7 @@ mod tests {
     #[test]
     fn carved_slices_respect_sizes() {
         let model = SwitchModel::dell_8132f();
-        let dev = TcamDevice::carved(
-            model,
-            &[
-                ("shadow", 50, MissBehavior::GotoNextSlice),
-                ("main", 900, MissBehavior::Drop),
-            ],
-        );
+        let dev = TcamDevice::carved(model, &[50, 900]);
         assert_eq!(dev.slice_count(), 2);
         assert_eq!(dev.slice(0).table.capacity(), 50);
         assert_eq!(dev.slice(1).table.capacity(), 900);
@@ -606,18 +529,12 @@ mod tests {
     #[should_panic(expected = "exceeds capacity")]
     fn carving_cannot_oversubscribe() {
         let model = SwitchModel::dell_8132f();
-        TcamDevice::carved(
-            model,
-            &[
-                ("a", 900, MissBehavior::Drop),
-                ("b", 900, MissBehavior::Drop),
-            ],
-        );
+        TcamDevice::carved(model, &[900, 900]);
     }
 
     #[test]
     fn pipeline_lookup_shadow_first() {
-        let mut dev = shadow_main(MissBehavior::ToController);
+        let mut dev = shadow_main();
         dev.apply(1, &ControlAction::Insert(rule(1, "192.168.1.0/24", 1, 2)))
             .unwrap();
         // Miss in shadow falls through to main.
@@ -643,7 +560,7 @@ mod tests {
 
     #[test]
     fn goto_next_table_action_falls_through() {
-        let mut dev = shadow_main(MissBehavior::Drop);
+        let mut dev = shadow_main();
         // An explicit fall-through rule in the shadow.
         let fall = Rule::new(1, TernaryKey::ANY, Priority(1), Action::GotoNextTable);
         dev.apply(0, &ControlAction::Insert(fall)).unwrap();
@@ -653,7 +570,32 @@ mod tests {
             dev.lookup(pkt("10.1.2.3")).action(),
             Some(Action::Forward(7))
         );
-        assert_eq!(dev.lookup(pkt("11.1.2.3")), LookupResult::Dropped);
+        assert_eq!(dev.lookup(pkt("11.1.2.3")), LookupResult::ToController);
+    }
+
+    /// The pipeline rule on the two shapes in use, one slice and shadow →
+    /// main: a miss falls through every slice but the last, a miss in the
+    /// last slice goes to the controller, and so does a `GotoNextTable`
+    /// match there.
+    #[test]
+    fn misses_fall_through_and_the_last_slice_punts() {
+        for mut dev in [
+            TcamDevice::monolithic(SwitchModel::pica8_p3290()),
+            shadow_main(),
+        ] {
+            let last = dev.slice_count() - 1;
+            assert_eq!(dev.lookup(pkt("10.1.2.3")), LookupResult::ToController);
+            dev.apply(last, &ControlAction::Insert(rule(1, "10.0.0.0/8", 5, 7)))
+                .unwrap();
+            let hit = dev.peek(pkt("10.1.2.3"));
+            assert_eq!(hit, dev.lookup(pkt("10.1.2.3")));
+            assert_eq!(hit.action(), Some(Action::Forward(7)));
+            assert!(matches!(hit, LookupResult::Matched { slice, .. } if slice == last));
+            let goto = Rule::new(2, TernaryKey::ANY, Priority(1), Action::GotoNextTable);
+            dev.apply(last, &ControlAction::Insert(goto)).unwrap();
+            assert_eq!(dev.lookup(pkt("11.1.2.3")), LookupResult::ToController);
+            assert_eq!(dev.peek(pkt("11.1.2.3")), LookupResult::ToController);
+        }
     }
 
     #[test]
@@ -780,7 +722,6 @@ mod tests {
         });
         assert!(!dev.is_connected());
         assert_eq!(dev.total_entries(), 0);
-        assert_eq!(dev.crash_stats().entries_lost, 40);
         assert_eq!(
             dev.apply(0, &ControlAction::Insert(rule(99, "11.0.0.0/8", 7, 1))),
             Err(TcamError::Disconnected)
@@ -814,8 +755,6 @@ mod tests {
             b.slice(0).table.entries(),
             "same survivor seed must keep the same subset"
         );
-        assert_eq!(a.crash_stats().entries_lost as usize, 200 - kept);
-        assert_eq!(a.crash_stats().entries_retained as usize, kept);
     }
 
     #[test]
@@ -834,21 +773,20 @@ mod tests {
         assert!(!dev.reconnect(), "first attempt denied");
         assert!(!dev.reconnect(), "second attempt denied");
         assert!(dev.reconnect(), "third attempt lands");
-        assert_eq!(dev.crash_stats().reconnects_denied, 2);
-        assert_eq!(dev.crash_stats().reconnect_attempts, 3);
+        assert!(dev.is_connected());
+        assert!(dev.reconnect(), "idempotent once connected");
         dev.apply(0, &ControlAction::Delete(RuleId(0))).unwrap();
     }
 
     /// What the gate decided for one call: the error (or ack), the
-    /// `tcam.fault_*` counters moved, session state, plan and crash stats,
-    /// and the table afterwards.
+    /// `tcam.fault_*` counters moved, session state, the plan's stats and
+    /// the table afterwards.
     #[derive(Debug, PartialEq)]
     struct Gated {
         error: Option<TcamError>,
         moved: Vec<String>,
         connected: bool,
-        draws: Option<u64>,
-        crashes: CrashStats,
+        faults: Option<FaultStats>,
         table: Vec<Rule>,
     }
 
@@ -876,8 +814,7 @@ mod tests {
                 .map(String::from)
                 .collect(),
             connected: dev.is_connected(),
-            draws: dev.fault_stats().map(|s| s.ops_seen),
-            crashes: dev.crash_stats(),
+            faults: dev.fault_stats(),
             table: dev.slice(0).table.entries(),
         }
     }
@@ -908,7 +845,7 @@ mod tests {
         for op in actions {
             let applied = loaded_device(5).apply(0, &op).unwrap();
             assert_eq!(applied.shifts, 0, "{op:?} lands at the bottom");
-            let priced = op_latency(&model, &op, applied.occupancy_before, 0);
+            let priced = op_latency(&model, &op, 5, 0);
             assert_eq!(priced, applied.latency, "{op:?}");
             let mut dev = loaded_device(5);
             let mut plan = FaultPlan::quiet(11);
@@ -957,7 +894,9 @@ mod tests {
             assert_eq!(single, through_gate(&plan, true), "{counter} {error:?}");
             assert_eq!(single.error, error);
             assert_eq!(single.moved.concat(), counter, "{error:?}");
-            assert_eq!(single.draws, Some(1), "one draw per call");
+            let faults = single.faults.expect("a plan is installed");
+            assert_eq!(faults.ops_seen, 1, "one draw per call");
+            assert_eq!(faults.crashes, u64::from(error == Some(E::Disconnected)));
             assert_eq!(single.connected, error != Some(E::Disconnected));
             match (counter, error) {
                 ("" | "spike", None) => assert_eq!(single.table.len(), before.len() + 1),
@@ -1009,6 +948,6 @@ mod tests {
         assert_eq!(crashed_at, Some(2), "third op hits the crash point");
         assert!(!dev.is_connected());
         assert_eq!(dev.total_entries(), 0);
-        assert_eq!(dev.crash_stats().wipes, 1);
+        assert_eq!(dev.fault_stats().map(|s| s.crashes), Some(1));
     }
 }

@@ -97,29 +97,6 @@ pub struct FaultStats {
     pub crashes: u64,
 }
 
-/// Device-side counters for crash-class faults as they were *applied* —
-/// what actually happened to the tables and the control session, as
-/// opposed to [`FaultStats`], which counts what the plan decided.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CrashStats {
-    /// Crashes applied to the device.
-    pub crashes: u64,
-    /// Crashes that wiped every slice.
-    pub wipes: u64,
-    /// Crashes that retained a partial survivor subset.
-    pub partials: u64,
-    /// Crashes that only tore down the control session.
-    pub disconnects: u64,
-    /// TCAM entries lost across all crashes.
-    pub entries_lost: u64,
-    /// TCAM entries that survived partial-retention crashes.
-    pub entries_retained: u64,
-    /// Reconnect attempts the controller made.
-    pub reconnect_attempts: u64,
-    /// Reconnect attempts the (still-booting) device denied.
-    pub reconnects_denied: u64,
-}
-
 /// A seeded fault schedule for one device.
 ///
 /// Probabilities are per-op; the outage schedule is op-count driven (an

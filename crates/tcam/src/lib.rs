@@ -37,8 +37,8 @@ pub mod perf;
 pub mod table;
 pub mod time;
 
-pub use device::{BatchOpReport, LookupResult, MissBehavior, OpReport, Slice, TcamDevice};
-pub use fault::{CrashKind, CrashSpec, CrashStats, FaultDecision, FaultPlan, FaultStats};
+pub use device::{BatchOpReport, LookupResult, OpReport, Slice, TcamDevice};
+pub use fault::{CrashKind, CrashSpec, FaultDecision, FaultPlan, FaultStats};
 pub use perf::SwitchModel;
 pub use table::{BatchReport, PlacementStrategy, TableStats, TcamError, TcamOp, TcamTable};
 pub use time::{SimDuration, SimTime};

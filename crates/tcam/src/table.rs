@@ -239,15 +239,15 @@ impl EntryKey {
     }
 }
 
-/// A contiguous run of the priority order. `handles` holds one payload per
-/// key: the rule's slab slot in a table, `()` in the tests' per-op replay.
+/// A contiguous run of the priority order. `handles` holds each key's
+/// slab slot.
 #[derive(Clone, Debug)]
-struct Block<P> {
+struct Block {
     keys: Vec<EntryKey>,
-    handles: Vec<P>,
+    handles: Vec<u32>,
 }
 
-impl<P> Block<P> {
+impl Block {
     fn len(&self) -> usize {
         self.keys.len()
     }
@@ -258,13 +258,11 @@ impl<P> Block<P> {
             .last()
             .expect("INVARIANT: Layout never keeps an empty block")
     }
-}
 
-impl<P: Copy> Block<P> {
     /// Merges `fresh` (ascending, no key already stored) into the block in
     /// place: one backward pass in which every run of old entries moves
     /// once, straight to its final slot.
-    fn merge(&mut self, fresh: &[(EntryKey, P)]) {
+    fn merge(&mut self, fresh: &[(EntryKey, u32)]) {
         let mut end = self.len();
         self.keys.extend(fresh.iter().map(|&(key, _)| key));
         self.handles
@@ -283,7 +281,7 @@ impl<P: Copy> Block<P> {
 
     /// Removes the entries keyed by `doomed` (ascending, all stored here)
     /// in one compaction pass, handing each to `removed` on its way out.
-    fn compact(&mut self, doomed: &[EntryKey], mut removed: impl FnMut(EntryKey, P)) {
+    fn compact(&mut self, doomed: &[EntryKey], mut removed: impl FnMut(EntryKey, u32)) {
         let Some(first) = doomed.first() else {
             return;
         };
@@ -307,7 +305,7 @@ impl<P: Copy> Block<P> {
     /// The block cut into [`chunk_ranges`], every chunk allocated at
     /// exactly its length. On a block one past `BLOCK_MAX` this is the
     /// classic halving split.
-    fn chunks(&self) -> Vec<Block<P>> {
+    fn chunks(&self) -> Vec<Block> {
         chunk_ranges(self.len())
             .map(|r| Block {
                 keys: self.keys[r.clone()].to_vec(),
@@ -335,17 +333,17 @@ fn chunk_ranges(len: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
 /// The physical side of a table: which sort key sits in which block and
 /// what an insertion at a given point shifts. Everything the shift
 /// accounting needs and nothing a lookup needs, so the tests' per-op
-/// replay runs over a `Layout<()>`.
+/// replay runs over a clone of it.
 #[derive(Clone, Debug)]
-struct Layout<P> {
-    blocks: Vec<Block<P>>,
+struct Layout {
+    blocks: Vec<Block>,
     next_seq: u64,
     len: usize,
     capacity: usize,
     strategy: PlacementStrategy,
 }
 
-impl<P: Copy> Layout<P> {
+impl Layout {
     /// Index of the block containing `key`, plus the offset within it.
     fn locate(&self, key: EntryKey) -> Option<(usize, usize)> {
         let bi = self.blocks.partition_point(|b| b.last_key() < key);
@@ -397,7 +395,7 @@ impl<P: Copy> Layout<P> {
 
     /// Physical insert with no shift accounting (the caller has already
     /// planned and billed the move).
-    fn raw_insert(&mut self, bi: usize, wi: usize, key: EntryKey, payload: P) {
+    fn raw_insert(&mut self, bi: usize, wi: usize, key: EntryKey, payload: u32) {
         if self.blocks.is_empty() {
             self.blocks.push(Block {
                 keys: Vec::new(),
@@ -420,7 +418,7 @@ impl<P: Copy> Layout<P> {
 
     /// Physical removal with no shift accounting; an emptied block is
     /// dropped.
-    fn raw_remove(&mut self, bi: usize, wi: usize) -> P {
+    fn raw_remove(&mut self, bi: usize, wi: usize) -> u32 {
         self.blocks[bi].keys.remove(wi);
         let payload = self.blocks[bi].handles.remove(wi);
         self.len -= 1;
@@ -448,7 +446,7 @@ impl<P: Copy> Layout<P> {
     /// Removes the entries keyed by `doomed` (ascending, all stored) with
     /// one compaction per touched block, handing each to `removed`.
     /// Emptied blocks are dropped.
-    fn remove_sorted(&mut self, mut doomed: &[EntryKey], mut removed: impl FnMut(EntryKey, P)) {
+    fn remove_sorted(&mut self, mut doomed: &[EntryKey], mut removed: impl FnMut(EntryKey, u32)) {
         let mut bi = 0;
         while let Some(first) = doomed.first() {
             bi += self.blocks[bi..].partition_point(|b| b.last_key() < *first);
@@ -468,7 +466,7 @@ impl<P: Copy> Layout<P> {
     /// grown past `BLOCK_MAX` is then re-cut into [`Block::chunks`]. Into an
     /// empty layout (the crash-resync shape) the entries are cut straight
     /// into the same [`chunk_ranges`], with no merged block to split.
-    fn insert_fresh(&mut self, fresh: &[(EntryKey, P)]) {
+    fn insert_fresh(&mut self, fresh: &[(EntryKey, u32)]) {
         if fresh.is_empty() {
             return;
         }
@@ -511,9 +509,7 @@ impl<P: Copy> Layout<P> {
             PlacementStrategy::Balanced => pos.min(len - pos),
         }
     }
-}
 
-impl Layout<u32> {
     /// Every stored entry in match order as the match index files it: key,
     /// `seq` and slab slot.
     fn indexed<'a>(
@@ -551,7 +547,7 @@ impl Layout<u32> {
 #[derive(Clone, Debug)]
 pub struct TcamTable {
     /// The priority order: sort key and slab slot per entry.
-    layout: Layout<u32>,
+    layout: Layout,
     /// Every stored rule, once.
     slab: Slab<Rule>,
     /// Per-id index: id → its sort key and slab slot (expected `O(1)`).
@@ -1623,32 +1619,12 @@ mod batch_merge {
     pub(super) mod reference {
         use super::*;
 
-        impl<P: Copy> Layout<P> {
-            /// The same keys with the payloads dropped.
-            fn shape(&self) -> Layout<()> {
-                Layout {
-                    blocks: self
-                        .blocks
-                        .iter()
-                        .map(|b| Block {
-                            keys: b.keys.clone(),
-                            handles: vec![(); b.len()],
-                        })
-                        .collect(),
-                    next_seq: self.next_seq,
-                    len: self.len,
-                    capacity: self.capacity,
-                    strategy: self.strategy,
-                }
-            }
-        }
-
         /// Exact sequential cost of a *validated* batch: its inserts and
         /// deletes applied singly to a scratch copy of the layout. Shifts
         /// depend on sort keys alone, so the scratch carries no rules
         /// and no match index, and the in-place modifies are skipped.
         pub(super) fn replay_singly(t: &TcamTable, ops: &[TcamOp]) -> usize {
-            let mut scratch = t.layout.shape();
+            let mut scratch = t.layout.clone();
             // Sort keys of the entries the replay itself placed (no slab slot
             // behind them); every other live id is where `by_id` says.
             let mut placed = IdIndex::default();
@@ -1657,7 +1633,7 @@ mod batch_merge {
                 match op {
                     TcamOp::Insert(rule) => {
                         let (key, bi, wi, shifts) = scratch.open_slot(rule.priority);
-                        scratch.raw_insert(bi, wi, key, ());
+                        scratch.raw_insert(bi, wi, key, 0);
                         placed.insert(rule.id, key, 0);
                         total += shifts;
                     }

@@ -58,8 +58,11 @@ stage_clippy() {
 
 stage_doc() {
     # Rustdoc as a gate: a broken or ambiguous intra-doc link, a link to a
-    # private item or an unparsable code block fails the build.
+    # private item or an unparsable code block fails the build. The first
+    # pass catches public docs that link to private items; the second
+    # checks the links in private items' docs as well.
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --document-private-items
 }
 
 stage_test() {
