@@ -1,16 +1,10 @@
-//! Fixture tests for `scripts/perfgate.py` — the three-tier CI
-//! perf-regression gate.
+//! Fixture tests for `scripts/perfgate.py` — the CI counter gate.
 //!
-//! Tier 1 (counters) compares only the `counters` object of each BENCH
-//! report, exact-match. These tests drive the script with synthetic
-//! fixtures to pin its verdicts: identical counters pass; a drifted
-//! value, a missing key, an untracked key, or a missing fresh report all
-//! fail. Tiers 2 and 3 (wallclock, rss) are one banded comparator over
-//! two rows of a tier table, so their cases run from one table here too
-//! ([`BANDED`]): in-band medians pass, out-of-band medians fail
-//! (SLOW/HEAVY), sub-band medians are noted (FAST/LEAN), scenarios
-//! missing from either side fail (MISSING/UNTRACKED), failed reps and
-//! zero medians fail (BROKEN). Inputs the gate cannot judge exit 2, never 1.
+//! The gate compares only the `counters` object of each BENCH report,
+//! exact-match. These tests drive the script with synthetic fixtures to
+//! pin its verdicts: identical counters pass; a drifted value, a missing
+//! key, an untracked key, or a missing fresh report all fail. Inputs the
+//! gate cannot judge, and every retired subcommand, exit 2, never 1.
 //!
 //! The script is python3 + stdlib; when the interpreter is absent the
 //! tests skip (printed to stderr) rather than fail, so `cargo test`
@@ -76,7 +70,7 @@ impl Fixture {
             .expect("INVARIANT: temp dir is writable");
     }
 
-    /// Runs the counters tier over base/ and fresh/; returns
+    /// Runs the gate over base/ and fresh/; returns
     /// (exit_code, stdout).
     fn run(&self, py: &str) -> (i32, String) {
         let (code, out, _) = gate(
@@ -85,19 +79,6 @@ impl Fixture {
             &self.dir.join("base"),
             &self.dir.join("fresh"),
         );
-        (code, out)
-    }
-
-    /// Writes the two documents and runs one banded tier over them;
-    /// returns (exit_code, stdout).
-    fn run_band(&self, py: &str, mode: &str, baseline: &str, report: &str) -> (i32, String) {
-        let (base, fresh) = (
-            self.dir.join("baseline.json"),
-            self.dir.join("matrix_report.json"),
-        );
-        std::fs::write(&base, baseline).expect("INVARIANT: temp dir is writable");
-        std::fs::write(&fresh, report).expect("INVARIANT: temp dir is writable");
-        let (code, out, _) = gate(py, mode, &base, &fresh);
         (code, out)
     }
 }
@@ -196,234 +177,6 @@ fn missing_fresh_report_fails() {
     assert!(out.contains("fresh report not produced"), "{out}");
 }
 
-/// One banded tier as the fixtures see it: the subcommand, the baseline
-/// and report keys, the size of one unit of its measure (1 ms, 1 MiB in
-/// bytes) and the words its verdicts use.
-struct Banded {
-    mode: &'static str,
-    schema: &'static str,
-    base_key: &'static str,
-    floor_key: &'static str,
-    report_key: &'static str,
-    unit: f64,
-    band: f64,
-    over: &'static str,
-    under: &'static str,
-    noun: &'static str,
-}
-
-const BANDED: [Banded; 2] = [
-    Banded {
-        mode: "wallclock",
-        schema: "hermes-wallclock-baseline/1",
-        base_key: "median_ms",
-        floor_key: "floor_ms",
-        report_key: "wall_ms",
-        unit: 1.0,
-        band: 0.25,
-        over: "SLOW",
-        under: "FAST",
-        noun: "wall-clock",
-    },
-    Banded {
-        mode: "rss",
-        schema: "hermes-rss-baseline/1",
-        base_key: "median_bytes",
-        floor_key: "floor_bytes",
-        report_key: "max_rss_bytes",
-        unit: (1u64 << 20) as f64,
-        band: 0.35,
-        over: "HEAVY",
-        under: "LEAN",
-        noun: "peak-RSS",
-    },
-];
-
-impl Banded {
-    /// A baseline document; `floor` and the medians are in units.
-    fn baseline(&self, floor: f64, scenarios: &[(&str, f64)]) -> String {
-        let body: Vec<String> = scenarios
-            .iter()
-            .map(|(name, v)| format!("\"{name}\": {{\"{}\": {}}}", self.base_key, v * self.unit))
-            .collect();
-        format!(
-            "{{\"schema\": \"{}\", \"band\": {}, \"{}\": {}, \"scenarios\": {{{}}}}}",
-            self.schema,
-            self.band,
-            self.floor_key,
-            floor * self.unit,
-            body.join(", ")
-        )
-    }
-
-    /// A hermes-matrix-report/2 document whose scenarios each carry a
-    /// measured median (in units) and `clean` of 3 clean reps.
-    fn report(&self, clean: u32, scenarios: &[(&str, f64)]) -> String {
-        let body: Vec<String> = scenarios
-            .iter()
-            .map(|(name, v)| {
-                format!(
-                    "{{\"name\": \"{name}\", \"bin\": \"stub\", \"runs\": 3, \
-                     \"clean_reps\": {clean}, \"errors\": [], \
-                     \"measured\": {{\"{}\": {{\"reps\": 3, \"p50\": {}}}}}}}",
-                    self.report_key,
-                    v * self.unit
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema\": \"hermes-matrix-report/2\", \"scenarios\": [{}]}}",
-            body.join(", ")
-        )
-    }
-}
-
-#[test]
-fn banded_envelope_verdicts() {
-    let Some(py) = python3() else { return };
-    // (case, baseline, floor, measured, exit code, word the output carries)
-    // against a 25% (wall-clock) / 35% (RSS) band, all in units.
-    for t in &BANDED {
-        let envelope = format!("within the {} envelope", t.noun);
-        let cases: [(&str, f64, f64, f64, i32, &str); 5] = [
-            // 115 vs 100: inside either band.
-            ("in_band", 100.0, 4.0, 115.0, 0, &envelope),
-            // 200 vs 100: above 100 * 1.35 + 4 = 139.
-            ("over", 100.0, 4.0, 200.0, 1, t.over),
-            // 10 vs 100: below 100 * 0.65 - 4 = 61 — noted, not failed.
-            ("under", 100.0, 4.0, 10.0, 0, t.under),
-            // A small scenario doubling (8 -> 16) is scheduler / allocator
-            // jitter under a floor of 16 — the band alone would flag it.
-            ("floor", 8.0, 16.0, 16.0, 0, &envelope),
-            // A zero median is no measurement at all, not a fast run.
-            ("zero", 100.0, 4.0, 0.0, 1, "BROKEN"),
-        ];
-        for (case, base, floor, measured, want, word) in cases {
-            let f = Fixture::new(&format!("{}_{case}", t.mode));
-            let (code, out) = f.run_band(
-                py,
-                t.mode,
-                &t.baseline(floor, &[("smoke-a", base)]),
-                &t.report(3, &[("smoke-a", measured)]),
-            );
-            assert_eq!(code, want, "{} {case}:\n{out}", t.mode);
-            assert!(
-                out.contains(word),
-                "{} {case} must say {word:?}:\n{out}",
-                t.mode
-            );
-        }
-    }
-}
-
-#[test]
-fn banded_missing_and_untracked_scenarios_fail() {
-    let Some(py) = python3() else { return };
-    for t in &BANDED {
-        let f = Fixture::new(&format!("{}_keys", t.mode));
-        let (code, out) = f.run_band(
-            py,
-            t.mode,
-            &t.baseline(4.0, &[("tracked-gone", 100.0)]),
-            &t.report(3, &[("brand-new", 50.0)]),
-        );
-        assert_eq!(code, 1, "both scenario-set drifts must fail:\n{out}");
-        assert!(
-            out.contains("MISSING"),
-            "baseline-only scenario flagged:\n{out}"
-        );
-        assert!(
-            out.contains("UNTRACKED"),
-            "report-only scenario flagged:\n{out}"
-        );
-    }
-}
-
-#[test]
-fn banded_broken_reps_fail() {
-    let Some(py) = python3() else { return };
-    for t in &BANDED {
-        let f = Fixture::new(&format!("{}_broken", t.mode));
-        // In band, but only 2 of 3 repetitions exited clean.
-        let (code, out) = f.run_band(
-            py,
-            t.mode,
-            &t.baseline(4.0, &[("smoke-a", 100.0)]),
-            &t.report(2, &[("smoke-a", 100.0)]),
-        );
-        assert_eq!(code, 1, "failed repetitions must fail the gate:\n{out}");
-        assert!(out.contains("BROKEN"), "{out}");
-    }
-}
-
-#[test]
-fn committed_banded_baselines_are_wellformed() {
-    let Some(py) = python3() else { return };
-    // The committed envelopes must parse and track the gated scenarios
-    // (ci.sh runs exactly wallclock.json's keys); an empty fresh report
-    // against them must flag every tracked scenario as MISSING (proving
-    // they are all tracked).
-    let empty = "{\"schema\": \"hermes-matrix-report/2\", \"scenarios\": []}";
-    for t in &BANDED {
-        let f = Fixture::new(&format!("{}_committed", t.mode));
-        let path = repo_root().join(format!("bench_baselines/{}.json", t.mode));
-        let baseline = std::fs::read_to_string(path).expect("committed baseline exists");
-        let (code, out) = f.run_band(py, t.mode, &baseline, empty);
-        assert_eq!(
-            code, 1,
-            "the tracked gated scenarios must be MISSING:\n{out}"
-        );
-        for name in ["smoke-chaos", "smoke-fleet", "chaos-suite", "baseline"] {
-            assert!(
-                out.contains(&format!("FAIL {name}:")),
-                "{name} tracked:\n{out}"
-            );
-        }
-    }
-}
-
-#[test]
-fn refresh_rewrites_medians_and_keeps_the_knobs() {
-    let Some(py) = python3() else { return };
-    let f = Fixture::new("refresh");
-    // One report carries both measures (300 units each); `refresh`
-    // rewrites <dir>/<tier>.json for both tiers from it.
-    let report = f.dir.join("matrix_report.json");
-    let both = "{\"schema\": \"hermes-matrix-report/2\", \"scenarios\": \
-                [{\"name\": \"smoke-a\", \"runs\": 3, \"clean_reps\": 3, \"measured\": \
-                {\"wall_ms\": {\"p50\": 300.04}, \"max_rss_bytes\": {\"p50\": 314572800}}}]}";
-    std::fs::write(&report, both).expect("INVARIANT: temp dir is writable");
-    for t in &BANDED {
-        f.write(
-            "base",
-            &format!("{}.json", t.mode),
-            &t.baseline(7.0, &[("smoke-a", 100.0), ("retired", 1.0)]),
-        );
-    }
-    let (code, out, err) = gate(py, "refresh", &f.dir.join("base"), &report);
-    assert_eq!(code, 0, "refresh must succeed:\n{out}{err}");
-    for t in &BANDED {
-        let tracked = f.dir.join("base").join(format!("{}.json", t.mode));
-        let fresh = std::fs::read_to_string(&tracked).expect("refreshed baseline exists");
-        assert!(
-            fresh.contains(&format!("\"band\": {}", t.band)),
-            "band kept:\n{fresh}"
-        );
-        assert!(
-            fresh.contains(&format!("\"{}\": {}", t.floor_key, 7.0 * t.unit)),
-            "floor kept:\n{fresh}"
-        );
-        assert!(
-            !fresh.contains("retired"),
-            "only the scenarios the report ran:\n{fresh}"
-        );
-        // 300 units measured against the old 100 was out of band; against
-        // the refreshed file the same report is clean.
-        let (code, out, _) = gate(py, t.mode, &tracked, &report);
-        assert_eq!(code, 0, "refreshed envelope admits its own report:\n{out}");
-    }
-}
-
 #[test]
 fn unjudgeable_input_exits_2_with_one_line() {
     let Some(py) = python3() else { return };
@@ -433,16 +186,20 @@ fn unjudgeable_input_exits_2_with_one_line() {
     f.write("fresh", "BENCH_a.json", "{\"schema\": \"x\"}");
     let no_counters = gate(py, "counters", &f.dir.join("base"), &f.dir.join("fresh"));
     // An unparsable baseline.
-    let garbled = f.dir.join("garbled.json");
-    std::fs::write(&garbled, "{not json").expect("INVARIANT: temp dir is writable");
-    let unparsable = gate(py, "wallclock", &garbled, &garbled);
-    // A report file that does not exist.
-    let committed = repo_root().join("bench_baselines/rss.json");
-    let no_report = gate(py, "rss", &committed, &f.dir.join("nonexistent.json"));
+    std::fs::create_dir_all(f.dir.join("garbled")).expect("INVARIANT: temp dir is writable");
+    f.write("garbled", "BENCH_a.json", "{not json");
+    let unparsable = gate(py, "counters", &f.dir.join("garbled"), &f.dir.join("fresh"));
+    // A baseline directory that does not exist.
+    let no_baselines = gate(
+        py,
+        "counters",
+        &f.dir.join("nonexistent"),
+        &f.dir.join("fresh"),
+    );
     for (case, (code, out, err)) in [
         ("no counters", no_counters),
         ("unparsable", unparsable),
-        ("no report", no_report),
+        ("no baselines", no_baselines),
     ] {
         assert_eq!(
             code, 2,
@@ -483,6 +240,12 @@ fn retired_cli_forms_are_usage_errors() {
         .output()
         .expect("INVARIANT: python3 probed on PATH before running fixtures");
     assert_eq!(band.status.code(), Some(2), "`--band` is retired");
+    // The banded host-time tiers and their refresh: the perf ledger owns
+    // host time now.
+    for mode in ["wallclock", "rss", "refresh"] {
+        let (code, _, err) = gate(py, mode, &f.dir.join("base"), &f.dir.join("fresh"));
+        assert_eq!(code, 2, "`perfgate.py {mode}` is retired:\n{err}");
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use hermes_bgp::prelude::*;
 use hermes_rules::prefix::Ipv4Prefix;
-use hermes_util::check::{range, vec_of, weighted, zip2, zip3, zip4, Gen};
+use hermes_util::check::{range, vec_of, weighted, zip2, zip3, Gen};
 use std::collections::BTreeMap;
 
 fn prefix() -> Gen<Ipv4Prefix> {
@@ -15,13 +15,12 @@ fn prefix() -> Gen<Ipv4Prefix> {
 }
 
 fn route() -> Gen<BgpRoute> {
-    zip4(
-        range(0u32..4),
-        range(50u32..150),
-        range(1u32..6),
+    // Draws peer, local-pref, AS-path length, then MED, in that order.
+    zip2(
+        zip3(range(0u32..4), range(50u32..150), range(1u32..6)),
         range(0u32..5),
     )
-    .map(|(peer, lp, aspath, med)| BgpRoute {
+    .map(|((peer, lp, aspath), med)| BgpRoute {
         local_pref: lp,
         as_path_len: aspath,
         med,

@@ -7,7 +7,7 @@
 //!
 //! Runs every selected scenario its matrix `runs` times. Writes
 //! per-repetition `BENCH` reports and stderr captures under
-//! `<out>/<scenario>/` and the `hermes-matrix-report/2` document to
+//! `<out>/<scenario>/` and the `hermes-matrix-report/3` document to
 //! `<out>/matrix_report.json`. Exits nonzero when any repetition fails
 //! or the configuration is invalid.
 
@@ -92,17 +92,13 @@ fn real_main() -> Result<u64, String> {
 fn print_summary(run: &MatrixRun, path: &Path) -> std::io::Result<()> {
     let mut out = std::io::stdout().lock();
     for s in &run.scenarios {
-        let mut wall: Vec<f64> = s.reps.iter().map(|r| r.wall_ms).collect();
-        hermes_util::stats::sort_samples(&mut wall);
         writeln!(
             out,
-            "{:<14} {:<14} runs={} clean={} wall p50={:.1}ms max={:.1}ms",
+            "{:<14} {:<14} runs={} clean={}",
             s.name,
             s.bin,
             s.runs,
             s.runs as u64 - s.failures(),
-            hermes_util::stats::quantile_sorted(&wall, 0.5),
-            hermes_util::stats::quantile_sorted(&wall, 1.0),
         )?;
         for r in &s.reps {
             if let Some(e) = &r.error {

@@ -4,16 +4,12 @@
 //! launched with the environment [`hermes_util::scenario::Scenario::env`]
 //! derives (seeded per repetition), `--out` pointed at a per-rep report
 //! path, stdout discarded and stderr captured to a side file for
-//! diagnosis. While the child runs the harness polls `/proc` for its
-//! peak RSS with an adaptive backoff (1 ms → 5 ms): millisecond-scale
-//! smoke binaries still get a sample, and since the child's exit is
-//! noticed at the next poll, `wall_ms` overshoots by at most 5 ms. A
-//! child still running after [`RunConfig::rep_timeout_s`] is killed and
-//! its repetition reported as failed, so a hung binary cannot hang CI.
+//! diagnosis. A child still running after [`RunConfig::rep_timeout_s`]
+//! is killed and its repetition reported as failed, so a hung binary
+//! cannot hang CI.
 //! A traced repetition also fails unless it left a parsable
 //! `hermes-bench-report/1` document at its `--out` path.
 
-use crate::procsample;
 use hermes_util::bench::Stopwatch;
 use hermes_util::json::Json;
 use hermes_util::scenario::{Matrix, Scenario};
@@ -47,10 +43,6 @@ pub struct RepResult {
     pub rep: u32,
     /// Child exit code (`None` when killed by a signal or timed out).
     pub exit_code: Option<i32>,
-    /// Wall-clock from spawn to reaped, milliseconds.
-    pub wall_ms: f64,
-    /// Peak resident set observed, bytes.
-    pub max_rss_bytes: u64,
     /// Why this repetition does not count (nonzero exit, timeout, missing
     /// or malformed report). `None` for a clean rep.
     pub error: Option<String>,
@@ -200,9 +192,6 @@ fn run_rep(
     let mut child = cmd
         .spawn()
         .map_err(|e| format!("cannot spawn {}: {e}", bin.display()))?;
-    let pid = child.id();
-    let mut max_rss_bytes = 0u64;
-    let mut sleep_ms = 1u64;
     let status = loop {
         match child.try_wait() {
             Ok(Some(status)) => break Some(status),
@@ -216,13 +205,8 @@ fn run_rep(
                 return Err(format!("waiting on {}: {e}", bin.display()));
             }
         }
-        if let Some(peak) = procsample::sample_pid(pid) {
-            max_rss_bytes = max_rss_bytes.max(peak);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
-        sleep_ms = (sleep_ms + sleep_ms / 4 + 1).min(5);
+        std::thread::sleep(std::time::Duration::from_millis(5));
     };
-    let wall_ms = sw.elapsed().as_secs_f64() * 1000.0;
     let exit_code = status.and_then(|s| s.code());
     let error = match status {
         Some(s) if s.success() => None,
@@ -238,8 +222,6 @@ fn run_rep(
     Ok(RepResult {
         rep,
         exit_code,
-        wall_ms,
-        max_rss_bytes,
         error,
     })
 }

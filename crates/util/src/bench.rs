@@ -1,9 +1,9 @@
 //! The workspace's one wall-clock read: [`Stopwatch`].
 //!
 //! Host-time *measurement* — warmup, repetitions, percentiles, verdicts —
-//! belongs to the perf ledger (`benchmark/`, see `benchmark/README.md`) and
-//! to `hermes-harness` (DESIGN.md §11); both read the clock through this
-//! type.
+//! belongs to the perf ledger (`benchmark/`, see `benchmark/README.md`),
+//! which reads the clock through this type; `hermes-harness` reads it only
+//! for its per-rep deadline (DESIGN.md §11).
 
 #![expect(
     clippy::disallowed_types,

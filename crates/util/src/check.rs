@@ -185,23 +185,6 @@ pub fn zip3<A: 'static, B: 'static, C: 'static>(a: Gen<A>, b: Gen<B>, c: Gen<C>)
     })
 }
 
-/// Quadruples four generators.
-pub fn zip4<A: 'static, B: 'static, C: 'static, D: 'static>(
-    a: Gen<A>,
-    b: Gen<B>,
-    c: Gen<C>,
-    d: Gen<D>,
-) -> Gen<(A, B, C, D)> {
-    Gen::from_fn(move |rng, size| {
-        (
-            a.generate(rng, size),
-            b.generate(rng, size),
-            c.generate(rng, size),
-            d.generate(rng, size),
-        )
-    })
-}
-
 fn ramp(case: u64, cases: u64) -> usize {
     // Size grows 8 → 256 across the run, so early cases are small and
     // fast and later cases stress larger structures.

@@ -16,10 +16,10 @@
 //!   generator combinators, fixed default seeds, failure minimization by
 //!   halving the generation size, and `HERMES_CHECK_*` env overrides.
 //! * [`mod@bench`] — [`bench::Stopwatch`], the one sanctioned wall-clock read
-//!   (the one `clippy.toml` exemption); the perf ledger and
-//!   `hermes-harness` measure through it.
-//! * [`stats`] — the shared nearest-rank quantile used by the scenario
-//!   harness, the perf ledger and the netsim metric distributions.
+//!   (the one `clippy.toml` exemption); the perf ledger measures through
+//!   it, and `hermes-harness` times its per-rep deadline with it.
+//! * [`stats`] — the shared nearest-rank quantile used by the perf
+//!   ledger and the netsim metric distributions.
 //!
 //! Policy (see README.md "Hermetic build"): this workspace takes **no**
 //! external crate dependencies. Anything new must live here or be

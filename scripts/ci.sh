@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(build lint clippy doc test bins chaos telemetry perfgate ledger matrix_smoke)
+ALL_STAGES=(build lint clippy doc test bins chaos perfgate ledger)
 
 stage_build() {
     cargo build --release --offline --workspace
@@ -103,6 +103,9 @@ stage_chaos() {
     # (transient and crash-class) must recover to flat-table equivalence
     # (DESIGN.md §7, §12).
     cargo test -q --offline -p hermes-core --test oracle chaos
+    # Everything below runs release binaries; built here, so the stage
+    # also runs alone.
+    cargo build --release --offline -q -p hermes-harness -p hermes-bench --bins
     # One full experiment under a pinned fault seed: must exit 0 (no panics
     # reachable from device faults) and reproduce byte-for-byte.
     local chaos_out chaos_out2
@@ -119,34 +122,17 @@ stage_chaos() {
     cmp "$chaos_out" "$chaos_out2" \
       || { echo "crash storm not deterministic under HERMES_FAULT_SEED"; exit 1; }
     rm -f "$chaos_out" "$chaos_out2"
-    # The shrunk three-seed storm (scenarios/matrix.toml smoke-crash): at
-    # ~11 ms a rep it is too short for the wall-clock/RSS envelopes to
-    # judge, so it runs here for its verdict alone -- the harness exits
-    # non-zero unless every repetition is clean (clean_reps == runs).
-    local crash_dir
-    crash_dir="$(mktemp -d)"
+    # The scenario matrix for its verdicts: every seeded repetition of
+    # these scenarios (scenarios/matrix.toml) must exit 0 within its
+    # timeout and leave a parsable traced report, or the harness exits
+    # non-zero. Host time is the ledger stage's, not judged here.
+    local matrix_dir
+    matrix_dir="$(mktemp -d)"
     ./target/release/hermes-harness --matrix scenarios/matrix.toml \
-        --bin-dir target/release --out "$crash_dir" --scenarios smoke-crash >/dev/null
-    rm -rf "$crash_dir"
-    echo "ok: chaos suite + seeded experiments deterministic, smoke-crash clean"
-}
-
-stage_telemetry() {
-    # A traced, fault-seeded exp_fig9 run must reproduce its report
-    # byte-for-byte on a repeat run with the same seeds. The report's
-    # hermes-bench-report/1 schema and its six contributing subsystems
-    # are checked in-process by tests/determinism.rs
-    # (`traced_report_is_schema_valid_with_six_subsystems`).
-    local bench_dir
-    bench_dir="$(mktemp -d)"
-    HERMES_TRACE=1 HERMES_FAULT_SEED=7 HERMES_GIT_REV=ci \
-        ./target/release/exp_fig9 --out "$bench_dir/a.json" >/dev/null
-    HERMES_TRACE=1 HERMES_FAULT_SEED=7 HERMES_GIT_REV=ci \
-        ./target/release/exp_fig9 --out "$bench_dir/b.json" >/dev/null
-    cmp "$bench_dir/a.json" "$bench_dir/b.json" \
-      || { echo "telemetry report not deterministic under HERMES_FAULT_SEED"; exit 1; }
-    echo "ok: exp_fig9's traced report is deterministic"
-    rm -rf "$bench_dir"
+        --bin-dir target/release --out "$matrix_dir" \
+        --scenarios smoke-crash,smoke-chaos,smoke-fleet,chaos-suite,baseline
+    rm -rf "$matrix_dir"
+    echo "ok: chaos suite + seeded experiments deterministic, every matrix rep clean"
 }
 
 stage_perfgate() {
@@ -156,7 +142,10 @@ stage_perfgate() {
     # counter drift means behaviour changed and must be either fixed or
     # explicitly re-baselined via scripts/refresh_baselines.sh. The gated
     # experiments are the names of the committed bench_baselines/BENCH_*.json,
-    # the one place the list is written down.
+    # the one place the list is written down. exp_fig9 then runs a second
+    # time under the same seeds: its traced report must reproduce byte for
+    # byte (its schema and six subsystems are checked in-process by
+    # tests/determinism.rs).
     local exps=(bench_baselines/BENCH_*.json) exp bins=()
     exps=("${exps[@]#bench_baselines/BENCH_}")
     exps=("${exps[@]%.json}")
@@ -169,6 +158,10 @@ stage_perfgate() {
             "./target/release/exp_${exp}" --out "$fresh_dir/BENCH_${exp}.json" >/dev/null
     done
     python3 scripts/perfgate.py counters bench_baselines "$fresh_dir"
+    HERMES_TRACE=1 HERMES_FAULT_SEED=7 HERMES_GIT_REV=baseline \
+        ./target/release/exp_fig9 --out "$fresh_dir/fig9_again.json" >/dev/null
+    cmp "$fresh_dir/BENCH_fig9.json" "$fresh_dir/fig9_again.json" \
+      || { echo "exp_fig9's traced report not deterministic under HERMES_FAULT_SEED"; exit 1; }
     rm -rf "$fresh_dir"
 }
 
@@ -204,11 +197,11 @@ stage_ledger() {
 
 run_ledger() {
     # The perf ledger (benchmark/) as a blocking refactoring oracle and the
-    # host-time verdict on its five workloads (the exp_* binaries' host
-    # time is matrix_smoke's, below). Its own test suite runs first
-    # (in release like the runs, benchmark/README.md: the recorder's
-    # clock-calibration test does not hold in a debug build), then one
-    # full set at the committed rows' own length: five workloads, untraced
+    # host-time verdict, the only one CI keeps (DESIGN.md §11). Its own
+    # test suite runs first (in release like the runs, benchmark/README.md:
+    # the recorder's clock-calibration test does not hold in a debug
+    # build), then one full set at the committed rows' own length: five
+    # workloads, untraced
     # then traced, 20 s each. Per workload, both runs must report
     # `correct` -- the modeled outcome equals the digest pinned in
     # benchmark/expected/, so a change that moves any modeled number fails
@@ -239,40 +232,6 @@ PY
     [[ $rc == 0 ]] || { tail -n 40 "$set_dir/run.log"; echo "perf-ledger run exited $rc"; exit 1; }
     ./benchmark/target/release/perf-ledger compare "${rows[-1]}" "$set_dir"
     rm -rf "$set_dir"
-}
-
-stage_matrix_smoke() {
-    # Tier-2/3 perf gate: hermes-harness runs the gated scenarios from
-    # the committed matrix. The gated list exists once, as the keys of
-    # bench_baselines/wallclock.json: two fast smokes (N=3 seeded reps
-    # each) plus two full-tier scenarios promoted into the gated tier
-    # (N=5 each) -- chaos-suite (fault plans armed) and baseline
-    # (exp_fig9, the one end-to-end run long enough that its band means
-    # seconds rather than scheduler noise). The harness exits non-zero
-    # unless every repetition is clean, then BOTH tolerance-band
-    # comparisons are BLOCKING: wall-clock medians against
-    # bench_baselines/wallclock.json and peak-RSS medians against
-    # bench_baselines/rss.json. perfgate.py also checks the report's
-    # schema, that it ran exactly the gated scenarios, and that each
-    # median is positive. A band breach fails CI and must be either
-    # fixed or re-baselined via scripts/refresh_baselines.sh (DESIGN.md
-    # §11).
-    cargo build --release --offline -q -p hermes-harness --bin hermes-harness
-    cargo build --release --offline -q -p hermes-bench --bins
-    local smoke_dir gated
-    smoke_dir="$(mktemp -d)"
-    gated="$(python3 -c 'import json, sys
-print(",".join(json.load(open(sys.argv[1]))["scenarios"]))' bench_baselines/wallclock.json)"
-    ./target/release/hermes-harness \
-        --matrix scenarios/matrix.toml \
-        --bin-dir target/release \
-        --out "$smoke_dir" \
-        --scenarios "$gated"
-    python3 scripts/perfgate.py wallclock \
-        bench_baselines/wallclock.json "$smoke_dir/matrix_report.json"
-    python3 scripts/perfgate.py rss \
-        bench_baselines/rss.json "$smoke_dir/matrix_report.json"
-    rm -rf "$smoke_dir"
 }
 
 wanted() {

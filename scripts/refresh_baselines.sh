@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerate the committed perf-gate baselines in bench_baselines/.
+# Regenerate the committed counter baselines in bench_baselines/.
 #
 # Run this after an INTENTIONAL behaviour change that moves the gated
 # counters (see scripts/perfgate.py), then review and commit the diff —
@@ -12,10 +12,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Tier 1: the counter baselines. The gated experiments are the names of
-# the committed bench_baselines/BENCH_*.json, the one place the list is
-# written down. To gate a new experiment, create its BENCH_<exp>.json
-# (any content: this run overwrites it) before running the script.
+# The gated experiments are the names of the committed
+# bench_baselines/BENCH_*.json, the one place the list is written down.
+# To gate a new experiment, create its BENCH_<exp>.json (any content:
+# this run overwrites it) before running the script.
 exps=(bench_baselines/BENCH_*.json)
 exps=("${exps[@]#bench_baselines/BENCH_}")
 exps=("${exps[@]%.json}")
@@ -40,25 +40,5 @@ with open(path, "w") as fh:
     fh.write("\n")
 PY
 done
-
-# Tiers 2 + 3: the wall-clock and peak-RSS envelopes. Re-measure the
-# gated scenarios -- the keys of bench_baselines/wallclock.json, the one
-# place the list is written down (N from scenarios/matrix.toml) -- on the
-# machine class CI runs on, and rewrite bench_baselines/wallclock.json and
-# bench_baselines/rss.json keeping the committed band/floor knobs. To gate
-# a new scenario, add its key to wallclock.json by hand first.
-echo "== hermes-harness gated scenarios -> bench_baselines/{wallclock,rss}.json =="
-cargo build --release --offline -q -p hermes-harness --bin hermes-harness
-cargo build --release --offline -q -p hermes-bench --bins
-wall_dir="$(mktemp -d)"
-./target/release/hermes-harness \
-    --matrix scenarios/matrix.toml \
-    --bin-dir target/release \
-    --out "$wall_dir" \
-    --scenarios "$(python3 -c 'import json, sys
-print(",".join(json.load(open(sys.argv[1]))["scenarios"]))' bench_baselines/wallclock.json)" \
-    >/dev/null
-python3 scripts/perfgate.py refresh bench_baselines "$wall_dir/matrix_report.json"
-rm -rf "$wall_dir"
 
 echo "== refreshed; review with: git diff bench_baselines/ =="
