@@ -15,14 +15,15 @@ use hermes_bench::Table;
 use hermes_bgp::prelude::*;
 use hermes_core::config::HermesConfig;
 use hermes_core::prelude::*;
-use hermes_rules::prelude::Rule;
+use hermes_rules::prelude::{ControlAction, Rule};
 use hermes_tcam::{SimDuration, SimTime, SwitchModel};
 use hermes_util::bench::Stopwatch;
+use hermes_util::stats::{quantile_sorted, sort_samples};
 use hermes_workloads::bgptrace::BgpTrace;
 
 /// Builds `n` FIB insert actions from a BGP trace (only Adds, §8.7 uses
 /// the BGPTrace data with the simple topology).
-fn fib_inserts(n: usize) -> Vec<hermes_rules::rule::ControlAction> {
+fn fib_inserts(n: usize) -> Vec<ControlAction> {
     let trace = BgpTrace {
         prefixes: n,
         duration_s: 3600.0,
@@ -46,6 +47,63 @@ fn fib_inserts(n: usize) -> Vec<hermes_rules::rule::ControlAction> {
     out
 }
 
+/// Timed repetitions of each size. The sweep runs the sizes ascending on
+/// even repetitions and descending on odd ones, so host drift over the
+/// run weighs on every size alike.
+const REPS: usize = 11;
+
+/// One timed pass at `n` rules: host µs per inserted rule, host µs per
+/// migrated rule, and the approximate memory of the resident entries in
+/// KB.
+fn time_once(n: usize, actions: &[ControlAction]) -> (f64, f64, usize) {
+    // A very large idealized switch so algorithm cost, not simulated
+    // TCAM latency, is what we time.
+    let mut model = SwitchModel::ideal();
+    model.capacity = 2 * n + 64;
+    let config = HermesConfig {
+        guarantee: SimDuration::from_ms(5.0),
+        shadow_size: Some(n.min(model.capacity / 2)),
+        rate_limit: Some(f64::INFINITY),
+        ..Default::default()
+    };
+    let mut sw = HermesSwitch::new(model, config).expect(
+        "INVARIANT: shadow_size/rate_limit above satisfy the feasibility check for \
+         every size in `sizes`; a failure here is a bug in the sweep itself",
+    );
+
+    // Insertion algorithm: partition + gatekeeper + shadow write.
+    let mut timer = Stopwatch::start();
+    for a in actions {
+        sw.submit(a, SimTime::ZERO).expect(
+            "INVARIANT: the ideal model never faults and capacity covers 2n rules, \
+             so submit cannot reject these inserts",
+        );
+    }
+    let insert_elapsed = timer.lap();
+
+    // Migration algorithm over the accumulated shadow.
+    let report = sw.migrate(SimTime::ZERO);
+    let migrate_elapsed = timer.elapsed();
+
+    // Memory: entries resident across tables × entry footprint.
+    let mem_kb = (sw.main_len() + sw.shadow_len()) * std::mem::size_of::<Rule>() / 1024;
+    (
+        insert_elapsed.as_secs_f64() * 1e6 / actions.len().max(1) as f64,
+        migrate_elapsed.as_secs_f64() * 1e6 / report.rules_migrated.max(1) as f64,
+        mem_kb,
+    )
+}
+
+/// The median and the interquartile range `q1–q3` of `samples`, in µs.
+fn median_iqr(samples: &mut [f64]) -> (String, String) {
+    sort_samples(samples);
+    let q = |p| quantile_sorted(samples, p);
+    (
+        format!("{:.2}", q(0.5)),
+        format!("{:.2}–{:.2}", q(0.25), q(0.75)),
+    )
+}
+
 fn main() -> std::process::ExitCode {
     hermes_bench::run_experiment("exp_fig15", run)
 }
@@ -62,64 +120,42 @@ fn run() {
     println!("== Figure 15: Hermes algorithm overheads (measured on this host) ==\n");
 
     println!("-- (b) processing time: insertion vs migration algorithm --");
+    println!("   (per-rule host time: median and interquartile range of {REPS} runs per size)");
+    let actions: Vec<_> = sizes.iter().map(|&n| fib_inserts(n)).collect();
+    let mut insert_us = vec![Vec::with_capacity(REPS); sizes.len()];
+    let mut migrate_us = vec![Vec::with_capacity(REPS); sizes.len()];
+    let mut mem_kb = vec![0; sizes.len()];
+    for rep in 0..REPS {
+        let mut order: Vec<usize> = (0..sizes.len()).collect();
+        if rep % 2 == 1 {
+            order.reverse();
+        }
+        for i in order {
+            let (ins, mig, mem) = time_once(sizes[i], &actions[i]);
+            insert_us[i].push(ins);
+            migrate_us[i].push(mig);
+            mem_kb[i] = mem;
+        }
+    }
     let mut t = Table::new(&[
         "Rules",
-        "Insert algo total (ms)",
         "Insert per-rule (us)",
-        "Migration total (ms)",
+        "Insert IQR (us)",
         "Migr. per-rule (us)",
+        "Migr. IQR (us)",
         "Approx. mem (KB)",
     ]);
-    for &n in &sizes {
-        let actions = fib_inserts(n);
-        // A very large idealized switch so algorithm cost, not simulated
-        // TCAM latency, is what we time.
-        let mut model = SwitchModel::ideal();
-        model.capacity = 2 * n + 64;
-        let config = HermesConfig {
-            guarantee: SimDuration::from_ms(5.0),
-            shadow_size: Some(n.min(model.capacity / 2)),
-            rate_limit: Some(f64::INFINITY),
-            ..Default::default()
-        };
-        let mut sw = HermesSwitch::new(model, config).expect(
-            "INVARIANT: shadow_size/rate_limit above satisfy the feasibility check for \
-             every size in `sizes`; a failure here is a bug in the sweep itself",
-        );
-
-        // Insertion algorithm: partition + gatekeeper + shadow write.
-        let mut timer = Stopwatch::start();
-        for a in &actions {
-            sw.submit(a, SimTime::ZERO).expect(
-                "INVARIANT: the ideal model never faults and capacity covers 2n rules, \
-                 so submit cannot reject these inserts",
-            );
-        }
-        let insert_elapsed = timer.lap();
-
-        // Migration algorithm over the accumulated shadow.
-        let shadow_rules = sw.shadow_len().max(1);
-        let report = sw.migrate(SimTime::ZERO);
-        let migrate_elapsed = timer.elapsed();
-
-        // Memory: entries resident across tables × entry footprint.
-        let mem_kb = (sw.main_len() + sw.shadow_len()) * std::mem::size_of::<Rule>() / 1024;
-
+    for (i, &n) in sizes.iter().enumerate() {
+        let (ins, ins_iqr) = median_iqr(&mut insert_us[i]);
+        let (mig, mig_iqr) = median_iqr(&mut migrate_us[i]);
         t.row(&[
             n.to_string(),
-            format!("{:.1}", insert_elapsed.as_secs_f64() * 1e3),
-            format!(
-                "{:.2}",
-                insert_elapsed.as_secs_f64() * 1e6 / actions.len().max(1) as f64
-            ),
-            format!("{:.1}", migrate_elapsed.as_secs_f64() * 1e3),
-            format!(
-                "{:.2}",
-                migrate_elapsed.as_secs_f64() * 1e6 / report.rules_migrated.max(1) as f64
-            ),
-            mem_kb.to_string(),
+            ins,
+            ins_iqr,
+            mig,
+            mig_iqr,
+            mem_kb[i].to_string(),
         ]);
-        let _ = shadow_rules;
     }
     t.print();
 

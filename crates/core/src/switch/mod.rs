@@ -272,7 +272,7 @@ impl HermesSwitch {
             device,
             config,
             main_index: OverlapIndex::new(),
-            shadow: ShadowStore::default(),
+            shadow: ShadowStore::for_capacity(shadow_size),
             blockers: BTreeMap::new(),
             prio_counts: BTreeMap::new(),
             next_phys: PHYS_BASE,
@@ -689,5 +689,71 @@ mod tests {
             .map(|r| r.id.0)
             .collect();
         assert_eq!(main, vec![1, 3, 4, 5]);
+    }
+
+    /// Counted work, not host time: the shadow residents one main-routed
+    /// insert's re-cut visits. Against shadows of n and 8n residents, all
+    /// disjoint from the inserts but one wide resident above them, the
+    /// visits per insert grow at most 2× (the full scan read 8×).
+    #[test]
+    fn recut_visits_stay_flat_as_the_shadow_grows() {
+        use crate::config::{MigrationTrigger, RulePredicate};
+        const N: u32 = 256;
+        const INSERTS: u64 = 32;
+        let visits_per_insert = |residents: u32| {
+            let shadow = 8 * N as usize + 16;
+            let mut model = SwitchModel::ideal();
+            model.capacity = 2 * shadow + 64;
+            // Residents qualify for the shadow by priority; the inserts
+            // fall outside the predicate and land in the main table. No
+            // migration empties the shadow on the way.
+            let config = HermesConfig {
+                predicate: RulePredicate::PriorityAtLeast(Priority(5)),
+                trigger: MigrationTrigger::Threshold { fraction: 1.0 },
+                rate_limit: Some(f64::INFINITY),
+                shadow_size: Some(shadow),
+                low_priority_bypass: false,
+                ..HermesConfig::default()
+            };
+            let mut sw = HermesSwitch::new(model, config).unwrap();
+            let wide: Ipv4Prefix = "11.0.0.0/8".parse().unwrap();
+            sw.insert(
+                Rule::new(1, wide.to_key(), Priority(20), Action::Drop),
+                SimTime::ZERO,
+            )
+            .unwrap();
+            for i in 0..residents {
+                let prefix = Ipv4Prefix::new(0x0a00_0000 | (i << 8), 24);
+                let rule = Rule::new(
+                    2 + u64::from(i),
+                    prefix.to_key(),
+                    Priority(10),
+                    Action::Drop,
+                );
+                sw.insert(rule, SimTime::ZERO).unwrap();
+            }
+            assert_eq!(sw.shadow.len(), residents as usize + 1);
+            let before = sw.shadow.visits;
+            for j in 0..INSERTS {
+                let prefix = Ipv4Prefix::new(0x0b00_0000 | ((j as u32) << 8), 24);
+                let rule = Rule::new(1_000_000 + j, prefix.to_key(), Priority(1), Action::Drop);
+                let rep = sw.insert(rule, SimTime::ZERO).unwrap();
+                assert!(matches!(
+                    rep.detail,
+                    ReportDetail::Insert {
+                        route: Route::MainUnmatched,
+                        ..
+                    }
+                ));
+            }
+            assert_eq!(sw.shadow.len(), residents as usize + 1);
+            (sw.shadow.visits - before) as f64 / INSERTS as f64
+        };
+        let (small, large) = (visits_per_insert(N), visits_per_insert(8 * N));
+        assert!(small >= 1.0, "the wide resident is visited: {small}");
+        assert!(
+            large <= 2.0 * small,
+            "n: {small} visits per insert, 8n: {large}"
+        );
     }
 }

@@ -63,16 +63,20 @@ impl HermesSwitch {
     /// This is incremental: the pieces already avoid every older
     /// higher-priority main rule, so only a cut against the *new* rule is
     /// needed — not a full re-partition.
+    ///
+    /// A large shadow answers from its prefix index, which hands over only
+    /// the residents whose original's destination overlaps the new rule's:
+    /// every piece lies inside its original's key, so no affected resident
+    /// is missed.
     pub(super) fn recut_below(&mut self, new_main: Rule) -> SimDuration {
-        let mut affected: Vec<RuleId> = self
-            .shadow
-            .iter()
-            .filter(|e| {
-                e.original.priority < new_main.priority
-                    && e.pieces.iter().any(|(_, k)| k.overlaps(&new_main.key))
-            })
-            .map(|e| e.original.id)
-            .collect();
+        let mut affected: Vec<RuleId> = Vec::new();
+        self.shadow.for_each_candidate(&new_main.key, |e| {
+            if e.original.priority < new_main.priority
+                && e.pieces.iter().any(|(_, k)| k.overlaps(&new_main.key))
+            {
+                affected.push(e.original.id);
+            }
+        });
         // The op sequence must be deterministic (fault plans and latencies
         // depend on it) and goes out in RuleId order.
         affected.sort_unstable_by_key(|id| id.0);

@@ -222,7 +222,7 @@ impl<T> PrefixTrie<T> {
     }
 
     /// The items stored exactly at `prefix`, in storage order.
-    pub(crate) fn items_at(&self, prefix: Ipv4Prefix) -> &[T] {
+    pub fn items_at(&self, prefix: Ipv4Prefix) -> &[T] {
         match self.descend(prefix, |_| {}) {
             Some(idx) if self.nodes[idx].prefix == prefix => &self.nodes[idx].items,
             _ => &[],

@@ -85,6 +85,10 @@ stage_test() {
     # index it replaced, under eight times the default cases.
     HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-rules \
       --test proptest_algebra overlap_index_churn_matches_reference
+    # The shadow store's prefix index against the full re-cut scan,
+    # likewise.
+    HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-core \
+      --lib indexed_recut_matches_scan
 }
 
 stage_bins() {
