@@ -694,7 +694,9 @@ mod tests {
     /// Counted work, not host time: the shadow residents one main-routed
     /// insert's re-cut visits. Against shadows of n and 8n residents, all
     /// disjoint from the inserts but one wide resident above them, the
-    /// visits per insert grow at most 2× (the full scan read 8×).
+    /// visits per insert grow at most 2× (the full scan read 8×). An
+    /// insert at the lowest live priority visits none and files nothing,
+    /// also with a resident pending.
     #[test]
     fn recut_visits_stay_flat_as_the_shadow_grows() {
         use crate::config::{MigrationTrigger, RulePredicate};
@@ -722,6 +724,14 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
+            // A main rule below the inserts, so theirs is not the lowest
+            // live priority and their re-cuts search.
+            let floor: Ipv4Prefix = "12.0.0.0/24".parse().unwrap();
+            sw.insert(
+                Rule::new(900_000, floor.to_key(), Priority(2), Action::Drop),
+                SimTime::ZERO,
+            )
+            .unwrap();
             for i in 0..residents {
                 let prefix = Ipv4Prefix::new(0x0a00_0000 | (i << 8), 24);
                 let rule = Rule::new(
@@ -736,7 +746,7 @@ mod tests {
             let before = sw.shadow.visits;
             for j in 0..INSERTS {
                 let prefix = Ipv4Prefix::new(0x0b00_0000 | ((j as u32) << 8), 24);
-                let rule = Rule::new(1_000_000 + j, prefix.to_key(), Priority(1), Action::Drop);
+                let rule = Rule::new(1_000_000 + j, prefix.to_key(), Priority(3), Action::Drop);
                 let rep = sw.insert(rule, SimTime::ZERO).unwrap();
                 assert!(matches!(
                     rep.detail,
@@ -747,7 +757,32 @@ mod tests {
                 ));
             }
             assert_eq!(sw.shadow.len(), residents as usize + 1);
-            (sw.shadow.visits - before) as f64 / INSERTS as f64
+            let visits = (sw.shadow.visits - before) as f64 / INSERTS as f64;
+            // One more resident waits to be filed; a main insert below
+            // every live priority neither visits nor files anything.
+            let late: Ipv4Prefix = "13.0.0.0/24".parse().unwrap();
+            (sw.insert(
+                Rule::new(2_000_000, late.to_key(), Priority(10), Action::Drop),
+                SimTime::ZERO,
+            ))
+            .unwrap();
+            let (before, filing) = (sw.shadow.visits, sw.shadow.filing());
+            assert_eq!(filing.1, 1, "the late resident is pending");
+            let lowest = Rule::new(2_000_001, late.to_key(), Priority(1), Action::Drop);
+            let rep = sw.insert(lowest, SimTime::ZERO).unwrap();
+            assert!(matches!(
+                rep.detail,
+                ReportDetail::Insert {
+                    route: Route::MainUnmatched,
+                    ..
+                }
+            ));
+            assert_eq!(
+                sw.shadow.visits, before,
+                "the lowest-priority insert searched"
+            );
+            assert_eq!(sw.shadow.filing(), filing);
+            visits
         };
         let (small, large) = (visits_per_insert(N), visits_per_insert(8 * N));
         assert!(small >= 1.0, "the wide resident is visited: {small}");

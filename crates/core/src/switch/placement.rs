@@ -68,7 +68,15 @@ impl HermesSwitch {
     /// the residents whose original's destination overlaps the new rule's:
     /// every piece lies inside its original's key, so no affected resident
     /// is missed.
+    ///
+    /// A rule at the lowest live priority skips the search: every shadow
+    /// resident's priority is booked, and so is the new rule's before it
+    /// gets here, so none ranks below it and nothing is affected. Every
+    /// §4.2 low-priority bypass lands here.
     pub(super) fn recut_below(&mut self, new_main: Rule) -> SimDuration {
+        if (self.lowest_live_priority()).is_some_and(|lowest| new_main.priority <= lowest) {
+            return SimDuration::ZERO;
+        }
         let mut affected: Vec<RuleId> = Vec::new();
         self.shadow.for_each_candidate(&new_main.key, |e| {
             if e.original.priority < new_main.priority

@@ -81,7 +81,9 @@ impl PrefixIndex {
                 continue;
             };
             match FlowMatch::dst_prefix_of_key(&entry.original.key) {
-                Some(pre) => self.trie.insert(pre, pos),
+                Some(pre) => {
+                    self.trie.insert(pre, pos);
+                }
                 None => self.fallback.push(pos),
             }
         }
@@ -109,7 +111,8 @@ impl PrefixIndex {
                     self.pending.contains(&pos)
                         || !self.stale
                             && match FlowMatch::dst_prefix_of_key(&e.original.key) {
-                                Some(pre) => self.trie.items_at(pre).contains(&pos),
+                                Some(pre) => (self.trie.find(pre))
+                                    .is_some_and(|at| self.trie.holds(at, &pos)),
                                 None => self.fallback.contains(&pos),
                             }
                 })
@@ -235,6 +238,15 @@ impl ShadowStore {
             None => (prefixes.trie).for_each_descendant(Ipv4Prefix::DEFAULT, &mut visit),
         }
         prefixes.fallback.iter().for_each(visit);
+    }
+
+    /// The positions the prefix index has filed and those it has pending,
+    /// `(0, 0)` without one.
+    #[cfg(test)]
+    pub(super) fn filing(&self) -> (usize, usize) {
+        (self.prefixes.as_ref()).map_or((0, 0), |p| {
+            (p.trie.len() + p.fallback.len(), p.pending.len())
+        })
     }
 
     /// `true` when the index names exactly the residents, each at its

@@ -17,7 +17,7 @@ use crate::key::TernaryKey;
 use crate::prefix::Ipv4Prefix;
 use crate::rule::{Priority, Rule, RuleId};
 use crate::store::{IdIndex, Slab};
-use crate::trie::PrefixTrie;
+use crate::trie::{Handle, PrefixTrie};
 
 /// Share of the kept id order (as a fraction) the ids touched since the
 /// last ordered read may reach before the order is dropped. Past half, the
@@ -30,16 +30,20 @@ const REBUILD_SHARE: (usize, usize) = (1, 2);
 /// key?" queries.
 ///
 /// Each rule is stored once, in a paged slab, and found by id through a
-/// flat id index; the trie and the fallback list hold its `u32` slab slot
-/// (DESIGN.md §16). Which slot a rule gets never reaches an output: walks
-/// visit slots in the positions `insert` and `remove` leave them in, and
-/// [`iter`](Self::iter) walks ascending ids.
+/// flat id index; the trie and the fallback list hold its `u32` slab slot,
+/// and the trie node it was filed at is kept by slot, so a removal goes
+/// straight to that node (DESIGN.md §16). Which slot a rule gets never
+/// reaches an output: walks visit slots in the positions `insert` and
+/// `remove` leave them in, and [`iter`](Self::iter) walks ascending ids.
 #[derive(Debug, Default)]
 pub struct OverlapIndex {
     trie: PrefixTrie<u32>,
     /// Slots of the rules whose destination mask is non-contiguous.
     fallback: Vec<u32>,
     rules: Slab<Rule>,
+    /// Slab slot → the trie node its rule is filed at, `None` for the
+    /// fallback list; stale at freed slots.
+    filed_at: Vec<Option<Handle>>,
     /// Rule id → slab slot.
     ids: IdIndex,
     /// The id order [`iter`](Self::iter) last read, kept up to date by
@@ -173,8 +177,7 @@ impl OverlapIndex {
         // would put it. It keeps its slab slot.
         let slot = match self.ids.get(rule.id) {
             Some(slot) => {
-                let old = self.rules.get(slot).key;
-                self.unfile(&old, slot);
+                self.unfile(slot);
                 *self.rules.get_mut(slot) = rule;
                 slot
             }
@@ -185,9 +188,17 @@ impl OverlapIndex {
                 slot
             }
         };
-        match FlowMatch::dst_prefix_of_key(&rule.key) {
-            Some(pre) => self.trie.insert(pre, slot),
-            None => self.fallback.push(slot),
+        let at = match FlowMatch::dst_prefix_of_key(&rule.key) {
+            Some(pre) => Some(self.trie.insert(pre, slot)),
+            None => {
+                self.fallback.push(slot);
+                None
+            }
+        };
+        // The slab hands out a slot never used before only at its top.
+        match self.filed_at.get_mut(slot as usize) {
+            Some(filed) => *filed = at,
+            None => self.filed_at.push(at),
         }
     }
 
@@ -196,17 +207,17 @@ impl OverlapIndex {
         let slot = self.ids.remove(id)?;
         self.order.touch(id);
         let rule = *self.rules.get(slot);
-        self.unfile(&rule.key, slot);
+        self.unfile(slot);
         self.rules.release(slot);
         Some(rule)
     }
 
     /// Takes `slot` out of the trie node or the fallback list `insert`
-    /// filed it under for `key`.
-    fn unfile(&mut self, key: &TernaryKey, slot: u32) {
-        match FlowMatch::dst_prefix_of_key(key) {
-            Some(pre) => {
-                self.trie.remove(pre, &slot);
+    /// filed it in.
+    fn unfile(&mut self, slot: u32) {
+        match self.filed_at[slot as usize] {
+            Some(at) => {
+                self.trie.remove(at, &slot);
             }
             None => {
                 if let Some(pos) = self.fallback.iter().position(|&s| s == slot) {
@@ -231,6 +242,7 @@ impl OverlapIndex {
         self.trie.clear();
         self.fallback.clear();
         self.rules.clear();
+        self.filed_at.clear();
         self.ids.clear();
         self.order.forget();
     }
@@ -288,8 +300,9 @@ impl OverlapIndex {
 
     /// Checks the storage invariants (debug aid / property tests): the
     /// trie's own, the id index's own, every id's slot holds the rule of
-    /// that id and is filed once, under the rule's destination prefix or
-    /// in the fallback list when it has none, and the filed slots and the
+    /// that id and is filed once, at the trie node its kept handle names,
+    /// which stands for the rule's destination prefix, or in the fallback
+    /// list when it has none, and the filed slots and the
     /// slab's free list account for every slab slot exactly once, and a
     /// kept id order agrees with the id index on every id not touched since
     /// it was read.
@@ -298,9 +311,15 @@ impl OverlapIndex {
         let each_filed = self.ids.iter().all(|(id, slot)| {
             let rule = self.rules.get(slot);
             rule.id == id
-                && match FlowMatch::dst_prefix_of_key(&rule.key) {
-                    Some(pre) => self.trie.items_at(pre).contains(&slot),
-                    None => self.fallback.contains(&slot),
+                && match (
+                    FlowMatch::dst_prefix_of_key(&rule.key),
+                    self.filed_at[slot as usize],
+                ) {
+                    (Some(pre), Some(at)) => {
+                        self.trie.find(pre) == Some(at) && self.trie.holds(at, &slot)
+                    }
+                    (None, None) => self.fallback.contains(&slot),
+                    _ => false,
                 }
         });
         // `len` distinct slots each filed at least once among `len` filed
@@ -437,6 +456,41 @@ mod tests {
             via_scan.sort_unstable();
             assert_eq!(via_idx, via_scan);
         }
+    }
+
+    /// Counted work, not host time: the trie nodes one `remove` reads.
+    /// Over indexes of n and 8n random /24 rules, a remove reads the node
+    /// its rule was filed at, its parent and what a splice relinks: the
+    /// same four nodes at both sizes, where a descent from the root read
+    /// one more node per level.
+    #[test]
+    fn removal_reads_stay_flat_as_the_index_grows() {
+        use hermes_util::rng::{Rng, SeedableRng};
+        const N: u64 = 512;
+        const REMOVES: u64 = 256;
+        let reads_per_remove = |n: u64| {
+            let mut rng = hermes_util::rng::rngs::StdRng::seed_from_u64(11);
+            let mut idx = OverlapIndex::new();
+            for id in 0..n {
+                let key = Ipv4Prefix::new(rng.gen(), 24).to_key();
+                idx.insert(Rule::new(id, key, Priority(1), Action::Drop));
+            }
+            let mut counts = Vec::new();
+            for k in 0..REMOVES {
+                let id = RuleId(k * (n / REMOVES));
+                let before = idx.trie.removal_reads;
+                let rule = idx.remove(id).expect("a live rule");
+                counts.push(idx.trie.removal_reads - before);
+                // Back in, so the index keeps its size.
+                idx.insert(rule);
+            }
+            assert!(idx.check_invariants());
+            counts.sort_unstable();
+            (counts[counts.len() / 2], counts[counts.len() - 1])
+        };
+        let (small, large) = (reads_per_remove(N), reads_per_remove(8 * N));
+        assert_eq!(small, (4, 4), "n: median and most reads per remove");
+        assert_eq!(large, (4, 4), "8n: median and most reads per remove");
     }
 
     #[test]

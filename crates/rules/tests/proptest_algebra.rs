@@ -3,15 +3,18 @@
 //! in-tree `hermes_util::check!` harness with pinned default seeds.
 //!
 //! `reclaiming_trie_matches_reference` checks `PrefixTrie` against the
-//! trie as it stood before `remove` reclaimed nodes and before path
-//! compression, kept here as [`reference`] (DESIGN.md §16). Mutants of
-//! `trie.rs` it kills, each applied by hand and seen to fail: no pruning
-//! (an emptied node stays linked); freeing (and so reusing) a slot without
-//! resetting it; no splice on remove, either of an emptied node with one
-//! child or of a parent left itemless with one child; the wrong branch bit
-//! on an edge split (the old child filed on the new leaf's side); a walk
-//! that descends into a child that does not contain the query (its items
-//! reported as ancestors).
+//! trie as it stood before `remove` reclaimed nodes, before path
+//! compression and before the compact node array, kept here as
+//! [`reference`] (DESIGN.md §16). Mutants of `trie.rs` it kills, each
+//! applied by hand and seen to fail: no pruning (an emptied node stays
+//! linked); freeing (and so reusing) a slot without resetting it; no
+//! splice on remove, either of an emptied node with one child or of a
+//! parent left itemless with one child; the wrong branch bit on an edge
+//! split (the old child filed on the new leaf's side); a walk that
+//! descends into a child that does not contain the query (its items
+//! reported as ancestors); the overflow pool removing in order
+//! (`Vec::remove`) instead of `swap_remove`; a fork or an unlink that
+//! leaves a child's parent link behind.
 //!
 //! `overlap_index_churn_matches_reference` checks `OverlapIndex` against
 //! the index as it stood before it kept each rule once in a slab behind a
@@ -274,6 +277,11 @@ mod reference {
             self.len += 1;
         }
 
+        /// The items stored exactly at `prefix`, in storage order.
+        pub fn items_at(&self, prefix: Ipv4Prefix) -> &[T] {
+            self.walk(prefix).map_or(&[], |idx| &self.nodes[idx].items)
+        }
+
         /// Walks to the node for `prefix` without creating nodes.
         fn walk(&self, prefix: Ipv4Prefix) -> Option<usize> {
             let mut idx = 0;
@@ -388,17 +396,21 @@ const TRIE_QUERIES: [&str; 8] = [
 #[derive(Clone, Debug)]
 enum TrieOp {
     Insert(usize, u8),
+    /// Insert items 0, 1 and 2 under one prefix.
+    Pile(usize),
     Remove(usize, u8),
     Clear,
 }
 
 /// Items from a pool of 4 so one prefix holds several (equal ones too),
-/// and removes aim at absent items often.
+/// piles of three so nodes spill into the overflow pool, and removes that
+/// aim at absent items often.
 fn trie_op() -> Gen<TrieOp> {
     let slot = || zip2(range(0usize..TRIE_POOL.len()), range(0u8..4));
     weighted(vec![
         (10, slot().map(|(p, v)| TrieOp::Insert(p, v))),
-        (10, slot().map(|(p, v)| TrieOp::Remove(p, v))),
+        (2, range(0usize..TRIE_POOL.len()).map(TrieOp::Pile)),
+        (12, slot().map(|(p, v)| TrieOp::Remove(p, v))),
         (1, just(TrieOp::Clear)),
     ])
 }
@@ -674,23 +686,26 @@ hermes_util::check! {
         }
     }
 
-    /// Trie removal really removes (and only removes one occurrence).
+    /// Trie removal really removes (and only removes one occurrence),
+    /// each item through the handle its insert returned.
     fn trie_insert_remove_roundtrip(items in vec_of(zip2(prefix(), range(0u32..50)), 1..30)) {
         let mut trie = PrefixTrie::new();
-        for (p, v) in &items {
-            trie.insert(*p, *v);
-        }
+        let filed: Vec<_> = items.iter().map(|&(p, v)| (trie.insert(p, v), v)).collect();
         assert_eq!(trie.len(), items.len());
-        for (p, v) in &items {
-            assert!(trie.remove(*p, v));
+        for (at, v) in &filed {
+            assert!(trie.remove(*at, v));
         }
         assert!(trie.is_empty());
         assert!(trie.check_invariants());
     }
 
-    /// The reclaiming trie answers exactly as the one that never freed a
-    /// node: same return values, and after every step the invariants hold
-    /// and every walk visits the same items in the same order.
+    /// The compact trie answers exactly as the one that never freed a
+    /// node and kept each node's items in a `Vec`: same return values, and
+    /// after every step the invariants hold, every node holds the
+    /// reference's items in the reference's order (push, `swap_remove`),
+    /// and every walk visits the same items in the same order. Removals go
+    /// through the handle the prefix's inserts returned, which stays the
+    /// same while the prefix holds items.
     fn reclaiming_trie_matches_reference(ops in vec_of(trie_op(), 1..200)) {
         let pool: Vec<Ipv4Prefix> = TRIE_POOL.iter().map(|s| s.parse().unwrap()).collect();
         let queries: Vec<Ipv4Prefix> = TRIE_QUERIES
@@ -700,22 +715,39 @@ hermes_util::check! {
             .collect();
         let mut trie = PrefixTrie::new();
         let mut reference = reference::PrefixTrie::new();
+        let mut filed_at = vec![None; pool.len()];
         for (step, op) in ops.iter().enumerate() {
+            let mut insert = |p: usize, v: u8| {
+                let at = trie.insert(pool[p], v);
+                assert!(filed_at[p].is_none_or(|held| held == at), "step {step}: a live node moved");
+                filed_at[p] = Some(at);
+                reference.insert(pool[p], v);
+            };
             match *op {
-                TrieOp::Insert(p, v) => {
-                    trie.insert(pool[p], v);
-                    reference.insert(pool[p], v);
-                }
+                TrieOp::Insert(p, v) => insert(p, v),
+                TrieOp::Pile(p) => (0..3).for_each(|v| insert(p, v)),
                 TrieOp::Remove(p, v) => {
-                    assert_eq!(trie.remove(pool[p], &v), reference.remove(pool[p], &v), "step {step}");
+                    let got = filed_at[p].is_some_and(|at| trie.remove(at, &v));
+                    assert_eq!(got, reference.remove(pool[p], &v), "step {step}");
+                    if reference.items_at(pool[p]).is_empty() {
+                        filed_at[p] = None;
+                    }
                 }
                 TrieOp::Clear => {
                     trie.clear();
                     reference.clear();
+                    filed_at.fill(None);
                 }
             }
             assert!(trie.check_invariants(), "step {step}: {op:?}");
             assert_eq!((trie.len(), trie.is_empty()), (reference.len(), reference.is_empty()));
+            for (p, &pre) in pool.iter().enumerate() {
+                let got: Vec<u8> = trie.find(pre).map_or(Vec::new(), |at| trie.items(at).copied().collect());
+                assert_eq!(got, reference.items_at(pre), "step {step}: {op:?}, items at {pre}");
+                if let Some(at) = filed_at[p] {
+                    assert_eq!(trie.find(pre), Some(at), "step {step}: {op:?}, handle of {pre}");
+                }
+            }
             for &q in &queries {
                 assert_eq!(trie_walks!(trie, q), trie_walks!(reference, q), "step {step}: {op:?}, query {q}");
             }

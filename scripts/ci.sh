@@ -81,10 +81,13 @@ stage_test() {
     # against the pre-index solver, under eight times the default cases.
     HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-netsim \
       --test proptest_maxmin
-    # The overlap index's storage (slab, id index, trie slots) against the
-    # index it replaced, under eight times the default cases.
+    # The overlap index's storage (slab, id index, trie slots) and the
+    # compact trie under it (node array, overflow pool, removal by handle)
+    # against the index and the trie they replaced, under eight times the
+    # default cases.
     HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-rules \
-      --test proptest_algebra overlap_index_churn_matches_reference
+      --test proptest_algebra -- overlap_index_churn_matches_reference \
+      reclaiming_trie_matches_reference
     # The shadow store's prefix index against the full re-cut scan,
     # likewise.
     HERMES_CHECK_CASES=2048 cargo test --release -q --offline -p hermes-core \
