@@ -11,7 +11,7 @@
 //!
 //! Scale knobs: every binary loads a [`Scenario`] (see [`scenario`]) — a
 //! named entry of `scenarios/matrix.toml` when `HERMES_SCENARIO_FILE` /
-//! `HERMES_SCENARIO` are set (the harness does this), or a synthetic
+//! `HERMES_SCENARIO` are set (the scenario tests do this), or a synthetic
 //! `adhoc` scenario otherwise. `HERMES_SCALE` (default `1`) multiplies
 //! workload sizes either way, so the full paper-scale runs are available
 //! without recompiling.
@@ -272,11 +272,11 @@ pub fn drive_inserts(
 /// library crate receives them as arguments (DESIGN.md §8).
 ///
 /// `HERMES_SCENARIO_FILE` + `HERMES_SCENARIO` select one entry of the
-/// shared scenario matrix (`hermes_util::scenario`; the harness sets
-/// both). Without them a synthetic `adhoc` scenario is built, so plain
+/// shared scenario matrix (`hermes_util::scenario`; the scenario tests
+/// set both). Without them a synthetic `adhoc` scenario is built, so plain
 /// `./exp_*` invocations behave exactly as before. In both cases the bare
 /// environment variables (`HERMES_SCALE`, `HERMES_FAULT_SEED`,
-/// `HERMES_TRACE`) override the file: that is how the harness varies
+/// `HERMES_TRACE`) override the file: that is how the scenario tests vary
 /// per-repetition fault seeds without editing the matrix, and how
 /// operators tweak one-off runs.
 #[expect(
@@ -775,8 +775,8 @@ fn emit_report(name: &str, out: Option<&str>) {
     }
 }
 
-/// The revision stamped into reports: `HERMES_GIT_REV` (CI and the
-/// harness pin it), else `"unknown"`.
+/// The revision stamped into reports: `HERMES_GIT_REV` (the gate and
+/// scenario tests pin it), else `"unknown"`.
 #[expect(
     clippy::disallowed_methods,
     reason = "the report's git-rev stamp is a sanctioned HERMES_* reader"

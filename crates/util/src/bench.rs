@@ -2,8 +2,8 @@
 //!
 //! Host-time *measurement* — warmup, repetitions, percentiles, verdicts —
 //! belongs to the perf ledger (`benchmark/`, see `benchmark/README.md`),
-//! which reads the clock through this type; `hermes-harness` reads it only
-//! for its per-rep deadline (DESIGN.md §11).
+//! which reads the clock through this type; `hermes-bench`'s scenario
+//! tests read it only for their per-rep deadline (DESIGN.md §11).
 
 #![expect(
     clippy::disallowed_types,

@@ -17,7 +17,8 @@
 //!   halving the generation size, and `HERMES_CHECK_*` env overrides.
 //! * [`mod@bench`] — [`bench::Stopwatch`], the one sanctioned wall-clock read
 //!   (the one `clippy.toml` exemption); the perf ledger measures through
-//!   it, and `hermes-harness` times its per-rep deadline with it.
+//!   it, and `hermes-bench`'s scenario tests time their per-rep deadline
+//!   with it.
 //! * [`stats`] — the shared nearest-rank quantile used by the perf
 //!   ledger and the netsim metric distributions.
 //!

@@ -7,7 +7,7 @@
 //! Both sides of the process boundary parse the *same* file with this
 //! module:
 //!
-//! * `hermes-harness` (the orchestrator) loads the matrix, spawns the
+//! * `hermes-bench`'s `tests/scenarios.rs` loads the matrix, spawns the
 //!   named binary once per repetition with the scenario's environment
 //!   ([`Scenario::env`]), and checks each emitted `BENCH_*.json` report;
 //! * the `exp_*` binaries (via `hermes_bench::scenario()`) load the same
@@ -110,7 +110,7 @@ pub struct Scenario {
     pub name: String,
     /// Release binary to spawn (an `exp_*` file stem).
     pub bin: String,
-    /// Seeded repetitions the harness runs.
+    /// Seeded repetitions a scenario test runs.
     pub runs: u32,
     /// Workload multiplier exported as `HERMES_SCALE`.
     pub scale: u64,
@@ -118,7 +118,7 @@ pub struct Scenario {
     /// (`HERMES_FAULT_SEED`). `None` leaves fault injection disarmed.
     pub fault_seed: Option<u64>,
     /// Whether to arm telemetry (`HERMES_TRACE=1`) so the run emits a
-    /// `BENCH_*.json` report the harness can merge.
+    /// `BENCH_*.json` report a scenario test checks.
     pub trace: bool,
     /// Free-form per-experiment knobs (`knobs.<name> = …`).
     pub knobs: BTreeMap<String, Value>,
@@ -175,19 +175,19 @@ impl Scenario {
     }
 
     /// The environment for repetition `rep`, as `(set, remove)` variable
-    /// lists. `matrix_path`, when given, lets the child re-load this
-    /// scenario through the same parser (`HERMES_SCENARIO_FILE` +
-    /// `HERMES_SCENARIO`). Variables in the remove list must be cleared so
-    /// a stale shell environment cannot leak into a seeded run.
-    pub fn env(&self, matrix_path: Option<&str>, rep: u32) -> (Vec<(String, String)>, Vec<String>) {
+    /// lists. `HERMES_SCENARIO_FILE` (`matrix_path`) + `HERMES_SCENARIO`
+    /// let the child re-load this scenario through the same parser.
+    /// Variables in the remove list must be cleared so a stale shell
+    /// environment cannot leak into a seeded run.
+    pub fn env(&self, matrix_path: &str, rep: u32) -> (Vec<(String, String)>, Vec<String>) {
         let mut set = vec![
             ("HERMES_SCALE".to_string(), self.scale.to_string()),
             (
                 "HERMES_TRACE".to_string(),
                 if self.trace { "1" } else { "0" }.to_string(),
             ),
-            ("HERMES_REP".to_string(), rep.to_string()),
             ("HERMES_SCENARIO".to_string(), self.name.clone()),
+            ("HERMES_SCENARIO_FILE".to_string(), matrix_path.to_string()),
         ];
         let mut remove = Vec::new();
         match self.fault_seed {
@@ -196,10 +196,6 @@ impl Scenario {
                 (base + rep as u64).to_string(),
             )),
             None => remove.push("HERMES_FAULT_SEED".to_string()),
-        }
-        match matrix_path {
-            Some(p) => set.push(("HERMES_SCENARIO_FILE".to_string(), p.to_string())),
-            None => remove.push("HERMES_SCENARIO_FILE".to_string()),
         }
         (set, remove)
     }
@@ -431,7 +427,7 @@ knobs.hard = false
     #[test]
     fn env_mapping_seeds_each_rep() {
         let m = Matrix::parse(SAMPLE).unwrap();
-        let (set, remove) = m.get("chaos-suite").unwrap().env(Some("m.toml"), 3);
+        let (set, remove) = m.get("chaos-suite").unwrap().env("m.toml", 3);
         let get = |k: &str| {
             set.iter()
                 .find(|(n, _)| n == k)
@@ -441,14 +437,13 @@ knobs.hard = false
         assert_eq!(get("HERMES_FAULT_SEED"), "45");
         assert_eq!(get("HERMES_SCALE"), "1");
         assert_eq!(get("HERMES_TRACE"), "1");
-        assert_eq!(get("HERMES_REP"), "3");
         assert_eq!(get("HERMES_SCENARIO"), "chaos-suite");
         assert_eq!(get("HERMES_SCENARIO_FILE"), "m.toml");
+        assert_eq!(set.len(), 5, "nothing else is set: {set:?}");
         assert!(remove.is_empty());
         // No fault seed → the variable is actively cleared.
-        let (_, remove) = m.get("baseline").unwrap().env(None, 0);
-        assert!(remove.contains(&"HERMES_FAULT_SEED".to_string()));
-        assert!(remove.contains(&"HERMES_SCENARIO_FILE".to_string()));
+        let (_, remove) = m.get("baseline").unwrap().env("m.toml", 0);
+        assert_eq!(remove, ["HERMES_FAULT_SEED"]);
     }
 
     #[test]

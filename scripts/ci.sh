@@ -12,13 +12,13 @@
 #     CI_STAGES=lint,test scripts/ci.sh
 #
 # Each stage prints its elapsed wall-clock time on completion. Stage
-# order matters: later stages assume earlier ones' artifacts (e.g.
-# `perfgate` reuses the release binaries `build`/`bins` produced), so a
-# subset run may rebuild more than the full pipeline would.
+# order matters: later stages reuse earlier ones' artifacts (e.g. `chaos`
+# reuses the release binaries `build`/`bins` produced), so a subset run
+# may rebuild more than the full pipeline would.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(build lint clippy doc test bins chaos perfgate ledger)
+ALL_STAGES=(build lint clippy doc test bins chaos ledger)
 
 stage_build() {
     cargo build --release --offline --workspace
@@ -68,6 +68,9 @@ stage_doc() {
 stage_test() {
     # Under the gate's pinned environment: no library crate reads it
     # (DESIGN.md §8), so the suite must not care which shell it runs in.
+    # It includes the counter gate (crates/bench/tests/perfgate.rs): every
+    # experiment named by a bench_baselines/BENCH_<exp>.json, its counters
+    # exact against that file, and exp_fig9's traced report reproduced.
     HERMES_FAULT_SEED=7 HERMES_TRACE=1 cargo test -q --offline --workspace
     # The TCAM table's storage (slab, handles, both indexes) under eight
     # times the default cases of its two differential properties.
@@ -110,66 +113,25 @@ stage_chaos() {
     # (transient and crash-class) must recover to flat-table equivalence
     # (DESIGN.md §7, §12).
     cargo test -q --offline -p hermes-core --test oracle chaos
-    # Everything below runs release binaries; built here, so the stage
-    # also runs alone.
-    cargo build --release --offline -q -p hermes-harness -p hermes-bench --bins
-    # One full experiment under a pinned fault seed: must exit 0 (no panics
-    # reachable from device faults) and reproduce byte-for-byte.
+    # The crash storm at seed 42, a configuration no scenario below runs:
+    # armed crash plans must recover (the binary asserts >=1 completed
+    # resync) and replay byte-for-byte from the seed.
+    cargo build --release --offline -q -p hermes-bench --bin exp_crash
     local chaos_out chaos_out2
     chaos_out="$(mktemp)" chaos_out2="$(mktemp)"
-    HERMES_FAULT_SEED=42 ./target/release/exp_fig12 > "$chaos_out"
-    HERMES_FAULT_SEED=42 ./target/release/exp_fig12 > "$chaos_out2"
-    cmp "$chaos_out" "$chaos_out2" \
-      || { echo "chaos run not deterministic under HERMES_FAULT_SEED"; exit 1; }
-    # Same discipline for the crash storm: armed crash plans must recover
-    # (the binary asserts >=1 completed resync) and replay
-    # byte-for-byte from the seed.
     HERMES_FAULT_SEED=42 ./target/release/exp_crash > "$chaos_out"
     HERMES_FAULT_SEED=42 ./target/release/exp_crash > "$chaos_out2"
     cmp "$chaos_out" "$chaos_out2" \
       || { echo "crash storm not deterministic under HERMES_FAULT_SEED"; exit 1; }
     rm -f "$chaos_out" "$chaos_out2"
-    # The scenario matrix for its verdicts: every seeded repetition of
-    # these scenarios (scenarios/matrix.toml) must exit 0 within its
-    # timeout and leave a parsable traced report, or the harness exits
-    # non-zero. Host time is the ledger stage's, not judged here.
-    local matrix_dir
-    matrix_dir="$(mktemp -d)"
-    ./target/release/hermes-harness --matrix scenarios/matrix.toml \
-        --bin-dir target/release --out "$matrix_dir" \
-        --scenarios smoke-crash,smoke-chaos,smoke-fleet,chaos-suite,baseline
-    rm -rf "$matrix_dir"
-    echo "ok: chaos suite + seeded experiments deterministic, every matrix rep clean"
-}
-
-stage_perfgate() {
-    # Regenerate the gated experiments under the pinned environment
-    # (bench_baselines/README.md) and compare their counters — exact
-    # match — against the committed baselines. Wall-clock is ignored;
-    # counter drift means behaviour changed and must be either fixed or
-    # explicitly re-baselined via scripts/refresh_baselines.sh. The gated
-    # experiments are the names of the committed bench_baselines/BENCH_*.json,
-    # the one place the list is written down. exp_fig9 then runs a second
-    # time under the same seeds: its traced report must reproduce byte for
-    # byte (its schema and six subsystems are checked in-process by
-    # tests/determinism.rs).
-    local exps=(bench_baselines/BENCH_*.json) exp bins=()
-    exps=("${exps[@]#bench_baselines/BENCH_}")
-    exps=("${exps[@]%.json}")
-    for exp in "${exps[@]}"; do bins+=(--bin "exp_${exp}"); done
-    cargo build --release --offline -q -p hermes-bench "${bins[@]}"
-    local fresh_dir
-    fresh_dir="$(mktemp -d)"
-    for exp in "${exps[@]}"; do
-        HERMES_TRACE=1 HERMES_FAULT_SEED=7 HERMES_GIT_REV=baseline \
-            "./target/release/exp_${exp}" --out "$fresh_dir/BENCH_${exp}.json" >/dev/null
-    done
-    python3 scripts/perfgate.py counters bench_baselines "$fresh_dir"
-    HERMES_TRACE=1 HERMES_FAULT_SEED=7 HERMES_GIT_REV=baseline \
-        ./target/release/exp_fig9 --out "$fresh_dir/fig9_again.json" >/dev/null
-    cmp "$fresh_dir/BENCH_fig9.json" "$fresh_dir/fig9_again.json" \
-      || { echo "exp_fig9's traced report not deterministic under HERMES_FAULT_SEED"; exit 1; }
-    rm -rf "$fresh_dir"
+    # The scenario matrix for its verdicts (crates/bench/tests/scenarios.rs):
+    # every seeded rep of these scenarios (scenarios/matrix.toml) must exit
+    # 0 within its timeout and leave a parsable traced report, and rep 0,
+    # run twice, must reproduce its stdout and report byte for byte
+    # (`chaos-suite` rep 0 is exp_fig12 under seed 42). Host time is the
+    # ledger stage's, not judged here.
+    cargo test --release --offline -p hermes-bench --test scenarios -- --ignored --exact \
+        smoke_crash smoke_chaos smoke_fleet chaos_suite baseline
 }
 
 # Where with_parked_benchmark_lock parks the committed benchmark/Cargo.lock
@@ -296,7 +258,7 @@ print_summary() {
         if [[ -n "$first_fail" ]]; then
             echo "first failing stage: $first_fail"
         fi
-        # The size figure simplicity PRs quote: the `lib` column (ROADMAP item 14).
+        # The size figure simplicity PRs quote: the `lib` column.
         echo
         echo "== size: non-blank non-comment lines under crates/*/src, library and #[cfg(test)] =="
         bash scripts/loc.sh

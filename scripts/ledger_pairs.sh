@@ -3,9 +3,11 @@
 #
 #   scripts/ledger_pairs.sh <git-ref> <workload|all> <seed> <pairs>
 #
-# Builds perf-ledger twice: for <git-ref> in a temporary `git archive`
-# export, and for the working tree as it is (uncommitted edits included).
-# Then runs <pairs> pairs of
+# Builds perf-ledger for the working tree as it is (uncommitted edits
+# included) and for <git-ref> in a temporary `git archive` export. The
+# <git-ref> binary is kept under target/ledger_pairs/<commit hash>/ with
+# the `rustc -V` that built it, so a later call against the same commit
+# and toolchain skips its export and build. Then runs <pairs> pairs of
 #   run --workload <workload> --seed <seed> --seconds <s> --trace 0
 # with <s> the run_seconds of BENCHMARK.json, launched from the Python
 # that summarises them. Odd pairs run <git-ref> first, even pairs the
@@ -40,12 +42,23 @@ cleanup() {
 }
 trap cleanup EXIT
 
-mkdir "$tmp/ref"
-git archive "$commit" | tar -x -C "$tmp/ref"
-echo "== building perf-ledger at $ref (${commit:0:12}) and in the working tree =="
-cargo build --release --offline -q --manifest-path "$tmp/ref/benchmark/Cargo.toml"
+cache="target/ledger_pairs/$commit"
+toolchain="$(rustc -V)"
+if [[ -x "$cache/perf-ledger" && "$(cat "$cache/rustc-version" 2>/dev/null)" == "$toolchain" ]]; then
+    echo "== perf-ledger at $ref (${commit:0:12}): cached in $cache =="
+else
+    mkdir "$tmp/ref"
+    git archive "$commit" | tar -x -C "$tmp/ref"
+    echo "== building perf-ledger at $ref (${commit:0:12}) =="
+    cargo build --release --offline -q --manifest-path "$tmp/ref/benchmark/Cargo.toml"
+    mkdir -p "$cache"
+    rm -f "$cache/rustc-version"
+    cp "$tmp/ref/benchmark/target/release/perf-ledger" "$cache/perf-ledger"
+    echo "$toolchain" > "$cache/rustc-version"
+fi
+echo "== building perf-ledger in the working tree =="
 cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
-cp "$tmp/ref/benchmark/target/release/perf-ledger" "$tmp/ref.bin"
+cp "$cache/perf-ledger" "$tmp/ref.bin"
 cp benchmark/target/release/perf-ledger "$tmp/change.bin"
 
 python3 - "$tmp" "$pairs" "$ref" "$workload" "$seed" "$seconds" <<'PY'

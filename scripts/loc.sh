@@ -2,8 +2,8 @@
 # Per-crate size of crates/*/src: non-blank, non-`//`-comment lines, in
 # two columns. `lib` is the library; `test` is its in-file `#[cfg(test)]`
 # items (`tests/` directories are not counted at all). Simplicity PRs
-# quote `lib`, so a test added or removed does not read as design
-# (ROADMAP item 14); `scripts/ci.sh` prints both in its closing summary.
+# quote `lib`, so a test added or removed does not read as design;
+# `scripts/ci.sh` prints both in its closing summary.
 #
 # A `#[cfg(test)]` item runs from the attribute to the line where its
 # braces balance (or to its `;` if it has no body). Braces inside string

@@ -2,7 +2,8 @@
 # Regenerate the committed counter baselines in bench_baselines/.
 #
 # Run this after an INTENTIONAL behaviour change that moves the gated
-# counters (see scripts/perfgate.py), then review and commit the diff —
+# counters (the gate is crates/bench/tests/perfgate.rs, run by `cargo
+# test`), then review and commit the diff —
 # the baseline refresh is part of the change, not an afterthought.
 #
 # The environment is pinned so the reports are deterministic:

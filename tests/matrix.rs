@@ -8,8 +8,8 @@
 //!    present with the contracted repetition count, every referenced
 //!    binary is a real `crates/bench` experiment, and every knob it sets
 //!    is read by that binary (or the matrix drifts from the workspace
-//!    silently). How the harness runs it is pinned in
-//!    `crates/harness/tests/fixture.rs`.
+//!    silently). How each scenario runs, and that each has a test, is
+//!    `crates/bench/tests/scenarios.rs`.
 //! 2. The build is hermetic and every experiment goes through the one
 //!    wrapper: neither lockfile records an external package, and every
 //!    `exp_*` binary calls `hermes_bench::run_experiment("<its stem>", …)`
