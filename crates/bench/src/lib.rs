@@ -29,6 +29,8 @@ use hermes_tcam::{FaultPlan, SimDuration, SimTime, SwitchModel};
 use hermes_util::scenario::Scenario;
 use hermes_workloads::microbench::TimedAction;
 
+pub mod run;
+
 /// What [`drive_batches`] measured on one control plane.
 #[derive(Debug, Default)]
 pub struct StreamResult {

@@ -2,7 +2,7 @@
 //! of `scenarios/matrix.toml`, `#[ignore]`d because each runs an
 //! experiment binary `runs` times, some of them for minutes.
 //!
-//! Rep `r` runs the scenario's binary as an OS process under
+//! Rep `r` runs the scenario's binary through [`run_rep`] under
 //! [`Scenario::env`]`(matrix, r)`. It fails on a non-zero exit, on running
 //! past [`REP_TIMEOUT_S`] (the child is killed), or, when traced, on a
 //! report that is missing, unparsable or not `hermes-bench-report/1`.
@@ -22,17 +22,9 @@
 mod common;
 
 use common::{exp_bin, fresh_dir};
-use hermes_util::bench::Stopwatch;
-use hermes_util::json::Json;
+use hermes_bench::run::{run_rep, REP_TIMEOUT_S};
 use hermes_util::scenario::{Matrix, Scenario};
-use std::fs::File;
 use std::path::Path;
-use std::process::Command;
-
-/// Longest one rep may run, seconds, before it is killed: well above the
-/// slowest full-tier rep (`1m-preload`, minutes), short enough that CI
-/// reports a hang the same hour.
-const REP_TIMEOUT_S: u64 = 1800;
 
 const MATRIX: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/matrix.toml");
 
@@ -76,87 +68,16 @@ fn committed(name: &str) -> Scenario {
         .clone()
 }
 
-/// What a clean rep printed and reported, for the reproducibility check.
-#[derive(PartialEq)]
-struct RepOutput {
-    stdout: Vec<u8>,
-    report: Vec<u8>,
-}
-
-/// Runs rep `rep` of `sc`, its files (`rep<r>.json`, `.stdout`, `.stderr`)
-/// under `dir`, and kills it once it has run `deadline_s` seconds. `Err`
-/// says why the rep does not count.
-fn run_rep(sc: &Scenario, rep: u32, dir: &Path, deadline_s: u64) -> Result<RepOutput, String> {
-    let file = |ext: &str| dir.join(format!("rep{rep}.{ext}"));
-    let mut cmd = Command::new(exp_bin(&sc.bin));
-    cmd.arg("--out")
-        .arg(file("json"))
-        .stdout(File::create(file("stdout")).expect("create stdout file"))
-        .stderr(File::create(file("stderr")).expect("create stderr file"))
-        // A rep's output depends only on its scenario and seed.
-        .env_remove("HERMES_OUT")
-        .env("HERMES_GIT_REV", "scenarios");
-    let (set, remove) = sc.env(MATRIX, rep);
-    cmd.envs(set);
-    for k in remove {
-        cmd.env_remove(k);
-    }
-    let clock = Stopwatch::start();
-    let mut child = cmd
-        .spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", sc.bin))?;
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll the child") {
-            break status;
-        }
-        if clock.elapsed().as_secs() >= deadline_s {
-            child.kill().expect("kill the child");
-            child.wait().expect("reap the child");
-            return Err(format!("timed out after {deadline_s} s"));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    };
-    if !status.success() {
-        let stderr = std::fs::read_to_string(file("stderr")).unwrap_or_default();
-        return Err(format!(
-            "{status}: {}",
-            stderr.lines().next().unwrap_or("(no stderr)")
-        ));
-    }
-    if sc.trace {
-        check_report(&file("json"))?;
-    }
-    Ok(RepOutput {
-        stdout: std::fs::read(file("stdout")).expect("read stdout file"),
-        report: std::fs::read(file("json")).unwrap_or_default(),
-    })
-}
-
-/// A traced rep's report verdict: it exists, parses, and is a
-/// `hermes-bench-report/1` document.
-fn check_report(path: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("no report at {}: {e}", path.display()))?;
-    let doc =
-        Json::parse(&text).map_err(|e| format!("malformed report {}: {e:?}", path.display()))?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("hermes-bench-report/1") => Ok(()),
-        schema => Err(format!(
-            "report schema {:?}, want hermes-bench-report/1",
-            schema.unwrap_or("<missing>")
-        )),
-    }
-}
-
 /// Runs every rep of scenario `name`, then rep 0 again; fails listing
 /// each bad rep.
 fn run_scenario(name: &str) {
     let sc = &committed(name);
+    let bin = exp_bin(&sc.bin);
     let dir = fresh_dir(&format!("scenarios/{name}"));
     let mut bad = Vec::new();
     let mut first = None;
     for rep in 0..sc.runs {
-        match run_rep(sc, rep, &dir, REP_TIMEOUT_S) {
+        match run_rep(&bin, Path::new(MATRIX), sc, rep, &dir, REP_TIMEOUT_S) {
             Ok(out) if rep == 0 => first = Some(out),
             Ok(_) => {}
             Err(e) => bad.push(format!("rep {rep}: {e}")),
@@ -165,7 +86,7 @@ fn run_scenario(name: &str) {
     if let Some(first) = first {
         let again_dir = dir.join("again");
         std::fs::create_dir_all(&again_dir).expect("create the scratch dir");
-        match run_rep(sc, 0, &again_dir, REP_TIMEOUT_S) {
+        match run_rep(&bin, Path::new(MATRIX), sc, 0, &again_dir, REP_TIMEOUT_S) {
             Ok(again) if again == first => {}
             Ok(again) => {
                 let verdict = |same: bool| if same { "same" } else { "differs" };
@@ -196,56 +117,4 @@ fn every_matrix_scenario_has_a_test() {
         SCENARIOS, names,
         "add a line to scenarios! for each scenario"
     );
-}
-
-#[test]
-fn nonzero_exit_is_a_rep_failure() {
-    let dir = fresh_dir("scenarios/nonzero_exit");
-    // A scenario of the committed matrix, at a scale the binaries refuse.
-    let sc = Scenario {
-        scale: 0,
-        ..committed("smoke-chaos")
-    };
-    let e = run_rep(&sc, 0, &dir, REP_TIMEOUT_S)
-        .err()
-        .expect("HERMES_SCALE=0 must fail the rep");
-    assert!(
-        e.contains("exit status: 1") && e.contains("HERMES_SCALE=0 is not a positive integer"),
-        "{e}"
-    );
-}
-
-#[test]
-fn hung_child_is_killed_and_reported_as_timed_out() {
-    let dir = fresh_dir("scenarios/timed_out");
-    let clock = Stopwatch::start();
-    let e = run_rep(&committed("smoke-chaos"), 0, &dir, 0)
-        .err()
-        .expect("a 0 s deadline fails the rep");
-    assert_eq!(e, "timed out after 0 s");
-    assert!(clock.elapsed().as_secs() < 30, "the child was not killed");
-}
-
-#[test]
-fn malformed_report_is_a_rep_failure() {
-    let dir = fresh_dir("scenarios/reports");
-    let verdict = |name: &str, body: Option<&str>| {
-        let path = dir.join(name);
-        if let Some(body) = body {
-            std::fs::write(&path, body).expect("write report");
-        }
-        check_report(&path)
-    };
-    assert_eq!(
-        verdict("ok.json", Some("{\"schema\": \"hermes-bench-report/1\"}")),
-        Ok(())
-    );
-    let e = verdict("absent.json", None).unwrap_err();
-    assert!(e.starts_with("no report at"), "{e}");
-    let e = verdict("garbled.json", Some("{not json")).unwrap_err();
-    assert!(e.starts_with("malformed report"), "{e}");
-    let e = verdict("v9.json", Some("{\"schema\": \"hermes-bench-report/9\"}")).unwrap_err();
-    assert!(e.contains("\"hermes-bench-report/9\""), "{e}");
-    let e = verdict("none.json", Some("{}")).unwrap_err();
-    assert!(e.contains("<missing>"), "{e}");
 }

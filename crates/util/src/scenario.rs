@@ -7,9 +7,10 @@
 //! Both sides of the process boundary parse the *same* file with this
 //! module:
 //!
-//! * `hermes-bench`'s `tests/scenarios.rs` loads the matrix, spawns the
-//!   named binary once per repetition with the scenario's environment
-//!   ([`Scenario::env`]), and checks each emitted `BENCH_*.json` report;
+//! * `hermes-bench`'s `tests/scenarios.rs` loads the matrix and, through
+//!   `hermes_bench::run`, spawns the named binary once per repetition
+//!   with the scenario's environment ([`Scenario::env`]) and checks each
+//!   emitted `BENCH_*.json` report;
 //! * the `exp_*` binaries (via `hermes_bench::scenario()`) load the same
 //!   scenario back from `HERMES_SCENARIO_FILE`/`HERMES_SCENARIO` and read
 //!   their workload knobs from the [`Scenario`] struct.
